@@ -411,7 +411,8 @@ class FeatureFileWriter:
     """Streams samples into the PBF1 format without holding them all.
 
     The header's sample count and max_T are patched on close, so the
-    resulting bytes are identical to a one-shot write.
+    resulting bytes are identical to a one-shot write. If the `with` body
+    raises, the file is deleted instead of left with a 0-sample header.
     """
 
     def __init__(self, path: str | Path, dim: int, schema_version: int = SCHEMA_VERSION):
@@ -454,6 +455,7 @@ class FeatureFileWriter:
             self.close()
         else:
             self._fh.close()
+            Path(self._fh.name).unlink(missing_ok=True)
 
 
 def write_feature_file(
@@ -469,33 +471,9 @@ def write_feature_file(
     return writer.n
 
 
-def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
-    """(game_id, profile_index, T) per record, skipping matrix payloads."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read(_HEADER.size)
-            if len(raw) < _HEADER.size:
-                raise SchemaMismatch(f"{path}: truncated header")
-            magic, version, n_samples, _, dim = _HEADER.unpack(raw)
-            if magic != _MAGIC:
-                raise SchemaMismatch(f"{path}: bad magic {magic!r}")
-            if version != SCHEMA_VERSION:
-                raise SchemaMismatch(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
-            out = []
-            for _ in range(n_samples):
-                raw = fh.read(_RECORD.size)
-                if len(raw) < _RECORD.size:
-                    raise SchemaMismatch(f"{path}: truncated record header")
-                game_id, profile_idx, t = _RECORD.unpack(raw)
-                out.append((game_id, profile_idx, t))
-                fh.seek(4 * t * dim, 1)
-            return out
-    except OSError as exc:
-        raise IoFailure(f"feature file scan failed: {exc}") from exc
-
-
-def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
-    """Read a PBF1 file; returns (samples, header dict)."""
+def _parse_feature_file(path: str | Path, payloads: bool) -> tuple[dict, list[tuple]]:
+    """Header dict and (game_id, profile_index, T, matrix or None) per record;
+    a file that does not end exactly after its last record is rejected."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read(_HEADER.size)
@@ -506,27 +484,46 @@ def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
                 raise SchemaMismatch(f"{path}: bad magic {magic!r}")
             if version != SCHEMA_VERSION:
                 raise SchemaMismatch(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
-            samples = []
+            records = []
             for _ in range(n_samples):
                 raw = fh.read(_RECORD.size)
                 if len(raw) < _RECORD.size:
                     raise SchemaMismatch(f"{path}: truncated record header")
                 game_id, profile_idx, t = _RECORD.unpack(raw)
-                buf = fh.read(4 * t * dim)
-                if len(buf) < 4 * t * dim:
-                    raise SchemaMismatch(f"{path}: truncated record")
-                matrix = np.frombuffer(buf, dtype="<f4").reshape(t, dim).astype(np.float32)
-                samples.append(
-                    SequenceSample(
-                        game_id=game_id,
-                        profile=Profile.from_index(profile_idx),
-                        window=(0, t),
-                        matrix=matrix,
-                    )
-                )
-            return samples, {"schema_version": version, "n_samples": n_samples, "max_T": max_t, "dim": dim}
+                matrix = None
+                if payloads:
+                    buf = fh.read(4 * t * dim)
+                    if len(buf) < 4 * t * dim:
+                        raise SchemaMismatch(f"{path}: truncated record")
+                    matrix = np.frombuffer(buf, dtype="<f4").reshape(t, dim).astype(np.float32)
+                else:
+                    fh.seek(4 * t * dim, 1)
+                records.append((game_id, profile_idx, t, matrix))
+            end = fh.tell()
+            if fh.seek(0, 2) != end:  # trailing bytes, or a payload cut short
+                raise SchemaMismatch(f"{path}: file size does not match its {n_samples} records")
     except OSError as exc:
         raise IoFailure(f"feature file read failed: {exc}") from exc
+    header = {"schema_version": version, "n_samples": n_samples, "max_T": max_t, "dim": dim}
+    return header, records
+
+
+def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
+    """(game_id, profile_index, T) per record, skipping matrix payloads."""
+    _, records = _parse_feature_file(path, payloads=False)
+    return [r[:3] for r in records]
+
+
+def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
+    """Read a PBF1 file; returns (samples, header dict)."""
+    header, records = _parse_feature_file(path, payloads=True)
+    samples = [
+        SequenceSample(
+            game_id=game_id, profile=Profile.from_index(profile_idx), window=(0, t), matrix=matrix
+        )
+        for game_id, profile_idx, t, matrix in records
+    ]
+    return samples, header
 
 
 def write_aggregate_csv(path: str | Path, rows: Iterable[tuple[int, Profile, AggregateVector]]) -> int:

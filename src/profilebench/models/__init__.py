@@ -18,7 +18,6 @@ from profilebench.models.training import (
     Batch,
     TrainConfig,
     forward_batch,
-    forward_sample,
     loss_fn,
     neutral_correction,
     train,
@@ -37,7 +36,6 @@ __all__ = [
     "attention_pool",
     "bilstm_forward",
     "forward_batch",
-    "forward_sample",
     "init_checkpoint",
     "load_checkpoint",
     "loss_fn",

@@ -8,6 +8,10 @@ autograd framework.
 Shapes: batches are (B, T, D), per-direction hidden states (B, T, H),
 concatenated states (B, T, 2H). Functions follow the dtype of their
 inputs, so float64 oracle checks and float32 training share one code path.
+
+The input projection X @ W.T runs as one (B*T, D) @ (D, 4H) GEMM: on a
+(B, T, D) array numpy's stacked matmul runs B small GEMMs, one per batch
+row, about 6x slower at (64, 8, 530).
 """
 
 from __future__ import annotations
@@ -18,13 +22,22 @@ from profilebench.errors import DimensionMismatch
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form keeps exp() off large positive arguments
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Two-branch stable sigmoid, 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below,
+    with no boolean masks: their gathers and scatters cost more than the exp.
+    exp() sees min(x, -x) = -|x| (never overflows; a nan passes unchanged)."""
+    e = np.exp(np.minimum(x, -x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
+
+
+def _gates(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gate activations and the next (h, c) from 4H pre-activations z."""
+    H = c.shape[-1]
+    s = sigmoid(z)
+    i, f, o = s[..., :H], s[..., H : 2 * H], s[..., 3 * H :]
+    g = np.tanh(z[..., 2 * H : 3 * H])
+    c_next = f * c + i * g
+    h_next = o * np.tanh(c_next)
+    return i, f, g, o, h_next, c_next
 
 
 def lstm_cell(
@@ -36,14 +49,7 @@ def lstm_cell(
         raise DimensionMismatch(
             f"cell shapes inconsistent: W{W.shape} R{R.shape} x{x.shape} h{h.shape}"
         )
-    z = x @ W.T + h @ R.T + b
-    i = sigmoid(z[..., :H])
-    f = sigmoid(z[..., H : 2 * H])
-    g = np.tanh(z[..., 2 * H : 3 * H])
-    o = sigmoid(z[..., 3 * H :])
-    c_next = f * c + i * g
-    h_next = o * np.tanh(c_next)
-    return h_next, c_next
+    return _gates(x @ W.T + h @ R.T + b, c)[4:]
 
 
 def _direction_forward(
@@ -64,20 +70,14 @@ def _direction_forward(
     hidden = np.empty((B, T, H), dtype)
     hidden_prev = np.empty((B, T, H), dtype)
 
-    xw = X @ W.T  # (B, T, 4H), hoisted out of the step loop
+    xw = (X.reshape(B * T, D) @ W.T).reshape(B, T, 4 * H)  # hoisted out of the step loop
     h = np.zeros((B, H), dtype)
     c = np.zeros((B, H), dtype)
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
         hidden_prev[:, t] = h
         cells_prev[:, t] = c
-        z = xw[:, t] + h @ R.T + b
-        i = sigmoid(z[:, :H])
-        f = sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = sigmoid(z[:, 3 * H :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        i, f, g, o, h, c = _gates(xw[:, t] + h @ R.T + b, c)
         gates_i[:, t] = i
         gates_f[:, t] = f
         gates_g[:, t] = g

@@ -99,11 +99,6 @@ def forward_batch(
     return logits, cache
 
 
-def forward_sample(sample: SequenceSample, ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    logits, _ = forward_batch(np.asarray(sample.matrix)[None], ckpt)
-    return {k: v[0] for k, v in logits.items()}
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))

@@ -9,6 +9,7 @@ the same config produces byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import platform
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -303,12 +304,19 @@ def write_provenance(
     paths: Paths, stage: str, inputs: list[Path], seed: int, params: dict
 ) -> None:
     paths.provenance.mkdir(parents=True, exist_ok=True)
+    try:  # numpy < 1.25 has no dict form of its build config
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
     doc = {
         "stage": stage,
         "version": __version__,
         "seed": seed,
         "inputs": {p.name: sha256_file(p) for p in inputs},
         "params_digest": digest_config(params),
+        # float bits (e.g. GEMM rounding on short windows) depend on these
+        "libraries": {"python": platform.python_version(), "numpy": np.__version__, "blas": blas},
     }
     out = paths.provenance / f"{stage}.json"
     out.write_text(stable_json_dumps(doc) + "\n", encoding="utf-8")

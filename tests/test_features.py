@@ -21,6 +21,7 @@ from profilebench.features import (
     N_LEGACY,
     N_TOTAL,
     SCHEMA_VERSION,
+    FeatureFileWriter,
     SequenceSample,
     aggregate_features,
     behavioral_matrix,
@@ -478,6 +479,32 @@ def test_feature_file_rejects_garbage(tmp_path):
         read_feature_file(partial)
     with pytest.raises(SchemaMismatch):
         scan_feature_file(partial)
+
+
+def test_feature_file_writer_removes_partial_file_on_error(tmp_path):
+    path = tmp_path / "partial.pbf"
+    with pytest.raises(RuntimeError):
+        with FeatureFileWriter(path, N_TOTAL) as writer:
+            writer.add(_samples()[0])
+            raise RuntimeError("featurizer failed mid-file")
+    assert not path.exists()
+
+
+def test_feature_file_rejects_trailing_bytes(tmp_path):
+    good = tmp_path / "good.pbf"
+    write_feature_file(good, _samples(), dim=N_TOTAL)
+    # a 0-sample header followed by a record, as an interrupted writer left it
+    stale = tmp_path / "stale.pbf"
+    write_feature_file(stale, [], dim=N_TOTAL)
+    header_size = stale.stat().st_size
+    one = tmp_path / "one.pbf"
+    write_feature_file(one, _samples()[:1], dim=N_TOTAL)
+    for path, extra in ((good, b"\x00"), (stale, one.read_bytes()[header_size:])):
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(SchemaMismatch):
+            read_feature_file(path)
+        with pytest.raises(SchemaMismatch):
+            scan_feature_file(path)
 
 
 def test_aggregate_csv_roundtrip(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 from profilebench.errors import DimensionMismatch
 from profilebench.models.lstm import (
+    _direction_forward,
     attention_pool,
     attention_pool_batch,
     bilstm_forward,
@@ -127,6 +128,56 @@ class TestSigmoid:
         assert out[0] == 0.0
         assert out[1] == 1.0
         assert np.isfinite(out).all()
+
+
+def _masked_sigmoid(x):
+    """The two-branch sigmoid written with boolean-mask gathers: the
+    bit-level oracle for the mask-free form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+class TestSigmoidBits:
+    def test_random_draws_bitwise_equal_to_masked_form(self, dtype, bits):
+        rng = np.random.default_rng(120)
+        for scale in (1.0, 10.0, 100.0):
+            x = (rng.standard_normal((257, 129)) * scale).astype(dtype)
+            got = sigmoid(x)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got.view(bits), _masked_sigmoid(x).view(bits))
+
+    def test_special_values_bitwise_equal_to_masked_form(self, dtype, bits):
+        info = np.finfo(dtype)
+        x = np.array(
+            [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 88.7, -88.7, 1e4, -1e4,
+             info.smallest_subnormal, -info.smallest_subnormal, info.tiny / 4, -info.tiny / 4],
+            dtype,
+        )
+        with np.errstate(invalid="ignore"):
+            want = _masked_sigmoid(x)
+            got = sigmoid(x)
+        np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+class TestDirectionForward:
+    def test_steps_match_repeated_cell_calls(self):
+        rng = np.random.default_rng(121)
+        B, T, D, H = 3, 6, 5, 4
+        X = rng.normal(0, 1, (B, T, D))
+        W, R, b = _random_params(rng, D, H)
+        for reverse in (False, True):
+            cache = _direction_forward(X, W, R, b, reverse)
+            h = np.zeros((B, H))
+            c = np.zeros((B, H))
+            for t in range(T - 1, -1, -1) if reverse else range(T):
+                h, c = lstm_cell(X[:, t], h, c, W, R, b)
+                np.testing.assert_allclose(cache["h"][:, t], h, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(cache["c"][:, t], c, rtol=1e-12, atol=1e-14)
 
 
 class TestBilstmForward:
