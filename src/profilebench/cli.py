@@ -18,6 +18,7 @@ from profilebench.pipeline import (
     LADDER,
     LADDER_BY_ID,
     PipelineConfig,
+    run_all,
     stage_balance,
     stage_eval,
     stage_featurize,
@@ -160,12 +161,7 @@ def dispatch(args: argparse.Namespace, cfg: PipelineConfig) -> None:
     elif args.command == "report":
         print(stage_report(cfg), end="")
     elif args.command == "run-all":
-        stage_gen(cfg)
-        stage_featurize(cfg)
-        stage_balance(cfg)
-        stage_split(cfg)
-        stage_train(cfg)
-        stage_eval(cfg)
+        run_all(cfg)
         print(stage_report(cfg), end="")
     else:  # pragma: no cover - argparse enforces the choices
         raise ProfileBenchError(f"unknown command {args.command!r}")

@@ -17,15 +17,7 @@ import numpy as np
 
 from profilebench.errors import ConfigInvalid, EmptySplit, IoFailure, TargetTooSmall
 from profilebench.hashing import mix_seed
-from profilebench.simulator import Session
 from profilebench.taxonomy import PROFILES, Profile
-
-
-@dataclass(frozen=True)
-class Window:
-    game_id: int
-    start: int
-    length: int
 
 
 @dataclass
@@ -66,16 +58,6 @@ def window_starts(length: int, window_len: int, stride: int) -> list[tuple[int, 
     if length < window_len:
         return [(0, length)] if length > 0 else []
     return [(s, window_len) for s in range(0, length - window_len + 1, stride)]
-
-
-def window_sessions(
-    corpus: Iterable[Session], window_len: int, stride: int
-) -> list[Window]:
-    out: list[Window] = []
-    for session in corpus:
-        for start, length in window_starts(session.length, window_len, stride):
-            out.append(Window(game_id=session.game_id, start=start, length=length))
-    return out
 
 
 def build_index(games: Iterable[tuple[int, Profile, int]], window_len: int, stride: int) -> CorpusIndex:

@@ -291,10 +291,6 @@ def transition_features(prefix: Sequence[DecisionPoint]) -> np.ndarray:
     return _behavioral_prefix(prefix)[:N_TRANSITION]
 
 
-def avail_select_features(prefix: Sequence[DecisionPoint]) -> np.ndarray:
-    return _behavioral_prefix(prefix)[N_TRANSITION : N_TRANSITION + N_AVAIL_SELECT]
-
-
 def temporal_features(prefix: Sequence[DecisionPoint]) -> np.ndarray:
     s = N_TRANSITION + N_AVAIL_SELECT
     return _behavioral_prefix(prefix)[s : s + N_TEMPORAL]
@@ -348,22 +344,6 @@ def featurize_decision(session: Session, step_index: int, dungeon: Dungeon) -> F
         state.push(d)
     values = np.concatenate([state.row(), embed_text(_decision_text(prefix[-1]))])
     return FeatureVector(values=values)
-
-
-def featurize_sequence(
-    session: Session, window_start: int, window_len: int, dungeon: Dungeon
-) -> SequenceSample:
-    if window_start < 0 or window_len < 1 or window_start + window_len > session.length:
-        raise IndexOutOfRange(
-            f"window ({window_start},{window_len}) outside session of length {session.length}"
-        )
-    full = featurize_game(session, dungeon)
-    return SequenceSample(
-        game_id=session.game_id,
-        profile=session.profile,
-        window=(window_start, window_len),
-        matrix=full[window_start : window_start + window_len],
-    )
 
 
 def aggregate_features(session: Session, dungeon: Dungeon, max_steps: int) -> AggregateVector:

@@ -33,6 +33,11 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# fnv1a64 of each string part seen by mix_seed. The string parts are tags
+# and template/row ids, a small fixed set, so the dict stays small.
+_STR_HASH: dict[str, int] = {}
+
+
 def mix_seed(*parts: int | str) -> int:
     """Fold integers and strings into one well-mixed 64-bit seed.
 
@@ -42,7 +47,10 @@ def mix_seed(*parts: int | str) -> int:
     h = FNV64_OFFSET
     for part in parts:
         if isinstance(part, str):
-            h ^= fnv1a64(part.encode("utf-8"))
+            s = _STR_HASH.get(part)
+            if s is None:
+                s = _STR_HASH[part] = fnv1a64(part.encode("utf-8"))
+            h ^= s
         else:
             h ^= part & _MASK64
         h = splitmix64(h)

@@ -43,12 +43,6 @@ class BaselineModel:
         Xs = (np.asarray(X, dtype=float) - self.mean) / self.std
         return Xs @ self.W.T + self.b
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        z = self.logits(X)
-        z -= z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.logits(X).argmax(axis=-1)
 

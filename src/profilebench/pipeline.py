@@ -388,6 +388,11 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
                 )
             )
             n_games += 1
+        expected = sum(manifest["counts"].values())
+        if n_games != expected:
+            raise SchemaMismatch(
+                f"featurize: {paths.sessions} holds {n_games} sessions, its manifest {expected}"
+            )
     write_aggregate_csv(paths.aggregates, agg_rows)
     write_provenance(
         paths,

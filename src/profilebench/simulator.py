@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from profilebench.errors import ConfigInvalid, IoFailure
+from profilebench.errors import ConfigInvalid, IoFailure, SchemaMismatch
 from profilebench.hashing import mix_seed
 from profilebench.taxonomy import (
     LawAxis,
@@ -499,14 +499,16 @@ def game_seed(master_seed: int, profile_idx: int, ordinal: int) -> int:
     return mix_seed(master_seed, profile_idx, ordinal)
 
 
+# (JSON key, motivation) in Motivation order, the order of the "affinity" dict.
+_AFFINITY_KEYS = tuple((MOTIVATION_NAMES[m.value], m) for m in Motivation)
+
+
 def action_to_json(action: ActionInstance) -> dict:
     d = {
         "category": _CATEGORY_NAME[action.category],
         "valence": action.moral_valence,
         "order": action.order_score,
-        "affinity": {
-            MOTIVATION_NAMES[m.value]: action.motivation_affinity[m] for m in Motivation
-        },
+        "affinity": {key: action.motivation_affinity[m] for key, m in _AFFINITY_KEYS},
         "text": action.text,
     }
     if action.move_delta is not None:
@@ -519,9 +521,7 @@ def action_from_json(d: dict) -> ActionInstance:
         category=_NAME_CATEGORY[d["category"]],
         moral_valence=d["valence"],
         order_score=d["order"],
-        motivation_affinity={
-            Motivation(i): d["affinity"][MOTIVATION_NAMES[i]] for i in range(4)
-        },
+        motivation_affinity={m: d["affinity"][key] for key, m in _AFFINITY_KEYS},
         text=d["text"],
         move_delta=tuple(d["move"]) if "move" in d else None,
     )
@@ -631,11 +631,23 @@ def generate_corpus(
 
 
 def load_sessions(path: str | Path) -> Iterable[Session]:
+    """Sessions of a sessions.jsonl file, in file order.
+
+    A line that is not valid JSON or does not decode to a session (a missing
+    key, a bad value; e.g. a truncated file) raises SchemaMismatch naming
+    the file and the line.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield session_from_json(json.loads(line))
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    session = session_from_json(json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise SchemaMismatch(
+                        f"{path} line {lineno}: not a session record ({type(exc).__name__}: {exc})"
+                    ) from exc
+                yield session
     except OSError as exc:
         raise IoFailure(f"corpus read failed: {exc}") from exc

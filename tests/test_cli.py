@@ -103,6 +103,24 @@ class TestStages:
         code = main(["--config", str(config), "--out", str(tmp_path / "empty"), "featurize"])
         assert code == EXIT_DEPENDENCY
 
+    @pytest.mark.parametrize("cut", ["mid_line", "line_boundary"])
+    def test_featurize_truncated_sessions_is_dependency_error(self, tmp_path, capsys, cut):
+        config = _write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["--config", str(config), "--out", str(out), "gen"]) == EXIT_OK
+        sessions = out / "sessions.jsonl"
+        data = sessions.read_bytes()
+        if cut == "mid_line":
+            data = data[:-5000]
+        else:
+            data = data[: data.rindex(b"\n", 0, len(data) - 1) + 1]
+        sessions.write_bytes(data)
+        capsys.readouterr()
+        code = main(["--config", str(config), "--out", str(out), "featurize"])
+        assert code == EXIT_DEPENDENCY
+        assert "sessions.jsonl" in capsys.readouterr().err
+        assert not list(out.glob("features*.pbf"))
+
     def test_eval_without_train_is_dependency_error(self, tmp_path):
         config = _write_config(tmp_path)
         code = main(["--config", str(config), "--out", str(tmp_path / "empty"), "eval"])
