@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from profilebench.errors import ConfigInvalid, EmptySplit, IoFailure, TargetTooSmall
-from profilebench.hashing import mix_seed
+from profilebench.hashing import mix_seed, read_json
 from profilebench.taxonomy import PROFILES, Profile
 
 
@@ -191,12 +191,9 @@ def write_index(path: str | Path, index: CorpusIndex, seed: int, target: int) ->
 
 
 def read_index_game_ids(path: str | Path) -> set[int]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"index read failed: {exc}") from exc
-    return {gid for entry in doc["profiles"].values() for gid in entry["games"]}
+    return read_json(
+        path, "index", lambda doc: {gid for e in doc["profiles"].values() for gid in e["games"]}
+    )
 
 
 def write_splits(path: str | Path, assignment: Mapping[int, str]) -> None:
@@ -209,14 +206,12 @@ def write_splits(path: str | Path, assignment: Mapping[int, str]) -> None:
 
 
 def read_splits(path: str | Path) -> dict[int, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"split read failed: {exc}") from exc
-    out = {}
-    for k, v in doc.items():
-        if v not in _SPLIT_NAMES:
-            raise ConfigInvalid(f"unknown split name {v!r} for game {k}")
-        out[int(k)] = v
-    return out
+    def parse(doc: dict) -> dict[int, str]:
+        out = {}
+        for k, v in doc.items():
+            if v not in _SPLIT_NAMES:
+                raise ConfigInvalid(f"unknown split name {v!r} for game {k}")
+            out[int(k)] = v
+        return out
+
+    return read_json(path, "split", parse)

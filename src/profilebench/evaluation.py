@@ -10,6 +10,7 @@ different questions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from profilebench.taxonomy import (
     LawAxis,
     MoralAxis,
     Profile,
+    all_profiles,
     map_label,
 )
 
@@ -41,6 +43,14 @@ NEUTRAL_ALIGNMENT_RANKS = tuple(
     for a in ALIGNMENTS
     if a.law_axis is LawAxis.NEUTRAL or a.moral_axis is MoralAxis.NEUTRAL
 )
+
+
+@cache
+def label_table(space: LabelSpace) -> np.ndarray:
+    """Labels of the 36 profile indices in `space`, -1 where it does not admit one."""
+    table = np.array([map_label(p, space) if space.admits(p) else -1 for p in all_profiles()])
+    table.flags.writeable = False
+    return table
 
 
 def random_baseline(space: LabelSpace) -> float:
@@ -212,17 +222,19 @@ def predict_logits(
     for idx, s in enumerate(samples):
         by_t.setdefault(s.matrix.shape[0], []).append(idx)
     dtype = ckpt.params["fwd_W"].dtype
-    outs: dict[str, list] = {"profile": [None] * len(samples), "align": [None] * len(samples), "motiv": [None] * len(samples)}
+    parts: dict[str, list[np.ndarray]] = {"profile": [], "align": [], "motiv": []}
+    order: list[int] = []  # input index of each logit row, rows grouped by T
     for t in sorted(by_t):
         idxs = by_t[t]
+        order += idxs
         for s in range(0, len(idxs), batch_size):
             chunk = idxs[s : s + batch_size]
             X = np.stack([np.asarray(samples[i].matrix, dtype=dtype) for i in chunk])
-            logits, _ = forward_batch(X, ckpt)
-            for head in outs:
-                for j, i in enumerate(chunk):
-                    outs[head][i] = logits[head][j]
-    return {head: np.stack(rows) for head, rows in outs.items()}
+            logits, _ = forward_batch(X, ckpt, cache=False)
+            for head, rows in parts.items():
+                rows.append(logits[head])
+    inverse = np.argsort(order)
+    return {head: np.concatenate(rows)[inverse] for head, rows in parts.items()}
 
 
 def _marginal_predictions(main_pred: np.ndarray, space: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -257,17 +269,17 @@ def evaluate(
         raise SpaceMismatch(
             f"checkpoint space {ckpt.label_space_tag!r} != experiment space {space.tag!r}"
         )
-    for s in samples:
-        if not space.admits(s.profile):
-            raise SpaceMismatch(f"sample profile {s.profile.code} outside {space.tag}")
+    profile_idx = np.array([s.profile.index for s in samples])
+    y_main = label_table(space)[profile_idx]
+    outside = np.flatnonzero(y_main < 0)
+    if outside.size:
+        raise SpaceMismatch(f"sample profile {samples[outside[0]].profile.code} outside {space.tag}")
+    y_align = label_table(ALIGN_SPACE)[profile_idx]
+    y_motiv = label_table(MOTIV_SPACE)[profile_idx]
 
     logits = predict_logits(ckpt, samples)
     main_logits = logits["profile"]
     align_logits = logits["align"]
-
-    y_main = np.array([map_label(s.profile, space) for s in samples])
-    y_align = np.array([map_label(s.profile, ALIGN_SPACE) for s in samples])
-    y_motiv = np.array([map_label(s.profile, MOTIV_SPACE) for s in samples])
 
     correction_info = None
     if spec.correct_neutral:
@@ -400,24 +412,27 @@ def _pct(x: float | None) -> str:
     return f"{100 * x:.1f}%" if x is not None else "-"
 
 
+TABLE_HEADER = (
+    "| Config | Dims | Alignment | Motivation | Profile | Lift (space) | Lift (36) |",
+    "|---|---|---|---|---|---|---|",
+)
+
+
+def table_row(doc: dict) -> str:
+    """One results-table line from a metrics.json document (Report.to_dict())."""
+    if doc.get("failed"):
+        return f"| {doc['name']} | {doc['dims']} | FAILED | FAILED | FAILED | - | {doc.get('error', '')} |"
+    acc, lift = doc["accuracies"], doc["lift"]
+    align = acc.get("alignment_head", acc.get("alignment_marginal"))
+    motiv = acc.get("motivation_head", acc.get("motivation_marginal"))
+    return "| {} | {} | {} | {} | {} | {:.1f}x | {:.1f}x |".format(
+        doc["name"], doc["dims"], _pct(align), _pct(motiv), _pct(acc.get("main")),
+        lift["vs_subset_baseline"], lift["vs_full36_baseline"],
+    )
+
+
 def table_rows(reports: Sequence[Report]) -> list[str]:
-    lines = [
-        "| Config | Dims | Alignment | Motivation | Profile | Lift (space) | Lift (36) |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for r in reports:
-        if r.failed:
-            lines.append(f"| {r.name} | {r.dims} | FAILED | FAILED | FAILED | - | {r.error} |")
-            continue
-        align = r.accuracies.get("alignment_head", r.accuracies.get("alignment_marginal"))
-        motiv = r.accuracies.get("motivation_head", r.accuracies.get("motivation_marginal"))
-        lines.append(
-            "| {} | {} | {} | {} | {} | {:.1f}x | {:.1f}x |".format(
-                r.name, r.dims, _pct(align), _pct(motiv), _pct(r.accuracies.get("main")),
-                r.lift_subset, r.lift_full,
-            )
-        )
-    return lines
+    return [*TABLE_HEADER] + [table_row(r.to_dict()) for r in reports]
 
 
 def write_table(path: str | Path, reports: Sequence[Report], title: str = "Results") -> None:

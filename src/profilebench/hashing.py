@@ -1,6 +1,6 @@
-"""Deterministic hashing and seed-derivation helpers.
+"""Deterministic hashing and seed-derivation helpers, and the JSON codec.
 
-Everything here is fixed-width integer arithmetic so results are identical
+The hashing is fixed-width integer arithmetic so results are identical
 across platforms, Python versions, and process counts.
 """
 
@@ -9,6 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Any, Callable
+
+from profilebench.errors import IoFailure, SchemaMismatch
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -71,6 +74,20 @@ def stable_json_dumps(obj) -> str:
     Sorted keys and fixed separators make re-serialization byte-stable.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def read_json(path: str | Path, what: str, parse: Callable[[Any], Any] = lambda doc: doc):
+    """A JSON artifact decoded and passed through `parse`. A failed read raises
+    IoFailure; malformed JSON (say, a truncated file) or a missing or mistyped
+    field met by `parse` raises SchemaMismatch naming the file."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"{what} read failed: {exc}") from exc
+    try:
+        return parse(json.loads(data))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise SchemaMismatch(f"{path}: malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
 def digest_config(obj) -> str:

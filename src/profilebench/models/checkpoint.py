@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from profilebench.errors import ConfigInvalid, IoFailure, SchemaMismatch
-from profilebench.hashing import mix_seed
+from profilebench.hashing import mix_seed, read_json
 
 POOL_MULTI = "multipool"
 POOL_ATTENTION = "attention"
@@ -249,8 +249,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise IoFailure(f"checkpoint read failed: {exc}") from exc
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if sidecar_path.exists():
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        ckpt.config_digest = sidecar.get("config_digest", "")
-        ckpt.history = sidecar.get("history", [])
+        ckpt.config_digest, ckpt.history = read_json(
+            sidecar_path,
+            "checkpoint sidecar",
+            lambda doc: (doc.get("config_digest", ""), doc.get("history", [])),
+        )
     return ckpt

@@ -12,6 +12,14 @@ inputs, so float64 oracle checks and float32 training share one code path.
 The input projection X @ W.T runs as one (B*T, D) @ (D, 4H) GEMM: on a
 (B, T, D) array numpy's stacked matmul runs B small GEMMs, one per batch
 row, about 6x slower at (64, 8, 530).
+
+The training cache holds each fact once: the gate activations i, f, g, o
+and the cell and hidden states c and h, one (B, T, H) array each. The
+state a step started from is its neighbour's output (t-1 going forward,
+t+1 in reverse, zeros at the first step), so backward reads it from there
+instead of storing shifted copies. Scoring (validation, eval) runs with
+cache=False and writes nothing but the hidden states; both directions
+write straight into their half of the (B, T, 2H) states array.
 """
 
 from __future__ import annotations
@@ -53,48 +61,33 @@ def lstm_cell(
 
 
 def _direction_forward(
-    X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray, reverse: bool
+    X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray, reverse: bool,
+    cache: bool = True, out: np.ndarray | None = None,
 ) -> dict:
-    """Unrolled pass over one direction; caches activations for backward."""
+    """Unrolled pass over one direction.
+
+    Returns {"h": hidden states} plus, when `cache`, the activations the
+    backward pass reads. Hidden states go into `out` when given.
+    """
     B, T, D = X.shape
     H = R.shape[1]
     if W.shape != (4 * H, D):
         raise DimensionMismatch(f"W shape {W.shape}, expected {(4 * H, D)}")
     dtype = np.result_type(X, W)
-    gates_i = np.empty((B, T, H), dtype)
-    gates_f = np.empty((B, T, H), dtype)
-    gates_g = np.empty((B, T, H), dtype)
-    gates_o = np.empty((B, T, H), dtype)
-    cells = np.empty((B, T, H), dtype)
-    cells_prev = np.empty((B, T, H), dtype)
-    hidden = np.empty((B, T, H), dtype)
-    hidden_prev = np.empty((B, T, H), dtype)
+    hidden = np.empty((B, T, H), dtype) if out is None else out
+    kept = {name: np.empty((B, T, H), dtype) for name in "ifgoc"} if cache else {}
 
     xw = (X.reshape(B * T, D) @ W.T).reshape(B, T, 4 * H)  # hoisted out of the step loop
     h = np.zeros((B, H), dtype)
     c = np.zeros((B, H), dtype)
     steps = range(T - 1, -1, -1) if reverse else range(T)
     for t in steps:
-        hidden_prev[:, t] = h
-        cells_prev[:, t] = c
         i, f, g, o, h, c = _gates(xw[:, t] + h @ R.T + b, c)
-        gates_i[:, t] = i
-        gates_f[:, t] = f
-        gates_g[:, t] = g
-        gates_o[:, t] = o
-        cells[:, t] = c
         hidden[:, t] = h
-    return {
-        "i": gates_i,
-        "f": gates_f,
-        "g": gates_g,
-        "o": gates_o,
-        "c": cells,
-        "c_prev": cells_prev,
-        "h": hidden,
-        "h_prev": hidden_prev,
-        "reverse": reverse,
-    }
+        if cache:
+            for name, value in zip("ifgoc", (i, f, g, o, c)):
+                kept[name][:, t] = value
+    return {"h": hidden, "reverse": reverse, **kept}
 
 
 def _direction_backward(
@@ -113,18 +106,23 @@ def _direction_backward(
     db = np.zeros(4 * H, dtype)
     dh = np.zeros((B, H), dtype)
     dc = np.zeros((B, H), dtype)
+    # a step's previous state is its neighbour's output (module docstring)
+    first, prev = (T - 1, 1) if cache["reverse"] else (0, -1)
+    zeros = np.zeros((B, H), cache["h"].dtype)
     steps = range(T) if cache["reverse"] else range(T - 1, -1, -1)
     for t in steps:
         i = cache["i"][:, t]
         f = cache["f"][:, t]
         g = cache["g"][:, t]
         o = cache["o"][:, t]
+        h_prev = zeros if t == first else cache["h"][:, t + prev]
+        c_prev = zeros if t == first else cache["c"][:, t + prev]
         hc = np.tanh(cache["c"][:, t])
         dh_t = dstates[:, t] + dh
         do = dh_t * hc
         dc_t = dh_t * o * (1.0 - hc * hc) + dc
         di = dc_t * g
-        df = dc_t * cache["c_prev"][:, t]
+        df = dc_t * c_prev
         dg = dc_t * i
         dz = np.concatenate(
             [
@@ -136,7 +134,7 @@ def _direction_backward(
             axis=1,
         )
         dW += dz.T @ X[:, t]
-        dR += dz.T @ cache["h_prev"][:, t]
+        dR += dz.T @ h_prev
         db += dz.sum(axis=0)
         dh = dz @ R
         dc = dc_t * f
@@ -147,12 +145,16 @@ def bilstm_forward_batch(
     X: np.ndarray,
     fwd: tuple[np.ndarray, np.ndarray, np.ndarray],
     bwd: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, dict]:
-    """Both directions over a batch; returns states (B, T, 2H) + cache."""
-    cache_f = _direction_forward(X, *fwd, reverse=False)
-    cache_b = _direction_forward(X, *bwd, reverse=True)
-    states = np.concatenate([cache_f["h"], cache_b["h"]], axis=2)
-    return states, {"f": cache_f, "b": cache_b}
+    cache: bool = True,
+) -> tuple[np.ndarray, dict | None]:
+    """Both directions over a batch; returns states (B, T, 2H) and the
+    backward cache, or None when `cache` is False (scoring)."""
+    B, T, _ = X.shape
+    Hf = fwd[1].shape[1]
+    states = np.empty((B, T, Hf + bwd[1].shape[1]), np.result_type(X, fwd[0], bwd[0]))
+    cache_f = _direction_forward(X, *fwd, reverse=False, cache=cache, out=states[:, :, :Hf])
+    cache_b = _direction_forward(X, *bwd, reverse=True, cache=cache, out=states[:, :, Hf:])
+    return states, ({"f": cache_f, "b": cache_b} if cache else None)
 
 
 def bilstm_backward_batch(
@@ -183,7 +185,7 @@ def bilstm_forward(
     """Single-sample convenience wrapper: (T, D) -> (T, 2H)."""
     if X.ndim != 2:
         raise DimensionMismatch(f"expected a (T, D) matrix, got shape {X.shape}")
-    states, _ = bilstm_forward_batch(X[None], fwd, bwd)
+    states, _ = bilstm_forward_batch(X[None], fwd, bwd, cache=False)
     return states[0]
 
 

@@ -68,12 +68,15 @@ class TrainConfig:
 
 
 def forward_batch(
-    X: np.ndarray, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None
+    X: np.ndarray, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None, cache: bool = True
 ) -> tuple[dict[str, np.ndarray], dict]:
-    """Forward pass over a (B, T, D) batch; returns per-head logits + cache."""
+    """Forward pass over a (B, T, D) batch; returns per-head logits + cache.
+
+    With cache=False (scoring) the LSTM keeps no backward cache: "lstm" is None.
+    """
     p = ckpt.params
     states, lstm_cache = bilstm_forward_batch(
-        X, (p["fwd_W"], p["fwd_R"], p["fwd_b"]), (p["bwd_W"], p["bwd_R"], p["bwd_b"])
+        X, (p["fwd_W"], p["fwd_R"], p["fwd_b"]), (p["bwd_W"], p["bwd_R"], p["bwd_b"]), cache
     )
     if ckpt.pooling == POOL_MULTI:
         pooled, pool_cache = multi_pool_batch(states)
@@ -291,7 +294,7 @@ def predict_main(bucketed: _Bucketed, ckpt: Checkpoint, batch_size: int = 256) -
     """(predictions, labels) for the main head over all samples."""
     preds, labels = [], []
     for batch in bucketed.batches(batch_size, None):
-        logits, _ = forward_batch(batch.X, ckpt)
+        logits, _ = forward_batch(batch.X, ckpt, cache=False)
         preds.append(logits["profile"].argmax(axis=1))
         labels.append(batch.y_profile)
     return np.concatenate(preds), np.concatenate(labels)

@@ -31,13 +31,16 @@ from profilebench.dataset import (
 )
 from profilebench.errors import ConfigInvalid, IoFailure, ProfileBenchError, SchemaMismatch
 from profilebench.evaluation import (
+    TABLE_HEADER,
     ExperimentSpec,
     Report,
     emit_report,
     evaluate,
     evaluate_class_predictions,
     failed_report,
+    label_table,
     predict_logits,
+    table_row,
     write_table,
 )
 from profilebench.features import (
@@ -55,7 +58,7 @@ from profilebench.features import (
     tokenize,
     write_aggregate_csv,
 )
-from profilebench.hashing import digest_config, mix_seed, sha256_file, stable_json_dumps
+from profilebench.hashing import digest_config, mix_seed, read_json, sha256_file, stable_json_dumps
 from profilebench.models.baseline import BaselineConfig, BaselineModel, train_baseline
 from profilebench.models.checkpoint import (
     POOL_ATTENTION,
@@ -341,20 +344,15 @@ def stage_gen(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def _read_manifest(paths: Paths) -> dict:
-    try:
-        with open(paths.manifest, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"manifest read failed: {exc}") from exc
-
-
 def stage_featurize(cfg: PipelineConfig) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
     require([paths.sessions, paths.manifest], "featurize")
-    manifest = _read_manifest(paths)
-    sim_cfg = SimConfig.from_dict(manifest["sim_config"])
+    sim_cfg, expected = read_json(
+        paths.manifest,
+        "manifest",
+        lambda doc: (SimConfig.from_dict(doc["sim_config"]), sum(doc["counts"].values())),
+    )
     agg_rows = []
     n_games = 0
     with FeatureFileWriter(paths.features176, N_TOTAL) as w176, FeatureFileWriter(
@@ -388,7 +386,6 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
                 )
             )
             n_games += 1
-        expected = sum(manifest["counts"].values())
         if n_games != expected:
             raise SchemaMismatch(
                 f"featurize: {paths.sessions} holds {n_games} sessions, its manifest {expected}"
@@ -440,16 +437,15 @@ def stage_split(cfg: PipelineConfig) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
     require([paths.balanced_index], "split")
-    try:
-        with open(paths.balanced_index, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"balanced index read failed: {exc}") from exc
-    index = CorpusIndex(
-        profiles={
-            code: [GameEntry(gid, 0) for gid in entry["games"]]
-            for code, entry in doc["profiles"].items()
-        }
+    index = read_json(
+        paths.balanced_index,
+        "balanced index",
+        lambda doc: CorpusIndex(
+            profiles={
+                code: [GameEntry(gid, 0) for gid in entry["games"]]
+                for code, entry in doc["profiles"].items()
+            }
+        ),
     )
     spec = cfg.split_spec()
     train_idx, val_idx, test_idx = split_by_game(index, spec)
@@ -498,8 +494,8 @@ def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
 
 
 def _admissible(samples: list[SequenceSample], spec: ExperimentSpec) -> list[SequenceSample]:
-    space = spec.space
-    return [s for s in samples if space.admits(s.profile)]
+    admits = label_table(spec.space) >= 0
+    return [s for s in samples if admits[s.profile.index]]
 
 
 def _save_baseline(path: Path, model: BaselineModel) -> None:
@@ -514,13 +510,16 @@ def _save_baseline(path: Path, model: BaselineModel) -> None:
 
 
 def _load_baseline(path: Path) -> BaselineModel:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return BaselineModel(
-        W=np.asarray(doc["W"], dtype=float),
-        b=np.asarray(doc["b"], dtype=float),
-        mean=np.asarray(doc["mean"], dtype=float),
-        std=np.asarray(doc["std"], dtype=float),
-        n_classes=int(doc["n_classes"]),
+    return read_json(
+        path,
+        "baseline checkpoint",
+        lambda doc: BaselineModel(
+            W=np.asarray(doc["W"], dtype=float),
+            b=np.asarray(doc["b"], dtype=float),
+            mean=np.asarray(doc["mean"], dtype=float),
+            std=np.asarray(doc["std"], dtype=float),
+            n_classes=int(doc["n_classes"]),
+        ),
     )
 
 
@@ -697,43 +696,11 @@ def stage_report(cfg: PipelineConfig) -> str:
     paths = Paths(cfg.out_dir)
     if not paths.results.exists():
         raise SchemaMismatch(f"report: no results directory at {paths.results}")
-    reports = []
-    for row in LADDER:
-        metrics = paths.results / row.row_id / "metrics.json"
-        if metrics.exists():
-            reports.append(json.loads(metrics.read_text(encoding="utf-8")))
-    if not reports:
+    metrics = [paths.results / row.row_id / "metrics.json" for row in LADDER]
+    rows = [read_json(m, "metrics", table_row) for m in metrics if m.exists()]
+    if not rows:
         raise SchemaMismatch(f"report: no metrics.json files under {paths.results}")
-    lines = [
-        "# Consolidated results",
-        "",
-        "| Config | Dims | Alignment | Motivation | Profile | Lift (space) | Lift (36) |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for doc in reports:
-        if doc.get("failed"):
-            lines.append(
-                f"| {doc['name']} | {doc['dims']} | FAILED | FAILED | FAILED | - | {doc.get('error', '')} |"
-            )
-            continue
-        acc = doc["accuracies"]
-
-        def pct(key_head, key_marginal):
-            v = acc.get(key_head, acc.get(key_marginal))
-            return f"{100 * v:.1f}%" if v is not None else "-"
-
-        lines.append(
-            "| {} | {} | {} | {} | {} | {:.1f}x | {:.1f}x |".format(
-                doc["name"],
-                doc["dims"],
-                pct("alignment_head", "alignment_marginal"),
-                pct("motivation_head", "motivation_marginal"),
-                f"{100 * acc['main']:.1f}%",
-                doc["lift"]["vs_subset_baseline"],
-                doc["lift"]["vs_full36_baseline"],
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(["# Consolidated results", "", *TABLE_HEADER, *rows]) + "\n"
     (paths.results / "consolidated.md").write_text(text, encoding="utf-8")
     return text
 

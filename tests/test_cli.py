@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,17 @@ class TestRunAll:
         assert (out / "splits.json").read_bytes() == before
 
 
+    def test_report_on_truncated_metrics_is_dependency_error(self, finished_run, tmp_path, capsys):
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        metrics = copy / "results" / "multipool_176" / "metrics.json"
+        metrics.write_bytes(metrics.read_bytes()[:-20])
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(copy), "report"]) == EXIT_DEPENDENCY
+        assert "metrics.json" in capsys.readouterr().err
+
+
 class TestStages:
     def test_gen_then_featurize(self, tmp_path, capsys):
         config = _write_config(tmp_path)
@@ -120,6 +132,27 @@ class TestStages:
         assert code == EXIT_DEPENDENCY
         assert "sessions.jsonl" in capsys.readouterr().err
         assert not list(out.glob("features*.pbf"))
+
+    @pytest.mark.parametrize(
+        "upstream, artifact, stage",
+        [
+            (["gen"], "manifest.json", "featurize"),
+            (["gen", "featurize", "balance"], "balanced_index.json", "split"),
+        ],
+        ids=["manifest", "balanced_index"],
+    )
+    def test_truncated_json_artifact_is_dependency_error(
+        self, tmp_path, capsys, upstream, artifact, stage
+    ):
+        config = _write_config(tmp_path)
+        out = tmp_path / "o"
+        for step in upstream:
+            assert main(["--config", str(config), "--out", str(out), step]) == EXIT_OK
+        path = out / artifact
+        path.write_bytes(path.read_bytes()[:-20])
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(out), stage]) == EXIT_DEPENDENCY
+        assert artifact in capsys.readouterr().err
 
     def test_eval_without_train_is_dependency_error(self, tmp_path):
         config = _write_config(tmp_path)

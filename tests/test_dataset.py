@@ -21,7 +21,7 @@ from profilebench.dataset import (
     write_index,
     write_splits,
 )
-from profilebench.errors import ConfigInvalid, EmptySplit, TargetTooSmall
+from profilebench.errors import ConfigInvalid, EmptySplit, SchemaMismatch, TargetTooSmall
 from profilebench.taxonomy import PROFILES, Profile
 
 
@@ -223,3 +223,20 @@ def test_splits_file_roundtrip(tmp_path):
     path.write_text(json.dumps({"5": "validation"}))
     with pytest.raises(ConfigInvalid):
         read_splits(path)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key"])
+def test_damaged_index_and_splits_name_the_file(tmp_path, damage):
+    index_path = tmp_path / "index.json"
+    splits_path = tmp_path / "splits.json"
+    write_index(index_path, _index({"LG-Safety": [5, 6]}), seed=1, target=11)
+    write_splits(splits_path, {3: "train", 1: "val"})
+    if damage == "truncated":
+        for path in (index_path, splits_path):
+            path.write_bytes(path.read_bytes()[:-20])
+    else:
+        index_path.write_text(json.dumps({"seed": 1, "target": 11}))
+        splits_path.write_text(json.dumps(["train", "val"]))
+    for read, path in ((read_index_game_ids, index_path), (read_splits, splits_path)):
+        with pytest.raises(SchemaMismatch, match=path.name):
+            read(path)

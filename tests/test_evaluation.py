@@ -17,12 +17,15 @@ from profilebench.evaluation import (
     evaluate,
     evaluate_class_predictions,
     failed_report,
+    label_table,
+    predict_logits,
     random_baseline,
     table_rows,
     write_table,
 )
 from profilebench.features import SequenceSample
 from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
+from profilebench.models.training import forward_batch
 from profilebench.taxonomy import (
     LabelSpace,
     LabelSpaceKind,
@@ -168,6 +171,19 @@ class TestEvaluate:
         with pytest.raises(SpaceMismatch):
             evaluate(ckpt, _samples([non_neutral]), spec)
 
+    def test_outside_error_names_the_first_offending_sample(self):
+        space = LabelSpace(LabelSpaceKind.NON_NEUTRAL_PROFILE16)
+        profiles = all_profiles()
+        inside = [i for i, p in enumerate(profiles) if not is_neutral_profile(p)]
+        outside = [i for i, p in enumerate(profiles) if is_neutral_profile(p)]
+        spec = ExperimentSpec(
+            "t", "lstm_multipool", "176", space.kind, subset="non_neutral_only"
+        )
+        samples = _samples([inside[0], outside[3], inside[1], outside[0]])
+        want = f"sample profile {profiles[outside[3]].code} outside {space.tag}"
+        with pytest.raises(SpaceMismatch, match=f"^{want}$"):
+            evaluate(_ckpt(space=space, n_classes=16), samples, spec)
+
     def test_empty_sample_list_rejected(self):
         spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
         with pytest.raises(EmptyTestSet):
@@ -208,6 +224,68 @@ class TestEvaluate:
         )
         with pytest.raises(SpaceMismatch):
             evaluate(ckpt, _samples([0]), spec)
+
+
+class TestPredictLogits:
+    @staticmethod
+    def _oracle(ckpt, samples, batch_size=256):
+        """Group by T, chunk, cached forward, scatter each row to its sample."""
+        by_t = {}
+        for idx, s in enumerate(samples):
+            by_t.setdefault(s.matrix.shape[0], []).append(idx)
+        outs = {head: [None] * len(samples) for head in ("profile", "align", "motiv")}
+        for t in sorted(by_t):
+            idxs = by_t[t]
+            for start in range(0, len(idxs), batch_size):
+                chunk = idxs[start : start + batch_size]
+                X = np.stack([samples[i].matrix for i in chunk])
+                logits, cache = forward_batch(X, ckpt)
+                assert cache["lstm"] is not None
+                for head in outs:
+                    for j, i in enumerate(chunk):
+                        outs[head][i] = logits[head][j]
+        return {head: np.stack(rows) for head, rows in outs.items()}
+
+    def test_shuffled_mixed_lengths_come_back_in_input_order(self):
+        rng = np.random.default_rng(17)
+        ckpt = _ckpt()
+        for name, value in ckpt.params.items():
+            ckpt.params[name] = rng.normal(0, 0.5, value.shape).astype(value.dtype)
+        # T = 8 holds more than one 256-row chunk
+        samples = [
+            s
+            for T, n in ((8, 300), (3, 40), (1, 9), (5, 70))
+            for s in _samples(rng.integers(0, 36, n), T=T, seed=T)
+        ]
+        samples = [samples[i] for i in rng.permutation(len(samples))]
+        got = predict_logits(ckpt, samples)
+        want = self._oracle(ckpt, samples)
+        for head in ("profile", "align", "motiv"):
+            assert got[head].dtype == want[head].dtype == np.float32
+            np.testing.assert_array_equal(got[head], want[head])
+
+
+class TestLabelTable:
+    def test_matches_map_label_and_admits_in_every_space(self):
+        for kind in LabelSpaceKind:
+            space = LabelSpace(kind)
+            table = label_table(space)
+            for p in all_profiles():
+                want = map_label(p, space) if space.admits(p) else -1
+                assert table[p.index] == want, (kind, p.code)
+            assert not table.flags.writeable
+
+    def test_evaluate_labels_match_map_label(self):
+        samples = _samples([34, 0, 17, 9, 9, 21])
+        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
+        report = evaluate(_ckpt(), samples, spec)
+        for matrix, space in (
+            (report.confusion_main, PROFILE_SPACE),
+            (report.confusion_align, ALIGN_SPACE),
+            (report.confusion_motiv, LabelSpace(LabelSpaceKind.MOTIVATION4)),
+        ):
+            support = np.bincount([map_label(s.profile, space) for s in samples], minlength=space.cardinality)
+            np.testing.assert_array_equal(matrix.counts.sum(axis=1), support)
 
 
 class TestEvaluateClassPredictions:

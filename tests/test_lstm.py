@@ -180,6 +180,38 @@ class TestDirectionForward:
                 np.testing.assert_allclose(cache["c"][:, t], c, rtol=1e-12, atol=1e-14)
 
 
+class TestForwardWithoutCache:
+    """Scoring runs the same step loop without the backward cache."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [1, 8])
+    def test_states_bitwise_equal_to_cached_pass(self, dtype, T):
+        rng = np.random.default_rng(131 + T)
+        B, D, H = 9, 7, 5
+        X = rng.normal(0, 1, (B, T, D)).astype(dtype)
+        fwd = tuple(w.astype(dtype) for w in _random_params(rng, D, H))
+        bwd = tuple(w.astype(dtype) for w in _random_params(rng, D, H))
+        cached, cache = bilstm_forward_batch(X, fwd, bwd)
+        scored, none = bilstm_forward_batch(X, fwd, bwd, cache=False)
+        assert none is None
+        assert scored.dtype == cached.dtype == dtype
+        np.testing.assert_array_equal(scored, cached)
+        # each half is one direction's hidden states, bit for bit
+        np.testing.assert_array_equal(scored[:, :, :H], cache["f"]["h"])
+        np.testing.assert_array_equal(scored[:, :, H:], cache["b"]["h"])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_direction_keeps_only_hidden_states(self, reverse):
+        rng = np.random.default_rng(141)
+        X = rng.normal(0, 1, (4, 6, 3)).astype(np.float32)
+        W, R, b = (w.astype(np.float32) for w in _random_params(rng, 3, 2))
+        full = _direction_forward(X, W, R, b, reverse)
+        lean = _direction_forward(X, W, R, b, reverse, cache=False)
+        assert set(full) == {"i", "f", "g", "o", "c", "h", "reverse"}
+        assert set(lean) == {"h", "reverse"}
+        np.testing.assert_array_equal(lean["h"], full["h"])
+
+
 class TestBilstmForward:
     def test_agrees_with_naive_reference_on_100_instances(self):
         rng = np.random.default_rng(401)
