@@ -1,16 +1,27 @@
 """Model parameter container, seeded initialization, and checkpoint files.
 
-The binary layout ("PBCK") stores parameter blocks as little-endian f32 in
-one fixed declared order so files round-trip bit-identically; a JSON
-sidecar carries the config digest and training history.
+A checkpoint keeps every parameter in one contiguous vector, `flat`, laid
+out by `param_layout` (names and shapes in a fixed order). `params` is a
+read-only mapping of reshaped views into it, so Adam, gradient clipping and
+copies each run as one array operation, and rebinding a name raises instead
+of silently detaching it from the vector the optimizer updates. The Adam
+moments `adam_m` and `adam_v` are vectors of the same layout.
+
+The binary layout ("PBCK" version 2) is a header and then the parameter
+vector as one little-endian f32 block, and nothing after it. It holds no
+Adam state: training cannot resume from a .pbck, and never could, because
+every training run starts from `init_checkpoint`. A JSON sidecar carries
+the config digest and training history.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,8 +33,12 @@ POOL_ATTENTION = "attention"
 POOL_LAST = "last"
 _POOLINGS = (POOL_MULTI, POOL_ATTENTION, POOL_LAST)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _MAGIC = b"PBCK"
+# header fields after magic and version: two u16-prefixed UTF-8 strings, five u32
+_TEXT_FIELDS = ("label_space_tag", "pooling")
+_DIM_FIELDS = ("schema_version", "input_dim", "hidden", "n_classes", "attention_size")
+_LAYOUT_FIELDS = ("pooling", "input_dim", "hidden", "n_classes", "attention_size")
 
 
 def readout_dim(pooling: str, hidden: int) -> int:
@@ -34,7 +49,26 @@ def readout_dim(pooling: str, hidden: int) -> int:
     raise ConfigInvalid(f"unknown pooling {pooling!r}")
 
 
-@dataclass
+def param_layout(
+    pooling: str, input_dim: int, hidden: int, n_classes: int, attention_size: int
+) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the order of the flat vector."""
+    h, d, r = hidden, input_dim, readout_dim(pooling, hidden)
+    layout: dict[str, tuple[int, ...]] = {}
+    for prefix in ("fwd", "bwd"):
+        layout |= {f"{prefix}_W": (4 * h, d), f"{prefix}_R": (4 * h, h), f"{prefix}_b": (4 * h,)}
+    for head, rows in (("profile", n_classes), ("align", 9), ("motiv", 4)):
+        layout |= {f"head_{head}_W": (rows, r), f"head_{head}_b": (rows,)}
+    if pooling == POOL_ATTENTION:
+        layout |= {"attn_proj": (attention_size, 2 * h), "attn_ctx": (attention_size,)}
+    return layout
+
+
+def _size(layout: dict[str, tuple[int, ...]]) -> int:
+    return sum(math.prod(shape) for shape in layout.values())
+
+
+@dataclass(eq=False)
 class Checkpoint:
     pooling: str
     label_space_tag: str
@@ -43,39 +77,39 @@ class Checkpoint:
     hidden: int
     n_classes: int
     attention_size: int
-    params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    flat: np.ndarray
+    adam_m: np.ndarray | None = None  # zeros when None
+    adam_v: np.ndarray | None = None
     adam_step: int = 0
     config_digest: str = ""
     history: list = field(default_factory=list)
+    layout: dict[str, tuple[int, ...]] = field(init=False, repr=False)
+    params: MappingProxyType = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.layout = param_layout(*(getattr(self, name) for name in _LAYOUT_FIELDS))
+        self.adam_m = np.zeros_like(self.flat) if self.adam_m is None else self.adam_m
+        self.adam_v = np.zeros_like(self.flat) if self.adam_v is None else self.adam_v
+        self.params = self.views(self.flat)
 
     def param_order(self) -> list[str]:
-        names = [
-            "fwd_W", "fwd_R", "fwd_b",
-            "bwd_W", "bwd_R", "bwd_b",
-            "head_profile_W", "head_profile_b",
-            "head_align_W", "head_align_b",
-            "head_motiv_W", "head_motiv_b",
-        ]
-        if self.pooling == POOL_ATTENTION:
-            names += ["attn_proj", "attn_ctx"]
-        return names
+        return list(self.layout)
+
+    def views(self, flat: np.ndarray) -> MappingProxyType:
+        """Read-only {name: view} over a vector laid out like `flat`."""
+        out, start = {}, 0
+        for name, shape in self.layout.items():
+            stop = start + math.prod(shape)
+            out[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return MappingProxyType(out)
 
     def copy(self) -> "Checkpoint":
-        return Checkpoint(
-            pooling=self.pooling,
-            label_space_tag=self.label_space_tag,
-            schema_version=self.schema_version,
-            input_dim=self.input_dim,
-            hidden=self.hidden,
-            n_classes=self.n_classes,
-            attention_size=self.attention_size,
-            params={k: v.copy() for k, v in self.params.items()},
-            adam_m={k: v.copy() for k, v in self.adam_m.items()},
-            adam_v={k: v.copy() for k, v in self.adam_v.items()},
-            adam_step=self.adam_step,
-            config_digest=self.config_digest,
+        return replace(
+            self,
+            flat=self.flat.copy(),
+            adam_m=self.adam_m.copy(),
+            adam_v=self.adam_v.copy(),
             history=list(self.history),
         )
 
@@ -96,29 +130,8 @@ def init_checkpoint(
     if pooling not in _POOLINGS:
         raise ConfigInvalid(f"unknown pooling {pooling!r}")
     rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "init", pooling, input_dim, hidden)))
-    d_scale = 1.0 / np.sqrt(input_dim)
-    h_scale = 1.0 / np.sqrt(hidden)
-    r_dim = readout_dim(pooling, hidden)
-
-    def bias() -> np.ndarray:
-        b = np.zeros(4 * hidden, dtype)
-        b[hidden : 2 * hidden] = 1.0
-        return b
-
-    params: dict[str, np.ndarray] = {}
-    for prefix in ("fwd", "bwd"):
-        params[f"{prefix}_W"] = rng.uniform(-d_scale, d_scale, (4 * hidden, input_dim)).astype(dtype)
-        params[f"{prefix}_R"] = rng.uniform(-h_scale, h_scale, (4 * hidden, hidden)).astype(dtype)
-        params[f"{prefix}_b"] = bias()
-    for name, rows in (("profile", n_classes), ("align", 9), ("motiv", 4)):
-        params[f"head_{name}_W"] = np.zeros((rows, r_dim), dtype)
-        params[f"head_{name}_b"] = np.zeros(rows, dtype)
-    if pooling == POOL_ATTENTION:
-        s_scale = 1.0 / np.sqrt(2 * hidden)
-        a_scale = 1.0 / np.sqrt(attention_size)
-        params["attn_proj"] = rng.uniform(-s_scale, s_scale, (attention_size, 2 * hidden)).astype(dtype)
-        params["attn_ctx"] = rng.uniform(-a_scale, a_scale, attention_size).astype(dtype)
-
+    attention_size = attention_size if pooling == POOL_ATTENTION else 0
+    layout = param_layout(pooling, input_dim, hidden, n_classes, attention_size)
     ckpt = Checkpoint(
         pooling=pooling,
         label_space_tag=label_space_tag,
@@ -126,62 +139,49 @@ def init_checkpoint(
         input_dim=input_dim,
         hidden=hidden,
         n_classes=n_classes,
-        attention_size=attention_size if pooling == POOL_ATTENTION else 0,
-        params=params,
+        attention_size=attention_size,
+        flat=np.zeros(_size(layout), dtype),
     )
-    ckpt.adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    ckpt.adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    p = ckpt.params
+
+    def uniform(name: str, fan_in: int) -> None:
+        scale = 1.0 / np.sqrt(fan_in)
+        p[name][...] = rng.uniform(-scale, scale, p[name].shape)
+
+    for prefix in ("fwd", "bwd"):
+        uniform(f"{prefix}_W", input_dim)
+        uniform(f"{prefix}_R", hidden)
+        p[f"{prefix}_b"][hidden : 2 * hidden] = 1.0
+    if pooling == POOL_ATTENTION:
+        uniform("attn_proj", 2 * hidden)
+        uniform("attn_ctx", attention_size)
     return ckpt
-
-
-def _write_str(fh, s: str) -> None:
-    data = s.encode("utf-8")
-    fh.write(struct.pack("<H", len(data)))
-    fh.write(data)
-
-
-def _read_str(fh) -> str:
-    (n,) = struct.unpack("<H", fh.read(2))
-    return fh.read(n).decode("utf-8")
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     path = Path(path)
+    header = [_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
+    for name in _TEXT_FIELDS:
+        text = getattr(ckpt, name).encode("utf-8")
+        header += [struct.pack("<H", len(text)), text]
+    header.append(struct.pack("<5I", *(getattr(ckpt, name) for name in _DIM_FIELDS)))
+    sidecar = {
+        "config_digest": ckpt.config_digest,
+        "label_space": ckpt.label_space_tag,
+        "pooling": ckpt.pooling,
+        "schema_version": ckpt.schema_version,
+        "dims": {
+            "input": ckpt.input_dim,
+            "hidden": ckpt.hidden,
+            "classes": ckpt.n_classes,
+            "attention": ckpt.attention_size,
+        },
+        "history": ckpt.history,
+    }
     try:
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            _write_str(fh, ckpt.label_space_tag)
-            _write_str(fh, ckpt.pooling)
-            fh.write(
-                struct.pack(
-                    "<IIIII",
-                    ckpt.schema_version,
-                    ckpt.input_dim,
-                    ckpt.hidden,
-                    ckpt.n_classes,
-                    ckpt.attention_size,
-                )
-            )
-            for name in ckpt.param_order():
-                fh.write(np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes())
-            fh.write(struct.pack("<Q", ckpt.adam_step))
-            for moments in (ckpt.adam_m, ckpt.adam_v):
-                for name in ckpt.param_order():
-                    fh.write(np.ascontiguousarray(moments[name], dtype="<f4").tobytes())
-        sidecar = {
-            "config_digest": ckpt.config_digest,
-            "label_space": ckpt.label_space_tag,
-            "pooling": ckpt.pooling,
-            "schema_version": ckpt.schema_version,
-            "dims": {
-                "input": ckpt.input_dim,
-                "hidden": ckpt.hidden,
-                "classes": ckpt.n_classes,
-                "attention": ckpt.attention_size,
-            },
-            "history": ckpt.history,
-        }
+            fh.write(b"".join(header))
+            fh.write(ckpt.flat.astype("<f4", copy=False).tobytes())
         with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -189,64 +189,40 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         raise IoFailure(f"checkpoint write failed: {exc}") from exc
 
 
-def _param_shapes(ckpt: Checkpoint) -> dict[str, tuple]:
-    h, d, p = ckpt.hidden, ckpt.input_dim, ckpt.n_classes
-    r = readout_dim(ckpt.pooling, h)
-    shapes = {
-        "fwd_W": (4 * h, d), "fwd_R": (4 * h, h), "fwd_b": (4 * h,),
-        "bwd_W": (4 * h, d), "bwd_R": (4 * h, h), "bwd_b": (4 * h,),
-        "head_profile_W": (p, r), "head_profile_b": (p,),
-        "head_align_W": (9, r), "head_align_b": (9,),
-        "head_motiv_W": (4, r), "head_motiv_b": (4,),
-    }
-    if ckpt.pooling == POOL_ATTENTION:
-        a = ckpt.attention_size
-        shapes["attn_proj"] = (a, 2 * h)
-        shapes["attn_ctx"] = (a,)
-    return shapes
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise SchemaMismatch(f"{path}: bad magic {magic!r}")
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != CHECKPOINT_VERSION:
-                raise SchemaMismatch(f"{path}: checkpoint version {version}")
-            label_space_tag = _read_str(fh)
-            pooling = _read_str(fh)
-            schema_version, input_dim, hidden, n_classes, attention_size = struct.unpack(
-                "<IIIII", fh.read(20)
-            )
-            ckpt = Checkpoint(
-                pooling=pooling,
-                label_space_tag=label_space_tag,
-                schema_version=schema_version,
-                input_dim=input_dim,
-                hidden=hidden,
-                n_classes=n_classes,
-                attention_size=attention_size,
-                params={},
-            )
-            shapes = _param_shapes(ckpt)
-
-            def read_block(shape) -> np.ndarray:
-                count = int(np.prod(shape))
-                buf = fh.read(4 * count)
-                if len(buf) < 4 * count:
-                    raise SchemaMismatch(f"{path}: truncated parameter block")
-                return np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
-
-            for name in ckpt.param_order():
-                ckpt.params[name] = read_block(shapes[name])
-            (ckpt.adam_step,) = struct.unpack("<Q", fh.read(8))
-            ckpt.adam_m = {n: read_block(shapes[n]) for n in ckpt.param_order()}
-            ckpt.adam_v = {n: read_block(shapes[n]) for n in ckpt.param_order()}
+        data = path.read_bytes()
     except OSError as exc:
         raise IoFailure(f"checkpoint read failed: {exc}") from exc
+    fields: dict = {}
+    try:
+        magic, version = struct.unpack_from("<4sI", data)
+        if magic != _MAGIC:
+            raise struct.error(f"bad magic {magic!r}")
+        if version != CHECKPOINT_VERSION:
+            raise SchemaMismatch(
+                f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+            )
+        pos = 8
+        for name in _TEXT_FIELDS:
+            (n,) = struct.unpack_from("<H", data, pos)
+            if pos + 2 + n > len(data):
+                raise struct.error(f"{name} cut short")
+            fields[name] = data[pos + 2 : pos + 2 + n].decode("utf-8")
+            pos += 2 + n
+        fields |= zip(_DIM_FIELDS, struct.unpack_from("<5I", data, pos))
+        pos += 20
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise SchemaMismatch(f"{path}: damaged checkpoint header: {exc}") from exc
+    if fields["pooling"] not in _POOLINGS:
+        raise SchemaMismatch(f"{path}: unknown pooling {fields['pooling']!r}")
+    size = _size(param_layout(*(fields[name] for name in _LAYOUT_FIELDS)))
+    if len(data) != pos + 4 * size:
+        raise SchemaMismatch(
+            f"{path}: {len(data)} bytes, expected {pos + 4 * size} for {size} parameters"
+        )
+    ckpt = Checkpoint(**fields, flat=np.frombuffer(data, "<f4", size, pos).astype(np.float32))
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if sidecar_path.exists():
         ckpt.config_digest, ckpt.history = read_json(

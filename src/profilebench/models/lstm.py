@@ -14,15 +14,22 @@ The input projection X @ W.T runs as one (B*T, D) @ (D, 4H) GEMM: on a
 row, about 6x slower at (64, 8, 530).
 
 The training cache holds each fact once: the gate activations i, f, g, o
-and the cell and hidden states c and h, one (B, T, H) array each. The
-state a step started from is its neighbour's output (t-1 going forward,
-t+1 in reverse, zeros at the first step), so backward reads it from there
-instead of storing shifted copies. Scoring (validation, eval) runs with
-cache=False and writes nothing but the hidden states; both directions
-write straight into their half of the (B, T, 2H) states array.
+and the cell and hidden states c and h, one (B, T, H) array each. Scoring
+(validation, eval) runs with cache=False and writes nothing but the hidden
+states; both directions write straight into their half of the (B, T, 2H)
+states array.
+
+Backward keeps only the dh/dc recurrence in its step loop. Everything that
+does not depend on dh or dc (the previous states, shifted one step, and the
+gate-derivative coefficients) is computed for all T steps before the loop;
+each step writes its gate gradients into one (B, T, 4H) array, and dW and dR
+are then one (4H, B*T) GEMM each after the loop instead of T small ones
+inside it (Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -90,55 +97,54 @@ def _direction_forward(
     return {"h": hidden, "reverse": reverse, **kept}
 
 
+def _shift(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """Each step's previous value in the direction's order: zeros at its first step."""
+    out = np.zeros_like(a)
+    if reverse:
+        out[:, :-1] = a[:, 1:]
+    else:
+        out[:, 1:] = a[:, :-1]
+    return out
+
+
 def _direction_backward(
-    cache: dict, X: np.ndarray, R: np.ndarray, dstates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cache: dict, X: np.ndarray, R: np.ndarray, dstates: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
     """Backpropagation through one direction.
 
     dstates is the gradient w.r.t. this direction's per-step hidden output
-    (B, T, H). Returns (dW, dR, db).
+    (B, T, H). Writes (dW, dR, db) into the three arrays of `out`.
     """
     B, T, D = X.shape
     H = R.shape[1]
-    dtype = dstates.dtype
-    dW = np.zeros((4 * H, D), dtype)
-    dR = np.zeros((4 * H, H), dtype)
-    db = np.zeros(4 * H, dtype)
-    dh = np.zeros((B, H), dtype)
-    dc = np.zeros((B, H), dtype)
-    # a step's previous state is its neighbour's output (module docstring)
-    first, prev = (T - 1, 1) if cache["reverse"] else (0, -1)
-    zeros = np.zeros((B, H), cache["h"].dtype)
-    steps = range(T) if cache["reverse"] else range(T - 1, -1, -1)
-    for t in steps:
-        i = cache["i"][:, t]
-        f = cache["f"][:, t]
-        g = cache["g"][:, t]
-        o = cache["o"][:, t]
-        h_prev = zeros if t == first else cache["h"][:, t + prev]
-        c_prev = zeros if t == first else cache["c"][:, t + prev]
-        hc = np.tanh(cache["c"][:, t])
+    reverse = cache["reverse"]
+    i, f, g, o, c = (cache[name] for name in "ifgoc")
+    h_prev = _shift(cache["h"], reverse)
+    tc = np.tanh(c)
+    A = o * (1.0 - tc * tc)  # dc_t = dh_t * A + dc
+    K = np.empty((B, T, 4, H), dstates.dtype)  # dz = K * [dc_t, dc_t, dc_t, dh_t]
+    K[:, :, 0] = g * i * (1.0 - i)
+    K[:, :, 1] = _shift(c, reverse) * f * (1.0 - f)
+    K[:, :, 2] = i * (1.0 - g * g)
+    K[:, :, 3] = tc * o * (1.0 - o)
+
+    dz = np.empty((B, T, 4, H), dstates.dtype)
+    dh = np.zeros((B, H), dstates.dtype)
+    dc = np.zeros((B, H), dstates.dtype)
+    for t in range(T) if reverse else range(T - 1, -1, -1):
         dh_t = dstates[:, t] + dh
-        do = dh_t * hc
-        dc_t = dh_t * o * (1.0 - hc * hc) + dc
-        di = dc_t * g
-        df = dc_t * c_prev
-        dg = dc_t * i
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        dW += dz.T @ X[:, t]
-        dR += dz.T @ h_prev
-        db += dz.sum(axis=0)
-        dh = dz @ R
-        dc = dc_t * f
-    return dW, dR, db
+        dc_t = dh_t * A[:, t] + dc
+        np.multiply(K[:, t, :3], dc_t[:, None], out=dz[:, t, :3])
+        np.multiply(K[:, t, 3], dh_t, out=dz[:, t, 3])
+        dh = dz[:, t].reshape(B, 4 * H) @ R
+        dc = dc_t * f[:, t]
+
+    dW, dR, db = out
+    dz = dz.reshape(B * T, 4 * H)
+    np.matmul(dz.T, X.reshape(B * T, D), out=dW)
+    np.matmul(dz.T, h_prev.reshape(B * T, H), out=dR)
+    dz.sum(axis=0, out=db)
 
 
 def bilstm_forward_batch(
@@ -163,18 +169,13 @@ def bilstm_backward_batch(
     fwd_R: np.ndarray,
     bwd_R: np.ndarray,
     dstates: np.ndarray,
-) -> dict:
+    grads: Mapping[str, np.ndarray],
+) -> None:
+    """Writes both directions' weight gradients into grads["fwd_W"] etc."""
     H = fwd_R.shape[1]
-    dWf, dRf, dbf = _direction_backward(cache["f"], X, fwd_R, dstates[:, :, :H])
-    dWb, dRb, dbb = _direction_backward(cache["b"], X, bwd_R, dstates[:, :, H:])
-    return {
-        "fwd_W": dWf,
-        "fwd_R": dRf,
-        "fwd_b": dbf,
-        "bwd_W": dWb,
-        "bwd_R": dRb,
-        "bwd_b": dbb,
-    }
+    for prefix, R, d in (("fwd", fwd_R, dstates[:, :, :H]), ("bwd", bwd_R, dstates[:, :, H:])):
+        out = (grads[f"{prefix}_W"], grads[f"{prefix}_R"], grads[f"{prefix}_b"])
+        _direction_backward(cache[prefix[0]], X, R, d, out)
 
 
 def bilstm_forward(

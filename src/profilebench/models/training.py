@@ -8,8 +8,8 @@ by sequence length so no padding or masking is ever needed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -147,26 +147,32 @@ class Batch:
 
 
 def compute_gradients(
-    batch: Batch, ckpt: Checkpoint, config: TrainConfig, dropout_mask: np.ndarray | None
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and analytic gradients for every parameter in the checkpoint."""
-    p = ckpt.params
-    logits, cache = forward_batch(batch.X, ckpt, dropout_mask)
-    loss_p, dlp = _ce_and_grad(logits["profile"], batch.y_profile, 1.0)
-    loss_a, dla = _ce_and_grad(logits["align"], batch.y_align, config.lambda_align)
-    loss_m, dlm = _ce_and_grad(logits["motiv"], batch.y_motiv, config.lambda_motiv)
-    loss = loss_p + loss_a + loss_m
+    batch: Batch,
+    ckpt: Checkpoint,
+    config: TrainConfig,
+    dropout_mask: np.ndarray | None,
+    out: np.ndarray | None = None,
+) -> tuple[float, Mapping[str, np.ndarray]]:
+    """Loss and analytic gradients for every parameter in the checkpoint.
 
-    pooled = cache["pooled"]
-    grads: dict[str, np.ndarray] = {
-        "head_profile_W": dlp.T @ pooled,
-        "head_profile_b": dlp.sum(axis=0),
-        "head_align_W": dla.T @ pooled,
-        "head_align_b": dla.sum(axis=0),
-        "head_motiv_W": dlm.T @ pooled,
-        "head_motiv_b": dlm.sum(axis=0),
-    }
-    dpooled = dlp @ p["head_profile_W"] + dla @ p["head_align_W"] + dlm @ p["head_motiv_W"]
+    The gradients are views into one vector laid out like ckpt.flat: `out`,
+    or a new one when it is None.
+    """
+    p = ckpt.params
+    grads = ckpt.views(np.empty_like(ckpt.flat) if out is None else out)
+    logits, cache = forward_batch(batch.X, ckpt, dropout_mask)
+    loss = 0.0
+    dpooled = 0.0
+    for head, y, weight in (
+        ("profile", batch.y_profile, 1.0),
+        ("align", batch.y_align, config.lambda_align),
+        ("motiv", batch.y_motiv, config.lambda_motiv),
+    ):
+        head_loss, dlogits = _ce_and_grad(logits[head], y, weight)
+        loss += head_loss
+        np.matmul(dlogits.T, cache["pooled"], out=grads[f"head_{head}_W"])
+        dlogits.sum(axis=0, out=grads[f"head_{head}_b"])
+        dpooled = dpooled + dlogits @ p[f"head_{head}_W"]
     if dropout_mask is not None:
         dpooled = dpooled * dropout_mask
 
@@ -177,43 +183,47 @@ def compute_gradients(
         dstates, dproj, dctx = attention_pool_backward_batch(
             cache["pool"], states, p["attn_proj"], p["attn_ctx"], dpooled
         )
-        grads["attn_proj"] = dproj
-        grads["attn_ctx"] = dctx
+        grads["attn_proj"][...] = dproj
+        grads["attn_ctx"][...] = dctx
     else:
         dstates = last_state_pool_backward_batch(states.shape, ckpt.hidden, dpooled)
 
-    grads.update(
-        bilstm_backward_batch(batch.X, cache["lstm"], p["fwd_R"], p["bwd_R"], dstates)
-    )
+    bilstm_backward_batch(batch.X, cache["lstm"], p["fwd_R"], p["bwd_R"], dstates, grads)
     return loss, grads
 
 
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+def clip_gradients(grads: np.ndarray, clip_norm: float) -> float:
+    """Scales the flat gradient vector in place to norm clip_norm when its
+    norm exceeds it; returns the norm before clipping."""
+    total = float(np.sqrt(np.dot(grads, grads)))
     if total > clip_norm and total > 0:
-        scale = clip_norm / total
-        for g in grads.values():
-            g *= scale
+        grads *= clip_norm / total
     return total
 
 
-def adam_update(ckpt: Checkpoint, grads: dict[str, np.ndarray], config: TrainConfig) -> None:
+def adam_update(ckpt: Checkpoint, grads: np.ndarray, config: TrainConfig) -> None:
+    """One Adam step over the flat vectors, in place, with the same
+    per-element operation order as a per-parameter update."""
     ckpt.adam_step += 1
     t = ckpt.adam_step
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    for name, g in grads.items():
-        g = g.astype(ckpt.params[name].dtype, copy=False)
-        m = ckpt.adam_m[name]
-        v = ckpt.adam_v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        ckpt.params[name] -= config.learning_rate * (m / bias1) / (
-            np.sqrt(v / bias2) + eps
-        )
+    m, v = ckpt.adam_m, ckpt.adam_v
+    scratch = np.multiply(1 - b1, grads)
+    m *= b1
+    m += scratch
+    np.multiply(1 - b2, grads, out=scratch)
+    scratch *= grads
+    v *= b2
+    v += scratch
+    np.divide(v, bias2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    step = np.divide(m, bias1)
+    step *= config.learning_rate
+    step /= scratch
+    ckpt.flat -= step
 
 
 def dropout_mask_for_step(
@@ -237,7 +247,8 @@ def train_step(
         (batch.X.shape[0], readout), config.dropout, config.seed, global_step,
         ckpt.params["fwd_W"].dtype,
     )
-    loss, grads = compute_gradients(batch, ckpt, config, mask)
+    grads = np.empty_like(ckpt.flat)
+    loss, _ = compute_gradients(batch, ckpt, config, mask, out=grads)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss diverged at step {global_step}: {loss}")
     norm = clip_gradients(grads, config.clip_norm)

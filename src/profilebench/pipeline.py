@@ -671,6 +671,8 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
         row = LADDER_BY_ID[row_id]
         try:
             reports.append(eval_row(cfg, row, data))
+        except (SchemaMismatch, IoFailure):
+            raise  # a damaged or stale input ends the stage (exit 4 / 3), not one row
         except ProfileBenchError as exc:
             reports.append(
                 failed_report(

@@ -99,6 +99,21 @@ class TestRunAll:
         assert "metrics.json" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("damage", ["cut_to_30_bytes", "one_trailing_byte"])
+    def test_eval_on_damaged_checkpoint_is_dependency_error(
+        self, finished_run, tmp_path, capsys, damage
+    ):
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        ckpt = copy / "checkpoints" / "multipool_176.pbck"
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[:30] if damage == "cut_to_30_bytes" else data + b"\0")
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_DEPENDENCY
+        assert "multipool_176.pbck" in capsys.readouterr().err
+
+
 class TestStages:
     def test_gen_then_featurize(self, tmp_path, capsys):
         config = _write_config(tmp_path)

@@ -250,7 +250,7 @@ class TestPredictLogits:
         rng = np.random.default_rng(17)
         ckpt = _ckpt()
         for name, value in ckpt.params.items():
-            ckpt.params[name] = rng.normal(0, 0.5, value.shape).astype(value.dtype)
+            ckpt.params[name][...] = rng.normal(0, 0.5, value.shape).astype(value.dtype)
         # T = 8 holds more than one 256-row chunk
         samples = [
             s

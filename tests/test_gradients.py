@@ -77,7 +77,7 @@ def _check_all_params(pooling, mask_rate=0.0):
     rng = np.random.default_rng(21)
     for name in ckpt.params:
         if name.startswith("head_"):
-            ckpt.params[name] = rng.normal(0, 0.3, ckpt.params[name].shape)
+            ckpt.params[name][...] = rng.normal(0, 0.3, ckpt.params[name].shape)
     batch = _tiny_batch()
     config = _config(dropout=mask_rate)
     readout = ckpt.params["head_profile_W"].shape[1]

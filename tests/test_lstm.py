@@ -12,6 +12,7 @@ import pytest
 
 from profilebench.errors import DimensionMismatch
 from profilebench.models.lstm import (
+    _direction_backward,
     _direction_forward,
     attention_pool,
     attention_pool_batch,
@@ -210,6 +211,54 @@ class TestForwardWithoutCache:
         assert set(full) == {"i", "f", "g", "o", "c", "h", "reverse"}
         assert set(lean) == {"h", "reverse"}
         np.testing.assert_array_equal(lean["h"], full["h"])
+
+
+def _per_step_backward(cache, X, R, dstates):
+    """Oracle: backward with the weight-gradient products inside the step loop."""
+    B, T, D = X.shape
+    H = R.shape[1]
+    dW, dR, db = np.zeros((4 * H, D)), np.zeros((4 * H, H)), np.zeros(4 * H)
+    dh, dc = np.zeros((B, H)), np.zeros((B, H))
+    first, prev = (T - 1, 1) if cache["reverse"] else (0, -1)
+    zeros = np.zeros((B, H))
+    for t in range(T) if cache["reverse"] else range(T - 1, -1, -1):
+        i, f, g, o = (cache[k][:, t] for k in "ifgo")
+        h_prev = zeros if t == first else cache["h"][:, t + prev]
+        c_prev = zeros if t == first else cache["c"][:, t + prev]
+        hc = np.tanh(cache["c"][:, t])
+        dh_t = dstates[:, t] + dh
+        do = dh_t * hc
+        dc_t = dh_t * o * (1.0 - hc * hc) + dc
+        dz = np.concatenate(
+            [dc_t * g * i * (1.0 - i), dc_t * c_prev * f * (1.0 - f),
+             dc_t * i * (1.0 - g * g), do * o * (1.0 - o)],
+            axis=1,
+        )
+        dW += dz.T @ X[:, t]
+        dR += dz.T @ h_prev
+        db += dz.sum(axis=0)
+        dh = dz @ R
+        dc = dc_t * f
+    return dW, dR, db
+
+
+class TestDirectionBackward:
+    """The step loop carries only dh/dc; dW and dR are one product each after it."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("T", [1, 3, 8])
+    def test_matches_per_step_products(self, T, reverse):
+        rng = np.random.default_rng(151 + T + 10 * reverse)
+        B, D, H = 6, 7, 5
+        X = rng.normal(0, 1, (B, T, D))
+        W, R, b = _random_params(rng, D, H)
+        cache = _direction_forward(X, W, R, b, reverse)
+        dstates = rng.normal(0, 1, (B, T, H))
+        want = _per_step_backward(cache, X, R, dstates)
+        got = (np.empty((4 * H, D)), np.empty((4 * H, H)), np.empty(4 * H))
+        _direction_backward(cache, X, R, dstates, got)
+        for name, g, w in zip(("dW", "dR", "db"), got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
 
 
 class TestBilstmForward:

@@ -5,10 +5,13 @@ import pytest
 
 from profilebench.errors import ConfigInvalid, EmptySplit, NonFiniteLoss, ZeroFrequency
 from profilebench.features import SequenceSample
-from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
+from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI, init_checkpoint
 from profilebench.models.training import (
     Batch,
     TrainConfig,
+    adam_update,
+    clip_gradients,
+    compute_gradients,
     forward_batch,
     loss_fn,
     neutral_correction,
@@ -177,6 +180,85 @@ class TestTrainStep:
         assert "fwd_W" in changed
         assert "bwd_W" in changed
         assert ckpt.adam_step == 2
+
+
+def _per_name_adam(params, m, v, grads, step, config):
+    """Oracle: Adam as a loop over named parameter arrays."""
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    bias1 = 1.0 - b1**step
+    bias2 = 1.0 - b2**step
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1 - b1) * g
+        v[name] *= b2
+        v[name] += (1 - b2) * g * g
+        params[name] -= config.learning_rate * (m[name] / bias1) / (
+            np.sqrt(v[name] / bias2) + eps
+        )
+
+
+class TestFlatOptimizer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_bitwise_equal_to_per_name_loop(self, dtype):
+        ckpt = _tiny_ckpt(n_classes=5, dtype=dtype)
+        rng = np.random.default_rng(23)
+        ckpt.flat[...] = rng.normal(0, 1, ckpt.flat.size)
+        params = {k: p.copy() for k, p in ckpt.params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        config = TrainConfig(learning_rate=3e-3)
+        for step in range(1, 6):
+            flat = rng.normal(0, 10.0 ** (step - 3), ckpt.flat.size).astype(dtype)
+            grads = ckpt.views(flat)
+            _per_name_adam(params, m, v, {k: g.copy() for k, g in grads.items()}, step, config)
+            adam_update(ckpt, flat, config)
+            assert ckpt.adam_step == step
+            for name in params:
+                assert ckpt.params[name].dtype == dtype
+                np.testing.assert_array_equal(ckpt.params[name], params[name], err_msg=name)
+            for flat_moment, moments in ((ckpt.adam_m, m), (ckpt.adam_v, v)):
+                want = np.concatenate([a.ravel() for a in moments.values()])
+                np.testing.assert_array_equal(flat_moment, want)
+
+    @pytest.mark.parametrize("pooling", [POOL_MULTI, POOL_ATTENTION, POOL_LAST])
+    def test_gradients_fill_every_slot_of_out(self, pooling):
+        ckpt = init_checkpoint(
+            input_dim=6, hidden=5, n_classes=4, pooling=pooling, seed=2,
+            label_space_tag=PROFILE_SPACE.tag, schema_version=1, attention_size=3,
+            dtype=np.float64,
+        )
+        rng = np.random.default_rng(31)
+        ckpt.flat[...] = rng.normal(0, 0.5, ckpt.flat.size)
+        batch = Batch(
+            X=rng.normal(0, 1, (3, 4, 6)),
+            y_profile=rng.integers(0, 4, 3),
+            y_align=rng.integers(0, 9, 3),
+            y_motiv=rng.integers(0, 4, 3),
+        )
+        out = np.full_like(ckpt.flat, np.nan)
+        _, grads = compute_gradients(batch, ckpt, TrainConfig(dropout=0.0), None, out=out)
+        assert np.isfinite(out).all()
+        _, fresh = compute_gradients(batch, ckpt, TrainConfig(dropout=0.0), None)
+        assert list(grads) == list(fresh) == ckpt.param_order()
+        for name, g in grads.items():
+            assert np.shares_memory(g, out) and g.shape == ckpt.params[name].shape
+            np.testing.assert_array_equal(g, fresh[name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_clip_norm_and_scaling(self, dtype, scale):
+        g = (np.random.default_rng(29).normal(0, scale, 5000)).astype(dtype)
+        want = float(np.sqrt((g.astype(np.float64) ** 2).sum()))
+        clip_norm = 5.0
+        before = g.copy()
+        norm = clip_gradients(g, clip_norm)
+        assert norm == pytest.approx(want, rel=1e-6)
+        if want > clip_norm:
+            clipped = np.sqrt((g.astype(np.float64) ** 2).sum())
+            np.testing.assert_allclose(clipped, clip_norm, rtol=1e-5)
+            np.testing.assert_array_equal(g, before * (clip_norm / norm))
+        else:
+            np.testing.assert_array_equal(g, before)
 
 
 class TestTrainLoop:
