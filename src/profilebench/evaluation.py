@@ -10,7 +10,6 @@ different questions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +19,7 @@ from profilebench.errors import EmptyTestSet, IoFailure, SpaceMismatch
 from profilebench.features import SequenceSample
 from profilebench.hashing import stable_json_dumps
 from profilebench.models.checkpoint import Checkpoint
-from profilebench.models.training import forward_batch, neutral_correction
+from profilebench.models.training import forward_batch, label_table, neutral_correction
 from profilebench.taxonomy import (
     ALIGNMENTS,
     LabelSpace,
@@ -28,7 +27,6 @@ from profilebench.taxonomy import (
     LawAxis,
     MoralAxis,
     Profile,
-    all_profiles,
     map_label,
 )
 
@@ -43,14 +41,6 @@ NEUTRAL_ALIGNMENT_RANKS = tuple(
     for a in ALIGNMENTS
     if a.law_axis is LawAxis.NEUTRAL or a.moral_axis is MoralAxis.NEUTRAL
 )
-
-
-@cache
-def label_table(space: LabelSpace) -> np.ndarray:
-    """Labels of the 36 profile indices in `space`, -1 where it does not admit one."""
-    table = np.array([map_label(p, space) if space.admits(p) else -1 for p in all_profiles()])
-    table.flags.writeable = False
-    return table
 
 
 def random_baseline(space: LabelSpace) -> float:

@@ -1,4 +1,4 @@
-"""Per-decision feature extraction.
+"""Per-decision feature extraction and the PBF2 feature file.
 
 Three layouts come out of this module:
   * 176 = 48 behavioral + 128 hashed-text, the balanced representation
@@ -9,19 +9,37 @@ Three layouts come out of this module:
 Behavioral features are prefix statistics: the vector at step t depends
 only on decisions 0..t, so truncating a session never changes earlier
 rows. Dimension audit: 15+12+15+6 = 48, 48+128 = 176, 512+18 = 530.
+
+Text is hashed once per decision. Each token's bucket hash and sign are
+cached; the 512 signed counts are one bincount, and because 128 divides
+512 the 128-bucket counts are those 512 counts folded (bucket b adds into
+b % 128). The sums are small integers, exact in float64, so the fold
+gives the same bits as hashing into 128 buckets directly (Weinberger et
+al., arXiv:0902.2206).
+
+PBF2 layout, little-endian. Header `<4sIIIIII`: magic b"PBF2", schema
+version, record count, max T, dim, window_len, stride. Then one record
+per game: `<QBI` (game_id, profile index, T) and the whole T x dim
+session as float32, row-major. Windows overlap whenever stride <
+window_len, so the file stores each decision once and the reader derives
+the windows from the header's window_len and stride (`window_starts`),
+as read-only views into the game's rows.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
+from profilebench.dataset import window_starts
 from profilebench.errors import DimensionMismatch, IndexOutOfRange, IoFailure, SchemaMismatch
 from profilebench.hashing import fnv1a64
 from profilebench.simulator import CATEGORIES, DecisionPoint, Dungeon, Outcome, Session
@@ -127,19 +145,14 @@ class AggregateVector:
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
-# token -> (bucket, signed unit) cache, keyed by bucket count
-_TOKEN_CACHE: dict[int, dict[str, tuple[int, float]]] = {}
+# token -> (bucket hash, sign); one entry serves every bucket count
+_TOKEN_CACHE: dict[str, tuple[int, float]] = {}
 
 
-def _hash_token(token: str, n_buckets: int) -> tuple[int, float]:
-    cache = _TOKEN_CACHE.setdefault(n_buckets, {})
-    hit = cache.get(token)
-    if hit is None:
-        data = token.encode("utf-8")
-        bucket = fnv1a64(b"b:" + data) % n_buckets
-        sign = 1.0 - 2.0 * (fnv1a64(b"s:" + data) & 1)
-        hit = (bucket, sign)
-        cache[token] = hit
+def _hash_token(token: str) -> tuple[int, float]:
+    data = token.encode("utf-8")
+    hit = (fnv1a64(b"b:" + data), 1.0 - 2.0 * (fnv1a64(b"s:" + data) & 1))
+    _TOKEN_CACHE[token] = hit
     return hit
 
 
@@ -149,15 +162,27 @@ def tokenize(text: str) -> list[str]:
     return words + [f"{a} {b}" for a, b in zip(words, words[1:])]
 
 
-def embed_tokens(tokens: list[str], n_buckets: int) -> np.ndarray:
-    v = np.zeros(n_buckets)
-    for token in tokens:
-        bucket, sign = _hash_token(token, n_buckets)
-        v[bucket] += sign
+def _signed_counts(tokens: list[str], n_buckets: int) -> np.ndarray:
+    """Sum of each token's sign in its bucket: exact small integers."""
+    hits = [_TOKEN_CACHE.get(t) or _hash_token(t) for t in tokens]
+    hashes = np.array([h for h, _ in hits], dtype=np.uint64)
+    signs = np.array([s for _, s in hits], dtype=np.float64)
+    buckets = (hashes % np.uint64(n_buckets)).astype(np.intp)
+    return np.bincount(buckets, weights=signs, minlength=n_buckets)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(v)
     if norm > 0:
         v /= norm
     return v
+
+
+def embed_tokens(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The 128- and 512-bucket embeddings of one decision's tokens from one
+    hashing pass; the 128 counts are the 512 counts folded."""
+    counts = _signed_counts(tokens, N_TEXT_LEGACY)
+    return _unit(counts.reshape(-1, N_TEXT).sum(axis=0)), _unit(counts)
 
 
 def embed_text(text: str, n_buckets: int = N_TEXT) -> np.ndarray:
@@ -167,7 +192,7 @@ def embed_text(text: str, n_buckets: int = N_TEXT) -> np.ndarray:
     and "s:"), so the embedding is identical on every platform. Empty
     or whitespace-only text maps to the zero vector.
     """
-    return embed_tokens(tokenize(text), n_buckets)
+    return _unit(_signed_counts(tokenize(text), n_buckets))
 
 
 def _decision_text(decision: DecisionPoint) -> str:
@@ -380,33 +405,48 @@ def featurize_game_legacy(session: Session, dungeon: Dungeon) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Feature tensor file ("PBF1"): sequence samples with variable T.
+# Feature tensor file ("PBF2"): one record per game, windows derived at load.
 
-_MAGIC = b"PBF1"
-_HEADER = struct.Struct("<4sIIII")
-_RECORD = struct.Struct("<QBI")
+_MAGIC = b"PBF2"
+_HEADER = struct.Struct("<4sIIIIII")  # magic, schema, games, max_T, dim, window_len, stride
+_RECORD = struct.Struct("<QBI")  # game_id, profile index, T
 
 
 class FeatureFileWriter:
-    """Streams samples into the PBF1 format without holding them all.
+    """Streams whole-game samples into the PBF2 format without holding them all.
 
-    The header's sample count and max_T are patched on close, so the
+    The header's record count and max_T are patched on close, so the
     resulting bytes are identical to a one-shot write. If the `with` body
-    raises, the file is deleted instead of left with a 0-sample header.
+    raises, the file is deleted instead of left with a 0-record header.
     """
 
-    def __init__(self, path: str | Path, dim: int, schema_version: int = SCHEMA_VERSION):
+    def __init__(
+        self,
+        path: str | Path,
+        dim: int,
+        window_len: int,
+        stride: int,
+        schema_version: int = SCHEMA_VERSION,
+    ):
         self.dim = dim
+        self.window_len = window_len
+        self.stride = stride
         self.schema_version = schema_version
         self.n = 0
         self.max_t = 0
         try:
             self._fh = open(path, "wb")
-            self._fh.write(_HEADER.pack(_MAGIC, schema_version, 0, 0, dim))
+            self._fh.write(self._header())
         except OSError as exc:
             raise IoFailure(f"feature file open failed: {exc}") from exc
 
+    def _header(self) -> bytes:
+        return _HEADER.pack(
+            _MAGIC, self.schema_version, self.n, self.max_t, self.dim, self.window_len, self.stride
+        )
+
     def add(self, sample: SequenceSample) -> None:
+        """Append one game: `sample.matrix` is its whole T x dim session."""
         t, d = sample.matrix.shape
         if d != self.dim:
             raise DimensionMismatch(f"sample dim {d} != file dim {self.dim}")
@@ -421,7 +461,7 @@ class FeatureFileWriter:
     def close(self) -> int:
         try:
             self._fh.seek(0)
-            self._fh.write(_HEADER.pack(_MAGIC, self.schema_version, self.n, self.max_t, self.dim))
+            self._fh.write(self._header())
             self._fh.close()
         except OSError as exc:
             raise IoFailure(f"feature file close failed: {exc}") from exc
@@ -438,71 +478,81 @@ class FeatureFileWriter:
             Path(self._fh.name).unlink(missing_ok=True)
 
 
-def write_feature_file(
-    path: str | Path,
-    samples: Iterable[SequenceSample],
-    dim: int,
-    schema_version: int = SCHEMA_VERSION,
-) -> int:
-    """Write samples to the binary tensor format; returns sample count."""
-    with FeatureFileWriter(path, dim, schema_version) as writer:
-        for s in samples:
-            writer.add(s)
-    return writer.n
-
-
-def _parse_feature_file(path: str | Path, payloads: bool) -> tuple[dict, list[tuple]]:
-    """Header dict and (game_id, profile_index, T, matrix or None) per record;
-    a file that does not end exactly after its last record is rejected."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read(_HEADER.size)
-            if len(raw) < _HEADER.size:
-                raise SchemaMismatch(f"{path}: truncated header")
-            magic, version, n_samples, max_t, dim = _HEADER.unpack(raw)
-            if magic != _MAGIC:
-                raise SchemaMismatch(f"{path}: bad magic {magic!r}")
-            if version != SCHEMA_VERSION:
-                raise SchemaMismatch(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
-            records = []
-            for _ in range(n_samples):
-                raw = fh.read(_RECORD.size)
-                if len(raw) < _RECORD.size:
-                    raise SchemaMismatch(f"{path}: truncated record header")
-                game_id, profile_idx, t = _RECORD.unpack(raw)
-                matrix = None
-                if payloads:
-                    buf = fh.read(4 * t * dim)
-                    if len(buf) < 4 * t * dim:
-                        raise SchemaMismatch(f"{path}: truncated record")
-                    matrix = np.frombuffer(buf, dtype="<f4").reshape(t, dim).astype(np.float32)
-                else:
-                    fh.seek(4 * t * dim, 1)
-                records.append((game_id, profile_idx, t, matrix))
-            end = fh.tell()
-            if fh.seek(0, 2) != end:  # trailing bytes, or a payload cut short
-                raise SchemaMismatch(f"{path}: file size does not match its {n_samples} records")
-    except OSError as exc:
-        raise IoFailure(f"feature file read failed: {exc}") from exc
-    header = {"schema_version": version, "n_samples": n_samples, "max_T": max_t, "dim": dim}
+def _parse_feature_file(path: str | Path, fh: BinaryIO) -> tuple[dict, list[tuple[int, ...]]]:
+    """Header dict and (game_id, profile_index, T, payload offset) per record,
+    skipping the payloads; anything but a whole PBF2 file, ending right after
+    its last record, is rejected with SchemaMismatch."""
+    raw = fh.read(_HEADER.size)
+    if len(raw) < _HEADER.size:
+        raise SchemaMismatch(f"{path}: truncated header")
+    magic, version, n_games, max_t, dim, window_len, stride = _HEADER.unpack(raw)
+    if magic != _MAGIC:
+        hint = " (per-window records from an older featurize; rerun featurize)"
+        raise SchemaMismatch(f"{path}: bad magic {magic!r}{hint if magic == b'PBF1' else ''}")
+    if version != SCHEMA_VERSION:
+        raise SchemaMismatch(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
+    if window_len < 1 or stride < 1:
+        raise SchemaMismatch(f"{path}: window_len {window_len}, stride {stride}")
+    records = []
+    for _ in range(n_games):
+        raw = fh.read(_RECORD.size)
+        if len(raw) < _RECORD.size:
+            raise SchemaMismatch(f"{path}: truncated record header")
+        game_id, profile_idx, t = _RECORD.unpack(raw)
+        records.append((game_id, profile_idx, t, fh.tell()))
+        fh.seek(4 * t * dim, 1)
+    end = fh.tell()
+    if fh.seek(0, 2) != end:  # trailing bytes, or a payload cut short
+        raise SchemaMismatch(f"{path}: file size does not match its {n_games} records")
+    header = {
+        "schema_version": version,
+        "n_games": n_games,
+        "max_T": max_t,
+        "dim": dim,
+        "window_len": window_len,
+        "stride": stride,
+    }
     return header, records
 
 
 def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
-    """(game_id, profile_index, T) per record, skipping matrix payloads."""
-    _, records = _parse_feature_file(path, payloads=False)
-    return [r[:3] for r in records]
+    """(game_id, profile_index, window length) per window, in load order,
+    reading only the file's headers."""
+    try:
+        with open(path, "rb") as fh:
+            header, records = _parse_feature_file(path, fh)
+    except OSError as exc:
+        raise IoFailure(f"feature file read failed: {exc}") from exc
+    return [
+        (game_id, profile_idx, length)
+        for game_id, profile_idx, t, _ in records
+        for _, length in window_starts(t, header["window_len"], header["stride"])
+    ]
 
 
 def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
-    """Read a PBF1 file; returns (samples, header dict)."""
-    header, records = _parse_feature_file(path, payloads=True)
-    samples = [
-        SequenceSample(
-            game_id=game_id, profile=Profile.from_index(profile_idx), window=(0, t), matrix=matrix
-        )
-        for game_id, profile_idx, t, matrix in records
-    ]
+    """Read a PBF2 file once; returns (per-window samples, header dict).
+
+    Samples come in game order, then window order. Each matrix is a
+    read-only float32 view of its game's rows. The header carries the
+    file's sha256 and its window count as "n_samples".
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"feature file read failed: {exc}") from exc
+    header, records = _parse_feature_file(path, io.BytesIO(data))
+    dim = header["dim"]
+    samples = []
+    for game_id, profile_idx, t, offset in records:
+        game = np.frombuffer(data, dtype="<f4", count=t * dim, offset=offset).reshape(t, dim)
+        profile = Profile.from_index(profile_idx)
+        for start, length in window_starts(t, header["window_len"], header["stride"]):
+            samples.append(
+                SequenceSample(game_id, profile, (start, length), game[start : start + length])
+            )
+    header["n_samples"] = len(samples)
+    header["sha256"] = hashlib.sha256(data).hexdigest()
     return samples, header
 
 

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from profilebench.errors import ConfigInvalid, EmptySplit, NonFiniteLoss, ZeroFrequency
+from profilebench.errors import (
+    ConfigInvalid,
+    EmptySplit,
+    NonFiniteLoss,
+    SubsetMismatch,
+    ZeroFrequency,
+)
 from profilebench.features import SequenceSample
 from profilebench.hashing import mix_seed
 from profilebench.models.checkpoint import (
@@ -32,7 +39,7 @@ from profilebench.models.lstm import (
     multi_pool_backward_batch,
     multi_pool_batch,
 )
-from profilebench.taxonomy import LabelSpace, LabelSpaceKind, map_label
+from profilebench.taxonomy import LabelSpace, LabelSpaceKind, all_profiles, map_label
 
 
 @dataclass(frozen=True)
@@ -262,14 +269,26 @@ def train_step(
 # --- dataset plumbing for the epoch loop -----------------------------------
 
 
+@cache
+def label_table(space: LabelSpace) -> np.ndarray:
+    """Labels of the 36 profile indices in `space`, -1 where it does not admit one."""
+    table = np.array(
+        [map_label(p, space) if space.admits(p) else -1 for p in all_profiles()], dtype=np.int64
+    )
+    table.flags.writeable = False
+    return table
+
+
 def space_labels(
     samples: Sequence[SequenceSample], space: LabelSpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    y_main = np.array([map_label(s.profile, space) for s in samples], dtype=np.int64)
-    align_space = LabelSpace(LabelSpaceKind.ALIGNMENT9)
-    motiv_space = LabelSpace(LabelSpaceKind.MOTIVATION4)
-    y_align = np.array([map_label(s.profile, align_space) for s in samples], dtype=np.int64)
-    y_motiv = np.array([map_label(s.profile, motiv_space) for s in samples], dtype=np.int64)
+    profile_idx = np.array([s.profile.index for s in samples], dtype=np.intp)
+    y_main = label_table(space)[profile_idx]
+    if (y_main < 0).any():
+        outside = samples[int(np.argmin(y_main))].profile
+        raise SubsetMismatch(f"{outside.code} is not in {space.tag}")
+    y_align = label_table(LabelSpace(LabelSpaceKind.ALIGNMENT9))[profile_idx]
+    y_motiv = label_table(LabelSpace(LabelSpaceKind.MOTIVATION4))[profile_idx]
     return y_main, y_align, y_motiv
 
 

@@ -38,13 +38,15 @@ from profilebench.evaluation import (
     evaluate,
     evaluate_class_predictions,
     failed_report,
-    label_table,
     predict_logits,
     table_row,
     write_table,
 )
 from profilebench.features import (
+    N_BEHAVIORAL_LEGACY,
     N_LEGACY,
+    N_TEXT,
+    N_TEXT_LEGACY,
     N_TOTAL,
     SCHEMA_VERSION,
     FeatureFileWriter,
@@ -68,7 +70,7 @@ from profilebench.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from profilebench.models.training import TrainConfig, train
+from profilebench.models.training import TrainConfig, label_table, train
 from profilebench.simulator import SimConfig, build_dungeon, generate_corpus, load_sessions
 from profilebench.taxonomy import LabelSpaceKind, Profile
 
@@ -304,8 +306,15 @@ def require(paths: list[Path], stage: str) -> None:
 
 
 def write_provenance(
-    paths: Paths, stage: str, inputs: list[Path], seed: int, params: dict
+    paths: Paths,
+    stage: str,
+    inputs: list[Path],
+    seed: int,
+    params: dict,
+    digests: dict[Path, str] | None = None,
 ) -> None:
+    """`digests` holds sha256s of inputs the stage already read whole, so
+    those files are not read a second time."""
     paths.provenance.mkdir(parents=True, exist_ok=True)
     try:  # numpy < 1.25 has no dict form of its build config
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -316,7 +325,7 @@ def write_provenance(
         "stage": stage,
         "version": __version__,
         "seed": seed,
-        "inputs": {p.name: sha256_file(p) for p in inputs},
+        "inputs": {p.name: (digests or {}).get(p) or sha256_file(p) for p in inputs},
         "params_digest": digest_config(params),
         # float bits (e.g. GEMM rounding on short windows) depend on these
         "libraries": {"python": platform.python_version(), "numpy": np.__version__, "blas": blas},
@@ -354,30 +363,26 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
         lambda doc: (SimConfig.from_dict(doc["sim_config"]), sum(doc["counts"].values())),
     )
     agg_rows = []
-    n_games = 0
-    with FeatureFileWriter(paths.features176, N_TOTAL) as w176, FeatureFileWriter(
-        paths.features530, N_LEGACY
+    n_windows = 0
+    windows = (cfg.window_len, cfg.stride)
+    with FeatureFileWriter(paths.features176, N_TOTAL, *windows) as w176, FeatureFileWriter(
+        paths.features530, N_LEGACY, *windows
     ) as w530:
         for session in load_sessions(paths.sessions):
             dungeon = build_dungeon(session.seed, sim_cfg)
             behavioral = behavioral_matrix(session, dungeon)
             t_steps = session.length
-            text128 = np.empty((t_steps, 128))
-            text512 = np.empty((t_steps, 512))
+            text128 = np.empty((t_steps, N_TEXT))
+            text512 = np.empty((t_steps, N_TEXT_LEGACY))
             for t, decision in enumerate(session.decisions):
                 tokens = tokenize(decision.room_text + " " + decision.action_text)
-                text128[t] = embed_tokens(tokens, 128)
-                text512[t] = embed_tokens(tokens, 512)
+                text128[t], text512[t] = embed_tokens(tokens)
             full176 = np.hstack([behavioral, text128])
-            legacy530 = np.hstack([text512, behavioral[:, :18]])
-            for start, length in window_starts(t_steps, cfg.window_len, cfg.stride):
-                sl = slice(start, start + length)
-                w176.add(
-                    SequenceSample(session.game_id, session.profile, (start, length), full176[sl])
-                )
-                w530.add(
-                    SequenceSample(session.game_id, session.profile, (start, length), legacy530[sl])
-                )
+            legacy530 = np.hstack([text512, behavioral[:, :N_BEHAVIORAL_LEGACY]])
+            whole = (0, t_steps)
+            w176.add(SequenceSample(session.game_id, session.profile, whole, full176))
+            w530.add(SequenceSample(session.game_id, session.profile, whole, legacy530))
+            n_windows += len(window_starts(t_steps, *windows))
             agg_rows.append(
                 (
                     session.game_id,
@@ -385,10 +390,9 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
                     aggregate_features(session, dungeon, sim_cfg.max_steps),
                 )
             )
-            n_games += 1
-        if n_games != expected:
+        if w176.n != expected:
             raise SchemaMismatch(
-                f"featurize: {paths.sessions} holds {n_games} sessions, its manifest {expected}"
+                f"featurize: {paths.sessions} holds {w176.n} sessions, its manifest {expected}"
             )
     write_aggregate_csv(paths.aggregates, agg_rows)
     write_provenance(
@@ -398,7 +402,7 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
         cfg.master_seed,
         {"window_len": cfg.window_len, "stride": cfg.stride, "schema_version": SCHEMA_VERSION},
     )
-    return {"games": n_games, "windows": w176.n, "schema_version": SCHEMA_VERSION}
+    return {"games": w176.n, "windows": n_windows, "schema_version": SCHEMA_VERSION}
 
 
 def _index_from_scan(records: list[tuple[int, int, int]]) -> CorpusIndex:
@@ -468,16 +472,25 @@ class _LadderData:
 
     samples: dict[str, dict[str, list[SequenceSample]]]  # layout -> split -> samples
     aggregates: dict[str, tuple[np.ndarray, np.ndarray, list[int]]]  # split -> (X, y, ids)
+    digests: dict[Path, str]  # sha256 of each feature file read
 
 
 def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
     paths = Paths(cfg.out_dir)
     assignment = read_splits(paths.splits)
     samples: dict[str, dict[str, list[SequenceSample]]] = {}
+    digests: dict[Path, str] = {}
     for layout, path in (("176", paths.features176), ("530", paths.features530)):
         if layout not in layouts:
             continue
-        loaded, _ = read_feature_file(path)
+        loaded, header = read_feature_file(path)
+        windows = (header["window_len"], header["stride"])
+        if windows != (cfg.window_len, cfg.stride):
+            raise SchemaMismatch(
+                f"{path}: featurized with window_len, stride {windows}, "
+                f"config has {(cfg.window_len, cfg.stride)}; rerun featurize"
+            )
+        digests[path] = header["sha256"]
         by_split: dict[str, list[SequenceSample]] = {"train": [], "val": [], "test": []}
         for s in loaded:
             split = assignment.get(s.game_id)
@@ -490,7 +503,7 @@ def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
         for split in ("train", "val", "test"):
             keep = [i for i, gid in enumerate(ids) if assignment.get(gid) == split]
             aggregates[split] = (X[keep], y[keep], [ids[i] for i in keep])
-    return _LadderData(samples=samples, aggregates=aggregates)
+    return _LadderData(samples=samples, aggregates=aggregates, digests=digests)
 
 
 def _admissible(samples: list[SequenceSample], spec: ExperimentSpec) -> list[SequenceSample]:
@@ -587,6 +600,7 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
         [p for p in needed if p.exists()],
         cfg.master_seed,
         {"rows": row_ids, "train": cfg.digest_dict()["train"]},
+        data.digests,
     )
     return status
 
@@ -689,6 +703,7 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
         [p for p in (paths.features176, paths.features530, paths.splits) if p.exists()],
         cfg.master_seed,
         {"rows": row_ids},
+        data.digests,
     )
     return reports
 

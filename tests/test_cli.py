@@ -113,6 +113,19 @@ class TestRunAll:
         assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_DEPENDENCY
         assert "multipool_176.pbck" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["train", "eval"])
+    def test_stride_other_than_featurized_is_dependency_error(
+        self, finished_run, tmp_path, capsys, stage
+    ):
+        _, _, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        config = _write_config(tmp_path, stride=2)  # featurized at stride 4
+        capsys.readouterr()
+        code = main(["--config", str(config), "--out", str(copy), stage, "--rows", "multipool_176"])
+        assert code == EXIT_DEPENDENCY
+        assert "features176.pbf" in capsys.readouterr().err
+
 
 class TestStages:
     def test_gen_then_featurize(self, tmp_path, capsys):

@@ -6,14 +6,19 @@ two implementations agree to 1e-12 across crafted and simulated sessions,
 a shared bug would have to be present in both independently.
 """
 
+import hashlib
 import math
 import re
+import struct
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profilebench.dataset import window_starts
 from profilebench.errors import IndexOutOfRange, SchemaMismatch
 from profilebench.features import (
     BEHAVIORAL_SLOT_NAMES,
@@ -39,9 +44,9 @@ from profilebench.features import (
     tokenize,
     transition_features,
     write_aggregate_csv,
-    write_feature_file,
 )
 from profilebench.hashing import fnv1a64
+from profilebench.pipeline import Paths, PipelineConfig, stage_featurize, stage_gen
 from profilebench.simulator import (
     ActionCategory,
     ActionInstance,
@@ -50,6 +55,7 @@ from profilebench.simulator import (
     Session,
     SimConfig,
     build_dungeon,
+    load_sessions,
     play_game,
 )
 from profilebench.taxonomy import Motivation, Profile
@@ -242,6 +248,33 @@ def test_embed_matches_oracle(n_buckets):
         np.testing.assert_allclose(
             embed_text(text, n_buckets), _oracle_embed(text, n_buckets), atol=1e-12
         )
+
+
+def _per_token_embed(tokens: list[str], n_buckets: int) -> np.ndarray:
+    """The per-token accumulation that one-pass hashing replaced."""
+    v = np.zeros(n_buckets)
+    for token in tokens:
+        data = token.encode("utf-8")
+        v[fnv1a64(b"b:" + data) % n_buckets] += 1.0 - 2.0 * (fnv1a64(b"s:" + data) & 1)
+    norm = np.linalg.norm(v)
+    if norm > 0:
+        v /= norm
+    return v
+
+
+def test_one_pass_embedding_is_bitwise_the_per_token_sum(small_corpus):
+    texts = ["", "go east", "x x x x"]
+    for session in load_sessions(Paths(small_corpus.out_dir).sessions):
+        texts += [d.room_text + " " + d.action_text for d in session.decisions]
+    assert len(texts) > 300
+    for text in texts:
+        tokens = tokenize(text)
+        both = embed_tokens(tokens)
+        for got, n_buckets in zip(both, (128, 512)):
+            want = _per_token_embed(tokens, n_buckets)
+            assert got.tobytes() == want.tobytes(), text
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert embed_text(text, n_buckets).tobytes() == want.tobytes()
 
 
 # --- pinned single-group examples ---------------------------------------------
@@ -443,22 +476,100 @@ def _samples() -> list[SequenceSample]:
     return out
 
 
+def _write(path, samples, window_len=8, stride=4) -> int:
+    """Whole-game samples into a PBF2 file; returns the record count."""
+    with FeatureFileWriter(path, N_TOTAL, window_len, stride) as writer:
+        for s in samples:
+            writer.add(s)
+    return writer.n
+
+
+_PBF2_HEADER_BYTES = 28  # <4sIIIIII
+
+
 def test_feature_file_roundtrip(tmp_path):
     path = tmp_path / "x.pbf"
     samples = _samples()
-    n = write_feature_file(path, samples, dim=N_TOTAL)
+    n = _write(path, samples)  # every game shorter than window_len: one window each
     assert n == 3
     loaded, header = read_feature_file(path)
     assert header["n_samples"] == 3
+    assert header["n_games"] == 3
     assert header["dim"] == N_TOTAL
     assert header["schema_version"] == SCHEMA_VERSION
     assert header["max_T"] == 6
+    assert (header["window_len"], header["stride"]) == (8, 4)
+    assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     for orig, back in zip(samples, loaded):
         assert back.game_id == orig.game_id
         assert back.profile == orig.profile
+        assert back.window == (0, orig.matrix.shape[0])
         np.testing.assert_array_equal(back.matrix, orig.matrix.astype(np.float32))
+        assert not back.matrix.flags.writeable
     scanned = scan_feature_file(path)
     assert scanned == [(s.game_id, s.profile.index, s.matrix.shape[0]) for s in samples]
+
+
+def test_feature_file_windows_are_views_of_game_rows(tmp_path):
+    path = tmp_path / "x.pbf"
+    samples = _samples()
+    _write(path, samples, window_len=2, stride=1)
+    loaded, header = read_feature_file(path)
+    want = [(g.game_id, (a, 2)) for g in samples for a in range(g.matrix.shape[0] - 1)]
+    assert [(s.game_id, s.window) for s in loaded] == want
+    assert header["n_samples"] == len(want) == 2 + 1 + 5
+    games = {g.game_id: g.matrix.astype(np.float32) for g in samples}
+    for s in loaded:
+        start, length = s.window
+        np.testing.assert_array_equal(s.matrix, games[s.game_id][start : start + length])
+    assert scan_feature_file(path) == [(gid, samples[gid].profile.index, 2) for gid, _ in want]
+
+
+def _oracle_pbf1_windows(sessions_path, cfg, layout):
+    """What a per-window writer stored, in file order: (game_id, profile
+    index, (start, length), the window's float32 bytes) per window."""
+    out = []
+    w, stride = cfg.window_len, cfg.stride
+    for session in load_sessions(sessions_path):
+        dungeon = build_dungeon(session.seed, cfg.sim)
+        featurize = featurize_game if layout == "176" else featurize_game_legacy
+        game = featurize(session, dungeon)
+        t = session.length
+        starts = [(0, t)] if t < w else [(a, w) for a in range(0, t - w + 1, stride)]
+        for a, n in starts:
+            window = game[a : a + n].astype("<f4").tobytes()
+            out.append((session.game_id, session.profile.index, (a, n), window))
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pbf2_corpus")
+    # deadly fights end some games before window_len, so both window cases occur
+    sim = SimConfig(max_steps=12, fight_death_chance=0.4, taunt_death_chance=0.4)
+    cfg = PipelineConfig(master_seed=17, games_per_profile=1, sim=sim, out_dir=str(out))
+    stage_gen(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("stride", [1, 3, 4])
+def test_pipeline_windows_match_per_window_oracle(small_corpus, stride):
+    cfg = replace(small_corpus, stride=stride)
+    stage_featurize(cfg)
+    paths = Paths(cfg.out_dir)
+    lengths = {s.game_id: s.length for s in load_sessions(paths.sessions)}
+    assert min(lengths.values()) < cfg.window_len <= max(lengths.values())  # both cases occur
+    for layout, path in (("176", paths.features176), ("530", paths.features530)):
+        want = _oracle_pbf1_windows(paths.sessions, cfg, layout)
+        loaded, header = read_feature_file(path)
+        got = [(s.game_id, s.profile.index, s.window, s.matrix.tobytes()) for s in loaded]
+        assert got == want
+        assert header["n_samples"] == len(want)
+        scanned = scan_feature_file(path)
+        assert scanned == [(g, p, n) for g, p, (_, n), _ in want]
+        assert Counter(g for g, _, _ in scanned) == {
+            g: len(window_starts(t, cfg.window_len, stride)) for g, t in lengths.items()
+        }
 
 
 def test_feature_file_rejects_garbage(tmp_path):
@@ -468,23 +579,43 @@ def test_feature_file_rejects_garbage(tmp_path):
         read_feature_file(path)
     trunc = tmp_path / "trunc.pbf"
     good = tmp_path / "good.pbf"
-    write_feature_file(good, _samples(), dim=N_TOTAL)
+    _write(good, _samples())
     trunc.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(SchemaMismatch):
         read_feature_file(trunc)
     # cut inside a record header, not just inside a payload
     partial = tmp_path / "partial.pbf"
-    partial.write_bytes(good.read_bytes()[:25])
+    partial.write_bytes(good.read_bytes()[: _PBF2_HEADER_BYTES + 5])
     with pytest.raises(SchemaMismatch):
         read_feature_file(partial)
     with pytest.raises(SchemaMismatch):
         scan_feature_file(partial)
 
 
+@pytest.mark.parametrize("damage", ["pbf1", "cut_header", "cut_record", "trailing_byte"])
+def test_damaged_feature_file_names_the_file(tmp_path, damage):
+    good = tmp_path / "good.pbf"
+    _write(good, _samples())
+    data = good.read_bytes()
+    if damage == "pbf1":  # a per-window file: 20-byte header, no window fields
+        data = struct.pack("<4sIIII", b"PBF1", SCHEMA_VERSION, 3, 6, N_TOTAL) + data[28:]
+    elif damage == "cut_header":
+        data = data[: _PBF2_HEADER_BYTES - 1]
+    elif damage == "cut_record":
+        data = data[:-1]
+    else:
+        data = data + b"\x00"
+    path = tmp_path / f"{damage}.pbf"
+    path.write_bytes(data)
+    for reader in (read_feature_file, scan_feature_file):
+        with pytest.raises(SchemaMismatch, match=f"{damage}.pbf"):
+            reader(path)
+
+
 def test_feature_file_writer_removes_partial_file_on_error(tmp_path):
     path = tmp_path / "partial.pbf"
     with pytest.raises(RuntimeError):
-        with FeatureFileWriter(path, N_TOTAL) as writer:
+        with FeatureFileWriter(path, N_TOTAL, 8, 4) as writer:
             writer.add(_samples()[0])
             raise RuntimeError("featurizer failed mid-file")
     assert not path.exists()
@@ -492,13 +623,13 @@ def test_feature_file_writer_removes_partial_file_on_error(tmp_path):
 
 def test_feature_file_rejects_trailing_bytes(tmp_path):
     good = tmp_path / "good.pbf"
-    write_feature_file(good, _samples(), dim=N_TOTAL)
-    # a 0-sample header followed by a record, as an interrupted writer left it
+    _write(good, _samples())
+    # a 0-record header followed by a record, as an interrupted writer left it
     stale = tmp_path / "stale.pbf"
-    write_feature_file(stale, [], dim=N_TOTAL)
+    _write(stale, [])
     header_size = stale.stat().st_size
     one = tmp_path / "one.pbf"
-    write_feature_file(one, _samples()[:1], dim=N_TOTAL)
+    _write(one, _samples()[:1])
     for path, extra in ((good, b"\x00"), (stale, one.read_bytes()[header_size:])):
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(SchemaMismatch):

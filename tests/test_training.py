@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from profilebench.errors import ConfigInvalid, EmptySplit, NonFiniteLoss, ZeroFrequency
+from profilebench.errors import (
+    ConfigInvalid,
+    EmptySplit,
+    NonFiniteLoss,
+    SubsetMismatch,
+    ZeroFrequency,
+)
 from profilebench.features import SequenceSample
 from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI, init_checkpoint
 from profilebench.models.training import (
@@ -15,6 +21,7 @@ from profilebench.models.training import (
     forward_batch,
     loss_fn,
     neutral_correction,
+    space_labels,
     train,
     train_step,
 )
@@ -23,6 +30,7 @@ from profilebench.taxonomy import (
     LabelSpaceKind,
     Profile,
     all_profiles,
+    map_label,
 )
 
 PROFILE_SPACE = LabelSpace(LabelSpaceKind.PROFILE36)
@@ -369,3 +377,28 @@ class TestNeutralCorrection:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigInvalid):
             neutral_correction(np.zeros((1, 3)), np.full(2, 0.5), np.full(2, 0.5))
+
+
+class TestSpaceLabels:
+    def test_equal_to_map_label_per_sample_in_every_space(self):
+        profiles = all_profiles()
+        align, motiv = LabelSpace(LabelSpaceKind.ALIGNMENT9), LabelSpace(LabelSpaceKind.MOTIVATION4)
+        for kind in LabelSpaceKind:
+            space = LabelSpace(kind)
+            admitted = [p for p in profiles if space.admits(p)]
+            samples = [
+                SequenceSample(i, admitted[(7 * i) % len(admitted)], (0, 1), np.zeros((1, 1)))
+                for i in range(50)
+            ]
+            y_main, y_align, y_motiv = space_labels(samples, space)
+            for got, sp in ((y_main, space), (y_align, align), (y_motiv, motiv)):
+                assert got.dtype == np.int64
+                assert got.tolist() == [map_label(s.profile, sp) for s in samples]
+
+    def test_profile_outside_a_subset_space_raises(self):
+        space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
+        outside = next(p for p in all_profiles() if not space.admits(p))
+        inside = next(p for p in all_profiles() if space.admits(p))
+        samples = [SequenceSample(i, p, (0, 1), np.zeros((1, 1))) for i, p in enumerate([inside, outside])]
+        with pytest.raises(SubsetMismatch, match=outside.code):
+            space_labels(samples, space)
