@@ -27,7 +27,6 @@ from profilebench.taxonomy import (
     LawAxis,
     MoralAxis,
     Profile,
-    map_label,
 )
 
 METRICS_VERSION = 1
@@ -237,6 +236,17 @@ def _marginal_predictions(main_pred: np.ndarray, space: LabelSpace) -> tuple[np.
     return align_of[main_pred], motiv_of[main_pred]
 
 
+def _true_labels(profiles: Sequence[Profile], space: LabelSpace) -> tuple[np.ndarray, ...]:
+    """Class indices in `space`, ALIGN_SPACE and MOTIV_SPACE, one per profile;
+    a profile outside `space` raises SpaceMismatch naming the first."""
+    profile_idx = np.array([p.index for p in profiles])
+    y_main = label_table(space)[profile_idx]
+    outside = np.flatnonzero(y_main < 0)
+    if outside.size:
+        raise SpaceMismatch(f"sample profile {profiles[outside[0]].code} outside {space.tag}")
+    return y_main, label_table(ALIGN_SPACE)[profile_idx], label_table(MOTIV_SPACE)[profile_idx]
+
+
 def evaluate(
     ckpt: Checkpoint,
     samples: Sequence[SequenceSample],
@@ -259,13 +269,7 @@ def evaluate(
         raise SpaceMismatch(
             f"checkpoint space {ckpt.label_space_tag!r} != experiment space {space.tag!r}"
         )
-    profile_idx = np.array([s.profile.index for s in samples])
-    y_main = label_table(space)[profile_idx]
-    outside = np.flatnonzero(y_main < 0)
-    if outside.size:
-        raise SpaceMismatch(f"sample profile {samples[outside[0]].profile.code} outside {space.tag}")
-    y_align = label_table(ALIGN_SPACE)[profile_idx]
-    y_motiv = label_table(MOTIV_SPACE)[profile_idx]
+    y_main, y_align, y_motiv = _true_labels([s.profile for s in samples], space)
 
     logits = predict_logits(ckpt, samples)
     main_logits = logits["profile"]
@@ -359,9 +363,7 @@ def evaluate_class_predictions(
     if len(profiles) == 0:
         raise EmptyTestSet(f"no samples to evaluate for {spec.name}")
     space = spec.space
-    y_main = np.array([map_label(p, space) for p in profiles])
-    y_align = np.array([map_label(p, ALIGN_SPACE) for p in profiles])
-    y_motiv = np.array([map_label(p, MOTIV_SPACE) for p in profiles])
+    y_main, y_align, y_motiv = _true_labels(profiles, space)
     confusion_main = ConfusionMatrix.from_predictions(y_main, main_pred, space.class_names())
     accuracies = {"main": confusion_main.accuracy}
     confusion_align = confusion_motiv = None

@@ -17,6 +17,14 @@ b % 128). The sums are small integers, exact in float64, so the fold
 gives the same bits as hashing into 128 buckets directly (Weinberger et
 al., arXiv:0902.2206).
 
+The bucket comes from FNV-1a over b"b:" + token and the sign from the low
+bit of FNV-1a over b"s:" + token, but the two are not independent:
+FNV-1a's low bit is the parity of the input bytes' low bits, and the two
+prefixes differ in exactly that bit. So a token's sign is fixed by its
+bucket's parity (odd buckets add +1, even buckets -1, at 128 and 512
+alike), and colliding tokens never cancel. Fixing that changes every
+hashed-text bit (ROADMAP item 4).
+
 PBF2 layout, little-endian. Header `<4sIIIIII`: magic b"PBF2", schema
 version, record count, max T, dim, window_len, stride. Then one record
 per game: `<QBI` (game_id, profile index, T) and the whole T x dim
@@ -35,7 +43,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -58,7 +66,6 @@ N_TOTAL = N_BEHAVIORAL + N_TEXT
 N_TEXT_LEGACY = 512
 N_BEHAVIORAL_LEGACY = 18
 N_LEGACY = N_TEXT_LEGACY + N_BEHAVIORAL_LEGACY
-N_AGGREGATE = N_BEHAVIORAL + 4
 
 _CAT_NAMES = tuple(c.name.lower() for c in CATEGORIES)
 
@@ -66,68 +73,32 @@ _CAT_NAMES = tuple(c.name.lower() for c in CATEGORIES)
 _CROSS_PAIRS = [(a, b) for a in range(N_CATEGORIES) for b in range(a + 1, N_CATEGORIES)]
 _CROSS_SLOT = {pair: N_CATEGORIES + k for k, pair in enumerate(_CROSS_PAIRS)}
 
-
-def _slot_names() -> list[tuple[str, str]]:
-    slots: list[tuple[str, str]] = []
-    for c in _CAT_NAMES:
-        slots.append((f"trans_self_{c}", "Transition"))
-    for a, b in _CROSS_PAIRS:
-        slots.append((f"trans_cross_{_CAT_NAMES[a]}_{_CAT_NAMES[b]}", "Transition"))
-    for c in _CAT_NAMES:
-        slots.append((f"avail_{c}", "AvailSelect"))
-    for c in _CAT_NAMES:
-        slots.append((f"sel_given_avail_{c}", "AvailSelect"))
-    slots.append(("mean_choice_set", "AvailSelect"))
-    slots.append(("selection_entropy", "AvailSelect"))
-    for phase in (1, 2, 3):
-        for c in _CAT_NAMES:
-            slots.append((f"phase{phase}_{c}", "Temporal"))
-    slots.append(("move_coverage", "Movement"))
-    slots.append(("move_revisit", "Movement"))
-    slots.append(("move_mean_dist", "Movement"))
-    slots.append(("move_net_ratio", "Movement"))
-    slots.append(("move_turn_rate", "Movement"))
-    slots.append(("move_backtrack", "Movement"))
-    for i in range(N_TEXT):
-        slots.append((f"text_{i:03d}", "Text"))
-    return slots
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    version: int
-    slots: tuple[tuple[str, str, int], ...]  # (name, group, index)
-
-    @property
-    def groups(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, group, _ in self.slots:
-            out[group] = out.get(group, 0) + 1
-        return out
-
-    @property
-    def dim(self) -> int:
-        return len(self.slots)
-
-
-SCHEMA = FeatureSchema(
-    version=SCHEMA_VERSION,
-    slots=tuple((name, group, i) for i, (name, group) in enumerate(_slot_names())),
+BEHAVIORAL_SLOT_NAMES = (
+    *(f"trans_self_{c}" for c in _CAT_NAMES),
+    *(f"trans_cross_{_CAT_NAMES[a]}_{_CAT_NAMES[b]}" for a, b in _CROSS_PAIRS),
+    *(f"avail_{c}" for c in _CAT_NAMES),
+    *(f"sel_given_avail_{c}" for c in _CAT_NAMES),
+    "mean_choice_set",
+    "selection_entropy",
+    *(f"phase{phase}_{c}" for phase in (1, 2, 3) for c in _CAT_NAMES),
+    "move_coverage",
+    "move_revisit",
+    "move_mean_dist",
+    "move_net_ratio",
+    "move_turn_rate",
+    "move_backtrack",
 )
-
-BEHAVIORAL_SLOT_NAMES = tuple(name for name, _, i in SCHEMA.slots[:N_BEHAVIORAL])
+# Two slots carry no information of their own: 18 (avail_exploratory) is
+# always 1.0, since every menu offers a move; and 51 (choice_set_mean)
+# equals slot 25 (mean_choice_set) bit for bit. Both stay: dropping either
+# changes baseline_agg's inputs and metrics, so that waits for the
+# multi-seed sweep (ROADMAP item 1).
 AGGREGATE_SLOT_NAMES = BEHAVIORAL_SLOT_NAMES + (
     "length_norm",
     "exit_flag",
     "death_flag",
     "choice_set_mean",
 )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    schema_version: int = SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
@@ -138,14 +109,9 @@ class SequenceSample:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class AggregateVector:
-    values: np.ndarray
-
-
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
-# token -> (bucket hash, sign); one entry serves every bucket count
+# token -> (bucket hash, sign)
 _TOKEN_CACHE: dict[str, tuple[int, float]] = {}
 
 
@@ -162,13 +128,13 @@ def tokenize(text: str) -> list[str]:
     return words + [f"{a} {b}" for a, b in zip(words, words[1:])]
 
 
-def _signed_counts(tokens: list[str], n_buckets: int) -> np.ndarray:
-    """Sum of each token's sign in its bucket: exact small integers."""
+def _signed_counts(tokens: list[str]) -> np.ndarray:
+    """Sum of each token's sign in its bucket of 512: exact small integers."""
     hits = [_TOKEN_CACHE.get(t) or _hash_token(t) for t in tokens]
     hashes = np.array([h for h, _ in hits], dtype=np.uint64)
     signs = np.array([s for _, s in hits], dtype=np.float64)
-    buckets = (hashes % np.uint64(n_buckets)).astype(np.intp)
-    return np.bincount(buckets, weights=signs, minlength=n_buckets)
+    buckets = (hashes % np.uint64(N_TEXT_LEGACY)).astype(np.intp)
+    return np.bincount(buckets, weights=signs, minlength=N_TEXT_LEGACY)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -181,22 +147,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def embed_tokens(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The 128- and 512-bucket embeddings of one decision's tokens from one
     hashing pass; the 128 counts are the 512 counts folded."""
-    counts = _signed_counts(tokens, N_TEXT_LEGACY)
+    counts = _signed_counts(tokens)
     return _unit(counts.reshape(-1, N_TEXT).sum(axis=0)), _unit(counts)
-
-
-def embed_text(text: str, n_buckets: int = N_TEXT) -> np.ndarray:
-    """Signed feature hashing of text into n_buckets, L2 normalized.
-
-    Bucket and sign come from independent FNV-1a hashes (prefixes "b:"
-    and "s:"), so the embedding is identical on every platform. Empty
-    or whitespace-only text maps to the zero vector.
-    """
-    return _unit(_signed_counts(tokenize(text), n_buckets))
-
-
-def _decision_text(decision: DecisionPoint) -> str:
-    return decision.room_text + " " + decision.action_text
 
 
 class _BehavioralState:
@@ -312,32 +264,6 @@ def _phase_bounds(n: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def transition_features(prefix: Sequence[DecisionPoint]) -> np.ndarray:
-    return _behavioral_prefix(prefix)[:N_TRANSITION]
-
-
-def temporal_features(prefix: Sequence[DecisionPoint]) -> np.ndarray:
-    s = N_TRANSITION + N_AVAIL_SELECT
-    return _behavioral_prefix(prefix)[s : s + N_TEMPORAL]
-
-
-def movement_features(prefix: Sequence[DecisionPoint], dungeon: Dungeon) -> np.ndarray:
-    state = _BehavioralState(dungeon.room_count, dungeon.width - 1 + dungeon.height - 1)
-    for d in prefix:
-        state.push(d)
-    return state.row()[N_TRANSITION + N_AVAIL_SELECT + N_TEMPORAL :]
-
-
-def _behavioral_prefix(prefix: Sequence[DecisionPoint]) -> np.ndarray:
-    if not prefix:
-        raise IndexOutOfRange("empty decision prefix")
-    # room geometry is irrelevant to the non-movement groups
-    state = _BehavioralState(1, 1.0)
-    for d in prefix:
-        state.push(d)
-    return state.row()
-
-
 def behavioral_matrix(session: Session, dungeon: Dungeon) -> np.ndarray:
     """T x 48 matrix of prefix features, one row per decision."""
     state = _BehavioralState(dungeon.room_count, dungeon.width - 1 + dungeon.height - 1)
@@ -348,60 +274,19 @@ def behavioral_matrix(session: Session, dungeon: Dungeon) -> np.ndarray:
     return rows
 
 
-def text_matrix(session: Session, n_buckets: int = N_TEXT) -> np.ndarray:
-    rows = np.empty((session.length, n_buckets))
-    for t, decision in enumerate(session.decisions):
-        rows[t] = embed_text(_decision_text(decision), n_buckets)
-    return rows
-
-
-def featurize_game(session: Session, dungeon: Dungeon) -> np.ndarray:
-    """T x 176 matrix for a whole session; rows are per-decision vectors."""
-    return np.hstack([behavioral_matrix(session, dungeon), text_matrix(session)])
-
-
-def featurize_decision(session: Session, step_index: int, dungeon: Dungeon) -> FeatureVector:
-    if not 0 <= step_index < session.length:
-        raise IndexOutOfRange(f"step {step_index} outside session of length {session.length}")
-    prefix = session.decisions[: step_index + 1]
-    state = _BehavioralState(dungeon.room_count, dungeon.width - 1 + dungeon.height - 1)
-    for d in prefix:
-        state.push(d)
-    values = np.concatenate([state.row(), embed_text(_decision_text(prefix[-1]))])
-    return FeatureVector(values=values)
-
-
-def aggregate_features(session: Session, dungeon: Dungeon, max_steps: int) -> AggregateVector:
-    """48 full-prefix behavioral features + 4 completion metrics."""
+def aggregate_features(session: Session, behavioral: np.ndarray, max_steps: int) -> np.ndarray:
+    """The 52 aggregate slots: the last row of the session's behavioral
+    matrix (its full-prefix statistics) + 4 completion metrics."""
     if session.length == 0:
         raise IndexOutOfRange("cannot aggregate an empty session")
-    state = _BehavioralState(dungeon.room_count, dungeon.width - 1 + dungeon.height - 1)
-    for d in session.decisions:
-        state.push(d)
-    behavioral = state.row()
-    mean_choice = state.choice_set_sum / session.length / 6.0
-    metrics = np.array(
-        [
-            session.length / max_steps,
-            1.0 if session.outcome is Outcome.EXIT_REACHED else 0.0,
-            1.0 if session.outcome is Outcome.DIED else 0.0,
-            mean_choice,
-        ]
+    last = behavioral[-1]
+    metrics = (
+        session.length / max_steps,
+        1.0 if session.outcome is Outcome.EXIT_REACHED else 0.0,
+        1.0 if session.outcome is Outcome.DIED else 0.0,
+        last[N_TRANSITION + 10],  # mean choice-set size, slot 25
     )
-    return AggregateVector(values=np.concatenate([behavioral, metrics]))
-
-
-def featurize_legacy_530(session: Session, step_index: int, dungeon: Dungeon) -> np.ndarray:
-    """512 hashed-text buckets + the first 18 behavioral slots."""
-    vec = featurize_decision(session, step_index, dungeon).values
-    text = embed_text(_decision_text(session.decisions[step_index]), N_TEXT_LEGACY)
-    return np.concatenate([text, vec[:N_BEHAVIORAL_LEGACY]])
-
-
-def featurize_game_legacy(session: Session, dungeon: Dungeon) -> np.ndarray:
-    """T x 530 matrix; text block first, then 18 behavioral slots."""
-    behavioral = behavioral_matrix(session, dungeon)[:, :N_BEHAVIORAL_LEGACY]
-    return np.hstack([text_matrix(session, N_TEXT_LEGACY), behavioral])
+    return np.concatenate([last, metrics])
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +305,10 @@ class FeatureFileWriter:
     raises, the file is deleted instead of left with a 0-record header.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        dim: int,
-        window_len: int,
-        stride: int,
-        schema_version: int = SCHEMA_VERSION,
-    ):
+    def __init__(self, path: str | Path, dim: int, window_len: int, stride: int):
         self.dim = dim
         self.window_len = window_len
         self.stride = stride
-        self.schema_version = schema_version
         self.n = 0
         self.max_t = 0
         try:
@@ -442,7 +319,7 @@ class FeatureFileWriter:
 
     def _header(self) -> bytes:
         return _HEADER.pack(
-            _MAGIC, self.schema_version, self.n, self.max_t, self.dim, self.window_len, self.stride
+            _MAGIC, SCHEMA_VERSION, self.n, self.max_t, self.dim, self.window_len, self.stride
         )
 
     def add(self, sample: SequenceSample) -> None:
@@ -556,7 +433,7 @@ def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
     return samples, header
 
 
-def write_aggregate_csv(path: str | Path, rows: Iterable[tuple[int, Profile, AggregateVector]]) -> int:
+def write_aggregate_csv(path: str | Path, rows: Iterable[tuple[int, Profile, np.ndarray]]) -> int:
     """CSV of per-game aggregate vectors, one row per game."""
     n = 0
     try:
@@ -564,7 +441,7 @@ def write_aggregate_csv(path: str | Path, rows: Iterable[tuple[int, Profile, Agg
             writer = csv.writer(fh)
             writer.writerow(("game_id", "profile") + AGGREGATE_SLOT_NAMES)
             for game_id, profile, agg in rows:
-                writer.writerow([game_id, profile.code] + [repr(float(v)) for v in agg.values])
+                writer.writerow([game_id, profile.code] + [repr(float(v)) for v in agg])
                 n += 1
     except OSError as exc:
         raise IoFailure(f"aggregate csv write failed: {exc}") from exc

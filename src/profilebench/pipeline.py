@@ -70,7 +70,7 @@ from profilebench.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from profilebench.models.training import TrainConfig, label_table, train
+from profilebench.models.training import TrainConfig, label_table, neutral_correction, train
 from profilebench.simulator import SimConfig, build_dungeon, generate_corpus, load_sessions
 from profilebench.taxonomy import LabelSpaceKind, Profile
 
@@ -383,13 +383,8 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
             w176.add(SequenceSample(session.game_id, session.profile, whole, full176))
             w530.add(SequenceSample(session.game_id, session.profile, whole, legacy530))
             n_windows += len(window_starts(t_steps, *windows))
-            agg_rows.append(
-                (
-                    session.game_id,
-                    session.profile,
-                    aggregate_features(session, dungeon, sim_cfg.max_steps),
-                )
-            )
+            agg = aggregate_features(session, behavioral, sim_cfg.max_steps)
+            agg_rows.append((session.game_id, session.profile, agg))
         if w176.n != expected:
             raise SchemaMismatch(
                 f"featurize: {paths.sessions} holds {w176.n} sessions, its manifest {expected}"
@@ -620,21 +615,16 @@ def _calibrate_correction(ckpt, val_samples: list[SequenceSample]) -> dict:
     predicted = (pred_counts + 0.5) / (pred_counts.sum() + 4.5)
     prior = _alignment_prior_freqs(val_samples)
     base_acc = float((logits.argmax(axis=1) == y).mean())
-    base_gap = float(np.abs(predicted - prior).sum())
-    best = {"eta": 1.0, "gap": base_gap, "acc": base_acc}
-    chosen = None
-    for eta in ETA_GRID:
-        adjusted = logits - eta * np.log(predicted / prior)
-        pred = adjusted.argmax(axis=1)
+    eta, eta_gap = 1.0, None
+    for candidate in ETA_GRID:
+        pred = neutral_correction(logits, predicted, prior, candidate).argmax(axis=1)
         acc = float((pred == y).mean())
         freq = (np.bincount(pred, minlength=9) + 0.5) / (len(pred) + 4.5)
         gap = float(np.abs(freq - prior).sum())
-        if acc >= base_acc - 0.01 and (chosen is None or gap < chosen["gap"]):
-            chosen = {"eta": eta, "gap": gap, "acc": acc}
-    if chosen is None:
-        chosen = best
+        if acc >= base_acc - 0.01 and (eta_gap is None or gap < eta_gap):
+            eta, eta_gap = candidate, gap
     return {
-        "eta": chosen["eta"],
+        "eta": eta,
         "predicted": predicted,
         "prior": prior,
         "uncorrected_accuracy": base_acc,

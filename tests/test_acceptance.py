@@ -30,7 +30,6 @@ from profilebench.features import (
     N_TOTAL,
     N_TRANSITION,
     SCHEMA_VERSION,
-    featurize_game,
     read_feature_file,
 )
 from profilebench.hashing import mix_seed
@@ -112,7 +111,7 @@ def test_03_feature_dimensions_and_crafted_oracle():
         and round(100 * N_TEXT_LEGACY / N_LEGACY, 1) == 96.6
     )
     session = feature_oracles._session([0, 3, 1, 4])
-    full = featurize_game(session, feature_oracles._DUNGEON)
+    full = feature_oracles._rows176(session, feature_oracles._DUNGEON)
     worst = 0.0
     for t in range(4):
         behav = feature_oracles._oracle_behavioral(session.decisions[: t + 1], 36, 10.0)

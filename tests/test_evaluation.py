@@ -306,6 +306,15 @@ class TestEvaluateClassPredictions:
         with pytest.raises(EmptyTestSet):
             evaluate_class_predictions([], np.array([]), spec, n_games=0)
 
+    def test_profile_outside_space_is_named(self):
+        space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
+        inside = next(p for p in all_profiles() if is_neutral_profile(p))
+        outside = next(p for p in all_profiles() if not is_neutral_profile(p))
+        spec = ExperimentSpec("t", "baseline", "agg", space.kind, subset="neutral_only")
+        want = f"sample profile {outside.code} outside {space.tag}"
+        with pytest.raises(SpaceMismatch, match=f"^{want}$"):
+            evaluate_class_predictions([inside, outside], np.array([0, 0]), spec, n_games=2)
+
 
 class TestSpecValidation:
     def test_subset_space_requires_matching_subset(self):

@@ -21,28 +21,28 @@ from hypothesis import strategies as st
 from profilebench.dataset import window_starts
 from profilebench.errors import IndexOutOfRange, SchemaMismatch
 from profilebench.features import (
+    AGGREGATE_SLOT_NAMES,
     BEHAVIORAL_SLOT_NAMES,
+    N_AVAIL_SELECT,
     N_BEHAVIORAL,
+    N_BEHAVIORAL_LEGACY,
     N_LEGACY,
+    N_MOVEMENT,
+    N_TEMPORAL,
+    N_TEXT,
+    N_TEXT_LEGACY,
     N_TOTAL,
+    N_TRANSITION,
     SCHEMA_VERSION,
     FeatureFileWriter,
     SequenceSample,
     aggregate_features,
     behavioral_matrix,
-    embed_text,
     embed_tokens,
-    featurize_decision,
-    featurize_game,
-    featurize_game_legacy,
-    featurize_legacy_530,
-    movement_features,
     read_aggregate_csv,
     read_feature_file,
     scan_feature_file,
-    temporal_features,
     tokenize,
-    transition_features,
     write_aggregate_csv,
 )
 from profilebench.hashing import fnv1a64
@@ -206,6 +206,39 @@ def _session(choices: list[int], profile="TN-Safety") -> Session:
 
 _DUNGEON = build_dungeon(0, SimConfig())
 
+# feature groups within a behavioral row
+_TRANSITION = slice(0, N_TRANSITION)
+_TEMPORAL = slice(N_TRANSITION + N_AVAIL_SELECT, N_TRANSITION + N_AVAIL_SELECT + N_TEMPORAL)
+_MOVEMENT = slice(N_BEHAVIORAL - N_MOVEMENT, N_BEHAVIORAL)
+
+
+def _full_prefix(session: Session) -> np.ndarray:
+    """Behavioral features over the whole session: the matrix's last row."""
+    return behavioral_matrix(session, _DUNGEON)[-1]
+
+
+def _embed(text: str, n_buckets: int) -> np.ndarray:
+    """The n_buckets-wide embedding of `text` from the one-pass hashing."""
+    e128, e512 = embed_tokens(tokenize(text))
+    return e128 if n_buckets == N_TEXT else e512
+
+
+def _text(decision: DecisionPoint) -> str:
+    return decision.room_text + " " + decision.action_text
+
+
+def _rows176(session: Session, dungeon) -> np.ndarray:
+    """A game's 176 rows as stage_featurize stacks them."""
+    text = [embed_tokens(tokenize(_text(d)))[0] for d in session.decisions]
+    return np.hstack([behavioral_matrix(session, dungeon), np.array(text)])
+
+
+def _rows530(session: Session, dungeon) -> np.ndarray:
+    """A game's 530 rows as stage_featurize stacks them."""
+    text = [embed_tokens(tokenize(_text(d)))[1] for d in session.decisions]
+    behavioral = behavioral_matrix(session, dungeon)[:, :N_BEHAVIORAL_LEGACY]
+    return np.hstack([np.array(text), behavioral])
+
 
 # --- hashing / embedding -----------------------------------------------------
 
@@ -225,15 +258,15 @@ def test_tokenize_unigrams_then_bigrams():
 
 
 def test_embed_empty_is_zero():
-    assert not embed_text("", 128).any()
-    assert not embed_text("   \t ", 128).any()
+    for text in ("", "   \t "):
+        assert not any(v.any() for v in embed_tokens(tokenize(text)))
 
 
 def test_embed_unit_norm_and_determinism():
-    v1 = embed_text("a goblin sharpens a rusty knife", 128)
-    v2 = embed_text("a goblin sharpens a rusty knife", 128)
-    np.testing.assert_array_equal(v1, v2)
-    assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
+    text = "a goblin sharpens a rusty knife"
+    for v1, v2 in zip(embed_tokens(tokenize(text)), embed_tokens(tokenize(text))):
+        np.testing.assert_array_equal(v1, v2)
+        assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_buckets", [128, 512])
@@ -246,7 +279,7 @@ def test_embed_matches_oracle(n_buckets):
     ]
     for text in texts:
         np.testing.assert_allclose(
-            embed_text(text, n_buckets), _oracle_embed(text, n_buckets), atol=1e-12
+            _embed(text, n_buckets), _oracle_embed(text, n_buckets), atol=1e-12
         )
 
 
@@ -265,7 +298,7 @@ def _per_token_embed(tokens: list[str], n_buckets: int) -> np.ndarray:
 def test_one_pass_embedding_is_bitwise_the_per_token_sum(small_corpus):
     texts = ["", "go east", "x x x x"]
     for session in load_sessions(Paths(small_corpus.out_dir).sessions):
-        texts += [d.room_text + " " + d.action_text for d in session.decisions]
+        texts += [_text(d) for d in session.decisions]
     assert len(texts) > 300
     for text in texts:
         tokens = tokenize(text)
@@ -274,7 +307,6 @@ def test_one_pass_embedding_is_bitwise_the_per_token_sum(small_corpus):
             want = _per_token_embed(tokens, n_buckets)
             assert got.tobytes() == want.tobytes(), text
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-            assert embed_text(text, n_buckets).tobytes() == want.tobytes()
 
 
 # --- pinned single-group examples ---------------------------------------------
@@ -282,19 +314,19 @@ def test_one_pass_embedding_is_bitwise_the_per_token_sum(small_corpus):
 
 def test_single_decision_transitions_are_zero():
     s = _session([0])
-    assert not transition_features(s.decisions).any()
+    assert not _full_prefix(s)[_TRANSITION].any()
 
 
 def test_repeated_combat_self_transition():
     s = _session([0, 0, 0])
-    v = transition_features(s.decisions)
+    v = _full_prefix(s)[_TRANSITION]
     assert v[ActionCategory.COMBAT.value] == 1.0
     assert v.sum() == 1.0
 
 
 def test_alternating_cross_transition():
     s = _session([0, 1, 0, 1])  # combat, social, combat, social
-    v = transition_features(s.decisions)
+    v = _full_prefix(s)[_TRANSITION]
     # unordered pair (combat=0, social=1) is the first cross slot
     assert v[5] == 1.0
     assert v.sum() == 1.0
@@ -302,7 +334,7 @@ def test_alternating_cross_transition():
 
 def test_east_west_backtrack():
     s = _session([3, 4])  # east then west
-    v = movement_features(s.decisions, _DUNGEON)
+    v = _full_prefix(s)[_MOVEMENT]
     coverage, revisit, mean_dist, net, turns, backtrack = v
     assert net == 0.0
     assert backtrack == 1.0
@@ -312,7 +344,7 @@ def test_east_west_backtrack():
 
 def test_three_east_moves():
     s = _session([3, 3, 3])
-    v = movement_features(s.decisions, _DUNGEON)
+    v = _full_prefix(s)[_MOVEMENT]
     coverage, revisit, mean_dist, net, turns, backtrack = v
     assert coverage == pytest.approx(4 / 36)
     assert revisit == 0.0
@@ -324,14 +356,13 @@ def test_three_east_moves():
 
 def test_no_movement_row():
     s = _session([0, 1, 5])
-    v = movement_features(s.decisions, _DUNGEON)
+    v = _full_prefix(s)[_MOVEMENT]
     np.testing.assert_allclose(v, [1 / 36, 0, 0, 0, 0, 0], atol=1e-15)
 
 
 def test_temporal_phases_two_then_four():
     s = _session([0, 0, 1, 1, 1, 1])  # 2 combat then 4 social
-    v = temporal_features(s.decisions)
-    phase = v.reshape(3, 5)
+    phase = _full_prefix(s)[_TEMPORAL].reshape(3, 5)
     assert phase[0][ActionCategory.COMBAT.value] == 1.0
     assert phase[1][ActionCategory.SOCIAL.value] == 1.0
     assert phase[2][ActionCategory.SOCIAL.value] == 1.0
@@ -339,16 +370,16 @@ def test_temporal_phases_two_then_four():
 
 def test_temporal_single_decision_lands_in_last_phase():
     s = _session([2])
-    phase = temporal_features(s.decisions).reshape(3, 5)
+    phase = _full_prefix(s)[_TEMPORAL].reshape(3, 5)
     assert not phase[0].any() and not phase[1].any()
     assert phase[2][ActionCategory.ACQUISITIVE.value] == 1.0
 
 
 def test_entropy_extremes():
     ent_idx = BEHAVIORAL_SLOT_NAMES.index("selection_entropy")
-    same = featurize_decision(_session([0, 0, 0, 0]), 3, _DUNGEON).values
+    same = _full_prefix(_session([0, 0, 0, 0]))
     assert same[ent_idx] == 0.0
-    balanced = featurize_decision(_session([0, 1, 2, 3, 5]), 4, _DUNGEON).values
+    balanced = _full_prefix(_session([0, 1, 2, 3, 5]))
     assert balanced[ent_idx] == pytest.approx(1.0)
 
 
@@ -376,57 +407,58 @@ def test_simulated_sessions_match_oracle():
 
 def test_full_vector_is_behavioral_then_text():
     s = _session([0, 3, 1])
-    full = featurize_game(s, _DUNGEON)
+    full = _rows176(s, _DUNGEON)
     assert full.shape == (3, N_TOTAL)
-    behav = behavioral_matrix(s, _DUNGEON)
-    np.testing.assert_array_equal(full[:, :N_BEHAVIORAL], behav)
+    np.testing.assert_array_equal(full[:, :N_BEHAVIORAL], behavioral_matrix(s, _DUNGEON))
     for t, d in enumerate(s.decisions):
-        text = embed_text(d.room_text + " " + d.action_text, 128)
-        np.testing.assert_allclose(full[t, N_BEHAVIORAL:], text, atol=1e-12)
-        row = featurize_decision(s, t, _DUNGEON).values
-        np.testing.assert_array_equal(row, full[t])
+        np.testing.assert_allclose(full[t, N_BEHAVIORAL:], _oracle_embed(_text(d), N_TEXT), atol=1e-12)
 
 
 def test_prefix_truncation_equivalence():
     long = _session([0, 3, 1, 3, 4, 2])
     short = _session([0, 3, 1])
     np.testing.assert_array_equal(
-        featurize_game(long, _DUNGEON)[:3], featurize_game(short, _DUNGEON)
+        behavioral_matrix(long, _DUNGEON)[:3], behavioral_matrix(short, _DUNGEON)
     )
 
 
 def test_legacy_layout():
     s = _session([0, 3, 1])
-    legacy = featurize_legacy_530(s, 2, _DUNGEON)
-    assert legacy.shape == (N_LEGACY,)
-    text = embed_text(s.decisions[2].room_text + " " + s.decisions[2].action_text, 512)
-    np.testing.assert_allclose(legacy[:512], text, atol=1e-12)
-    behav = behavioral_matrix(s, _DUNGEON)
-    np.testing.assert_array_equal(legacy[512:], behav[2, :18])
-    game = featurize_game_legacy(s, _DUNGEON)
-    assert game.shape == (3, N_LEGACY)
-    np.testing.assert_array_equal(game[2], legacy)
+    legacy = _rows530(s, _DUNGEON)
+    assert legacy.shape == (3, N_LEGACY)
+    for t, d in enumerate(s.decisions):
+        np.testing.assert_allclose(legacy[t, :512], _oracle_embed(_text(d), 512), atol=1e-12)
+    np.testing.assert_array_equal(legacy[:, 512:], behavioral_matrix(s, _DUNGEON)[:, :18])
 
 
 def test_aggregate_features_layout():
     s = _session([0, 3, 1, 4])
-    agg = aggregate_features(s, _DUNGEON, max_steps=40)
-    assert agg.values.shape == (52,)
-    np.testing.assert_allclose(
-        agg.values[:48], _oracle_behavioral(s.decisions, 36, 10.0), atol=1e-12
-    )
-    assert agg.values[48] == pytest.approx(4 / 40)  # length fraction
-    assert agg.values[49] == 0.0 and agg.values[50] == 0.0  # no exit, no death
-    assert agg.values[51] == pytest.approx(1.0)  # six options every step
+    agg = aggregate_features(s, behavioral_matrix(s, _DUNGEON), max_steps=40)
+    assert agg.shape == (len(AGGREGATE_SLOT_NAMES),) == (52,)
+    np.testing.assert_allclose(agg[:48], _oracle_behavioral(s.decisions, 36, 10.0), atol=1e-12)
+    assert agg[48] == pytest.approx(4 / 40)  # length fraction
+    assert agg[49] == 0.0 and agg[50] == 0.0  # no exit, no death
+    assert agg[51] == pytest.approx(1.0)  # six options every step
     died = Session(
         game_id=2, profile=s.profile, seed=0, decisions=s.decisions, outcome=Outcome.DIED
     )
-    assert aggregate_features(died, _DUNGEON, max_steps=40).values[50] == 1.0
+    assert aggregate_features(died, behavioral_matrix(died, _DUNGEON), max_steps=40)[50] == 1.0
+
+
+def test_aggregate_is_the_last_behavioral_row(small_corpus):
+    cfg = small_corpus
+    sessions = list(load_sessions(Paths(cfg.out_dir).sessions))
+    assert len(sessions) == 36
+    assert AGGREGATE_SLOT_NAMES[25] == "mean_choice_set"
+    assert AGGREGATE_SLOT_NAMES[51] == "choice_set_mean"
+    for session in sessions:
+        behavioral = behavioral_matrix(session, build_dungeon(session.seed, cfg.sim))
+        agg = aggregate_features(session, behavioral, cfg.sim.max_steps)
+        assert agg[:N_BEHAVIORAL].tobytes() == behavioral[-1].tobytes()
+        assert agg[51].tobytes() == agg[25].tobytes()
 
 
 def test_empty_prefix_rejected():
-    with pytest.raises(IndexOutOfRange):
-        transition_features(())
     empty = Session(
         game_id=0,
         profile=Profile.from_index(0),
@@ -434,8 +466,10 @@ def test_empty_prefix_rejected():
         decisions=(),
         outcome=Outcome.STEP_LIMIT,
     )
+    behavioral = behavioral_matrix(empty, _DUNGEON)
+    assert behavioral.shape == (0, N_BEHAVIORAL)
     with pytest.raises(IndexOutOfRange):
-        aggregate_features(empty, _DUNGEON, max_steps=40)
+        aggregate_features(empty, behavioral, max_steps=40)
 
 
 @settings(deadline=None, max_examples=40)
@@ -470,7 +504,7 @@ def _samples() -> list[SequenceSample]:
                 game_id=gid,
                 profile=s.profile,
                 window=(0, s.length),
-                matrix=featurize_game(s, _DUNGEON),
+                matrix=_rows176(s, _DUNGEON),
             )
         )
     return out
@@ -531,9 +565,14 @@ def _oracle_pbf1_windows(sessions_path, cfg, layout):
     out = []
     w, stride = cfg.window_len, cfg.stride
     for session in load_sessions(sessions_path):
-        dungeon = build_dungeon(session.seed, cfg.sim)
-        featurize = featurize_game if layout == "176" else featurize_game_legacy
-        game = featurize(session, dungeon)
+        behavioral = behavioral_matrix(session, build_dungeon(session.seed, cfg.sim))
+        tokens = [tokenize(_text(d)) for d in session.decisions]
+        if layout == "176":
+            text = np.array([_per_token_embed(t, N_TEXT) for t in tokens])
+            game = np.hstack([behavioral, text])
+        else:
+            text = np.array([_per_token_embed(t, N_TEXT_LEGACY) for t in tokens])
+            game = np.hstack([text, behavioral[:, :N_BEHAVIORAL_LEGACY]])
         t = session.length
         starts = [(0, t)] if t < w else [(a, w) for a in range(0, t - w + 1, stride)]
         for a, n in starts:
@@ -647,11 +686,11 @@ def test_aggregate_csv_roundtrip(tmp_path):
         s = Session(
             game_id=gid, profile=profile, seed=0, decisions=s.decisions, outcome=s.outcome
         )
-        rows.append((gid, profile, aggregate_features(s, _DUNGEON, max_steps=40)))
+        rows.append((gid, profile, aggregate_features(s, behavioral_matrix(s, _DUNGEON), 40)))
     write_aggregate_csv(path, rows)
     X, y, ids = read_aggregate_csv(path)
     assert X.shape == (3, 52)
     assert ids == [0, 1, 2]
     assert list(y) == [0, 11, 22]
     for i, (_, _, agg) in enumerate(rows):
-        np.testing.assert_allclose(X[i], agg.values, atol=0)  # repr() roundtrips exactly
+        np.testing.assert_allclose(X[i], agg, atol=0)  # repr() roundtrips exactly
