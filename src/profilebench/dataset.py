@@ -190,9 +190,17 @@ def write_index(path: str | Path, index: CorpusIndex, seed: int, target: int) ->
         raise IoFailure(f"index write failed: {exc}") from exc
 
 
-def read_index_game_ids(path: str | Path) -> set[int]:
+def read_index(path: str | Path) -> CorpusIndex:
+    """The index `write_index` wrote, each game's n_windows 0 (the file keeps totals)."""
     return read_json(
-        path, "index", lambda doc: {gid for e in doc["profiles"].values() for gid in e["games"]}
+        path,
+        "balanced index",
+        lambda doc: CorpusIndex(
+            profiles={
+                code: [GameEntry(gid, 0) for gid in entry["games"]]
+                for code, entry in doc["profiles"].items()
+            }
+        ),
     )
 
 

@@ -1,10 +1,15 @@
 """Evaluation: accuracies, confusion matrices, lifts, and report files.
 
 Ties at argmax go to the lowest class index, so every reported number is
-bit-reproducible. Reports carry two lifts whenever the label space is a
-subset: one against the subset's own random baseline and one against the
-full 36-class baseline, labeled, because the two denominators answer
-different questions.
+bit-reproducible. `evaluate_class_predictions` is the one builder of a
+`Report`: the aggregate baseline calls it with main-head predictions,
+`evaluate` with the three heads' predictions of a checkpoint. A Report
+stores only what it is built from (counts, accuracies, confusions,
+correction); its random baselines, lifts and neutral masses are derived.
+Reports carry two lifts whenever the label space is a subset, each the
+main accuracy divided by a random baseline: the subset's own and the full
+36-class one, labeled, because the two denominators answer different
+questions.
 """
 
 from __future__ import annotations
@@ -19,18 +24,19 @@ from profilebench.errors import EmptyTestSet, IoFailure, SpaceMismatch
 from profilebench.features import SequenceSample
 from profilebench.hashing import stable_json_dumps
 from profilebench.models.checkpoint import Checkpoint
-from profilebench.models.training import forward_batch, label_table, neutral_correction
+from profilebench.models.training import forward_batch, neutral_correction, space_labels
 from profilebench.taxonomy import (
     ALIGNMENTS,
     LabelSpace,
     LabelSpaceKind,
     LawAxis,
     MoralAxis,
-    Profile,
+    admissible_profiles,
 )
 
 METRICS_VERSION = 1
 
+FULL_SPACE = LabelSpace(LabelSpaceKind.PROFILE36)
 ALIGN_SPACE = LabelSpace(LabelSpaceKind.ALIGNMENT9)
 MOTIV_SPACE = LabelSpace(LabelSpaceKind.MOTIVATION4)
 
@@ -134,18 +140,44 @@ class Report:
     n_games: int
     accuracies: dict[str, float]
     confusion_main: ConfusionMatrix
-    confusion_align: ConfusionMatrix | None
-    confusion_motiv: ConfusionMatrix | None
-    random_baseline_subset: float
-    random_baseline_full: float
-    lift_subset: float
-    lift_full: float
-    neutral_column_mass: float | None
-    neutral_prior: float | None
+    confusion_align: ConfusionMatrix | None = None
+    confusion_motiv: ConfusionMatrix | None = None
     config_digest: str = ""
     correction: dict | None = None
     failed: bool = False
     error: str = ""
+
+    @property
+    def random_baseline_subset(self) -> float:
+        # the main confusion's labels are the classes of the main space
+        return 0.0 if self.failed else 1.0 / len(self.confusion_main.labels)
+
+    @property
+    def random_baseline_full(self) -> float:
+        return 0.0 if self.failed else random_baseline(FULL_SPACE)
+
+    @property
+    def lift_subset(self) -> float:
+        return self._lift(self.random_baseline_subset)
+
+    @property
+    def lift_full(self) -> float:
+        return self._lift(self.random_baseline_full)
+
+    def _lift(self, baseline: float) -> float:
+        return self.confusion_main.accuracy / baseline if baseline else 0.0
+
+    @property
+    def neutral_column_mass(self) -> float | None:
+        """Share of alignment predictions with a Neutral axis."""
+        align = self.confusion_align
+        return None if align is None else align.column_mass(NEUTRAL_ALIGNMENT_RANKS)
+
+    @property
+    def neutral_prior(self) -> float | None:
+        """Share of true alignments with a Neutral axis."""
+        align = self.confusion_align
+        return None if align is None else align.row_mass(NEUTRAL_ALIGNMENT_RANKS)
 
     def to_dict(self) -> dict:
         def cm(c: ConfusionMatrix | None):
@@ -182,25 +214,7 @@ class Report:
 
 def failed_report(name: str, dims: str, space_tag: str, error: str) -> Report:
     empty = ConfusionMatrix(labels=[], counts=np.zeros((0, 0), dtype=np.int64))
-    return Report(
-        name=name,
-        dims=dims,
-        space_tag=space_tag,
-        n_samples=0,
-        n_games=0,
-        accuracies={},
-        confusion_main=empty,
-        confusion_align=None,
-        confusion_motiv=None,
-        random_baseline_subset=0.0,
-        random_baseline_full=0.0,
-        lift_subset=0.0,
-        lift_full=0.0,
-        neutral_column_mass=None,
-        neutral_prior=None,
-        failed=True,
-        error=error,
-    )
+    return Report(name, dims, space_tag, 0, 0, {}, empty, failed=True, error=error)
 
 
 def predict_logits(
@@ -228,23 +242,8 @@ def predict_logits(
 
 def _marginal_predictions(main_pred: np.ndarray, space: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
     """Alignment/motivation implied by the main head's profile prediction."""
-    from profilebench.taxonomy import admissible_profiles
-
-    profiles = admissible_profiles(space)
-    align_of = np.array([p.alignment.rank for p in profiles])
-    motiv_of = np.array([p.motivation.value for p in profiles])
-    return align_of[main_pred], motiv_of[main_pred]
-
-
-def _true_labels(profiles: Sequence[Profile], space: LabelSpace) -> tuple[np.ndarray, ...]:
-    """Class indices in `space`, ALIGN_SPACE and MOTIV_SPACE, one per profile;
-    a profile outside `space` raises SpaceMismatch naming the first."""
-    profile_idx = np.array([p.index for p in profiles])
-    y_main = label_table(space)[profile_idx]
-    outside = np.flatnonzero(y_main < 0)
-    if outside.size:
-        raise SpaceMismatch(f"sample profile {profiles[outside[0]].code} outside {space.tag}")
-    return y_main, label_table(ALIGN_SPACE)[profile_idx], label_table(MOTIV_SPACE)[profile_idx]
+    profile_idx = np.array([p.index for p in admissible_profiles(space)])[main_pred]
+    return space_labels(profile_idx, space)[1:]
 
 
 def evaluate(
@@ -269,7 +268,7 @@ def evaluate(
         raise SpaceMismatch(
             f"checkpoint space {ckpt.label_space_tag!r} != experiment space {space.tag!r}"
         )
-    y_main, y_align, y_motiv = _true_labels([s.profile for s in samples], space)
+    profile_idx = [s.profile.index for s in samples]
 
     logits = predict_logits(ckpt, samples)
     main_logits = logits["profile"]
@@ -285,18 +284,18 @@ def evaluate(
         main_is_align = space.kind is LabelSpaceKind.ALIGNMENT9
         # keep the raw view so the correction's effect is measurable
         raw_pred = (main_logits if main_is_align else align_logits).argmax(axis=1)
-        raw_y = y_main if main_is_align else y_align
+        raw_y = space_labels(profile_idx, space)[0 if main_is_align else 1]
         align_logits = neutral_correction(align_logits, predicted, prior, eta)
         if main_is_align:
             main_logits = neutral_correction(main_logits, predicted, prior, eta)
+        corrected_pred = (main_logits if main_is_align else align_logits).argmax(axis=1)
         n = len(samples)
         correction_info = {
             "eta": eta,
-            "predicted_freqs": [float(v) for v in predicted],
-            "prior_freqs": [float(v) for v in prior],
-            "test_predicted_freqs_uncorrected": [
-                float(v) for v in np.bincount(raw_pred, minlength=9) / n
-            ],
+            "predicted_freqs": predicted.tolist(),
+            "prior_freqs": prior.tolist(),
+            "test_predicted_freqs_uncorrected": (np.bincount(raw_pred, minlength=9) / n).tolist(),
+            "test_predicted_freqs_corrected": (np.bincount(corrected_pred, minlength=9) / n).tolist(),
             "test_accuracy_uncorrected": float((raw_pred == raw_y).mean()),
             "neutral_column_mass_uncorrected": float(
                 np.isin(raw_pred, list(NEUTRAL_ALIGNMENT_RANKS)).mean()
@@ -305,95 +304,65 @@ def evaluate(
         if "uncorrected_accuracy" in correction:
             correction_info["uncorrected_accuracy"] = correction["uncorrected_accuracy"]
 
-    main_pred = main_logits.argmax(axis=1)
-    align_pred = align_logits.argmax(axis=1)
-    motiv_pred = logits["motiv"].argmax(axis=1)
-    if correction_info is not None:
-        corrected_pred = main_pred if space.kind is LabelSpaceKind.ALIGNMENT9 else align_pred
-        correction_info["test_predicted_freqs_corrected"] = [
-            float(v) for v in np.bincount(corrected_pred, minlength=9) / len(samples)
-        ]
-
-    confusion_main = ConfusionMatrix.from_predictions(y_main, main_pred, space.class_names())
-    confusion_align = ConfusionMatrix.from_predictions(y_align, align_pred, ALIGN_SPACE.class_names())
-    confusion_motiv = ConfusionMatrix.from_predictions(y_motiv, motiv_pred, MOTIV_SPACE.class_names())
-
-    accuracies = {
-        "main": confusion_main.accuracy,
-        "alignment_head": confusion_align.accuracy,
-        "motivation_head": confusion_motiv.accuracy,
-    }
-    if space.is_profile_space:
-        am, mm = _marginal_predictions(main_pred, space)
-        accuracies["alignment_marginal"] = float((am == y_align).mean())
-        accuracies["motivation_marginal"] = float((mm == y_motiv).mean())
-
-    sub_base = random_baseline(space)
-    full_base = 1.0 / 36.0
-    return Report(
-        name=name or spec.name,
-        dims=dims or spec.layout,
-        space_tag=space.tag,
-        n_samples=len(samples),
+    return evaluate_class_predictions(
+        profile_idx,
+        main_logits.argmax(axis=1),
+        spec,
         n_games=len({s.game_id for s in samples}),
-        accuracies=accuracies,
-        confusion_main=confusion_main,
-        confusion_align=confusion_align,
-        confusion_motiv=confusion_motiv,
-        random_baseline_subset=sub_base,
-        random_baseline_full=full_base,
-        lift_subset=confusion_main.accuracy / sub_base,
-        lift_full=confusion_main.accuracy / full_base,
-        neutral_column_mass=confusion_align.column_mass(NEUTRAL_ALIGNMENT_RANKS),
-        neutral_prior=confusion_align.row_mass(NEUTRAL_ALIGNMENT_RANKS),
+        name=name,
+        dims=dims,
+        heads=(align_logits.argmax(axis=1), logits["motiv"].argmax(axis=1)),
         correction=correction_info,
     )
 
 
 def evaluate_class_predictions(
-    profiles: Sequence[Profile],
+    profile_idx: Sequence[int],
     main_pred: np.ndarray,
     spec: ExperimentSpec,
     n_games: int,
     name: str | None = None,
     dims: str | None = None,
+    heads: tuple[np.ndarray, np.ndarray] | None = None,
+    correction: dict | None = None,
 ) -> Report:
-    """Report from bare class predictions (used by the aggregate baseline)."""
+    """The Report of class predictions against each sample's true profile index.
+
+    `heads` holds a sequence model's (alignment, motivation) predictions;
+    without them (the aggregate baseline) the alignment and motivation
+    confusions are the main head's marginals, in profile spaces only.
+    """
     spec.validate()
-    if len(profiles) == 0:
+    if len(profile_idx) == 0:
         raise EmptyTestSet(f"no samples to evaluate for {spec.name}")
     space = spec.space
-    y_main, y_align, y_motiv = _true_labels(profiles, space)
+    y_main, y_align, y_motiv = space_labels(profile_idx, space)
     confusion_main = ConfusionMatrix.from_predictions(y_main, main_pred, space.class_names())
     accuracies = {"main": confusion_main.accuracy}
-    confusion_align = confusion_motiv = None
+    by_source = {}  # accuracy-key suffix -> (alignment, motivation) predictions
+    if heads is not None:
+        by_source["head"] = heads
     if space.is_profile_space:
-        am, mm = _marginal_predictions(main_pred, space)
-        confusion_align = ConfusionMatrix.from_predictions(y_align, am, ALIGN_SPACE.class_names())
-        confusion_motiv = ConfusionMatrix.from_predictions(y_motiv, mm, MOTIV_SPACE.class_names())
-        accuracies["alignment_marginal"] = confusion_align.accuracy
-        accuracies["motivation_marginal"] = confusion_motiv.accuracy
-    sub_base = random_baseline(space)
+        by_source["marginal"] = _marginal_predictions(main_pred, space)
+    for suffix, (align_pred, motiv_pred) in by_source.items():
+        accuracies[f"alignment_{suffix}"] = float((align_pred == y_align).mean())
+        accuracies[f"motivation_{suffix}"] = float((motiv_pred == y_motiv).mean())
+    confusion_align = confusion_motiv = None
+    if by_source:
+        align_pred, motiv_pred = next(iter(by_source.values()))
+        confusion_align = ConfusionMatrix.from_predictions(y_align, align_pred, ALIGN_SPACE.class_names())
+        confusion_motiv = ConfusionMatrix.from_predictions(y_motiv, motiv_pred, MOTIV_SPACE.class_names())
     return Report(
         name=name or spec.name,
         dims=dims or spec.layout,
         space_tag=space.tag,
-        n_samples=len(profiles),
+        n_samples=len(profile_idx),
         n_games=n_games,
         accuracies=accuracies,
         confusion_main=confusion_main,
         confusion_align=confusion_align,
         confusion_motiv=confusion_motiv,
-        random_baseline_subset=sub_base,
-        random_baseline_full=1.0 / 36.0,
-        lift_subset=confusion_main.accuracy / sub_base,
-        lift_full=confusion_main.accuracy * 36.0,
-        neutral_column_mass=(
-            confusion_align.column_mass(NEUTRAL_ALIGNMENT_RANKS) if confusion_align else None
-        ),
-        neutral_prior=(
-            confusion_align.row_mass(NEUTRAL_ALIGNMENT_RANKS) if confusion_align else None
-        ),
+        correction=correction,
     )
 
 

@@ -92,9 +92,6 @@ class Checkpoint:
         self.adam_v = np.zeros_like(self.flat) if self.adam_v is None else self.adam_v
         self.params = self.views(self.flat)
 
-    def param_order(self) -> list[str]:
-        return list(self.layout)
-
     def views(self, flat: np.ndarray) -> MappingProxyType:
         """Read-only {name: view} over a vector laid out like `flat`."""
         out, start = {}, 0

@@ -18,7 +18,7 @@ from profilebench.errors import (
     ConfigInvalid,
     EmptySplit,
     NonFiniteLoss,
-    SubsetMismatch,
+    SpaceMismatch,
     ZeroFrequency,
 )
 from profilebench.features import SequenceSample
@@ -280,13 +280,15 @@ def label_table(space: LabelSpace) -> np.ndarray:
 
 
 def space_labels(
-    samples: Sequence[SequenceSample], space: LabelSpace
+    profile_idx: Sequence[int], space: LabelSpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    profile_idx = np.array([s.profile.index for s in samples], dtype=np.intp)
+    """Class indices in `space`, alignment9 and motivation4 of each profile index;
+    a profile outside `space` raises SpaceMismatch naming the first."""
+    profile_idx = np.asarray(profile_idx, dtype=np.intp)
     y_main = label_table(space)[profile_idx]
     if (y_main < 0).any():
-        outside = samples[int(np.argmin(y_main))].profile
-        raise SubsetMismatch(f"{outside.code} is not in {space.tag}")
+        outside = all_profiles()[profile_idx[np.argmin(y_main)]]
+        raise SpaceMismatch(f"sample profile {outside.code} outside {space.tag}")
     y_align = label_table(LabelSpace(LabelSpaceKind.ALIGNMENT9))[profile_idx]
     y_motiv = label_table(LabelSpace(LabelSpaceKind.MOTIVATION4))[profile_idx]
     return y_main, y_align, y_motiv
@@ -296,7 +298,7 @@ class _Bucketed:
     """Samples stacked per sequence length, so batches need no padding."""
 
     def __init__(self, samples: Sequence[SequenceSample], space: LabelSpace, dtype=np.float32):
-        y_main, y_align, y_motiv = space_labels(samples, space)
+        y_main, y_align, y_motiv = space_labels([s.profile.index for s in samples], space)
         by_t: dict[int, list[int]] = {}
         for idx, s in enumerate(samples):
             by_t.setdefault(s.matrix.shape[0], []).append(idx)

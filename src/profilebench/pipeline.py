@@ -22,6 +22,7 @@ from profilebench.dataset import (
     SplitSpec,
     auto_target,
     balance,
+    read_index,
     read_splits,
     split_assignment,
     split_by_game,
@@ -31,6 +32,7 @@ from profilebench.dataset import (
 )
 from profilebench.errors import ConfigInvalid, IoFailure, ProfileBenchError, SchemaMismatch
 from profilebench.evaluation import (
+    ALIGN_SPACE,
     TABLE_HEADER,
     ExperimentSpec,
     Report,
@@ -70,7 +72,7 @@ from profilebench.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from profilebench.models.training import TrainConfig, label_table, neutral_correction, train
+from profilebench.models.training import TrainConfig, label_table, neutral_correction, space_labels, train
 from profilebench.simulator import SimConfig, build_dungeon, generate_corpus, load_sessions
 from profilebench.taxonomy import LabelSpaceKind, Profile
 
@@ -436,16 +438,7 @@ def stage_split(cfg: PipelineConfig) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
     require([paths.balanced_index], "split")
-    index = read_json(
-        paths.balanced_index,
-        "balanced index",
-        lambda doc: CorpusIndex(
-            profiles={
-                code: [GameEntry(gid, 0) for gid in entry["games"]]
-                for code, entry in doc["profiles"].items()
-            }
-        ),
-    )
+    index = read_index(paths.balanced_index)
     spec = cfg.split_spec()
     train_idx, val_idx, test_idx = split_by_game(index, spec)
     assignment = split_assignment(train_idx, val_idx, test_idx)
@@ -600,27 +593,23 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     return status
 
 
-def _alignment_prior_freqs(samples: list[SequenceSample]) -> np.ndarray:
-    counts = np.zeros(9)
-    for s in samples:
-        counts[s.profile.alignment.rank] += 1
-    return (counts + 0.5) / (counts.sum() + 4.5)
+def _smoothed_freqs(alignments: np.ndarray) -> np.ndarray:
+    """Frequencies of the 9 alignments, add-half smoothed so none is zero."""
+    return (np.bincount(alignments, minlength=9) + 0.5) / (len(alignments) + 4.5)
 
 
 def _calibrate_correction(ckpt, val_samples: list[SequenceSample]) -> dict:
     """Pick eta on validation: smallest frequency gap without losing accuracy."""
     logits = predict_logits(ckpt, val_samples)["profile"]
-    y = np.array([s.profile.alignment.rank for s in val_samples])
-    pred_counts = np.bincount(logits.argmax(axis=1), minlength=9).astype(float)
-    predicted = (pred_counts + 0.5) / (pred_counts.sum() + 4.5)
-    prior = _alignment_prior_freqs(val_samples)
+    _, y, _ = space_labels([s.profile.index for s in val_samples], ALIGN_SPACE)
+    predicted = _smoothed_freqs(logits.argmax(axis=1))
+    prior = _smoothed_freqs(y)
     base_acc = float((logits.argmax(axis=1) == y).mean())
     eta, eta_gap = 1.0, None
     for candidate in ETA_GRID:
         pred = neutral_correction(logits, predicted, prior, candidate).argmax(axis=1)
         acc = float((pred == y).mean())
-        freq = (np.bincount(pred, minlength=9) + 0.5) / (len(pred) + 4.5)
-        gap = float(np.abs(freq - prior).sum())
+        gap = float(np.abs(_smoothed_freqs(pred) - prior).sum())
         if acc >= base_acc - 0.01 and (eta_gap is None or gap < eta_gap):
             eta, eta_gap = candidate, gap
     return {
@@ -642,10 +631,8 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
     if row.model == "baseline":
         X, y, ids = data.aggregates["test"]
         model = _load_baseline(ckpt_path)
-        preds = model.predict(X)
-        profiles = [Profile.from_index(int(v)) for v in y]
         return evaluate_class_predictions(
-            profiles, preds, spec, n_games=len(set(ids)), name=row.display, dims="52 (agg)"
+            y, model.predict(X), spec, n_games=len(set(ids)), name=row.display, dims="52 (agg)"
         )
     ckpt = load_checkpoint(ckpt_path)
     if ckpt.schema_version != SCHEMA_VERSION:

@@ -43,8 +43,8 @@ class TestRoundTrip:
         path = tmp_path / "m.pbck"
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path)
-        assert back.param_order() == ckpt.param_order()
-        for name in ckpt.param_order():
+        assert list(back.layout) == list(ckpt.layout)
+        for name in ckpt.layout:
             assert back.params[name].dtype == np.float32
             np.testing.assert_array_equal(back.params[name], ckpt.params[name])
         for attr in ("pooling", "label_space_tag", "schema_version", "input_dim", "hidden",
@@ -111,7 +111,7 @@ class TestFlatBuffer:
     def test_params_are_views_of_the_flat_vector(self, pooling):
         ckpt = _ckpt(pooling)
         start = 0
-        for name in ckpt.param_order():
+        for name in ckpt.layout:
             view = ckpt.params[name]
             assert np.shares_memory(view, ckpt.flat), name
             np.testing.assert_array_equal(view.reshape(-1), ckpt.flat[start : start + view.size])

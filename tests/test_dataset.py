@@ -13,7 +13,7 @@ from profilebench.dataset import (
     auto_target,
     balance,
     build_index,
-    read_index_game_ids,
+    read_index,
     read_splits,
     split_assignment,
     split_by_game,
@@ -212,7 +212,11 @@ def test_index_file_roundtrip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["seed"] == 77 and doc["target"] == 11
     assert doc["profiles"]["LG-Safety"]["windows"] == 11
-    assert read_index_game_ids(path) == {0, 1, 2}
+    back = read_index(path)
+    assert {code: [g.game_id for g in games] for code, games in back.profiles.items()} == {
+        "LG-Safety": [0, 1],
+        "CE-Wealth": [2],
+    }
 
 
 def test_splits_file_roundtrip(tmp_path):
@@ -237,6 +241,6 @@ def test_damaged_index_and_splits_name_the_file(tmp_path, damage):
     else:
         index_path.write_text(json.dumps({"seed": 1, "target": 11}))
         splits_path.write_text(json.dumps(["train", "val"]))
-    for read, path in ((read_index_game_ids, index_path), (read_splits, splits_path)):
+    for read, path in ((read_index, index_path), (read_splits, splits_path)):
         with pytest.raises(SchemaMismatch, match=path.name):
             read(path)

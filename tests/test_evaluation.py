@@ -17,7 +17,6 @@ from profilebench.evaluation import (
     evaluate,
     evaluate_class_predictions,
     failed_report,
-    label_table,
     predict_logits,
     random_baseline,
     table_rows,
@@ -25,7 +24,7 @@ from profilebench.evaluation import (
 )
 from profilebench.features import SequenceSample
 from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
-from profilebench.models.training import forward_batch
+from profilebench.models.training import forward_batch, label_table
 from profilebench.taxonomy import (
     LabelSpace,
     LabelSpaceKind,
@@ -296,10 +295,34 @@ class TestEvaluateClassPredictions:
         targets = [profiles[3], profiles[0]]
         preds = np.array([0, 0])
         spec = ExperimentSpec("t", "baseline", "agg", LabelSpaceKind.PROFILE36)
-        report = evaluate_class_predictions(targets, preds, spec, n_games=2)
+        report = evaluate_class_predictions([p.index for p in targets], preds, spec, n_games=2)
         assert report.accuracies["main"] == pytest.approx(0.5)
         assert report.accuracies["alignment_marginal"] == pytest.approx(1.0)
         assert report.accuracies["motivation_marginal"] == pytest.approx(0.5)
+        # the neutral masses come from the marginal alignment confusion;
+        # LG, the only alignment here, has no Neutral axis
+        assert report.neutral_column_mass == 0.0
+        assert report.neutral_prior == 0.0
+        # true TN-Safety (16) and LG-Safety (0), both predicted TN-Safety
+        report = evaluate_class_predictions([16, 0], np.array([16, 16]), spec, n_games=2)
+        assert report.neutral_column_mass == 1.0
+        assert report.neutral_prior == 0.5
+
+    def test_baseline_lift_matches_lstm_lift(self):
+        # 7 of 38 right: accuracy * 36 and accuracy / (1/36) differ in the last bit
+        truth = [0] * 7 + [5] * 31
+        spec = ExperimentSpec("t", "baseline", "agg", LabelSpaceKind.PROFILE36)
+        baseline = evaluate_class_predictions(truth, np.zeros(38, dtype=np.int64), spec, n_games=38)
+        acc = 7 / 38
+        assert baseline.accuracies["main"] == acc
+        assert baseline.lift_full == acc / (1 / 36)
+        assert baseline.lift_subset == acc / (1 / 36)
+        # an untrained checkpoint predicts class 0 for every window
+        lstm_spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
+        lstm = evaluate(_ckpt(), _samples(truth), lstm_spec)
+        assert lstm.accuracies["main"] == acc
+        assert (lstm.lift_subset, lstm.lift_full) == (baseline.lift_subset, baseline.lift_full)
+        assert lstm.to_dict()["lift"] == baseline.to_dict()["lift"]
 
     def test_empty_rejected(self):
         spec = ExperimentSpec("t", "baseline", "agg", LabelSpaceKind.PROFILE36)
@@ -313,7 +336,7 @@ class TestEvaluateClassPredictions:
         spec = ExperimentSpec("t", "baseline", "agg", space.kind, subset="neutral_only")
         want = f"sample profile {outside.code} outside {space.tag}"
         with pytest.raises(SpaceMismatch, match=f"^{want}$"):
-            evaluate_class_predictions([inside, outside], np.array([0, 0]), spec, n_games=2)
+            evaluate_class_predictions([inside.index, outside.index], np.array([0, 0]), spec, n_games=2)
 
 
 class TestSpecValidation:
@@ -405,6 +428,31 @@ class TestFiles:
         assert "missing checkpoint" in lines[2]
         write_table(tmp_path / "t.md", [report])
         assert "FAILED" in (tmp_path / "t.md").read_text()
+
+    def test_failed_report_dict_is_pinned(self):
+        doc = failed_report("broken", "176", "profile36", "missing checkpoint").to_dict()
+        assert doc == {
+            "metrics_version": 1,
+            "name": "broken",
+            "dims": "176",
+            "label_space": "profile36",
+            "n_samples": 0,
+            "n_games": 0,
+            "accuracies": {},
+            "random_baseline": {"subset_space": 0.0, "full_space": 0.0},
+            "lift": {"vs_subset_baseline": 0.0, "vs_full36_baseline": 0.0},
+            "neutral_column_mass": None,
+            "neutral_prior": None,
+            "confusion": {
+                "main": {"labels": [], "counts": [], "per_class": []},
+                "alignment": None,
+                "motivation": None,
+            },
+            "correction": None,
+            "config_digest": "",
+            "failed": True,
+            "error": "missing checkpoint",
+        }
 
     def test_random_baseline_values(self):
         assert random_baseline(PROFILE_SPACE) == pytest.approx(1 / 36)

@@ -86,7 +86,7 @@ def _check_all_params(pooling, mask_rate=0.0):
     )
     _, grads = compute_gradients(batch, ckpt, config, mask)
     worst = 0.0
-    for name in ckpt.param_order():
+    for name in ckpt.layout:
         param = ckpt.params[name]
         analytic = grads[name]
         assert analytic.shape == param.shape, name

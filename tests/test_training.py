@@ -7,7 +7,7 @@ from profilebench.errors import (
     ConfigInvalid,
     EmptySplit,
     NonFiniteLoss,
-    SubsetMismatch,
+    SpaceMismatch,
     ZeroFrequency,
 )
 from profilebench.features import SequenceSample
@@ -247,7 +247,7 @@ class TestFlatOptimizer:
         _, grads = compute_gradients(batch, ckpt, TrainConfig(dropout=0.0), None, out=out)
         assert np.isfinite(out).all()
         _, fresh = compute_gradients(batch, ckpt, TrainConfig(dropout=0.0), None)
-        assert list(grads) == list(fresh) == ckpt.param_order()
+        assert list(grads) == list(fresh) == list(ckpt.layout)
         for name, g in grads.items():
             assert np.shares_memory(g, out) and g.shape == ckpt.params[name].shape
             np.testing.assert_array_equal(g, fresh[name])
@@ -386,19 +386,15 @@ class TestSpaceLabels:
         for kind in LabelSpaceKind:
             space = LabelSpace(kind)
             admitted = [p for p in profiles if space.admits(p)]
-            samples = [
-                SequenceSample(i, admitted[(7 * i) % len(admitted)], (0, 1), np.zeros((1, 1)))
-                for i in range(50)
-            ]
-            y_main, y_align, y_motiv = space_labels(samples, space)
+            picked = [admitted[(7 * i) % len(admitted)] for i in range(50)]
+            y_main, y_align, y_motiv = space_labels([p.index for p in picked], space)
             for got, sp in ((y_main, space), (y_align, align), (y_motiv, motiv)):
                 assert got.dtype == np.int64
-                assert got.tolist() == [map_label(s.profile, sp) for s in samples]
+                assert got.tolist() == [map_label(p, sp) for p in picked]
 
     def test_profile_outside_a_subset_space_raises(self):
         space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
         outside = next(p for p in all_profiles() if not space.admits(p))
         inside = next(p for p in all_profiles() if space.admits(p))
-        samples = [SequenceSample(i, p, (0, 1), np.zeros((1, 1))) for i, p in enumerate([inside, outside])]
-        with pytest.raises(SubsetMismatch, match=outside.code):
-            space_labels(samples, space)
+        with pytest.raises(SpaceMismatch, match=outside.code):
+            space_labels([inside.index, outside.index], space)
