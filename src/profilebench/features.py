@@ -103,10 +103,19 @@ AGGREGATE_SLOT_NAMES = BEHAVIORAL_SLOT_NAMES + (
 
 @dataclass(frozen=True)
 class SequenceSample:
+    """One window of a game: rows window[0] : window[0] + window[1] of
+    `game`, the game's whole T x D feature matrix, shared by its windows."""
+
     game_id: int
     profile: Profile
     window: tuple[int, int]  # (start, length)
-    matrix: np.ndarray
+    game: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The window's rows, a view of `game`."""
+        start, length = self.window
+        return self.game[start : start + length]
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -323,13 +332,13 @@ class FeatureFileWriter:
         )
 
     def add(self, sample: SequenceSample) -> None:
-        """Append one game: `sample.matrix` is its whole T x dim session."""
-        t, d = sample.matrix.shape
+        """Append one game: `sample.game`, its whole T x dim session."""
+        t, d = sample.game.shape
         if d != self.dim:
             raise DimensionMismatch(f"sample dim {d} != file dim {self.dim}")
         try:
             self._fh.write(_RECORD.pack(sample.game_id, sample.profile.index, t))
-            self._fh.write(np.ascontiguousarray(sample.matrix, dtype="<f4").tobytes())
+            self._fh.write(np.ascontiguousarray(sample.game, dtype="<f4").tobytes())
         except OSError as exc:
             raise IoFailure(f"feature file write failed: {exc}") from exc
         self.n += 1
@@ -410,9 +419,10 @@ def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
 def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
     """Read a PBF2 file once; returns (per-window samples, header dict).
 
-    Samples come in game order, then window order. Each matrix is a
-    read-only float32 view of its game's rows. The header carries the
-    file's sha256 and its window count as "n_samples".
+    Samples come in game order, then window order. A game's windows share
+    one `game`, a read-only float32 view of its rows in the bytes read, so
+    each `matrix` is a view of it. The header carries the file's sha256 and
+    its window count as "n_samples".
     """
     try:
         data = Path(path).read_bytes()
@@ -425,9 +435,7 @@ def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
         game = np.frombuffer(data, dtype="<f4", count=t * dim, offset=offset).reshape(t, dim)
         profile = Profile.from_index(profile_idx)
         for start, length in window_starts(t, header["window_len"], header["stride"]):
-            samples.append(
-                SequenceSample(game_id, profile, (start, length), game[start : start + length])
-            )
+            samples.append(SequenceSample(game_id, profile, (start, length), game))
     header["n_samples"] = len(samples)
     header["sha256"] = hashlib.sha256(data).hexdigest()
     return samples, header

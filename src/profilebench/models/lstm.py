@@ -9,9 +9,17 @@ Shapes: batches are (B, T, D), per-direction hidden states (B, T, H),
 concatenated states (B, T, 2H). Functions follow the dtype of their
 inputs, so float64 oracle checks and float32 training share one code path.
 
-The input projection X @ W.T runs as one (B*T, D) @ (D, 4H) GEMM: on a
-(B, T, D) array numpy's stacked matmul runs B small GEMMs, one per batch
-row, about 6x slower at (64, 8, 530).
+A direction's forward pass is two parts: the input projection X @ W.T
+(`project`), and the recurrence over those pre-activations
+(`_direction_recur`, both directions in `bilstm_recur`). The projection
+runs as one (B*T, D) @ (D, 4H) GEMM: on a (B, T, D) array numpy's stacked
+matmul runs B small GEMMs, one per batch row, about 6x slower at
+(64, 8, 530). Training calls `bilstm_forward_batch`, which projects its
+batch and then recurs. Scoring (`evaluation.predict_logits`) projects
+each game's rows once and gathers each window's pre-activations from
+them: the projection is linear and per row, and at stride 1 a decision
+sits in up to window_len overlapping windows, so projecting per window
+would repeat it that many times.
 
 The training cache holds each fact once: the gate activations i, f, g, o
 and the cell and hidden states c and h, one (B, T, H) array each. Scoring
@@ -67,24 +75,32 @@ def lstm_cell(
     return _gates(x @ W.T + h @ R.T + b, c)[4:]
 
 
-def _direction_forward(
-    X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray, reverse: bool,
+def project(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Input pre-activations X @ W.T of a (..., D) array as one 2-D GEMM."""
+    D = X.shape[-1]
+    if W.shape[1] != D:
+        raise DimensionMismatch(f"W shape {W.shape}, input dim {D}")
+    return (X.reshape(-1, D) @ W.T).reshape(*X.shape[:-1], W.shape[0])
+
+
+def _direction_recur(
+    xw: np.ndarray, R: np.ndarray, b: np.ndarray, reverse: bool,
     cache: bool = True, out: np.ndarray | None = None,
 ) -> dict:
-    """Unrolled pass over one direction.
+    """Unrolled recurrence of one direction over its (B, T, 4H) input
+    pre-activations xw = project(X, W).
 
     Returns {"h": hidden states} plus, when `cache`, the activations the
     backward pass reads. Hidden states go into `out` when given.
     """
-    B, T, D = X.shape
+    B, T, G = xw.shape
     H = R.shape[1]
-    if W.shape != (4 * H, D):
-        raise DimensionMismatch(f"W shape {W.shape}, expected {(4 * H, D)}")
-    dtype = np.result_type(X, W)
+    if G != 4 * H:
+        raise DimensionMismatch(f"pre-activations {xw.shape}, expected 4H = {4 * H} columns")
+    dtype = xw.dtype
     hidden = np.empty((B, T, H), dtype) if out is None else out
     kept = {name: np.empty((B, T, H), dtype) for name in "ifgoc"} if cache else {}
 
-    xw = (X.reshape(B * T, D) @ W.T).reshape(B, T, 4 * H)  # hoisted out of the step loop
     h = np.zeros((B, H), dtype)
     c = np.zeros((B, H), dtype)
     steps = range(T - 1, -1, -1) if reverse else range(T)
@@ -147,20 +163,34 @@ def _direction_backward(
     dz.sum(axis=0, out=db)
 
 
+def bilstm_recur(
+    pre: tuple[np.ndarray, np.ndarray],
+    fwd: tuple[np.ndarray, np.ndarray],
+    bwd: tuple[np.ndarray, np.ndarray],
+    cache: bool = True,
+) -> tuple[np.ndarray, dict | None]:
+    """Both directions' recurrences from their (B, T, 4H) input
+    pre-activations `pre`; `fwd` and `bwd` are each direction's (R, b).
+    Returns states (B, T, 2H) and the backward cache, or None when `cache`
+    is False (scoring)."""
+    B, T, _ = pre[0].shape
+    Hf = fwd[0].shape[1]
+    states = np.empty((B, T, Hf + bwd[0].shape[1]), np.result_type(*pre))
+    cache_f = _direction_recur(pre[0], *fwd, reverse=False, cache=cache, out=states[:, :, :Hf])
+    cache_b = _direction_recur(pre[1], *bwd, reverse=True, cache=cache, out=states[:, :, Hf:])
+    return states, ({"f": cache_f, "b": cache_b} if cache else None)
+
+
 def bilstm_forward_batch(
     X: np.ndarray,
     fwd: tuple[np.ndarray, np.ndarray, np.ndarray],
     bwd: tuple[np.ndarray, np.ndarray, np.ndarray],
     cache: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
-    """Both directions over a batch; returns states (B, T, 2H) and the
-    backward cache, or None when `cache` is False (scoring)."""
-    B, T, _ = X.shape
-    Hf = fwd[1].shape[1]
-    states = np.empty((B, T, Hf + bwd[1].shape[1]), np.result_type(X, fwd[0], bwd[0]))
-    cache_f = _direction_forward(X, *fwd, reverse=False, cache=cache, out=states[:, :, :Hf])
-    cache_b = _direction_forward(X, *bwd, reverse=True, cache=cache, out=states[:, :, Hf:])
-    return states, ({"f": cache_f, "b": cache_b} if cache else None)
+    """Both directions over a (B, T, D) batch: project, then recur. Returns
+    states (B, T, 2H) and the backward cache, or None when `cache` is False."""
+    pre = (project(X, fwd[0]), project(X, bwd[0]))
+    return bilstm_recur(pre, fwd[1:], bwd[1:], cache)
 
 
 def bilstm_backward_batch(

@@ -85,6 +85,23 @@ def forward_batch(
     states, lstm_cache = bilstm_forward_batch(
         X, (p["fwd_W"], p["fwd_R"], p["fwd_b"]), (p["bwd_W"], p["bwd_R"], p["bwd_b"]), cache
     )
+    logits, pool_cache, pooled = pool_and_heads(states, ckpt, dropout_mask)
+    cache = {
+        "states": states,
+        "lstm": lstm_cache,
+        "pool": pool_cache,
+        "pooled": pooled,
+        "X": X,
+    }
+    return logits, cache
+
+
+def pool_and_heads(
+    states: np.ndarray, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None
+) -> tuple[dict[str, np.ndarray], dict | None, np.ndarray]:
+    """Per-head logits from (B, T, 2H) LSTM states, with the pooling cache
+    and the (masked) pooled vector the backward pass reads."""
+    p = ckpt.params
     if ckpt.pooling == POOL_MULTI:
         pooled, pool_cache = multi_pool_batch(states)
     elif ckpt.pooling == POOL_ATTENTION:
@@ -99,14 +116,7 @@ def forward_batch(
         "align": pooled @ p["head_align_W"].T + p["head_align_b"],
         "motiv": pooled @ p["head_motiv_W"].T + p["head_motiv_b"],
     }
-    cache = {
-        "states": states,
-        "lstm": lstm_cache,
-        "pool": pool_cache,
-        "pooled": pooled,
-        "X": X,
-    }
-    return logits, cache
+    return logits, pool_cache, pooled
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -644,7 +644,9 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
     if row.correct_neutral:
         val_samples = _admissible(data.samples[row.layout]["val"], spec)
         correction = _calibrate_correction(ckpt, val_samples)
-    return evaluate(ckpt, test_samples, spec, correction=correction, name=row.display, dims=row.layout)
+    report = evaluate(ckpt, test_samples, spec, correction=correction, name=row.display, dims=row.layout)
+    report.config_digest = ckpt.config_digest  # the digest train_row stamped into the sidecar
+    return report
 
 
 def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Report]:

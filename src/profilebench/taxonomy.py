@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from profilebench.errors import SubsetMismatch
 
@@ -87,8 +88,9 @@ class Profile:
     alignment: Alignment
     motivation: Motivation
 
-    @property
+    @cached_property
     def index(self) -> int:
+        # computed once per instance: scoring reads it once per window
         return 4 * self.alignment.rank + self.motivation.value
 
     @property

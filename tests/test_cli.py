@@ -75,6 +75,16 @@ class TestRunAll:
         assert metrics["n_samples"] > 0
         assert not metrics["failed"]
 
+    def test_lstm_metrics_carry_their_checkpoint_config_digest(self, finished_run):
+        _, _, out = finished_run
+        for row in ("multipool_176", "align9_corrected"):
+            metrics = json.loads((out / "results" / row / "metrics.json").read_text())
+            sidecar = json.loads((out / "checkpoints" / f"{row}.pbck.json").read_text())
+            assert len(sidecar["config_digest"]) == 64
+            assert metrics["config_digest"] == sidecar["config_digest"], row
+        baseline = json.loads((out / "results" / "baseline_agg" / "metrics.json").read_text())
+        assert baseline["config_digest"] == ""
+
     def test_provenance_written_per_stage(self, finished_run):
         _, _, out = finished_run
         stages = {p.stem for p in (out / "provenance").glob("*.json")}

@@ -22,7 +22,7 @@ from profilebench.evaluation import (
     table_rows,
     write_table,
 )
-from profilebench.features import SequenceSample
+from profilebench.features import FeatureFileWriter, SequenceSample, read_feature_file
 from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
 from profilebench.models.training import forward_batch, label_table
 from profilebench.taxonomy import (
@@ -45,7 +45,7 @@ def _samples(profile_indices, T=4, D=6, seed=0):
             game_id=100 + i,
             profile=profiles[k],
             window=(0, T),
-            matrix=rng.normal(0, 1, (T, D)).astype(np.float32),
+            game=rng.normal(0, 1, (T, D)).astype(np.float32),
         )
         for i, k in enumerate(profile_indices)
     ]
@@ -261,6 +261,26 @@ class TestPredictLogits:
         want = self._oracle(ckpt, samples)
         for head in ("profile", "align", "motiv"):
             assert got[head].dtype == want[head].dtype == np.float32
+            np.testing.assert_array_equal(got[head], want[head])
+
+    def test_overlapping_windows_read_back_from_a_feature_file(self, tmp_path):
+        rng = np.random.default_rng(23)
+        ckpt = _ckpt()
+        for name, value in ckpt.params.items():
+            ckpt.params[name][...] = rng.normal(0, 0.5, value.shape).astype(value.dtype)
+        path = tmp_path / "games.pbf"
+        profiles = all_profiles()
+        with FeatureFileWriter(path, dim=6, window_len=4, stride=1) as writer:
+            for game_id, T in enumerate((9, 6, 2)):  # the last game is shorter than a window
+                rows = rng.normal(0, 1, (T, 6)).astype(np.float32)
+                writer.add(SequenceSample(game_id, profiles[5 * game_id], (0, T), rows))
+        windows, header = read_feature_file(path)
+        assert [s.window[1] for s in windows] == [4] * 6 + [4] * 3 + [2]
+        samples = [windows[i] for i in rng.permutation(len(windows))[:8]]
+        assert {s.window[1] for s in samples} == {2, 4} and len({s.game_id for s in samples}) == 3
+        got = predict_logits(ckpt, samples)
+        want = self._oracle(ckpt, samples)
+        for head in ("profile", "align", "motiv"):
             np.testing.assert_array_equal(got[head], want[head])
 
 

@@ -504,7 +504,7 @@ def _samples() -> list[SequenceSample]:
                 game_id=gid,
                 profile=s.profile,
                 window=(0, s.length),
-                matrix=_rows176(s, _DUNGEON),
+                game=_rows176(s, _DUNGEON),
             )
         )
     return out
@@ -557,6 +557,21 @@ def test_feature_file_windows_are_views_of_game_rows(tmp_path):
         start, length = s.window
         np.testing.assert_array_equal(s.matrix, games[s.game_id][start : start + length])
     assert scan_feature_file(path) == [(gid, samples[gid].profile.index, 2) for gid, _ in want]
+
+
+@pytest.mark.parametrize("window_len, stride", [(2, 1), (3, 2), (8, 4)])
+def test_loaded_windows_are_read_only_views_of_their_game(tmp_path, window_len, stride):
+    path = tmp_path / "x.pbf"
+    samples = _samples()
+    _write(path, samples, window_len, stride)
+    loaded, header = read_feature_file(path)
+    games = {}
+    for s in loaded:
+        assert s.matrix.shape == (s.window[1], header["dim"])
+        assert not s.matrix.flags.writeable
+        assert np.shares_memory(s.matrix, s.game)
+        assert s.game.shape == samples[s.game_id].game.shape
+        assert games.setdefault(s.game_id, s.game) is s.game  # one array per game
 
 
 def _oracle_pbf1_windows(sessions_path, cfg, layout):

@@ -13,7 +13,7 @@ import pytest
 from profilebench.errors import DimensionMismatch
 from profilebench.models.lstm import (
     _direction_backward,
-    _direction_forward,
+    _direction_recur,
     attention_pool,
     attention_pool_batch,
     bilstm_forward,
@@ -22,6 +22,7 @@ from profilebench.models.lstm import (
     lstm_cell,
     multi_pool,
     multi_pool_batch,
+    project,
     sigmoid,
 )
 
@@ -172,7 +173,7 @@ class TestDirectionForward:
         X = rng.normal(0, 1, (B, T, D))
         W, R, b = _random_params(rng, D, H)
         for reverse in (False, True):
-            cache = _direction_forward(X, W, R, b, reverse)
+            cache = _direction_recur(project(X, W), R, b, reverse)
             h = np.zeros((B, H))
             c = np.zeros((B, H))
             for t in range(T - 1, -1, -1) if reverse else range(T):
@@ -206,8 +207,8 @@ class TestForwardWithoutCache:
         rng = np.random.default_rng(141)
         X = rng.normal(0, 1, (4, 6, 3)).astype(np.float32)
         W, R, b = (w.astype(np.float32) for w in _random_params(rng, 3, 2))
-        full = _direction_forward(X, W, R, b, reverse)
-        lean = _direction_forward(X, W, R, b, reverse, cache=False)
+        full = _direction_recur(project(X, W), R, b, reverse)
+        lean = _direction_recur(project(X, W), R, b, reverse, cache=False)
         assert set(full) == {"i", "f", "g", "o", "c", "h", "reverse"}
         assert set(lean) == {"h", "reverse"}
         np.testing.assert_array_equal(lean["h"], full["h"])
@@ -252,7 +253,7 @@ class TestDirectionBackward:
         B, D, H = 6, 7, 5
         X = rng.normal(0, 1, (B, T, D))
         W, R, b = _random_params(rng, D, H)
-        cache = _direction_forward(X, W, R, b, reverse)
+        cache = _direction_recur(project(X, W), R, b, reverse)
         dstates = rng.normal(0, 1, (B, T, H))
         want = _per_step_backward(cache, X, R, dstates)
         got = (np.empty((4 * H, D)), np.empty((4 * H, H)), np.empty(4 * H))

@@ -157,3 +157,13 @@ def test_index_roundtrip_property(idx):
 def test_every_combination_has_unique_index(law, moral, motiv):
     p = Profile(Alignment(law, moral), motiv)
     assert PROFILES[p.index] == p
+
+
+def test_every_index_round_trips_through_from_index_and_code():
+    for i in range(36):
+        p = Profile.from_index(i)
+        assert p.index == i  # computed on first read
+        assert p.index == i  # read back from the instance
+        assert PROFILES[i] == p and PROFILES[i].index == i
+        assert Profile.from_code(p.code).index == i
+        assert Profile(p.alignment, p.motivation).index == i

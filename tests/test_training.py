@@ -63,7 +63,7 @@ def _toy_samples(n_per_class, classes, T=6, D=6, seed=0, scale=2.0):
                     game_id=k * 10_000 + i,
                     profile=profiles[k],
                     window=(0, T),
-                    matrix=X.astype(np.float32),
+                    game=X.astype(np.float32),
                 )
             )
     return out
