@@ -23,7 +23,7 @@ FNV-1a's low bit is the parity of the input bytes' low bits, and the two
 prefixes differ in exactly that bit. So a token's sign is fixed by its
 bucket's parity (odd buckets add +1, even buckets -1, at 128 and 512
 alike), and colliding tokens never cancel. Fixing that changes every
-hashed-text bit (ROADMAP item 4).
+hashed-text bit (ROADMAP item 5).
 
 PBF2 layout, little-endian. Header `<4sIIIIII`: magic b"PBF2", schema
 version, record count, max T, dim, window_len, stride. Then one record
@@ -457,18 +457,33 @@ def write_aggregate_csv(path: str | Path, rows: Iterable[tuple[int, Profile, np.
 
 
 def read_aggregate_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Returns (X of shape n x 52, profile indices, game_ids)."""
+    """Returns (X of shape n x 52, profile indices, game_ids).
+
+    A file that does not end in a line end, or a row with the wrong number of
+    fields, a non-numeric value or an unknown profile code (e.g. a cut file),
+    raises SchemaMismatch naming the file and the line.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header[2:]) != AGGREGATE_SLOT_NAMES:
-                raise SchemaMismatch(f"{path}: unexpected aggregate columns")
-            xs, ys, ids = [], [], []
-            for row in reader:
-                ids.append(int(row[0]))
-                ys.append(Profile.from_code(row[1]).index)
-                xs.append([float(v) for v in row[2:]])
+            text = fh.read()
     except OSError as exc:
         raise IoFailure(f"aggregate csv read failed: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{path}: not UTF-8 text: {exc}") from exc
+    if not text.endswith("\n"):
+        raise SchemaMismatch(f"{path}: truncated, no line end after its last row")
+    reader = csv.reader(text.splitlines())
+    width = 2 + len(AGGREGATE_SLOT_NAMES)
+    xs, ys, ids = [], [], []
+    try:
+        if tuple(next(reader)[2:]) != AGGREGATE_SLOT_NAMES:
+            raise SchemaMismatch(f"{path}: unexpected aggregate columns")
+        for row in reader:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} fields, expected {width}")
+            ids.append(int(row[0]))
+            ys.append(Profile.from_code(row[1]).index)
+            xs.append([float(v) for v in row[2:]])
+    except (ValueError, csv.Error) as exc:
+        raise SchemaMismatch(f"{path} line {reader.line_num}: malformed row: {exc}") from exc
     return np.asarray(xs), np.asarray(ys, dtype=np.int64), ids

@@ -73,7 +73,7 @@ from profilebench.models.checkpoint import (
     save_checkpoint,
 )
 from profilebench.models.training import TrainConfig, label_table, neutral_correction, space_labels, train
-from profilebench.simulator import SimConfig, build_dungeon, generate_corpus, load_sessions
+from profilebench.simulator import SESSIONS_FORMAT, SimConfig, build_dungeon, generate_corpus, load_sessions
 from profilebench.taxonomy import LabelSpaceKind, Profile
 
 
@@ -336,6 +336,16 @@ def write_provenance(
     out.write_text(stable_json_dumps(doc) + "\n", encoding="utf-8")
 
 
+def _read_manifest(path: Path) -> tuple[SimConfig, int]:
+    """The corpus's simulator config and game count; another format raises SchemaMismatch."""
+    fmt, sim_cfg, n_games = read_json(
+        path, "manifest", lambda d: (d["format"], SimConfig.from_dict(d["sim_config"]), sum(d["counts"].values()))
+    )
+    if fmt != SESSIONS_FORMAT:
+        raise SchemaMismatch(f"{path}: format {fmt!r}, expected {SESSIONS_FORMAT!r}; rerun gen")
+    return sim_cfg, n_games
+
+
 # --- stages ----------------------------------------------------------------
 
 
@@ -359,11 +369,7 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
     require([paths.sessions, paths.manifest], "featurize")
-    sim_cfg, expected = read_json(
-        paths.manifest,
-        "manifest",
-        lambda doc: (SimConfig.from_dict(doc["sim_config"]), sum(doc["counts"].values())),
-    )
+    sim_cfg, expected = _read_manifest(paths.manifest)
     agg_rows = []
     n_windows = 0
     windows = (cfg.window_len, cfg.stride)
@@ -488,6 +494,11 @@ def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
     aggregates: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     if "agg" in layouts:
         X, y, ids = read_aggregate_csv(paths.aggregates)
+        _, n_games = _read_manifest(paths.manifest)
+        if len(ids) != n_games:
+            raise SchemaMismatch(
+                f"{paths.aggregates} holds {len(ids)} games, its manifest {n_games}; rerun featurize"
+            )
         for split in ("train", "val", "test"):
             keep = [i for i, gid in enumerate(ids) if assignment.get(gid) == split]
             aggregates[split] = (X[keep], y[keep], [ids[i] for i in keep])
@@ -568,7 +579,7 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     if any(LADDER_BY_ID[r].layout == "530" for r in row_ids):
         needed.append(paths.features530)
     if any(LADDER_BY_ID[r].layout == "agg" for r in row_ids):
-        needed.append(paths.aggregates)
+        needed += [paths.aggregates, paths.manifest]
     require(needed, "train")
     data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})
     status: dict[str, str] = {}

@@ -38,10 +38,6 @@ class ActionCategory(Enum):
 
 
 CATEGORIES: tuple[ActionCategory, ...] = tuple(ActionCategory)
-_CATEGORY_NAME = {c: c.name.capitalize() for c in CATEGORIES}
-_NAME_CATEGORY = {v: k for k, v in _CATEGORY_NAME.items()}
-
-MOTIVATION_NAMES = ("Safety", "Speed", "Wanderlust", "Wealth")
 
 
 class Entity(Enum):
@@ -50,6 +46,10 @@ class Entity(Enum):
     VILLAGER = "Villager"
     TREASURE = "Treasure"
     EXIT_PORTAL = "ExitPortal"
+
+
+# manifest.json's "format": v2 stores each option as its catalog kind.
+SESSIONS_FORMAT = "sessions-jsonl-v2"
 
 
 class Outcome(Enum):
@@ -131,13 +131,16 @@ class Dungeon:
 
 @dataclass(frozen=True)
 class ActionInstance:
+    """An offered action, as `offer` builds it from its catalog kind and flags."""
+
     category: ActionCategory
     moral_valence: float
     order_score: float
     motivation_affinity: dict[Motivation, float]
-    text: str
     move_delta: tuple[int, int] | None = None
-    kind: str = ""  # catalog id; drives death/exit semantics, not serialized
+    kind: str = ""  # catalog id; drives death/exit semantics and the text template
+    target_unvisited: bool = False
+    toward_exit: bool = False
 
 
 @dataclass(frozen=True)
@@ -263,8 +266,8 @@ def build_dungeon(seed: int, config: SimConfig) -> Dungeon:
     return Dungeon(width=w, height=h, rooms=rooms, start=start, exit=exit_cell)
 
 
-# Static action catalog: (category, valence, order, base affinities).
-# Dynamic affinities for movement/portal are computed at offer time.
+# Static action catalog: (category, valence, order, affinities). A move's
+# affinities depend on its target and are computed in `offer`.
 def _aff(safety, speed, wanderlust, wealth) -> dict[Motivation, float]:
     return {
         Motivation.SAFETY: safety,
@@ -288,6 +291,7 @@ _CATALOG = {
     "scout": (ActionCategory.CAUTIOUS, 0.0, 0.15, _aff(0.70, 0.15, 0.45, 0.20)),
     "search_room": (ActionCategory.CAUTIOUS, 0.0, -0.25, _aff(0.30, 0.02, 0.40, 0.60)),
     "smash": (ActionCategory.COMBAT, -0.25, -0.80, _aff(0.02, 0.05, 0.20, 0.30)),
+    "enter_portal": (ActionCategory.EXPLORATORY, 0.0, 0.20, _aff(0.80, 1.00, 0.05, 0.20)),
 }
 
 _DIRECTIONS = {
@@ -299,44 +303,30 @@ _DIRECTIONS = {
 _DIRECTION_ORDER = ("north", "east", "south", "west")
 
 
-def _catalog_action(kind: str, text: str) -> ActionInstance:
-    category, valence, order, affinity = _CATALOG[kind]
+def offer(kind: str, target_unvisited: bool = False, toward_exit: bool = False) -> ActionInstance:
+    """The action of catalog `kind`, or of "move_<direction>", whose affinity
+    depends on the two flags. An unknown kind raises KeyError."""
+    if not kind.startswith("move_"):
+        category, valence, order, affinity = _CATALOG[kind]
+        return ActionInstance(category, valence, order, dict(affinity), kind=kind)
+    affinity = _aff(
+        0.50 if not target_unvisited else 0.20,
+        0.85 if toward_exit else 0.10,
+        0.90 if target_unvisited else 0.30,
+        0.30,
+    )
     return ActionInstance(
-        category=category,
-        moral_valence=valence,
-        order_score=order,
-        motivation_affinity=dict(affinity),
-        text=text,
-        kind=kind,
+        ActionCategory.EXPLORATORY, 0.0, 0.0, affinity, move_delta=_DIRECTIONS[kind[5:]], kind=kind,
+        target_unvisited=target_unvisited, toward_exit=toward_exit,
     )
 
 
-def _move_action(direction: str, target_unvisited: bool, toward_exit: bool, text: str) -> ActionInstance:
-    return ActionInstance(
-        category=ActionCategory.EXPLORATORY,
-        moral_valence=0.0,
-        order_score=0.0,
-        motivation_affinity=_aff(
-            0.50 if not target_unvisited else 0.20,
-            0.85 if toward_exit else 0.10,
-            0.90 if target_unvisited else 0.30,
-            0.30,
-        ),
-        text=text,
-        move_delta=_DIRECTIONS[direction],
-        kind=f"move_{direction}",
-    )
-
-
-def _portal_action(text: str) -> ActionInstance:
-    return ActionInstance(
-        category=ActionCategory.EXPLORATORY,
-        moral_valence=0.0,
-        order_score=0.20,
-        motivation_affinity=_aff(0.80, 1.00, 0.05, 0.20),
-        text=text,
-        kind="enter_portal",
-    )
+def _action_text(action: ActionInstance, game_seed: int, step: int, slot: int) -> str:
+    """The sentence of the action offered in menu `slot`; each slot has its own seed."""
+    seed = mix_seed(game_seed, "text", step, slot)
+    if action.move_delta is None:
+        return render_text(TEMPLATES, action.kind, seed)
+    return render_text(TEMPLATES, "move", seed, {"direction": action.kind[5:]})
 
 
 def _room_text(room: Room, step: int) -> str:
@@ -355,22 +345,16 @@ def _room_text(room: Room, step: int) -> str:
 
 
 def _assemble_menu(
-    dungeon: Dungeon,
-    room: Room,
-    state: GameState,
-    game_seed: int,
-    step: int,
-) -> list[ActionInstance]:
-    """Offer 3-6 actions: movement first, then entity actions, then fillers."""
+    dungeon: Dungeon, room: Room, state: GameState
+) -> tuple[list[ActionInstance], list[int]]:
+    """Offer 3-6 actions: movement first, then entity actions, then fillers.
+
+    Returns the menu and, beside it, each option's text slot.
+    """
     rng = state.rng
     x, y = state.position
     menu: list[ActionInstance] = []
-
-    def text_for(kind: str, slot: int, overrides=None) -> str:
-        template_id = "move" if kind.startswith("move_") else kind
-        return render_text(
-            TEMPLATES, template_id, mix_seed(game_seed, "text", step, slot), overrides
-        )
+    slots: list[int] = []
 
     # Movement: always include one exit-approaching direction, plus one other.
     valid = []
@@ -392,16 +376,17 @@ def _assemble_menu(
         offered_moves.append(others[int(rng.integers(len(others)))])
     for slot, (name, target) in enumerate(offered_moves):
         menu.append(
-            _move_action(
-                name,
+            offer(
+                f"move_{name}",
                 target_unvisited=target not in state.visited,
                 toward_exit=dist(target) < here,
-                text=text_for(f"move_{name}", slot, {"direction": name}),
             )
         )
+        slots.append(slot)
 
     if Entity.EXIT_PORTAL in room.entities:
-        menu.append(_portal_action(text_for("enter_portal", 2)))
+        menu.append(offer("enter_portal"))
+        slots.append(2)
 
     entity_kinds: list[str] = []
     if Entity.MONSTER in room.entities:
@@ -419,21 +404,19 @@ def _assemble_menu(
     for slot, kind in enumerate(entity_kinds, start=3):
         if len(menu) >= 6:
             break
-        menu.append(_catalog_action(kind, text_for(kind, slot)))
+        menu.append(offer(kind))
+        slots.append(slot)
 
+    # The loop stops only once the menu holds 3 options; 4 fillers get it there.
     fillers = ["rest", "scout", "search_room", "smash"]
     first = int(rng.integers(len(fillers)))
     ordered_fillers = fillers[first:] + fillers[:first]
-    slot = 3 + len(entity_kinds)
-    for kind in ordered_fillers:
+    for slot, kind in enumerate(ordered_fillers, start=3 + len(entity_kinds)):
         if len(menu) >= 6 or (len(menu) >= 3 and len(menu) - len(offered_moves) >= 3):
             break
-        menu.append(_catalog_action(kind, text_for(kind, slot)))
-        slot += 1
-    while len(menu) < 3:  # pragma: no cover - fillers always reach 3 first
-        menu.append(_catalog_action("rest", text_for("rest", slot)))
-        slot += 1
-    return menu
+        menu.append(offer(kind))
+        slots.append(slot)
+    return menu, slots
 
 
 def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) -> Session:
@@ -452,7 +435,7 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
     outcome = Outcome.STEP_LIMIT
     for step in range(config.max_steps):
         room = dungeon.rooms[state.position]
-        menu = _assemble_menu(dungeon, room, state, seed, step)
+        menu, slots = _assemble_menu(dungeon, room, state)
         utilities = action_utilities(params, state, menu)
         probs = softmax_policy(utilities, params.temperature)
         pick = int(np.searchsorted(np.cumsum(probs), state.rng.random()))
@@ -465,7 +448,7 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
                 available=tuple(menu),
                 chosen=pick,
                 room_text=_room_text(room, step),
-                action_text=chosen.text,
+                action_text=_action_text(chosen, seed, step, slots[pick]),
             )
         )
         state.prev_category = chosen.category
@@ -499,32 +482,12 @@ def game_seed(master_seed: int, profile_idx: int, ordinal: int) -> int:
     return mix_seed(master_seed, profile_idx, ordinal)
 
 
-# (JSON key, motivation) in Motivation order, the order of the "affinity" dict.
-_AFFINITY_KEYS = tuple((MOTIVATION_NAMES[m.value], m) for m in Motivation)
-
-
 def action_to_json(action: ActionInstance) -> dict:
-    d = {
-        "category": _CATEGORY_NAME[action.category],
-        "valence": action.moral_valence,
-        "order": action.order_score,
-        "affinity": {key: action.motivation_affinity[m] for key, m in _AFFINITY_KEYS},
-        "text": action.text,
-    }
+    """The option as `offer`'s arguments: its kind, plus a move's two flags."""
+    d = {"kind": action.kind}
     if action.move_delta is not None:
-        d["move"] = list(action.move_delta)
+        d.update(target_unvisited=action.target_unvisited, toward_exit=action.toward_exit)
     return d
-
-
-def action_from_json(d: dict) -> ActionInstance:
-    return ActionInstance(
-        category=_NAME_CATEGORY[d["category"]],
-        moral_valence=d["valence"],
-        order_score=d["order"],
-        motivation_affinity={m: d["affinity"][key] for key, m in _AFFINITY_KEYS},
-        text=d["text"],
-        move_delta=tuple(d["move"]) if "move" in d else None,
-    )
 
 
 def session_to_json(session: Session) -> dict:
@@ -557,7 +520,7 @@ def session_from_json(d: dict) -> Session:
             DecisionPoint(
                 step=dec["step"],
                 room=tuple(dec["room"]),
-                available=tuple(action_from_json(a) for a in dec["available"]),
+                available=tuple(offer(**a) for a in dec["available"]),
                 chosen=dec["chosen"],
                 room_text=dec["room_text"],
                 action_text=dec["action_text"],
@@ -616,7 +579,7 @@ def generate_corpus(
                 fh.write(json.dumps(session_to_json(session), separators=(",", ":")))
                 fh.write("\n")
         manifest = {
-            "format": "sessions-jsonl-v1",
+            "format": SESSIONS_FORMAT,
             "master_seed": master_seed,
             "games_per_profile": games_per_profile,
             "counts": counts,
@@ -634,8 +597,8 @@ def load_sessions(path: str | Path) -> Iterable[Session]:
     """Sessions of a sessions.jsonl file, in file order.
 
     A line that is not valid JSON or does not decode to a session (a missing
-    key, a bad value; e.g. a truncated file) raises SchemaMismatch naming
-    the file and the line.
+    key, a bad value, an unknown option kind; e.g. a truncated file) raises
+    SchemaMismatch naming the file and the line.
     """
     try:
         with open(path, "rb") as fh:
@@ -644,7 +607,7 @@ def load_sessions(path: str | Path) -> Iterable[Session]:
                     continue
                 try:
                     session = session_from_json(json.loads(line))
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise SchemaMismatch(
                         f"{path} line {lineno}: not a session record ({type(exc).__name__}: {exc})"
                     ) from exc

@@ -45,7 +45,7 @@ _MOTIVATION_NAME = {
 _NAME_MOTIVATION = {v: k for k, v in _MOTIVATION_NAME.items()}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Alignment:
     law_axis: LawAxis
     moral_axis: MoralAxis
@@ -83,7 +83,7 @@ class Alignment:
         return self.code
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Profile:
     alignment: Alignment
     motivation: Motivation

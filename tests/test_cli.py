@@ -123,6 +123,23 @@ class TestRunAll:
         assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_DEPENDENCY
         assert "multipool_176.pbck" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", ["cut_200_bytes", "line_boundary"])
+    def test_train_on_cut_aggregates_is_dependency_error(self, finished_run, tmp_path, capsys, cut):
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        aggregates = copy / "aggregates.csv"
+        data = aggregates.read_bytes()
+        if cut == "cut_200_bytes":
+            data = data[:-200]
+        else:
+            data = data[: data.rindex(b"\n", 0, len(data) - 1) + 1]
+        aggregates.write_bytes(data)
+        capsys.readouterr()
+        code = main(["--config", str(config), "--out", str(copy), "train", "--rows", "baseline_agg"])
+        assert code == EXIT_DEPENDENCY
+        assert "aggregates.csv" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stage", ["train", "eval"])
     def test_stride_other_than_featurized_is_dependency_error(
         self, finished_run, tmp_path, capsys, stage
@@ -191,6 +208,18 @@ class TestStages:
         capsys.readouterr()
         assert main(["--config", str(config), "--out", str(out), stage]) == EXIT_DEPENDENCY
         assert artifact in capsys.readouterr().err
+
+    def test_featurize_on_v1_manifest_is_dependency_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["--config", str(config), "--out", str(out), "gen"]) == EXIT_OK
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest.write_text(json.dumps(dict(doc, format="sessions-jsonl-v1")), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(out), "featurize"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "rerun gen" in err
 
     def test_eval_without_train_is_dependency_error(self, tmp_path):
         config = _write_config(tmp_path)

@@ -151,13 +151,12 @@ def _oracle_behavioral(prefix, rooms: int, dist_norm: float) -> list[float]:
 # --- crafted sessions --------------------------------------------------------
 
 
-def _action(cat: ActionCategory, move=None, text="do the thing") -> ActionInstance:
+def _action(cat: ActionCategory, move=None) -> ActionInstance:
     return ActionInstance(
         category=cat,
         moral_valence=0.1,
         order_score=0.0,
         motivation_affinity={m: 0.0 for m in Motivation},
-        text=text,
         move_delta=move,
     )
 
@@ -165,14 +164,17 @@ def _action(cat: ActionCategory, move=None, text="do the thing") -> ActionInstan
 _MOVES = {"east": (1, 0), "west": (-1, 0), "north": (0, -1), "south": (0, 1)}
 
 
+_MENU_TEXTS = ("fight it", "say hello", "grab loot", "go east", "go west", "wait and rest")
+
+
 def _menu() -> list[ActionInstance]:
     return [
-        _action(ActionCategory.COMBAT, text="fight it"),
-        _action(ActionCategory.SOCIAL, text="say hello"),
-        _action(ActionCategory.ACQUISITIVE, text="grab loot"),
-        _action(ActionCategory.EXPLORATORY, move=_MOVES["east"], text="go east"),
-        _action(ActionCategory.EXPLORATORY, move=_MOVES["west"], text="go west"),
-        _action(ActionCategory.CAUTIOUS, text="wait and rest"),
+        _action(ActionCategory.COMBAT),
+        _action(ActionCategory.SOCIAL),
+        _action(ActionCategory.ACQUISITIVE),
+        _action(ActionCategory.EXPLORATORY, move=_MOVES["east"]),
+        _action(ActionCategory.EXPLORATORY, move=_MOVES["west"]),
+        _action(ActionCategory.CAUTIOUS),
     ]
 
 
@@ -189,7 +191,7 @@ def _session(choices: list[int], profile="TN-Safety") -> Session:
                 available=tuple(menu),
                 chosen=pick,
                 room_text=f"a dim room numbered {step}",
-                action_text=menu[pick].text,
+                action_text=_MENU_TEXTS[pick],
             )
         )
         chosen = menu[pick]
@@ -709,3 +711,22 @@ def test_aggregate_csv_roundtrip(tmp_path):
     assert list(y) == [0, 11, 22]
     for i, (_, _, agg) in enumerate(rows):
         np.testing.assert_allclose(X[i], agg, atol=0)  # repr() roundtrips exactly
+
+
+@pytest.mark.parametrize("damage", ["short_row", "non_numeric", "unknown_profile", "no_line_end"])
+def test_damaged_aggregate_csv_is_schema_mismatch(tmp_path, damage):
+    path = tmp_path / "agg.csv"
+    rows = [(gid, Profile.from_index(gid * 5), np.zeros(52)) for gid in range(2)]
+    write_aggregate_csv(path, rows)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if damage == "short_row":
+        lines[2] = lines[2].replace(",0.0", "", 1)
+    elif damage == "non_numeric":
+        lines[2] = lines[2].replace("0.0", "zero", 1)
+    elif damage == "unknown_profile":
+        lines[2] = lines[2].replace(rows[1][1].code, "XX-Nope")
+    else:
+        lines[2] = lines[2].rstrip("\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(SchemaMismatch, match="line end" if damage == "no_line_end" else "line 3"):
+        read_aggregate_csv(path)

@@ -1,11 +1,12 @@
 """Simulator: dungeons, menus, the softmax policy, and corpus generation."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from profilebench.errors import ConfigInvalid
+from profilebench.errors import ConfigInvalid, SchemaMismatch
 from profilebench.simulator import (
     ActionCategory,
     ActionInstance,
@@ -19,6 +20,7 @@ from profilebench.simulator import (
     game_seed,
     generate_corpus,
     generate_sessions,
+    load_sessions,
     play_game,
     session_from_json,
     session_to_json,
@@ -74,7 +76,6 @@ def _plain_action(valence: float, order: float = 0.0) -> ActionInstance:
         moral_valence=valence,
         order_score=order,
         motivation_affinity={m: 0.0 for m in Motivation},
-        text="x",
     )
 
 
@@ -197,21 +198,32 @@ def test_moves_stay_on_grid():
 
 
 def test_session_json_roundtrip():
-    session = play_game(_profile("LN-Speed"), seed=5, config=SimConfig())
-    doc = session_to_json(session)
-    back = session_from_json(json.loads(json.dumps(doc)))
-    assert back.game_id == session.game_id
-    assert back.profile == session.profile
-    assert back.outcome == session.outcome
-    assert back.length == session.length
-    for a, b in zip(session.decisions, back.decisions):
-        assert a.room == b.room and a.chosen == b.chosen
-        assert a.room_text == b.room_text and a.action_text == b.action_text
-        for x, y in zip(a.available, b.available):
-            assert x.category == y.category
-            assert x.moral_valence == y.moral_valence
-            assert x.move_delta == y.move_delta
-            assert x.motivation_affinity == y.motivation_affinity
+    for code, seed in (("LN-Speed", 5), ("CE-Wealth", 1), ("TN-Wanderlust", 2), ("LG-Safety", 3)):
+        session = play_game(_profile(code), seed=seed, config=SimConfig())
+        assert session_from_json(json.loads(json.dumps(session_to_json(session)))) == session
+
+
+def test_texts_match_pinned_digest():
+    # sha256 over every decision's texts, computed when each offered option
+    # still rendered its own text; rendering only the chosen one must agree.
+    h = hashlib.sha256()
+    n = 0
+    for profile in PROFILES[::7]:
+        for seed in range(4):
+            for d in play_game(profile, seed, SimConfig()).decisions:
+                h.update(f"{d.room_text}\n{d.action_text}\n".encode())
+                n += 1
+    assert n == 795
+    assert h.hexdigest() == "875a0591d85a9513fbc86ba70f42b136d129f28b371338311f72c5f42caf4fd9"
+
+
+def test_unknown_option_kind_names_the_line(tmp_path):
+    lines = [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
+    lines[1]["decisions"][0]["available"][0] = {"kind": "juggle"}
+    path = tmp_path / "sessions.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
+    with pytest.raises(SchemaMismatch, match="sessions.jsonl line 2"):
+        list(load_sessions(path))
 
 
 def test_generate_sessions_order_and_ids():
@@ -232,7 +244,7 @@ def test_generate_corpus_thread_invariant(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert m1.read_bytes() == m2.read_bytes()
     manifest = json.loads(m1.read_text())
-    assert manifest["format"] == "sessions-jsonl-v1"
+    assert manifest["format"] == "sessions-jsonl-v2"
     assert sum(manifest["counts"].values()) == 72
 
 
