@@ -10,12 +10,13 @@ Behavioral features are prefix statistics: the vector at step t depends
 only on decisions 0..t, so truncating a session never changes earlier
 rows. Dimension audit: 15+12+15+6 = 48, 48+128 = 176, 512+18 = 530.
 
-Text is hashed once per decision. Each token's bucket hash and sign are
-cached; the 512 signed counts are one bincount, and because 128 divides
-512 the 128-bucket counts are those 512 counts folded (bucket b adds into
-b % 128). The sums are small integers, exact in float64, so the fold
-gives the same bits as hashing into 128 buckets directly (Weinberger et
-al., arXiv:0902.2206).
+Text is counted once per game. Each token's bucket and sign are cached;
+a game's T x 512 signed counts are one bincount over t * 512 + bucket, and
+because 128 divides 512 the 128-bucket counts are those 512 counts folded
+(bucket b adds into b % 128). The sums and squared norms are small
+integers, exact in float64, so every row has the same bits as hashing its
+decision into 128 or 512 buckets on its own (Weinberger et al.,
+arXiv:0902.2206).
 
 The bucket comes from FNV-1a over b"b:" + token and the sign from the low
 bit of FNV-1a over b"s:" + token, but the two are not independent:
@@ -120,13 +121,13 @@ class SequenceSample:
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
-# token -> (bucket hash, sign)
+# token -> (bucket of 512, sign)
 _TOKEN_CACHE: dict[str, tuple[int, float]] = {}
 
 
 def _hash_token(token: str) -> tuple[int, float]:
     data = token.encode("utf-8")
-    hit = (fnv1a64(b"b:" + data), 1.0 - 2.0 * (fnv1a64(b"s:" + data) & 1))
+    hit = (fnv1a64(b"b:" + data) % N_TEXT_LEGACY, 1.0 - 2.0 * (fnv1a64(b"s:" + data) & 1))
     _TOKEN_CACHE[token] = hit
     return hit
 
@@ -137,27 +138,26 @@ def tokenize(text: str) -> list[str]:
     return words + [f"{a} {b}" for a, b in zip(words, words[1:])]
 
 
-def _signed_counts(tokens: list[str]) -> np.ndarray:
-    """Sum of each token's sign in its bucket of 512: exact small integers."""
-    hits = [_TOKEN_CACHE.get(t) or _hash_token(t) for t in tokens]
-    hashes = np.array([h for h, _ in hits], dtype=np.uint64)
+def _unit_rows(counts: np.ndarray) -> np.ndarray:
+    """Each row over its norm; an all-zero row stays zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    norms[norms == 0] = 1.0
+    return counts / norms[:, None]
+
+
+def embed_tokens(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 128) and (T, 512) embeddings of a game's T decisions, one
+    token list each, from one bincount; the 128 counts are the 512 counts
+    folded."""
+    hits = [_TOKEN_CACHE.get(t) or _hash_token(t) for tokens in token_lists for t in tokens]
+    n = len(token_lists)
+    rows = np.repeat(np.arange(n) * N_TEXT_LEGACY, [len(tokens) for tokens in token_lists])
+    buckets = np.array([b for b, _ in hits], dtype=np.intp)
     signs = np.array([s for _, s in hits], dtype=np.float64)
-    buckets = (hashes % np.uint64(N_TEXT_LEGACY)).astype(np.intp)
-    return np.bincount(buckets, weights=signs, minlength=N_TEXT_LEGACY)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm > 0:
-        v /= norm
-    return v
-
-
-def embed_tokens(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The 128- and 512-bucket embeddings of one decision's tokens from one
-    hashing pass; the 128 counts are the 512 counts folded."""
-    counts = _signed_counts(tokens)
-    return _unit(counts.reshape(-1, N_TEXT).sum(axis=0)), _unit(counts)
+    counts = np.bincount(rows + buckets, weights=signs, minlength=n * N_TEXT_LEGACY)
+    counts = counts.reshape(n, N_TEXT_LEGACY)
+    folded = counts.reshape(n, N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1)
+    return _unit_rows(folded), _unit_rows(counts)
 
 
 class _BehavioralState:

@@ -47,8 +47,6 @@ from profilebench.evaluation import (
 from profilebench.features import (
     N_BEHAVIORAL_LEGACY,
     N_LEGACY,
-    N_TEXT,
-    N_TEXT_LEGACY,
     N_TOTAL,
     SCHEMA_VERSION,
     FeatureFileWriter,
@@ -380,11 +378,9 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
             dungeon = build_dungeon(session.seed, sim_cfg)
             behavioral = behavioral_matrix(session, dungeon)
             t_steps = session.length
-            text128 = np.empty((t_steps, N_TEXT))
-            text512 = np.empty((t_steps, N_TEXT_LEGACY))
-            for t, decision in enumerate(session.decisions):
-                tokens = tokenize(decision.room_text + " " + decision.action_text)
-                text128[t], text512[t] = embed_tokens(tokens)
+            text128, text512 = embed_tokens(
+                [tokenize(d.room_text + " " + d.action_text) for d in session.decisions]
+            )
             full176 = np.hstack([behavioral, text128])
             legacy530 = np.hstack([text512, behavioral[:, :N_BEHAVIORAL_LEGACY]])
             whole = (0, t_steps)
@@ -568,6 +564,17 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
     save_checkpoint(paths.checkpoint(row.row_id), best)
 
 
+def _row_inputs(paths: Paths, row_ids: list[str]) -> list[Path]:
+    """The upstream files that training or evaluating `row_ids` reads."""
+    needed = [paths.features176, paths.splits, paths.balanced_index]
+    layouts = {LADDER_BY_ID[r].layout for r in row_ids}
+    if "530" in layouts:
+        needed.append(paths.features530)
+    if "agg" in layouts:
+        needed += [paths.aggregates, paths.manifest]
+    return needed
+
+
 def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
@@ -575,11 +582,7 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     unknown = [r for r in row_ids if r not in LADDER_BY_ID]
     if unknown:
         raise ConfigInvalid(f"unknown ladder rows: {unknown}")
-    needed = [paths.features176, paths.splits, paths.balanced_index]
-    if any(LADDER_BY_ID[r].layout == "530" for r in row_ids):
-        needed.append(paths.features530)
-    if any(LADDER_BY_ID[r].layout == "agg" for r in row_ids):
-        needed += [paths.aggregates, paths.manifest]
+    needed = _row_inputs(paths, row_ids)
     require(needed, "train")
     data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})
     status: dict[str, str] = {}
@@ -596,7 +599,7 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     write_provenance(
         paths,
         "train",
-        [p for p in needed if p.exists()],
+        needed,
         cfg.master_seed,
         {"rows": row_ids, "train": cfg.digest_dict()["train"]},
         data.digests,
@@ -667,8 +670,8 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
     unknown = [r for r in row_ids if r not in LADDER_BY_ID]
     if unknown:
         raise ConfigInvalid(f"unknown ladder rows: {unknown}")
-    needed = [paths.features176, paths.splits, paths.balanced_index, paths.checkpoints]
-    require(needed, "eval")
+    needed = _row_inputs(paths, row_ids)
+    require(needed + [paths.checkpoints], "eval")
     data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})
     reports: list[Report] = []
     for row_id in row_ids:
@@ -690,7 +693,7 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
     write_provenance(
         paths,
         "eval",
-        [p for p in (paths.features176, paths.features530, paths.splits) if p.exists()],
+        needed,
         cfg.master_seed,
         {"rows": row_ids},
         data.digests,

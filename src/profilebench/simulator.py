@@ -9,11 +9,13 @@ the motivation boosts one affinity channel of every offered action.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -136,7 +138,7 @@ class ActionInstance:
     category: ActionCategory
     moral_valence: float
     order_score: float
-    motivation_affinity: dict[Motivation, float]
+    motivation_affinity: Mapping[Motivation, float]
     move_delta: tuple[int, int] | None = None
     kind: str = ""  # catalog id; drives death/exit semantics and the text template
     target_unvisited: bool = False
@@ -209,17 +211,19 @@ def action_utilities(
     params: AgentParams, state: GameState, available: list[ActionInstance]
 ) -> np.ndarray:
     """Utility per offered action: moral + order + motivation + consistency + noise."""
-    n = len(available)
-    u = np.zeros(n)
-    for i, act in enumerate(available):
-        u[i] = params.w_moral * act.moral_valence + params.w_order * act.order_score
-        for m, w in params.motivation_weights.items():
-            if w != 0.0:
-                u[i] += w * act.motivation_affinity[m]
+    motivations = [(m, w) for m, w in params.motivation_weights.items() if w != 0.0]
+    bonus = params.w_order * state.consistency_bonus
+    sums = []
+    for act in available:
+        total = params.w_moral * act.moral_valence + params.w_order * act.order_score
+        for m, w in motivations:
+            total += w * act.motivation_affinity[m]
         if state.prev_category is not None and act.category is state.prev_category:
-            u[i] += params.w_order * state.consistency_bonus
+            total += bonus
+        sums.append(total)
+    u = np.array(sums, dtype=float)
     if params.noise_scale > 0:
-        u += params.noise_scale * state.rng.normal(size=n)
+        u += params.noise_scale * state.rng.normal(size=len(u))
     return u
 
 
@@ -244,18 +248,18 @@ def build_dungeon(seed: int, config: SimConfig) -> Dungeon:
     exit_cell = far[int(rng.integers(len(far)))] if far else (w - 1, h - 1)
     if exit_cell == start:
         exit_cell = (w - 1, h - 1)
+    # Four draws per room, x-major: the doubles 4 * w * h scalar draws give.
+    draws = iter(rng.random(4 * w * h).tolist())
+    spawns = (
+        (Entity.MONSTER, config.monster_rate),
+        (Entity.MERCHANT, config.merchant_rate),
+        (Entity.VILLAGER, config.villager_rate),
+        (Entity.TREASURE, config.treasure_rate),
+    )
     rooms = {}
     for x in range(w):
         for y in range(h):
-            entities = set()
-            if rng.random() < config.monster_rate:
-                entities.add(Entity.MONSTER)
-            if rng.random() < config.merchant_rate:
-                entities.add(Entity.MERCHANT)
-            if rng.random() < config.villager_rate:
-                entities.add(Entity.VILLAGER)
-            if rng.random() < config.treasure_rate:
-                entities.add(Entity.TREASURE)
+            entities = {entity for entity, rate in spawns if next(draws) < rate}
             if (x, y) == exit_cell:
                 entities.add(Entity.EXIT_PORTAL)
             rooms[(x, y)] = Room(
@@ -268,13 +272,13 @@ def build_dungeon(seed: int, config: SimConfig) -> Dungeon:
 
 # Static action catalog: (category, valence, order, affinities). A move's
 # affinities depend on its target and are computed in `offer`.
-def _aff(safety, speed, wanderlust, wealth) -> dict[Motivation, float]:
-    return {
+def _aff(safety, speed, wanderlust, wealth) -> Mapping[Motivation, float]:
+    return MappingProxyType({
         Motivation.SAFETY: safety,
         Motivation.SPEED: speed,
         Motivation.WANDERLUST: wanderlust,
         Motivation.WEALTH: wealth,
-    }
+    })
 
 
 _CATALOG = {
@@ -303,12 +307,17 @@ _DIRECTIONS = {
 _DIRECTION_ORDER = ("north", "east", "south", "west")
 
 
+@functools.cache
 def offer(kind: str, target_unvisited: bool = False, toward_exit: bool = False) -> ActionInstance:
     """The action of catalog `kind`, or of "move_<direction>", whose affinity
-    depends on the two flags. An unknown kind raises KeyError."""
+    depends on the two flags. An unknown kind raises KeyError.
+
+    Instances are shared: the same arguments return the same object, and its
+    `motivation_affinity` is a read-only mapping.
+    """
     if not kind.startswith("move_"):
         category, valence, order, affinity = _CATALOG[kind]
-        return ActionInstance(category, valence, order, dict(affinity), kind=kind)
+        return ActionInstance(category, valence, order, affinity, kind=kind)
     affinity = _aff(
         0.50 if not target_unvisited else 0.20,
         0.85 if toward_exit else 0.10,

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: stage chaining, exit codes, overrides."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -123,6 +124,32 @@ class TestRunAll:
         assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_DEPENDENCY
         assert "multipool_176.pbck" in capsys.readouterr().err
 
+    def test_eval_without_aggregates_is_dependency_error(self, finished_run, tmp_path, capsys):
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "aggregates.csv").unlink()
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_DEPENDENCY
+        assert "aggregates.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [None, "multipool_176", "lstm_base_530,baseline_agg"])
+    def test_eval_provenance_records_the_inputs_train_records(
+        self, finished_run, tmp_path, rows
+    ):
+        _, config, out = finished_run
+        if rows is not None:
+            out = tmp_path / "out"
+            shutil.copytree(finished_run[2], out)
+            for stage in ("train", "eval"):
+                assert main(["--config", str(config), "--out", str(out), stage, "--rows", rows]) == EXIT_OK
+
+        def inputs(stage):
+            return json.loads((out / "provenance" / f"{stage}.json").read_text())["inputs"]
+
+        assert inputs("eval") == inputs("train")
+        assert ("features530.pbf" in inputs("eval")) == ("530" in (rows or ""))
+
     @pytest.mark.parametrize("cut", ["cut_200_bytes", "line_boundary"])
     def test_train_on_cut_aggregates_is_dependency_error(self, finished_run, tmp_path, capsys, cut):
         _, config, out = finished_run
@@ -164,6 +191,14 @@ class TestStages:
         assert "wrote 180 sessions" in printed
         assert main(["--config", str(config), "--out", str(out), "featurize"]) == EXIT_OK
         assert (out / "features176.pbf").exists()
+
+    def test_gen_sessions_match_pinned_digest(self, tmp_path):
+        # sha256 of the corpus written before offered actions were shared
+        # and each dungeon's rates were drawn in one call.
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "--seed", "12", "gen", "--games-per-profile", "1"]) == EXIT_OK
+        digest = hashlib.sha256((out / "sessions.jsonl").read_bytes()).hexdigest()
+        assert digest == "7800818c1cf40691268623e52c66fcbe555a2b4399c3ce6c98648bd3471084a6"
 
     def test_featurize_without_gen_is_dependency_error(self, tmp_path):
         config = _write_config(tmp_path)

@@ -221,8 +221,8 @@ def _full_prefix(session: Session) -> np.ndarray:
 
 def _embed(text: str, n_buckets: int) -> np.ndarray:
     """The n_buckets-wide embedding of `text` from the one-pass hashing."""
-    e128, e512 = embed_tokens(tokenize(text))
-    return e128 if n_buckets == N_TEXT else e512
+    e128, e512 = embed_tokens([tokenize(text)])
+    return (e128 if n_buckets == N_TEXT else e512)[0]
 
 
 def _text(decision: DecisionPoint) -> str:
@@ -231,15 +231,15 @@ def _text(decision: DecisionPoint) -> str:
 
 def _rows176(session: Session, dungeon) -> np.ndarray:
     """A game's 176 rows as stage_featurize stacks them."""
-    text = [embed_tokens(tokenize(_text(d)))[0] for d in session.decisions]
-    return np.hstack([behavioral_matrix(session, dungeon), np.array(text)])
+    text = embed_tokens([tokenize(_text(d)) for d in session.decisions])[0]
+    return np.hstack([behavioral_matrix(session, dungeon), text])
 
 
 def _rows530(session: Session, dungeon) -> np.ndarray:
     """A game's 530 rows as stage_featurize stacks them."""
-    text = [embed_tokens(tokenize(_text(d)))[1] for d in session.decisions]
+    text = embed_tokens([tokenize(_text(d)) for d in session.decisions])[1]
     behavioral = behavioral_matrix(session, dungeon)[:, :N_BEHAVIORAL_LEGACY]
-    return np.hstack([np.array(text), behavioral])
+    return np.hstack([text, behavioral])
 
 
 # --- hashing / embedding -----------------------------------------------------
@@ -261,14 +261,14 @@ def test_tokenize_unigrams_then_bigrams():
 
 def test_embed_empty_is_zero():
     for text in ("", "   \t "):
-        assert not any(v.any() for v in embed_tokens(tokenize(text)))
+        assert not any(v.any() for v in embed_tokens([tokenize(text)]))
 
 
 def test_embed_unit_norm_and_determinism():
     text = "a goblin sharpens a rusty knife"
-    for v1, v2 in zip(embed_tokens(tokenize(text)), embed_tokens(tokenize(text))):
+    for v1, v2 in zip(embed_tokens([tokenize(text)]), embed_tokens([tokenize(text)])):
         np.testing.assert_array_equal(v1, v2)
-        assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(v1[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_buckets", [128, 512])
@@ -304,11 +304,25 @@ def test_one_pass_embedding_is_bitwise_the_per_token_sum(small_corpus):
     assert len(texts) > 300
     for text in texts:
         tokens = tokenize(text)
-        both = embed_tokens(tokens)
-        for got, n_buckets in zip(both, (128, 512)):
+        both = embed_tokens([tokens])
+        for (got,), n_buckets in zip(both, (128, 512)):
             want = _per_token_embed(tokens, n_buckets)
             assert got.tobytes() == want.tobytes(), text
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_game_embedding_is_bitwise_the_per_decision_oracle(small_corpus):
+    games = [[tokenize(text) for text in ("go east", "", "x x x x", "   ")], [[]], []]
+    for session in load_sessions(Paths(small_corpus.out_dir).sessions):
+        games.append([tokenize(_text(d)) for d in session.decisions])
+    for token_lists in games:
+        e128, e512 = embed_tokens(token_lists)
+        assert e128.shape == (len(token_lists), N_TEXT)
+        assert e512.shape == (len(token_lists), N_TEXT_LEGACY)
+        for got, n_buckets in ((e128, N_TEXT), (e512, N_TEXT_LEGACY)):
+            want = np.array([_per_token_embed(t, n_buckets) for t in token_lists])
+            assert got.tobytes() == want.reshape(got.shape).tobytes()
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want.reshape(got.shape)))
 
 
 # --- pinned single-group examples ---------------------------------------------

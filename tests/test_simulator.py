@@ -21,6 +21,7 @@ from profilebench.simulator import (
     generate_corpus,
     generate_sessions,
     load_sessions,
+    offer,
     play_game,
     session_from_json,
     session_to_json,
@@ -77,6 +78,27 @@ def _plain_action(valence: float, order: float = 0.0) -> ActionInstance:
         order_score=order,
         motivation_affinity={m: 0.0 for m in Motivation},
     )
+
+
+@pytest.mark.parametrize(
+    "args", [("rest",), ("enter_portal",), ("move_north", True, False), ("move_west", False, True)]
+)
+def test_offer_shares_one_read_only_instance(args):
+    action = offer(*args)
+    assert offer(*args) is action
+    with pytest.raises(TypeError):
+        action.motivation_affinity[Motivation.SAFETY] = 1.0
+    rebuilt = ActionInstance(
+        action.category,
+        action.moral_valence,
+        action.order_score,
+        dict(action.motivation_affinity),
+        action.move_delta,
+        action.kind,
+        action.target_unvisited,
+        action.toward_exit,
+    )
+    assert rebuilt == action
 
 
 def test_utility_gap_equals_moral_gain():
