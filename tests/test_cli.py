@@ -139,8 +139,9 @@ class TestRunAll:
     ):
         _, config, out = finished_run
         if rows is not None:
-            out = tmp_path / "out"
-            shutil.copytree(finished_run[2], out)
+            copy = tmp_path / "out"
+            shutil.copytree(out, copy)
+            out = copy
             for stage in ("train", "eval"):
                 assert main(["--config", str(config), "--out", str(out), stage, "--rows", rows]) == EXIT_OK
 
