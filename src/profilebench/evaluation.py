@@ -250,7 +250,7 @@ def predict_logits(
         for lo in range(0, len(idxs), batch_size):
             take = starts[idxs[lo : lo + batch_size], None] + np.arange(t)  # (B, T) row indices
             states, _ = bilstm_recur((pre[0][take], pre[1][take]), *recur, cache=False)
-            logits, _, _ = pool_and_heads(states, ckpt)
+            logits, _, _ = pool_and_heads(states, ckpt, cache=False)
             for head, out in parts.items():
                 out.append(logits[head])
     inverse = np.argsort(np.concatenate(order))

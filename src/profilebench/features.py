@@ -10,6 +10,17 @@ Behavioral features are prefix statistics: the vector at step t depends
 only on decisions 0..t, so truncating a session never changes earlier
 rows. Dimension audit: 15+12+15+6 = 48, 48+128 = 176, 512+18 = 530.
 
+A game's behavioral rows are built at once. One Python pass over the
+decisions records small integers per step (chosen category, menu size,
+offered categories, and the movement path's running counts); cumulative
+sums of one-hot counts then give every prefix's statistics, and one
+vectorized division per slot group fills all T rows (prefix sums,
+Blelloch 1990). The bits are those of computing each row on its own: the
+counts are integers, exact in float64, each division keeps its operands
+and order, a phase's counts are the difference of two cumulative rows,
+and the entropy terms are summed in category order with +0.0 for unseen
+categories, which is exact.
+
 Text is counted once per game. Each token's bucket and sign are cached;
 a game's T x 512 signed counts are one bincount over t * 512 + bucket, and
 because 128 divides 512 the 128-bucket counts are those 512 counts folded
@@ -51,7 +62,7 @@ import numpy as np
 from profilebench.dataset import window_starts
 from profilebench.errors import DimensionMismatch, IndexOutOfRange, IoFailure, SchemaMismatch
 from profilebench.hashing import fnv1a64
-from profilebench.simulator import CATEGORIES, DecisionPoint, Dungeon, Outcome, Session
+from profilebench.simulator import CATEGORIES, Outcome, Session
 from profilebench.taxonomy import Profile
 
 SCHEMA_VERSION = 1
@@ -70,9 +81,13 @@ N_LEGACY = N_TEXT_LEGACY + N_BEHAVIORAL_LEGACY
 
 _CAT_NAMES = tuple(c.name.lower() for c in CATEGORIES)
 
-# Unordered category pairs in canonical order; slot index for (a, b), a < b.
+# Unordered category pairs in canonical order. _TRANSITION_SLOT[a, b] is the
+# slot of a transition between categories a and b, in either order: a for a
+# repeat, then one slot per pair.
 _CROSS_PAIRS = [(a, b) for a in range(N_CATEGORIES) for b in range(a + 1, N_CATEGORIES)]
-_CROSS_SLOT = {pair: N_CATEGORIES + k for k, pair in enumerate(_CROSS_PAIRS)}
+_TRANSITION_SLOT = np.diag(np.arange(N_CATEGORIES))
+_TRANSITION_SLOT[tuple(zip(*_CROSS_PAIRS))] = N_CATEGORIES + np.arange(len(_CROSS_PAIRS))
+_TRANSITION_SLOT = np.maximum(_TRANSITION_SLOT, _TRANSITION_SLOT.T)
 
 BEHAVIORAL_SLOT_NAMES = (
     *(f"trans_self_{c}" for c in _CAT_NAMES),
@@ -160,126 +175,94 @@ def embed_tokens(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
     return _unit_rows(folded), _unit_rows(counts)
 
 
-class _BehavioralState:
-    """O(1)-per-step accumulators for the 48 behavioral features.
-
-    Feeding decisions one at a time and reading `row()` after each gives
-    exactly the prefix statistics of the decisions seen so far.
-    """
-
-    def __init__(self, dungeon_rooms: int, dist_norm: float):
-        self.rooms = dungeon_rooms
-        self.dist_norm = dist_norm
-        self.n = 0
-        self.trans_counts = np.zeros(N_TRANSITION)
-        self.n_transitions = 0
-        self.prev_cat: int | None = None
-        self.avail_counts = np.zeros(N_CATEGORIES)
-        self.chosen_counts = np.zeros(N_CATEGORIES)
-        self.chosen_by_step: list[int] = []
-        self.choice_set_sum = 0
-        # movement path; start room enters on the first decision
-        self.path_start: tuple[int, int] | None = None
-        self.pos: tuple[int, int] | None = None
-        self.unique: set[tuple[int, int]] = set()
-        self.moves = 0
-        self.dist_sum = 0.0
-        self.prev_delta: tuple[int, int] | None = None
-        self.turns = 0
-        self.backtracks = 0
-
-    def push(self, decision: DecisionPoint) -> None:
-        chosen = decision.available[decision.chosen]
-        cat = chosen.category.value
-        if self.prev_cat is not None:
-            if self.prev_cat == cat:
-                self.trans_counts[cat] += 1
-            else:
-                a, b = sorted((self.prev_cat, cat))
-                self.trans_counts[_CROSS_SLOT[(a, b)]] += 1
-            self.n_transitions += 1
-        self.prev_cat = cat
-
-        offered = {a.category.value for a in decision.available}
-        for c in offered:
-            self.avail_counts[c] += 1
-        self.chosen_counts[cat] += 1
-        self.chosen_by_step.append(cat)
-        self.choice_set_sum += len(decision.available)
-
-        if self.path_start is None:
-            self.path_start = decision.room
-            self.pos = decision.room
-            self.unique.add(decision.room)
-        if chosen.move_delta is not None:
-            dx, dy = chosen.move_delta
-            self.pos = (self.pos[0] + dx, self.pos[1] + dy)
-            self.unique.add(self.pos)
-            self.moves += 1
-            self.dist_sum += abs(self.pos[0] - self.path_start[0]) + abs(
-                self.pos[1] - self.path_start[1]
-            )
-            if self.prev_delta is not None:
-                if chosen.move_delta != self.prev_delta:
-                    self.turns += 1
-                if dx == -self.prev_delta[0] and dy == -self.prev_delta[1]:
-                    self.backtracks += 1
-            self.prev_delta = chosen.move_delta
-        self.n += 1
-
-    def row(self) -> np.ndarray:
-        out = np.zeros(N_BEHAVIORAL)
-        if self.n_transitions > 0:
-            out[:N_TRANSITION] = self.trans_counts / self.n_transitions
-
-        base = N_TRANSITION
-        out[base : base + 5] = self.avail_counts / self.n
-        # chosen implies available, so the 0/0 case is exactly "never offered"
-        out[base + 5 : base + 10] = self.chosen_counts / np.maximum(self.avail_counts, 1)
-        out[base + 10] = self.choice_set_sum / self.n / 6.0
-        p = self.chosen_counts / self.n
-        nz = p[p > 0]
-        out[base + 11] = float(-(nz * np.log(nz)).sum()) / np.log(N_CATEGORIES)
-
-        base = N_TRANSITION + N_AVAIL_SELECT
-        for phase, (s, e) in enumerate(_phase_bounds(self.n)):
-            if e > s:
-                counts = np.bincount(self.chosen_by_step[s:e], minlength=N_CATEGORIES)
-                out[base + 5 * phase : base + 5 * (phase + 1)] = counts / (e - s)
-
-        base = N_TRANSITION + N_AVAIL_SELECT + N_TEMPORAL
-        out[base] = len(self.unique) / self.rooms
-        positions = self.moves + 1
-        out[base + 1] = 1.0 - len(self.unique) / positions if self.moves else 0.0
-        out[base + 2] = (self.dist_sum / positions) / self.dist_norm
-        if self.moves:
-            net = abs(self.pos[0] - self.path_start[0]) + abs(self.pos[1] - self.path_start[1])
-            out[base + 3] = net / self.moves
-        if self.moves > 1:
-            out[base + 4] = self.turns / (self.moves - 1)
-            out[base + 5] = self.backtracks / (self.moves - 1)
-        return out
+def _phase_bounds(n: np.ndarray) -> list[tuple]:
+    """(start, end) of the three contiguous thirds of range(n), elementwise
+    over an array of n; the remainder goes to the later phases."""
+    b, r = np.divmod(n, 3)
+    e1 = 2 * b + (r == 2)
+    return [(0, b), (b, e1), (e1, n)]
 
 
-def _phase_bounds(n: int) -> list[tuple[int, int]]:
-    """Contiguous thirds of range(n); remainder goes to the later phases."""
-    b, r = divmod(n, 3)
-    sizes = (b, b + (1 if r == 2 else 0), b + (1 if r >= 1 else 0))
-    bounds = []
-    s = 0
-    for size in sizes:
-        bounds.append((s, s + size))
-        s += size
-    return bounds
+def behavioral_matrix(session: Session, width: int, height: int) -> np.ndarray:
+    """T x 48 matrix of prefix features, one row per decision, for a game
+    played on a width x height dungeon."""
+    decisions = session.decisions
+    n_steps = len(decisions)
+    rows = np.zeros((n_steps, N_BEHAVIORAL))
+    if n_steps == 0:
+        return rows
+    cats, sizes, offered, path = [], [], [], []
+    # movement path; start room enters on the first decision
+    x0, y0 = x, y = decisions[0].room
+    unique = {(x, y)}
+    moves = dist_sum = turns = backtracks = 0
+    prev_delta = None
+    for decision in decisions:
+        options = decision.available
+        action = options[decision.chosen]
+        cats.append(action.category.value)
+        sizes.append(len(options))
+        offered += [a.category.value for a in options]
+        delta = action.move_delta
+        if delta is not None:
+            dx, dy = delta
+            x += dx
+            y += dy
+            unique.add((x, y))
+            moves += 1
+            dist_sum += abs(x - x0) + abs(y - y0)
+            if prev_delta is not None:
+                turns += delta != prev_delta
+                backtracks += dx == -prev_delta[0] and dy == -prev_delta[1]
+            prev_delta = delta
+        path.append((len(unique), moves, dist_sum, abs(x - x0) + abs(y - y0), turns, backtracks))
 
+    steps = np.arange(n_steps)
+    n = steps + 1.0
+    cat = np.array(cats)
+    # chosen[k]: per-category choice counts over decisions 0..k-1
+    chosen = np.zeros((n_steps + 1, N_CATEGORIES))
+    chosen[steps + 1, cat] = 1.0
+    chosen = chosen.cumsum(axis=0)
+    # decision t > 0 adds the transition from decision t - 1; row 0 has none
+    trans = np.zeros((n_steps, N_TRANSITION))
+    trans[steps[1:], _TRANSITION_SLOT[cat[:-1], cat[1:]]] = 1.0
+    rows[1:, :N_TRANSITION] = trans.cumsum(axis=0)[1:] / steps[1:, None]
 
-def behavioral_matrix(session: Session, dungeon: Dungeon) -> np.ndarray:
-    """T x 48 matrix of prefix features, one row per decision."""
-    state = _BehavioralState(dungeon.room_count, dungeon.width - 1 + dungeon.height - 1)
-    rows = np.empty((session.length, N_BEHAVIORAL))
-    for t, decision in enumerate(session.decisions):
-        state.push(decision)
-        rows[t] = state.row()
+    base = N_TRANSITION
+    avail = np.zeros((n_steps, N_CATEGORIES))
+    avail[np.repeat(steps, sizes), offered] = 1.0
+    avail = avail.cumsum(axis=0)
+    rows[:, base : base + 5] = avail / n[:, None]
+    # chosen implies available, so the 0/0 case is exactly "never offered"
+    rows[:, base + 5 : base + 10] = chosen[1:] / np.maximum(avail, 1)
+    rows[:, base + 10] = np.cumsum(sizes) / n / 6.0
+    p = chosen[1:] / n[:, None]
+    terms = np.zeros_like(p)
+    seen = p > 0
+    terms[seen] = p[seen] * np.log(p[seen])
+    # summed in index order as a 1-D sum would; the +0.0 of unseen categories is exact
+    entropy = terms[:, 0]
+    for c in range(1, N_CATEGORIES):
+        entropy = entropy + terms[:, c]
+    rows[:, base + 11] = -entropy / np.log(N_CATEGORIES)
+
+    base = N_TRANSITION + N_AVAIL_SELECT
+    for phase, (s, e) in enumerate(_phase_bounds(steps + 1)):
+        size = np.maximum(e - s, 1)[:, None]  # an empty phase counts zeros: 0 / 1
+        rows[:, base + 5 * phase : base + 5 * (phase + 1)] = (chosen[e] - chosen[s]) / size
+
+    base = N_TRANSITION + N_AVAIL_SELECT + N_TEMPORAL
+    unique_n, moves, dist_sum, net, turns, backtracks = np.array(path, dtype=np.float64).T
+    positions = moves + 1
+    moved = moves > 0
+    rows[:, base] = unique_n / (width * height)
+    rows[moved, base + 1] = 1.0 - unique_n[moved] / positions[moved]
+    rows[:, base + 2] = (dist_sum / positions) / (width - 1 + height - 1)
+    rows[moved, base + 3] = net[moved] / moves[moved]
+    turning = moves > 1
+    rows[turning, base + 4] = turns[turning] / (moves[turning] - 1)
+    rows[turning, base + 5] = backtracks[turning] / (moves[turning] - 1)
     return rows
 
 

@@ -228,9 +228,10 @@ def multi_pool(states: np.ndarray) -> np.ndarray:
     return np.concatenate([states.max(axis=0), states.mean(axis=0)])
 
 
-def multi_pool_batch(states: np.ndarray) -> tuple[np.ndarray, dict]:
+def multi_pool_batch(states: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
+    """Pooled (B, 4H) and the backward cache, or None when `cache` is False."""
     pooled = np.concatenate([states.max(axis=1), states.mean(axis=1)], axis=1)
-    return pooled, {"argmax": states.argmax(axis=1), "T": states.shape[1]}
+    return pooled, ({"argmax": states.argmax(axis=1), "T": states.shape[1]} if cache else None)
 
 
 def multi_pool_backward_batch(cache: dict, states_shape: tuple, dpooled: np.ndarray) -> np.ndarray:

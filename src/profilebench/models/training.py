@@ -79,13 +79,14 @@ def forward_batch(
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Forward pass over a (B, T, D) batch; returns per-head logits + cache.
 
-    With cache=False (scoring) the LSTM keeps no backward cache: "lstm" is None.
+    With cache=False (scoring) neither the LSTM nor the pooling keeps a
+    backward cache: "lstm" and "pool" are None.
     """
     p = ckpt.params
     states, lstm_cache = bilstm_forward_batch(
         X, (p["fwd_W"], p["fwd_R"], p["fwd_b"]), (p["bwd_W"], p["bwd_R"], p["bwd_b"]), cache
     )
-    logits, pool_cache, pooled = pool_and_heads(states, ckpt, dropout_mask)
+    logits, pool_cache, pooled = pool_and_heads(states, ckpt, dropout_mask, cache)
     cache = {
         "states": states,
         "lstm": lstm_cache,
@@ -97,15 +98,17 @@ def forward_batch(
 
 
 def pool_and_heads(
-    states: np.ndarray, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None
+    states: np.ndarray, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None, cache: bool = True
 ) -> tuple[dict[str, np.ndarray], dict | None, np.ndarray]:
     """Per-head logits from (B, T, 2H) LSTM states, with the pooling cache
-    and the (masked) pooled vector the backward pass reads."""
+    (None when `cache` is False) and the (masked) pooled vector the
+    backward pass reads."""
     p = ckpt.params
     if ckpt.pooling == POOL_MULTI:
-        pooled, pool_cache = multi_pool_batch(states)
+        pooled, pool_cache = multi_pool_batch(states, cache)
     elif ckpt.pooling == POOL_ATTENTION:
         pooled, pool_cache = attention_pool_batch(states, p["attn_proj"], p["attn_ctx"])
+        pool_cache = pool_cache if cache else None
     else:
         pooled = last_state_pool_batch(states, ckpt.hidden)
         pool_cache = None

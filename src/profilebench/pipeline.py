@@ -71,7 +71,8 @@ from profilebench.models.checkpoint import (
     save_checkpoint,
 )
 from profilebench.models.training import TrainConfig, label_table, neutral_correction, space_labels, train
-from profilebench.simulator import SESSIONS_FORMAT, SimConfig, build_dungeon, generate_corpus, load_sessions
+# build_dungeon is unused here, but perfbench/tracing.py patches pipeline.build_dungeon by name
+from profilebench.simulator import SESSIONS_FORMAT, SimConfig, build_dungeon, generate_corpus, load_sessions  # noqa: F401
 from profilebench.taxonomy import LabelSpaceKind, Profile
 
 
@@ -335,10 +336,15 @@ def write_provenance(
 
 
 def _read_manifest(path: Path) -> tuple[SimConfig, int]:
-    """The corpus's simulator config and game count; another format raises SchemaMismatch."""
-    fmt, sim_cfg, n_games = read_json(
-        path, "manifest", lambda d: (d["format"], SimConfig.from_dict(d["sim_config"]), sum(d["counts"].values()))
-    )
+    """The corpus's simulator config and game count; another format, or a
+    simulator config that does not validate, raises SchemaMismatch."""
+    try:
+        fmt, sim_cfg, n_games = read_json(
+            path, "manifest", lambda d: (d["format"], SimConfig.from_dict(d["sim_config"]), sum(d["counts"].values()))
+        )
+        sim_cfg.validate()
+    except ConfigInvalid as exc:  # the manifest is at fault, not the user's config
+        raise SchemaMismatch(f"{path}: invalid sim_config: {exc}; rerun gen") from exc
     if fmt != SESSIONS_FORMAT:
         raise SchemaMismatch(f"{path}: format {fmt!r}, expected {SESSIONS_FORMAT!r}; rerun gen")
     return sim_cfg, n_games
@@ -375,8 +381,7 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
         paths.features530, N_LEGACY, *windows
     ) as w530:
         for session in load_sessions(paths.sessions):
-            dungeon = build_dungeon(session.seed, sim_cfg)
-            behavioral = behavioral_matrix(session, dungeon)
+            behavioral = behavioral_matrix(session, sim_cfg.width, sim_cfg.height)
             t_steps = session.length
             text128, text512 = embed_tokens(
                 [tokenize(d.room_text + " " + d.action_text) for d in session.decisions]

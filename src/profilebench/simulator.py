@@ -79,8 +79,9 @@ class SimConfig:
     treasure_rate: float = 0.25
 
     def validate(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigInvalid(f"dungeon dimensions must be positive: {self.width}x{self.height}")
+        # one room leaves no distance to normalise the movement features by
+        if self.width <= 0 or self.height <= 0 or self.width * self.height < 2:
+            raise ConfigInvalid(f"dungeon needs two or more rooms: {self.width}x{self.height}")
         if self.max_steps <= 0:
             raise ConfigInvalid(f"max_steps must be positive: {self.max_steps}")
         if self.temperature <= 0:

@@ -257,6 +257,26 @@ class TestStages:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "rerun gen" in err
 
+    @pytest.mark.parametrize(
+        "change", [{"bogus": 1}, {"width": 0}], ids=["unknown_key", "zero_width"]
+    )
+    def test_featurize_on_invalid_manifest_sim_config_is_dependency_error(
+        self, tmp_path, capsys, change
+    ):
+        # the manifest is at fault, not the user's config: exit 4, not 2
+        config = _write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["--config", str(config), "--out", str(out), "gen"]) == EXIT_OK
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["sim_config"].update(change)
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(out), "featurize"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "sim_config" in err
+        assert not list(out.glob("features*.pbf"))
+
     def test_eval_without_train_is_dependency_error(self, tmp_path):
         config = _write_config(tmp_path)
         code = main(["--config", str(config), "--out", str(tmp_path / "empty"), "eval"])

@@ -45,6 +45,7 @@ from profilebench.features import (
     tokenize,
     write_aggregate_csv,
 )
+from profilebench import pipeline, simulator
 from profilebench.hashing import fnv1a64
 from profilebench.pipeline import Paths, PipelineConfig, stage_featurize, stage_gen
 from profilebench.simulator import (
@@ -54,7 +55,6 @@ from profilebench.simulator import (
     Outcome,
     Session,
     SimConfig,
-    build_dungeon,
     load_sessions,
     play_game,
 )
@@ -206,7 +206,7 @@ def _session(choices: list[int], profile="TN-Safety") -> Session:
     )
 
 
-_DUNGEON = build_dungeon(0, SimConfig())
+_GRID = (SimConfig().width, SimConfig().height)  # the default dungeon
 
 # feature groups within a behavioral row
 _TRANSITION = slice(0, N_TRANSITION)
@@ -216,7 +216,7 @@ _MOVEMENT = slice(N_BEHAVIORAL - N_MOVEMENT, N_BEHAVIORAL)
 
 def _full_prefix(session: Session) -> np.ndarray:
     """Behavioral features over the whole session: the matrix's last row."""
-    return behavioral_matrix(session, _DUNGEON)[-1]
+    return behavioral_matrix(session, *_GRID)[-1]
 
 
 def _embed(text: str, n_buckets: int) -> np.ndarray:
@@ -229,16 +229,16 @@ def _text(decision: DecisionPoint) -> str:
     return decision.room_text + " " + decision.action_text
 
 
-def _rows176(session: Session, dungeon) -> np.ndarray:
+def _rows176(session: Session, width: int, height: int) -> np.ndarray:
     """A game's 176 rows as stage_featurize stacks them."""
     text = embed_tokens([tokenize(_text(d)) for d in session.decisions])[0]
-    return np.hstack([behavioral_matrix(session, dungeon), text])
+    return np.hstack([behavioral_matrix(session, width, height), text])
 
 
-def _rows530(session: Session, dungeon) -> np.ndarray:
+def _rows530(session: Session, width: int, height: int) -> np.ndarray:
     """A game's 530 rows as stage_featurize stacks them."""
     text = embed_tokens([tokenize(_text(d)) for d in session.decisions])[1]
-    behavioral = behavioral_matrix(session, dungeon)[:, :N_BEHAVIORAL_LEGACY]
+    behavioral = behavioral_matrix(session, width, height)[:, :N_BEHAVIORAL_LEGACY]
     return np.hstack([text, behavioral])
 
 
@@ -404,7 +404,7 @@ def test_entropy_extremes():
 
 def test_crafted_session_matches_oracle_everywhere():
     s = _session([0, 3, 1, 3, 4, 2, 5, 3, 0, 4])
-    mat = behavioral_matrix(s, _DUNGEON)
+    mat = behavioral_matrix(s, *_GRID)
     for t in range(s.length):
         expected = _oracle_behavioral(s.decisions[: t + 1], 36, 10.0)
         np.testing.assert_allclose(mat[t], expected, atol=1e-12)
@@ -414,18 +414,197 @@ def test_simulated_sessions_match_oracle():
     cfg = SimConfig()
     for seed in range(4):
         session = play_game(Profile.from_index(seed * 9 + 3), seed=seed, config=cfg)
-        dungeon = build_dungeon(session.seed, cfg)
-        mat = behavioral_matrix(session, dungeon)
+        mat = behavioral_matrix(session, cfg.width, cfg.height)
         for t in range(session.length):
             expected = _oracle_behavioral(session.decisions[: t + 1], 36, 10.0)
             np.testing.assert_allclose(mat[t], expected, atol=1e-12)
 
 
+# --- per-step reference ---------------------------------------------------------
+#
+# The per-row featurizer behavioral_matrix replaced: one decision pushed at a
+# time, each row read from running counts. behavioral_matrix builds a game's
+# rows at once from cumulative sums and must give every row the same bits.
+
+_REF_PAIRS = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+_REF_CROSS_SLOT = {pair: 5 + k for k, pair in enumerate(_REF_PAIRS)}
+
+
+def _ref_phase_bounds(n: int) -> list[tuple[int, int]]:
+    b, r = divmod(n, 3)
+    sizes = (b, b + (1 if r == 2 else 0), b + (1 if r >= 1 else 0))
+    bounds = []
+    s = 0
+    for size in sizes:
+        bounds.append((s, s + size))
+        s += size
+    return bounds
+
+
+class _ReferenceState:
+    def __init__(self, dungeon_rooms: int, dist_norm: float):
+        self.rooms = dungeon_rooms
+        self.dist_norm = dist_norm
+        self.n = 0
+        self.trans_counts = np.zeros(N_TRANSITION)
+        self.n_transitions = 0
+        self.prev_cat = None
+        self.avail_counts = np.zeros(5)
+        self.chosen_counts = np.zeros(5)
+        self.chosen_by_step = []
+        self.choice_set_sum = 0
+        self.path_start = None
+        self.pos = None
+        self.unique = set()
+        self.moves = 0
+        self.dist_sum = 0.0
+        self.prev_delta = None
+        self.turns = 0
+        self.backtracks = 0
+
+    def push(self, decision: DecisionPoint) -> None:
+        chosen = decision.available[decision.chosen]
+        cat = chosen.category.value
+        if self.prev_cat is not None:
+            if self.prev_cat == cat:
+                self.trans_counts[cat] += 1
+            else:
+                a, b = sorted((self.prev_cat, cat))
+                self.trans_counts[_REF_CROSS_SLOT[(a, b)]] += 1
+            self.n_transitions += 1
+        self.prev_cat = cat
+
+        offered = {a.category.value for a in decision.available}
+        for c in offered:
+            self.avail_counts[c] += 1
+        self.chosen_counts[cat] += 1
+        self.chosen_by_step.append(cat)
+        self.choice_set_sum += len(decision.available)
+
+        if self.path_start is None:
+            self.path_start = decision.room
+            self.pos = decision.room
+            self.unique.add(decision.room)
+        if chosen.move_delta is not None:
+            dx, dy = chosen.move_delta
+            self.pos = (self.pos[0] + dx, self.pos[1] + dy)
+            self.unique.add(self.pos)
+            self.moves += 1
+            self.dist_sum += abs(self.pos[0] - self.path_start[0]) + abs(
+                self.pos[1] - self.path_start[1]
+            )
+            if self.prev_delta is not None:
+                if chosen.move_delta != self.prev_delta:
+                    self.turns += 1
+                if dx == -self.prev_delta[0] and dy == -self.prev_delta[1]:
+                    self.backtracks += 1
+            self.prev_delta = chosen.move_delta
+        self.n += 1
+
+    def row(self) -> np.ndarray:
+        out = np.zeros(N_BEHAVIORAL)
+        if self.n_transitions > 0:
+            out[:N_TRANSITION] = self.trans_counts / self.n_transitions
+
+        base = N_TRANSITION
+        out[base : base + 5] = self.avail_counts / self.n
+        out[base + 5 : base + 10] = self.chosen_counts / np.maximum(self.avail_counts, 1)
+        out[base + 10] = self.choice_set_sum / self.n / 6.0
+        p = self.chosen_counts / self.n
+        nz = p[p > 0]
+        out[base + 11] = float(-(nz * np.log(nz)).sum()) / np.log(5)
+
+        base = N_TRANSITION + N_AVAIL_SELECT
+        for phase, (s, e) in enumerate(_ref_phase_bounds(self.n)):
+            if e > s:
+                counts = np.bincount(self.chosen_by_step[s:e], minlength=5)
+                out[base + 5 * phase : base + 5 * (phase + 1)] = counts / (e - s)
+
+        base = N_TRANSITION + N_AVAIL_SELECT + N_TEMPORAL
+        out[base] = len(self.unique) / self.rooms
+        positions = self.moves + 1
+        out[base + 1] = 1.0 - len(self.unique) / positions if self.moves else 0.0
+        out[base + 2] = (self.dist_sum / positions) / self.dist_norm
+        if self.moves:
+            net = abs(self.pos[0] - self.path_start[0]) + abs(self.pos[1] - self.path_start[1])
+            out[base + 3] = net / self.moves
+        if self.moves > 1:
+            out[base + 4] = self.turns / (self.moves - 1)
+            out[base + 5] = self.backtracks / (self.moves - 1)
+        return out
+
+
+def _reference_matrix(session: Session, width: int, height: int) -> np.ndarray:
+    state = _ReferenceState(width * height, width - 1 + height - 1)
+    rows = np.empty((session.length, N_BEHAVIORAL))
+    for t, decision in enumerate(session.decisions):
+        state.push(decision)
+        rows[t] = state.row()
+    return rows
+
+
+def _compass_session(directions: list[str]) -> Session:
+    """A walk from (2, 2) choosing one of four moves or a rest at each step."""
+    names = ("east", "west", "north", "south", "rest")
+    menu = tuple(_action(ActionCategory.EXPLORATORY, move=_MOVES[d]) for d in names[:4]) + (
+        _action(ActionCategory.CAUTIOUS),
+    )
+    pos = (2, 2)
+    decisions = []
+    for step, name in enumerate(directions):
+        decisions.append(DecisionPoint(step, pos, menu, names.index(name), "a room", name))
+        if name != "rest":
+            pos = (pos[0] + _MOVES[name][0], pos[1] + _MOVES[name][1])
+    return Session(1, Profile.from_index(0), 0, tuple(decisions), Outcome.STEP_LIMIT)
+
+
+_BITWISE_CASES = {
+    "T1": _session([0]),
+    "T2": _session([0, 3]),
+    "T3": _session([0, 3, 1]),
+    "T4": _session([0, 3, 1, 5]),
+    "no_move": _session([0, 1, 2, 5, 0]),
+    "one_move": _session([0, 3, 1, 2]),
+    "backtrack": _session([3, 4, 3, 0]),
+    "turn": _compass_session(["east", "north", "north", "rest", "west"]),
+    "single_category": _session([1, 1, 1, 1, 1]),
+    "long_mixed": _session([0, 3, 1, 3, 4, 2, 5, 3, 0, 4, 4, 3, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BITWISE_CASES))
+def test_crafted_matrix_is_bitwise_the_per_step_reference(name):
+    session = _BITWISE_CASES[name]
+    mat = behavioral_matrix(session, *_GRID)
+    assert mat.shape == (session.length, N_BEHAVIORAL)
+    assert mat.tobytes() == _reference_matrix(session, *_GRID).tobytes()
+
+
+def test_crafted_cases_reach_what_they_name():
+    move = slice(N_BEHAVIORAL - N_MOVEMENT, N_BEHAVIORAL)
+    assert not behavioral_matrix(_BITWISE_CASES["no_move"], *_GRID)[:, move][:, 1:].any()
+    *_, turn, back = behavioral_matrix(_BITWISE_CASES["backtrack"], *_GRID)[-1, move]
+    assert back == 1.0 and turn == 1.0
+    *_, turn, back = behavioral_matrix(_BITWISE_CASES["turn"], *_GRID)[-1, move]
+    assert turn == pytest.approx(2 / 3) and back == 0.0
+    ent_idx = BEHAVIORAL_SLOT_NAMES.index("selection_entropy")
+    entropy = behavioral_matrix(_BITWISE_CASES["single_category"], *_GRID)[:, ent_idx]
+    assert (entropy == 0.0).all()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_simulated_matrix_is_bitwise_the_per_step_reference(seed):
+    cfg = SimConfig(width=5 + seed % 3, height=6 + seed % 2)
+    session = play_game(Profile.from_index(seed * 7 % 36), seed=seed, config=cfg)
+    mat = behavioral_matrix(session, cfg.width, cfg.height)
+    assert mat.tobytes() == _reference_matrix(session, cfg.width, cfg.height).tobytes()
+
+
 def test_full_vector_is_behavioral_then_text():
     s = _session([0, 3, 1])
-    full = _rows176(s, _DUNGEON)
+    full = _rows176(s, *_GRID)
     assert full.shape == (3, N_TOTAL)
-    np.testing.assert_array_equal(full[:, :N_BEHAVIORAL], behavioral_matrix(s, _DUNGEON))
+    np.testing.assert_array_equal(full[:, :N_BEHAVIORAL], behavioral_matrix(s, *_GRID))
     for t, d in enumerate(s.decisions):
         np.testing.assert_allclose(full[t, N_BEHAVIORAL:], _oracle_embed(_text(d), N_TEXT), atol=1e-12)
 
@@ -434,22 +613,22 @@ def test_prefix_truncation_equivalence():
     long = _session([0, 3, 1, 3, 4, 2])
     short = _session([0, 3, 1])
     np.testing.assert_array_equal(
-        behavioral_matrix(long, _DUNGEON)[:3], behavioral_matrix(short, _DUNGEON)
+        behavioral_matrix(long, *_GRID)[:3], behavioral_matrix(short, *_GRID)
     )
 
 
 def test_legacy_layout():
     s = _session([0, 3, 1])
-    legacy = _rows530(s, _DUNGEON)
+    legacy = _rows530(s, *_GRID)
     assert legacy.shape == (3, N_LEGACY)
     for t, d in enumerate(s.decisions):
         np.testing.assert_allclose(legacy[t, :512], _oracle_embed(_text(d), 512), atol=1e-12)
-    np.testing.assert_array_equal(legacy[:, 512:], behavioral_matrix(s, _DUNGEON)[:, :18])
+    np.testing.assert_array_equal(legacy[:, 512:], behavioral_matrix(s, *_GRID)[:, :18])
 
 
 def test_aggregate_features_layout():
     s = _session([0, 3, 1, 4])
-    agg = aggregate_features(s, behavioral_matrix(s, _DUNGEON), max_steps=40)
+    agg = aggregate_features(s, behavioral_matrix(s, *_GRID), max_steps=40)
     assert agg.shape == (len(AGGREGATE_SLOT_NAMES),) == (52,)
     np.testing.assert_allclose(agg[:48], _oracle_behavioral(s.decisions, 36, 10.0), atol=1e-12)
     assert agg[48] == pytest.approx(4 / 40)  # length fraction
@@ -458,7 +637,7 @@ def test_aggregate_features_layout():
     died = Session(
         game_id=2, profile=s.profile, seed=0, decisions=s.decisions, outcome=Outcome.DIED
     )
-    assert aggregate_features(died, behavioral_matrix(died, _DUNGEON), max_steps=40)[50] == 1.0
+    assert aggregate_features(died, behavioral_matrix(died, *_GRID), max_steps=40)[50] == 1.0
 
 
 def test_aggregate_is_the_last_behavioral_row(small_corpus):
@@ -468,7 +647,7 @@ def test_aggregate_is_the_last_behavioral_row(small_corpus):
     assert AGGREGATE_SLOT_NAMES[25] == "mean_choice_set"
     assert AGGREGATE_SLOT_NAMES[51] == "choice_set_mean"
     for session in sessions:
-        behavioral = behavioral_matrix(session, build_dungeon(session.seed, cfg.sim))
+        behavioral = behavioral_matrix(session, cfg.sim.width, cfg.sim.height)
         agg = aggregate_features(session, behavioral, cfg.sim.max_steps)
         assert agg[:N_BEHAVIORAL].tobytes() == behavioral[-1].tobytes()
         assert agg[51].tobytes() == agg[25].tobytes()
@@ -482,7 +661,7 @@ def test_empty_prefix_rejected():
         decisions=(),
         outcome=Outcome.STEP_LIMIT,
     )
-    behavioral = behavioral_matrix(empty, _DUNGEON)
+    behavioral = behavioral_matrix(empty, *_GRID)
     assert behavioral.shape == (0, N_BEHAVIORAL)
     with pytest.raises(IndexOutOfRange):
         aggregate_features(empty, behavioral, max_steps=40)
@@ -491,7 +670,7 @@ def test_empty_prefix_rejected():
 @settings(deadline=None, max_examples=40)
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=24))
 def test_behavioral_features_bounded(choices):
-    mat = behavioral_matrix(_session(choices), _DUNGEON)
+    mat = behavioral_matrix(_session(choices), *_GRID)
     assert np.isfinite(mat).all()
     assert (mat >= 0.0).all() and (mat <= 1.0 + 1e-12).all()
 
@@ -500,7 +679,7 @@ def test_behavioral_features_bounded(choices):
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=24))
 def test_behavioral_matches_oracle_property(choices):
     s = _session(choices)
-    mat = behavioral_matrix(s, _DUNGEON)
+    mat = behavioral_matrix(s, *_GRID)
     expected = _oracle_behavioral(s.decisions, 36, 10.0)
     np.testing.assert_allclose(mat[-1], expected, atol=1e-12)
 
@@ -520,7 +699,7 @@ def _samples() -> list[SequenceSample]:
                 game_id=gid,
                 profile=s.profile,
                 window=(0, s.length),
-                game=_rows176(s, _DUNGEON),
+                game=_rows176(s, *_GRID),
             )
         )
     return out
@@ -596,7 +775,7 @@ def _oracle_pbf1_windows(sessions_path, cfg, layout):
     out = []
     w, stride = cfg.window_len, cfg.stride
     for session in load_sessions(sessions_path):
-        behavioral = behavioral_matrix(session, build_dungeon(session.seed, cfg.sim))
+        behavioral = behavioral_matrix(session, cfg.sim.width, cfg.sim.height)
         tokens = [tokenize(_text(d)) for d in session.decisions]
         if layout == "176":
             text = np.array([_per_token_embed(t, N_TEXT) for t in tokens])
@@ -620,6 +799,18 @@ def small_corpus(tmp_path_factory):
     cfg = PipelineConfig(master_seed=17, games_per_profile=1, sim=sim, out_dir=str(out))
     stage_gen(cfg)
     return cfg
+
+
+def test_featurize_builds_no_dungeon(small_corpus, tmp_path, monkeypatch):
+    for name in ("sessions.jsonl", "manifest.json"):
+        (tmp_path / name).write_bytes((Paths(small_corpus.out_dir).root / name).read_bytes())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("featurize built a dungeon")
+
+    monkeypatch.setattr(simulator, "build_dungeon", refuse)
+    monkeypatch.setattr(pipeline, "build_dungeon", refuse)
+    assert stage_featurize(replace(small_corpus, out_dir=str(tmp_path)))["games"] == 36
 
 
 @pytest.mark.parametrize("stride", [1, 3, 4])
@@ -717,7 +908,7 @@ def test_aggregate_csv_roundtrip(tmp_path):
         s = Session(
             game_id=gid, profile=profile, seed=0, decisions=s.decisions, outcome=s.outcome
         )
-        rows.append((gid, profile, aggregate_features(s, behavioral_matrix(s, _DUNGEON), 40)))
+        rows.append((gid, profile, aggregate_features(s, behavioral_matrix(s, *_GRID), 40)))
     write_aggregate_csv(path, rows)
     X, y, ids = read_aggregate_csv(path)
     assert X.shape == (3, 52)

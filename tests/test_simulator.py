@@ -276,6 +276,9 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigInvalid):
         SimConfig(width=0).validate()
     with pytest.raises(ConfigInvalid):
+        SimConfig(width=1, height=1).validate()  # no distance to normalise by
+    SimConfig(width=1, height=2).validate()
+    with pytest.raises(ConfigInvalid):
         SimConfig(temperature=0.0).validate()
     with pytest.raises(ConfigInvalid):
         SimConfig(fight_death_chance=1.5).validate()

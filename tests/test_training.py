@@ -120,6 +120,19 @@ class TestLoss:
         assert heavier == pytest.approx(np.log(36) + np.log(9) + np.log(4), rel=1e-9)
 
 
+class TestScoringForward:
+    @pytest.mark.parametrize("pooling", [POOL_MULTI, POOL_ATTENTION, POOL_LAST])
+    def test_logits_bitwise_equal_without_any_cache(self, pooling):
+        ckpt = init_checkpoint(6, 8, 4, pooling, 5, PROFILE_SPACE.tag, 1)
+        X = np.random.default_rng(4).normal(0, 1, (7, 5, 6))
+        cached, cache = forward_batch(X, ckpt)
+        scored, lean = forward_batch(X, ckpt, cache=False)
+        assert lean["lstm"] is None and lean["pool"] is None
+        assert (cache["pool"] is None) == (pooling == POOL_LAST)
+        for head in cached:
+            assert scored[head].tobytes() == cached[head].tobytes()
+
+
 class TestTrainStep:
     def test_single_batch_overfits(self):
         # loss collapses on a memorizable batch within 200 steps
