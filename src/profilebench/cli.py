@@ -15,8 +15,6 @@ from dataclasses import replace
 
 from profilebench.errors import IoFailure, ProfileBenchError, SchemaMismatch
 from profilebench.pipeline import (
-    LADDER,
-    LADDER_BY_ID,
     PipelineConfig,
     run_all,
     stage_balance,
@@ -45,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output directory (default: $PBENCH_OUT, then the config value)",
     )
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--threads", type=int, help="worker threads for generation")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force single-threaded generation regardless of --threads",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate the session corpus")
@@ -90,39 +82,33 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     out = args.out or os.environ.get("PBENCH_OUT")
     if out:
         cfg = replace(cfg, out_dir=out)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
-    if args.deterministic:
-        cfg = replace(cfg, deterministic=True)
-    for name in ("games_per_profile", "window_len", "stride", "train_frac", "val_frac", "test_frac"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg = replace(cfg, **{name: value})
-    if getattr(args, "target", None) is not None:
-        cfg = replace(cfg, balance_target=args.target)
-    train_over = {
-        k: v
-        for k, v in (("epochs", getattr(args, "epochs", None)), ("hidden", getattr(args, "hidden", None)))
-        if v is not None
-    }
-    if train_over:
-        cfg = replace(cfg, train=replace(cfg.train, **train_over))
+    cfg = replace(
+        cfg,
+        split=replace(cfg.split, **_given(args, train="train_frac", val="val_frac", test="test_frac")),
+        train=replace(cfg.train, **_given(args, epochs="epochs", hidden="hidden")),
+        **_given(
+            args,
+            master_seed="seed",
+            games_per_profile="games_per_profile",
+            window_len="window_len",
+            stride="stride",
+            balance_target="target",
+        ),
+    )
     cfg.validate()
     return cfg
 
 
+def _given(args: argparse.Namespace, **fields: str) -> dict:
+    """Config field -> flag value, for each flag given on the command line."""
+    values = {name: getattr(args, dest, None) for name, dest in fields.items()}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def parse_rows(args: argparse.Namespace) -> list[str] | None:
+    """The --rows names; the stage checks them against the ladder."""
     raw = getattr(args, "rows", None)
-    if raw is None:
-        return None
-    rows = [r.strip() for r in raw.split(",") if r.strip()]
-    unknown = [r for r in rows if r not in LADDER_BY_ID]
-    if unknown:
-        known = ", ".join(r.row_id for r in LADDER)
-        raise ProfileBenchError(f"unknown rows {unknown}; known rows: {known}")
-    return rows
+    return None if raw is None else [r.strip() for r in raw.split(",") if r.strip()]
 
 
 def dispatch(args: argparse.Namespace, cfg: PipelineConfig) -> None:

@@ -9,6 +9,7 @@ level: windows of one game can never straddle train and test.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -60,12 +61,14 @@ def window_starts(length: int, window_len: int, stride: int) -> list[tuple[int, 
     return [(s, window_len) for s in range(0, length - window_len + 1, stride)]
 
 
-def build_index(games: Iterable[tuple[int, Profile, int]], window_len: int, stride: int) -> CorpusIndex:
-    """Index from (game_id, profile, session_length) triples."""
+def build_index(windows: Iterable[tuple[int, int, int]]) -> CorpusIndex:
+    """Index from one (game_id, profile_index, length) record per window, as
+    `features.scan_feature_file` returns them; each profile lists its games
+    in id order."""
+    counts = Counter((game_id, profile_idx) for game_id, profile_idx, _ in windows)
     index = CorpusIndex(profiles={p.code: [] for p in PROFILES})
-    for game_id, profile, length in games:
-        n = len(window_starts(length, window_len, stride))
-        index.profiles.setdefault(profile.code, []).append(GameEntry(game_id, n))
+    for game_id, profile_idx in sorted(counts):
+        index.profiles[PROFILES[profile_idx].code].append(GameEntry(game_id, counts[game_id, profile_idx]))
     return index
 
 

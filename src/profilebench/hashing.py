@@ -44,8 +44,9 @@ _STR_HASH: dict[str, int] = {}
 def mix_seed(*parts: int | str) -> int:
     """Fold integers and strings into one well-mixed 64-bit seed.
 
-    Independent of call order elsewhere: the derived seed depends only on
-    the argument values, so parallel workers can derive their own streams.
+    The derived seed depends only on the argument values, never on call
+    order or on draws made elsewhere, so every game, balance class and
+    training row gets its own stream that no other one can shift.
     """
     h = FNV64_OFFSET
     for part in parts:

@@ -8,20 +8,21 @@ the same config produces byte-identical artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import platform
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from profilebench import __version__
 from profilebench.dataset import (
-    CorpusIndex,
-    GameEntry,
     SplitSpec,
     auto_target,
     balance,
+    build_index,
     read_index,
     read_splits,
     split_assignment,
@@ -73,7 +74,7 @@ from profilebench.models.checkpoint import (
 from profilebench.models.training import TrainConfig, label_table, neutral_correction, space_labels, train
 # build_dungeon is unused here, but perfbench/tracing.py patches pipeline.build_dungeon by name
 from profilebench.simulator import SESSIONS_FORMAT, SimConfig, build_dungeon, generate_corpus, load_sessions  # noqa: F401
-from profilebench.taxonomy import LabelSpaceKind, Profile
+from profilebench.taxonomy import LabelSpaceKind
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,58 @@ LADDER_BY_ID = {row.row_id: row for row in LADDER}
 ETA_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 
+def check_rows(row_ids: Iterable[str]) -> list[str]:
+    """`row_ids` as a list; a name outside the ladder raises ConfigInvalid."""
+    row_ids = list(row_ids)
+    unknown = [r for r in row_ids if r not in LADDER_BY_ID]
+    if unknown:
+        raise ConfigInvalid(f"unknown ladder rows {unknown}; known rows: {', '.join(LADDER_BY_ID)}")
+    return row_ids
+
+
+# The JSON types a config value may take, by the type of its field's default.
+_JSON_TYPES = {type(None): (type(None), int), float: (int, float)}
+
+
+def read_config(cls, doc, where: str = "config"):
+    """An instance of dataclass `cls` from the JSON object `doc`.
+
+    Each key must name a field, and each value must have the type of that
+    field's default (`_JSON_TYPES`): an int passes for a float, a bool never
+    for an int, and a None default takes null or an int. A tuple default
+    takes a list of strings, and a dataclass default an object read the
+    same way. Fields left out keep their defaults. A failure raises
+    ConfigInvalid naming the key.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"{where} must be a JSON object, not {type(doc).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ConfigInvalid(f"unknown {where} keys: {unknown}")
+    values = {}
+    for key, value in doc.items():
+        f, name = fields[key], f"{where}.{key}"
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        if dataclasses.is_dataclass(default):
+            value = read_config(type(default), value, name)
+        elif isinstance(default, tuple):
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ConfigInvalid(f"{name} must be a list of strings: {value!r}")
+            value = tuple(value)
+        elif type(value) not in _JSON_TYPES.get(type(default), (type(default),)):
+            raise ConfigInvalid(f"{name} has the wrong type for its default {default!r}: {value!r}")
+        values[key] = value
+    return cls(**values)
+
+
+@dataclass(frozen=True)
+class SplitFractions:
+    train: float = 0.7
+    val: float = 0.15
+    test: float = 0.15
+
+
 @dataclass
 class PipelineConfig:
     master_seed: int = 20260801
@@ -161,15 +214,11 @@ class PipelineConfig:
     window_len: int = 8
     stride: int = 4
     balance_target: int | None = None
-    train_frac: float = 0.7
-    val_frac: float = 0.15
-    test_frac: float = 0.15
+    split: SplitFractions = field(default_factory=SplitFractions)
     train: TrainConfig = field(default_factory=TrainConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
     ladder: tuple[str, ...] = tuple(row.row_id for row in LADDER)
     out_dir: str = "out"
-    threads: int = 1
-    deterministic: bool = False
 
     def validate(self) -> None:
         if self.games_per_profile < 1:
@@ -178,92 +227,39 @@ class PipelineConfig:
             raise ConfigInvalid("window_len and stride must be >= 1")
         if self.balance_target is not None and self.balance_target < 1:
             raise ConfigInvalid(f"balance_target must be >= 1: {self.balance_target}")
-        if self.threads < 1:
-            raise ConfigInvalid(f"threads must be >= 1: {self.threads}")
         self.sim.validate()
         self.train.validate()
         self.baseline.validate()
         self.split_spec().validate()
-        unknown = [r for r in self.ladder if r not in LADDER_BY_ID]
-        if unknown:
-            raise ConfigInvalid(f"unknown ladder rows: {unknown}")
+        check_rows(self.ladder)
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(
-            train=self.train_frac,
-            val=self.val_frac,
-            test=self.test_frac,
+            train=self.split.train,
+            val=self.split.val,
+            test=self.split.test,
             seed=mix_seed(self.master_seed, "split"),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "games_per_profile": self.games_per_profile,
-            "sim": self.sim.to_dict(),
-            "window_len": self.window_len,
-            "stride": self.stride,
-            "balance_target": self.balance_target,
-            "split": {"train": self.train_frac, "val": self.val_frac, "test": self.test_frac},
-            "train": {k: getattr(self.train, k) for k in self.train.__dataclass_fields__},
-            "baseline": {k: getattr(self.baseline, k) for k in self.baseline.__dataclass_fields__},
-            "ladder": list(self.ladder),
-            "out_dir": self.out_dir,
-            "threads": self.threads,
-            "deterministic": self.deterministic,
-        }
-
     def digest_dict(self) -> dict:
-        """Config content that determines outputs; drops execution details
-        (output location, thread count) so digests match across reruns."""
-        doc = self.to_dict()
-        for key in ("out_dir", "threads", "deterministic"):
-            doc.pop(key)
+        """Config content that determines outputs: all but the output
+        location, so digests match across reruns."""
+        doc = dataclasses.asdict(self)
+        del doc["out_dir"]
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {
-            "master_seed", "games_per_profile", "sim", "window_len", "stride",
-            "balance_target", "split", "train", "baseline", "ladder", "out_dir",
-            "threads", "deterministic",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls()
-        simple = {
-            k: doc[k]
-            for k in (
-                "master_seed", "games_per_profile", "window_len", "stride",
-                "balance_target", "out_dir", "threads", "deterministic",
-            )
-            if k in doc
-        }
-        cfg = replace(cfg, **simple)
-        if "ladder" in doc:
-            cfg = replace(cfg, ladder=tuple(doc["ladder"]))
-        if "sim" in doc:
-            cfg = replace(cfg, sim=SimConfig.from_dict(doc["sim"]))
-        if "split" in doc:
-            split = doc["split"]
-            bad = set(split) - {"train", "val", "test"}
-            if bad:
-                raise ConfigInvalid(f"unknown split keys: {sorted(bad)}")
-            cfg = replace(
-                cfg,
-                train_frac=split.get("train", cfg.train_frac),
-                val_frac=split.get("val", cfg.val_frac),
-                test_frac=split.get("test", cfg.test_frac),
-            )
-        for key, klass, attr in (("train", TrainConfig, "train"), ("baseline", BaselineConfig, "baseline")):
-            if key in doc:
-                fields = klass.__dataclass_fields__
-                bad = set(doc[key]) - set(fields)
-                if bad:
-                    raise ConfigInvalid(f"unknown {key} config keys: {sorted(bad)}")
-                cfg = replace(cfg, **{attr: klass(**doc[key])})
-        return cfg
+    def from_dict(cls, doc) -> "PipelineConfig":
+        if isinstance(doc, dict):
+            # Older configs, and every config perfbench/workloads.py writes,
+            # carry these two keys from when generation could run threaded.
+            doc = dict(doc)
+            threads = doc.pop("threads", 1)
+            if type(threads) is not int or threads != 1:
+                raise ConfigInvalid(f"threads must be 1, generation is single-threaded: {threads!r}")
+            if type(doc.pop("deterministic", False)) is not bool:
+                raise ConfigInvalid("deterministic must be true or false")
+        return read_config(cls, doc)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -340,7 +336,9 @@ def _read_manifest(path: Path) -> tuple[SimConfig, int]:
     simulator config that does not validate, raises SchemaMismatch."""
     try:
         fmt, sim_cfg, n_games = read_json(
-            path, "manifest", lambda d: (d["format"], SimConfig.from_dict(d["sim_config"]), sum(d["counts"].values()))
+            path,
+            "manifest",
+            lambda d: (d["format"], read_config(SimConfig, d["sim_config"], "sim_config"), sum(d["counts"].values())),
         )
         sim_cfg.validate()
     except ConfigInvalid as exc:  # the manifest is at fault, not the user's config
@@ -357,14 +355,7 @@ def stage_gen(cfg: PipelineConfig) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
     paths.ensure_root()
-    manifest = generate_corpus(
-        cfg.master_seed,
-        cfg.games_per_profile,
-        cfg.sim,
-        paths.sessions,
-        paths.manifest,
-        threads=1 if cfg.deterministic else cfg.threads,
-    )
+    manifest = generate_corpus(cfg.master_seed, cfg.games_per_profile, cfg.sim, paths.sessions, paths.manifest)
     write_provenance(paths, "gen", [], cfg.master_seed, cfg.digest_dict())
     return manifest
 
@@ -409,24 +400,11 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
     return {"games": w176.n, "windows": n_windows, "schema_version": SCHEMA_VERSION}
 
 
-def _index_from_scan(records: list[tuple[int, int, int]]) -> CorpusIndex:
-    """Corpus index from PBF scan records: one entry per game, counting windows."""
-    per_game: dict[int, tuple[Profile, int]] = {}
-    for game_id, profile_idx, _ in records:
-        profile, count = per_game.get(game_id, (Profile.from_index(profile_idx), 0))
-        per_game[game_id] = (profile, count + 1)
-    index = CorpusIndex(profiles={p.code: [] for p in (Profile.from_index(i) for i in range(36))})
-    for game_id in sorted(per_game):
-        profile, count = per_game[game_id]
-        index.profiles[profile.code].append(GameEntry(game_id, count))
-    return index
-
-
 def stage_balance(cfg: PipelineConfig) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
     require([paths.features176], "balance")
-    index = _index_from_scan(scan_feature_file(paths.features176))
+    index = build_index(scan_feature_file(paths.features176))
     target = cfg.balance_target if cfg.balance_target is not None else auto_target(index)
     seed = mix_seed(cfg.master_seed, "balance")
     balanced = balance(index, target, seed)
@@ -583,10 +561,7 @@ def _row_inputs(paths: Paths, row_ids: list[str]) -> list[Path]:
 def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
-    row_ids = list(rows) if rows is not None else list(cfg.ladder)
-    unknown = [r for r in row_ids if r not in LADDER_BY_ID]
-    if unknown:
-        raise ConfigInvalid(f"unknown ladder rows: {unknown}")
+    row_ids = check_rows(cfg.ladder if rows is None else rows)
     needed = _row_inputs(paths, row_ids)
     require(needed, "train")
     data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})
@@ -671,10 +646,7 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
 def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Report]:
     cfg.validate()
     paths = Paths(cfg.out_dir)
-    row_ids = list(rows) if rows is not None else list(cfg.ladder)
-    unknown = [r for r in row_ids if r not in LADDER_BY_ID]
-    if unknown:
-        raise ConfigInvalid(f"unknown ladder rows: {unknown}")
+    row_ids = check_rows(cfg.ladder if rows is None else rows)
     needed = _row_inputs(paths, row_ids)
     require(needed + [paths.checkpoints], "eval")
     data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -99,17 +99,6 @@ class SimConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigInvalid(f"{name} must lie in [0, 1]: {value}")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        unknown = set(d) - set(known)
-        if unknown:
-            raise ConfigInvalid(f"unknown simulator config keys: {sorted(unknown)}")
-        return cls(**known)
 
 
 @dataclass(frozen=True)
@@ -488,7 +477,8 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
 
 
 def game_seed(master_seed: int, profile_idx: int, ordinal: int) -> int:
-    """Per-game seed independent of generation order or parallelism."""
+    """Per-game seed derived from the game's identity alone, so a game replays
+    the same whatever the corpus size or the games generated before it."""
     return mix_seed(master_seed, profile_idx, ordinal)
 
 
@@ -540,36 +530,16 @@ def session_from_json(d: dict) -> Session:
     )
 
 
-def generate_sessions(
-    master_seed: int, games_per_profile: int, config: SimConfig, threads: int = 1
-) -> Iterable[Session]:
-    """All sessions in canonical (profile, ordinal) order.
-
-    Per-game seeds are derived, never drawn from a shared stream, so output
-    is identical for any thread count.
-    """
+def generate_sessions(master_seed: int, games_per_profile: int, config: SimConfig) -> Iterable[Session]:
+    """All sessions in canonical (profile, ordinal) order; each game is
+    played from its own derived seed, never from a shared stream."""
     if games_per_profile < 1:
         raise ConfigInvalid(f"games_per_profile must be >= 1: {games_per_profile}")
     config.validate()
-    jobs = [
-        (profile, ordinal)
-        for profile in PROFILES
-        for ordinal in range(games_per_profile)
-    ]
-
-    def run(job) -> Session:
-        profile, ordinal = job
-        gid = profile.index * games_per_profile + ordinal
-        return play_game(profile, game_seed(master_seed, profile.index, ordinal), config, gid)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(run, jobs)
-    else:
-        for job in jobs:
-            yield run(job)
+    for profile in PROFILES:
+        for ordinal in range(games_per_profile):
+            gid = profile.index * games_per_profile + ordinal
+            yield play_game(profile, game_seed(master_seed, profile.index, ordinal), config, gid)
 
 
 def generate_corpus(
@@ -578,13 +548,12 @@ def generate_corpus(
     config: SimConfig,
     sessions_path: str | Path,
     manifest_path: str | Path,
-    threads: int = 1,
 ) -> dict:
     """Write sessions.jsonl and its manifest; returns the manifest dict."""
     counts = {p.code: 0 for p in PROFILES}
     try:
         with open(sessions_path, "w", encoding="utf-8") as fh:
-            for session in generate_sessions(master_seed, games_per_profile, config, threads):
+            for session in generate_sessions(master_seed, games_per_profile, config):
                 counts[session.profile.code] += 1
                 fh.write(json.dumps(session_to_json(session), separators=(",", ":")))
                 fh.write("\n")
@@ -593,7 +562,7 @@ def generate_corpus(
             "master_seed": master_seed,
             "games_per_profile": games_per_profile,
             "counts": counts,
-            "sim_config": config.to_dict(),
+            "sim_config": asdict(config),
         }
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

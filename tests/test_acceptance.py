@@ -17,7 +17,7 @@ import test_gradients as gradient_oracles
 import test_lstm as forward_oracles
 
 from profilebench.cli import EXIT_OK, main
-from profilebench.dataset import SplitSpec, build_index, read_splits, split_by_game
+from profilebench.dataset import SplitSpec, build_index, read_splits, split_by_game, window_starts
 from profilebench.features import (
     N_AVAIL_SELECT,
     N_BEHAVIORAL,
@@ -140,9 +140,10 @@ def test_04_balance_ratio_and_split_leakage(desk_run):
             # first profile always has enough games to populate every split
             count = 5 if j == 0 else int(rng.integers(1, 7))
             for _ in range(count):
-                games.append((gid, Profile.from_index(int(p)), int(rng.integers(4, 30))))
+                windows = window_starts(int(rng.integers(4, 30)), 8, 4)
+                games.extend((gid, int(p), length) for _, length in windows)
                 gid += 1
-        corpus = build_index(games, window_len=8, stride=4)
+        corpus = build_index(games)
         spec = SplitSpec(0.6, 0.2, 0.2, seed=int(rng.integers(2**31)))
         train, val, test = split_by_game(corpus, spec)
         ids = [part.game_ids() for part in (train, val, test)]
@@ -278,14 +279,13 @@ def test_10_repeated_runs_are_byte_identical(tmp_path):
         "stride": 4,
         "split": {"train": 0.6, "val": 0.2, "test": 0.2},
         "train": {"epochs": 2, "hidden": 8, "patience": 2},
-        "threads": 1,
     }
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     outs = []
     for name in ("first", "second"):
         out = tmp_path / name
-        code = main(["--config", str(cfg_path), "--out", str(out), "--deterministic", "run-all"])
+        code = main(["--config", str(cfg_path), "--out", str(out), "run-all"])
         assert code == EXIT_OK
         outs.append(out)
 

@@ -25,8 +25,6 @@ TINY = {
     "split": {"train": 0.6, "val": 0.2, "test": 0.2},
     "train": {"epochs": 2, "hidden": 8, "patience": 2},
     "ladder": ["baseline_agg", "multipool_176", "align9_corrected"],
-    "threads": 1,
-    "deterministic": True,
 }
 
 
@@ -258,7 +256,9 @@ class TestStages:
         assert "manifest.json" in err and "rerun gen" in err
 
     @pytest.mark.parametrize(
-        "change", [{"bogus": 1}, {"width": 0}], ids=["unknown_key", "zero_width"]
+        "change",
+        [{"bogus": 1}, {"width": 0}, {"width": "6"}],
+        ids=["unknown_key", "zero_width", "string_width"],
     )
     def test_featurize_on_invalid_manifest_sim_config_is_dependency_error(
         self, tmp_path, capsys, change
@@ -309,12 +309,53 @@ class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json"), "gen"]) == EXIT_IO
 
-    def test_unknown_row_name(self, tmp_path):
+    def test_unknown_row_name(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         code = main(
             ["--config", str(config), "--out", str(tmp_path / "o"), "train", "--rows", "nonesuch"]
         )
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "nonesuch" in err and "multipool_176" in err  # names the known rows
+
+    def test_unknown_row_name_on_eval(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        code = main(
+            ["--config", str(config), "--out", str(tmp_path / "o"), "eval", "--rows", "baseline_agg,nonesuch"]
+        )
+        assert code == EXIT_CONFIG
+        assert "multipool_176" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (dict(TINY, games_per_profile="60"), "games_per_profile"),
+            (dict(TINY, train={"epochs": "5"}), "epochs"),
+            (dict(TINY, sim={"width": "6"}), "width"),
+            (dict(TINY, split={"train": "0.7"}), "train"),
+            (dict(TINY, balance_target=True), "balance_target"),
+            (7, "object"),
+        ],
+        ids=["games_per_profile", "train_epochs", "sim_width", "split_train", "bool_for_int", "top_level"],
+    )
+    def test_mistyped_config_value(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "gen"]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_legacy_thread_keys_load(self, tmp_path, capsys, deterministic):
+        # configs written before generation lost its thread pool carry both keys
+        config = _write_config(tmp_path, games_per_profile=1, threads=1, deterministic=deterministic)
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == EXIT_OK
+        assert "wrote 36 sessions" in capsys.readouterr().out
+
+    def test_more_than_one_thread_is_config_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, threads=2)
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == EXIT_CONFIG
+        assert "threads" in capsys.readouterr().err
 
     def test_split_fractions_must_sum_to_one(self, tmp_path):
         config = _write_config(tmp_path, split={"train": 0.5, "val": 0.1, "test": 0.1})

@@ -140,9 +140,13 @@ def test_imbalance_ratio():
 
 
 def test_build_index_counts_windows():
-    triples = [(0, Profile.from_code("LG-Safety"), 20), (1, Profile.from_code("LG-Safety"), 5)]
-    index = build_index(triples, window_len=8, stride=4)
-    assert index.total("LG-Safety") == 5  # 4 windows + 1 short window
+    safety = Profile.from_code("LG-Safety").index
+    # one record per window, as scan_feature_file returns them: a 20-step game
+    # cut into 4 windows and a 5-step game kept as one short window
+    windows = [(1, safety, 5)] + [(0, safety, 8)] * 4
+    index = build_index(windows)
+    assert index.total("LG-Safety") == 5
+    assert [g.game_id for g in index.profiles["LG-Safety"]] == [0, 1]  # id order
     assert index.total("CE-Wealth") == 0
     assert index.max_game_windows() == 4
 

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from profilebench.errors import ConfigInvalid, SchemaMismatch
+from profilebench.pipeline import read_config
 from profilebench.simulator import (
     ActionCategory,
     ActionInstance,
@@ -257,12 +259,12 @@ def test_generate_sessions_order_and_ids():
         assert s.seed == game_seed(3, s.profile.index, k % 2)
 
 
-def test_generate_corpus_thread_invariant(tmp_path):
+def test_generate_corpus_is_repeatable(tmp_path):
     cfg = SimConfig(max_steps=6)
     p1, m1 = tmp_path / "a.jsonl", tmp_path / "a.json"
     p2, m2 = tmp_path / "b.jsonl", tmp_path / "b.json"
-    generate_corpus(17, 2, cfg, p1, m1, threads=1)
-    generate_corpus(17, 2, cfg, p2, m2, threads=3)
+    generate_corpus(17, 2, cfg, p1, m1)
+    generate_corpus(17, 2, cfg, p2, m2)
     assert p1.read_bytes() == p2.read_bytes()
     assert m1.read_bytes() == m2.read_bytes()
     manifest = json.loads(m1.read_text())
@@ -272,7 +274,9 @@ def test_generate_corpus_thread_invariant(tmp_path):
 
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigInvalid):
-        SimConfig.from_dict({"width": 6, "bogus": 1})
+        read_config(SimConfig, {"width": 6, "bogus": 1})
+    with pytest.raises(ConfigInvalid):
+        read_config(SimConfig, {"width": "6"})
     with pytest.raises(ConfigInvalid):
         SimConfig(width=0).validate()
     with pytest.raises(ConfigInvalid):
@@ -282,7 +286,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
         SimConfig(temperature=0.0).validate()
     with pytest.raises(ConfigInvalid):
         SimConfig(fight_death_chance=1.5).validate()
-    roundtrip = SimConfig.from_dict(SimConfig().to_dict())
+    roundtrip = read_config(SimConfig, asdict(SimConfig()))
     assert roundtrip == SimConfig()
 
 
