@@ -134,16 +134,16 @@ def test_04_balance_ratio_and_split_leakage(desk_run):
     for _ in range(1000):
         n_profiles = int(rng.integers(6, 14))
         picked = rng.choice(36, size=n_profiles, replace=False)
-        games = []
+        windows = []  # one (game_id, profile_index, length) record per window
         gid = 0
         for j, p in enumerate(picked):
             # first profile always has enough games to populate every split
             count = 5 if j == 0 else int(rng.integers(1, 7))
             for _ in range(count):
-                windows = window_starts(int(rng.integers(4, 30)), 8, 4)
-                games.extend((gid, int(p), length) for _, length in windows)
+                starts = window_starts(int(rng.integers(4, 30)), 8, 4)
+                windows.extend((gid, int(p), length) for _, length in starts)
                 gid += 1
-        corpus = build_index(games)
+        corpus = build_index(windows)
         spec = SplitSpec(0.6, 0.2, 0.2, seed=int(rng.integers(2**31)))
         train, val, test = split_by_game(corpus, spec)
         ids = [part.game_ids() for part in (train, val, test)]
