@@ -58,4 +58,5 @@ class ZeroFrequency(ProfileBenchError):
 
 
 class DegenerateData(ProfileBenchError):
-    """Baseline training data is degenerate (constant feature column)."""
+    """Data cannot be used as given: a constant baseline feature column, or
+    a hashed-text count that does not fit in a feature file's int8."""

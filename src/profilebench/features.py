@@ -1,4 +1,4 @@
-"""Per-decision feature extraction and the PBF2 feature file.
+"""Per-decision feature extraction and the PBF3 feature file.
 
 Three layouts come out of this module:
   * 176 = 48 behavioral + 128 hashed-text, the balanced representation
@@ -21,13 +21,13 @@ and order, a phase's counts are the difference of two cumulative rows,
 and the entropy terms are summed in category order with +0.0 for unseen
 categories, which is exact.
 
-Text is counted once per game. Each token's bucket and sign are cached;
-a game's T x 512 signed counts are one bincount over t * 512 + bucket, and
-because 128 divides 512 the 128-bucket counts are those 512 counts folded
-(bucket b adds into b % 128). The sums and squared norms are small
-integers, exact in float64, so every row has the same bits as hashing its
-decision into 128 or 512 buckets on its own (Weinberger et al.,
-arXiv:0902.2206).
+Text is counted once per game. Each token's bucket and sign are cached
+as one int (bucket << 1 | sign bit); a game's T x 512 signed counts are
+one bincount over t * 512 + bucket, and because 128 divides 512 the
+128-bucket counts are those 512 counts folded (bucket b adds into
+b % 128). These integer counts are the hashed representation (Weinberger
+et al., arXiv:0902.2206); the files store them and the reader turns them
+into unit rows.
 
 The bucket comes from FNV-1a over b"b:" + token and the sign from the low
 bit of FNV-1a over b"s:" + token, but the two are not independent:
@@ -37,30 +37,38 @@ bucket's parity (odd buckets add +1, even buckets -1, at 128 and 512
 alike), and colliding tokens never cancel. Fixing that changes every
 hashed-text bit (ROADMAP item 5).
 
-PBF2 layout, little-endian. Header `<4sIIIIII`: magic b"PBF2", schema
-version, record count, max T, dim, window_len, stride. Then one record
-per game: `<QBI` (game_id, profile index, T) and the whole T x dim
-session as float32, row-major. Windows overlap whenever stride <
-window_len, so the file stores each decision once and the reader derives
-the windows from the header's window_len and stride (`window_starts`),
-as read-only views into the game's rows.
+PBF3 layout, little-endian. Header `<4sIIIIIIII`: magic b"PBF3", schema
+version, record count, max T, dim, window_len, stride, and the text
+block's start column and width. Then one record per game: `<QBI`
+(game_id, profile index, T), the T x (dim - width) columns outside the
+text block as float32, then the T x width text counts as int8, both
+row-major: 320 B per decision at 176 and 584 B at 530, against 704 and
+2,120 B as float32 rows. A width of 0 stores every column as float32.
+The reader rebuilds each game's T x dim float32 rows with the ops
+featurize ran when the files held floats: each text row over its norm in
+float64 (the squared norms are small integers, exact), cast to float32
+and placed back at the block's columns, so the rows are bit for bit the
+float32 rows. Windows overlap whenever stride < window_len, so the file
+stores each decision once and the reader derives the windows from the
+header's window_len and stride (`window_starts`), as read-only views into
+the game's rows.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
+import os
 import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from profilebench.dataset import window_starts
-from profilebench.errors import DimensionMismatch, IndexOutOfRange, IoFailure, SchemaMismatch
+from profilebench.errors import DegenerateData, DimensionMismatch, IndexOutOfRange, IoFailure, SchemaMismatch
 from profilebench.hashing import fnv1a64
 from profilebench.simulator import CATEGORIES, Outcome, Session
 from profilebench.taxonomy import Profile
@@ -136,15 +144,17 @@ class SequenceSample:
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
-# token -> (bucket of 512, sign)
-_TOKEN_CACHE: dict[str, tuple[int, float]] = {}
+# token -> (its bucket of 512) << 1 | (1 if it counts -1). No code is 0
+# (bucket 0 is even, so its tokens count -1), so `.get(token) or` never
+# hashes a cached token again.
+_TOKEN_CODES: dict[str, int] = {}
 
 
-def _hash_token(token: str) -> tuple[int, float]:
+def _hash_token(token: str) -> int:
     data = token.encode("utf-8")
-    hit = (fnv1a64(b"b:" + data) % N_TEXT_LEGACY, 1.0 - 2.0 * (fnv1a64(b"s:" + data) & 1))
-    _TOKEN_CACHE[token] = hit
-    return hit
+    code = (fnv1a64(b"b:" + data) % N_TEXT_LEGACY) << 1 | (fnv1a64(b"s:" + data) & 1)
+    _TOKEN_CODES[token] = code
+    return code
 
 
 def tokenize(text: str) -> list[str]:
@@ -161,18 +171,16 @@ def _unit_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def embed_tokens(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, 128) and (T, 512) embeddings of a game's T decisions, one
-    token list each, from one bincount; the 128 counts are the 512 counts
-    folded."""
-    hits = [_TOKEN_CACHE.get(t) or _hash_token(t) for tokens in token_lists for t in tokens]
+    """The (T, 128) and (T, 512) signed integer counts of a game's T
+    decisions, one token list each, from one bincount; the 128 counts are
+    the 512 counts folded."""
+    codes = [_TOKEN_CODES.get(t) or _hash_token(t) for tokens in token_lists for t in tokens]
+    codes = np.array(codes, dtype=np.intp)
     n = len(token_lists)
     rows = np.repeat(np.arange(n) * N_TEXT_LEGACY, [len(tokens) for tokens in token_lists])
-    buckets = np.array([b for b, _ in hits], dtype=np.intp)
-    signs = np.array([s for _, s in hits], dtype=np.float64)
-    counts = np.bincount(rows + buckets, weights=signs, minlength=n * N_TEXT_LEGACY)
-    counts = counts.reshape(n, N_TEXT_LEGACY)
-    folded = counts.reshape(n, N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1)
-    return _unit_rows(folded), _unit_rows(counts)
+    counts = np.bincount(rows + (codes >> 1), weights=1 - 2 * (codes & 1), minlength=n * N_TEXT_LEGACY)
+    counts = counts.astype(np.int64).reshape(n, N_TEXT_LEGACY)
+    return counts.reshape(n, N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1), counts
 
 
 def _phase_bounds(n: np.ndarray) -> list[tuple]:
@@ -282,46 +290,71 @@ def aggregate_features(session: Session, behavioral: np.ndarray, max_steps: int)
 
 
 # ---------------------------------------------------------------------------
-# Feature tensor file ("PBF2"): one record per game, windows derived at load.
+# Feature tensor file ("PBF3"): one record per game, windows derived at load.
 
-_MAGIC = b"PBF2"
-_HEADER = struct.Struct("<4sIIIIII")  # magic, schema, games, max_T, dim, window_len, stride
+_MAGIC = b"PBF3"
+_OLD_MAGICS = {b"PBF1": "per-window records", b"PBF2": "float32 text rows"}
+# magic, schema, games, max_T, dim, window_len, stride, text start, text width
+_HEADER = struct.Struct("<4sIIIIIIII")
 _RECORD = struct.Struct("<QBI")  # game_id, profile index, T
+_INT8 = np.iinfo(np.int8)
 
 
 class FeatureFileWriter:
-    """Streams whole-game samples into the PBF2 format without holding them all.
+    """Streams whole-game samples into the PBF3 format without holding them all.
 
-    The header's record count and max_T are patched on close, so the
-    resulting bytes are identical to a one-shot write. If the `with` body
-    raises, the file is deleted instead of left with a 0-record header.
+    Columns text_start : text_start + text_width of each game hold its
+    hashed-text counts, stored as int8; the others are stored as float32.
+    The file is written as `<path>.tmp` and renamed onto `path` on close,
+    after the header's record count and max_T are patched, so the bytes are
+    identical to a one-shot write. If the `with` body raises, the temp file
+    is deleted and an earlier file at `path` is left as it was.
     """
 
-    def __init__(self, path: str | Path, dim: int, window_len: int, stride: int):
+    def __init__(
+        self, path: str | Path, dim: int, window_len: int, stride: int, text_start: int = 0, text_width: int = 0
+    ):
+        if text_start + text_width > dim:
+            raise DimensionMismatch(f"text columns {text_start}+{text_width} exceed dim {dim}")
+        self.path = Path(path)
         self.dim = dim
         self.window_len = window_len
         self.stride = stride
+        self.text = slice(text_start, text_start + text_width)
         self.n = 0
         self.max_t = 0
+        self._tmp = self.path.with_name(self.path.name + ".tmp")
         try:
-            self._fh = open(path, "wb")
+            self._fh = open(self._tmp, "wb")
             self._fh.write(self._header())
         except OSError as exc:
             raise IoFailure(f"feature file open failed: {exc}") from exc
 
     def _header(self) -> bytes:
+        width = self.text.stop - self.text.start
         return _HEADER.pack(
-            _MAGIC, SCHEMA_VERSION, self.n, self.max_t, self.dim, self.window_len, self.stride
+            _MAGIC, SCHEMA_VERSION, self.n, self.max_t, self.dim, self.window_len, self.stride, self.text.start, width
         )
 
     def add(self, sample: SequenceSample) -> None:
-        """Append one game: `sample.game`, its whole T x dim session."""
+        """Append one game: `sample.game`, its whole T x dim session, with
+        integer counts in [-128, 127] at the text columns; any other count
+        raises DegenerateData."""
         t, d = sample.game.shape
         if d != self.dim:
             raise DimensionMismatch(f"sample dim {d} != file dim {self.dim}")
+        text = sample.game[:, self.text]
+        in_range = text.size == 0 or (_INT8.min <= text.min() and text.max() <= _INT8.max)
+        counts = text.astype(np.int8) if in_range else None  # NaN is out of range
+        if counts is None or not np.array_equal(counts, text):
+            raise DegenerateData(
+                f"game {sample.game_id}: text counts must be integers in "
+                f"[{_INT8.min}, {_INT8.max}] to be stored as int8"
+            )
         try:
             self._fh.write(_RECORD.pack(sample.game_id, sample.profile.index, t))
-            self._fh.write(np.ascontiguousarray(sample.game, dtype="<f4").tobytes())
+            self._fh.write(np.delete(sample.game, self.text, axis=1).astype("<f4").tobytes())
+            self._fh.write(counts.tobytes())
         except OSError as exc:
             raise IoFailure(f"feature file write failed: {exc}") from exc
         self.n += 1
@@ -332,9 +365,15 @@ class FeatureFileWriter:
             self._fh.seek(0)
             self._fh.write(self._header())
             self._fh.close()
+            os.replace(self._tmp, self.path)
         except OSError as exc:
+            self._discard()
             raise IoFailure(f"feature file close failed: {exc}") from exc
         return self.n
+
+    def _discard(self) -> None:
+        self._fh.close()
+        self._tmp.unlink(missing_ok=True)
 
     def __enter__(self) -> "FeatureFileWriter":
         return self
@@ -343,45 +382,83 @@ class FeatureFileWriter:
         if exc_type is None:
             self.close()
         else:
-            self._fh.close()
-            Path(self._fh.name).unlink(missing_ok=True)
+            self._discard()
 
 
-def _parse_feature_file(path: str | Path, fh: BinaryIO) -> tuple[dict, list[tuple[int, ...]]]:
-    """Header dict and (game_id, profile_index, T, payload offset) per record,
-    skipping the payloads; anything but a whole PBF2 file, ending right after
-    its last record, is rejected with SchemaMismatch."""
+def _read_header(path: str | Path, fh: BinaryIO, sha=None) -> dict:
+    """The header of a PBF3 file; another format raises SchemaMismatch."""
     raw = fh.read(_HEADER.size)
+    if raw[:4] in _OLD_MAGICS:
+        raise SchemaMismatch(
+            f"{path}: bad magic {raw[:4]!r} ({_OLD_MAGICS[raw[:4]]} from an older featurize; rerun featurize)"
+        )
     if len(raw) < _HEADER.size:
         raise SchemaMismatch(f"{path}: truncated header")
-    magic, version, n_games, max_t, dim, window_len, stride = _HEADER.unpack(raw)
+    if sha is not None:
+        sha.update(raw)
+    magic, version, n_games, max_t, dim, window_len, stride, text_start, text_width = _HEADER.unpack(raw)
     if magic != _MAGIC:
-        hint = " (per-window records from an older featurize; rerun featurize)"
-        raise SchemaMismatch(f"{path}: bad magic {magic!r}{hint if magic == b'PBF1' else ''}")
+        raise SchemaMismatch(f"{path}: bad magic {magic!r}")
     if version != SCHEMA_VERSION:
         raise SchemaMismatch(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
     if window_len < 1 or stride < 1:
         raise SchemaMismatch(f"{path}: window_len {window_len}, stride {stride}")
-    records = []
-    for _ in range(n_games):
-        raw = fh.read(_RECORD.size)
-        if len(raw) < _RECORD.size:
-            raise SchemaMismatch(f"{path}: truncated record header")
-        game_id, profile_idx, t = _RECORD.unpack(raw)
-        records.append((game_id, profile_idx, t, fh.tell()))
-        fh.seek(4 * t * dim, 1)
-    end = fh.tell()
-    if fh.seek(0, 2) != end:  # trailing bytes, or a payload cut short
-        raise SchemaMismatch(f"{path}: file size does not match its {n_games} records")
-    header = {
+    if text_start + text_width > dim:
+        raise SchemaMismatch(f"{path}: text columns {text_start}+{text_width} exceed dim {dim}")
+    return {
         "schema_version": version,
         "n_games": n_games,
         "max_T": max_t,
         "dim": dim,
         "window_len": window_len,
         "stride": stride,
+        "text_start": text_start,
+        "text_width": text_width,
     }
-    return header, records
+
+
+def _records(path: str | Path, fh: BinaryIO, header: dict, sha=None) -> Iterator[tuple]:
+    """(game_id, profile_index, T, payload) per record after the header.
+    With `sha`, each payload is read and every byte hashed into `sha`;
+    without, payloads are skipped (None). Anything but whole records,
+    ending right at the end of the file, raises SchemaMismatch."""
+    width = header["text_width"]
+    row_bytes = 4 * (header["dim"] - width) + width
+    wrong_size = f"{path}: file size does not match its {header['n_games']} records"
+    for _ in range(header["n_games"]):
+        raw = fh.read(_RECORD.size)
+        if len(raw) < _RECORD.size:
+            raise SchemaMismatch(f"{path}: truncated record header")
+        game_id, profile_idx, t = _RECORD.unpack(raw)
+        payload = None
+        if sha is None:
+            fh.seek(t * row_bytes, 1)
+        else:
+            payload = fh.read(t * row_bytes)
+            if len(payload) < t * row_bytes:
+                raise SchemaMismatch(wrong_size)
+            sha.update(raw)
+            sha.update(payload)
+        yield game_id, profile_idx, t, payload
+    end = fh.tell()
+    if fh.seek(0, 2) != end:  # trailing bytes, or a payload cut short
+        raise SchemaMismatch(wrong_size)
+
+
+def _decode(payload: bytes, t: int, header: dict) -> np.ndarray:
+    """A record's T x dim float32 rows, read-only: its float32 columns,
+    with its text counts made unit rows at the text columns."""
+    dim, start, width = header["dim"], header["text_start"], header["text_width"]
+    floats = np.frombuffer(payload, dtype="<f4", count=t * (dim - width)).reshape(t, dim - width)
+    if width == 0:
+        return floats  # a view of bytes, read-only
+    counts = np.frombuffer(payload, dtype=np.int8, offset=floats.nbytes).reshape(t, width)
+    game = np.empty((t, dim), dtype="<f4")
+    game[:, :start] = floats[:, :start]
+    game[:, start : start + width] = _unit_rows(counts.astype(np.float64))
+    game[:, start + width :] = floats[:, start:]
+    game.flags.writeable = False
+    return game
 
 
 def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
@@ -389,7 +466,8 @@ def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
     reading only the file's headers."""
     try:
         with open(path, "rb") as fh:
-            header, records = _parse_feature_file(path, fh)
+            header = _read_header(path, fh)
+            records = list(_records(path, fh, header))
     except OSError as exc:
         raise IoFailure(f"feature file read failed: {exc}") from exc
     return [
@@ -400,27 +478,28 @@ def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
 
 
 def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
-    """Read a PBF2 file once; returns (per-window samples, header dict).
+    """Read a PBF3 file once, record by record; returns (per-window
+    samples, header dict).
 
     Samples come in game order, then window order. A game's windows share
-    one `game`, a read-only float32 view of its rows in the bytes read, so
-    each `matrix` is a view of it. The header carries the file's sha256 and
-    its window count as "n_samples".
+    one `game`, its read-only float32 rows, so each `matrix` is a view of
+    it. The header carries the file's sha256 and its window count as
+    "n_samples".
     """
+    sha = hashlib.sha256()
+    samples = []
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            header = _read_header(path, fh, sha)
+            for game_id, profile_idx, t, payload in _records(path, fh, header, sha):
+                game = _decode(payload, t, header)
+                profile = Profile.from_index(profile_idx)
+                for start, length in window_starts(t, header["window_len"], header["stride"]):
+                    samples.append(SequenceSample(game_id, profile, (start, length), game))
     except OSError as exc:
         raise IoFailure(f"feature file read failed: {exc}") from exc
-    header, records = _parse_feature_file(path, io.BytesIO(data))
-    dim = header["dim"]
-    samples = []
-    for game_id, profile_idx, t, offset in records:
-        game = np.frombuffer(data, dtype="<f4", count=t * dim, offset=offset).reshape(t, dim)
-        profile = Profile.from_index(profile_idx)
-        for start, length in window_starts(t, header["window_len"], header["stride"]):
-            samples.append(SequenceSample(game_id, profile, (start, length), game))
     header["n_samples"] = len(samples)
-    header["sha256"] = hashlib.sha256(data).hexdigest()
+    header["sha256"] = sha.hexdigest()
     return samples, header
 
 

@@ -46,8 +46,11 @@ from profilebench.evaluation import (
     write_table,
 )
 from profilebench.features import (
+    N_BEHAVIORAL,
     N_BEHAVIORAL_LEGACY,
     N_LEGACY,
+    N_TEXT,
+    N_TEXT_LEGACY,
     N_TOTAL,
     SCHEMA_VERSION,
     FeatureFileWriter,
@@ -155,8 +158,11 @@ ETA_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 
 def check_rows(row_ids: Iterable[str]) -> list[str]:
-    """`row_ids` as a list; a name outside the ladder raises ConfigInvalid."""
+    """`row_ids` as a list; an empty list, or a name outside the ladder,
+    raises ConfigInvalid."""
     row_ids = list(row_ids)
+    if not row_ids:  # a stage on no rows would only overwrite its outputs
+        raise ConfigInvalid("no ladder rows given; name at least one of: " + ", ".join(LADDER_BY_ID))
     unknown = [r for r in row_ids if r not in LADDER_BY_ID]
     if unknown:
         raise ConfigInvalid(f"unknown ladder rows {unknown}; known rows: {', '.join(LADDER_BY_ID)}")
@@ -368,17 +374,20 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
     agg_rows = []
     n_windows = 0
     windows = (cfg.window_len, cfg.stride)
-    with FeatureFileWriter(paths.features176, N_TOTAL, *windows) as w176, FeatureFileWriter(
-        paths.features530, N_LEGACY, *windows
+    # each game's rows carry its text as signed counts, which the files store as int8
+    with FeatureFileWriter(
+        paths.features176, N_TOTAL, *windows, text_start=N_BEHAVIORAL, text_width=N_TEXT
+    ) as w176, FeatureFileWriter(
+        paths.features530, N_LEGACY, *windows, text_start=0, text_width=N_TEXT_LEGACY
     ) as w530:
         for session in load_sessions(paths.sessions):
             behavioral = behavioral_matrix(session, sim_cfg.width, sim_cfg.height)
             t_steps = session.length
-            text128, text512 = embed_tokens(
+            counts128, counts512 = embed_tokens(
                 [tokenize(d.room_text + " " + d.action_text) for d in session.decisions]
             )
-            full176 = np.hstack([behavioral, text128])
-            legacy530 = np.hstack([text512, behavioral[:, :N_BEHAVIORAL_LEGACY]])
+            full176 = np.hstack([behavioral, counts128])
+            legacy530 = np.hstack([counts512, behavioral[:, :N_BEHAVIORAL_LEGACY]])
             whole = (0, t_steps)
             w176.add(SequenceSample(session.game_id, session.profile, whole, full176))
             w530.add(SequenceSample(session.game_id, session.profile, whole, legacy530))

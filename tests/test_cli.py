@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,38 @@ class TestRunAll:
         code = main(["--config", str(config), "--out", str(copy), stage, "--rows", "multipool_176"])
         assert code == EXIT_DEPENDENCY
         assert "features176.pbf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["balance", "train", "eval"])
+    def test_pbf2_feature_file_is_dependency_error(self, finished_run, tmp_path, capsys, stage):
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        # a whole PBF2 file (float32 text rows) with no records
+        (copy / "features176.pbf").write_bytes(struct.pack("<4sIIIIII", b"PBF2", 1, 0, 0, 176, 8, 4))
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(copy), stage]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "features176.pbf" in err and "rerun featurize" in err
+
+    @pytest.mark.parametrize(
+        "argv, ladder",
+        [(["train", "--rows", ""], None), (["eval", "--rows", ","], None), (["run-all"], [])],
+    )
+    def test_no_rows_is_config_error_and_writes_nothing(
+        self, finished_run, tmp_path, capsys, argv, ladder
+    ):
+        _, _, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        config = _write_config(tmp_path) if ladder is None else _write_config(tmp_path, ladder=ladder)
+        kept = [copy / "checkpoints" / "train_status.json", copy / "results" / "table.md"]
+        kept += sorted((copy / "provenance").glob("*.json"))
+        assert all(p.exists() for p in kept) and len(kept) > 2
+        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(copy), *argv]) == EXIT_CONFIG
+        assert "no ladder rows" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
 
 class TestStages:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from profilebench.dataset import window_starts
-from profilebench.errors import IndexOutOfRange, SchemaMismatch
+from profilebench.errors import DegenerateData, IndexOutOfRange, SchemaMismatch
 from profilebench.features import (
     AGGREGATE_SLOT_NAMES,
     BEHAVIORAL_SLOT_NAMES,
@@ -36,6 +36,7 @@ from profilebench.features import (
     SCHEMA_VERSION,
     FeatureFileWriter,
     SequenceSample,
+    _unit_rows,
     aggregate_features,
     behavioral_matrix,
     embed_tokens,
@@ -219,9 +220,15 @@ def _full_prefix(session: Session) -> np.ndarray:
     return behavioral_matrix(session, *_GRID)[-1]
 
 
+def _embed_rows(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 128) and (T, 512) float64 unit rows the feature-file reader
+    makes of embed_tokens' counts, before its float32 cast."""
+    return tuple(_unit_rows(counts.astype(np.float64)) for counts in embed_tokens(token_lists))
+
+
 def _embed(text: str, n_buckets: int) -> np.ndarray:
     """The n_buckets-wide embedding of `text` from the one-pass hashing."""
-    e128, e512 = embed_tokens([tokenize(text)])
+    e128, e512 = _embed_rows([tokenize(text)])
     return (e128 if n_buckets == N_TEXT else e512)[0]
 
 
@@ -229,17 +236,33 @@ def _text(decision: DecisionPoint) -> str:
     return decision.room_text + " " + decision.action_text
 
 
+def _counts176(session: Session, width: int, height: int) -> np.ndarray:
+    """A game's 176 columns as stage_featurize hands them to the writer:
+    48 behavioral, then 128 text counts."""
+    counts = embed_tokens([tokenize(_text(d)) for d in session.decisions])[0]
+    return np.hstack([behavioral_matrix(session, width, height), counts])
+
+
 def _rows176(session: Session, width: int, height: int) -> np.ndarray:
-    """A game's 176 rows as stage_featurize stacks them."""
-    text = embed_tokens([tokenize(_text(d)) for d in session.decisions])[0]
+    """A game's 176 rows as the reader rebuilds them, before its float32
+    cast: 48 behavioral columns, then the unit text rows."""
+    text = _embed_rows([tokenize(_text(d)) for d in session.decisions])[0]
     return np.hstack([behavioral_matrix(session, width, height), text])
 
 
 def _rows530(session: Session, width: int, height: int) -> np.ndarray:
-    """A game's 530 rows as stage_featurize stacks them."""
-    text = embed_tokens([tokenize(_text(d)) for d in session.decisions])[1]
+    """A game's 530 rows as the reader rebuilds them, before its float32
+    cast: the unit text rows, then 18 behavioral columns."""
+    text = _embed_rows([tokenize(_text(d)) for d in session.decisions])[1]
     behavioral = behavioral_matrix(session, width, height)[:, :N_BEHAVIORAL_LEGACY]
     return np.hstack([text, behavioral])
+
+
+def _float_rows(game: np.ndarray, text_start: int, text_width: int) -> np.ndarray:
+    """The float32 rows a float feature file held for `game`: its text
+    counts as unit rows, stacked back in column order, cast to <f4."""
+    text = slice(text_start, text_start + text_width)
+    return np.hstack([game[:, : text.start], _unit_rows(game[:, text]), game[:, text.stop :]]).astype("<f4")
 
 
 # --- hashing / embedding -----------------------------------------------------
@@ -262,11 +285,25 @@ def test_tokenize_unigrams_then_bigrams():
 def test_embed_empty_is_zero():
     for text in ("", "   \t "):
         assert not any(v.any() for v in embed_tokens([tokenize(text)]))
+        assert not any(v.any() for v in _embed_rows([tokenize(text)]))
+
+
+def test_embed_counts_are_the_signed_token_counts():
+    token_lists = [tokenize("a goblin sharpens a rusty knife"), tokenize("x x x"), []]
+    for counts, n_buckets in zip(embed_tokens(token_lists), (N_TEXT, N_TEXT_LEGACY)):
+        assert counts.dtype == np.int64
+        want = np.zeros((len(token_lists), n_buckets), dtype=np.int64)
+        for t, tokens in enumerate(token_lists):
+            for token in tokens:
+                raw = token.encode("utf-8")
+                want[t, _oracle_fnv(b"b:" + raw) % n_buckets] += 1 - 2 * (_oracle_fnv(b"s:" + raw) & 1)
+        np.testing.assert_array_equal(counts, want)
+        assert abs(counts[1]).max() == 3  # "x" three times
 
 
 def test_embed_unit_norm_and_determinism():
     text = "a goblin sharpens a rusty knife"
-    for v1, v2 in zip(embed_tokens([tokenize(text)]), embed_tokens([tokenize(text)])):
+    for v1, v2 in zip(_embed_rows([tokenize(text)]), _embed_rows([tokenize(text)])):
         np.testing.assert_array_equal(v1, v2)
         assert np.linalg.norm(v1[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -304,7 +341,7 @@ def test_one_pass_embedding_is_bitwise_the_per_token_sum(small_corpus):
     assert len(texts) > 300
     for text in texts:
         tokens = tokenize(text)
-        both = embed_tokens([tokens])
+        both = _embed_rows([tokens])
         for (got,), n_buckets in zip(both, (128, 512)):
             want = _per_token_embed(tokens, n_buckets)
             assert got.tobytes() == want.tobytes(), text
@@ -316,7 +353,7 @@ def test_game_embedding_is_bitwise_the_per_decision_oracle(small_corpus):
     for session in load_sessions(Paths(small_corpus.out_dir).sessions):
         games.append([tokenize(_text(d)) for d in session.decisions])
     for token_lists in games:
-        e128, e512 = embed_tokens(token_lists)
+        e128, e512 = _embed_rows(token_lists)
         assert e128.shape == (len(token_lists), N_TEXT)
         assert e512.shape == (len(token_lists), N_TEXT_LEGACY)
         for got, n_buckets in ((e128, N_TEXT), (e512, N_TEXT_LEGACY)):
@@ -699,21 +736,21 @@ def _samples() -> list[SequenceSample]:
                 game_id=gid,
                 profile=s.profile,
                 window=(0, s.length),
-                game=_rows176(s, *_GRID),
+                game=_counts176(s, *_GRID),
             )
         )
     return out
 
 
 def _write(path, samples, window_len=8, stride=4) -> int:
-    """Whole-game samples into a PBF2 file; returns the record count."""
-    with FeatureFileWriter(path, N_TOTAL, window_len, stride) as writer:
+    """Whole-game 176 samples into a PBF3 file; returns the record count."""
+    with FeatureFileWriter(path, N_TOTAL, window_len, stride, N_BEHAVIORAL, N_TEXT) as writer:
         for s in samples:
             writer.add(s)
     return writer.n
 
 
-_PBF2_HEADER_BYTES = 28  # <4sIIIIII
+_PBF3_HEADER_BYTES = 36  # <4sIIIIIIII
 
 
 def test_feature_file_roundtrip(tmp_path):
@@ -728,12 +765,16 @@ def test_feature_file_roundtrip(tmp_path):
     assert header["schema_version"] == SCHEMA_VERSION
     assert header["max_T"] == 6
     assert (header["window_len"], header["stride"]) == (8, 4)
+    assert (header["text_start"], header["text_width"]) == (N_BEHAVIORAL, N_TEXT)
     assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    # 48 float32 columns and 128 int8 counts per decision
+    assert path.stat().st_size == _PBF3_HEADER_BYTES + sum(13 + 320 * s.game.shape[0] for s in samples)
     for orig, back in zip(samples, loaded):
         assert back.game_id == orig.game_id
         assert back.profile == orig.profile
         assert back.window == (0, orig.matrix.shape[0])
-        np.testing.assert_array_equal(back.matrix, orig.matrix.astype(np.float32))
+        assert back.matrix.dtype == np.float32
+        assert back.matrix.tobytes() == _float_rows(orig.matrix, N_BEHAVIORAL, N_TEXT).tobytes()
         assert not back.matrix.flags.writeable
     scanned = scan_feature_file(path)
     assert scanned == [(s.game_id, s.profile.index, s.matrix.shape[0]) for s in samples]
@@ -747,7 +788,7 @@ def test_feature_file_windows_are_views_of_game_rows(tmp_path):
     want = [(g.game_id, (a, 2)) for g in samples for a in range(g.matrix.shape[0] - 1)]
     assert [(s.game_id, s.window) for s in loaded] == want
     assert header["n_samples"] == len(want) == 2 + 1 + 5
-    games = {g.game_id: g.matrix.astype(np.float32) for g in samples}
+    games = {g.game_id: _float_rows(g.matrix, N_BEHAVIORAL, N_TEXT) for g in samples}
     for s in loaded:
         start, length = s.window
         np.testing.assert_array_equal(s.matrix, games[s.game_id][start : start + length])
@@ -846,24 +887,30 @@ def test_feature_file_rejects_garbage(tmp_path):
         read_feature_file(trunc)
     # cut inside a record header, not just inside a payload
     partial = tmp_path / "partial.pbf"
-    partial.write_bytes(good.read_bytes()[: _PBF2_HEADER_BYTES + 5])
+    partial.write_bytes(good.read_bytes()[: _PBF3_HEADER_BYTES + 5])
     with pytest.raises(SchemaMismatch):
         read_feature_file(partial)
     with pytest.raises(SchemaMismatch):
         scan_feature_file(partial)
 
 
-@pytest.mark.parametrize("damage", ["pbf1", "cut_header", "cut_record", "trailing_byte"])
+@pytest.mark.parametrize(
+    "damage", ["pbf1", "cut_header", "cut_record", "trailing_byte", "cut_text_row", "float_text_row"]
+)
 def test_damaged_feature_file_names_the_file(tmp_path, damage):
     good = tmp_path / "good.pbf"
     _write(good, _samples())
     data = good.read_bytes()
     if damage == "pbf1":  # a per-window file: 20-byte header, no window fields
-        data = struct.pack("<4sIIII", b"PBF1", SCHEMA_VERSION, 3, 6, N_TOTAL) + data[28:]
+        data = struct.pack("<4sIIII", b"PBF1", SCHEMA_VERSION, 3, 6, N_TOTAL) + data[_PBF3_HEADER_BYTES:]
     elif damage == "cut_header":
-        data = data[: _PBF2_HEADER_BYTES - 1]
+        data = data[: _PBF3_HEADER_BYTES - 1]
     elif damage == "cut_record":
         data = data[:-1]
+    elif damage == "cut_text_row":  # the last decision's int8 counts
+        data = data[:-N_TEXT]
+    elif damage == "float_text_row":  # the bytes float32 counts would add to one row
+        data = data + bytes(3 * N_TEXT)
     else:
         data = data + b"\x00"
     path = tmp_path / f"{damage}.pbf"
@@ -876,10 +923,97 @@ def test_damaged_feature_file_names_the_file(tmp_path, damage):
 def test_feature_file_writer_removes_partial_file_on_error(tmp_path):
     path = tmp_path / "partial.pbf"
     with pytest.raises(RuntimeError):
-        with FeatureFileWriter(path, N_TOTAL, 8, 4) as writer:
+        with FeatureFileWriter(path, N_TOTAL, 8, 4, N_BEHAVIORAL, N_TEXT) as writer:
             writer.add(_samples()[0])
             raise RuntimeError("featurizer failed mid-file")
     assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_the_older_file_unchanged(tmp_path):
+    path = tmp_path / "features176.pbf"
+    _write(path, _samples())
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with FeatureFileWriter(path, N_TOTAL, 2, 1, N_BEHAVIORAL, N_TEXT) as writer:
+            writer.add(_samples()[2])
+            assert path.read_bytes() == before  # the new rows go to a temp file
+            assert (tmp_path / "features176.pbf.tmp").exists()
+            raise RuntimeError("featurizer failed mid-file")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["features176.pbf"]
+    _write(path, _samples()[:1])  # a finished write replaces it
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["features176.pbf"]
+
+
+@pytest.mark.parametrize("count", [128, -129, 0.5, np.nan])
+def test_writer_rejects_a_count_outside_int8(tmp_path, count):
+    path = tmp_path / "x.pbf"
+    sample = _samples()[0]
+    game = sample.game.copy()
+    game[1, N_BEHAVIORAL + 3] = count
+    with pytest.raises(DegenerateData, match="int8"):
+        with FeatureFileWriter(path, N_TOTAL, 8, 4, N_BEHAVIORAL, N_TEXT) as writer:
+            writer.add(replace(sample, game=game))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_keeps_the_int8_extremes(tmp_path):
+    path = tmp_path / "x.pbf"
+    sample = _samples()[0]
+    game = sample.game.copy()
+    game[0, N_BEHAVIORAL:] = 0
+    game[0, N_BEHAVIORAL] = 127
+    game[0, N_BEHAVIORAL + 1] = -128
+    _write(path, [replace(sample, game=game)])
+    (back,), _ = read_feature_file(path)
+    assert back.game.tobytes() == _float_rows(game, N_BEHAVIORAL, N_TEXT).tobytes()
+    assert back.game[0, N_BEHAVIORAL] == np.float32(127 / math.hypot(127, 128))
+
+
+@pytest.mark.parametrize("magic, header", [(b"PBF1", "<4sIIII"), (b"PBF2", "<4sIIIIII")])
+def test_older_feature_file_asks_for_featurize(tmp_path, magic, header):
+    path = tmp_path / "old.pbf"
+    fields = (magic, SCHEMA_VERSION, 0, 0, N_TOTAL, 8, 4)[: header.count("I") + 1]
+    path.write_bytes(struct.pack(header, *fields))  # a whole file with no records
+    for reader in (read_feature_file, scan_feature_file):
+        with pytest.raises(SchemaMismatch, match=f"{magic!r}.*rerun featurize"):
+            reader(path)
+
+
+def test_decoded_rows_are_bitwise_the_float_path(small_corpus):
+    """Each game's decoded rows are what featurize wrote when the files held
+    float32 text: `_unit_rows` on the game's float64 counts, stacked in
+    column order and cast to <f4."""
+    cfg = small_corpus
+    stage_featurize(cfg)
+    paths = Paths(cfg.out_dir)
+    want = {"176": {}, "530": {}}
+    lengths = {}
+    for session in load_sessions(paths.sessions):
+        behavioral = behavioral_matrix(session, cfg.sim.width, cfg.sim.height)
+        text128, text512 = _embed_rows([tokenize(_text(d)) for d in session.decisions])
+        want["176"][session.game_id] = np.hstack([behavioral, text128]).astype("<f4")
+        want["530"][session.game_id] = np.hstack([text512, behavioral[:, :N_BEHAVIORAL_LEGACY]]).astype("<f4")
+        lengths[session.game_id] = session.length
+    sizes = {"176": 4 * N_BEHAVIORAL + N_TEXT, "530": N_TEXT_LEGACY + 4 * N_BEHAVIORAL_LEGACY}
+    for layout, path in (("176", paths.features176), ("530", paths.features530)):
+        loaded, header = read_feature_file(path)
+        games = {s.game_id: s.game for s in loaded}
+        assert games.keys() == want[layout].keys()
+        for game_id, game in games.items():
+            assert game.tobytes() == want[layout][game_id].tobytes()
+            assert not game.flags.writeable
+            with pytest.raises(ValueError):
+                game[0, 0] = 1.0
+        rows = sum(lengths.values())
+        assert path.stat().st_size == _PBF3_HEADER_BYTES + 13 * len(lengths) + sizes[layout] * rows
+        scanned = scan_feature_file(path)
+        assert scanned == [(s.game_id, s.profile.index, s.window[1]) for s in loaded]
+        assert Counter(g for g, _, _ in scanned) == {
+            g: len(window_starts(t, cfg.window_len, cfg.stride)) for g, t in lengths.items()
+        }
 
 
 def test_feature_file_rejects_trailing_bytes(tmp_path):
