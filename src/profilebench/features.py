@@ -22,12 +22,15 @@ and the entropy terms are summed in category order with +0.0 for unseen
 categories, which is exact.
 
 Text is counted once per game. Each token's bucket and sign are cached
-as one int (bucket << 1 | sign bit); a game's T x 512 signed counts are
-one bincount over t * 512 + bucket, and because 128 divides 512 the
-128-bucket counts are those 512 counts folded (bucket b adds into
-b % 128). These integer counts are the hashed representation (Weinberger
-et al., arXiv:0902.2206); the files store them and the reader turns them
-into unit rows.
+as one int (bucket << 1 | sign bit), and each sentence's token codes are
+cached too: a decision's text is split at ". ", and its codes are its
+pieces' cached codes plus the bigram joining each piece to the next one
+with words. A game's T x 512 signed counts are one bincount over
+t * 512 + bucket, and because 128 divides 512 the 128-bucket counts are
+those 512 counts folded (bucket b adds into b % 128). These integer
+counts are the hashed representation (Weinberger et al.,
+arXiv:0902.2206); the files store them and the reader turns them into
+unit rows.
 
 The bucket comes from FNV-1a over b"b:" + token and the sign from the low
 bit of FNV-1a over b"s:" + token, but the two are not independent:
@@ -149,6 +152,11 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 # hashes a cached token again.
 _TOKEN_CODES: dict[str, int] = {}
 
+# piece of text -> (the codes of its unigrams and bigrams, its first word,
+# its last word); the words are None when it has none. Decision texts are
+# sentences from a fixed template bank, so the pieces are few and repeat.
+_PIECES: dict[str, tuple[list[int], str | None, str | None]] = {}
+
 
 def _hash_token(token: str) -> int:
     data = token.encode("utf-8")
@@ -157,10 +165,15 @@ def _hash_token(token: str) -> int:
     return code
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase word unigrams followed by space-joined bigrams."""
-    words = _WORD_RE.findall(text.lower())
-    return words + [f"{a} {b}" for a, b in zip(words, words[1:])]
+def _code(token: str) -> int:
+    return _TOKEN_CODES.get(token) or _hash_token(token)
+
+
+def _piece(piece: str) -> tuple[list[int], str | None, str | None]:
+    words = _WORD_RE.findall(piece.lower())
+    codes = [_code(w) for w in words] + [_code(f"{a} {b}") for a, b in zip(words, words[1:])]
+    entry = _PIECES[piece] = (codes, words[0], words[-1]) if words else (codes, None, None)
+    return entry
 
 
 def _unit_rows(counts: np.ndarray) -> np.ndarray:
@@ -170,14 +183,33 @@ def _unit_rows(counts: np.ndarray) -> np.ndarray:
     return counts / norms[:, None]
 
 
-def embed_tokens(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+def embed_tokens(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, 128) and (T, 512) signed integer counts of a game's T
-    decisions, one token list each, from one bincount; the 128 counts are
-    the 512 counts folded."""
-    codes = [_TOKEN_CODES.get(t) or _hash_token(t) for tokens in token_lists for t in tokens]
+    decision texts, from one bincount; the 128 counts are the 512 counts
+    folded.
+
+    A text's tokens are its lowercase words ([a-z0-9]+) and the bigrams of
+    consecutive words. Each text is split at ". ", which no word crosses, so
+    its tokens are the tokens of its pieces (cached per piece) plus one
+    bigram at each join of a piece's last word with the next worded piece's
+    first word. The counts are integer sums, so their order changes nothing.
+    """
+    codes = []
+    lengths = []
+    for text in texts:
+        start = len(codes)
+        last = None
+        for piece in text.split(". "):
+            piece_codes, first, end = _PIECES.get(piece) or _piece(piece)
+            if first is not None:
+                if last is not None:
+                    codes.append(_code(f"{last} {first}"))
+                last = end
+            codes += piece_codes
+        lengths.append(len(codes) - start)
     codes = np.array(codes, dtype=np.intp)
-    n = len(token_lists)
-    rows = np.repeat(np.arange(n) * N_TEXT_LEGACY, [len(tokens) for tokens in token_lists])
+    n = len(texts)
+    rows = np.repeat(np.arange(n) * N_TEXT_LEGACY, lengths)
     counts = np.bincount(rows + (codes >> 1), weights=1 - 2 * (codes & 1), minlength=n * N_TEXT_LEGACY)
     counts = counts.astype(np.int64).reshape(n, N_TEXT_LEGACY)
     return counts.reshape(n, N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1), counts
@@ -208,9 +240,9 @@ def behavioral_matrix(session: Session, width: int, height: int) -> np.ndarray:
     for decision in decisions:
         options = decision.available
         action = options[decision.chosen]
-        cats.append(action.category.value)
+        cats.append(action.category_id)
         sizes.append(len(options))
-        offered += [a.category.value for a in options]
+        offered += [a.category_id for a in options]
         delta = action.move_delta
         if delta is not None:
             dx, dy = delta

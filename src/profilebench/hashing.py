@@ -36,9 +36,32 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-# fnv1a64 of each string part seen by mix_seed. The string parts are tags
+# fnv1a64 of each string part seen by fold_seed. The string parts are tags
 # and template/row ids, a small fixed set, so the dict stays small.
 _STR_HASH: dict[str, int] = {}
+
+
+def fold_seed(h: int, *parts: int | str) -> int:
+    """Fold more parts into a seed that `mix_seed` (or `fold_seed`) returned:
+    fold_seed(mix_seed(*a), *b) == mix_seed(*a, *b).
+
+    Each part is xored in (a string as its fnv1a64, an int as its low 64
+    bits) and followed by one splitmix64 round, run inline. A caller that
+    derives many seeds from one prefix folds the prefix once and reuses it.
+    """
+    for part in parts:
+        if isinstance(part, str):
+            s = _STR_HASH.get(part)
+            if s is None:
+                s = _STR_HASH[part] = fnv1a64(part.encode("utf-8"))
+            h ^= s
+        else:
+            h ^= part & _MASK64
+        h = (h + 0x9E3779B97F4A7C15) & _MASK64
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h ^= h >> 31
+    return h
 
 
 def mix_seed(*parts: int | str) -> int:
@@ -48,17 +71,7 @@ def mix_seed(*parts: int | str) -> int:
     order or on draws made elsewhere, so every game, balance class and
     training row gets its own stream that no other one can shift.
     """
-    h = FNV64_OFFSET
-    for part in parts:
-        if isinstance(part, str):
-            s = _STR_HASH.get(part)
-            if s is None:
-                s = _STR_HASH[part] = fnv1a64(part.encode("utf-8"))
-            h ^= s
-        else:
-            h ^= part & _MASK64
-        h = splitmix64(h)
-    return h
+    return fold_seed(FNV64_OFFSET, *parts)
 
 
 def sha256_file(path: str | Path) -> str:

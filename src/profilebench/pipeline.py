@@ -61,7 +61,6 @@ from profilebench.features import (
     read_aggregate_csv,
     read_feature_file,
     scan_feature_file,
-    tokenize,
     write_aggregate_csv,
 )
 from profilebench.hashing import digest_config, mix_seed, read_json, sha256_file, stable_json_dumps
@@ -383,9 +382,7 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
         for session in load_sessions(paths.sessions):
             behavioral = behavioral_matrix(session, sim_cfg.width, sim_cfg.height)
             t_steps = session.length
-            counts128, counts512 = embed_tokens(
-                [tokenize(d.room_text + " " + d.action_text) for d in session.decisions]
-            )
+            counts128, counts512 = embed_tokens([d.room_text + " " + d.action_text for d in session.decisions])
             full176 = np.hstack([behavioral, counts128])
             legacy530 = np.hstack([counts512, behavioral[:, :N_BEHAVIORAL_LEGACY]])
             whole = (0, t_steps)

@@ -9,9 +9,11 @@ the motivation boosts one affinity channel of every offered action.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -20,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from profilebench.errors import ConfigInvalid, IoFailure, SchemaMismatch
-from profilebench.hashing import mix_seed
+from profilebench.hashing import fold_seed, mix_seed
 from profilebench.taxonomy import (
     LawAxis,
     MoralAxis,
@@ -43,11 +45,13 @@ CATEGORIES: tuple[ActionCategory, ...] = tuple(ActionCategory)
 
 
 class Entity(Enum):
-    MONSTER = "Monster"
-    MERCHANT = "Merchant"
-    VILLAGER = "Villager"
-    TREASURE = "Treasure"
-    EXIT_PORTAL = "ExitPortal"
+    """What a room can hold; the value indexes the room's entity flags."""
+
+    MONSTER = 0
+    MERCHANT = 1
+    VILLAGER = 2
+    TREASURE = 3
+    EXIT_PORTAL = 4
 
 
 # manifest.json's "format": v2 stores each option as its catalog kind.
@@ -104,7 +108,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class Room:
     coords: tuple[int, int]
-    entities: frozenset[Entity]
+    entities: tuple[bool, ...]  # one flag per Entity, indexed by its value
     description_seed: int
 
 
@@ -133,6 +137,12 @@ class ActionInstance:
     kind: str = ""  # catalog id; drives death/exit semantics and the text template
     target_unvisited: bool = False
     toward_exit: bool = False
+    # category.value as a plain int: featurize reads it for every option, and
+    # an Enum's .value is a property lookup
+    category_id: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "category_id", self.category.value)
 
 
 @dataclass(frozen=True)
@@ -165,6 +175,9 @@ class AgentParams:
     motivation_weights: dict[Motivation, float]
     temperature: float
     noise_scale: float
+    # id(action) -> (action, its base utility under these weights); holding
+    # the action keeps its id from being reused while the entry exists
+    base_utility: dict[int, tuple[ActionInstance, float]] = field(default_factory=dict, repr=False, compare=False)
 
 
 _MORAL_SIGN = {MoralAxis.GOOD: 1.0, MoralAxis.NEUTRAL: 0.0, MoralAxis.EVIL: -1.0}
@@ -197,18 +210,34 @@ class GameState:
     consistency_bonus: float
 
 
+def _base_utility(params: AgentParams, act: ActionInstance) -> float:
+    """The moral, order and motivation terms of an action's utility, summed in that order."""
+    total = params.w_moral * act.moral_valence + params.w_order * act.order_score
+    for m, w in params.motivation_weights.items():
+        if w != 0.0:
+            total += w * act.motivation_affinity[m]
+    return total
+
+
 def action_utilities(
     params: AgentParams, state: GameState, available: list[ActionInstance]
 ) -> np.ndarray:
-    """Utility per offered action: moral + order + motivation + consistency + noise."""
-    motivations = [(m, w) for m, w in params.motivation_weights.items() if w != 0.0]
+    """Utility per offered action: moral + order + motivation + consistency + noise.
+
+    Each action's first three terms are computed once per `params` (offered
+    actions are shared instances, so a game meets the same few again and
+    again); the bonus is then added to that sum, as one running sum would.
+    """
+    memo = params.base_utility
     bonus = params.w_order * state.consistency_bonus
+    prev = state.prev_category
     sums = []
     for act in available:
-        total = params.w_moral * act.moral_valence + params.w_order * act.order_score
-        for m, w in motivations:
-            total += w * act.motivation_affinity[m]
-        if state.prev_category is not None and act.category is state.prev_category:
+        entry = memo.get(id(act))
+        if entry is None:
+            entry = memo[id(act)] = (act, _base_utility(params, act))
+        total = entry[1]
+        if prev is not None and act.category is prev:
             total += bonus
         sums.append(total)
     u = np.array(sums, dtype=float)
@@ -240,23 +269,23 @@ def build_dungeon(seed: int, config: SimConfig) -> Dungeon:
         exit_cell = (w - 1, h - 1)
     # Four draws per room, x-major: the doubles 4 * w * h scalar draws give.
     draws = iter(rng.random(4 * w * h).tolist())
-    spawns = (
-        (Entity.MONSTER, config.monster_rate),
-        (Entity.MERCHANT, config.merchant_rate),
-        (Entity.VILLAGER, config.villager_rate),
-        (Entity.TREASURE, config.treasure_rate),
+    monster, merchant, villager, treasure = (
+        config.monster_rate, config.merchant_rate, config.villager_rate, config.treasure_rate
     )
+    room_seed = mix_seed(seed, "room")
     rooms = {}
     for x in range(w):
+        column_seed = fold_seed(room_seed, x)  # mix_seed(seed, "room", x)
         for y in range(h):
-            entities = {entity for entity, rate in spawns if next(draws) < rate}
-            if (x, y) == exit_cell:
-                entities.add(Entity.EXIT_PORTAL)
-            rooms[(x, y)] = Room(
-                coords=(x, y),
-                entities=frozenset(entities),
-                description_seed=mix_seed(seed, "room", x, y),
+            # flags in Entity order, the four rates drawn in that order
+            entities = (
+                next(draws) < monster,
+                next(draws) < merchant,
+                next(draws) < villager,
+                next(draws) < treasure,
+                (x, y) == exit_cell,
             )
+            rooms[(x, y)] = Room(coords=(x, y), entities=entities, description_seed=fold_seed(column_seed, y))
     return Dungeon(width=w, height=h, rooms=rooms, start=start, exit=exit_cell)
 
 
@@ -320,27 +349,72 @@ def offer(kind: str, target_unvisited: bool = False, toward_exit: bool = False) 
     )
 
 
-def _action_text(action: ActionInstance, game_seed: int, step: int, slot: int) -> str:
-    """The sentence of the action offered in menu `slot`; each slot has its own seed."""
-    seed = mix_seed(game_seed, "text", step, slot)
+def _action_text(action: ActionInstance, text_seed: int, step: int, slot: int) -> str:
+    """The sentence of the action offered in menu `slot`; each slot has its
+    own seed, mix_seed(game_seed, "text", step, slot) with `text_seed` =
+    mix_seed(game_seed, "text")."""
+    seed = fold_seed(text_seed, step, slot)
     if action.move_delta is None:
         return render_text(TEMPLATES, action.kind, seed)
     return render_text(TEMPLATES, "move", seed, {"direction": action.kind[5:]})
 
 
+# The sentence template of each entity, in Entity order.
+_ENTITY_TEMPLATES = ("room_monster", "room_merchant", "room_villager", "room_treasure", "room_exit")
+
+
 def _room_text(room: Room, step: int) -> str:
-    parts = [render_text(TEMPLATES, "room_base", mix_seed(room.description_seed, step, 0))]
-    order = [
-        (Entity.MONSTER, "room_monster"),
-        (Entity.MERCHANT, "room_merchant"),
-        (Entity.VILLAGER, "room_villager"),
-        (Entity.TREASURE, "room_treasure"),
-        (Entity.EXIT_PORTAL, "room_exit"),
-    ]
-    for k, (entity, template_id) in enumerate(order, start=1):
-        if entity in room.entities:
-            parts.append(render_text(TEMPLATES, template_id, mix_seed(room.description_seed, step, k)))
+    """The room's sentences at `step`: its base sentence, then one per entity
+    present, in Entity order; sentence k is seeded by
+    mix_seed(room.description_seed, step, k)."""
+    seed = mix_seed(room.description_seed, step)
+    parts = [render_text(TEMPLATES, "room_base", fold_seed(seed, 0))]
+    for k, (present, template_id) in enumerate(zip(room.entities, _ENTITY_TEMPLATES), start=1):
+        if present:
+            parts.append(render_text(TEMPLATES, template_id, fold_seed(seed, k)))
     return " ".join(parts)
+
+
+@functools.lru_cache(maxsize=4096)
+def _moves(width: int, height: int, exit_cell: tuple[int, int], position: tuple[int, int]) -> tuple:
+    """The moves from `position` that approach the exit, and the other
+    valid moves left after each of them is offered (or, if none approaches,
+    all valid moves once), in direction order. A move is its target and its
+    two shared instances, for a visited ([False]) and an unvisited ([True])
+    target. They depend only on the grid, the exit and the position, so a
+    corpus computes each table once.
+    """
+    x, y = position
+    ex, ey = exit_cell
+    here = abs(x - ex) + abs(y - ey)
+    valid = []
+    toward = []
+    for name in _DIRECTION_ORDER:
+        dx, dy = _DIRECTIONS[name]
+        tx, ty = x + dx, y + dy
+        if 0 <= tx < width and 0 <= ty < height:
+            closer = abs(tx - ex) + abs(ty - ey) < here
+            move = ((tx, ty), (offer(f"move_{name}", False, closer), offer(f"move_{name}", True, closer)))
+            valid.append(move)
+            if closer:
+                toward.append(move)
+    others = [tuple(m for m in valid if m is not t) for t in toward] or [tuple(valid)]
+    return tuple(toward), tuple(others)
+
+
+def _without(kinds: tuple[str, ...]) -> tuple[tuple[ActionInstance, ...], ...]:
+    """The actions of `kinds` with the i-th left out, for each i."""
+    return tuple(tuple(offer(k) for j, k in enumerate(kinds) if j != i) for i in range(len(kinds)))
+
+
+_FIGHT = (offer("fight_monster"), offer("taunt_monster"))
+_MERCHANT = _without(("help_merchant", "rob_merchant", "trade_merchant"))
+_VILLAGER = _without(("help_villager", "threaten_villager", "chat_villager"))
+_TREASURE = (offer("take_treasure"),)
+_PORTAL = offer("enter_portal")
+_FILLERS = tuple(offer(k) for k in ("rest", "scout", "search_room", "smash"))
+# _ROTATIONS[first]: the fillers starting at `first`, wrapping around
+_ROTATIONS = tuple(_FILLERS[first:] + _FILLERS[:first] for first in range(len(_FILLERS)))
 
 
 def _assemble_menu(
@@ -351,69 +425,49 @@ def _assemble_menu(
     Returns the menu and, beside it, each option's text slot.
     """
     rng = state.rng
-    x, y = state.position
     menu: list[ActionInstance] = []
     slots: list[int] = []
 
     # Movement: always include one exit-approaching direction, plus one other.
-    valid = []
-    for name in _DIRECTION_ORDER:
-        dx, dy = _DIRECTIONS[name]
-        tx, ty = x + dx, y + dy
-        if 0 <= tx < dungeon.width and 0 <= ty < dungeon.height:
-            valid.append((name, (tx, ty)))
-    def dist(p: tuple[int, int]) -> int:
-        return abs(p[0] - dungeon.exit[0]) + abs(p[1] - dungeon.exit[1])
-
-    here = dist((x, y))
-    toward = [v for v in valid if dist(v[1]) < here]
+    toward, others_after = _moves(dungeon.width, dungeon.height, dungeon.exit, state.position)
     offered_moves = []
+    first = 0
     if toward:
-        offered_moves.append(toward[int(rng.integers(len(toward)))])
-    others = [v for v in valid if v not in offered_moves]
+        first = int(rng.integers(len(toward)))
+        offered_moves.append(toward[first])
+    others = others_after[first]
     if others:
         offered_moves.append(others[int(rng.integers(len(others)))])
-    for slot, (name, target) in enumerate(offered_moves):
-        menu.append(
-            offer(
-                f"move_{name}",
-                target_unvisited=target not in state.visited,
-                toward_exit=dist(target) < here,
-            )
-        )
+    for slot, (target, instances) in enumerate(offered_moves):
+        menu.append(instances[target not in state.visited])
         slots.append(slot)
 
-    if Entity.EXIT_PORTAL in room.entities:
-        menu.append(offer("enter_portal"))
+    monster, merchant, villager, treasure, portal = room.entities
+    if portal:
+        menu.append(_PORTAL)
         slots.append(2)
 
-    entity_kinds: list[str] = []
-    if Entity.MONSTER in room.entities:
-        entity_kinds += ["fight_monster", "taunt_monster"]
-    if Entity.MERCHANT in room.entities:
-        pair = ["help_merchant", "rob_merchant", "trade_merchant"]
-        drop = int(rng.integers(3))
-        entity_kinds += [k for i, k in enumerate(pair) if i != drop]
-    if Entity.VILLAGER in room.entities:
-        pair = ["help_villager", "threaten_villager", "chat_villager"]
-        drop = int(rng.integers(3))
-        entity_kinds += [k for i, k in enumerate(pair) if i != drop]
-    if Entity.TREASURE in room.entities:
-        entity_kinds.append("take_treasure")
-    for slot, kind in enumerate(entity_kinds, start=3):
+    entity_actions: list[ActionInstance] = []
+    if monster:
+        entity_actions += _FIGHT
+    if merchant:
+        entity_actions += _MERCHANT[int(rng.integers(3))]
+    if villager:
+        entity_actions += _VILLAGER[int(rng.integers(3))]
+    if treasure:
+        entity_actions += _TREASURE
+    for slot, action in enumerate(entity_actions, start=3):
         if len(menu) >= 6:
             break
-        menu.append(offer(kind))
+        menu.append(action)
         slots.append(slot)
 
     # The loop stops only once the menu holds 3 options; 4 fillers get it there.
-    fillers = ["rest", "scout", "search_room", "smash"]
-    first = int(rng.integers(len(fillers)))
-    ordered_fillers = fillers[first:] + fillers[:first]
-    for slot, kind in enumerate(ordered_fillers, start=3 + len(entity_kinds)):
+    fillers = _ROTATIONS[int(rng.integers(len(_FILLERS)))]
+    for slot, action in enumerate(fillers, start=3 + len(entity_actions)):
         if len(menu) >= 6 or (len(menu) >= 3 and len(menu) - len(offered_moves) >= 3):
             break
-        menu.append(offer(kind))
+        menu.append(action)
         slots.append(slot)
     return menu, slots
 
@@ -430,6 +484,7 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
         rng=np.random.Generator(np.random.PCG64(mix_seed(seed, "play"))),
         consistency_bonus=config.consistency_bonus,
     )
+    text_seed = mix_seed(seed, "text")
     decisions: list[DecisionPoint] = []
     outcome = Outcome.STEP_LIMIT
     for step in range(config.max_steps):
@@ -437,7 +492,9 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
         menu, slots = _assemble_menu(dungeon, room, state)
         utilities = action_utilities(params, state, menu)
         probs = softmax_policy(utilities, params.temperature)
-        pick = int(np.searchsorted(np.cumsum(probs), state.rng.random()))
+        # np.searchsorted(np.cumsum(probs), draw) on Python floats: accumulate
+        # adds in order as cumsum does, so every partial sum keeps its bits
+        pick = bisect.bisect_left(list(itertools.accumulate(probs.tolist())), state.rng.random())
         pick = min(pick, len(menu) - 1)
         chosen = menu[pick]
         decisions.append(
@@ -447,7 +504,7 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
                 available=tuple(menu),
                 chosen=pick,
                 room_text=_room_text(room, step),
-                action_text=_action_text(chosen, seed, step, slots[pick]),
+                action_text=_action_text(chosen, text_seed, step, slots[pick]),
             )
         )
         state.prev_category = chosen.category
@@ -490,6 +547,33 @@ def action_to_json(action: ActionInstance) -> dict:
     return d
 
 
+# Every option a sessions file can hold: a kind other than a move by its
+# kind, a move by its kind and its two flags.
+_PLAIN_OPTIONS = {kind: offer(kind) for kind in _CATALOG}
+_MOVE_OPTIONS = {
+    (f"move_{name}", unvisited, toward): offer(f"move_{name}", unvisited, toward)
+    for name in _DIRECTION_ORDER
+    for unvisited in (False, True)
+    for toward in (False, True)
+}
+
+
+def action_from_json(option: dict) -> ActionInstance:
+    """The shared instance `action_to_json` wrote `option` from. A move
+    carries exactly its two flags, as JSON booleans, and any other kind no
+    flag; anything else raises ValueError."""
+    try:
+        if len(option) == 1:
+            return _PLAIN_OPTIONS[option["kind"]]
+        unvisited, toward = option["target_unvisited"], option["toward_exit"]
+        # 1 and 1.0 equal true, and would find its entry
+        if len(option) == 3 and type(unvisited) is bool and type(toward) is bool:
+            return _MOVE_OPTIONS[option["kind"], unvisited, toward]
+    except KeyError:
+        pass
+    raise ValueError(f"not an option: {option!r}")
+
+
 def session_to_json(session: Session) -> dict:
     return {
         "game_id": session.game_id,
@@ -520,7 +604,7 @@ def session_from_json(d: dict) -> Session:
             DecisionPoint(
                 step=dec["step"],
                 room=tuple(dec["room"]),
-                available=tuple(offer(**a) for a in dec["available"]),
+                available=tuple(map(action_from_json, dec["available"])),
                 chosen=dec["chosen"],
                 room_text=dec["room_text"],
                 action_text=dec["action_text"],

@@ -232,6 +232,46 @@ class TestStages:
         digest = hashlib.sha256((out / "sessions.jsonl").read_bytes()).hexdigest()
         assert digest == "7800818c1cf40691268623e52c66fcbe555a2b4399c3ce6c98648bd3471084a6"
 
+    def test_featurize_outputs_match_pinned_digest(self, tmp_path):
+        # sha256 of the feature files and aggregates featurize wrote from the
+        # pinned corpus above before seed prefixes were folded once and text
+        # was embedded per cached sentence.
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "--seed", "12", "gen", "--games-per-profile", "1"]) == EXIT_OK
+        assert main(["--out", str(out), "--seed", "12", "featurize"]) == EXIT_OK
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("features176.pbf", "features530.pbf", "aggregates.csv")
+        }
+        assert digests == {
+            "features176.pbf": "c10ead9b962e940335d9cf587ea57bb6ee38dfc61a93ce87cc90073953a225dd",
+            "features530.pbf": "051abdfe9205e9085e729ebd0e6ecd8969363ca97e268756a899030b7f73b324",
+            "aggregates.csv": "020d2b73708c59f8106971600d2181572d938a24ca018c2655bfd84de3d03c2f",
+        }
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"kind": "move_north", "target_unvisited": "yes", "toward_exit": 0},
+            {"kind": "move_north"},
+            {"kind": "rest", "toward_exit": True},
+        ],
+        ids=["move_mistyped_flags", "move_no_flags", "rest_with_flag"],
+    )
+    def test_featurize_on_malformed_option_is_dependency_error(self, tmp_path, capsys, option):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "--seed", "12", "gen", "--games-per-profile", "1"]) == EXIT_OK
+        sessions = out / "sessions.jsonl"
+        lines = sessions.read_text(encoding="utf-8").splitlines(keepends=True)
+        doc = json.loads(lines[2])
+        doc["decisions"][0]["available"][0] = option
+        lines[2] = json.dumps(doc) + "\n"
+        sessions.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--out", str(out), "--seed", "12", "featurize"]) == EXIT_DEPENDENCY
+        assert "sessions.jsonl line 3" in capsys.readouterr().err
+        assert not list(out.glob("features*.pbf"))
+
     def test_featurize_without_gen_is_dependency_error(self, tmp_path):
         config = _write_config(tmp_path)
         code = main(["--config", str(config), "--out", str(tmp_path / "empty"), "featurize"])

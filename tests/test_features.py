@@ -43,10 +43,9 @@ from profilebench.features import (
     read_aggregate_csv,
     read_feature_file,
     scan_feature_file,
-    tokenize,
     write_aggregate_csv,
 )
-from profilebench import pipeline, simulator
+from profilebench import features, pipeline, simulator
 from profilebench.hashing import fnv1a64
 from profilebench.pipeline import Paths, PipelineConfig, stage_featurize, stage_gen
 from profilebench.simulator import (
@@ -72,6 +71,29 @@ def _oracle_fnv(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def tokenize(text: str) -> list[str]:
+    """The per-token path: lowercase word unigrams followed by space-joined bigrams."""
+    words = re.findall(r"[a-z0-9]+", text.lower())
+    return words + [f"{a} {b}" for a, b in zip(words, words[1:])]
+
+
+def _token_code(token: str) -> int:
+    raw = token.encode("utf-8")
+    return (fnv1a64(b"b:" + raw) % N_TEXT_LEGACY) << 1 | (fnv1a64(b"s:" + raw) & 1)
+
+
+def _per_token_counts(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 128) and (T, 512) int64 counts as embed_tokens built them
+    from `tokenize` and one code per token, before it cached sentences."""
+    token_lists = [tokenize(text) for text in texts]
+    codes = np.array([_token_code(t) for tokens in token_lists for t in tokens], dtype=np.intp)
+    n = len(texts)
+    rows = np.repeat(np.arange(n) * N_TEXT_LEGACY, [len(tokens) for tokens in token_lists])
+    counts = np.bincount(rows + (codes >> 1), weights=1 - 2 * (codes & 1), minlength=n * N_TEXT_LEGACY)
+    counts = counts.astype(np.int64).reshape(n, N_TEXT_LEGACY)
+    return counts.reshape(n, N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1), counts
 
 
 def _oracle_embed(text: str, n_buckets: int) -> list[float]:
@@ -220,15 +242,15 @@ def _full_prefix(session: Session) -> np.ndarray:
     return behavioral_matrix(session, *_GRID)[-1]
 
 
-def _embed_rows(token_lists: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+def _embed_rows(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, 128) and (T, 512) float64 unit rows the feature-file reader
     makes of embed_tokens' counts, before its float32 cast."""
-    return tuple(_unit_rows(counts.astype(np.float64)) for counts in embed_tokens(token_lists))
+    return tuple(_unit_rows(counts.astype(np.float64)) for counts in embed_tokens(texts))
 
 
 def _embed(text: str, n_buckets: int) -> np.ndarray:
     """The n_buckets-wide embedding of `text` from the one-pass hashing."""
-    e128, e512 = _embed_rows([tokenize(text)])
+    e128, e512 = _embed_rows([text])
     return (e128 if n_buckets == N_TEXT else e512)[0]
 
 
@@ -239,21 +261,21 @@ def _text(decision: DecisionPoint) -> str:
 def _counts176(session: Session, width: int, height: int) -> np.ndarray:
     """A game's 176 columns as stage_featurize hands them to the writer:
     48 behavioral, then 128 text counts."""
-    counts = embed_tokens([tokenize(_text(d)) for d in session.decisions])[0]
+    counts = embed_tokens([_text(d) for d in session.decisions])[0]
     return np.hstack([behavioral_matrix(session, width, height), counts])
 
 
 def _rows176(session: Session, width: int, height: int) -> np.ndarray:
     """A game's 176 rows as the reader rebuilds them, before its float32
     cast: 48 behavioral columns, then the unit text rows."""
-    text = _embed_rows([tokenize(_text(d)) for d in session.decisions])[0]
+    text = _embed_rows([_text(d) for d in session.decisions])[0]
     return np.hstack([behavioral_matrix(session, width, height), text])
 
 
 def _rows530(session: Session, width: int, height: int) -> np.ndarray:
     """A game's 530 rows as the reader rebuilds them, before its float32
     cast: the unit text rows, then 18 behavioral columns."""
-    text = _embed_rows([tokenize(_text(d)) for d in session.decisions])[1]
+    text = _embed_rows([_text(d) for d in session.decisions])[1]
     behavioral = behavioral_matrix(session, width, height)[:, :N_BEHAVIORAL_LEGACY]
     return np.hstack([text, behavioral])
 
@@ -284,17 +306,17 @@ def test_tokenize_unigrams_then_bigrams():
 
 def test_embed_empty_is_zero():
     for text in ("", "   \t "):
-        assert not any(v.any() for v in embed_tokens([tokenize(text)]))
-        assert not any(v.any() for v in _embed_rows([tokenize(text)]))
+        assert not any(v.any() for v in embed_tokens([text]))
+        assert not any(v.any() for v in _embed_rows([text]))
 
 
 def test_embed_counts_are_the_signed_token_counts():
-    token_lists = [tokenize("a goblin sharpens a rusty knife"), tokenize("x x x"), []]
-    for counts, n_buckets in zip(embed_tokens(token_lists), (N_TEXT, N_TEXT_LEGACY)):
+    texts = ["a goblin sharpens a rusty knife", "x x x", ""]
+    for counts, n_buckets in zip(embed_tokens(texts), (N_TEXT, N_TEXT_LEGACY)):
         assert counts.dtype == np.int64
-        want = np.zeros((len(token_lists), n_buckets), dtype=np.int64)
-        for t, tokens in enumerate(token_lists):
-            for token in tokens:
+        want = np.zeros((len(texts), n_buckets), dtype=np.int64)
+        for t, text in enumerate(texts):
+            for token in tokenize(text):
                 raw = token.encode("utf-8")
                 want[t, _oracle_fnv(b"b:" + raw) % n_buckets] += 1 - 2 * (_oracle_fnv(b"s:" + raw) & 1)
         np.testing.assert_array_equal(counts, want)
@@ -303,7 +325,7 @@ def test_embed_counts_are_the_signed_token_counts():
 
 def test_embed_unit_norm_and_determinism():
     text = "a goblin sharpens a rusty knife"
-    for v1, v2 in zip(_embed_rows([tokenize(text)]), _embed_rows([tokenize(text)])):
+    for v1, v2 in zip(_embed_rows([text]), _embed_rows([text])):
         np.testing.assert_array_equal(v1, v2)
         assert np.linalg.norm(v1[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -340,26 +362,72 @@ def test_one_pass_embedding_is_bitwise_the_per_token_sum(small_corpus):
         texts += [_text(d) for d in session.decisions]
     assert len(texts) > 300
     for text in texts:
-        tokens = tokenize(text)
-        both = _embed_rows([tokens])
+        both = _embed_rows([text])
         for (got,), n_buckets in zip(both, (128, 512)):
-            want = _per_token_embed(tokens, n_buckets)
+            want = _per_token_embed(tokenize(text), n_buckets)
             assert got.tobytes() == want.tobytes(), text
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_game_embedding_is_bitwise_the_per_decision_oracle(small_corpus):
-    games = [[tokenize(text) for text in ("go east", "", "x x x x", "   ")], [[]], []]
+    games = [["go east", "", "x x x x", "   "], [""], []]
     for session in load_sessions(Paths(small_corpus.out_dir).sessions):
-        games.append([tokenize(_text(d)) for d in session.decisions])
-    for token_lists in games:
-        e128, e512 = _embed_rows(token_lists)
-        assert e128.shape == (len(token_lists), N_TEXT)
-        assert e512.shape == (len(token_lists), N_TEXT_LEGACY)
+        games.append([_text(d) for d in session.decisions])
+    for texts in games:
+        e128, e512 = _embed_rows(texts)
+        assert e128.shape == (len(texts), N_TEXT)
+        assert e512.shape == (len(texts), N_TEXT_LEGACY)
         for got, n_buckets in ((e128, N_TEXT), (e512, N_TEXT_LEGACY)):
-            want = np.array([_per_token_embed(t, n_buckets) for t in token_lists])
+            want = np.array([_per_token_embed(tokenize(t), n_buckets) for t in texts])
             assert got.tobytes() == want.reshape(got.shape).tobytes()
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want.reshape(got.shape)))
+
+
+# Texts whose ". " splits reach every case of the sentence cache.
+_EDGE_TEXTS = [
+    "",
+    "no break in this text",
+    ". a break first",
+    "a break last. ",
+    "two.. dots.. here",
+    "..",
+    ". ",
+    ". . . ",
+    "a. !?. b",  # a piece with no word characters between two worded ones
+    "a. . b",  # an empty piece between two worded ones
+    "UPPER Case. digits 42 and 7b. MiXeD9 words",
+    "x. x. x",
+]
+
+
+def _assert_counts_are_the_oracle(texts: list[str]) -> None:
+    for got, want in zip(embed_tokens(texts), _per_token_counts(texts)):
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), texts
+
+
+def test_sentence_cached_counts_are_bitwise_the_per_token_oracle(small_corpus, monkeypatch):
+    games = [_EDGE_TEXTS, [t for t in _EDGE_TEXTS for _ in range(2)], [], [""]]
+    for session in load_sessions(Paths(small_corpus.out_dir).sessions):
+        games.append([_text(d) for d in session.decisions])
+    for texts in games:
+        _assert_counts_are_the_oracle(texts)
+
+    # every piece is cached now: a second pass reads only the cache
+    def refuse(piece):
+        raise AssertionError(f"piece {piece!r} tokenized twice")
+
+    monkeypatch.setattr(features, "_piece", refuse)
+    for texts in games:
+        _assert_counts_are_the_oracle(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="aZ9 .!\u00e9\u0130\u212a", max_size=30), max_size=4))
+def test_sentence_cached_counts_match_the_oracle_on_any_text(texts):
+    # U+0130 and U+212A (Kelvin) lowercase to ASCII letters
+    _assert_counts_are_the_oracle(texts)
 
 
 # --- pinned single-group examples ---------------------------------------------
@@ -993,7 +1061,7 @@ def test_decoded_rows_are_bitwise_the_float_path(small_corpus):
     lengths = {}
     for session in load_sessions(paths.sessions):
         behavioral = behavioral_matrix(session, cfg.sim.width, cfg.sim.height)
-        text128, text512 = _embed_rows([tokenize(_text(d)) for d in session.decisions])
+        text128, text512 = _embed_rows([_text(d) for d in session.decisions])
         want["176"][session.game_id] = np.hstack([behavioral, text128]).astype("<f4")
         want["530"][session.game_id] = np.hstack([text512, behavioral[:, :N_BEHAVIORAL_LEGACY]]).astype("<f4")
         lengths[session.game_id] = session.length

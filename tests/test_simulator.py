@@ -13,6 +13,8 @@ from profilebench.simulator import (
     ActionCategory,
     ActionInstance,
     Entity,
+    action_from_json,
+    action_to_json,
     GameState,
     Outcome,
     SimConfig,
@@ -183,8 +185,8 @@ def test_build_dungeon_layout():
     assert d1.start == (0, 0)
     ex, ey = d1.exit
     assert ex + ey >= (cfg.width + cfg.height) // 2
-    assert Entity.EXIT_PORTAL in d1.rooms[d1.exit].entities
     for room in d1.rooms.values():
+        assert room.entities[Entity.EXIT_PORTAL.value] == (room.coords == d1.exit)
         assert room.description_seed == d2.rooms[room.coords].description_seed
 
 
@@ -194,7 +196,7 @@ def test_entity_actions_require_entity():
         session = play_game(_profile("NE-Wealth"), seed=seed, config=cfg)
         dungeon = build_dungeon(session.seed, cfg)
         for d in session.decisions:
-            entities = dungeon.rooms[d.room].entities
+            entities = {e for e in Entity if dungeon.rooms[d.room].entities[e.value]}
             for a in d.available:
                 if a.kind in ("fight_monster", "taunt_monster"):
                     assert Entity.MONSTER in entities
@@ -248,6 +250,43 @@ def test_unknown_option_kind_names_the_line(tmp_path):
     path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
     with pytest.raises(SchemaMismatch, match="sessions.jsonl line 2"):
         list(load_sessions(path))
+
+
+# Options a sessions file must not hold, each with the position it replaces
+# (menus list their moves first): every one of them but "move_extra_key"
+# loaded before options were decoded through one table.
+_MALFORMED_OPTIONS = {
+    "move_string_flag": (0, {"kind": "move_north", "target_unvisited": "yes", "toward_exit": 0}),
+    "move_int_flags": (0, {"kind": "move_north", "target_unvisited": 1, "toward_exit": 0}),
+    "move_null_flag": (0, {"kind": "move_north", "target_unvisited": None, "toward_exit": False}),
+    "move_no_flags": (0, {"kind": "move_north"}),
+    "move_one_flag": (0, {"kind": "move_north", "target_unvisited": True}),
+    "move_extra_key": (0, {"kind": "move_north", "target_unvisited": True, "toward_exit": False, "x": 1}),
+    "rest_one_flag": (-1, {"kind": "rest", "toward_exit": True}),
+    "rest_both_flags": (-1, {"kind": "rest", "target_unvisited": False, "toward_exit": False}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_OPTIONS))
+def test_malformed_option_names_the_line(tmp_path, case):
+    position, option = _MALFORMED_OPTIONS[case]
+    lines = [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
+    lines[1]["decisions"][0]["available"][position] = option
+    path = tmp_path / "sessions.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
+    with pytest.raises(SchemaMismatch, match="sessions.jsonl line 2: .*not an option"):
+        list(load_sessions(path))
+
+
+def test_option_decode_returns_the_shared_instance():
+    actions = [offer(k) for k in ("fight_monster", "rest", "enter_portal", "take_treasure")]
+    for direction in ("north", "west"):
+        actions += [offer(f"move_{direction}", u, t) for u in (False, True) for t in (False, True)]
+    for action in actions:
+        option = action_to_json(action)
+        assert action_from_json(json.loads(json.dumps(option))) is action
+        # JSON objects are unordered
+        assert action_from_json(dict(reversed(option.items()))) is action
 
 
 def test_generate_sessions_order_and_ids():

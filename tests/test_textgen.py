@@ -2,16 +2,19 @@
 
 `render_text` is checked for coverage and uniformity of its draws, for
 determinism and for a few pinned outputs, so that any change to the draw
-stream is deliberate. `mix_seed` is checked against a test-local FNV-1a +
-SplitMix64 oracle that shares no code (and no cache) with the package.
+stream is deliberate. `mix_seed` and `fold_seed` are checked against a
+test-local FNV-1a + SplitMix64 oracle that shares no code (and no cache)
+with the package.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from profilebench.errors import UnknownTemplate
-from profilebench.hashing import mix_seed
+from profilebench.hashing import fold_seed, mix_seed
 from profilebench.textgen import SLOT_POOLS, TEMPLATES, render_text
 
 N_SEEDS = 4000
@@ -153,3 +156,15 @@ def test_mix_seed_pinned_values(parts, expected):
     # The second call reads the string-hash cache the first one filled.
     assert mix_seed(*parts) == expected
     assert mix_seed(*parts) == expected
+
+
+# negative ints, ints wider than 64 bits, and strings (non-ASCII included)
+_PARTS = st.lists(st.one_of(st.integers(-(2**80), 2**80), st.text(max_size=6)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PARTS, _PARTS)
+def test_fold_seed_continues_mix_seed(a, b):
+    want = _oracle_mix(*a, *b)
+    assert mix_seed(*a, *b) == want
+    assert fold_seed(mix_seed(*a), *b) == want
