@@ -221,7 +221,7 @@ def read_splits(path: str | Path) -> dict[int, str]:
         out = {}
         for k, v in doc.items():
             if v not in _SPLIT_NAMES:
-                raise ConfigInvalid(f"unknown split name {v!r} for game {k}")
+                raise ValueError(f"unknown split name {v!r} for game {k}")
             out[int(k)] = v
         return out
 

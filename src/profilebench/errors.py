@@ -13,10 +13,6 @@ class IoFailure(ProfileBenchError):
     """A read or write of a pipeline artifact failed."""
 
 
-class SubsetMismatch(ProfileBenchError):
-    """A profile outside a subset label space was mapped into it."""
-
-
 class UnknownTemplate(ProfileBenchError):
     """A text template id is not present in the template bank."""
 

@@ -6,10 +6,10 @@ bit-reproducible. `evaluate_class_predictions` is the one builder of a
 `evaluate` with the three heads' predictions of a checkpoint. A Report
 stores only what it is built from (counts, accuracies, confusions,
 correction); its random baselines, lifts and neutral masses are derived.
-Reports carry two lifts whenever the label space is a subset, each the
-main accuracy divided by a random baseline: the subset's own and the full
+Every report carries two lifts, each the main accuracy divided by a random
+baseline: its label space's own ("vs_subset_baseline") and the full
 36-class one, labeled, because the two denominators answer different
-questions.
+questions when the space admits only some profiles.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ from profilebench.hashing import stable_json_dumps
 from profilebench.models.checkpoint import Checkpoint
 from profilebench.models.lstm import bilstm_recur, project
 from profilebench.models.training import neutral_correction, pool_and_heads, space_labels
-from profilebench.taxonomy import (
-    ALIGNMENTS,
-    LabelSpace,
-    LabelSpaceKind,
-    LawAxis,
-    MoralAxis,
-    admissible_profiles,
-)
+from profilebench.taxonomy import PROFILES, LabelSpace, LabelSpaceKind, is_neutral_profile
 
 METRICS_VERSION = 1
 
@@ -43,9 +36,7 @@ MOTIV_SPACE = LabelSpace(LabelSpaceKind.MOTIVATION4)
 
 # alignment ranks with either axis at Neutral; the columns the bias metric watches
 NEUTRAL_ALIGNMENT_RANKS = tuple(
-    a.rank
-    for a in ALIGNMENTS
-    if a.law_axis is LawAxis.NEUTRAL or a.moral_axis is MoralAxis.NEUTRAL
+    sorted({p.alignment.rank for p in PROFILES if is_neutral_profile(p)})
 )
 
 
@@ -97,7 +88,6 @@ class ConfusionMatrix:
 
 
 MODEL_KINDS = ("baseline", "lstm_base", "lstm_multipool", "lstm_attention")
-SUBSETS = ("all", "neutral_only", "non_neutral_only")
 LAYOUTS = ("176", "530", "agg")
 
 
@@ -107,25 +97,14 @@ class ExperimentSpec:
     model: str
     layout: str
     space_kind: LabelSpaceKind
-    subset: str = "all"
     correct_neutral: bool = False
     seed: int = 0
 
     def validate(self) -> None:
         if self.model not in MODEL_KINDS:
             raise SpaceMismatch(f"unknown model kind {self.model!r}")
-        if self.subset not in SUBSETS:
-            raise SpaceMismatch(f"unknown subset {self.subset!r}")
         if self.layout not in LAYOUTS:
             raise SpaceMismatch(f"unknown layout {self.layout!r}")
-        needs = {
-            LabelSpaceKind.NON_NEUTRAL_PROFILE16: "non_neutral_only",
-            LabelSpaceKind.NEUTRAL_PROFILE20: "neutral_only",
-        }.get(self.space_kind)
-        if needs and self.subset != needs:
-            raise SpaceMismatch(
-                f"{self.space_kind.value} requires subset {needs}, got {self.subset}"
-            )
 
     @property
     def space(self) -> LabelSpace:
@@ -259,7 +238,7 @@ def predict_logits(
 
 def _marginal_predictions(main_pred: np.ndarray, space: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
     """Alignment/motivation implied by the main head's profile prediction."""
-    profile_idx = np.array([p.index for p in admissible_profiles(space)])[main_pred]
+    profile_idx = np.flatnonzero(space.labels >= 0)[main_pred]
     return space_labels(profile_idx, space)[1:]
 
 

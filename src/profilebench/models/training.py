@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from profilebench.models.lstm import (
     multi_pool_backward_batch,
     multi_pool_batch,
 )
-from profilebench.taxonomy import LabelSpace, LabelSpaceKind, all_profiles, map_label
+from profilebench.taxonomy import LabelSpace, LabelSpaceKind, all_profiles
 
 
 @dataclass(frozen=True)
@@ -282,28 +281,18 @@ def train_step(
 # --- dataset plumbing for the epoch loop -----------------------------------
 
 
-@cache
-def label_table(space: LabelSpace) -> np.ndarray:
-    """Labels of the 36 profile indices in `space`, -1 where it does not admit one."""
-    table = np.array(
-        [map_label(p, space) if space.admits(p) else -1 for p in all_profiles()], dtype=np.int64
-    )
-    table.flags.writeable = False
-    return table
-
-
 def space_labels(
     profile_idx: Sequence[int], space: LabelSpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class indices in `space`, alignment9 and motivation4 of each profile index;
     a profile outside `space` raises SpaceMismatch naming the first."""
     profile_idx = np.asarray(profile_idx, dtype=np.intp)
-    y_main = label_table(space)[profile_idx]
+    y_main = space.labels[profile_idx]
     if (y_main < 0).any():
         outside = all_profiles()[profile_idx[np.argmin(y_main)]]
         raise SpaceMismatch(f"sample profile {outside.code} outside {space.tag}")
-    y_align = label_table(LabelSpace(LabelSpaceKind.ALIGNMENT9))[profile_idx]
-    y_motiv = label_table(LabelSpace(LabelSpaceKind.MOTIVATION4))[profile_idx]
+    y_align = LabelSpace(LabelSpaceKind.ALIGNMENT9).labels[profile_idx]
+    y_motiv = LabelSpace(LabelSpaceKind.MOTIVATION4).labels[profile_idx]
     return y_main, y_align, y_motiv
 
 

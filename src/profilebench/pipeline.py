@@ -73,7 +73,7 @@ from profilebench.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from profilebench.models.training import TrainConfig, label_table, neutral_correction, space_labels, train
+from profilebench.models.training import TrainConfig, neutral_correction, space_labels, train
 # build_dungeon is unused here, but perfbench/tracing.py patches pipeline.build_dungeon by name
 from profilebench.simulator import SESSIONS_FORMAT, SimConfig, build_dungeon, generate_corpus, load_sessions  # noqa: F401
 from profilebench.taxonomy import LabelSpaceKind
@@ -86,7 +86,6 @@ class LadderRow:
     model: str
     layout: str
     space_kind: LabelSpaceKind
-    subset: str = "all"
     correct_neutral: bool = False
 
     def spec(self, seed: int) -> ExperimentSpec:
@@ -95,7 +94,6 @@ class LadderRow:
             model=self.model,
             layout=self.layout,
             space_kind=self.space_kind,
-            subset=self.subset,
             correct_neutral=self.correct_neutral,
             seed=seed,
         )
@@ -119,7 +117,6 @@ LADDER: tuple[LadderRow, ...] = (
         "lstm_multipool",
         "176",
         LabelSpaceKind.NON_NEUTRAL_PROFILE16,
-        subset="non_neutral_only",
     ),
     LadderRow(
         "multipool_176_neutral",
@@ -127,7 +124,6 @@ LADDER: tuple[LadderRow, ...] = (
         "lstm_multipool",
         "176",
         LabelSpaceKind.NEUTRAL_PROFILE20,
-        subset="neutral_only",
     ),
     LadderRow(
         "attention_binary",
@@ -491,7 +487,7 @@ def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
 
 
 def _admissible(samples: list[SequenceSample], spec: ExperimentSpec) -> list[SequenceSample]:
-    admits = label_table(spec.space) >= 0
+    admits = spec.space.labels >= 0
     return [s for s in samples if admits[s.profile.index]]
 
 

@@ -120,10 +120,6 @@ class Dungeon:
     start: tuple[int, int]
     exit: tuple[int, int]
 
-    @property
-    def room_count(self) -> int:
-        return self.width * self.height
-
 
 @dataclass(frozen=True)
 class ActionInstance:
@@ -594,23 +590,36 @@ def session_to_json(session: Session) -> dict:
     }
 
 
+def _decision_from_json(position: int, dec: dict) -> DecisionPoint:
+    """The decision at `position` of a session record. Its step is its
+    position, its room two ints and its choice an index into its options;
+    anything else raises ValueError."""
+    available = tuple(map(action_from_json, dec["available"]))
+    step, room, chosen = dec["step"], dec["room"], dec["chosen"]
+    # true equals 1 and 1.0 equals 1, so each type is checked before the value
+    if type(step) is not int or step != position:
+        raise ValueError(f"decision {position} has step {step!r}")
+    if type(room) is not list or [type(c) for c in room] != [int, int]:
+        raise ValueError(f"decision {position} has room {room!r}")
+    if type(chosen) is not int or not 0 <= chosen < len(available):
+        raise ValueError(f"decision {position} chooses {chosen!r} of {len(available)} options")
+    return DecisionPoint(
+        step=step,
+        room=tuple(room),
+        available=available,
+        chosen=chosen,
+        room_text=dec["room_text"],
+        action_text=dec["action_text"],
+    )
+
+
 def session_from_json(d: dict) -> Session:
     return Session(
         game_id=d["game_id"],
         profile=Profile.from_code(d["profile"]),
         seed=d["seed"],
         outcome=Outcome(d["outcome"]),
-        decisions=tuple(
-            DecisionPoint(
-                step=dec["step"],
-                room=tuple(dec["room"]),
-                available=tuple(map(action_from_json, dec["available"])),
-                chosen=dec["chosen"],
-                room_text=dec["room_text"],
-                action_text=dec["action_text"],
-            )
-            for dec in d["decisions"]
-        ),
+        decisions=tuple(_decision_from_json(i, dec) for i, dec in enumerate(d["decisions"])),
     )
 
 

@@ -4,15 +4,25 @@ A profile is an alignment (3x3 law/moral grid) paired with a motivation
 (Safety, Speed, Wanderlust, Wealth). Canonical ordering is alignment-major
 (law axis major, moral axis minor) and motivation-minor, which fixes the
 indices used by every file format and confusion matrix in the pipeline.
+
+Each label space is defined once, by one class function in `_CLASS_OF`:
+a profile's class name, or None where the space does not admit it. The
+space's classes are those names in order of first appearance over the
+canonical PROFILES, and `LabelSpace.labels` holds the 36 profiles' class
+indices (-1 outside the space); cardinality, admission, class names and
+`map_label` all read that one table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Callable
 
-from profilebench.errors import SubsetMismatch
+import numpy as np
+
+from profilebench.errors import SpaceMismatch
 
 
 class LawAxis(Enum):
@@ -123,11 +133,6 @@ def all_profiles() -> tuple[Profile, ...]:
     return PROFILES
 
 
-def profile_index(alignment: Alignment, motivation: Motivation) -> int:
-    """Canonical index in [0, 35]; inverse is Profile.from_index."""
-    return Profile(alignment, motivation).index
-
-
 def is_neutral_profile(profile: Profile) -> bool:
     """True when either axis sits at Neutral.
 
@@ -150,20 +155,29 @@ class LabelSpaceKind(Enum):
     NEUTRAL_PROFILE20 = "neutral_profile20"
 
 
-_CARDINALITY = {
-    LabelSpaceKind.PROFILE36: 36,
-    LabelSpaceKind.ALIGNMENT9: 9,
-    LabelSpaceKind.MOTIVATION4: 4,
-    LabelSpaceKind.BINARY_LAWFUL2: 2,
-    LabelSpaceKind.LAW_AXIS3: 3,
-    LabelSpaceKind.NON_NEUTRAL_PROFILE16: 16,
-    LabelSpaceKind.NEUTRAL_PROFILE20: 20,
+# The one rule per space: a profile's class name, None outside the space.
+_CLASS_OF: dict[LabelSpaceKind, Callable[[Profile], str | None]] = {
+    LabelSpaceKind.PROFILE36: lambda p: p.code,
+    LabelSpaceKind.ALIGNMENT9: lambda p: p.alignment.code,
+    LabelSpaceKind.MOTIVATION4: lambda p: _MOTIVATION_NAME[p.motivation],
+    LabelSpaceKind.BINARY_LAWFUL2: lambda p: (
+        "Lawful" if p.alignment.law_axis is LawAxis.LAWFUL else "NonLawful"
+    ),
+    LabelSpaceKind.LAW_AXIS3: lambda p: p.alignment.law_axis.name.title(),
+    LabelSpaceKind.NON_NEUTRAL_PROFILE16: lambda p: None if is_neutral_profile(p) else p.code,
+    LabelSpaceKind.NEUTRAL_PROFILE20: lambda p: p.code if is_neutral_profile(p) else None,
 }
 
-_NON_NEUTRAL = tuple(p for p in PROFILES if not is_neutral_profile(p))
-_NEUTRAL = tuple(p for p in PROFILES if is_neutral_profile(p))
-_NON_NEUTRAL_INDEX = {p: i for i, p in enumerate(_NON_NEUTRAL)}
-_NEUTRAL_INDEX = {p: i for i, p in enumerate(_NEUTRAL)}
+
+@cache
+def _table(kind: LabelSpaceKind) -> tuple[tuple[str, ...], np.ndarray]:
+    """The space's class names, in order of first appearance over PROFILES,
+    and each profile's class index (-1 outside the space), read-only."""
+    names = [_CLASS_OF[kind](p) for p in PROFILES]
+    classes = tuple(dict.fromkeys(n for n in names if n is not None))
+    labels = np.array([-1 if n is None else classes.index(n) for n in names], dtype=np.int64)
+    labels.flags.writeable = False
+    return classes, labels
 
 
 @dataclass(frozen=True)
@@ -171,8 +185,14 @@ class LabelSpace:
     kind: LabelSpaceKind
 
     @property
+    def labels(self) -> np.ndarray:
+        """Class index of each of the 36 profile indices, -1 where the space
+        does not admit the profile; read-only."""
+        return _table(self.kind)[1]
+
+    @property
     def cardinality(self) -> int:
-        return _CARDINALITY[self.kind]
+        return len(_table(self.kind)[0])
 
     @property
     def tag(self) -> str:
@@ -188,55 +208,16 @@ class LabelSpace:
         )
 
     def admits(self, profile: Profile) -> bool:
-        if self.kind is LabelSpaceKind.NON_NEUTRAL_PROFILE16:
-            return not is_neutral_profile(profile)
-        if self.kind is LabelSpaceKind.NEUTRAL_PROFILE20:
-            return is_neutral_profile(profile)
-        return True
+        return bool(self.labels[profile.index] >= 0)
 
     def class_names(self) -> list[str]:
-        kind = self.kind
-        if kind is LabelSpaceKind.PROFILE36:
-            return [p.code for p in PROFILES]
-        if kind is LabelSpaceKind.ALIGNMENT9:
-            return [a.code for a in ALIGNMENTS]
-        if kind is LabelSpaceKind.MOTIVATION4:
-            return [_MOTIVATION_NAME[m] for m in MOTIVATIONS]
-        if kind is LabelSpaceKind.BINARY_LAWFUL2:
-            return ["Lawful", "NonLawful"]
-        if kind is LabelSpaceKind.LAW_AXIS3:
-            return ["Lawful", "Neutral", "Chaotic"]
-        if kind is LabelSpaceKind.NON_NEUTRAL_PROFILE16:
-            return [p.code for p in _NON_NEUTRAL]
-        return [p.code for p in _NEUTRAL]
+        return list(_table(self.kind)[0])
 
 
 def map_label(profile: Profile, space: LabelSpace) -> int:
-    """Map a profile into a label space; dense 0..K-1, canonical order.
-
-    Raises SubsetMismatch when the profile lies outside a subset space.
-    """
-    kind = space.kind
-    if kind is LabelSpaceKind.PROFILE36:
-        return profile.index
-    if kind is LabelSpaceKind.ALIGNMENT9:
-        return profile.alignment.rank
-    if kind is LabelSpaceKind.MOTIVATION4:
-        return profile.motivation.value
-    if kind is LabelSpaceKind.BINARY_LAWFUL2:
-        return 0 if profile.alignment.law_axis is LawAxis.LAWFUL else 1
-    if kind is LabelSpaceKind.LAW_AXIS3:
-        return profile.alignment.law_axis.value
-    if kind is LabelSpaceKind.NON_NEUTRAL_PROFILE16:
-        if profile not in _NON_NEUTRAL_INDEX:
-            raise SubsetMismatch(f"{profile.code} is neutral; not in {space.tag}")
-        return _NON_NEUTRAL_INDEX[profile]
-    if kind is LabelSpaceKind.NEUTRAL_PROFILE20:
-        if profile not in _NEUTRAL_INDEX:
-            raise SubsetMismatch(f"{profile.code} is non-neutral; not in {space.tag}")
-        return _NEUTRAL_INDEX[profile]
-    raise ValueError(f"unhandled label space {kind}")
-
-
-def admissible_profiles(space: LabelSpace) -> tuple[Profile, ...]:
-    return tuple(p for p in PROFILES if space.admits(p))
+    """A profile's class index in `space`; SpaceMismatch when the space does
+    not admit the profile."""
+    label = int(space.labels[profile.index])
+    if label < 0:
+        raise SpaceMismatch(f"profile {profile.code} outside {space.tag}")
+    return label

@@ -259,12 +259,26 @@ class TestStages:
         ids=["move_mistyped_flags", "move_no_flags", "rest_with_flag"],
     )
     def test_featurize_on_malformed_option_is_dependency_error(self, tmp_path, capsys, option):
+        def edit(decision):
+            decision["available"][0] = option
+
+        self._featurize_with_line_3_edited(tmp_path, capsys, edit)
+
+    @pytest.mark.parametrize("chosen", [-1, 99])
+    def test_featurize_on_choice_outside_the_menu_is_dependency_error(self, tmp_path, capsys, chosen):
+        # -1 would featurize the last option, 99 crash on the menu lookup
+        self._featurize_with_line_3_edited(tmp_path, capsys, lambda d: d.update(chosen=chosen))
+
+    @staticmethod
+    def _featurize_with_line_3_edited(tmp_path, capsys, edit):
+        """gen, `edit` the first decision on line 3, then featurize: exit 4
+        naming the line, and no feature file written."""
         out = tmp_path / "o"
         assert main(["--out", str(out), "--seed", "12", "gen", "--games-per-profile", "1"]) == EXIT_OK
         sessions = out / "sessions.jsonl"
         lines = sessions.read_text(encoding="utf-8").splitlines(keepends=True)
         doc = json.loads(lines[2])
-        doc["decisions"][0]["available"][0] = option
+        edit(doc["decisions"][0])
         lines[2] = json.dumps(doc) + "\n"
         sessions.write_text("".join(lines), encoding="utf-8")
         capsys.readouterr()

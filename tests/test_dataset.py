@@ -228,12 +228,9 @@ def test_splits_file_roundtrip(tmp_path):
     path = tmp_path / "splits.json"
     write_splits(path, assignment)
     assert read_splits(path) == assignment
-    path.write_text(json.dumps({"5": "validation"}))
-    with pytest.raises(ConfigInvalid):
-        read_splits(path)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing_key"])
+@pytest.mark.parametrize("damage", ["truncated", "missing_key", "unknown_split_name"])
 def test_damaged_index_and_splits_name_the_file(tmp_path, damage):
     index_path = tmp_path / "index.json"
     splits_path = tmp_path / "splits.json"
@@ -242,9 +239,15 @@ def test_damaged_index_and_splits_name_the_file(tmp_path, damage):
     if damage == "truncated":
         for path in (index_path, splits_path):
             path.write_bytes(path.read_bytes()[:-20])
-    else:
+    elif damage == "missing_key":
         index_path.write_text(json.dumps({"seed": 1, "target": 11}))
         splits_path.write_text(json.dumps(["train", "val"]))
-    for read, path in ((read_index, index_path), (read_splits, splits_path)):
+    else:
+        # a damaged upstream artifact, not a configuration error
+        splits_path.write_text(json.dumps({"3": "train", "1": "validation"}))
+    damaged = [(read_splits, splits_path)]
+    if damage != "unknown_split_name":
+        damaged.append((read_index, index_path))
+    for read, path in damaged:
         with pytest.raises(SchemaMismatch, match=path.name):
             read(path)

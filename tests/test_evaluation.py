@@ -24,7 +24,7 @@ from profilebench.evaluation import (
 )
 from profilebench.features import FeatureFileWriter, SequenceSample, read_feature_file
 from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
-from profilebench.models.training import forward_batch, label_table
+from profilebench.models.training import forward_batch
 from profilebench.taxonomy import (
     LabelSpace,
     LabelSpaceKind,
@@ -126,10 +126,7 @@ class TestEvaluate:
         idxs = [i for i, p in enumerate(all_profiles()) if space.admits(p)][:8]
         ckpt = _ckpt(space=space, n_classes=16)
         samples = _samples(idxs)
-        spec = ExperimentSpec(
-            "t", "lstm_multipool", "176", LabelSpaceKind.NON_NEUTRAL_PROFILE16,
-            subset="non_neutral_only",
-        )
+        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.NON_NEUTRAL_PROFILE16)
         report = evaluate(ckpt, samples, spec)
         assert report.random_baseline_subset == pytest.approx(1 / 16)
         assert report.random_baseline_full == pytest.approx(1 / 36)
@@ -163,10 +160,7 @@ class TestEvaluate:
         non_neutral = next(
             i for i, p in enumerate(all_profiles()) if not is_neutral_profile(p)
         )
-        spec = ExperimentSpec(
-            "t", "lstm_multipool", "176", LabelSpaceKind.NEUTRAL_PROFILE20,
-            subset="neutral_only",
-        )
+        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.NEUTRAL_PROFILE20)
         with pytest.raises(SpaceMismatch):
             evaluate(ckpt, _samples([non_neutral]), spec)
 
@@ -175,9 +169,7 @@ class TestEvaluate:
         profiles = all_profiles()
         inside = [i for i, p in enumerate(profiles) if not is_neutral_profile(p)]
         outside = [i for i, p in enumerate(profiles) if is_neutral_profile(p)]
-        spec = ExperimentSpec(
-            "t", "lstm_multipool", "176", space.kind, subset="non_neutral_only"
-        )
+        spec = ExperimentSpec("t", "lstm_multipool", "176", space.kind)
         samples = _samples([inside[0], outside[3], inside[1], outside[0]])
         want = f"sample profile {profiles[outside[3]].code} outside {space.tag}"
         with pytest.raises(SpaceMismatch, match=f"^{want}$"):
@@ -288,7 +280,7 @@ class TestLabelTable:
     def test_matches_map_label_and_admits_in_every_space(self):
         for kind in LabelSpaceKind:
             space = LabelSpace(kind)
-            table = label_table(space)
+            table = space.labels
             for p in all_profiles():
                 want = map_label(p, space) if space.admits(p) else -1
                 assert table[p.index] == want, (kind, p.code)
@@ -353,20 +345,13 @@ class TestEvaluateClassPredictions:
         space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
         inside = next(p for p in all_profiles() if is_neutral_profile(p))
         outside = next(p for p in all_profiles() if not is_neutral_profile(p))
-        spec = ExperimentSpec("t", "baseline", "agg", space.kind, subset="neutral_only")
+        spec = ExperimentSpec("t", "baseline", "agg", space.kind)
         want = f"sample profile {outside.code} outside {space.tag}"
         with pytest.raises(SpaceMismatch, match=f"^{want}$"):
             evaluate_class_predictions([inside.index, outside.index], np.array([0, 0]), spec, n_games=2)
 
 
 class TestSpecValidation:
-    def test_subset_space_requires_matching_subset(self):
-        spec = ExperimentSpec(
-            "t", "lstm_multipool", "176", LabelSpaceKind.NEUTRAL_PROFILE20, subset="all"
-        )
-        with pytest.raises(SpaceMismatch):
-            spec.validate()
-
     def test_unknown_model_kind_rejected(self):
         with pytest.raises(SpaceMismatch):
             ExperimentSpec("t", "transformer", "176", LabelSpaceKind.PROFILE36).validate()

@@ -181,7 +181,7 @@ def test_build_dungeon_layout():
     d2 = build_dungeon(99, cfg)
     assert d1.rooms.keys() == d2.rooms.keys()
     assert d1.exit == d2.exit
-    assert d1.room_count == 36
+    assert len(d1.rooms) == 36
     assert d1.start == (0, 0)
     ex, ey = d1.exit
     assert ex + ey >= (cfg.width + cfg.height) // 2
@@ -252,29 +252,48 @@ def test_unknown_option_kind_names_the_line(tmp_path):
         list(load_sessions(path))
 
 
-# Options a sessions file must not hold, each with the position it replaces
-# (menus list their moves first): every one of them but "move_extra_key"
-# loaded before options were decoded through one table.
-_MALFORMED_OPTIONS = {
-    "move_string_flag": (0, {"kind": "move_north", "target_unvisited": "yes", "toward_exit": 0}),
-    "move_int_flags": (0, {"kind": "move_north", "target_unvisited": 1, "toward_exit": 0}),
-    "move_null_flag": (0, {"kind": "move_north", "target_unvisited": None, "toward_exit": False}),
-    "move_no_flags": (0, {"kind": "move_north"}),
-    "move_one_flag": (0, {"kind": "move_north", "target_unvisited": True}),
-    "move_extra_key": (0, {"kind": "move_north", "target_unvisited": True, "toward_exit": False, "x": 1}),
-    "rest_one_flag": (-1, {"kind": "rest", "toward_exit": True}),
-    "rest_both_flags": (-1, {"kind": "rest", "target_unvisited": False, "toward_exit": False}),
+# Decision fields a sessions file must not hold: the field each case
+# replaces in the first decision, the option position it replaces (menus
+# list their moves first) and the new value. Every option case but
+# "move_extra_key" loaded before options were decoded through one table;
+# every step, room and chosen case loaded before decisions were checked.
+_MALFORMED_DECISIONS = {
+    "move_string_flag": ("available", 0, {"kind": "move_north", "target_unvisited": "yes", "toward_exit": 0}),
+    "move_int_flags": ("available", 0, {"kind": "move_north", "target_unvisited": 1, "toward_exit": 0}),
+    "move_null_flag": ("available", 0, {"kind": "move_north", "target_unvisited": None, "toward_exit": False}),
+    "move_no_flags": ("available", 0, {"kind": "move_north"}),
+    "move_one_flag": ("available", 0, {"kind": "move_north", "target_unvisited": True}),
+    "move_extra_key": (
+        "available", 0, {"kind": "move_north", "target_unvisited": True, "toward_exit": False, "x": 1}
+    ),
+    "rest_one_flag": ("available", -1, {"kind": "rest", "toward_exit": True}),
+    "rest_both_flags": ("available", -1, {"kind": "rest", "target_unvisited": False, "toward_exit": False}),
+    "chosen_past_the_menu": ("chosen", None, 99),
+    "chosen_negative": ("chosen", None, -1),
+    "chosen_true": ("chosen", None, True),
+    "chosen_float": ("chosen", None, 0.0),
+    "step_not_its_position": ("step", None, 1),
+    "step_string": ("step", None, "0"),
+    "room_three_coords": ("room", None, [0, 0, 0]),
+    "room_float_coord": ("room", None, [0.0, 0]),
+    "room_bool_coord": ("room", None, [False, 0]),
+    "room_not_a_list": ("room", None, "00"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED_OPTIONS))
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DECISIONS))
 def test_malformed_option_names_the_line(tmp_path, case):
-    position, option = _MALFORMED_OPTIONS[case]
+    field, position, value = _MALFORMED_DECISIONS[case]
     lines = [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
-    lines[1]["decisions"][0]["available"][position] = option
+    decision = lines[1]["decisions"][0]
+    if position is None:
+        decision[field] = value
+    else:
+        decision[field][position] = value
     path = tmp_path / "sessions.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
-    with pytest.raises(SchemaMismatch, match="sessions.jsonl line 2: .*not an option"):
+    want = r"sessions.jsonl line 2: .*ValueError: (not an option|decision 0 )"
+    with pytest.raises(SchemaMismatch, match=want):
         list(load_sessions(path))
 
 

@@ -1,10 +1,11 @@
 """Label taxonomy: orderings, codes, and reduced label spaces."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from profilebench.errors import SubsetMismatch
+from profilebench.errors import SpaceMismatch
 from profilebench.taxonomy import (
     ALIGNMENTS,
     PROFILES,
@@ -15,11 +16,9 @@ from profilebench.taxonomy import (
     MoralAxis,
     Motivation,
     Profile,
-    admissible_profiles,
     all_profiles,
     is_neutral_profile,
     map_label,
-    profile_index,
 )
 
 
@@ -45,7 +44,7 @@ def test_alignment_rank_formula():
 def test_profile_index_formula():
     for p in PROFILES:
         assert p.index == 4 * p.alignment.rank + p.motivation.value
-        assert profile_index(p.alignment, p.motivation) == p.index
+        assert Profile(p.alignment, p.motivation).index == p.index
 
 
 def test_true_neutral_code():
@@ -119,7 +118,7 @@ def test_binary_lawful_mapping():
 def test_subset_spaces_are_dense_and_ordered():
     for kind in (LabelSpaceKind.NON_NEUTRAL_PROFILE16, LabelSpaceKind.NEUTRAL_PROFILE20):
         space = LabelSpace(kind)
-        admitted = admissible_profiles(space)
+        admitted = [p for p in PROFILES if space.admits(p)]
         labels = [map_label(p, space) for p in admitted]
         # dense reindex preserving profile-index order
         assert labels == list(range(space.cardinality))
@@ -128,11 +127,57 @@ def test_subset_spaces_are_dense_and_ordered():
 
 def test_subset_mismatch_raised():
     tn_profile = Profile.from_code("TN-Safety")
-    with pytest.raises(SubsetMismatch):
+    with pytest.raises(SpaceMismatch):
         map_label(tn_profile, LabelSpace(LabelSpaceKind.NON_NEUTRAL_PROFILE16))
     lg_profile = Profile.from_code("LG-Safety")
-    with pytest.raises(SubsetMismatch):
+    with pytest.raises(SpaceMismatch):
         map_label(lg_profile, LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20))
+
+
+def _oracle_class_names(kind):
+    """Each space's classes written out one branch per space, not derived
+    from a class rule and first appearance."""
+    if kind is LabelSpaceKind.PROFILE36:
+        return [p.code for p in PROFILES]
+    if kind is LabelSpaceKind.ALIGNMENT9:
+        return [a.code for a in ALIGNMENTS]
+    if kind is LabelSpaceKind.MOTIVATION4:
+        return ["Safety", "Speed", "Wanderlust", "Wealth"]
+    if kind is LabelSpaceKind.BINARY_LAWFUL2:
+        return ["Lawful", "NonLawful"]
+    if kind is LabelSpaceKind.LAW_AXIS3:
+        return ["Lawful", "Neutral", "Chaotic"]
+    if kind is LabelSpaceKind.NON_NEUTRAL_PROFILE16:
+        return [p.code for p in PROFILES if not is_neutral_profile(p)]
+    return [p.code for p in PROFILES if is_neutral_profile(p)]
+
+
+def _oracle_label(p, kind):
+    """A profile's class index, -1 outside the space, by the same branches."""
+    if kind is LabelSpaceKind.PROFILE36:
+        return p.index
+    if kind is LabelSpaceKind.ALIGNMENT9:
+        return p.alignment.rank
+    if kind is LabelSpaceKind.MOTIVATION4:
+        return p.motivation.value
+    if kind is LabelSpaceKind.BINARY_LAWFUL2:
+        return 0 if p.alignment.law_axis is LawAxis.LAWFUL else 1
+    if kind is LabelSpaceKind.LAW_AXIS3:
+        return p.alignment.law_axis.value
+    members = [q for q in PROFILES if is_neutral_profile(q) == (kind is LabelSpaceKind.NEUTRAL_PROFILE20)]
+    return members.index(p) if p in members else -1
+
+
+@pytest.mark.parametrize("kind", list(LabelSpaceKind), ids=lambda kind: kind.value)
+def test_table_matches_the_branch_per_space_oracle(kind):
+    space = LabelSpace(kind)
+    names = _oracle_class_names(kind)
+    assert space.class_names() == names
+    assert space.cardinality == len(names)
+    want = [_oracle_label(p, kind) for p in PROFILES]
+    assert space.labels.tolist() == want
+    assert space.labels.dtype == np.int64 and not space.labels.flags.writeable
+    assert [space.admits(p) for p in PROFILES] == [label >= 0 for label in want]
 
 
 def test_admits_matches_map_label():
@@ -142,7 +187,7 @@ def test_admits_matches_map_label():
             if space.admits(p):
                 assert 0 <= map_label(p, space) < space.cardinality
             else:
-                with pytest.raises(SubsetMismatch):
+                with pytest.raises(SpaceMismatch):
                     map_label(p, space)
 
 
