@@ -25,7 +25,9 @@ from profilebench.features import SequenceSample
 from profilebench.hashing import stable_json_dumps
 from profilebench.models.checkpoint import Checkpoint
 from profilebench.models.lstm import bilstm_recur, project
-from profilebench.models.training import neutral_correction, pool_and_heads, space_labels
+from profilebench.models.training import (
+    SCORE_BATCH_SIZE, WindowBatcher, neutral_correction, pool_and_heads, space_labels,
+)
 from profilebench.taxonomy import PROFILES, LabelSpace, LabelSpaceKind, is_neutral_profile
 
 METRICS_VERSION = 1
@@ -197,42 +199,29 @@ def failed_report(name: str, dims: str, space_tag: str, error: str) -> Report:
     return Report(name, dims, space_tag, 0, 0, {}, empty, failed=True, error=error)
 
 
-def predict_logits(
-    ckpt: Checkpoint, samples: Sequence[SequenceSample], batch_size: int = 256
-) -> dict[str, np.ndarray]:
+def predict_logits(ckpt: Checkpoint, samples: Sequence[SequenceSample]) -> dict[str, np.ndarray]:
     """Per-head logits for every sample, in input order.
 
-    The distinct game row blocks behind `samples` (each sample's `game`,
-    told apart by the array itself, not by `game_id`) are stacked once and
-    projected once per direction, one (N_rows, D) @ (D, 4H) GEMM each: the
-    projection is linear and per row, and overlapping windows share rows.
-    Samples are then grouped by window length, in ascending order, and
-    chunked at `batch_size` in input order; each batch gathers its
-    (B, T, 4H) pre-activations by row index and runs the recurrence,
-    pooling and heads. The rows come back grouped by length and are put
-    back into input order at the end.
+    The batcher's stacked game rows are projected once per direction, one
+    (N_rows, D) @ (D, 4H) GEMM each: the projection is linear and per row,
+    and overlapping windows share rows. Each unshuffled batch then gathers
+    its (B, T, 4H) pre-activations and runs the recurrence, pooling and
+    heads; the logit rows are put back into input order at the end.
     """
-    games = {id(s.game): s.game for s in samples}  # distinct row blocks, first-seen order
-    first_row = dict(zip(games, np.cumsum([0] + [len(g) for g in games.values()])))
-    starts = np.array([first_row[id(s.game)] + s.window[0] for s in samples], np.intp)
     p = ckpt.params
-    rows = np.concatenate(list(games.values())).astype(p["fwd_W"].dtype, copy=False)
-    pre = (project(rows, p["fwd_W"]), project(rows, p["bwd_W"]))
-    del rows  # batches read only the pre-activations
+    windows = WindowBatcher(samples, p["fwd_W"].dtype)
+    pre = (project(windows.rows, p["fwd_W"]), project(windows.rows, p["bwd_W"]))
+    del windows.rows  # batches read only the pre-activations
     recur = (p["fwd_R"], p["fwd_b"]), (p["bwd_R"], p["bwd_b"])
-    lengths = np.array([s.window[1] for s in samples], np.intp)
+    batches = windows.batches(SCORE_BATCH_SIZE)
     parts: dict[str, list[np.ndarray]] = {"profile": [], "align": [], "motiv": []}
-    order: list[np.ndarray] = []  # input indices of the logit rows, grouped by length
-    for t in np.unique(lengths):
-        idxs = np.flatnonzero(lengths == t)
-        order.append(idxs)
-        for lo in range(0, len(idxs), batch_size):
-            take = starts[idxs[lo : lo + batch_size], None] + np.arange(t)  # (B, T) row indices
-            states, _ = bilstm_recur((pre[0][take], pre[1][take]), *recur, cache=False)
-            logits, _, _ = pool_and_heads(states, ckpt, cache=False)
-            for head, out in parts.items():
-                out.append(logits[head])
-    inverse = np.argsort(np.concatenate(order))
+    for idx in batches:
+        take = windows.take(idx)
+        states, _ = bilstm_recur((pre[0][take], pre[1][take]), *recur, cache=False)
+        logits, _, _ = pool_and_heads(states, ckpt, cache=False)
+        for head, out in parts.items():
+            out.append(logits[head])
+    inverse = np.argsort(np.concatenate(batches))
     return {head: np.concatenate(out)[inverse] for head, out in parts.items()}
 
 

@@ -5,7 +5,8 @@ out by `param_layout` (names and shapes in a fixed order). `params` is a
 read-only mapping of reshaped views into it, so Adam, gradient clipping and
 copies each run as one array operation, and rebinding a name raises instead
 of silently detaching it from the vector the optimizer updates. The Adam
-moments `adam_m` and `adam_v` are vectors of the same layout.
+moments are not part of it: `training.train` keeps them, two vectors of
+the same layout, for the length of one run.
 
 The binary layout ("PBCK" version 2) is a header and then the parameter
 vector as one little-endian f32 block, and nothing after it. It holds no
@@ -78,9 +79,6 @@ class Checkpoint:
     n_classes: int
     attention_size: int
     flat: np.ndarray
-    adam_m: np.ndarray | None = None  # zeros when None
-    adam_v: np.ndarray | None = None
-    adam_step: int = 0
     config_digest: str = ""
     history: list = field(default_factory=list)
     layout: dict[str, tuple[int, ...]] = field(init=False, repr=False)
@@ -88,8 +86,6 @@ class Checkpoint:
 
     def __post_init__(self) -> None:
         self.layout = param_layout(*(getattr(self, name) for name in _LAYOUT_FIELDS))
-        self.adam_m = np.zeros_like(self.flat) if self.adam_m is None else self.adam_m
-        self.adam_v = np.zeros_like(self.flat) if self.adam_v is None else self.adam_v
         self.params = self.views(self.flat)
 
     def views(self, flat: np.ndarray) -> MappingProxyType:
@@ -102,13 +98,7 @@ class Checkpoint:
         return MappingProxyType(out)
 
     def copy(self) -> "Checkpoint":
-        return replace(
-            self,
-            flat=self.flat.copy(),
-            adam_m=self.adam_m.copy(),
-            adam_v=self.adam_v.copy(),
-            history=list(self.history),
-        )
+        return replace(self, flat=self.flat.copy(), history=list(self.history))
 
 
 def init_checkpoint(

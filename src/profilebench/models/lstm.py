@@ -14,18 +14,21 @@ A direction's forward pass is two parts: the input projection X @ W.T
 (`_direction_recur`, both directions in `bilstm_recur`). The projection
 runs as one (B*T, D) @ (D, 4H) GEMM: on a (B, T, D) array numpy's stacked
 matmul runs B small GEMMs, one per batch row, about 6x slower at
-(64, 8, 530). Training calls `bilstm_forward_batch`, which projects its
-batch and then recurs. Scoring (`evaluation.predict_logits`) projects
-each game's rows once and gathers each window's pre-activations from
-them: the projection is linear and per row, and at stride 1 a decision
-sits in up to window_len overlapping windows, so projecting per window
-would repeat it that many times.
+(64, 8, 530). One batcher, `training.WindowBatcher`, batches windows by
+length for training, validation and scoring, and a batch's (B, T) row
+indices gather from the games' rows, stacked once. Training and validation
+gather the batch's X and call `bilstm_forward_batch`, which projects it
+and then recurs. Scoring (`evaluation.predict_logits`) projects the
+stacked rows once and gathers each batch's pre-activations instead: the
+projection is linear and per row, and at stride 1 a decision sits in up
+to window_len overlapping windows, so projecting per window would repeat
+it that many times.
 
 The training cache holds each fact once: the gate activations i, f, g, o
 and the cell and hidden states c and h, one (B, T, H) array each. Scoring
-(validation, eval) runs with cache=False and writes nothing but the hidden
-states; both directions write straight into their half of the (B, T, 2H)
-states array.
+(validation and `predict_logits`) runs with cache=False and writes nothing
+but the hidden states; both directions write straight into their half of
+the (B, T, 2H) states array.
 
 Backward keeps only the dh/dc recurrence in its step loop. Everything that
 does not depend on dh or dc (the previous states, shifted one step, and the

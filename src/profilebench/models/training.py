@@ -2,8 +2,9 @@
 
 The loss is cross-entropy on the main head plus weighted cross-entropy on
 the alignment and motivation heads; all three backpropagate through the
-shared pooled vector and both LSTM directions. Minibatches are bucketed
-by sequence length so no padding or masking is ever needed.
+shared pooled vector and both LSTM directions. One batcher,
+`WindowBatcher`, serves training, validation and scoring; its batches
+share a window length, so no padding or masking is ever needed.
 """
 
 from __future__ import annotations
@@ -86,14 +87,7 @@ def forward_batch(
         X, (p["fwd_W"], p["fwd_R"], p["fwd_b"]), (p["bwd_W"], p["bwd_R"], p["bwd_b"]), cache
     )
     logits, pool_cache, pooled = pool_and_heads(states, ckpt, dropout_mask, cache)
-    cache = {
-        "states": states,
-        "lstm": lstm_cache,
-        "pool": pool_cache,
-        "pooled": pooled,
-        "X": X,
-    }
-    return logits, cache
+    return logits, {"states": states, "lstm": lstm_cache, "pool": pool_cache, "pooled": pooled}
 
 
 def pool_and_heads(
@@ -220,15 +214,19 @@ def clip_gradients(grads: np.ndarray, clip_norm: float) -> float:
     return total
 
 
-def adam_update(ckpt: Checkpoint, grads: np.ndarray, config: TrainConfig) -> None:
-    """One Adam step over the flat vectors, in place, with the same
-    per-element operation order as a per-parameter update."""
-    ckpt.adam_step += 1
-    t = ckpt.adam_step
+Moments = tuple[np.ndarray, np.ndarray]  # Adam's (m, v), laid out like Checkpoint.flat
+
+
+def adam_update(
+    flat: np.ndarray, grads: np.ndarray, moments: Moments, t: int, config: TrainConfig
+) -> None:
+    """Adam step number `t` (from 1) over the flat parameter vector and its
+    moments (m, v), in place, with the same per-element operation order as
+    a per-parameter update."""
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    m, v = ckpt.adam_m, ckpt.adam_v
+    m, v = moments
     scratch = np.multiply(1 - b1, grads)
     m *= b1
     m += scratch
@@ -242,7 +240,7 @@ def adam_update(ckpt: Checkpoint, grads: np.ndarray, config: TrainConfig) -> Non
     step = np.divide(m, bias1)
     step *= config.learning_rate
     step /= scratch
-    ckpt.flat -= step
+    flat -= step
 
 
 def dropout_mask_for_step(
@@ -257,9 +255,10 @@ def dropout_mask_for_step(
 
 
 def train_step(
-    batch: Batch, ckpt: Checkpoint, config: TrainConfig, global_step: int
+    batch: Batch, ckpt: Checkpoint, moments: Moments, config: TrainConfig, global_step: int
 ) -> float:
-    """One optimizer step in place; returns the batch loss."""
+    """Optimizer step `global_step` (from 0) on the checkpoint and the Adam
+    moments (m, v), in place; returns the batch loss."""
     config.validate()
     readout = ckpt.params["head_profile_W"].shape[1]
     mask = dropout_mask_for_step(
@@ -274,7 +273,7 @@ def train_step(
     # saturated activations can keep the loss finite while gradients blow up
     if not np.isfinite(norm):
         raise NonFiniteLoss(f"gradient norm diverged at step {global_step}: {norm}")
-    adam_update(ckpt, grads, config)
+    adam_update(ckpt.flat, grads, moments, global_step + 1, config)
     return loss
 
 
@@ -296,42 +295,52 @@ def space_labels(
     return y_main, y_align, y_motiv
 
 
-class _Bucketed:
-    """Samples stacked per sequence length, so batches need no padding."""
+SCORE_BATCH_SIZE = 256  # windows per forward-only batch (validation and scoring)
 
-    def __init__(self, samples: Sequence[SequenceSample], space: LabelSpace, dtype=np.float32):
-        y_main, y_align, y_motiv = space_labels([s.profile.index for s in samples], space)
-        by_t: dict[int, list[int]] = {}
-        for idx, s in enumerate(samples):
-            by_t.setdefault(s.matrix.shape[0], []).append(idx)
-        self.groups: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for t in sorted(by_t):
-            idxs = np.array(by_t[t])
-            X = np.stack([np.asarray(samples[i].matrix, dtype=dtype) for i in idxs])
-            self.groups.append((X, y_main[idxs], y_align[idxs], y_motiv[idxs]))
-        self.n = len(samples)
 
-    def batches(self, batch_size: int, rng: np.random.Generator | None) -> list[Batch]:
+class WindowBatcher:
+    """Windows batched by length, so no batch needs padding. The distinct
+    game row blocks behind the samples (each sample's `game`, told apart by
+    the array itself, not by `game_id`) are stacked once into `rows`, in
+    first-seen order; a window is its first row there and its length."""
+
+    def __init__(self, samples: Sequence[SequenceSample], dtype):
+        games = {id(s.game): s.game for s in samples}
+        first_row = dict(zip(games, np.cumsum([0] + [len(g) for g in games.values()])))
+        self.starts = np.array([first_row[id(s.game)] + s.window[0] for s in samples], np.intp)
+        self.lengths = np.array([s.window[1] for s in samples], np.intp)
+        self.rows = np.concatenate(list(games.values())).astype(dtype, copy=False)
+
+    def batches(self, batch_size: int, rng: np.random.Generator | None = None) -> list[np.ndarray]:
+        """Window indices of each batch: each length's windows, shortest
+        first, chunked at `batch_size` in input order, or with `rng` shuffled
+        per length and then shuffled as batches."""
         out = []
-        for X, y_main, y_align, y_motiv in self.groups:
-            order = rng.permutation(len(X)) if rng is not None else np.arange(len(X))
-            for s in range(0, len(X), batch_size):
-                sel = order[s : s + batch_size]
-                out.append(Batch(X[sel], y_main[sel], y_align[sel], y_motiv[sel]))
+        for t in np.unique(self.lengths):
+            idxs = np.flatnonzero(self.lengths == t)
+            if rng is not None:
+                idxs = idxs[rng.permutation(len(idxs))]
+            out += [idxs[s : s + batch_size] for s in range(0, len(idxs), batch_size)]
         if rng is not None and len(out) > 1:
-            order = rng.permutation(len(out))
-            out = [out[i] for i in order]
+            out = [out[i] for i in rng.permutation(len(out))]
         return out
 
+    def take(self, batch: np.ndarray) -> np.ndarray:
+        """(B, T) row indices of a batch: they gather its X from `rows`, or
+        its pre-activations from their projection."""
+        return self.starts[batch, None] + np.arange(self.lengths[batch[0]])
 
-def predict_main(bucketed: _Bucketed, ckpt: Checkpoint, batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """(predictions, labels) for the main head over all samples."""
-    preds, labels = [], []
-    for batch in bucketed.batches(batch_size, None):
-        logits, _ = forward_batch(batch.X, ckpt, cache=False)
+
+def predict_main(
+    windows: WindowBatcher, labels: np.ndarray, ckpt: Checkpoint
+) -> tuple[np.ndarray, np.ndarray]:
+    """(predictions, labels) of the main head over all windows, in batch order."""
+    batches = windows.batches(SCORE_BATCH_SIZE)
+    preds = []
+    for idx in batches:
+        logits, _ = forward_batch(windows.rows[windows.take(idx)], ckpt, cache=False)
         preds.append(logits["profile"].argmax(axis=1))
-        labels.append(batch.y_profile)
-    return np.concatenate(preds), np.concatenate(labels)
+    return np.concatenate(preds), labels[np.concatenate(batches)]
 
 
 def train(
@@ -351,8 +360,11 @@ def train(
     if not val_samples:
         raise EmptySplit("validation split is empty")
     dtype = ckpt.params["fwd_W"].dtype
-    train_data = _Bucketed(train_samples, space, dtype)
-    val_data = _Bucketed(val_samples, space, dtype)
+    train_y = space_labels([s.profile.index for s in train_samples], space)
+    val_y = space_labels([s.profile.index for s in val_samples], space)[0]
+    train_data = WindowBatcher(train_samples, dtype)
+    val_data = WindowBatcher(val_samples, dtype)
+    moments = (np.zeros_like(ckpt.flat), np.zeros_like(ckpt.flat))
 
     best = ckpt.copy()
     best_acc = -1.0
@@ -362,10 +374,11 @@ def train(
     for epoch in range(config.epochs):
         rng = np.random.Generator(np.random.PCG64(mix_seed(config.seed, "epoch", epoch)))
         losses = []
-        for batch in train_data.batches(config.batch_size, rng):
-            losses.append(train_step(batch, ckpt, config, global_step))
+        for idx in train_data.batches(config.batch_size, rng):
+            batch = Batch(train_data.rows[train_data.take(idx)], *(y[idx] for y in train_y))
+            losses.append(train_step(batch, ckpt, moments, config, global_step))
             global_step += 1
-        preds, labels = predict_main(val_data, ckpt)
+        preds, labels = predict_main(val_data, val_y, ckpt)
         val_acc = float((preds == labels).mean())
         history.append(
             {

@@ -614,8 +614,11 @@ def _decision_from_json(position: int, dec: dict) -> DecisionPoint:
 
 
 def session_from_json(d: dict) -> Session:
+    game_id = d["game_id"]  # a feature record's u64; true equals 1, so check the type first
+    if type(game_id) is not int or not 0 <= game_id < 2**64:
+        raise ValueError(f"game_id {game_id!r} is not an int in [0, 2**64)")
     return Session(
-        game_id=d["game_id"],
+        game_id=game_id,
         profile=Profile.from_code(d["profile"]),
         seed=d["seed"],
         outcome=Outcome(d["outcome"]),

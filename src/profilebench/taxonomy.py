@@ -200,12 +200,9 @@ class LabelSpace:
 
     @property
     def is_profile_space(self) -> bool:
-        """Spaces whose classes are (subsets of) full profiles."""
-        return self.kind in (
-            LabelSpaceKind.PROFILE36,
-            LabelSpaceKind.NON_NEUTRAL_PROFILE16,
-            LabelSpaceKind.NEUTRAL_PROFILE20,
-        )
+        """Spaces whose classes are (subsets of) full profiles: every
+        profile the space admits is its own class."""
+        return all(_CLASS_OF[self.kind](p) in (None, p.code) for p in PROFILES)
 
     def admits(self, profile: Profile) -> bool:
         return bool(self.labels[profile.index] >= 0)

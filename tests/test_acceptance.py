@@ -258,7 +258,8 @@ def test_09_single_batch_overfits_at_default_rate():
     )
     # everything at defaults, learning rate included; only sizes are pinned
     config = TrainConfig(batch_size=B, hidden=H, seed=0)
-    losses = [train_step(batch, ckpt, config, step) for step in range(200)]
+    moments = (np.zeros_like(ckpt.flat), np.zeros_like(ckpt.flat))
+    losses = [train_step(batch, ckpt, moments, config, step) for step in range(200)]
     crossed = next((i for i, v in enumerate(losses) if v < 0.05), None)
     ok = crossed is not None
     _verdict(

@@ -127,19 +127,13 @@ class TestFlatBuffer:
 
     def test_copy_is_independent_of_its_source(self):
         ckpt = _ckpt(POOL_ATTENTION)
-        ckpt.adam_m[...] = 1.0
-        ckpt.adam_step = 3
         ckpt.history = [{"epoch": 0}]
         dup = ckpt.copy()
-        for a, b in ((dup.flat, ckpt.flat), (dup.adam_m, ckpt.adam_m), (dup.adam_v, ckpt.adam_v)):
-            assert not np.shares_memory(a, b)
-            np.testing.assert_array_equal(a, b)
+        assert not np.shares_memory(dup.flat, ckpt.flat)
+        np.testing.assert_array_equal(dup.flat, ckpt.flat)
         assert np.shares_memory(dup.params["attn_ctx"], dup.flat)
         before = ckpt.flat.copy()
         dup.params["attn_ctx"][...] = -7.0
-        dup.adam_m += 1.0
         dup.history.append({"epoch": 1})
         np.testing.assert_array_equal(ckpt.flat, before)
-        assert (ckpt.adam_m == 1.0).all()
         assert ckpt.history == [{"epoch": 0}]
-        assert dup.adam_step == 3

@@ -259,26 +259,33 @@ class TestStages:
         ids=["move_mistyped_flags", "move_no_flags", "rest_with_flag"],
     )
     def test_featurize_on_malformed_option_is_dependency_error(self, tmp_path, capsys, option):
-        def edit(decision):
-            decision["available"][0] = option
+        def edit(doc):
+            doc["decisions"][0]["available"][0] = option
 
         self._featurize_with_line_3_edited(tmp_path, capsys, edit)
 
     @pytest.mark.parametrize("chosen", [-1, 99])
     def test_featurize_on_choice_outside_the_menu_is_dependency_error(self, tmp_path, capsys, chosen):
         # -1 would featurize the last option, 99 crash on the menu lookup
-        self._featurize_with_line_3_edited(tmp_path, capsys, lambda d: d.update(chosen=chosen))
+        self._featurize_with_line_3_edited(
+            tmp_path, capsys, lambda doc: doc["decisions"][0].update(chosen=chosen)
+        )
+
+    @pytest.mark.parametrize("game_id", ["abc", -1, 2**64])
+    def test_featurize_on_game_id_outside_u64_is_dependency_error(self, tmp_path, capsys, game_id):
+        # each crashed the feature record's u64 pack
+        self._featurize_with_line_3_edited(tmp_path, capsys, lambda doc: doc.update(game_id=game_id))
 
     @staticmethod
     def _featurize_with_line_3_edited(tmp_path, capsys, edit):
-        """gen, `edit` the first decision on line 3, then featurize: exit 4
-        naming the line, and no feature file written."""
+        """gen, `edit` the record on line 3, then featurize: exit 4 naming
+        the line, and no feature file written."""
         out = tmp_path / "o"
         assert main(["--out", str(out), "--seed", "12", "gen", "--games-per-profile", "1"]) == EXIT_OK
         sessions = out / "sessions.jsonl"
         lines = sessions.read_text(encoding="utf-8").splitlines(keepends=True)
         doc = json.loads(lines[2])
-        edit(doc["decisions"][0])
+        edit(doc)
         lines[2] = json.dumps(doc) + "\n"
         sessions.write_text("".join(lines), encoding="utf-8")
         capsys.readouterr()

@@ -281,18 +281,32 @@ _MALFORMED_DECISIONS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED_DECISIONS))
+# Record game ids a sessions file must not hold: a feature record stores
+# the id as a u64. Each loaded before game ids were checked.
+_MALFORMED_GAME_IDS = {
+    "game_id_string": "abc",
+    "game_id_negative": -1,
+    "game_id_past_u64": 2**64,
+    "game_id_true": True,
+    "game_id_float": 1.0,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DECISIONS) + sorted(_MALFORMED_GAME_IDS))
 def test_malformed_option_names_the_line(tmp_path, case):
-    field, position, value = _MALFORMED_DECISIONS[case]
     lines = [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
-    decision = lines[1]["decisions"][0]
-    if position is None:
-        decision[field] = value
+    if case in _MALFORMED_GAME_IDS:
+        lines[1]["game_id"] = _MALFORMED_GAME_IDS[case]
     else:
-        decision[field][position] = value
+        field, position, value = _MALFORMED_DECISIONS[case]
+        decision = lines[1]["decisions"][0]
+        if position is None:
+            decision[field] = value
+        else:
+            decision[field][position] = value
     path = tmp_path / "sessions.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
-    want = r"sessions.jsonl line 2: .*ValueError: (not an option|decision 0 )"
+    want = r"sessions.jsonl line 2: .*ValueError: (not an option|decision 0 |game_id )"
     with pytest.raises(SchemaMismatch, match=want):
         list(load_sessions(path))
 

@@ -180,6 +180,15 @@ def test_table_matches_the_branch_per_space_oracle(kind):
     assert [space.admits(p) for p in PROFILES] == [label >= 0 for label in want]
 
 
+def test_profile_spaces_are_the_three_whose_classes_are_profiles():
+    profile_spaces = {kind for kind in LabelSpaceKind if LabelSpace(kind).is_profile_space}
+    assert profile_spaces == {
+        LabelSpaceKind.PROFILE36,
+        LabelSpaceKind.NON_NEUTRAL_PROFILE16,
+        LabelSpaceKind.NEUTRAL_PROFILE20,
+    }
+
+
 def test_admits_matches_map_label():
     for kind in LabelSpaceKind:
         space = LabelSpace(kind)

@@ -15,12 +15,14 @@ from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI
 from profilebench.models.training import (
     Batch,
     TrainConfig,
+    WindowBatcher,
     adam_update,
     clip_gradients,
     compute_gradients,
     forward_batch,
     loss_fn,
     neutral_correction,
+    predict_main,
     space_labels,
     train,
     train_step,
@@ -47,6 +49,11 @@ def _tiny_ckpt(n_classes=4, D=6, H=8, seed=0, dtype=np.float64):
         schema_version=1,
         dtype=dtype,
     )
+
+
+def _moments(ckpt):
+    """Fresh Adam moments (m, v) for the checkpoint's flat vector."""
+    return np.zeros_like(ckpt.flat), np.zeros_like(ckpt.flat)
 
 
 def _toy_samples(n_per_class, classes, T=6, D=6, seed=0, scale=2.0):
@@ -146,7 +153,8 @@ class TestTrainStep:
             y_motiv=np.arange(B) % 4,
         )
         config = TrainConfig(learning_rate=1e-2, dropout=0.0, seed=0)
-        losses = [train_step(batch, ckpt, config, step) for step in range(200)]
+        moments = _moments(ckpt)
+        losses = [train_step(batch, ckpt, moments, config, step) for step in range(200)]
         assert losses[-1] < 0.05
         assert losses[-1] < losses[0]
 
@@ -160,9 +168,10 @@ class TestTrainStep:
             y_motiv=rng.integers(0, 4, 6),
         )
         config = TrainConfig(learning_rate=1e-2, dropout=0.0)
-        first = train_step(batch, ckpt, config, 0)
+        moments = _moments(ckpt)
+        first = train_step(batch, ckpt, moments, config, 0)
         for step in range(1, 30):
-            last = train_step(batch, ckpt, config, step)
+            last = train_step(batch, ckpt, moments, config, step)
         assert last < first
 
     def test_nonfinite_input_raises(self):
@@ -178,7 +187,7 @@ class TestTrainStep:
             y_motiv=np.array([0, 1]),
         )
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
-            train_step(batch, ckpt, TrainConfig(dropout=0.0), 0)
+            train_step(batch, ckpt, _moments(ckpt), TrainConfig(dropout=0.0), 0)
 
     def test_updates_change_parameters_in_place(self):
         ckpt = _tiny_ckpt(n_classes=4)
@@ -192,15 +201,15 @@ class TestTrainStep:
         )
         # zero-init heads pass no gradient to the recurrent weights on the
         # first step; they do from the second step onward
-        train_step(batch, ckpt, TrainConfig(dropout=0.0), 0)
+        moments = _moments(ckpt)
+        train_step(batch, ckpt, moments, TrainConfig(dropout=0.0), 0)
         changed = [k for k in before if not np.array_equal(before[k], ckpt.params[k])]
         assert "head_profile_W" in changed
         assert "fwd_W" not in changed
-        train_step(batch, ckpt, TrainConfig(dropout=0.0), 1)
+        train_step(batch, ckpt, moments, TrainConfig(dropout=0.0), 1)
         changed = [k for k in before if not np.array_equal(before[k], ckpt.params[k])]
         assert "fwd_W" in changed
         assert "bwd_W" in changed
-        assert ckpt.adam_step == 2
 
 
 def _per_name_adam(params, m, v, grads, step, config):
@@ -228,16 +237,16 @@ class TestFlatOptimizer:
         m = {k: np.zeros_like(p) for k, p in params.items()}
         v = {k: np.zeros_like(p) for k, p in params.items()}
         config = TrainConfig(learning_rate=3e-3)
+        flat_m, flat_v = _moments(ckpt)
         for step in range(1, 6):
             flat = rng.normal(0, 10.0 ** (step - 3), ckpt.flat.size).astype(dtype)
             grads = ckpt.views(flat)
             _per_name_adam(params, m, v, {k: g.copy() for k, g in grads.items()}, step, config)
-            adam_update(ckpt, flat, config)
-            assert ckpt.adam_step == step
+            adam_update(ckpt.flat, flat, (flat_m, flat_v), step, config)
             for name in params:
                 assert ckpt.params[name].dtype == dtype
                 np.testing.assert_array_equal(ckpt.params[name], params[name], err_msg=name)
-            for flat_moment, moments in ((ckpt.adam_m, m), (ckpt.adam_v, v)):
+            for flat_moment, moments in ((flat_m, m), (flat_v, v)):
                 want = np.concatenate([a.ravel() for a in moments.values()])
                 np.testing.assert_array_equal(flat_moment, want)
 
@@ -304,9 +313,8 @@ class TestTrainLoop:
         ckpt = init_checkpoint(6, 8, 36, POOL_MULTI, 8, PROFILE_SPACE.tag, 1)
         best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config)
         best_acc = max(h["val_accuracy"] for h in history)
-        from profilebench.models.training import _Bucketed, predict_main
-
-        preds, labels = predict_main(_Bucketed(val_s, PROFILE_SPACE), best)
+        y_val = space_labels([s.profile.index for s in val_s], PROFILE_SPACE)[0]
+        preds, labels = predict_main(WindowBatcher(val_s, best.flat.dtype), y_val, best)
         assert float((preds == labels).mean()) == pytest.approx(best_acc, abs=1e-12)
 
     def test_patience_zero_stops_on_first_regression(self):
@@ -348,6 +356,92 @@ class TestTrainLoop:
             train([], samples, PROFILE_SPACE, ckpt, TrainConfig())
         with pytest.raises(EmptySplit):
             train(samples, [], PROFILE_SPACE, ckpt, TrainConfig())
+
+
+class _Bucketed:
+    """Oracle: training's batcher before `WindowBatcher`, which copied every
+    window into a stack per length. Each batch comes with its window
+    indices."""
+
+    def __init__(self, samples, space, dtype=np.float32):
+        y_main, y_align, y_motiv = space_labels([s.profile.index for s in samples], space)
+        by_t = {}
+        for idx, s in enumerate(samples):
+            by_t.setdefault(s.matrix.shape[0], []).append(idx)
+        self.groups = []
+        for t in sorted(by_t):
+            idxs = np.array(by_t[t])
+            X = np.stack([np.asarray(samples[i].matrix, dtype=dtype) for i in idxs])
+            self.groups.append((idxs, X, y_main[idxs], y_align[idxs], y_motiv[idxs]))
+
+    def batches(self, batch_size, rng):
+        out = []
+        for idxs, X, y_main, y_align, y_motiv in self.groups:
+            order = rng.permutation(len(X)) if rng is not None else np.arange(len(X))
+            for s in range(0, len(X), batch_size):
+                sel = order[s : s + batch_size]
+                out.append((idxs[sel], Batch(X[sel], y_main[sel], y_align[sel], y_motiv[sel])))
+        if rng is not None and len(out) > 1:
+            order = rng.permutation(len(out))
+            out = [out[i] for i in order]
+        return out
+
+
+def _shared_game_windows(seed, dtype=np.float32):
+    """Shuffled windows (length 4, stride 1 or 2) over games of mixed
+    lengths, several per game; a game shorter than 4 rows is one window."""
+    rng = np.random.default_rng(seed)
+    profiles = all_profiles()
+    samples = []
+    for game_id, T in enumerate((9, 3, 12, 2, 6, 4, 11)):
+        game = rng.normal(0, 1, (T, 5)).astype(dtype)
+        profile = profiles[int(rng.integers(36))]
+        stride = 1 + game_id % 2
+        starts = range(0, T - 3, stride) if T >= 4 else [0]
+        for start in starts:
+            samples.append(SequenceSample(game_id, profile, (start, min(4, T)), game))
+    return [samples[i] for i in rng.permutation(len(samples))]
+
+
+class TestWindowBatcher:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_batches_match_the_per_length_stack_oracle(self, seed, batch_size):
+        samples = _shared_game_windows(seed)
+        assert len({s.window[1] for s in samples}) > 1
+        windows = WindowBatcher(samples, np.float32)
+        oracle = _Bucketed(samples, PROFILE_SPACE)
+        labels = space_labels([s.profile.index for s in samples], PROFILE_SPACE)
+        for epoch in range(3):
+            rngs = [np.random.Generator(np.random.PCG64(100 * seed + epoch)) for _ in range(2)]
+            for got_rng, want_rng in ((rngs[0], rngs[1]), (None, None)):
+                got = windows.batches(batch_size, got_rng)
+                want = oracle.batches(batch_size, want_rng)
+                assert [idx.tolist() for idx in got] == [idx.tolist() for idx, _ in want]
+                for idx, (_, batch) in zip(got, want):
+                    X = windows.rows[windows.take(idx)]
+                    assert X.dtype == batch.X.dtype and X.shape == batch.X.shape
+                    assert X.tobytes() == batch.X.tobytes()
+                    for y, y_want in zip(labels, (batch.y_profile, batch.y_align, batch.y_motiv)):
+                        np.testing.assert_array_equal(y[idx], y_want)
+            # the same permutation calls: both generators are at the same state
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gathered_x_is_the_stack_of_window_matrices(self, dtype):
+        samples = _shared_game_windows(7, dtype=np.float64)
+        windows = WindowBatcher(samples, dtype)
+        # each game's rows are stacked once, not once per window
+        assert len(windows.rows) == sum(len(g) for g in {id(s.game): s.game for s in samples}.values())
+        batches = windows.batches(5)
+        assert sorted(np.concatenate(batches).tolist()) == list(range(len(samples)))
+        lengths = [{samples[i].window[1] for i in idx} for idx in batches]
+        assert all(len(t) == 1 for t in lengths) and lengths == sorted(lengths, key=min)
+        for idx in batches:
+            assert np.all(np.diff(idx) > 0)  # input order within a length
+            want = np.stack([np.asarray(samples[i].matrix, dtype=dtype) for i in idx])
+            got = windows.rows[windows.take(idx)]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestNeutralCorrection:
