@@ -2,6 +2,11 @@
 
 The hashing is fixed-width integer arithmetic so results are identical
 across platforms, Python versions, and process counts.
+
+`fold_seed_array` runs the `fold_seed` round over `np.uint64` arrays, one
+chain per element: xor a part in, then one SplitMix64 round whose
+multiplies wrap at 2**64. Every constant and shift count is an explicit
+`np.uint64`, so no result depends on how numpy promotes Python ints.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ import hashlib
 import json
 from pathlib import Path
 from typing import Any, Callable
+
+import numpy as np
 
 from profilebench.errors import IoFailure, SchemaMismatch
 
@@ -61,6 +68,36 @@ def fold_seed(h: int, *parts: int | str) -> int:
         h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
         h ^= h >> 31
+    return h
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """`splitmix64` of every element of a 1-D uint64 array, as a new array.
+
+    Array ufuncs wrap on overflow without a warning (numpy scalar maths
+    would warn), so `x` must be an array, not a numpy scalar.
+    """
+    z = x + _GAMMA
+    z ^= z >> _U30
+    z *= _MUL1
+    z ^= z >> _U27
+    z *= _MUL2
+    z ^= z >> _U31
+    return z
+
+
+def fold_seed_array(h: np.ndarray, *parts: np.ndarray) -> np.ndarray:
+    """`fold_seed` of every element of the 1-D uint64 array `h`. A part is a
+    uint64 array of the same length (one part per chain) or an `np.uint64`
+    folded into every chain; a string part is passed as its fnv1a64."""
+    for part in parts:
+        h = splitmix64_array(h ^ part)
     return h
 
 

@@ -8,12 +8,6 @@ from profilebench.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from profilebench.models.lstm import (
-    attention_pool,
-    bilstm_forward,
-    lstm_cell,
-    multi_pool,
-)
 from profilebench.models.training import (
     Batch,
     TrainConfig,
@@ -33,14 +27,10 @@ __all__ = [
     "POOL_LAST",
     "POOL_MULTI",
     "TrainConfig",
-    "attention_pool",
-    "bilstm_forward",
     "forward_batch",
     "init_checkpoint",
     "load_checkpoint",
     "loss_fn",
-    "lstm_cell",
-    "multi_pool",
     "neutral_correction",
     "save_checkpoint",
     "train",

@@ -66,18 +66,6 @@ def _gates(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     return i, f, g, o, h_next, c_next
 
 
-def lstm_cell(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One cell step for a single timestep; vectorized over any batch shape."""
-    H = R.shape[1]
-    if W.shape[0] != 4 * H or x.shape[-1] != W.shape[1] or h.shape[-1] != H:
-        raise DimensionMismatch(
-            f"cell shapes inconsistent: W{W.shape} R{R.shape} x{x.shape} h{h.shape}"
-        )
-    return _gates(x @ W.T + h @ R.T + b, c)[4:]
-
-
 def project(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Input pre-activations X @ W.T of a (..., D) array as one 2-D GEMM."""
     D = X.shape[-1]
@@ -211,24 +199,7 @@ def bilstm_backward_batch(
         _direction_backward(cache[prefix[0]], X, R, d, out)
 
 
-def bilstm_forward(
-    X: np.ndarray,
-    fwd: tuple[np.ndarray, np.ndarray, np.ndarray],
-    bwd: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Single-sample convenience wrapper: (T, D) -> (T, 2H)."""
-    if X.ndim != 2:
-        raise DimensionMismatch(f"expected a (T, D) matrix, got shape {X.shape}")
-    states, _ = bilstm_forward_batch(X[None], fwd, bwd, cache=False)
-    return states[0]
-
-
 # --- pooling ---------------------------------------------------------------
-
-
-def multi_pool(states: np.ndarray) -> np.ndarray:
-    """concat(max over t, mean over t): (T, 2H) -> (4H,)."""
-    return np.concatenate([states.max(axis=0), states.mean(axis=0)])
 
 
 def multi_pool_batch(states: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
@@ -247,12 +218,6 @@ def multi_pool_backward_batch(cache: dict, states_shape: tuple, dpooled: np.ndar
     s_idx = np.arange(S)[None, :]
     np.add.at(dstates, (b_idx, cache["argmax"], s_idx), dpooled[:, :S])
     return dstates
-
-
-def attention_pool(states: np.ndarray, proj: np.ndarray, ctx: np.ndarray) -> np.ndarray:
-    """Additive attention over timesteps: (T, 2H) -> (2H,)."""
-    pooled, _ = attention_pool_batch(states[None], proj, ctx)
-    return pooled[0]
 
 
 def attention_pool_batch(

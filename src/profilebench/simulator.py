@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from profilebench.errors import ConfigInvalid, IoFailure, SchemaMismatch
-from profilebench.hashing import fold_seed, mix_seed
+from profilebench.hashing import FNV64_OFFSET, fold_seed, fold_seed_array, mix_seed
 from profilebench.taxonomy import (
     LawAxis,
     MoralAxis,
@@ -30,7 +30,9 @@ from profilebench.taxonomy import (
     Profile,
     PROFILES,
 )
-from profilebench.textgen import TEMPLATES, render_text
+# The batch renderer, under the name perfbench traces as `textgen.render_text`
+# (one call per game; ROADMAP item 4).
+from profilebench.textgen import TEMPLATES, render_texts as render_text
 
 
 class ActionCategory(Enum):
@@ -345,30 +347,69 @@ def offer(kind: str, target_unvisited: bool = False, toward_exit: bool = False) 
     )
 
 
-def _action_text(action: ActionInstance, text_seed: int, step: int, slot: int) -> str:
-    """The sentence of the action offered in menu `slot`; each slot has its
-    own seed, mix_seed(game_seed, "text", step, slot) with `text_seed` =
-    mix_seed(game_seed, "text")."""
-    seed = fold_seed(text_seed, step, slot)
-    if action.move_delta is None:
-        return render_text(TEMPLATES, action.kind, seed)
-    return render_text(TEMPLATES, "move", seed, {"direction": action.kind[5:]})
-
-
 # The sentence template of each entity, in Entity order.
 _ENTITY_TEMPLATES = ("room_monster", "room_merchant", "room_villager", "room_treasure", "room_exit")
 
 
-def _room_text(room: Room, step: int) -> str:
-    """The room's sentences at `step`: its base sentence, then one per entity
-    present, in Entity order; sentence k is seeded by
-    mix_seed(room.description_seed, step, k)."""
-    seed = mix_seed(room.description_seed, step)
-    parts = [render_text(TEMPLATES, "room_base", fold_seed(seed, 0))]
-    for k, (present, template_id) in enumerate(zip(room.entities, _ENTITY_TEMPLATES), start=1):
-        if present:
-            parts.append(render_text(TEMPLATES, template_id, fold_seed(seed, k)))
-    return " ".join(parts)
+@functools.cache
+def _room_sentences(entities: tuple[bool, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The templates of a room's sentences, and the k that seeds each: the
+    base sentence (k = 0), then one per entity present, in Entity order
+    (k = its value + 1)."""
+    present = [k for k, flag in enumerate(entities, start=1) if flag]
+    return ("room_base", *(_ENTITY_TEMPLATES[k - 1] for k in present)), (0, *present)
+
+
+# A move's sentence names its real direction.
+_DIRECTION_OVERRIDES = {f"move_{name}": (("direction", name),) for name in _DIRECTIONS}
+
+
+def _game_text(
+    rooms: list[Room], chosen: list[ActionInstance], slots: list[int], text_seed: int
+) -> tuple[list[str], list[str]]:
+    """Each decision's room text and chosen action's text, rendered in one
+    `render_text` batch.
+
+    At step t, the room text is the room's sentences joined by spaces, and
+    sentence k is seeded by mix_seed(room.description_seed, t, k). The action
+    offered in menu `slot` is seeded by mix_seed(game_seed, "text", t, slot),
+    with `text_seed` = mix_seed(game_seed, "text"); a move renders the "move"
+    template with its direction pinned.
+    """
+    n = len(rooms)
+    steps = np.arange(n, dtype=np.uint64)
+    template_ids: list[str] = []
+    ks: list[int] = []
+    counts = []
+    for room in rooms:
+        ids, room_ks = _room_sentences(room.entities)
+        template_ids += ids
+        ks += room_ks
+        counts.append(len(ids))
+    room_seeds = fold_seed_array(  # mix_seed(room.description_seed, t)
+        np.full(n, FNV64_OFFSET, dtype=np.uint64),
+        np.array([room.description_seed for room in rooms], dtype=np.uint64),
+        steps,
+    )
+    seeds = np.concatenate([
+        fold_seed_array(np.repeat(room_seeds, counts), np.array(ks, dtype=np.uint64)),
+        fold_seed_array(np.full(n, text_seed, dtype=np.uint64), steps, np.array(slots, dtype=np.uint64)),
+    ])
+    overrides: list[tuple | None] = [None] * len(template_ids)
+    for action in chosen:
+        if action.move_delta is None:
+            template_ids.append(action.kind)
+            overrides.append(None)
+        else:
+            template_ids.append("move")
+            overrides.append(_DIRECTION_OVERRIDES[action.kind])
+    texts = render_text(TEMPLATES, template_ids, seeds, overrides)
+    room_texts = []
+    end = 0
+    for count in counts:
+        room_texts.append(" ".join(texts[end : end + count]))
+        end += count
+    return room_texts, texts[end:]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -469,7 +510,12 @@ def _assemble_menu(
 
 
 def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) -> Session:
-    """Deterministic playthrough; see module docstring for agent mechanics."""
+    """Deterministic playthrough; see module docstring for agent mechanics.
+
+    The loop plays the game and records each decision's room, menu, choice
+    and the choice's text slot. The room and action text is rendered after
+    it, in one batch for the whole game (`_game_text`).
+    """
     config.validate()
     dungeon = build_dungeon(seed, config)
     params = derive_agent_params(profile, config)
@@ -480,10 +526,10 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
         rng=np.random.Generator(np.random.PCG64(mix_seed(seed, "play"))),
         consistency_bonus=config.consistency_bonus,
     )
-    text_seed = mix_seed(seed, "text")
-    decisions: list[DecisionPoint] = []
+    # per decision: its position, room, menu, choice and the choice's text slot
+    positions, rooms, menus, picks, chosen_actions, text_slots = [], [], [], [], [], []
     outcome = Outcome.STEP_LIMIT
-    for step in range(config.max_steps):
+    for _ in range(config.max_steps):
         room = dungeon.rooms[state.position]
         menu, slots = _assemble_menu(dungeon, room, state)
         utilities = action_utilities(params, state, menu)
@@ -493,16 +539,12 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
         pick = bisect.bisect_left(list(itertools.accumulate(probs.tolist())), state.rng.random())
         pick = min(pick, len(menu) - 1)
         chosen = menu[pick]
-        decisions.append(
-            DecisionPoint(
-                step=step,
-                room=state.position,
-                available=tuple(menu),
-                chosen=pick,
-                room_text=_room_text(room, step),
-                action_text=_action_text(chosen, text_seed, step, slots[pick]),
-            )
-        )
+        positions.append(state.position)
+        rooms.append(room)
+        menus.append(tuple(menu))
+        picks.append(pick)
+        chosen_actions.append(chosen)
+        text_slots.append(slots[pick])
         state.prev_category = chosen.category
         if chosen.kind == "enter_portal":
             outcome = Outcome.EXIT_REACHED
@@ -520,13 +562,14 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
             dx, dy = chosen.move_delta
             state.position = (state.position[0] + dx, state.position[1] + dy)
             state.visited.add(state.position)
-    return Session(
-        game_id=game_id,
-        profile=profile,
-        seed=seed,
-        decisions=tuple(decisions),
-        outcome=outcome,
+    # The text never feeds back into play and draws from no Generator, so
+    # rendering it after the loop leaves the game's stream as it was.
+    room_texts, action_texts = _game_text(rooms, chosen_actions, text_slots, mix_seed(seed, "text"))
+    decisions = tuple(
+        DecisionPoint(step, *fields)
+        for step, fields in enumerate(zip(positions, menus, picks, room_texts, action_texts))
     )
+    return Session(game_id=game_id, profile=profile, seed=seed, decisions=decisions, outcome=outcome)
 
 
 def game_seed(master_seed: int, profile_idx: int, ordinal: int) -> int:
@@ -592,10 +635,11 @@ def session_to_json(session: Session) -> dict:
 
 def _decision_from_json(position: int, dec: dict) -> DecisionPoint:
     """The decision at `position` of a session record. Its step is its
-    position, its room two ints and its choice an index into its options;
-    anything else raises ValueError."""
+    position, its room two ints, its choice an index into its options and
+    its two texts strings; anything else raises ValueError."""
     available = tuple(map(action_from_json, dec["available"]))
     step, room, chosen = dec["step"], dec["room"], dec["chosen"]
+    room_text, action_text = dec["room_text"], dec["action_text"]
     # true equals 1 and 1.0 equals 1, so each type is checked before the value
     if type(step) is not int or step != position:
         raise ValueError(f"decision {position} has step {step!r}")
@@ -603,24 +647,31 @@ def _decision_from_json(position: int, dec: dict) -> DecisionPoint:
         raise ValueError(f"decision {position} has room {room!r}")
     if type(chosen) is not int or not 0 <= chosen < len(available):
         raise ValueError(f"decision {position} chooses {chosen!r} of {len(available)} options")
+    if type(room_text) is not str or type(action_text) is not str:
+        raise ValueError(f"decision {position} has texts {room_text!r}, {action_text!r}")
     return DecisionPoint(
         step=step,
         room=tuple(room),
         available=available,
         chosen=chosen,
-        room_text=dec["room_text"],
-        action_text=dec["action_text"],
+        room_text=room_text,
+        action_text=action_text,
     )
 
 
+def _u64(d: dict, key: str) -> int:
+    """A record's u64 field; true equals 1, so the type is checked first."""
+    value = d[key]
+    if type(value) is not int or not 0 <= value < 2**64:
+        raise ValueError(f"{key} {value!r} is not an int in [0, 2**64)")
+    return value
+
+
 def session_from_json(d: dict) -> Session:
-    game_id = d["game_id"]  # a feature record's u64; true equals 1, so check the type first
-    if type(game_id) is not int or not 0 <= game_id < 2**64:
-        raise ValueError(f"game_id {game_id!r} is not an int in [0, 2**64)")
     return Session(
-        game_id=game_id,
+        game_id=_u64(d, "game_id"),  # a feature record stores it as a u64
         profile=Profile.from_code(d["profile"]),
-        seed=d["seed"],
+        seed=_u64(d, "seed"),
         outcome=Outcome(d["outcome"]),
         decisions=tuple(_decision_from_json(i, dec) for i, dec in enumerate(d["decisions"])),
     )

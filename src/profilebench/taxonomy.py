@@ -9,8 +9,8 @@ Each label space is defined once, by one class function in `_CLASS_OF`:
 a profile's class name, or None where the space does not admit it. The
 space's classes are those names in order of first appearance over the
 canonical PROFILES, and `LabelSpace.labels` holds the 36 profiles' class
-indices (-1 outside the space); cardinality, admission, class names and
-`map_label` all read that one table.
+indices (-1 outside the space); cardinality, admission and class names
+all read that one table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from profilebench.errors import SpaceMismatch
 
 
 class LawAxis(Enum):
@@ -209,12 +208,3 @@ class LabelSpace:
 
     def class_names(self) -> list[str]:
         return list(_table(self.kind)[0])
-
-
-def map_label(profile: Profile, space: LabelSpace) -> int:
-    """A profile's class index in `space`; SpaceMismatch when the space does
-    not admit the profile."""
-    label = int(space.labels[profile.index])
-    if label < 0:
-        raise SpaceMismatch(f"profile {profile.code} outside {space.tag}")
-    return label

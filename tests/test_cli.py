@@ -232,6 +232,18 @@ class TestStages:
         digest = hashlib.sha256((out / "sessions.jsonl").read_bytes()).hexdigest()
         assert digest == "7800818c1cf40691268623e52c66fcbe555a2b4399c3ce6c98648bd3471084a6"
 
+    def test_gen_all_entity_sessions_match_pinned_digest(self, tmp_path):
+        # Every room holds every entity, so every room template renders and
+        # menus fill all six slots, on a 9x2 grid. sha256 of the corpus
+        # written before each game's text was rendered in one batch.
+        rates = {f"{e}_rate": 1.0 for e in ("monster", "merchant", "villager", "treasure")}
+        config = _write_config(tmp_path, sim={"width": 9, "height": 2, **rates})
+        out = tmp_path / "o"
+        argv = ["--config", str(config), "--out", str(out), "gen", "--games-per-profile", "1"]
+        assert main(argv) == EXIT_OK
+        digest = hashlib.sha256((out / "sessions.jsonl").read_bytes()).hexdigest()
+        assert digest == "4b15be1876092943db65ee05306c0cae1a61ae0e4c307924411228dd5a8ff429"
+
     def test_featurize_outputs_match_pinned_digest(self, tmp_path):
         # sha256 of the feature files and aggregates featurize wrote from the
         # pinned corpus above before seed prefixes were folded once and text
@@ -275,6 +287,19 @@ class TestStages:
     def test_featurize_on_game_id_outside_u64_is_dependency_error(self, tmp_path, capsys, game_id):
         # each crashed the feature record's u64 pack
         self._featurize_with_line_3_edited(tmp_path, capsys, lambda doc: doc.update(game_id=game_id))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("action_text", 5), ("room_text", None), ("seed", "abc"), ("seed", -1)],
+        ids=["action_text_int", "room_text_null", "seed_string", "seed_negative"],
+    )
+    def test_featurize_on_mistyped_text_or_seed_is_dependency_error(self, tmp_path, capsys, field, value):
+        # a text that is not a string crashed featurize; a seed outside u64
+        # featurized with exit 0
+        def edit(doc):
+            (doc["decisions"][0] if field.endswith("_text") else doc)[field] = value
+
+        self._featurize_with_line_3_edited(tmp_path, capsys, edit)
 
     @staticmethod
     def _featurize_with_line_3_edited(tmp_path, capsys, edit):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import test_taxonomy as taxonomy_oracles
+
 from profilebench.errors import EmptyTestSet, SpaceMismatch
 from profilebench.evaluation import (
     NEUTRAL_ALIGNMENT_RANKS,
@@ -30,7 +32,6 @@ from profilebench.taxonomy import (
     LabelSpaceKind,
     all_profiles,
     is_neutral_profile,
-    map_label,
 )
 
 PROFILE_SPACE = LabelSpace(LabelSpaceKind.PROFILE36)
@@ -141,7 +142,7 @@ class TestEvaluate:
         report = evaluate(ckpt, samples, spec)
         want = sum(
             1 for k in idxs
-            if map_label(profiles[k], ALIGN_SPACE) in NEUTRAL_ALIGNMENT_RANKS
+            if ALIGN_SPACE.labels[profiles[k].index] in NEUTRAL_ALIGNMENT_RANKS
         ) / len(idxs)
         assert report.neutral_prior == pytest.approx(want)
 
@@ -282,7 +283,8 @@ class TestLabelTable:
             space = LabelSpace(kind)
             table = space.labels
             for p in all_profiles():
-                want = map_label(p, space) if space.admits(p) else -1
+                want = taxonomy_oracles._oracle_label(p, kind)
+                assert space.admits(p) == (want >= 0)
                 assert table[p.index] == want, (kind, p.code)
             assert not table.flags.writeable
 
@@ -295,7 +297,10 @@ class TestLabelTable:
             (report.confusion_align, ALIGN_SPACE),
             (report.confusion_motiv, LabelSpace(LabelSpaceKind.MOTIVATION4)),
         ):
-            support = np.bincount([map_label(s.profile, space) for s in samples], minlength=space.cardinality)
+            support = np.bincount(
+                [taxonomy_oracles._oracle_label(s.profile, space.kind) for s in samples],
+                minlength=space.cardinality,
+            )
             np.testing.assert_array_equal(matrix.counts.sum(axis=1), support)
 
 

@@ -14,17 +14,50 @@ from profilebench.errors import DimensionMismatch
 from profilebench.models.lstm import (
     _direction_backward,
     _direction_recur,
-    attention_pool,
     attention_pool_batch,
-    bilstm_forward,
     bilstm_forward_batch,
     last_state_pool_batch,
-    lstm_cell,
-    multi_pool,
     multi_pool_batch,
     project,
     sigmoid,
 )
+
+
+# --- single-sample references ---------------------------------------------
+
+
+def lstm_cell(x, h, c, W, R, b):
+    """One cell step for a single timestep; vectorized over any batch shape.
+    Its sigmoid is (1 + tanh(z / 2)) / 2, which shares no code with the
+    package's and never overflows."""
+    H = R.shape[1]
+    if W.shape[0] != 4 * H or x.shape[-1] != W.shape[1] or h.shape[-1] != H:
+        raise DimensionMismatch(
+            f"cell shapes inconsistent: W{W.shape} R{R.shape} x{x.shape} h{h.shape}"
+        )
+    z = x @ W.T + h @ R.T + b
+    i, f, o = (0.5 * (1.0 + np.tanh(z[..., k * H : (k + 1) * H] / 2)) for k in (0, 1, 3))
+    c_next = f * c + i * np.tanh(z[..., 2 * H : 3 * H])
+    return o * np.tanh(c_next), c_next
+
+
+def bilstm_forward(X, fwd, bwd):
+    """Single-sample wrapper of the batched pass: (T, D) -> (T, 2H)."""
+    if X.ndim != 2:
+        raise DimensionMismatch(f"expected a (T, D) matrix, got shape {X.shape}")
+    states, _ = bilstm_forward_batch(X[None], fwd, bwd, cache=False)
+    return states[0]
+
+
+def multi_pool(states):
+    """concat(max over t, mean over t): (T, 2H) -> (4H,)."""
+    return np.concatenate([states.max(axis=0), states.mean(axis=0)])
+
+
+def attention_pool(states, proj, ctx):
+    """Single-sample wrapper of the batched attention pool: (T, 2H) -> (2H,)."""
+    pooled, _ = attention_pool_batch(states[None], proj, ctx)
+    return pooled[0]
 
 
 def _sig(x: float) -> float:

@@ -7,6 +7,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import test_textgen as textgen_oracles
+from test_textgen import _oracle_mix
+
 from profilebench.errors import ConfigInvalid, SchemaMismatch
 from profilebench.pipeline import read_config
 from profilebench.simulator import (
@@ -32,6 +35,7 @@ from profilebench.simulator import (
     softmax_policy,
 )
 from profilebench.taxonomy import PROFILES, Motivation, Profile
+from profilebench.textgen import TEMPLATES
 
 
 def _profile(code: str) -> Profile:
@@ -243,6 +247,74 @@ def test_texts_match_pinned_digest():
     assert h.hexdigest() == "875a0591d85a9513fbc86ba70f42b136d129f28b371338311f72c5f42caf4fd9"
 
 
+# --- each game's text against the per-sentence path it replaced -------------
+
+_ENTITY_TEMPLATES = ("room_monster", "room_merchant", "room_villager", "room_treasure", "room_exit")
+_FILLER_KINDS = ("rest", "scout", "search_room", "smash")
+# entity actions a room offers before the menu is cut at six, in Entity order
+_ENTITY_ACTION_COUNTS = (2, 2, 2, 1)
+
+
+def _oracle_room_text(room, step):
+    """The room's base sentence, then one per entity present, in Entity
+    order; sentence k is seeded by mix_seed(room.description_seed, step, k)."""
+    parts = [textgen_oracles._oracle_render(TEMPLATES, "room_base", _oracle_mix(room.description_seed, step, 0))]
+    for k, (present, template_id) in enumerate(zip(room.entities, _ENTITY_TEMPLATES), start=1):
+        if present:
+            seed = _oracle_mix(room.description_seed, step, k)
+            parts.append(textgen_oracles._oracle_render(TEMPLATES, template_id, seed))
+    return " ".join(parts)
+
+
+def _oracle_action_text(action, game_seed_, step, slot):
+    """The sentence of the action offered in menu `slot`, seeded by
+    mix_seed(game_seed, "text", step, slot); a move pins its direction."""
+    seed = _oracle_mix(game_seed_, "text", step, slot)
+    if action.move_delta is None:
+        return textgen_oracles._oracle_render(TEMPLATES, action.kind, seed)
+    return textgen_oracles._oracle_render(TEMPLATES, "move", seed, {"direction": action.kind[5:]})
+
+
+def _text_slot(decision, room):
+    """The chosen option's text slot, numbered as the menu numbers them:
+    moves 0 and 1, the portal 2, the room's entity actions from 3, and the
+    fillers after every entity action the room has, offered or cut."""
+    kinds = [a.kind for a in decision.available]
+    kind = kinds[decision.chosen]
+    if kind.startswith("move_"):
+        return decision.chosen
+    if kind == "enter_portal":
+        return 2
+    n_fixed = sum(k.startswith("move_") or k == "enter_portal" for k in kinds)
+    if kind not in _FILLER_KINDS:
+        return 3 + decision.chosen - n_fixed
+    n_entity = sum(n for n, present in zip(_ENTITY_ACTION_COUNTS, room.entities) if present)
+    first_filler = next(i for i, k in enumerate(kinds) if k in _FILLER_KINDS)
+    return 3 + n_entity + decision.chosen - first_filler
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(),
+        SimConfig(width=9, height=2, monster_rate=1.0, merchant_rate=1.0, villager_rate=1.0, treasure_rate=1.0),
+        SimConfig(width=3, height=2, monster_rate=0.0, merchant_rate=0.0, villager_rate=0.0, treasure_rate=0.0),
+    ],
+    ids=["default", "every_entity", "no_entity"],
+)
+def test_every_decision_text_matches_the_per_sentence_path(config):
+    n = 0
+    for session in generate_sessions(23, 1, config):
+        dungeon = build_dungeon(session.seed, config)
+        for d in session.decisions:
+            room = dungeon.rooms[d.room]
+            assert d.room_text == _oracle_room_text(room, d.step)
+            slot = _text_slot(d, room)
+            assert d.action_text == _oracle_action_text(d.available[d.chosen], session.seed, d.step, slot)
+            n += 1
+    assert n > 36
+
+
 def test_unknown_option_kind_names_the_line(tmp_path):
     lines = [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
     lines[1]["decisions"][0]["available"][0] = {"kind": "juggle"}
@@ -278,25 +350,38 @@ _MALFORMED_DECISIONS = {
     "room_float_coord": ("room", None, [0.0, 0]),
     "room_bool_coord": ("room", None, [False, 0]),
     "room_not_a_list": ("room", None, "00"),
+    # each text loaded before texts were checked; featurize then crashed
+    # on the int and the null
+    "room_text_int": ("room_text", None, 5),
+    "action_text_int": ("action_text", None, 5),
+    "action_text_null": ("action_text", None, None),
+    "room_text_list": ("room_text", None, ["You enter a dim cell."]),
 }
 
 
-# Record game ids a sessions file must not hold: a feature record stores
-# the id as a u64. Each loaded before game ids were checked.
-_MALFORMED_GAME_IDS = {
-    "game_id_string": "abc",
-    "game_id_negative": -1,
-    "game_id_past_u64": 2**64,
-    "game_id_true": True,
-    "game_id_float": 1.0,
+# Record fields a sessions file must not hold: a feature record stores the
+# game id as a u64, and a game's seed is a u64. Each loaded before these
+# fields were checked.
+_MALFORMED_RECORDS = {
+    "game_id_string": ("game_id", "abc"),
+    "game_id_negative": ("game_id", -1),
+    "game_id_past_u64": ("game_id", 2**64),
+    "game_id_true": ("game_id", True),
+    "game_id_float": ("game_id", 1.0),
+    "seed_string": ("seed", "abc"),
+    "seed_negative": ("seed", -1),
+    "seed_past_u64": ("seed", 2**64),
+    "seed_true": ("seed", True),
+    "seed_float": ("seed", 3.0),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED_DECISIONS) + sorted(_MALFORMED_GAME_IDS))
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DECISIONS) + sorted(_MALFORMED_RECORDS))
 def test_malformed_option_names_the_line(tmp_path, case):
     lines = [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
-    if case in _MALFORMED_GAME_IDS:
-        lines[1]["game_id"] = _MALFORMED_GAME_IDS[case]
+    if case in _MALFORMED_RECORDS:
+        field, value = _MALFORMED_RECORDS[case]
+        lines[1][field] = value
     else:
         field, position, value = _MALFORMED_DECISIONS[case]
         decision = lines[1]["decisions"][0]
@@ -306,7 +391,7 @@ def test_malformed_option_names_the_line(tmp_path, case):
             decision[field][position] = value
     path = tmp_path / "sessions.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
-    want = r"sessions.jsonl line 2: .*ValueError: (not an option|decision 0 |game_id )"
+    want = r"sessions.jsonl line 2: .*ValueError: (not an option|decision 0 |game_id |seed )"
     with pytest.raises(SchemaMismatch, match=want):
         list(load_sessions(path))
 

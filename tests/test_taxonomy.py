@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from profilebench.errors import SpaceMismatch
 from profilebench.taxonomy import (
     ALIGNMENTS,
     PROFILES,
@@ -18,7 +17,6 @@ from profilebench.taxonomy import (
     Profile,
     all_profiles,
     is_neutral_profile,
-    map_label,
 )
 
 
@@ -100,18 +98,18 @@ def test_cardinalities():
 
 def test_map_label_identity_spaces():
     p = Profile.from_code("CE-Wealth")
-    assert map_label(p, LabelSpace(LabelSpaceKind.PROFILE36)) == 35
-    assert map_label(p, LabelSpace(LabelSpaceKind.ALIGNMENT9)) == 8
-    assert map_label(p, LabelSpace(LabelSpaceKind.MOTIVATION4)) == 3
-    assert map_label(p, LabelSpace(LabelSpaceKind.LAW_AXIS3)) == 2
+    assert LabelSpace(LabelSpaceKind.PROFILE36).labels[p.index] == 35
+    assert LabelSpace(LabelSpaceKind.ALIGNMENT9).labels[p.index] == 8
+    assert LabelSpace(LabelSpaceKind.MOTIVATION4).labels[p.index] == 3
+    assert LabelSpace(LabelSpaceKind.LAW_AXIS3).labels[p.index] == 2
 
 
 def test_binary_lawful_mapping():
     space = LabelSpace(LabelSpaceKind.BINARY_LAWFUL2)
     for p in PROFILES:
         expected = 0 if p.alignment.law_axis is LawAxis.LAWFUL else 1
-        assert map_label(p, space) == expected
-    labels = [map_label(p, space) for p in PROFILES]
+        assert space.labels[p.index] == expected
+    labels = space.labels.tolist()
     assert labels.count(0) == 12 and labels.count(1) == 24
 
 
@@ -119,19 +117,20 @@ def test_subset_spaces_are_dense_and_ordered():
     for kind in (LabelSpaceKind.NON_NEUTRAL_PROFILE16, LabelSpaceKind.NEUTRAL_PROFILE20):
         space = LabelSpace(kind)
         admitted = [p for p in PROFILES if space.admits(p)]
-        labels = [map_label(p, space) for p in admitted]
+        labels = [space.labels[p.index] for p in admitted]
         # dense reindex preserving profile-index order
         assert labels == list(range(space.cardinality))
         assert [p.index for p in admitted] == sorted(p.index for p in admitted)
 
 
 def test_subset_mismatch_raised():
+    # a profile outside a space has no class there: label -1, not admitted
     tn_profile = Profile.from_code("TN-Safety")
-    with pytest.raises(SpaceMismatch):
-        map_label(tn_profile, LabelSpace(LabelSpaceKind.NON_NEUTRAL_PROFILE16))
+    space = LabelSpace(LabelSpaceKind.NON_NEUTRAL_PROFILE16)
+    assert space.labels[tn_profile.index] == -1 and not space.admits(tn_profile)
     lg_profile = Profile.from_code("LG-Safety")
-    with pytest.raises(SpaceMismatch):
-        map_label(lg_profile, LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20))
+    space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
+    assert space.labels[lg_profile.index] == -1 and not space.admits(lg_profile)
 
 
 def _oracle_class_names(kind):
@@ -194,10 +193,9 @@ def test_admits_matches_map_label():
         space = LabelSpace(kind)
         for p in PROFILES:
             if space.admits(p):
-                assert 0 <= map_label(p, space) < space.cardinality
+                assert 0 <= space.labels[p.index] < space.cardinality
             else:
-                with pytest.raises(SpaceMismatch):
-                    map_label(p, space)
+                assert space.labels[p.index] == -1
 
 
 @given(st.integers(min_value=0, max_value=35))

@@ -4,18 +4,25 @@
 determinism and for a few pinned outputs, so that any change to the draw
 stream is deliberate. `mix_seed` and `fold_seed` are checked against a
 test-local FNV-1a + SplitMix64 oracle that shares no code (and no cache)
-with the package.
+with the package. The batch renderer is checked string for string against
+the per-sentence renderer it replaced, run on that oracle, and its array
+round and exact pick against the scalar `splitmix64`, `fold_seed` and
+(x * n) >> 64.
 """
 
 import math
+import random
+import re
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profilebench.errors import UnknownTemplate
-from profilebench.hashing import fold_seed, mix_seed
-from profilebench.textgen import SLOT_POOLS, TEMPLATES, render_text
+from profilebench.hashing import fnv1a64, fold_seed, fold_seed_array, mix_seed, splitmix64, splitmix64_array
+from profilebench.textgen import SLOT_POOLS, TEMPLATES, pick_index, render_text, render_texts
 
 N_SEEDS = 4000
 # A frequency passes when it is within this many binomial standard
@@ -168,3 +175,110 @@ def test_fold_seed_continues_mix_seed(a, b):
     want = _oracle_mix(*a, *b)
     assert mix_seed(*a, *b) == want
     assert fold_seed(mix_seed(*a), *b) == want
+
+
+# --- the batch renderer against the per-sentence oracle ----------------------
+
+_SLOT_RE = re.compile(r"\{([^}]*)\}")
+
+
+def _oracle_render(bank, template_id, seed, overrides=None):
+    """The per-sentence renderer the batch replaced, on the oracle chain:
+    draw 0 picks the variant, each slot without an override takes the next
+    draw, and a draw x picks index (x * n) >> 64 of an n-entry list."""
+    variants = bank[template_id]
+    x = _oracle_splitmix(_oracle_mix(seed, "tmpl", template_id))
+    pieces = _SLOT_RE.split(variants[(x * len(variants)) >> 64])
+    out = [pieces[0]]
+    for i in range(1, len(pieces), 2):
+        slot = pieces[i]
+        if overrides and slot in overrides:
+            out.append(overrides[slot])
+        else:
+            pool = SLOT_POOLS[slot]
+            x = _oracle_splitmix(x)
+            out.append(pool[(x * len(pool)) >> 64])
+        out.append(pieces[i + 1])
+    return "".join(out)
+
+
+# small seeds, seeds past 2**63 and seeds just under 2**64
+_ORACLE_SEEDS = [*range(150), *(2**63 + k * 7919 for k in range(50)), *(2**64 - 1 - k for k in range(50))]
+
+
+def _override_sets(template_id):
+    """No override, each slot of the template pinned alone, and every slot pinned."""
+    slots = sorted({s for v in TEMPLATES[template_id] for s in _SLOT_RE.findall(v)})
+    return [None, *({s: f"<{s}>"} for s in slots), {s: s.upper() for s in slots}]
+
+
+@pytest.mark.parametrize("template_id", sorted(TEMPLATES))
+def test_batch_matches_the_per_slot_oracle(template_id):
+    for overrides in _override_sets(template_id):
+        want = [_oracle_render(TEMPLATES, template_id, seed, overrides) for seed in _ORACLE_SEEDS]
+        seeds = np.array(_ORACLE_SEEDS, dtype=np.uint64)
+        pinned = None if overrides is None else tuple(overrides.items())
+        got = render_texts(TEMPLATES, [template_id] * len(seeds), seeds, [pinned] * len(seeds))
+        assert got == want
+        assert [render_text(TEMPLATES, template_id, s, overrides) for s in _ORACLE_SEEDS[::10]] == want[::10]
+
+
+def test_mixed_batch_matches_the_oracle_sentence_for_sentence():
+    # every template and override set in one shuffled batch: a sentence does
+    # not depend on the others in its batch
+    rng = random.Random(19)
+    cases = [
+        (template_id, rng.randrange(2**64), overrides)
+        for template_id in sorted(TEMPLATES)
+        for overrides in _override_sets(template_id)
+        for _ in range(5)
+    ]
+    rng.shuffle(cases)
+    got = render_texts(
+        TEMPLATES,
+        [t for t, _, _ in cases],
+        np.array([s for _, s, _ in cases], dtype=np.uint64),
+        [None if o is None else tuple(o.items()) for _, _, o in cases],
+    )
+    assert got == [_oracle_render(TEMPLATES, t, s, o) for t, s, o in cases]
+    assert render_texts(TEMPLATES, [], np.array([], dtype=np.uint64)) == []
+
+
+_U64 = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(2**63, 2**64 - 1),
+    st.integers(2**64 - 2**20, 2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_U64, st.integers(1, 8)), min_size=1, max_size=16), _U64, st.text(max_size=4))
+@example([(2**64 - 1, 8), (2**63, 1), (0, 8), (2**63 - 1, 7)], 2**64 - 1, "tmpl")
+def test_array_round_and_pick_match_the_scalar_path(pairs, part, tag):
+    xs = [x for x, _ in pairs]
+    ns = [n for _, n in pairs]
+    x = np.array(xs, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rounds = splitmix64_array(x)
+        folded = fold_seed_array(x, np.uint64(part), np.uint64(fnv1a64(tag.encode("utf-8"))), x)
+        picks = pick_index(x, np.array(ns, dtype=np.uint64))
+    assert rounds.dtype == folded.dtype == picks.dtype == np.uint64
+    assert rounds.tolist() == [splitmix64(v) for v in xs]
+    assert folded.tolist() == [fold_seed(v, part, tag, v) for v in xs]
+    assert picks.tolist() == [(v * n) >> 64 for v, n in zip(xs, ns)]
+
+
+def test_pick_at_every_boundary_between_indices():
+    # x = ceil(j * 2**64 / n) is the first draw that picks j: there the low
+    # half's carry decides the index, which random draws almost never reach
+    xs, ns, want = [], [], []
+    for n in range(1, 9):
+        for j in range(1, n):
+            first = -(-(j << 64) // n)
+            xs += [first - 1, first]
+            ns += [n, n]
+            want += [j - 1, j]
+    assert [(x * n) >> 64 for x, n in zip(xs, ns)] == want
+    got = pick_index(np.array(xs, dtype=np.uint64), np.array(ns, dtype=np.uint64))
+    assert got.tolist() == want

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import test_taxonomy as taxonomy_oracles
+
 from profilebench.errors import (
     ConfigInvalid,
     EmptySplit,
@@ -32,7 +34,6 @@ from profilebench.taxonomy import (
     LabelSpaceKind,
     Profile,
     all_profiles,
-    map_label,
 )
 
 PROFILE_SPACE = LabelSpace(LabelSpaceKind.PROFILE36)
@@ -497,7 +498,7 @@ class TestSpaceLabels:
             y_main, y_align, y_motiv = space_labels([p.index for p in picked], space)
             for got, sp in ((y_main, space), (y_align, align), (y_motiv, motiv)):
                 assert got.dtype == np.int64
-                assert got.tolist() == [map_label(p, sp) for p in picked]
+                assert got.tolist() == [taxonomy_oracles._oracle_label(p, sp.kind) for p in picked]
 
     def test_profile_outside_a_subset_space_raises(self):
         space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
