@@ -56,8 +56,9 @@ class Entity(Enum):
     EXIT_PORTAL = 4
 
 
-# manifest.json's "format": v2 stores each option as its catalog kind.
-SESSIONS_FORMAT = "sessions-jsonl-v2"
+# manifest.json's "format": v3 stores each decision as one array and each
+# menu as one string of option codes.
+SESSIONS_FORMAT = "sessions-jsonl-v3"
 
 
 class Outcome(Enum):
@@ -138,9 +139,16 @@ class ActionInstance:
     # category.value as a plain int: featurize reads it for every option, and
     # an Enum's .value is a property lookup
     category_id: int = field(init=False, repr=False)
+    # how a sessions file writes the option: its kind, and a move's two
+    # flags as digits ("move_north/10": target unvisited, not toward the exit)
+    code: str = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "category_id", self.category.value)
+        code = self.kind
+        if self.move_delta is not None:
+            code += f"/{self.target_unvisited:d}{self.toward_exit:d}"
+        object.__setattr__(self, "code", code)
 
 
 @dataclass(frozen=True)
@@ -509,6 +517,15 @@ def _assemble_menu(
     return menu, slots
 
 
+def _after(position: tuple[int, int], action: ActionInstance) -> tuple[int, int]:
+    """The room an agent is in after choosing `action` in `position`: a
+    move's target, or the same room."""
+    delta = action.move_delta
+    if delta is None:
+        return position
+    return (position[0] + delta[0], position[1] + delta[1])
+
+
 def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) -> Session:
     """Deterministic playthrough; see module docstring for agent mechanics.
 
@@ -558,10 +575,8 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
             if state.rng.random() < p_death:
                 outcome = Outcome.DIED
                 break
-        if chosen.move_delta is not None:
-            dx, dy = chosen.move_delta
-            state.position = (state.position[0] + dx, state.position[1] + dy)
-            state.visited.add(state.position)
+        state.position = _after(state.position, chosen)
+        state.visited.add(state.position)
     # The text never feeds back into play and draws from no Generator, so
     # rendering it after the loop leaves the game's stream as it was.
     room_texts, action_texts = _game_text(rooms, chosen_actions, text_slots, mix_seed(seed, "text"))
@@ -578,85 +593,84 @@ def game_seed(master_seed: int, profile_idx: int, ordinal: int) -> int:
     return mix_seed(master_seed, profile_idx, ordinal)
 
 
-def action_to_json(action: ActionInstance) -> dict:
-    """The option as `offer`'s arguments: its kind, plus a move's two flags."""
-    d = {"kind": action.kind}
-    if action.move_delta is not None:
-        d.update(target_unvisited=action.target_unvisited, toward_exit=action.toward_exit)
-    return d
-
-
-# Every option a sessions file can hold: a kind other than a move by its
-# kind, a move by its kind and its two flags.
-_PLAIN_OPTIONS = {kind: offer(kind) for kind in _CATALOG}
-_MOVE_OPTIONS = {
-    (f"move_{name}", unvisited, toward): offer(f"move_{name}", unvisited, toward)
-    for name in _DIRECTION_ORDER
-    for unvisited in (False, True)
-    for toward in (False, True)
+# Every option a sessions file can hold, by its code.
+_OPTIONS = {
+    action.code: action
+    for action in (
+        *(offer(kind) for kind in _CATALOG),
+        *(
+            offer(f"move_{name}", unvisited, toward)
+            for name in _DIRECTION_ORDER
+            for unvisited in (False, True)
+            for toward in (False, True)
+        ),
+    )
 }
 
+# menu string -> its options. A corpus's menus are few and repeat, so each
+# is split and looked up once.
+_MENUS: dict[str, tuple[ActionInstance, ...]] = {}
 
-def action_from_json(option: dict) -> ActionInstance:
-    """The shared instance `action_to_json` wrote `option` from. A move
-    carries exactly its two flags, as JSON booleans, and any other kind no
-    flag; anything else raises ValueError."""
+
+def _menu(menu: str, step: int) -> tuple[ActionInstance, ...]:
+    """The options of decision `step`'s menu, cached: its codes joined by
+    single spaces. Anything else (not a string, empty, an unknown code)
+    raises ValueError."""
+    if type(menu) is not str or not menu:
+        raise ValueError(f"decision {step} has menu {menu!r}, not a non-empty string")
     try:
-        if len(option) == 1:
-            return _PLAIN_OPTIONS[option["kind"]]
-        unvisited, toward = option["target_unvisited"], option["toward_exit"]
-        # 1 and 1.0 equal true, and would find its entry
-        if len(option) == 3 and type(unvisited) is bool and type(toward) is bool:
-            return _MOVE_OPTIONS[option["kind"], unvisited, toward]
-    except KeyError:
-        pass
-    raise ValueError(f"not an option: {option!r}")
+        options = _MENUS[menu] = tuple(_OPTIONS[code] for code in menu.split(" "))
+    except KeyError as exc:
+        raise ValueError(f"decision {step}: not an option code: {exc.args[0]!r}") from None
+    return options
 
 
 def session_to_json(session: Session) -> dict:
+    """A sessions-jsonl-v3 record: the first decision's room as `start`, and
+    each decision as [menu, chosen, room_text, action_text], its menu the
+    options' codes joined by spaces."""
+    decisions = session.decisions
     return {
         "game_id": session.game_id,
         "profile": session.profile.code,
         "seed": session.seed,
         "outcome": session.outcome.value,
+        "start": list(decisions[0].room),
         "decisions": [
-            {
-                "step": d.step,
-                "room": list(d.room),
-                "available": [action_to_json(a) for a in d.available],
-                "chosen": d.chosen,
-                "room_text": d.room_text,
-                "action_text": d.action_text,
-            }
-            for d in session.decisions
+            [" ".join([a.code for a in d.available]), d.chosen, d.room_text, d.action_text]
+            for d in decisions
         ],
     }
 
 
-def _decision_from_json(position: int, dec: dict) -> DecisionPoint:
-    """The decision at `position` of a session record. Its step is its
-    position, its room two ints, its choice an index into its options and
-    its two texts strings; anything else raises ValueError."""
-    available = tuple(map(action_from_json, dec["available"]))
-    step, room, chosen = dec["step"], dec["room"], dec["chosen"]
-    room_text, action_text = dec["room_text"], dec["action_text"]
+def _decisions_from_json(start: list, decisions: list) -> tuple[DecisionPoint, ...]:
+    """A record's decisions. Each step is its position, and each room
+    follows from `start` and the moves chosen before it, as in `play_game`.
+    `start` must be two ints, each decision a 4-array of a menu, an index
+    into it and two strings, and there must be one decision or more;
+    anything else raises ValueError."""
     # true equals 1 and 1.0 equals 1, so each type is checked before the value
-    if type(step) is not int or step != position:
-        raise ValueError(f"decision {position} has step {step!r}")
-    if type(room) is not list or [type(c) for c in room] != [int, int]:
-        raise ValueError(f"decision {position} has room {room!r}")
-    if type(chosen) is not int or not 0 <= chosen < len(available):
-        raise ValueError(f"decision {position} chooses {chosen!r} of {len(available)} options")
-    if type(room_text) is not str or type(action_text) is not str:
-        raise ValueError(f"decision {position} has texts {room_text!r}, {action_text!r}")
-    return DecisionPoint(
-        step=step,
-        room=tuple(room),
-        available=available,
-        chosen=chosen,
-        room_text=room_text,
-        action_text=action_text,
-    )
+    if type(start) is not list or [type(c) for c in start] != [int, int]:
+        raise ValueError(f"start {start!r} is not two ints")
+    if type(decisions) is not list or not decisions:
+        raise ValueError(f"decisions {decisions!r} is not a non-empty list")
+    room = tuple(start)
+    menus = _MENUS
+    out = []
+    for step, dec in enumerate(decisions):
+        if type(dec) is not list or len(dec) != 4:
+            raise ValueError(f"decision {step} is {dec!r}, not a 4-array")
+        menu, chosen, room_text, action_text = dec
+        available = menus.get(menu) if type(menu) is str else None
+        if available is None:
+            available = _menu(menu, step)
+        if type(chosen) is not int or not 0 <= chosen < len(available):
+            raise ValueError(f"decision {step} chooses {chosen!r} of {len(available)} options")
+        if type(room_text) is not str or type(action_text) is not str:
+            raise ValueError(f"decision {step} has texts {room_text!r}, {action_text!r}")
+        out.append(DecisionPoint(step, room, available, chosen, room_text, action_text))
+        room = _after(room, available[chosen])
+    return tuple(out)
 
 
 def _u64(d: dict, key: str) -> int:
@@ -673,7 +687,7 @@ def session_from_json(d: dict) -> Session:
         profile=Profile.from_code(d["profile"]),
         seed=_u64(d, "seed"),
         outcome=Outcome(d["outcome"]),
-        decisions=tuple(_decision_from_json(i, dec) for i, dec in enumerate(d["decisions"])),
+        decisions=_decisions_from_json(d["start"], d["decisions"]),
     )
 
 
@@ -723,7 +737,7 @@ def load_sessions(path: str | Path) -> Iterable[Session]:
     """Sessions of a sessions.jsonl file, in file order.
 
     A line that is not valid JSON or does not decode to a session (a missing
-    key, a bad value, an unknown option kind; e.g. a truncated file) raises
+    key, a bad value, an unknown option code; e.g. a truncated file) raises
     SchemaMismatch naming the file and the line.
     """
     try:

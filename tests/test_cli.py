@@ -16,6 +16,9 @@ from profilebench.cli import (
     EXIT_OK,
     main,
 )
+from profilebench.simulator import load_sessions
+
+from test_simulator import _v2_record
 
 TINY = {
     "master_seed": 91,
@@ -27,6 +30,12 @@ TINY = {
     "train": {"epochs": 2, "hidden": 8, "patience": 2},
     "ladder": ["baseline_agg", "multipool_176", "align9_corrected"],
 }
+
+
+def _v2_digest(sessions: Path) -> str:
+    """sha256 of the sessions file's games written as sessions-jsonl-v2."""
+    text = "".join(json.dumps(_v2_record(s), separators=(",", ":")) + "\n" for s in load_sessions(sessions))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _write_config(directory: Path, **overrides) -> Path:
@@ -225,24 +234,27 @@ class TestStages:
         assert (out / "features176.pbf").exists()
 
     def test_gen_sessions_match_pinned_digest(self, tmp_path):
-        # sha256 of the corpus written before offered actions were shared
-        # and each dungeon's rates were drawn in one call.
+        # sha256 of the corpus written, as sessions-jsonl-v2, before offered
+        # actions were shared and each dungeon's rates were drawn in one
+        # call; the v3 file's sessions, re-encoded as v2, must give it back.
         out = tmp_path / "o"
         assert main(["--out", str(out), "--seed", "12", "gen", "--games-per-profile", "1"]) == EXIT_OK
+        assert _v2_digest(out / "sessions.jsonl") == "7800818c1cf40691268623e52c66fcbe555a2b4399c3ce6c98648bd3471084a6"
         digest = hashlib.sha256((out / "sessions.jsonl").read_bytes()).hexdigest()
-        assert digest == "7800818c1cf40691268623e52c66fcbe555a2b4399c3ce6c98648bd3471084a6"
+        assert digest == "8f6d7927f1053925bf5cf009f51a250df0d3dda38988ac93c53387f97eabb0a2"
 
     def test_gen_all_entity_sessions_match_pinned_digest(self, tmp_path):
         # Every room holds every entity, so every room template renders and
         # menus fill all six slots, on a 9x2 grid. sha256 of the corpus
-        # written before each game's text was rendered in one batch.
+        # written, as v2, before each game's text was rendered in one batch.
         rates = {f"{e}_rate": 1.0 for e in ("monster", "merchant", "villager", "treasure")}
         config = _write_config(tmp_path, sim={"width": 9, "height": 2, **rates})
         out = tmp_path / "o"
         argv = ["--config", str(config), "--out", str(out), "gen", "--games-per-profile", "1"]
         assert main(argv) == EXIT_OK
+        assert _v2_digest(out / "sessions.jsonl") == "4b15be1876092943db65ee05306c0cae1a61ae0e4c307924411228dd5a8ff429"
         digest = hashlib.sha256((out / "sessions.jsonl").read_bytes()).hexdigest()
-        assert digest == "4b15be1876092943db65ee05306c0cae1a61ae0e4c307924411228dd5a8ff429"
+        assert digest == "02f2c1ad2924a6c7be90586f1f8674fb4b6cd01d17cddb5da06ff9bf043bec80"
 
     def test_featurize_outputs_match_pinned_digest(self, tmp_path):
         # sha256 of the feature files and aggregates featurize wrote from the
@@ -262,26 +274,24 @@ class TestStages:
         }
 
     @pytest.mark.parametrize(
-        "option",
-        [
-            {"kind": "move_north", "target_unvisited": "yes", "toward_exit": 0},
-            {"kind": "move_north"},
-            {"kind": "rest", "toward_exit": True},
-        ],
-        ids=["move_mistyped_flags", "move_no_flags", "rest_with_flag"],
+        "code",
+        ["move_north/y0", "move_north", "rest/1", "juggle"],
+        ids=["move_mistyped_flags", "move_no_flags", "rest_with_flag", "unknown_code"],
     )
-    def test_featurize_on_malformed_option_is_dependency_error(self, tmp_path, capsys, option):
+    def test_featurize_on_malformed_option_is_dependency_error(self, tmp_path, capsys, code):
         def edit(doc):
-            doc["decisions"][0]["available"][0] = option
+            menu = doc["decisions"][0][0].split(" ")
+            doc["decisions"][0][0] = " ".join([code, *menu[1:]])
 
         self._featurize_with_line_3_edited(tmp_path, capsys, edit)
 
     @pytest.mark.parametrize("chosen", [-1, 99])
     def test_featurize_on_choice_outside_the_menu_is_dependency_error(self, tmp_path, capsys, chosen):
         # -1 would featurize the last option, 99 crash on the menu lookup
-        self._featurize_with_line_3_edited(
-            tmp_path, capsys, lambda doc: doc["decisions"][0].update(chosen=chosen)
-        )
+        def edit(doc):
+            doc["decisions"][0][1] = chosen
+
+        self._featurize_with_line_3_edited(tmp_path, capsys, edit)
 
     @pytest.mark.parametrize("game_id", ["abc", -1, 2**64])
     def test_featurize_on_game_id_outside_u64_is_dependency_error(self, tmp_path, capsys, game_id):
@@ -297,7 +307,10 @@ class TestStages:
         # a text that is not a string crashed featurize; a seed outside u64
         # featurized with exit 0
         def edit(doc):
-            (doc["decisions"][0] if field.endswith("_text") else doc)[field] = value
+            if field.endswith("_text"):
+                doc["decisions"][0][2 if field == "room_text" else 3] = value
+            else:
+                doc[field] = value
 
         self._featurize_with_line_3_edited(tmp_path, capsys, edit)
 
@@ -362,13 +375,15 @@ class TestStages:
         assert main(["--config", str(config), "--out", str(out), stage]) == EXIT_DEPENDENCY
         assert artifact in capsys.readouterr().err
 
-    def test_featurize_on_v1_manifest_is_dependency_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["sessions-jsonl-v1", "sessions-jsonl-v2"])
+    def test_featurize_on_v1_manifest_is_dependency_error(self, tmp_path, capsys, fmt):
+        # a corpus of an older sessions format needs gen again
         config = _write_config(tmp_path)
         out = tmp_path / "o"
         assert main(["--config", str(config), "--out", str(out), "gen"]) == EXIT_OK
         manifest = out / "manifest.json"
         doc = json.loads(manifest.read_text(encoding="utf-8"))
-        manifest.write_text(json.dumps(dict(doc, format="sessions-jsonl-v1")), encoding="utf-8")
+        manifest.write_text(json.dumps(dict(doc, format=fmt)), encoding="utf-8")
         capsys.readouterr()
         assert main(["--config", str(config), "--out", str(out), "featurize"]) == EXIT_DEPENDENCY
         err = capsys.readouterr().err

@@ -16,8 +16,6 @@ from profilebench.simulator import (
     ActionCategory,
     ActionInstance,
     Entity,
-    action_from_json,
-    action_to_json,
     GameState,
     Outcome,
     SimConfig,
@@ -34,12 +32,44 @@ from profilebench.simulator import (
     session_to_json,
     softmax_policy,
 )
+from profilebench.simulator import _OPTIONS, _menu
 from profilebench.taxonomy import PROFILES, Motivation, Profile
 from profilebench.textgen import TEMPLATES
 
 
 def _profile(code: str) -> Profile:
     return Profile.from_code(code)
+
+
+def _v2_record(session) -> dict:
+    """The session as a sessions-jsonl-v2 record, the format before v3: each
+    decision an object with its step and room, and each option an object of
+    its kind plus a move's two flags. The corpus pins taken on v2 files are
+    checked on v3 files through this encoder."""
+
+    def option(action):
+        d = {"kind": action.kind}
+        if action.move_delta is not None:
+            d.update(target_unvisited=action.target_unvisited, toward_exit=action.toward_exit)
+        return d
+
+    return {
+        "game_id": session.game_id,
+        "profile": session.profile.code,
+        "seed": session.seed,
+        "outcome": session.outcome.value,
+        "decisions": [
+            {
+                "step": d.step,
+                "room": list(d.room),
+                "available": [option(a) for a in d.available],
+                "chosen": d.chosen,
+                "room_text": d.room_text,
+                "action_text": d.action_text,
+            }
+            for d in session.decisions
+        ],
+    }
 
 
 def test_play_game_deterministic():
@@ -303,9 +333,17 @@ def _text_slot(decision, room):
     ids=["default", "every_entity", "no_entity"],
 )
 def test_every_decision_text_matches_the_per_sentence_path(config):
+    # Checked on each session as a sessions file gives it back, whose rooms
+    # are derived from its start and its moves: the room text pins each room
+    # to the room the game was in.
     n = 0
-    for session in generate_sessions(23, 1, config):
+    outcomes = set()
+    for generated in generate_sessions(23, 1, config):
+        session = session_from_json(json.loads(json.dumps(session_to_json(generated))))
+        assert session == generated
+        outcomes.add(session.outcome)
         dungeon = build_dungeon(session.seed, config)
+        assert session.decisions[0].room == dungeon.start
         for d in session.decisions:
             room = dungeon.rooms[d.room]
             assert d.room_text == _oracle_room_text(room, d.step)
@@ -313,55 +351,85 @@ def test_every_decision_text_matches_the_per_sentence_path(config):
             assert d.action_text == _oracle_action_text(d.available[d.chosen], session.seed, d.step, slot)
             n += 1
     assert n > 36
+    # with no monster no game dies
+    assert outcomes == (set(Outcome) if config.monster_rate > 0 else {Outcome.EXIT_REACHED, Outcome.STEP_LIMIT})
+
+
+def _first_two_records():
+    return [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
 
 
 def test_unknown_option_kind_names_the_line(tmp_path):
-    lines = [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
-    lines[1]["decisions"][0]["available"][0] = {"kind": "juggle"}
+    lines = _first_two_records()
+    lines[1]["decisions"][0][0] = "juggle " + lines[1]["decisions"][0][0]
     path = tmp_path / "sessions.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
-    with pytest.raises(SchemaMismatch, match="sessions.jsonl line 2"):
+    with pytest.raises(SchemaMismatch, match="sessions.jsonl line 2: .*not an option code: 'juggle'"):
         list(load_sessions(path))
 
 
-# Decision fields a sessions file must not hold: the field each case
-# replaces in the first decision, the option position it replaces (menus
-# list their moves first) and the new value. Every option case but
-# "move_extra_key" loaded before options were decoded through one table;
-# every step, room and chosen case loaded before decisions were checked.
+# Decisions a sessions file must not hold: each case maps the first
+# decision, [menu, chosen, room_text, action_text], of a record whose first
+# menu starts with its moves to the decision written instead. The option
+# cases replace the menu's first (move) or last (filler) code. Every option
+# case but "move_extra_key" loaded as a v2 option before options were
+# decoded through one table; every chosen and text case loaded before
+# decisions were checked.
+def _replace_code(position, code):
+    def edit(decision):
+        codes = decision[0].split(" ")
+        codes[position] = code
+        return [" ".join(codes), *decision[1:]]
+
+    return edit
+
+
+def _set(index, value):
+    def edit(decision):
+        return [*decision[:index], value, *decision[index + 1 :]]
+
+    return edit
+
+
 _MALFORMED_DECISIONS = {
-    "move_string_flag": ("available", 0, {"kind": "move_north", "target_unvisited": "yes", "toward_exit": 0}),
-    "move_int_flags": ("available", 0, {"kind": "move_north", "target_unvisited": 1, "toward_exit": 0}),
-    "move_null_flag": ("available", 0, {"kind": "move_north", "target_unvisited": None, "toward_exit": False}),
-    "move_no_flags": ("available", 0, {"kind": "move_north"}),
-    "move_one_flag": ("available", 0, {"kind": "move_north", "target_unvisited": True}),
-    "move_extra_key": (
-        "available", 0, {"kind": "move_north", "target_unvisited": True, "toward_exit": False, "x": 1}
-    ),
-    "rest_one_flag": ("available", -1, {"kind": "rest", "toward_exit": True}),
-    "rest_both_flags": ("available", -1, {"kind": "rest", "target_unvisited": False, "toward_exit": False}),
-    "chosen_past_the_menu": ("chosen", None, 99),
-    "chosen_negative": ("chosen", None, -1),
-    "chosen_true": ("chosen", None, True),
-    "chosen_float": ("chosen", None, 0.0),
-    "step_not_its_position": ("step", None, 1),
-    "step_string": ("step", None, "0"),
-    "room_three_coords": ("room", None, [0, 0, 0]),
-    "room_float_coord": ("room", None, [0.0, 0]),
-    "room_bool_coord": ("room", None, [False, 0]),
-    "room_not_a_list": ("room", None, "00"),
+    "move_string_flag": _replace_code(0, "move_north/y0"),
+    "move_int_flags": _replace_code(0, "move_north/21"),
+    "move_null_flag": _replace_code(0, "move_north/ 0"),
+    "move_no_flags": _replace_code(0, "move_north"),
+    "move_one_flag": _replace_code(0, "move_north/1"),
+    "move_extra_key": _replace_code(0, "move_north/100"),
+    "move_flag_word": _replace_code(0, "move_north/true/false"),
+    "rest_one_flag": _replace_code(-1, "rest/1"),
+    "rest_both_flags": _replace_code(-1, "rest/00"),
+    "code_upper_case": _replace_code(-1, "REST"),
+    "menu_double_space": _replace_code(0, ""),
+    "menu_trailing_space": _replace_code(-1, "rest "),
+    "menu_empty": _set(0, ""),
+    "menu_list": _set(0, ["rest", "scout", "smash"]),
+    "menu_null": _set(0, None),
+    "menu_int": _set(0, 3),
+    "chosen_past_the_menu": _set(1, 99),
+    "chosen_negative": _set(1, -1),
+    "chosen_true": _set(1, True),
+    "chosen_float": _set(1, 0.0),
+    "chosen_string": _set(1, "0"),
     # each text loaded before texts were checked; featurize then crashed
     # on the int and the null
-    "room_text_int": ("room_text", None, 5),
-    "action_text_int": ("action_text", None, 5),
-    "action_text_null": ("action_text", None, None),
-    "room_text_list": ("room_text", None, ["You enter a dim cell."]),
+    "room_text_int": _set(2, 5),
+    "action_text_int": _set(3, 5),
+    "action_text_null": _set(3, None),
+    "room_text_list": _set(2, ["You enter a dim cell."]),
+    "decision_three_fields": lambda decision: decision[:3],
+    "decision_five_fields": lambda decision: [*decision, 0],
+    # a v2 decision object
+    "decision_object": lambda decision: dict(zip(("menu", "chosen", "room_text", "action_text"), decision)),
 }
 
 
 # Record fields a sessions file must not hold: a feature record stores the
-# game id as a u64, and a game's seed is a u64. Each loaded before these
-# fields were checked.
+# game id as a u64, and a game's seed is a u64. Each game_id and seed case
+# loaded before these fields were checked. v2 stored each decision's room;
+# v3 stores the first as `start`, and the room cases now replace it.
 _MALFORMED_RECORDS = {
     "game_id_string": ("game_id", "abc"),
     "game_id_negative": ("game_id", -1),
@@ -373,38 +441,56 @@ _MALFORMED_RECORDS = {
     "seed_past_u64": ("seed", 2**64),
     "seed_true": ("seed", True),
     "seed_float": ("seed", 3.0),
+    "room_three_coords": ("start", [0, 0, 0]),
+    "room_float_coord": ("start", [0.0, 0]),
+    "room_bool_coord": ("start", [False, 0]),
+    "room_not_a_list": ("start", "00"),
+    "no_decisions": ("decisions", []),
+    "decisions_object": ("decisions", {"0": ["rest scout smash", 0, "", ""]}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_DECISIONS) + sorted(_MALFORMED_RECORDS))
 def test_malformed_option_names_the_line(tmp_path, case):
-    lines = [session_to_json(s) for s in generate_sessions(3, 1, SimConfig(max_steps=5))][:2]
+    lines = _first_two_records()
+    assert lines[1]["decisions"][0][0].startswith("move_")
+    assert not lines[1]["decisions"][0][0].split(" ")[-1].startswith("move_")
     if case in _MALFORMED_RECORDS:
         field, value = _MALFORMED_RECORDS[case]
         lines[1][field] = value
     else:
-        field, position, value = _MALFORMED_DECISIONS[case]
-        decision = lines[1]["decisions"][0]
-        if position is None:
-            decision[field] = value
-        else:
-            decision[field][position] = value
+        decisions = lines[1]["decisions"]
+        decisions[0] = _MALFORMED_DECISIONS[case](decisions[0])
     path = tmp_path / "sessions.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
-    want = r"sessions.jsonl line 2: .*ValueError: (not an option|decision 0 |game_id |seed )"
+    want = r"sessions.jsonl line 2: .*ValueError: (decision 0|game_id |seed |start |decisions )"
     with pytest.raises(SchemaMismatch, match=want):
         list(load_sessions(path))
 
 
+_CATALOG_KINDS = (
+    "fight_monster", "taunt_monster", "help_merchant", "rob_merchant", "trade_merchant", "help_villager",
+    "threaten_villager", "chat_villager", "take_treasure", "rest", "scout", "search_room", "smash", "enter_portal",
+)
+
+
 def test_option_decode_returns_the_shared_instance():
-    actions = [offer(k) for k in ("fight_monster", "rest", "enter_portal", "take_treasure")]
-    for direction in ("north", "west"):
-        actions += [offer(f"move_{direction}", u, t) for u in (False, True) for t in (False, True)]
-    for action in actions:
-        option = action_to_json(action)
-        assert action_from_json(json.loads(json.dumps(option))) is action
-        # JSON objects are unordered
-        assert action_from_json(dict(reversed(option.items()))) is action
+    # every code a sessions file can hold: a kind, or a move with its two flags
+    codes = {kind: (kind,) for kind in _CATALOG_KINDS}
+    for direction in ("north", "east", "south", "west"):
+        for u in (False, True):
+            for t in (False, True):
+                codes[f"move_{direction}/{int(u)}{int(t)}"] = (f"move_{direction}", u, t)
+    assert set(_OPTIONS) == set(codes)
+    for code, args in codes.items():
+        action = offer(*args)
+        assert action.code == code
+        assert _menu(code, 0)[0] is action
+    # a menu of every code decodes in order and encodes back to itself
+    menu = " ".join(codes)
+    options = _menu(menu, 0)
+    assert options == tuple(offer(*args) for args in codes.values())
+    assert " ".join(a.code for a in options) == menu
 
 
 def test_generate_sessions_order_and_ids():
@@ -425,7 +511,7 @@ def test_generate_corpus_is_repeatable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert m1.read_bytes() == m2.read_bytes()
     manifest = json.loads(m1.read_text())
-    assert manifest["format"] == "sessions-jsonl-v2"
+    assert manifest["format"] == "sessions-jsonl-v3"
     assert sum(manifest["counts"].values()) == 72
 
 

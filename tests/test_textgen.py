@@ -1,7 +1,8 @@
 """Template rendering and seed mixing.
 
-`render_text` is checked for coverage and uniformity of its draws, for
-determinism and for a few pinned outputs, so that any change to the draw
+The renderer is checked for coverage and uniformity of its draws (each
+test's seeds rendered in one `render_texts` batch), for determinism and
+for a few pinned `render_text` outputs, so that any change to the draw
 stream is deliberate. `mix_seed` and `fold_seed` are checked against a
 test-local FNV-1a + SplitMix64 oracle that shares no code (and no cache)
 with the package. The batch renderer is checked string for string against
@@ -34,6 +35,14 @@ SIGMAS = 5.0
 _IDENTITY = {slot: "{" + slot + "}" for slot in SLOT_POOLS}
 
 
+def _render_seeds(bank, template_id, seeds, overrides=None) -> list[str]:
+    """`render_text(bank, template_id, seed, overrides)` for each seed, in one
+    `render_texts` batch."""
+    pinned = tuple(overrides.items()) if overrides else None
+    n = len(seeds)
+    return render_texts(bank, [template_id] * n, np.array(seeds, dtype=np.uint64), [pinned] * n)
+
+
 def _assert_uniform(counts: list[int], total: int) -> None:
     n = len(counts)
     p = 1.0 / n
@@ -47,8 +56,8 @@ def _assert_uniform(counts: list[int], total: int) -> None:
 def test_every_variant_reached_near_uniformly(template_id):
     variants = TEMPLATES[template_id]
     counts = [0] * len(variants)
-    for seed in range(N_SEEDS):
-        counts[variants.index(render_text(TEMPLATES, template_id, seed, _IDENTITY))] += 1
+    for text in _render_seeds(TEMPLATES, template_id, range(N_SEEDS), _IDENTITY):
+        counts[variants.index(text)] += 1
     _assert_uniform(counts, N_SEEDS)
 
 
@@ -58,21 +67,19 @@ def test_every_pool_entry_reached_near_uniformly(slot):
     bank = {"only": ["{" + slot + "}"]}
     pool = SLOT_POOLS[slot]
     counts = [0] * len(pool)
-    for seed in range(N_SEEDS):
-        counts[pool.index(render_text(bank, "only", seed))] += 1
+    for text in _render_seeds(bank, "only", range(N_SEEDS)):
+        counts[pool.index(text)] += 1
     _assert_uniform(counts, N_SEEDS)
 
 
 def test_no_braces_survive():
     for template_id in TEMPLATES:
-        for seed in range(200):
-            text = render_text(TEMPLATES, template_id, seed)
+        for text in _render_seeds(TEMPLATES, template_id, range(200)):
             assert "{" not in text and "}" not in text, text
 
 
 def test_override_pins_its_slot():
-    for seed in range(300):
-        text = render_text(TEMPLATES, "move", seed, {"direction": "north"})
+    for text in _render_seeds(TEMPLATES, "move", range(300), {"direction": "north"}):
         assert " north" in text and "onward" not in text, text
 
 
@@ -80,9 +87,8 @@ def test_override_takes_no_draw():
     # With {smash_verb} pinned, "smash" spends its first slot draw on
     # {furniture}, as a "smash" template holding only {furniture} does.
     furniture_only = {"smash": ["{furniture}"]}
-    for seed in range(100):
-        pinned = render_text(TEMPLATES, "smash", seed, {"smash_verb": "VERB"})
-        furniture = render_text(furniture_only, "smash", seed)
+    pinned_texts = _render_seeds(TEMPLATES, "smash", range(100), {"smash_verb": "VERB"})
+    for pinned, furniture in zip(pinned_texts, _render_seeds(furniture_only, "smash", range(100))):
         expected = [v.format(smash_verb="VERB", furniture=furniture) for v in TEMPLATES["smash"]]
         assert pinned in expected
 
