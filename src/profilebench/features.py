@@ -1,4 +1,4 @@
-"""Per-decision feature extraction and the PBF3 feature file.
+"""Per-decision feature extraction and the PBF4 feature file.
 
 Three layouts come out of this module:
   * 176 = 48 behavioral + 128 hashed-text, the balanced representation
@@ -29,8 +29,8 @@ with words. A game's T x 512 signed counts are one bincount over
 t * 512 + bucket, and because 128 divides 512 the 128-bucket counts are
 those 512 counts folded (bucket b adds into b % 128). These integer
 counts are the hashed representation (Weinberger et al.,
-arXiv:0902.2206); the files store them and the reader turns them into
-unit rows.
+arXiv:0902.2206): the file stores the 512 counts, and both sequence
+layouts are views of them.
 
 The bucket comes from FNV-1a over b"b:" + token and the sign from the low
 bit of FNV-1a over b"s:" + token, but the two are not independent:
@@ -40,26 +40,26 @@ bucket's parity (odd buckets add +1, even buckets -1, at 128 and 512
 alike), and colliding tokens never cancel. Fixing that changes every
 hashed-text bit (ROADMAP item 5).
 
-PBF3 layout, little-endian. Header `<4sIIIIIIII`: magic b"PBF3", schema
-version, record count, max T, dim, window_len, stride, and the text
-block's start column and width. Then one record per game: `<QBI`
-(game_id, profile index, T), the T x (dim - width) columns outside the
-text block as float32, then the T x width text counts as int8, both
-row-major: 320 B per decision at 176 and 584 B at 530, against 704 and
-2,120 B as float32 rows. A width of 0 stores every column as float32.
-The reader rebuilds each game's T x dim float32 rows with the ops
-featurize ran when the files held floats: each text row over its norm in
-float64 (the squared norms are small integers, exact), cast to float32
-and placed back at the block's columns, so the rows are bit for bit the
-float32 rows. Windows overlap whenever stride < window_len, so the file
-stores each decision once and the reader derives the windows from the
-header's window_len and stride (`window_starts`), as read-only views into
-the game's rows.
+PBF4 layout, little-endian: one file per corpus. Header `<4sIIIII`:
+magic b"PBF4", schema version, record count, max T, window_len, stride.
+Then one record per game: `<QBI` (game_id, profile index, T), the T x 48
+behavioral columns as float32, the T x 512 signed text counts as int8,
+both row-major, then the game's 52 `aggregate_features` as float64:
+13 + 704 T + 416 bytes. The reader builds each requested layout with the
+ops featurize ran when the files held float rows: the 176 layout is the
+behavioral columns, then the counts folded to 128 as unit rows; the 530
+layout is the 512 counts as unit rows, then behavioral columns 0-17.
+Each text row is divided by its norm in float64 (the squared norms are
+small integers, exact) and cast to float32, so the rows are bit for bit
+the float32 rows. The baseline's inputs are the float64 aggregate blocks.
+Windows overlap whenever stride < window_len, so the file stores each
+decision once and the reader derives the windows from the header's
+window_len and stride (`window_starts`), as read-only views into the
+game's rows.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import re
@@ -74,7 +74,7 @@ from profilebench.dataset import window_starts
 from profilebench.errors import DegenerateData, DimensionMismatch, IndexOutOfRange, IoFailure, SchemaMismatch
 from profilebench.hashing import fnv1a64
 from profilebench.simulator import CATEGORIES, Outcome, Session
-from profilebench.taxonomy import Profile
+from profilebench.taxonomy import PROFILES, Profile
 
 SCHEMA_VERSION = 1
 
@@ -183,10 +183,9 @@ def _unit_rows(counts: np.ndarray) -> np.ndarray:
     return counts / norms[:, None]
 
 
-def embed_tokens(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, 128) and (T, 512) signed integer counts of a game's T
-    decision texts, from one bincount; the 128 counts are the 512 counts
-    folded.
+def embed_tokens(texts: list[str]) -> np.ndarray:
+    """The (T, 512) signed integer counts of a game's T decision texts,
+    from one bincount.
 
     A text's tokens are its lowercase words ([a-z0-9]+) and the bigrams of
     consecutive words. Each text is split at ". ", which no word crosses, so
@@ -211,8 +210,12 @@ def embed_tokens(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     n = len(texts)
     rows = np.repeat(np.arange(n) * N_TEXT_LEGACY, lengths)
     counts = np.bincount(rows + (codes >> 1), weights=1 - 2 * (codes & 1), minlength=n * N_TEXT_LEGACY)
-    counts = counts.astype(np.int64).reshape(n, N_TEXT_LEGACY)
-    return counts.reshape(n, N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1), counts
+    return counts.astype(np.int64).reshape(n, N_TEXT_LEGACY)
+
+
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """The (T, 128) counts of (T, 512) counts: bucket b adds into b % 128."""
+    return counts.reshape(len(counts), N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1)
 
 
 def _phase_bounds(n: np.ndarray) -> list[tuple]:
@@ -321,38 +324,35 @@ def aggregate_features(session: Session, behavioral: np.ndarray, max_steps: int)
     return np.concatenate([last, metrics])
 
 
-# ---------------------------------------------------------------------------
-# Feature tensor file ("PBF3"): one record per game, windows derived at load.
 
-_MAGIC = b"PBF3"
-_OLD_MAGICS = {b"PBF1": "per-window records", b"PBF2": "float32 text rows"}
-# magic, schema, games, max_T, dim, window_len, stride, text start, text width
-_HEADER = struct.Struct("<4sIIIIIIII")
+
+# ---------------------------------------------------------------------------
+# Feature file ("PBF4"): one record per game, layouts and windows derived at load.
+
+_MAGIC = b"PBF4"
+_OLD_MAGICS = {b"PBF1": "per-window records", b"PBF2": "float32 text rows", b"PBF3": "one file per layout"}
+_HEADER = struct.Struct("<4sIIIII")  # magic, schema, games, max_T, window_len, stride
 _RECORD = struct.Struct("<QBI")  # game_id, profile index, T
+N_AGGREGATE = len(AGGREGATE_SLOT_NAMES)
+_ROW_BYTES = 4 * N_BEHAVIORAL + N_TEXT_LEGACY  # float32 behavioral columns, then int8 counts
+_AGGREGATE_BYTES = 8 * N_AGGREGATE
 _INT8 = np.iinfo(np.int8)
+SEQUENCE_DIMS = {"176": N_TOTAL, "530": N_LEGACY}  # sequence layout -> row width
 
 
 class FeatureFileWriter:
-    """Streams whole-game samples into the PBF3 format without holding them all.
+    """Streams games into the PBF4 format without holding them all.
 
-    Columns text_start : text_start + text_width of each game hold its
-    hashed-text counts, stored as int8; the others are stored as float32.
     The file is written as `<path>.tmp` and renamed onto `path` on close,
     after the header's record count and max_T are patched, so the bytes are
     identical to a one-shot write. If the `with` body raises, the temp file
     is deleted and an earlier file at `path` is left as it was.
     """
 
-    def __init__(
-        self, path: str | Path, dim: int, window_len: int, stride: int, text_start: int = 0, text_width: int = 0
-    ):
-        if text_start + text_width > dim:
-            raise DimensionMismatch(f"text columns {text_start}+{text_width} exceed dim {dim}")
+    def __init__(self, path: str | Path, window_len: int, stride: int):
         self.path = Path(path)
-        self.dim = dim
         self.window_len = window_len
         self.stride = stride
-        self.text = slice(text_start, text_start + text_width)
         self.n = 0
         self.max_t = 0
         self._tmp = self.path.with_name(self.path.name + ".tmp")
@@ -363,30 +363,32 @@ class FeatureFileWriter:
             raise IoFailure(f"feature file open failed: {exc}") from exc
 
     def _header(self) -> bytes:
-        width = self.text.stop - self.text.start
-        return _HEADER.pack(
-            _MAGIC, SCHEMA_VERSION, self.n, self.max_t, self.dim, self.window_len, self.stride, self.text.start, width
-        )
+        return _HEADER.pack(_MAGIC, SCHEMA_VERSION, self.n, self.max_t, self.window_len, self.stride)
 
-    def add(self, sample: SequenceSample) -> None:
-        """Append one game: `sample.game`, its whole T x dim session, with
-        integer counts in [-128, 127] at the text columns; any other count
-        raises DegenerateData."""
-        t, d = sample.game.shape
-        if d != self.dim:
-            raise DimensionMismatch(f"sample dim {d} != file dim {self.dim}")
-        text = sample.game[:, self.text]
-        in_range = text.size == 0 or (_INT8.min <= text.min() and text.max() <= _INT8.max)
-        counts = text.astype(np.int8) if in_range else None  # NaN is out of range
-        if counts is None or not np.array_equal(counts, text):
+    def add(self, sample: SequenceSample, counts: np.ndarray, aggregate: np.ndarray) -> None:
+        """Append one game: `sample.game`, its T x 48 behavioral rows;
+        `counts`, its T x 512 signed text counts, integers in [-128, 127]
+        (any other count raises DegenerateData); and `aggregate`, its 52
+        `aggregate_features`."""
+        t = sample.game.shape[0]
+        shapes = (sample.game.shape, counts.shape, aggregate.shape)
+        if shapes != ((t, N_BEHAVIORAL), (t, N_TEXT_LEGACY), (N_AGGREGATE,)):
+            raise DimensionMismatch(
+                f"game {sample.game_id}: shapes {shapes}, expected "
+                f"(T, {N_BEHAVIORAL}), (T, {N_TEXT_LEGACY}), ({N_AGGREGATE},)"
+            )
+        in_range = counts.size == 0 or (_INT8.min <= counts.min() and counts.max() <= _INT8.max)
+        int8 = counts.astype(np.int8) if in_range else None  # NaN is out of range
+        if int8 is None or not np.array_equal(int8, counts):
             raise DegenerateData(
                 f"game {sample.game_id}: text counts must be integers in "
                 f"[{_INT8.min}, {_INT8.max}] to be stored as int8"
             )
         try:
             self._fh.write(_RECORD.pack(sample.game_id, sample.profile.index, t))
-            self._fh.write(np.delete(sample.game, self.text, axis=1).astype("<f4").tobytes())
-            self._fh.write(counts.tobytes())
+            self._fh.write(sample.game.astype("<f4").tobytes())
+            self._fh.write(int8.tobytes())
+            self._fh.write(aggregate.astype("<f8").tobytes())
         except OSError as exc:
             raise IoFailure(f"feature file write failed: {exc}") from exc
         self.n += 1
@@ -418,7 +420,7 @@ class FeatureFileWriter:
 
 
 def _read_header(path: str | Path, fh: BinaryIO, sha=None) -> dict:
-    """The header of a PBF3 file; another format raises SchemaMismatch."""
+    """The header of a PBF4 file; another format raises SchemaMismatch."""
     raw = fh.read(_HEADER.size)
     if raw[:4] in _OLD_MAGICS:
         raise SchemaMismatch(
@@ -428,46 +430,40 @@ def _read_header(path: str | Path, fh: BinaryIO, sha=None) -> dict:
         raise SchemaMismatch(f"{path}: truncated header")
     if sha is not None:
         sha.update(raw)
-    magic, version, n_games, max_t, dim, window_len, stride, text_start, text_width = _HEADER.unpack(raw)
+    magic, version, n_games, max_t, window_len, stride = _HEADER.unpack(raw)
     if magic != _MAGIC:
         raise SchemaMismatch(f"{path}: bad magic {magic!r}")
     if version != SCHEMA_VERSION:
         raise SchemaMismatch(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
     if window_len < 1 or stride < 1:
         raise SchemaMismatch(f"{path}: window_len {window_len}, stride {stride}")
-    if text_start + text_width > dim:
-        raise SchemaMismatch(f"{path}: text columns {text_start}+{text_width} exceed dim {dim}")
-    return {
-        "schema_version": version,
-        "n_games": n_games,
-        "max_T": max_t,
-        "dim": dim,
-        "window_len": window_len,
-        "stride": stride,
-        "text_start": text_start,
-        "text_width": text_width,
-    }
+    return {"schema_version": version, "n_games": n_games, "max_T": max_t, "window_len": window_len, "stride": stride}
 
 
 def _records(path: str | Path, fh: BinaryIO, header: dict, sha=None) -> Iterator[tuple]:
     """(game_id, profile_index, T, payload) per record after the header.
     With `sha`, each payload is read and every byte hashed into `sha`;
     without, payloads are skipped (None). Anything but whole records,
-    ending right at the end of the file, raises SchemaMismatch."""
-    width = header["text_width"]
-    row_bytes = 4 * (header["dim"] - width) + width
+    ending right at the end of the file, or a profile index outside the
+    profiles, raises SchemaMismatch."""
     wrong_size = f"{path}: file size does not match its {header['n_games']} records"
-    for _ in range(header["n_games"]):
+    for i in range(header["n_games"]):
         raw = fh.read(_RECORD.size)
         if len(raw) < _RECORD.size:
             raise SchemaMismatch(f"{path}: truncated record header")
         game_id, profile_idx, t = _RECORD.unpack(raw)
+        if profile_idx >= len(PROFILES):
+            raise SchemaMismatch(
+                f"{path}: record {i} (game {game_id}) has profile index {profile_idx}, "
+                f"outside the {len(PROFILES)} profiles"
+            )
+        size = t * _ROW_BYTES + _AGGREGATE_BYTES
         payload = None
         if sha is None:
-            fh.seek(t * row_bytes, 1)
+            fh.seek(size, 1)
         else:
-            payload = fh.read(t * row_bytes)
-            if len(payload) < t * row_bytes:
+            payload = fh.read(size)
+            if len(payload) < size:
                 raise SchemaMismatch(wrong_size)
             sha.update(raw)
             sha.update(payload)
@@ -477,18 +473,16 @@ def _records(path: str | Path, fh: BinaryIO, header: dict, sha=None) -> Iterator
         raise SchemaMismatch(wrong_size)
 
 
-def _decode(payload: bytes, t: int, header: dict) -> np.ndarray:
-    """A record's T x dim float32 rows, read-only: its float32 columns,
-    with its text counts made unit rows at the text columns."""
-    dim, start, width = header["dim"], header["text_start"], header["text_width"]
-    floats = np.frombuffer(payload, dtype="<f4", count=t * (dim - width)).reshape(t, dim - width)
-    if width == 0:
-        return floats  # a view of bytes, read-only
-    counts = np.frombuffer(payload, dtype=np.int8, offset=floats.nbytes).reshape(t, width)
-    game = np.empty((t, dim), dtype="<f4")
-    game[:, :start] = floats[:, :start]
-    game[:, start : start + width] = _unit_rows(counts.astype(np.float64))
-    game[:, start + width :] = floats[:, start:]
+def _layout_rows(layout: str, behavioral: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A game's read-only float32 rows in a sequence layout, from its
+    float32 behavioral rows and int8 counts: each text row over its norm
+    in float64 (the squared norms are small integers, exact), cast to
+    float32, in the layout's column order."""
+    if layout == "176":
+        parts = (behavioral, _unit_rows(_fold(counts).astype(np.float64)))
+    else:
+        parts = (_unit_rows(counts.astype(np.float64)), behavioral[:, :N_BEHAVIORAL_LEGACY])
+    game = np.concatenate(parts, axis=1, dtype="<f4")
     game.flags.writeable = False
     return game
 
@@ -509,75 +503,44 @@ def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
     ]
 
 
-def read_feature_file(path: str | Path) -> tuple[list[SequenceSample], dict]:
-    """Read a PBF3 file once, record by record; returns (per-window
-    samples, header dict).
+def read_feature_file(
+    path: str | Path, layouts: Iterable[str] = ("176",)
+) -> tuple[dict[str, list[SequenceSample]], tuple[np.ndarray, np.ndarray, list[int]] | None, dict]:
+    """Read a PBF4 file once, record by record, decoding only `layouts`;
+    returns (samples, aggregates, header).
 
-    Samples come in game order, then window order. A game's windows share
-    one `game`, its read-only float32 rows, so each `matrix` is a view of
-    it. The header carries the file's sha256 and its window count as
-    "n_samples".
+    `samples` maps each sequence layout in `layouts` ("176", "530") to its
+    per-window samples, in game order, then window order. A game's windows
+    share one `game`, its read-only float32 rows, so each `matrix` is a
+    view of it. With "agg" in `layouts`, `aggregates` is (X, profile
+    indices, game_ids), X the n x 52 float64 `aggregate_features` rows;
+    otherwise it is None. The header carries the file's sha256.
     """
+    layouts = set(layouts)
     sha = hashlib.sha256()
-    samples = []
+    samples: dict[str, list[SequenceSample]] = {layout: [] for layout in SEQUENCE_DIMS if layout in layouts}
+    blocks, ys, ids = [], [], []
     try:
         with open(path, "rb") as fh:
             header = _read_header(path, fh, sha)
             for game_id, profile_idx, t, payload in _records(path, fh, header, sha):
-                game = _decode(payload, t, header)
-                profile = Profile.from_index(profile_idx)
-                for start, length in window_starts(t, header["window_len"], header["stride"]):
-                    samples.append(SequenceSample(game_id, profile, (start, length), game))
+                if samples:
+                    behavioral = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)
+                    counts = np.frombuffer(payload, np.int8, t * N_TEXT_LEGACY, behavioral.nbytes)
+                    counts = counts.reshape(t, N_TEXT_LEGACY)
+                    windows = window_starts(t, header["window_len"], header["stride"])
+                for layout, loaded in samples.items():
+                    game = _layout_rows(layout, behavioral, counts)
+                    loaded += [SequenceSample(game_id, PROFILES[profile_idx], w, game) for w in windows]
+                if "agg" in layouts:
+                    blocks.append(payload[t * _ROW_BYTES :])
+                    ys.append(profile_idx)
+                    ids.append(game_id)
     except OSError as exc:
         raise IoFailure(f"feature file read failed: {exc}") from exc
-    header["n_samples"] = len(samples)
+    aggregates = None
+    if "agg" in layouts:
+        X = np.frombuffer(b"".join(blocks), dtype="<f8").reshape(len(blocks), N_AGGREGATE)
+        aggregates = (X, np.array(ys, dtype=np.int64), ids)
     header["sha256"] = sha.hexdigest()
-    return samples, header
-
-
-def write_aggregate_csv(path: str | Path, rows: Iterable[tuple[int, Profile, np.ndarray]]) -> int:
-    """CSV of per-game aggregate vectors, one row per game."""
-    n = 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("game_id", "profile") + AGGREGATE_SLOT_NAMES)
-            for game_id, profile, agg in rows:
-                writer.writerow([game_id, profile.code] + [repr(float(v)) for v in agg])
-                n += 1
-    except OSError as exc:
-        raise IoFailure(f"aggregate csv write failed: {exc}") from exc
-    return n
-
-
-def read_aggregate_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Returns (X of shape n x 52, profile indices, game_ids).
-
-    A file that does not end in a line end, or a row with the wrong number of
-    fields, a non-numeric value or an unknown profile code (e.g. a cut file),
-    raises SchemaMismatch naming the file and the line.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"aggregate csv read failed: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaMismatch(f"{path}: not UTF-8 text: {exc}") from exc
-    if not text.endswith("\n"):
-        raise SchemaMismatch(f"{path}: truncated, no line end after its last row")
-    reader = csv.reader(text.splitlines())
-    width = 2 + len(AGGREGATE_SLOT_NAMES)
-    xs, ys, ids = [], [], []
-    try:
-        if tuple(next(reader)[2:]) != AGGREGATE_SLOT_NAMES:
-            raise SchemaMismatch(f"{path}: unexpected aggregate columns")
-        for row in reader:
-            if len(row) != width:
-                raise ValueError(f"{len(row)} fields, expected {width}")
-            ids.append(int(row[0]))
-            ys.append(Profile.from_code(row[1]).index)
-            xs.append([float(v) for v in row[2:]])
-    except (ValueError, csv.Error) as exc:
-        raise SchemaMismatch(f"{path} line {reader.line_num}: malformed row: {exc}") from exc
-    return np.asarray(xs), np.asarray(ys, dtype=np.int64), ids
+    return samples, aggregates, header

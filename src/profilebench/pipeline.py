@@ -46,22 +46,15 @@ from profilebench.evaluation import (
     write_table,
 )
 from profilebench.features import (
-    N_BEHAVIORAL,
-    N_BEHAVIORAL_LEGACY,
-    N_LEGACY,
-    N_TEXT,
-    N_TEXT_LEGACY,
-    N_TOTAL,
     SCHEMA_VERSION,
+    SEQUENCE_DIMS,
     FeatureFileWriter,
     SequenceSample,
     aggregate_features,
     behavioral_matrix,
     embed_tokens,
-    read_aggregate_csv,
     read_feature_file,
     scan_feature_file,
-    write_aggregate_csv,
 )
 from profilebench.hashing import digest_config, mix_seed, read_json, sha256_file, stable_json_dumps
 from profilebench.models.baseline import BaselineConfig, BaselineModel, train_baseline
@@ -279,9 +272,9 @@ class Paths:
         self.root = Path(out_dir)
         self.sessions = self.root / "sessions.jsonl"
         self.manifest = self.root / "manifest.json"
-        self.features176 = self.root / "features176.pbf"
-        self.features530 = self.root / "features530.pbf"
-        self.aggregates = self.root / "aggregates.csv"
+        self.features = self.root / "features.pbf"
+        # perfbench/phase.py opens the layouts' files by these names (ROADMAP item 4)
+        self.features176 = self.features530 = self.features
         self.balanced_index = self.root / "balanced_index.json"
         self.splits = self.root / "splits.json"
         self.checkpoints = self.root / "checkpoints"
@@ -366,32 +359,19 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
     paths = Paths(cfg.out_dir)
     require([paths.sessions, paths.manifest], "featurize")
     sim_cfg, expected = _read_manifest(paths.manifest)
-    agg_rows = []
     n_windows = 0
-    windows = (cfg.window_len, cfg.stride)
-    # each game's rows carry its text as signed counts, which the files store as int8
-    with FeatureFileWriter(
-        paths.features176, N_TOTAL, *windows, text_start=N_BEHAVIORAL, text_width=N_TEXT
-    ) as w176, FeatureFileWriter(
-        paths.features530, N_LEGACY, *windows, text_start=0, text_width=N_TEXT_LEGACY
-    ) as w530:
+    with FeatureFileWriter(paths.features, cfg.window_len, cfg.stride) as writer:
         for session in load_sessions(paths.sessions):
             behavioral = behavioral_matrix(session, sim_cfg.width, sim_cfg.height)
-            t_steps = session.length
-            counts128, counts512 = embed_tokens([d.room_text + " " + d.action_text for d in session.decisions])
-            full176 = np.hstack([behavioral, counts128])
-            legacy530 = np.hstack([counts512, behavioral[:, :N_BEHAVIORAL_LEGACY]])
-            whole = (0, t_steps)
-            w176.add(SequenceSample(session.game_id, session.profile, whole, full176))
-            w530.add(SequenceSample(session.game_id, session.profile, whole, legacy530))
-            n_windows += len(window_starts(t_steps, *windows))
-            agg = aggregate_features(session, behavioral, sim_cfg.max_steps)
-            agg_rows.append((session.game_id, session.profile, agg))
-        if w176.n != expected:
+            counts = embed_tokens([d.room_text + " " + d.action_text for d in session.decisions])
+            aggregate = aggregate_features(session, behavioral, sim_cfg.max_steps)
+            whole = (0, session.length)
+            writer.add(SequenceSample(session.game_id, session.profile, whole, behavioral), counts, aggregate)
+            n_windows += len(window_starts(session.length, cfg.window_len, cfg.stride))
+        if writer.n != expected:
             raise SchemaMismatch(
-                f"featurize: {paths.sessions} holds {w176.n} sessions, its manifest {expected}"
+                f"featurize: {paths.sessions} holds {writer.n} sessions, its manifest {expected}"
             )
-    write_aggregate_csv(paths.aggregates, agg_rows)
     write_provenance(
         paths,
         "featurize",
@@ -399,20 +379,20 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
         cfg.master_seed,
         {"window_len": cfg.window_len, "stride": cfg.stride, "schema_version": SCHEMA_VERSION},
     )
-    return {"games": w176.n, "windows": n_windows, "schema_version": SCHEMA_VERSION}
+    return {"games": writer.n, "windows": n_windows, "schema_version": SCHEMA_VERSION}
 
 
 def stage_balance(cfg: PipelineConfig) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
-    require([paths.features176], "balance")
-    index = build_index(scan_feature_file(paths.features176))
+    require([paths.features], "balance")
+    index = build_index(scan_feature_file(paths.features))
     target = cfg.balance_target if cfg.balance_target is not None else auto_target(index)
     seed = mix_seed(cfg.master_seed, "balance")
     balanced = balance(index, target, seed)
     write_index(paths.balanced_index, balanced, seed, target)
     write_provenance(
-        paths, "balance", [paths.features176], seed, {"target": target}
+        paths, "balance", [paths.features], seed, {"target": target}
     )
     return {
         "target": target,
@@ -447,43 +427,33 @@ class _LadderData:
 
     samples: dict[str, dict[str, list[SequenceSample]]]  # layout -> split -> samples
     aggregates: dict[str, tuple[np.ndarray, np.ndarray, list[int]]]  # split -> (X, y, ids)
-    digests: dict[Path, str]  # sha256 of each feature file read
+    digests: dict[Path, str]  # sha256 of the feature file
 
 
 def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
     paths = Paths(cfg.out_dir)
     assignment = read_splits(paths.splits)
+    loaded, agg, header = read_feature_file(paths.features, layouts)
+    windows = (header["window_len"], header["stride"])
+    if loaded and windows != (cfg.window_len, cfg.stride):
+        raise SchemaMismatch(
+            f"{paths.features}: featurized with window_len, stride {windows}, "
+            f"config has {(cfg.window_len, cfg.stride)}; rerun featurize"
+        )
     samples: dict[str, dict[str, list[SequenceSample]]] = {}
-    digests: dict[Path, str] = {}
-    for layout, path in (("176", paths.features176), ("530", paths.features530)):
-        if layout not in layouts:
-            continue
-        loaded, header = read_feature_file(path)
-        windows = (header["window_len"], header["stride"])
-        if windows != (cfg.window_len, cfg.stride):
-            raise SchemaMismatch(
-                f"{path}: featurized with window_len, stride {windows}, "
-                f"config has {(cfg.window_len, cfg.stride)}; rerun featurize"
-            )
-        digests[path] = header["sha256"]
-        by_split: dict[str, list[SequenceSample]] = {"train": [], "val": [], "test": []}
-        for s in loaded:
+    for layout, layout_samples in loaded.items():
+        samples[layout] = {"train": [], "val": [], "test": []}
+        for s in layout_samples:
             split = assignment.get(s.game_id)
             if split is not None:
-                by_split[split].append(s)
-        samples[layout] = by_split
+                samples[layout][split].append(s)
     aggregates: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-    if "agg" in layouts:
-        X, y, ids = read_aggregate_csv(paths.aggregates)
-        _, n_games = _read_manifest(paths.manifest)
-        if len(ids) != n_games:
-            raise SchemaMismatch(
-                f"{paths.aggregates} holds {len(ids)} games, its manifest {n_games}; rerun featurize"
-            )
+    if agg is not None:
+        X, y, ids = agg
         for split in ("train", "val", "test"):
             keep = [i for i, gid in enumerate(ids) if assignment.get(gid) == split]
             aggregates[split] = (X[keep], y[keep], [ids[i] for i in keep])
-    return _LadderData(samples=samples, aggregates=aggregates, digests=digests)
+    return _LadderData(samples=samples, aggregates=aggregates, digests={paths.features: header["sha256"]})
 
 
 def _admissible(samples: list[SequenceSample], spec: ExperimentSpec) -> list[SequenceSample]:
@@ -532,9 +502,8 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
         return
     train_samples = _admissible(data.samples[row.layout]["train"], spec)
     val_samples = _admissible(data.samples[row.layout]["val"], spec)
-    dim = N_TOTAL if row.layout == "176" else N_LEGACY
     ckpt = init_checkpoint(
-        input_dim=dim,
+        input_dim=SEQUENCE_DIMS[row.layout],
         hidden=cfg.train.hidden,
         n_classes=spec.space.cardinality,
         pooling=row.pooling,
@@ -549,22 +518,16 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
     save_checkpoint(paths.checkpoint(row.row_id), best)
 
 
-def _row_inputs(paths: Paths, row_ids: list[str]) -> list[Path]:
-    """The upstream files that training or evaluating `row_ids` reads."""
-    needed = [paths.features176, paths.splits, paths.balanced_index]
-    layouts = {LADDER_BY_ID[r].layout for r in row_ids}
-    if "530" in layouts:
-        needed.append(paths.features530)
-    if "agg" in layouts:
-        needed += [paths.aggregates, paths.manifest]
-    return needed
+def _row_inputs(paths: Paths) -> list[Path]:
+    """The upstream files that training or evaluating ladder rows reads."""
+    return [paths.features, paths.splits, paths.balanced_index]
 
 
 def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     cfg.validate()
     paths = Paths(cfg.out_dir)
     row_ids = check_rows(cfg.ladder if rows is None else rows)
-    needed = _row_inputs(paths, row_ids)
+    needed = _row_inputs(paths)
     require(needed, "train")
     data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})
     status: dict[str, str] = {}
@@ -649,7 +612,7 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
     cfg.validate()
     paths = Paths(cfg.out_dir)
     row_ids = check_rows(cfg.ladder if rows is None else rows)
-    needed = _row_inputs(paths, row_ids)
+    needed = _row_inputs(paths)
     require(needed + [paths.checkpoints], "eval")
     data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})
     reports: list[Report] = []

@@ -156,9 +156,9 @@ def test_04_balance_ratio_and_split_leakage(desk_run):
 
 def test_05_untrained_models_score_at_chance(desk_run):
     out, _ = desk_run
-    samples, _ = read_feature_file(out / "features176.pbf")
+    samples, _, _ = read_feature_file(out / "features.pbf", {"176"})
     assignment = read_splits(out / "splits.json")
-    test_samples = [s for s in samples if assignment.get(s.game_id) == "test"]
+    test_samples = [s for s in samples["176"] if assignment.get(s.game_id) == "test"]
     row = LADDER_BY_ID["multipool_176"]
     accs = []
     for pooling in (POOL_MULTI, POOL_ATTENTION, POOL_LAST):

@@ -16,6 +16,7 @@ from profilebench.cli import (
     EXIT_OK,
     main,
 )
+from profilebench.features import read_feature_file
 from profilebench.simulator import load_sessions
 
 from test_simulator import _v2_record
@@ -36,6 +37,18 @@ def _v2_digest(sessions: Path) -> str:
     """sha256 of the sessions file's games written as sessions-jsonl-v2."""
     text = "".join(json.dumps(_v2_record(s), separators=(",", ":")) + "\n" for s in load_sessions(sessions))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _record_starts(data: bytes) -> list[int]:
+    """The byte offset of each game record in a features.pbf file: a
+    24-byte header, then per game a `<QBI` record header (T at byte 9),
+    704 bytes per decision and 416 bytes of aggregates."""
+    starts, at = [], 24
+    while at < len(data):
+        starts.append(at)
+        (t,) = struct.unpack_from("<I", data, at + 9)
+        at += 13 + 704 * t + 416
+    return starts
 
 
 def _write_config(directory: Path, **overrides) -> Path:
@@ -62,13 +75,13 @@ class TestRunAll:
         for name in (
             "sessions.jsonl",
             "manifest.json",
-            "features176.pbf",
-            "features530.pbf",
-            "aggregates.csv",
+            "features.pbf",
             "balanced_index.json",
             "splits.json",
         ):
             assert (out / name).exists(), name
+        for name in ("features176.pbf", "features530.pbf", "aggregates.csv"):
+            assert not (out / name).exists(), name
         assert (out / "checkpoints" / "multipool_176.pbck").exists()
         assert (out / "checkpoints" / "baseline_agg.json").exists()
         assert (out / "results" / "consolidated.md").exists()
@@ -132,14 +145,14 @@ class TestRunAll:
         assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_DEPENDENCY
         assert "multipool_176.pbck" in capsys.readouterr().err
 
-    def test_eval_without_aggregates_is_dependency_error(self, finished_run, tmp_path, capsys):
+    def test_eval_without_feature_file_is_dependency_error(self, finished_run, tmp_path, capsys):
         _, config, out = finished_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
-        (copy / "aggregates.csv").unlink()
+        (copy / "features.pbf").unlink()
         capsys.readouterr()
         assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_DEPENDENCY
-        assert "aggregates.csv" in capsys.readouterr().err
+        assert "features.pbf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows", [None, "multipool_176", "lstm_base_530,baseline_agg"])
     def test_eval_provenance_records_the_inputs_train_records(
@@ -157,24 +170,24 @@ class TestRunAll:
             return json.loads((out / "provenance" / f"{stage}.json").read_text())["inputs"]
 
         assert inputs("eval") == inputs("train")
-        assert ("features530.pbf" in inputs("eval")) == ("530" in (rows or ""))
+        assert sorted(inputs("eval")) == ["balanced_index.json", "features.pbf", "splits.json"]
 
-    @pytest.mark.parametrize("cut", ["cut_200_bytes", "line_boundary"])
+    @pytest.mark.parametrize("cut", ["cut_200_bytes", "record_boundary"])
     def test_train_on_cut_aggregates_is_dependency_error(self, finished_run, tmp_path, capsys, cut):
         _, config, out = finished_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
-        aggregates = copy / "aggregates.csv"
-        data = aggregates.read_bytes()
-        if cut == "cut_200_bytes":
+        features = copy / "features.pbf"
+        data = features.read_bytes()
+        if cut == "cut_200_bytes":  # inside the last game's 416-byte aggregate block
             data = data[:-200]
-        else:
-            data = data[: data.rindex(b"\n", 0, len(data) - 1) + 1]
-        aggregates.write_bytes(data)
+        else:  # the last game's whole record
+            data = data[: _record_starts(data)[-1]]
+        features.write_bytes(data)
         capsys.readouterr()
         code = main(["--config", str(config), "--out", str(copy), "train", "--rows", "baseline_agg"])
         assert code == EXIT_DEPENDENCY
-        assert "aggregates.csv" in capsys.readouterr().err
+        assert "features.pbf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["train", "eval"])
     def test_stride_other_than_featurized_is_dependency_error(
@@ -187,7 +200,7 @@ class TestRunAll:
         capsys.readouterr()
         code = main(["--config", str(config), "--out", str(copy), stage, "--rows", "multipool_176"])
         assert code == EXIT_DEPENDENCY
-        assert "features176.pbf" in capsys.readouterr().err
+        assert "features.pbf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["balance", "train", "eval"])
     def test_pbf2_feature_file_is_dependency_error(self, finished_run, tmp_path, capsys, stage):
@@ -195,11 +208,11 @@ class TestRunAll:
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         # a whole PBF2 file (float32 text rows) with no records
-        (copy / "features176.pbf").write_bytes(struct.pack("<4sIIIIII", b"PBF2", 1, 0, 0, 176, 8, 4))
+        (copy / "features.pbf").write_bytes(struct.pack("<4sIIIIII", b"PBF2", 1, 0, 0, 176, 8, 4))
         capsys.readouterr()
         assert main(["--config", str(config), "--out", str(copy), stage]) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
-        assert "features176.pbf" in err and "rerun featurize" in err
+        assert "features.pbf" in err and "rerun featurize" in err
 
     @pytest.mark.parametrize(
         "argv, ladder",
@@ -231,7 +244,7 @@ class TestStages:
         assert "effective master seed: 91" in printed
         assert "wrote 180 sessions" in printed
         assert main(["--config", str(config), "--out", str(out), "featurize"]) == EXIT_OK
-        assert (out / "features176.pbf").exists()
+        assert (out / "features.pbf").exists()
 
     def test_gen_sessions_match_pinned_digest(self, tmp_path):
         # sha256 of the corpus written, as sessions-jsonl-v2, before offered
@@ -257,20 +270,24 @@ class TestStages:
         assert digest == "02f2c1ad2924a6c7be90586f1f8674fb4b6cd01d17cddb5da06ff9bf043bec80"
 
     def test_featurize_outputs_match_pinned_digest(self, tmp_path):
-        # sha256 of the feature files and aggregates featurize wrote from the
-        # pinned corpus above before seed prefixes were folded once and text
-        # was embedded per cached sentence.
         out = tmp_path / "o"
         assert main(["--out", str(out), "--seed", "12", "gen", "--games-per-profile", "1"]) == EXIT_OK
         assert main(["--out", str(out), "--seed", "12", "featurize"]) == EXIT_OK
-        digests = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("features176.pbf", "features530.pbf", "aggregates.csv")
-        }
-        assert digests == {
-            "features176.pbf": "c10ead9b962e940335d9cf587ea57bb6ee38dfc61a93ce87cc90073953a225dd",
-            "features530.pbf": "051abdfe9205e9085e729ebd0e6ecd8969363ca97e268756a899030b7f73b324",
-            "aggregates.csv": "020d2b73708c59f8106971600d2181572d938a24ca018c2655bfd84de3d03c2f",
+        digest = hashlib.sha256((out / "features.pbf").read_bytes()).hexdigest()
+        assert digest == "ee3a715134173c5c4288a62755f1ce28dce74abccb18ef7f8cc4c2b93b967c65"
+        # Pins that hold across file formats: sha256 of each layout's decoded
+        # game rows in load order, and of the float64 aggregate matrix, as
+        # the three files of PBF3 and aggregates.csv gave them back.
+        samples, (X, _, _), _ = read_feature_file(out / "features.pbf", ("176", "530", "agg"))
+        decoded = {}
+        for layout, windows in samples.items():
+            games = {id(s.game): s.game for s in windows}  # one array per game, in load order
+            decoded[layout] = hashlib.sha256(b"".join(g.tobytes() for g in games.values())).hexdigest()
+        decoded["agg"] = hashlib.sha256(X.tobytes()).hexdigest()
+        assert decoded == {
+            "176": "41c4c7d1dd01b7988d9baf5ebd69b962e997f8383829e981a95218f9de241ac8",
+            "530": "ea75ff5b9b0543bde3c71cb13b8c6e12932ceaf355c48839552e47721ae63a01",
+            "agg": "ea4079ea55fd14301106ce36c4c94a50594643a3ad8ee6c61c8b77b2067fa783",
         }
 
     @pytest.mark.parametrize(

@@ -24,7 +24,14 @@ from profilebench.evaluation import (
     table_rows,
     write_table,
 )
-from profilebench.features import FeatureFileWriter, SequenceSample, read_feature_file
+from profilebench.features import (
+    N_BEHAVIORAL,
+    N_TEXT_LEGACY,
+    N_TOTAL,
+    FeatureFileWriter,
+    SequenceSample,
+    read_feature_file,
+)
 from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
 from profilebench.models.training import forward_batch
 from profilebench.taxonomy import (
@@ -258,16 +265,18 @@ class TestPredictLogits:
 
     def test_overlapping_windows_read_back_from_a_feature_file(self, tmp_path):
         rng = np.random.default_rng(23)
-        ckpt = _ckpt()
+        ckpt = _ckpt(D=N_TOTAL)
         for name, value in ckpt.params.items():
             ckpt.params[name][...] = rng.normal(0, 0.5, value.shape).astype(value.dtype)
         path = tmp_path / "games.pbf"
         profiles = all_profiles()
-        with FeatureFileWriter(path, dim=6, window_len=4, stride=1) as writer:
+        with FeatureFileWriter(path, window_len=4, stride=1) as writer:
             for game_id, T in enumerate((9, 6, 2)):  # the last game is shorter than a window
-                rows = rng.normal(0, 1, (T, 6)).astype(np.float32)
-                writer.add(SequenceSample(game_id, profiles[5 * game_id], (0, T), rows))
-        windows, header = read_feature_file(path)
+                rows = rng.normal(0, 1, (T, N_BEHAVIORAL))
+                counts = rng.integers(-3, 4, (T, N_TEXT_LEGACY))
+                writer.add(SequenceSample(game_id, profiles[5 * game_id], (0, T), rows), counts, np.zeros(52))
+        samples, _, _ = read_feature_file(path, {"176"})
+        windows = samples["176"]
         assert [s.window[1] for s in windows] == [4] * 6 + [4] * 3 + [2]
         samples = [windows[i] for i in rng.permutation(len(windows))[:8]]
         assert {s.window[1] for s in samples} == {2, 4} and len({s.game_id for s in samples}) == 3

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from profilebench.dataset import window_starts
-from profilebench.errors import DegenerateData, IndexOutOfRange, SchemaMismatch
+from profilebench.errors import DegenerateData, DimensionMismatch, IndexOutOfRange, SchemaMismatch
 from profilebench.features import (
     AGGREGATE_SLOT_NAMES,
     BEHAVIORAL_SLOT_NAMES,
@@ -36,14 +36,13 @@ from profilebench.features import (
     SCHEMA_VERSION,
     FeatureFileWriter,
     SequenceSample,
+    _fold,
     _unit_rows,
     aggregate_features,
     behavioral_matrix,
     embed_tokens,
-    read_aggregate_csv,
     read_feature_file,
     scan_feature_file,
-    write_aggregate_csv,
 )
 from profilebench import features, pipeline, simulator
 from profilebench.hashing import fnv1a64
@@ -242,10 +241,17 @@ def _full_prefix(session: Session) -> np.ndarray:
     return behavioral_matrix(session, *_GRID)[-1]
 
 
+def _counts(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 128) and (T, 512) counts: embed_tokens' counts, folded by
+    the feature-file reader's `_fold` and as they are."""
+    counts = embed_tokens(texts)
+    return _fold(counts), counts
+
+
 def _embed_rows(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, 128) and (T, 512) float64 unit rows the feature-file reader
     makes of embed_tokens' counts, before its float32 cast."""
-    return tuple(_unit_rows(counts.astype(np.float64)) for counts in embed_tokens(texts))
+    return tuple(_unit_rows(counts.astype(np.float64)) for counts in _counts(texts))
 
 
 def _embed(text: str, n_buckets: int) -> np.ndarray:
@@ -256,13 +262,6 @@ def _embed(text: str, n_buckets: int) -> np.ndarray:
 
 def _text(decision: DecisionPoint) -> str:
     return decision.room_text + " " + decision.action_text
-
-
-def _counts176(session: Session, width: int, height: int) -> np.ndarray:
-    """A game's 176 columns as stage_featurize hands them to the writer:
-    48 behavioral, then 128 text counts."""
-    counts = embed_tokens([_text(d) for d in session.decisions])[0]
-    return np.hstack([behavioral_matrix(session, width, height), counts])
 
 
 def _rows176(session: Session, width: int, height: int) -> np.ndarray:
@@ -280,11 +279,16 @@ def _rows530(session: Session, width: int, height: int) -> np.ndarray:
     return np.hstack([text, behavioral])
 
 
-def _float_rows(game: np.ndarray, text_start: int, text_width: int) -> np.ndarray:
-    """The float32 rows a float feature file held for `game`: its text
-    counts as unit rows, stacked back in column order, cast to <f4."""
-    text = slice(text_start, text_start + text_width)
-    return np.hstack([game[:, : text.start], _unit_rows(game[:, text]), game[:, text.stop :]]).astype("<f4")
+def _float_rows(behavioral: np.ndarray, counts: np.ndarray) -> dict[str, np.ndarray]:
+    """The float32 rows the float feature files held for a game, by
+    layout: its float64 counts as unit rows, stacked with its behavioral
+    columns in the layout's column order, cast to <f4."""
+    counts = counts.astype(np.float64)
+    text128 = _unit_rows(counts.reshape(len(counts), N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1))
+    return {
+        "176": np.hstack([behavioral, text128]).astype("<f4"),
+        "530": np.hstack([_unit_rows(counts), behavioral[:, :N_BEHAVIORAL_LEGACY]]).astype("<f4"),
+    }
 
 
 # --- hashing / embedding -----------------------------------------------------
@@ -306,13 +310,13 @@ def test_tokenize_unigrams_then_bigrams():
 
 def test_embed_empty_is_zero():
     for text in ("", "   \t "):
-        assert not any(v.any() for v in embed_tokens([text]))
+        assert not any(v.any() for v in _counts([text]))
         assert not any(v.any() for v in _embed_rows([text]))
 
 
 def test_embed_counts_are_the_signed_token_counts():
     texts = ["a goblin sharpens a rusty knife", "x x x", ""]
-    for counts, n_buckets in zip(embed_tokens(texts), (N_TEXT, N_TEXT_LEGACY)):
+    for counts, n_buckets in zip(_counts(texts), (N_TEXT, N_TEXT_LEGACY)):
         assert counts.dtype == np.int64
         want = np.zeros((len(texts), n_buckets), dtype=np.int64)
         for t, text in enumerate(texts):
@@ -401,7 +405,7 @@ _EDGE_TEXTS = [
 
 
 def _assert_counts_are_the_oracle(texts: list[str]) -> None:
-    for got, want in zip(embed_tokens(texts), _per_token_counts(texts)):
+    for got, want in zip(_counts(texts), _per_token_counts(texts)):
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), texts
@@ -791,91 +795,125 @@ def test_behavioral_matches_oracle_property(choices):
 
 # --- files --------------------------------------------------------------------
 
+_ALL = ("176", "530", "agg")
+_DIMS = {"176": N_TOTAL, "530": N_LEGACY}
 
-def _samples() -> list[SequenceSample]:
+
+def _games() -> list[tuple[SequenceSample, np.ndarray, np.ndarray]]:
+    """Three crafted games as stage_featurize hands them to the writer:
+    the sample of its T x 48 behavioral rows, its T x 512 counts and its
+    52 aggregates."""
     out = []
     for gid, choices in enumerate([[0, 3, 1], [2, 4], [0, 1, 2, 3, 4, 5]]):
         s = _session(choices, profile=Profile.from_index(gid * 7).code)
-        s = Session(
-            game_id=gid, profile=s.profile, seed=0, decisions=s.decisions, outcome=s.outcome
-        )
-        out.append(
-            SequenceSample(
-                game_id=gid,
-                profile=s.profile,
-                window=(0, s.length),
-                game=_counts176(s, *_GRID),
-            )
-        )
+        s = Session(game_id=gid, profile=s.profile, seed=0, decisions=s.decisions, outcome=s.outcome)
+        behavioral = behavioral_matrix(s, *_GRID)
+        sample = SequenceSample(game_id=gid, profile=s.profile, window=(0, s.length), game=behavioral)
+        out.append((sample, embed_tokens([_text(d) for d in s.decisions]), aggregate_features(s, behavioral, 40)))
     return out
 
 
-def _write(path, samples, window_len=8, stride=4) -> int:
-    """Whole-game 176 samples into a PBF3 file; returns the record count."""
-    with FeatureFileWriter(path, N_TOTAL, window_len, stride, N_BEHAVIORAL, N_TEXT) as writer:
-        for s in samples:
-            writer.add(s)
+def _write(path, games, window_len=8, stride=4) -> int:
+    """Whole games into a PBF4 file; returns the record count."""
+    with FeatureFileWriter(path, window_len, stride) as writer:
+        for game in games:
+            writer.add(*game)
     return writer.n
 
 
-_PBF3_HEADER_BYTES = 36  # <4sIIIIIIII
+_PBF4_HEADER_BYTES = 24  # <4sIIIII
+_AGGREGATE_BYTES = 8 * 52
+
+
+def _pbf4_size(lengths) -> int:
+    """Header, then per game its record header, 48 float32 columns and
+    512 int8 counts per decision, and 52 float64 aggregates."""
+    return _PBF4_HEADER_BYTES + sum(13 + (4 * N_BEHAVIORAL + N_TEXT_LEGACY) * t + _AGGREGATE_BYTES for t in lengths)
 
 
 def test_feature_file_roundtrip(tmp_path):
     path = tmp_path / "x.pbf"
-    samples = _samples()
-    n = _write(path, samples)  # every game shorter than window_len: one window each
+    games = _games()
+    n = _write(path, games)  # every game shorter than window_len: one window each
     assert n == 3
-    loaded, header = read_feature_file(path)
-    assert header["n_samples"] == 3
-    assert header["n_games"] == 3
-    assert header["dim"] == N_TOTAL
-    assert header["schema_version"] == SCHEMA_VERSION
-    assert header["max_T"] == 6
-    assert (header["window_len"], header["stride"]) == (8, 4)
-    assert (header["text_start"], header["text_width"]) == (N_BEHAVIORAL, N_TEXT)
-    assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-    # 48 float32 columns and 128 int8 counts per decision
-    assert path.stat().st_size == _PBF3_HEADER_BYTES + sum(13 + 320 * s.game.shape[0] for s in samples)
-    for orig, back in zip(samples, loaded):
-        assert back.game_id == orig.game_id
-        assert back.profile == orig.profile
-        assert back.window == (0, orig.matrix.shape[0])
-        assert back.matrix.dtype == np.float32
-        assert back.matrix.tobytes() == _float_rows(orig.matrix, N_BEHAVIORAL, N_TEXT).tobytes()
-        assert not back.matrix.flags.writeable
+    loaded, _, header = read_feature_file(path, _ALL)
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert header == {
+        "schema_version": SCHEMA_VERSION,
+        "n_games": 3,
+        "max_T": 6,
+        "window_len": 8,
+        "stride": 4,
+        "sha256": sha,
+    }
+    assert path.stat().st_size == _pbf4_size(s.game.shape[0] for s, _, _ in games)
+    for layout, dim in _DIMS.items():
+        for (orig, counts, _), back in zip(games, loaded[layout], strict=True):
+            assert back.game_id == orig.game_id
+            assert back.profile == orig.profile
+            assert back.window == (0, orig.matrix.shape[0])
+            assert back.matrix.dtype == np.float32
+            assert back.matrix.shape == (orig.matrix.shape[0], dim)
+            assert back.matrix.tobytes() == _float_rows(orig.game, counts)[layout].tobytes()
+            assert not back.matrix.flags.writeable
     scanned = scan_feature_file(path)
-    assert scanned == [(s.game_id, s.profile.index, s.matrix.shape[0]) for s in samples]
+    assert scanned == [(s.game_id, s.profile.index, s.matrix.shape[0]) for s, _, _ in games]
+
+
+def test_aggregate_block_roundtrip(tmp_path):
+    path = tmp_path / "x.pbf"
+    games = _games()
+    _write(path, games)
+    samples, (X, y, ids), header = read_feature_file(path, {"agg"})
+    assert samples == {}
+    assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert X.dtype == np.float64 and X.shape == (3, 52)
+    assert ids == [0, 1, 2]
+    assert y.dtype == np.int64 and list(y) == [0, 7, 14]
+    assert X.tobytes() == np.stack([agg for _, _, agg in games]).tobytes()
+
+
+def test_only_the_requested_layouts_are_read(tmp_path):
+    path = tmp_path / "x.pbf"
+    _write(path, _games())
+    for layouts in ((), ("176",), ("530", "agg"), _ALL):
+        samples, aggregates, _ = read_feature_file(path, layouts)
+        assert set(samples) == {layout for layout in layouts if layout in _DIMS}
+        assert (aggregates is None) == ("agg" not in layouts)
+    default, _, _ = read_feature_file(path)
+    assert set(default) == {"176"}
 
 
 def test_feature_file_windows_are_views_of_game_rows(tmp_path):
     path = tmp_path / "x.pbf"
-    samples = _samples()
-    _write(path, samples, window_len=2, stride=1)
-    loaded, header = read_feature_file(path)
-    want = [(g.game_id, (a, 2)) for g in samples for a in range(g.matrix.shape[0] - 1)]
-    assert [(s.game_id, s.window) for s in loaded] == want
-    assert header["n_samples"] == len(want) == 2 + 1 + 5
-    games = {g.game_id: _float_rows(g.matrix, N_BEHAVIORAL, N_TEXT) for g in samples}
-    for s in loaded:
-        start, length = s.window
-        np.testing.assert_array_equal(s.matrix, games[s.game_id][start : start + length])
-    assert scan_feature_file(path) == [(gid, samples[gid].profile.index, 2) for gid, _ in want]
+    games = _games()
+    _write(path, games, window_len=2, stride=1)
+    loaded, _, _ = read_feature_file(path, _ALL)
+    want = [(g.game_id, (a, 2)) for g, _, _ in games for a in range(g.matrix.shape[0] - 1)]
+    assert len(want) == 2 + 1 + 5
+    for layout in _DIMS:
+        assert [(s.game_id, s.window) for s in loaded[layout]] == want
+        rows = {g.game_id: _float_rows(g.game, counts)[layout] for g, counts, _ in games}
+        for s in loaded[layout]:
+            start, length = s.window
+            np.testing.assert_array_equal(s.matrix, rows[s.game_id][start : start + length])
+    assert scan_feature_file(path) == [(gid, games[gid][0].profile.index, 2) for gid, _ in want]
 
 
 @pytest.mark.parametrize("window_len, stride", [(2, 1), (3, 2), (8, 4)])
 def test_loaded_windows_are_read_only_views_of_their_game(tmp_path, window_len, stride):
     path = tmp_path / "x.pbf"
-    samples = _samples()
-    _write(path, samples, window_len, stride)
-    loaded, header = read_feature_file(path)
-    games = {}
-    for s in loaded:
-        assert s.matrix.shape == (s.window[1], header["dim"])
-        assert not s.matrix.flags.writeable
-        assert np.shares_memory(s.matrix, s.game)
-        assert s.game.shape == samples[s.game_id].game.shape
-        assert games.setdefault(s.game_id, s.game) is s.game  # one array per game
+    games = _games()
+    _write(path, games, window_len, stride)
+    loaded, _, _ = read_feature_file(path, _ALL)
+    for layout, dim in _DIMS.items():
+        by_game = {}
+        for s in loaded[layout]:
+            assert s.matrix.shape == (s.window[1], dim)
+            assert not s.matrix.flags.writeable
+            assert np.shares_memory(s.matrix, s.game)
+            assert s.game.shape == (games[s.game_id][0].game.shape[0], dim)
+            assert by_game.setdefault(s.game_id, s.game) is s.game  # one array per game
 
 
 def _oracle_pbf1_windows(sessions_path, cfg, layout):
@@ -929,17 +967,16 @@ def test_pipeline_windows_match_per_window_oracle(small_corpus, stride):
     paths = Paths(cfg.out_dir)
     lengths = {s.game_id: s.length for s in load_sessions(paths.sessions)}
     assert min(lengths.values()) < cfg.window_len <= max(lengths.values())  # both cases occur
-    for layout, path in (("176", paths.features176), ("530", paths.features530)):
+    loaded, _, _ = read_feature_file(paths.features, _ALL)
+    for layout in _DIMS:
         want = _oracle_pbf1_windows(paths.sessions, cfg, layout)
-        loaded, header = read_feature_file(path)
-        got = [(s.game_id, s.profile.index, s.window, s.matrix.tobytes()) for s in loaded]
+        got = [(s.game_id, s.profile.index, s.window, s.matrix.tobytes()) for s in loaded[layout]]
         assert got == want
-        assert header["n_samples"] == len(want)
-        scanned = scan_feature_file(path)
-        assert scanned == [(g, p, n) for g, p, (_, n), _ in want]
-        assert Counter(g for g, _, _ in scanned) == {
-            g: len(window_starts(t, cfg.window_len, stride)) for g, t in lengths.items()
-        }
+    scanned = scan_feature_file(paths.features)
+    assert scanned == [(g, p, n) for g, p, (_, n), _ in want]
+    assert Counter(g for g, _, _ in scanned) == {
+        g: len(window_starts(t, cfg.window_len, stride)) for g, t in lengths.items()
+    }
 
 
 def test_feature_file_rejects_garbage(tmp_path):
@@ -949,13 +986,13 @@ def test_feature_file_rejects_garbage(tmp_path):
         read_feature_file(path)
     trunc = tmp_path / "trunc.pbf"
     good = tmp_path / "good.pbf"
-    _write(good, _samples())
+    _write(good, _games())
     trunc.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(SchemaMismatch):
         read_feature_file(trunc)
     # cut inside a record header, not just inside a payload
     partial = tmp_path / "partial.pbf"
-    partial.write_bytes(good.read_bytes()[: _PBF3_HEADER_BYTES + 5])
+    partial.write_bytes(good.read_bytes()[: _PBF4_HEADER_BYTES + 5])
     with pytest.raises(SchemaMismatch):
         read_feature_file(partial)
     with pytest.raises(SchemaMismatch):
@@ -963,87 +1000,124 @@ def test_feature_file_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "damage", ["pbf1", "cut_header", "cut_record", "trailing_byte", "cut_text_row", "float_text_row"]
+    "damage",
+    [
+        "pbf1",
+        "cut_header",
+        "cut_record",
+        "trailing_byte",
+        "cut_text_row",
+        "float_text_row",
+        "cut_aggregate",
+        "profile_out_of_range",
+    ],
 )
 def test_damaged_feature_file_names_the_file(tmp_path, damage):
     good = tmp_path / "good.pbf"
-    _write(good, _samples())
+    _write(good, _games())
     data = good.read_bytes()
+    where = f"{damage}.pbf"
     if damage == "pbf1":  # a per-window file: 20-byte header, no window fields
-        data = struct.pack("<4sIIII", b"PBF1", SCHEMA_VERSION, 3, 6, N_TOTAL) + data[_PBF3_HEADER_BYTES:]
+        data = struct.pack("<4sIIII", b"PBF1", SCHEMA_VERSION, 3, 6, N_TOTAL) + data[_PBF4_HEADER_BYTES:]
     elif damage == "cut_header":
-        data = data[: _PBF3_HEADER_BYTES - 1]
+        data = data[: _PBF4_HEADER_BYTES - 1]
     elif damage == "cut_record":
         data = data[:-1]
-    elif damage == "cut_text_row":  # the last decision's int8 counts
-        data = data[:-N_TEXT]
+    elif damage == "cut_text_row":  # the last decision's int8 counts, and the aggregates after them
+        data = data[: -N_TEXT_LEGACY - _AGGREGATE_BYTES]
     elif damage == "float_text_row":  # the bytes float32 counts would add to one row
-        data = data + bytes(3 * N_TEXT)
+        data = data + bytes(3 * N_TEXT_LEGACY)
+    elif damage == "cut_aggregate":  # inside the last record's aggregate block
+        data = data[: -_AGGREGATE_BYTES // 2]
+    elif damage == "profile_out_of_range":  # the first record's profile index byte
+        data = data[: _PBF4_HEADER_BYTES + 8] + bytes([200]) + data[_PBF4_HEADER_BYTES + 9 :]
+        where += ": record 0 .*profile index 200"
     else:
         data = data + b"\x00"
     path = tmp_path / f"{damage}.pbf"
     path.write_bytes(data)
     for reader in (read_feature_file, scan_feature_file):
-        with pytest.raises(SchemaMismatch, match=f"{damage}.pbf"):
+        with pytest.raises(SchemaMismatch, match=where):
             reader(path)
 
 
 def test_feature_file_writer_removes_partial_file_on_error(tmp_path):
     path = tmp_path / "partial.pbf"
     with pytest.raises(RuntimeError):
-        with FeatureFileWriter(path, N_TOTAL, 8, 4, N_BEHAVIORAL, N_TEXT) as writer:
-            writer.add(_samples()[0])
+        with FeatureFileWriter(path, 8, 4) as writer:
+            writer.add(*_games()[0])
             raise RuntimeError("featurizer failed mid-file")
     assert not path.exists()
     assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_the_older_file_unchanged(tmp_path):
-    path = tmp_path / "features176.pbf"
-    _write(path, _samples())
+    path = tmp_path / "features.pbf"
+    _write(path, _games())
     before = path.read_bytes()
     with pytest.raises(RuntimeError):
-        with FeatureFileWriter(path, N_TOTAL, 2, 1, N_BEHAVIORAL, N_TEXT) as writer:
-            writer.add(_samples()[2])
+        with FeatureFileWriter(path, 2, 1) as writer:
+            writer.add(*_games()[2])
             assert path.read_bytes() == before  # the new rows go to a temp file
-            assert (tmp_path / "features176.pbf.tmp").exists()
+            assert (tmp_path / "features.pbf.tmp").exists()
             raise RuntimeError("featurizer failed mid-file")
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["features176.pbf"]
-    _write(path, _samples()[:1])  # a finished write replaces it
+    assert [p.name for p in tmp_path.iterdir()] == ["features.pbf"]
+    _write(path, _games()[:1])  # a finished write replaces it
     assert path.read_bytes() != before
-    assert [p.name for p in tmp_path.iterdir()] == ["features176.pbf"]
+    assert [p.name for p in tmp_path.iterdir()] == ["features.pbf"]
 
 
 @pytest.mark.parametrize("count", [128, -129, 0.5, np.nan])
 def test_writer_rejects_a_count_outside_int8(tmp_path, count):
     path = tmp_path / "x.pbf"
-    sample = _samples()[0]
-    game = sample.game.copy()
-    game[1, N_BEHAVIORAL + 3] = count
+    sample, counts, aggregate = _games()[0]
+    counts = counts.astype(np.float64)
+    counts[1, 3] = count
     with pytest.raises(DegenerateData, match="int8"):
-        with FeatureFileWriter(path, N_TOTAL, 8, 4, N_BEHAVIORAL, N_TEXT) as writer:
-            writer.add(replace(sample, game=game))
+        with FeatureFileWriter(path, 8, 4) as writer:
+            writer.add(sample, counts, aggregate)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("part", ["behavioral", "counts", "aggregate"])
+def test_writer_rejects_a_part_of_the_wrong_shape(tmp_path, part):
+    sample, counts, aggregate = _games()[0]
+    if part == "behavioral":
+        sample = replace(sample, game=sample.game[:, :-1])
+    elif part == "counts":
+        counts = counts[:-1]
+    else:
+        aggregate = aggregate[:-1]
+    with pytest.raises(DimensionMismatch, match=f"game {sample.game_id}"):
+        with FeatureFileWriter(tmp_path / "x.pbf", 8, 4) as writer:
+            writer.add(sample, counts, aggregate)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_writer_keeps_the_int8_extremes(tmp_path):
     path = tmp_path / "x.pbf"
-    sample = _samples()[0]
-    game = sample.game.copy()
-    game[0, N_BEHAVIORAL:] = 0
-    game[0, N_BEHAVIORAL] = 127
-    game[0, N_BEHAVIORAL + 1] = -128
-    _write(path, [replace(sample, game=game)])
-    (back,), _ = read_feature_file(path)
-    assert back.game.tobytes() == _float_rows(game, N_BEHAVIORAL, N_TEXT).tobytes()
-    assert back.game[0, N_BEHAVIORAL] == np.float32(127 / math.hypot(127, 128))
+    sample, counts, aggregate = _games()[0]
+    counts = counts.copy()
+    counts[0] = 0
+    counts[0, 0] = 127
+    counts[0, 1] = -128
+    _write(path, [(sample, counts, aggregate)])
+    loaded, _, _ = read_feature_file(path, _ALL)
+    want = _float_rows(sample.game, counts)
+    for layout, text in (("176", N_BEHAVIORAL), ("530", 0)):
+        (back,) = loaded[layout]
+        assert back.game.tobytes() == want[layout].tobytes()
+        # buckets 0 and 1 fold onto themselves
+        assert back.game[0, text] == np.float32(127 / math.hypot(127, 128))
 
 
-@pytest.mark.parametrize("magic, header", [(b"PBF1", "<4sIIII"), (b"PBF2", "<4sIIIIII")])
+@pytest.mark.parametrize(
+    "magic, header", [(b"PBF1", "<4sIIII"), (b"PBF2", "<4sIIIIII"), (b"PBF3", "<4sIIIIIIII")]
+)
 def test_older_feature_file_asks_for_featurize(tmp_path, magic, header):
     path = tmp_path / "old.pbf"
-    fields = (magic, SCHEMA_VERSION, 0, 0, N_TOTAL, 8, 4)[: header.count("I") + 1]
+    fields = (magic, SCHEMA_VERSION, 0, 0, N_TOTAL, 8, 4, N_BEHAVIORAL, N_TEXT)[: header.count("I") + 1]
     path.write_bytes(struct.pack(header, *fields))  # a whole file with no records
     for reader in (read_feature_file, scan_feature_file):
         with pytest.raises(SchemaMismatch, match=f"{magic!r}.*rerun featurize"):
@@ -1053,87 +1127,54 @@ def test_older_feature_file_asks_for_featurize(tmp_path, magic, header):
 def test_decoded_rows_are_bitwise_the_float_path(small_corpus):
     """Each game's decoded rows are what featurize wrote when the files held
     float32 text: `_unit_rows` on the game's float64 counts, stacked in
-    column order and cast to <f4."""
+    column order and cast to <f4. Its aggregate block is aggregate_features'
+    float64 vector."""
     cfg = small_corpus
     stage_featurize(cfg)
     paths = Paths(cfg.out_dir)
     want = {"176": {}, "530": {}}
+    aggregates = []
     lengths = {}
     for session in load_sessions(paths.sessions):
         behavioral = behavioral_matrix(session, cfg.sim.width, cfg.sim.height)
         text128, text512 = _embed_rows([_text(d) for d in session.decisions])
         want["176"][session.game_id] = np.hstack([behavioral, text128]).astype("<f4")
         want["530"][session.game_id] = np.hstack([text512, behavioral[:, :N_BEHAVIORAL_LEGACY]]).astype("<f4")
+        aggregate = aggregate_features(session, behavioral, cfg.sim.max_steps)
+        aggregates.append((session.game_id, session.profile.index, aggregate))
         lengths[session.game_id] = session.length
-    sizes = {"176": 4 * N_BEHAVIORAL + N_TEXT, "530": N_TEXT_LEGACY + 4 * N_BEHAVIORAL_LEGACY}
-    for layout, path in (("176", paths.features176), ("530", paths.features530)):
-        loaded, header = read_feature_file(path)
-        games = {s.game_id: s.game for s in loaded}
+    loaded, (X, y, ids), _ = read_feature_file(paths.features, _ALL)
+    for layout in _DIMS:
+        games = {s.game_id: s.game for s in loaded[layout]}
         assert games.keys() == want[layout].keys()
         for game_id, game in games.items():
             assert game.tobytes() == want[layout][game_id].tobytes()
             assert not game.flags.writeable
             with pytest.raises(ValueError):
                 game[0, 0] = 1.0
-        rows = sum(lengths.values())
-        assert path.stat().st_size == _PBF3_HEADER_BYTES + 13 * len(lengths) + sizes[layout] * rows
-        scanned = scan_feature_file(path)
-        assert scanned == [(s.game_id, s.profile.index, s.window[1]) for s in loaded]
-        assert Counter(g for g, _, _ in scanned) == {
-            g: len(window_starts(t, cfg.window_len, cfg.stride)) for g, t in lengths.items()
-        }
+        scanned = scan_feature_file(paths.features)
+        assert scanned == [(s.game_id, s.profile.index, s.window[1]) for s in loaded[layout]]
+    assert ids == [game_id for game_id, _, _ in aggregates]
+    assert list(y) == [profile for _, profile, _ in aggregates]
+    assert X.tobytes() == np.stack([agg for _, _, agg in aggregates]).tobytes()
+    assert paths.features.stat().st_size == _pbf4_size(lengths.values())
+    assert Counter(g for g, _, _ in scan_feature_file(paths.features)) == {
+        g: len(window_starts(t, cfg.window_len, cfg.stride)) for g, t in lengths.items()
+    }
 
 
 def test_feature_file_rejects_trailing_bytes(tmp_path):
     good = tmp_path / "good.pbf"
-    _write(good, _samples())
+    _write(good, _games())
     # a 0-record header followed by a record, as an interrupted writer left it
     stale = tmp_path / "stale.pbf"
     _write(stale, [])
     header_size = stale.stat().st_size
     one = tmp_path / "one.pbf"
-    _write(one, _samples()[:1])
+    _write(one, _games()[:1])
     for path, extra in ((good, b"\x00"), (stale, one.read_bytes()[header_size:])):
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(SchemaMismatch):
             read_feature_file(path)
         with pytest.raises(SchemaMismatch):
             scan_feature_file(path)
-
-
-def test_aggregate_csv_roundtrip(tmp_path):
-    path = tmp_path / "agg.csv"
-    rows = []
-    for gid, choices in enumerate([[0, 3], [1, 1, 4], [5, 2, 0, 3]]):
-        profile = Profile.from_index(gid * 11)
-        s = _session(choices, profile=profile.code)
-        s = Session(
-            game_id=gid, profile=profile, seed=0, decisions=s.decisions, outcome=s.outcome
-        )
-        rows.append((gid, profile, aggregate_features(s, behavioral_matrix(s, *_GRID), 40)))
-    write_aggregate_csv(path, rows)
-    X, y, ids = read_aggregate_csv(path)
-    assert X.shape == (3, 52)
-    assert ids == [0, 1, 2]
-    assert list(y) == [0, 11, 22]
-    for i, (_, _, agg) in enumerate(rows):
-        np.testing.assert_allclose(X[i], agg, atol=0)  # repr() roundtrips exactly
-
-
-@pytest.mark.parametrize("damage", ["short_row", "non_numeric", "unknown_profile", "no_line_end"])
-def test_damaged_aggregate_csv_is_schema_mismatch(tmp_path, damage):
-    path = tmp_path / "agg.csv"
-    rows = [(gid, Profile.from_index(gid * 5), np.zeros(52)) for gid in range(2)]
-    write_aggregate_csv(path, rows)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    if damage == "short_row":
-        lines[2] = lines[2].replace(",0.0", "", 1)
-    elif damage == "non_numeric":
-        lines[2] = lines[2].replace("0.0", "zero", 1)
-    elif damage == "unknown_profile":
-        lines[2] = lines[2].replace(rows[1][1].code, "XX-Nope")
-    else:
-        lines[2] = lines[2].rstrip("\n")
-    path.write_text("".join(lines), encoding="utf-8")
-    with pytest.raises(SchemaMismatch, match="line end" if damage == "no_line_end" else "line 3"):
-        read_aggregate_csv(path)
