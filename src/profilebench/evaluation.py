@@ -204,9 +204,10 @@ def predict_logits(ckpt: Checkpoint, samples: Sequence[SequenceSample]) -> dict[
 
     The batcher's stacked game rows are projected once per direction, one
     (N_rows, D) @ (D, 4H) GEMM each: the projection is linear and per row,
-    and overlapping windows share rows. Each unshuffled batch then gathers
-    its (B, T, 4H) pre-activations and runs the recurrence, pooling and
-    heads; the logit rows are put back into input order at the end.
+    and overlapping windows share rows. Each unshuffled batch then runs the
+    recurrence, which reads each step's pre-activations straight from those
+    projected rows, then pooling and heads; the logit rows are put back into
+    input order at the end.
     """
     p = ckpt.params
     windows = WindowBatcher(samples, p["fwd_W"].dtype)
@@ -216,8 +217,7 @@ def predict_logits(ckpt: Checkpoint, samples: Sequence[SequenceSample]) -> dict[
     batches = windows.batches(SCORE_BATCH_SIZE)
     parts: dict[str, list[np.ndarray]] = {"profile": [], "align": [], "motiv": []}
     for idx in batches:
-        take = windows.take(idx)
-        states, _ = bilstm_recur((pre[0][take], pre[1][take]), *recur, cache=False)
+        states, _ = bilstm_recur(pre, windows.take(idx), *recur, cache=False)
         logits, _, _ = pool_and_heads(states, ckpt, cache=False)
         for head, out in parts.items():
             out.append(logits[head])

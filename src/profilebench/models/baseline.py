@@ -53,7 +53,7 @@ def train_baseline(
     config.validate()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    if len(np.unique(y)) < 2:
+    if y.size == 0 or (y == y[0]).all():
         raise DegenerateData("need at least 2 classes to fit the baseline")
     n, d = X.shape
 

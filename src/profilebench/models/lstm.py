@@ -12,30 +12,45 @@ inputs, so float64 oracle checks and float32 training share one code path.
 A direction's forward pass is two parts: the input projection X @ W.T
 (`project`), and the recurrence over those pre-activations
 (`_direction_recur`, both directions in `bilstm_recur`). The projection
-runs as one (B*T, D) @ (D, 4H) GEMM: on a (B, T, D) array numpy's stacked
-matmul runs B small GEMMs, one per batch row, about 6x slower at
-(64, 8, 530). One batcher, `training.WindowBatcher`, batches windows by
-length for training, validation and scoring, and a batch's (B, T) row
-indices gather from the games' rows, stacked once. Training and validation
-gather the batch's X and call `bilstm_forward_batch`, which projects it
-and then recurs. Scoring (`evaluation.predict_logits`) projects the
-stacked rows once and gathers each batch's pre-activations instead: the
-projection is linear and per row, and at stride 1 a decision sits in up
-to window_len overlapping windows, so projecting per window would repeat
-it that many times.
+runs as one (N, D) @ (D, 4H) GEMM over rows, outside the step loop: on a
+(B, T, D) array numpy's stacked matmul runs B small GEMMs, one per batch
+row, about 6x slower at (64, 8, 530). The recurrence reads step t of a
+batch's windows from rows take[:, t] of that projection, where `take` is
+the batch's (B, T) row indices (Appleyard, Kocisky & Blunsom,
+arXiv:1604.01946). One batcher, `training.WindowBatcher`, batches windows
+by length for training, validation and scoring, and gives each batch's
+row indices into the games' rows, stacked once. Training and validation
+gather the batch's X and call `bilstm_forward_batch`, which projects its
+B*T rows and recurs with take = arange. Scoring
+(`evaluation.predict_logits`) projects the stacked rows once and recurs
+straight from them with the batcher's indices: at stride 1 a decision
+sits in up to window_len overlapping windows, so projecting per window
+would repeat it that many times. The two projections are not bit-equal:
+an sgemm's rounding can depend on its row count.
 
-The training cache holds each fact once: the gate activations i, f, g, o
-and the cell and hidden states c and h, one (B, T, H) array each. Scoring
-(validation and `predict_logits`) runs with cache=False and writes nothing
-but the hidden states; both directions write straight into their half of
-the (B, T, 2H) states array.
+The step loop allocates nothing. Before it, the kernel allocates a (B, 4H)
+buffer for h @ R.T (also the sigmoid's scratch), one that each step's
+pre-activation rows are gathered into, and the arrays that the gates, c
+and tanh(c) are written into with `out=`. Each step adds h @ R.T and then
+b to those rows, and runs every gate operation in the order of the step
+that tests/test_lstm.py keeps as its reference (one new array per
+operation), so every output bit agrees with it. With the training cache
+the arrays are the cache: the gate activations i, f, g, o as one
+(B, T, 4H) array, the cell states c and tanh(c), and the hidden states h,
+each fact once. Scoring (validation and `predict_logits`) runs with
+cache=False: gates, c and tanh(c) live in one-step buffers that every step
+overwrites. Either way each direction writes h straight into its half of
+the (B, T, 2H) states array, and the next step's h @ R.T reads it there.
+At B = 256 and H = 64 each (B, 4H) float32 buffer is 256 KiB, so the step
+keeps few of them: its working set has to stay in L2 beside R and the
+gathered rows.
 
 Backward keeps only the dh/dc recurrence in its step loop. Everything that
 does not depend on dh or dc (the previous states, shifted one step, and the
 gate-derivative coefficients) is computed for all T steps before the loop;
-each step writes its gate gradients into one (B, T, 4H) array, and dW and dR
-are then one (4H, B*T) GEMM each after the loop instead of T small ones
-inside it (Appleyard, Kocisky & Blunsom, arXiv:1604.01946).
+tanh(c) comes from the cache. Each step writes its gate gradients into one
+(B, T, 4H) array, and dW and dR are then one (4H, B*T) GEMM each after the
+loop instead of T small ones inside it.
 """
 
 from __future__ import annotations
@@ -47,23 +62,21 @@ import numpy as np
 from profilebench.errors import DimensionMismatch
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(
+    x: np.ndarray, out: np.ndarray | None = None,
+    e: np.ndarray | None = None, positive: np.ndarray | None = None,
+) -> np.ndarray:
     """Two-branch stable sigmoid, 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below,
     with no boolean masks: their gathers and scatters cost more than the exp.
-    exp() sees min(x, -x) = -|x| (never overflows; a nan passes unchanged)."""
-    e = np.exp(np.minimum(x, -x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
-
-
-def _gates(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Gate activations and the next (h, c) from 4H pre-activations z."""
-    H = c.shape[-1]
-    s = sigmoid(z)
-    i, f, o = s[..., :H], s[..., H : 2 * H], s[..., 3 * H :]
-    g = np.tanh(z[..., 2 * H : 3 * H])
-    c_next = f * c + i * g
-    h_next = o * np.tanh(c_next)
-    return i, f, g, o, h_next, c_next
+    exp() sees min(x, -x) = -|x| (never overflows; a nan passes unchanged).
+    Given `out`, a scratch `e` like x and a bool `positive` like x, it
+    allocates nothing."""
+    e = np.negative(x, out=e)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, np.greater_equal(x, 0, out=positive), out=out)
+    np.add(e, 1.0, out=e)
+    return np.divide(out, e, out=out)
 
 
 def project(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -75,33 +88,57 @@ def project(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _direction_recur(
-    xw: np.ndarray, R: np.ndarray, b: np.ndarray, reverse: bool,
-    cache: bool = True, out: np.ndarray | None = None,
+    pre: np.ndarray, take: np.ndarray, R: np.ndarray, b: np.ndarray,
+    reverse: bool, out: np.ndarray, cache: bool = True,
 ) -> dict:
-    """Unrolled recurrence of one direction over its (B, T, 4H) input
-    pre-activations xw = project(X, W).
+    """Unrolled recurrence of one direction, in place. Step t of window k
+    reads its input pre-activations from row take[k, t] of the (N, 4H)
+    projection pre = project(rows, W); hidden states go into `out` (B, T, H).
 
-    Returns {"h": hidden states} plus, when `cache`, the activations the
-    backward pass reads. Hidden states go into `out` when given.
+    Returns {"h": out} plus, when `cache`, the activations the backward pass
+    reads: "gates" (B, T, 4H), the cell states "c" and their tanh "tc".
+    Without it, gates, c and tanh(c) live in one-step buffers that every
+    step overwrites.
     """
-    B, T, G = xw.shape
+    B, T = take.shape
     H = R.shape[1]
-    if G != 4 * H:
-        raise DimensionMismatch(f"pre-activations {xw.shape}, expected 4H = {4 * H} columns")
-    dtype = xw.dtype
-    hidden = np.empty((B, T, H), dtype) if out is None else out
-    kept = {name: np.empty((B, T, H), dtype) for name in "ifgoc"} if cache else {}
-
+    if pre.shape[1] != 4 * H:
+        raise DimensionMismatch(f"pre-activations {pre.shape}, expected 4H = {4 * H} columns")
+    if take.min() < 0 or take.max() >= len(pre):
+        raise DimensionMismatch(f"row indices outside the {len(pre)} pre-activation rows")
+    dtype = pre.dtype
+    hr = np.empty((B, 4 * H), dtype)  # h @ R.T, then the sigmoid's scratch
+    z = np.empty((B, 4 * H), dtype)
+    positive = np.empty((B, 4 * H), bool)
+    ig = np.empty((B, H), dtype)
     h = np.zeros((B, H), dtype)
-    c = np.zeros((B, H), dtype)
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    for t in steps:
-        i, f, g, o, h, c = _gates(xw[:, t] + h @ R.T + b, c)
-        hidden[:, t] = h
-        if cache:
-            for name, value in zip("ifgoc", (i, f, g, o, c)):
-                kept[name][:, t] = value
-    return {"h": hidden, "reverse": reverse, **kept}
+    c_prev = np.zeros((B, H), dtype)
+    slots = T if cache else 1
+    gates = np.empty((B, slots, 4 * H), dtype)
+    cs = np.empty((B, slots, H), dtype)
+    tcs = np.empty((B, slots, H), dtype)
+
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        k = t if cache else 0
+        a, c, tc = gates[:, k], cs[:, k], tcs[:, k]
+        i, f, g, o = (a[:, j * H : (j + 1) * H] for j in range(4))
+        np.matmul(h, R.T, out=hr)
+        # rows checked above; mode="raise" would copy through a temporary
+        np.take(pre, take[:, t], axis=0, out=z, mode="clip")
+        z += hr
+        z += b
+        sigmoid(z, a, hr, positive)
+        np.tanh(z[:, 2 * H : 3 * H], out=g)  # over the sigmoid's cell block
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=ig)
+        c += ig
+        np.tanh(c, out=tc)
+        h = out[:, t]  # the next step's matmul reads it from here
+        np.multiply(o, tc, out=h)
+        c_prev = c
+    if not cache:
+        return {"h": out, "reverse": reverse}
+    return {"h": out, "reverse": reverse, "gates": gates, "c": cs, "tc": tcs}
 
 
 def _shift(a: np.ndarray, reverse: bool) -> np.ndarray:
@@ -126,9 +163,9 @@ def _direction_backward(
     B, T, D = X.shape
     H = R.shape[1]
     reverse = cache["reverse"]
-    i, f, g, o, c = (cache[name] for name in "ifgoc")
+    i, f, g, o = (cache["gates"][:, :, k * H : (k + 1) * H] for k in range(4))
+    c, tc = cache["c"], cache["tc"]
     h_prev = _shift(cache["h"], reverse)
-    tc = np.tanh(c)
     A = o * (1.0 - tc * tc)  # dc_t = dh_t * A + dc
     K = np.empty((B, T, 4, H), dstates.dtype)  # dz = K * [dc_t, dc_t, dc_t, dh_t]
     K[:, :, 0] = g * i * (1.0 - i)
@@ -156,19 +193,21 @@ def _direction_backward(
 
 def bilstm_recur(
     pre: tuple[np.ndarray, np.ndarray],
+    take: np.ndarray,
     fwd: tuple[np.ndarray, np.ndarray],
     bwd: tuple[np.ndarray, np.ndarray],
     cache: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
-    """Both directions' recurrences from their (B, T, 4H) input
-    pre-activations `pre`; `fwd` and `bwd` are each direction's (R, b).
-    Returns states (B, T, 2H) and the backward cache, or None when `cache`
-    is False (scoring)."""
-    B, T, _ = pre[0].shape
+    """Both directions' recurrences over a batch of windows: `pre` holds each
+    direction's (N, 4H) input pre-activations, `take` the batch's (B, T) row
+    indices into them, and `fwd` and `bwd` each direction's (R, b). Returns
+    states (B, T, 2H) and the backward cache, or None when `cache` is False
+    (scoring)."""
+    B, T = take.shape
     Hf = fwd[0].shape[1]
     states = np.empty((B, T, Hf + bwd[0].shape[1]), np.result_type(*pre))
-    cache_f = _direction_recur(pre[0], *fwd, reverse=False, cache=cache, out=states[:, :, :Hf])
-    cache_b = _direction_recur(pre[1], *bwd, reverse=True, cache=cache, out=states[:, :, Hf:])
+    cache_f = _direction_recur(pre[0], take, *fwd, reverse=False, out=states[:, :, :Hf], cache=cache)
+    cache_b = _direction_recur(pre[1], take, *bwd, reverse=True, out=states[:, :, Hf:], cache=cache)
     return states, ({"f": cache_f, "b": cache_b} if cache else None)
 
 
@@ -178,10 +217,13 @@ def bilstm_forward_batch(
     bwd: tuple[np.ndarray, np.ndarray, np.ndarray],
     cache: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
-    """Both directions over a (B, T, D) batch: project, then recur. Returns
-    states (B, T, 2H) and the backward cache, or None when `cache` is False."""
-    pre = (project(X, fwd[0]), project(X, bwd[0]))
-    return bilstm_recur(pre, fwd[1:], bwd[1:], cache)
+    """Both directions over a (B, T, D) batch: project each window's rows,
+    then recur. Returns states (B, T, 2H) and the backward cache, or None
+    when `cache` is False."""
+    B, T, D = X.shape
+    rows = X.reshape(B * T, D)
+    pre = (project(rows, fwd[0]), project(rows, bwd[0]))
+    return bilstm_recur(pre, np.arange(B * T).reshape(B, T), fwd[1:], bwd[1:], cache)
 
 
 def bilstm_backward_batch(

@@ -316,7 +316,7 @@ class WindowBatcher:
         first, chunked at `batch_size` in input order, or with `rng` shuffled
         per length and then shuffled as batches."""
         out = []
-        for t in np.unique(self.lengths):
+        for t in np.flatnonzero(np.bincount(self.lengths)):
             idxs = np.flatnonzero(self.lengths == t)
             if rng is not None:
                 idxs = idxs[rng.permutation(len(idxs))]
@@ -326,8 +326,9 @@ class WindowBatcher:
         return out
 
     def take(self, batch: np.ndarray) -> np.ndarray:
-        """(B, T) row indices of a batch: they gather its X from `rows`, or
-        its pre-activations from their projection."""
+        """(B, T) row indices of a batch into `rows`: training and validation
+        gather the batch's X with them, and scoring's recurrence reads step
+        t's pre-activations from rows take[:, t] of the rows' projection."""
         return self.starts[batch, None] + np.arange(self.lengths[batch[0]])
 
 

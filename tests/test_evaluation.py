@@ -1,11 +1,18 @@
 """Reporting layer: confusion tallies, lifts, file emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import test_lstm as lstm_oracles
 import test_taxonomy as taxonomy_oracles
+
+import profilebench
 
 from profilebench.errors import EmptyTestSet, SpaceMismatch
 from profilebench.evaluation import (
@@ -33,7 +40,13 @@ from profilebench.features import (
     read_feature_file,
 )
 from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
-from profilebench.models.training import forward_batch
+from profilebench.models.lstm import project
+from profilebench.models.training import (
+    SCORE_BATCH_SIZE,
+    WindowBatcher,
+    forward_batch,
+    pool_and_heads,
+)
 from profilebench.taxonomy import (
     LabelSpace,
     LabelSpaceKind,
@@ -225,6 +238,34 @@ class TestEvaluate:
             evaluate(ckpt, _samples([0]), spec)
 
 
+def gather_first_logits(ckpt, samples):
+    """Scoring as it ran before the in-place kernel: the stacked rows
+    projected once per direction, each batch's (B, T, 4H) pre-activations
+    gathered, then the allocating step loop; logits in input order."""
+    p = ckpt.params
+    windows = WindowBatcher(samples, p["fwd_W"].dtype)
+    pre = (project(windows.rows, p["fwd_W"]), project(windows.rows, p["bwd_W"]))
+    batches = windows.batches(SCORE_BATCH_SIZE)
+    parts = {"profile": [], "align": [], "motiv": []}
+    for idx in batches:
+        take = windows.take(idx)
+        halves = [
+            lstm_oracles.reference_direction(pre[k][take], p[f"{d}_R"], p[f"{d}_b"], reverse=k == 1)["h"]
+            for k, d in enumerate(("fwd", "bwd"))
+        ]
+        logits, _, _ = pool_and_heads(np.concatenate(halves, axis=2), ckpt, cache=False)
+        for head, out in parts.items():
+            out.append(logits[head])
+    inverse = np.argsort(np.concatenate(batches))
+    return {head: np.concatenate(out)[inverse] for head, out in parts.items()}
+
+
+def _randomized(ckpt, rng):
+    for name, value in ckpt.params.items():
+        ckpt.params[name][...] = rng.normal(0, 0.5, value.shape).astype(value.dtype)
+    return ckpt
+
+
 class TestPredictLogits:
     @staticmethod
     def _oracle(ckpt, samples, batch_size=256):
@@ -247,9 +288,7 @@ class TestPredictLogits:
 
     def test_shuffled_mixed_lengths_come_back_in_input_order(self):
         rng = np.random.default_rng(17)
-        ckpt = _ckpt()
-        for name, value in ckpt.params.items():
-            ckpt.params[name][...] = rng.normal(0, 0.5, value.shape).astype(value.dtype)
+        ckpt = _randomized(_ckpt(), rng)
         # T = 8 holds more than one 256-row chunk
         samples = [
             s
@@ -265,9 +304,7 @@ class TestPredictLogits:
 
     def test_overlapping_windows_read_back_from_a_feature_file(self, tmp_path):
         rng = np.random.default_rng(23)
-        ckpt = _ckpt(D=N_TOTAL)
-        for name, value in ckpt.params.items():
-            ckpt.params[name][...] = rng.normal(0, 0.5, value.shape).astype(value.dtype)
+        ckpt = _randomized(_ckpt(D=N_TOTAL), rng)
         path = tmp_path / "games.pbf"
         profiles = all_profiles()
         with FeatureFileWriter(path, window_len=4, stride=1) as writer:
@@ -281,9 +318,62 @@ class TestPredictLogits:
         samples = [windows[i] for i in rng.permutation(len(windows))[:8]]
         assert {s.window[1] for s in samples} == {2, 4} and len({s.game_id for s in samples}) == 3
         got = predict_logits(ckpt, samples)
-        want = self._oracle(ckpt, samples)
+        exact = gather_first_logits(ckpt, samples)
+        per_window = self._oracle(ckpt, samples)
         for head in ("profile", "align", "motiv"):
-            np.testing.assert_array_equal(got[head], want[head])
+            np.testing.assert_array_equal(got[head].view(np.uint32), exact[head].view(np.uint32))
+            # an sgemm's rounding can depend on its row count, so projecting
+            # each window's rows agrees only to float32 precision
+            np.testing.assert_allclose(got[head], per_window[head], rtol=1e-5, atol=1e-5)
+
+    def test_stride_one_windows_and_a_short_final_batch(self):
+        rng = np.random.default_rng(29)
+        ckpt = _randomized(_ckpt(), rng)
+        profiles = all_profiles()
+        samples = []
+        for game_id in range(2):  # 2 x 153 windows of 8: batches of 256 and 50
+            game = rng.normal(0, 1, (160, 6)).astype(np.float32)
+            samples += [
+                SequenceSample(game_id, profiles[7 * game_id], (s, 8), game) for s in range(153)
+            ]
+            samples += [SequenceSample(game_id, profiles[7 * game_id], (s, 3), game) for s in (0, 80)]
+        samples = [samples[i] for i in rng.permutation(len(samples))]
+        assert [len(b) for b in WindowBatcher(samples, np.float32).batches(SCORE_BATCH_SIZE)] == [4, 256, 50]
+        got = predict_logits(ckpt, samples)
+        want = gather_first_logits(ckpt, samples)
+        for head in ("profile", "align", "motiv"):
+            np.testing.assert_array_equal(got[head].view(np.uint32), want[head].view(np.uint32))
+
+    def test_scoring_and_training_leave_numpy_ma_unimported(self):
+        # np.unique, np.median and np.percentile import numpy.ma on first
+        # use, a cost each fresh training or scoring process would pay
+        script = """
+import sys
+import numpy as np
+from profilebench.evaluation import predict_logits
+from profilebench.features import SequenceSample
+from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
+from profilebench.models.training import Batch, TrainConfig, train_step
+from profilebench.taxonomy import all_profiles
+
+ckpt = init_checkpoint(input_dim=6, hidden=4, n_classes=36, pooling=POOL_MULTI, seed=3,
+                       label_space_tag="profile36", schema_version=1)
+game = np.linspace(-1, 1, 60, dtype=np.float32).reshape(10, 6)
+samples = [SequenceSample(0, all_profiles()[0], (s, 4), game) for s in range(7)]
+moments = (np.zeros_like(ckpt.flat), np.zeros_like(ckpt.flat))
+y = np.zeros(2, np.int64)
+train_step(Batch(np.stack([s.matrix for s in samples[:2]]), y, y, y), ckpt, moments, TrainConfig(), 0)
+predict_logits(ckpt, samples)
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+        src = str(Path(profilebench.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestLabelTable:

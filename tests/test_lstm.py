@@ -16,6 +16,7 @@ from profilebench.models.lstm import (
     _direction_recur,
     attention_pool_batch,
     bilstm_forward_batch,
+    bilstm_recur,
     last_state_pool_batch,
     multi_pool_batch,
     project,
@@ -108,6 +109,81 @@ def _random_params(rng, D, H):
     R = rng.normal(0, 0.6, (4 * H, H))
     b = rng.normal(0, 0.4, 4 * H)
     return W, R, b
+
+
+def _recur(X, W, R, b, reverse, cache=True):
+    """One direction of the package's kernel over a (B, T, D) batch, with
+    each window's rows projected as training projects them."""
+    B, T, D = X.shape
+    out = np.empty((B, T, R.shape[1]), X.dtype)
+    pre = project(X, W).reshape(B * T, -1)
+    return _direction_recur(pre, np.arange(B * T).reshape(B, T), R, b, reverse, out, cache)
+
+
+# --- the allocating step loop the in-place kernel replaced ----------------
+
+
+def reference_direction(xw, R, b, reverse):
+    """One direction over gathered (B, T, 4H) pre-activations xw, one new
+    array per gate operation; the cache holds i, f, g, o and c as (B, T, H)
+    arrays. Bit for bit the step loop scoring and training ran before the
+    in-place kernel."""
+    B, T, _ = xw.shape
+    H = R.shape[1]
+    hidden = np.empty((B, T, H), xw.dtype)
+    kept = {name: np.empty((B, T, H), xw.dtype) for name in "ifgoc"}
+    h = np.zeros((B, H), xw.dtype)
+    c = np.zeros((B, H), xw.dtype)
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        z = xw[:, t] + h @ R.T + b
+        e = np.exp(np.minimum(z, -z))
+        s = np.maximum(e, z >= 0) / (1.0 + e)
+        i, f, o = s[:, :H], s[:, H : 2 * H], s[:, 3 * H :]
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hidden[:, t] = h
+        for name, value in zip("ifgoc", (i, f, g, o, c)):
+            kept[name][:, t] = value
+    return {"h": hidden, "reverse": reverse, **kept}
+
+
+def _reference_shift(a, reverse):
+    out = np.zeros_like(a)
+    if reverse:
+        out[:, :-1] = a[:, 1:]
+    else:
+        out[:, 1:] = a[:, :-1]
+    return out
+
+
+def reference_backward(cache, X, R, dstates):
+    """BPTT over a `reference_direction` cache, recomputing tanh(c), as the
+    package ran it before the kernel kept tanh(c); returns (dW, dR, db)."""
+    B, T, D = X.shape
+    H = R.shape[1]
+    reverse = cache["reverse"]
+    i, f, g, o, c = (cache[name] for name in "ifgoc")
+    h_prev = _reference_shift(cache["h"], reverse)
+    tc = np.tanh(c)
+    A = o * (1.0 - tc * tc)
+    K = np.empty((B, T, 4, H), dstates.dtype)
+    K[:, :, 0] = g * i * (1.0 - i)
+    K[:, :, 1] = _reference_shift(c, reverse) * f * (1.0 - f)
+    K[:, :, 2] = i * (1.0 - g * g)
+    K[:, :, 3] = tc * o * (1.0 - o)
+    dz = np.empty((B, T, 4, H), dstates.dtype)
+    dh = np.zeros((B, H), dstates.dtype)
+    dc = np.zeros((B, H), dstates.dtype)
+    for t in range(T) if reverse else range(T - 1, -1, -1):
+        dh_t = dstates[:, t] + dh
+        dc_t = dh_t * A[:, t] + dc
+        np.multiply(K[:, t, :3], dc_t[:, None], out=dz[:, t, :3])
+        np.multiply(K[:, t, 3], dh_t, out=dz[:, t, 3])
+        dh = dz[:, t].reshape(B, 4 * H) @ R
+        dc = dc_t * f[:, t]
+    dz = dz.reshape(B * T, 4 * H)
+    return dz.T @ X.reshape(B * T, D), dz.T @ h_prev.reshape(B * T, H), dz.sum(axis=0)
 
 
 class TestCell:
@@ -206,7 +282,7 @@ class TestDirectionForward:
         X = rng.normal(0, 1, (B, T, D))
         W, R, b = _random_params(rng, D, H)
         for reverse in (False, True):
-            cache = _direction_recur(project(X, W), R, b, reverse)
+            cache = _recur(X, W, R, b, reverse)
             h = np.zeros((B, H))
             c = np.zeros((B, H))
             for t in range(T - 1, -1, -1) if reverse else range(T):
@@ -240,11 +316,76 @@ class TestForwardWithoutCache:
         rng = np.random.default_rng(141)
         X = rng.normal(0, 1, (4, 6, 3)).astype(np.float32)
         W, R, b = (w.astype(np.float32) for w in _random_params(rng, 3, 2))
-        full = _direction_recur(project(X, W), R, b, reverse)
-        lean = _direction_recur(project(X, W), R, b, reverse, cache=False)
-        assert set(full) == {"i", "f", "g", "o", "c", "h", "reverse"}
+        full = _recur(X, W, R, b, reverse)
+        lean = _recur(X, W, R, b, reverse, cache=False)
+        assert set(full) == {"gates", "c", "tc", "h", "reverse"}
+        assert full["gates"].shape == (4, 6, 8)
+        assert full["c"].shape == full["tc"].shape == full["h"].shape == (4, 6, 2)
         assert set(lean) == {"h", "reverse"}
         np.testing.assert_array_equal(lean["h"], full["h"])
+
+
+_BITS = [(np.float32, np.uint32), (np.float64, np.uint64)]
+
+
+def _assert_bits(got, want, bits, name=""):
+    assert got.dtype == want.dtype, name
+    np.testing.assert_array_equal(got.view(bits), want.view(bits), err_msg=name)
+
+
+class TestKernelBits:
+    """The in-place kernel against the allocating step loop it replaced: the
+    same operations in the same order, so every output bit agrees."""
+
+    @pytest.mark.parametrize("dtype,bits", _BITS)
+    @pytest.mark.parametrize("T", [1, 3, 8])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("H", [5, 64])
+    def test_states_cache_and_gradients(self, dtype, bits, T, reverse, H):
+        rng = np.random.default_rng(161 + T + 10 * reverse + H)
+        B, D = 9, 7
+        X = rng.normal(0, 1, (B, T, D)).astype(dtype)
+        W, R, b = (w.astype(dtype) for w in _random_params(rng, D, H))
+        want = reference_direction(project(X, W), R, b, reverse)
+        got = _recur(X, W, R, b, reverse)
+        lean = _recur(X, W, R, b, reverse, cache=False)
+        _assert_bits(got["h"], want["h"], bits, "h")
+        _assert_bits(lean["h"], want["h"], bits, "h without cache")
+        for k, name in enumerate("ifgo"):
+            _assert_bits(got["gates"][:, :, k * H : (k + 1) * H], want[name], bits, name)
+        _assert_bits(got["c"], want["c"], bits, "c")
+        _assert_bits(got["tc"], np.tanh(want["c"]), bits, "tanh(c)")
+
+        dstates = rng.normal(0, 1, (B, T, H)).astype(dtype)
+        grads = (np.empty((4 * H, D), dtype), np.empty((4 * H, H), dtype), np.empty(4 * H, dtype))
+        _direction_backward(got, X, R, dstates, grads)
+        for name, g, w in zip(("dW", "dR", "db"), grads, reference_backward(want, X, R, dstates)):
+            _assert_bits(g, w, bits, name)
+
+    @pytest.mark.parametrize("dtype,bits", _BITS)
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_windows_sharing_rows_read_the_projected_rows(self, dtype, bits, cache):
+        # stride 1: each row sits in up to T windows, which read it in place
+        rng = np.random.default_rng(171)
+        N, T, D, H = 40, 8, 7, 5
+        rows = rng.normal(0, 1, (N, D)).astype(dtype)
+        fwd = tuple(w.astype(dtype) for w in _random_params(rng, D, H))
+        bwd = tuple(w.astype(dtype) for w in _random_params(rng, D, H))
+        take = np.arange(N - T + 1)[rng.permutation(N - T + 1), None] + np.arange(T)
+        pre = (project(rows, fwd[0]), project(rows, bwd[0]))
+        states, lstm_cache = bilstm_recur(pre, take, fwd[1:], bwd[1:], cache)
+        assert (lstm_cache is None) != cache
+        want_f = reference_direction(pre[0][take], *fwd[1:], reverse=False)["h"]
+        want_b = reference_direction(pre[1][take], *bwd[1:], reverse=True)["h"]
+        _assert_bits(states, np.concatenate([want_f, want_b], axis=2), bits)
+
+    @pytest.mark.parametrize("row", [-1, 5])
+    def test_rows_outside_the_projection_rejected(self, row):
+        rng = np.random.default_rng(181)
+        W, R, b = _random_params(rng, 3, 2)
+        pre = project(rng.normal(0, 1, (5, 3)), W)
+        with pytest.raises(DimensionMismatch, match="5 pre-activation rows"):
+            bilstm_recur((pre, pre), np.array([[0, 1], [row, 2]]), (R, b), (R, b))
 
 
 def _per_step_backward(cache, X, R, dstates):
@@ -286,11 +427,10 @@ class TestDirectionBackward:
         B, D, H = 6, 7, 5
         X = rng.normal(0, 1, (B, T, D))
         W, R, b = _random_params(rng, D, H)
-        cache = _direction_recur(project(X, W), R, b, reverse)
         dstates = rng.normal(0, 1, (B, T, H))
-        want = _per_step_backward(cache, X, R, dstates)
+        want = _per_step_backward(reference_direction(project(X, W), R, b, reverse), X, R, dstates)
         got = (np.empty((4 * H, D)), np.empty((4 * H, H)), np.empty(4 * H))
-        _direction_backward(cache, X, R, dstates, got)
+        _direction_backward(_recur(X, W, R, b, reverse), X, R, dstates, got)
         for name, g, w in zip(("dW", "dR", "db"), got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
 

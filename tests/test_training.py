@@ -7,12 +7,14 @@ import test_taxonomy as taxonomy_oracles
 
 from profilebench.errors import (
     ConfigInvalid,
+    DegenerateData,
     EmptySplit,
     NonFiniteLoss,
     SpaceMismatch,
     ZeroFrequency,
 )
 from profilebench.features import SequenceSample
+from profilebench.models.baseline import BaselineConfig, train_baseline
 from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI, init_checkpoint
 from profilebench.models.training import (
     Batch,
@@ -506,3 +508,16 @@ class TestSpaceLabels:
         inside = next(p for p in all_profiles() if space.admits(p))
         with pytest.raises(SpaceMismatch, match=outside.code):
             space_labels([inside.index, outside.index], space)
+
+
+class TestBaselineClasses:
+    @pytest.mark.parametrize("y", [[], [3], [2, 2, 2, 2]])
+    def test_fewer_than_two_classes_rejected(self, y):
+        X = np.arange(4 * len(y), dtype=float).reshape(len(y), 4)
+        with pytest.raises(DegenerateData, match="2 classes"):
+            train_baseline(X, np.array(y, dtype=np.int64), 4)
+
+    def test_two_classes_fit(self):
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
+        model = train_baseline(X, np.array([0, 1, 0, 1]), 2, BaselineConfig(epochs=50))
+        assert model.predict(X).tolist() == [0, 1, 0, 1]
