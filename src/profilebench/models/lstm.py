@@ -35,22 +35,28 @@ and tanh(c) are written into with `out=`. Each step adds h @ R.T and then
 b to those rows, and runs every gate operation in the order of the step
 that tests/test_lstm.py keeps as its reference (one new array per
 operation), so every output bit agrees with it. With the training cache
-the arrays are the cache: the gate activations i, f, g, o as one
-(B, T, 4H) array, the cell states c and tanh(c), and the hidden states h,
-each fact once. Scoring (validation and `predict_logits`) runs with
-cache=False: gates, c and tanh(c) live in one-step buffers that every step
-overwrites. Either way each direction writes h straight into its half of
-the (B, T, 2H) states array, and the next step's h @ R.T reads it there.
-At B = 256 and H = 64 each (B, 4H) float32 buffer is 256 KiB, so the step
-keeps few of them: its working set has to stay in L2 beside R and the
-gathered rows.
+the arrays are the cache, stored time-major so that step t's blocks are
+contiguous: the gate activations i, f, g, o as one (T, B, 4H) array, the
+cell states as (T + 1, B, H) with a zero slot before the direction's first
+step (slot 0 forward, slot T reverse, so c_prev is a slice), tanh(c) as
+(T, B, H), and the hidden states h, each fact once. Scoring (validation
+and `predict_logits`) runs with cache=False: gates, c and tanh(c) live in
+one-step buffers that every step overwrites. Either way each direction
+writes h straight into its half of the (B, T, 2H) states array, and the
+next step's h @ R.T reads it there. At B = 256 and H = 64 each (B, 4H)
+float32 buffer is 256 KiB, so the step keeps few of them: its working set
+has to stay in L2 beside R and the gathered rows.
 
 Backward keeps only the dh/dc recurrence in its step loop. Everything that
-does not depend on dh or dc (the previous states, shifted one step, and the
-gate-derivative coefficients) is computed for all T steps before the loop;
-tanh(c) comes from the cache. Each step writes its gate gradients into one
-(B, T, 4H) array, and dW and dR are then one (4H, B*T) GEMM each after the
-loop instead of T small ones inside it.
+does not depend on dh or dc is computed for all T steps before the loop,
+over whole 4H rows of the time-major cache: the coefficients
+K = P * G * (1 - G), where G is the cached gates and P holds g, c_prev,
+zeros and tanh(c) in the four gate slots, after which K's cell block is
+overwritten with i * (1 - g * g). Each element sees the same operations in
+the same order as the per-gate form. Each step writes its gate gradients
+into one batch-major (B, T, 4H) array, so dW and dR are then one
+(4H, B*T) GEMM each after the loop, over the rows in the order the
+forward pass projected them.
 """
 
 from __future__ import annotations
@@ -95,8 +101,10 @@ def _direction_recur(
     reads its input pre-activations from row take[k, t] of the (N, 4H)
     projection pre = project(rows, W); hidden states go into `out` (B, T, H).
 
-    Returns {"h": out} plus, when `cache`, the activations the backward pass
-    reads: "gates" (B, T, 4H), the cell states "c" and their tanh "tc".
+    Returns {"h": out} plus, when `cache`, the time-major activations the
+    backward pass reads: "gates" (T, B, 4H), the cell states "c"
+    (T + 1, B, H), whose zero slot before the direction's first step is
+    slot 0 forward and slot T reverse, and their tanh "tc" (T, B, H).
     Without it, gates, c and tanh(c) live in one-step buffers that every
     step overwrites.
     """
@@ -112,15 +120,16 @@ def _direction_recur(
     positive = np.empty((B, 4 * H), bool)
     ig = np.empty((B, H), dtype)
     h = np.zeros((B, H), dtype)
-    c_prev = np.zeros((B, H), dtype)
-    slots = T if cache else 1
-    gates = np.empty((B, slots, 4 * H), dtype)
-    cs = np.empty((B, slots, H), dtype)
-    tcs = np.empty((B, slots, H), dtype)
+    gates = np.empty((T if cache else 1, B, 4 * H), dtype)
+    tcs = np.empty((T if cache else 1, B, H), dtype)
+    # the zero state before the direction's first step: slot 0, or T reversed
+    cs = np.empty((T + 1 if cache else 1, B, H), dtype)
+    cs[T if cache and reverse else 0] = 0.0
 
     for t in range(T - 1, -1, -1) if reverse else range(T):
         k = t if cache else 0
-        a, c, tc = gates[:, k], cs[:, k], tcs[:, k]
+        a, tc = gates[k], tcs[k]
+        c_prev, c = (cs[t + reverse], cs[t + 1 - reverse]) if cache else (cs[0], cs[0])
         i, f, g, o = (a[:, j * H : (j + 1) * H] for j in range(4))
         np.matmul(h, R.T, out=hr)
         # rows checked above; mode="raise" would copy through a temporary
@@ -135,7 +144,6 @@ def _direction_recur(
         np.tanh(c, out=tc)
         h = out[:, t]  # the next step's matmul reads it from here
         np.multiply(o, tc, out=h)
-        c_prev = c
     if not cache:
         return {"h": out, "reverse": reverse}
     return {"h": out, "reverse": reverse, "gates": gates, "c": cs, "tc": tcs}
@@ -163,31 +171,37 @@ def _direction_backward(
     B, T, D = X.shape
     H = R.shape[1]
     reverse = cache["reverse"]
-    i, f, g, o = (cache["gates"][:, :, k * H : (k + 1) * H] for k in range(4))
-    c, tc = cache["c"], cache["tc"]
-    h_prev = _shift(cache["h"], reverse)
+    G = cache["gates"]
+    i, f, g, o = (G[:, :, k * H : (k + 1) * H] for k in range(4))
+    tc = cache["tc"]
     A = o * (1.0 - tc * tc)  # dc_t = dh_t * A + dc
-    K = np.empty((B, T, 4, H), dstates.dtype)  # dz = K * [dc_t, dc_t, dc_t, dh_t]
-    K[:, :, 0] = g * i * (1.0 - i)
-    K[:, :, 1] = _shift(c, reverse) * f * (1.0 - f)
-    K[:, :, 2] = i * (1.0 - g * g)
-    K[:, :, 3] = tc * o * (1.0 - o)
+    # dz = K * [dc_t, dc_t, dc_t, dh_t]; K = P * G * (1 - G) with
+    # P = [g, c_prev, 0, tanh(c)], then its cell block i * (1 - g * g)
+    K = np.empty_like(G)
+    K[:, :, :H] = g
+    K[:, :, H : 2 * H] = cache["c"][1:] if reverse else cache["c"][:-1]
+    K[:, :, 2 * H : 3 * H] = 0.0
+    K[:, :, 3 * H :] = tc
+    K *= G
+    K *= 1.0 - G
+    np.multiply(i, 1.0 - g * g, out=K[:, :, 2 * H : 3 * H])
+    K = K.reshape(T, B, 4, H)
 
     dz = np.empty((B, T, 4, H), dstates.dtype)
     dh = np.zeros((B, H), dstates.dtype)
     dc = np.zeros((B, H), dstates.dtype)
     for t in range(T) if reverse else range(T - 1, -1, -1):
         dh_t = dstates[:, t] + dh
-        dc_t = dh_t * A[:, t] + dc
-        np.multiply(K[:, t, :3], dc_t[:, None], out=dz[:, t, :3])
-        np.multiply(K[:, t, 3], dh_t, out=dz[:, t, 3])
+        dc_t = dh_t * A[t] + dc
+        np.multiply(K[t, :, :3], dc_t[:, None], out=dz[:, t, :3])
+        np.multiply(K[t, :, 3], dh_t, out=dz[:, t, 3])
         dh = dz[:, t].reshape(B, 4 * H) @ R
-        dc = dc_t * f[:, t]
+        dc = dc_t * f[t]
 
     dW, dR, db = out
     dz = dz.reshape(B * T, 4 * H)
     np.matmul(dz.T, X.reshape(B * T, D), out=dW)
-    np.matmul(dz.T, h_prev.reshape(B * T, H), out=dR)
+    np.matmul(dz.T, _shift(cache["h"], reverse).reshape(B * T, H), out=dR)
     dz.sum(axis=0, out=db)
 
 
@@ -255,10 +269,9 @@ def multi_pool_backward_batch(cache: dict, states_shape: tuple, dpooled: np.ndar
     dstates = np.broadcast_to(
         (dpooled[:, S:] / T)[:, None, :], states_shape
     ).copy()
-    # max routes gradient to the (first) argmax row per feature
-    b_idx = np.arange(B)[:, None]
-    s_idx = np.arange(S)[None, :]
-    np.add.at(dstates, (b_idx, cache["argmax"], s_idx), dpooled[:, :S])
+    # max routes gradient to the (first) argmax row per feature; each (b, s)
+    # has one such row, so no index repeats and a plain += adds once
+    dstates[np.arange(B)[:, None], cache["argmax"], np.arange(S)] += dpooled[:, :S]
     return dstates
 
 

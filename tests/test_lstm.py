@@ -18,6 +18,7 @@ from profilebench.models.lstm import (
     bilstm_forward_batch,
     bilstm_recur,
     last_state_pool_batch,
+    multi_pool_backward_batch,
     multi_pool_batch,
     project,
     sigmoid,
@@ -118,6 +119,20 @@ def _recur(X, W, R, b, reverse, cache=True):
     out = np.empty((B, T, R.shape[1]), X.dtype)
     pre = project(X, W).reshape(B * T, -1)
     return _direction_recur(pre, np.arange(B * T).reshape(B, T), R, b, reverse, out, cache)
+
+
+def _batch_major(cache):
+    """A time-major training cache as (B, T, .) arrays: the gates, each
+    step's c (the zero slot before the direction's first step dropped) and
+    tanh(c); plus that zero slot."""
+    cs = cache["c"]
+    steps, first = (cs[:-1], cs[-1]) if cache["reverse"] else (cs[1:], cs[0])
+    return {
+        "gates": cache["gates"].transpose(1, 0, 2),
+        "c": steps.transpose(1, 0, 2),
+        "tc": cache["tc"].transpose(1, 0, 2),
+        "first": first,
+    }
 
 
 # --- the allocating step loop the in-place kernel replaced ----------------
@@ -283,12 +298,13 @@ class TestDirectionForward:
         W, R, b = _random_params(rng, D, H)
         for reverse in (False, True):
             cache = _recur(X, W, R, b, reverse)
+            steps = _batch_major(cache)
             h = np.zeros((B, H))
             c = np.zeros((B, H))
             for t in range(T - 1, -1, -1) if reverse else range(T):
                 h, c = lstm_cell(X[:, t], h, c, W, R, b)
                 np.testing.assert_allclose(cache["h"][:, t], h, rtol=1e-12, atol=1e-14)
-                np.testing.assert_allclose(cache["c"][:, t], c, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(steps["c"][:, t], c, rtol=1e-12, atol=1e-14)
 
 
 class TestForwardWithoutCache:
@@ -319,10 +335,14 @@ class TestForwardWithoutCache:
         full = _recur(X, W, R, b, reverse)
         lean = _recur(X, W, R, b, reverse, cache=False)
         assert set(full) == {"gates", "c", "tc", "h", "reverse"}
-        assert full["gates"].shape == (4, 6, 8)
-        assert full["c"].shape == full["tc"].shape == full["h"].shape == (4, 6, 2)
+        # time-major: step t's gates, c and tanh(c) are one contiguous block
+        assert full["gates"].shape == (6, 4, 8)
+        assert full["c"].shape == (7, 4, 2)  # one zero slot before the first step
+        assert full["tc"].shape == (6, 4, 2)
+        assert full["h"].shape == (4, 6, 2)
+        assert all(full[k][0].flags.c_contiguous for k in ("gates", "c", "tc"))
         assert set(lean) == {"h", "reverse"}
-        np.testing.assert_array_equal(lean["h"], full["h"])
+        _assert_bits(lean["h"], full["h"], np.uint32, "h")
 
 
 _BITS = [(np.float32, np.uint32), (np.float64, np.uint64)]
@@ -351,10 +371,12 @@ class TestKernelBits:
         lean = _recur(X, W, R, b, reverse, cache=False)
         _assert_bits(got["h"], want["h"], bits, "h")
         _assert_bits(lean["h"], want["h"], bits, "h without cache")
+        steps = _batch_major(got)
         for k, name in enumerate("ifgo"):
-            _assert_bits(got["gates"][:, :, k * H : (k + 1) * H], want[name], bits, name)
-        _assert_bits(got["c"], want["c"], bits, "c")
-        _assert_bits(got["tc"], np.tanh(want["c"]), bits, "tanh(c)")
+            _assert_bits(steps["gates"][:, :, k * H : (k + 1) * H], want[name], bits, name)
+        _assert_bits(steps["c"], want["c"], bits, "c")
+        _assert_bits(steps["tc"], np.tanh(want["c"]), bits, "tanh(c)")
+        _assert_bits(steps["first"], np.zeros((B, H), dtype), bits, "zero slot")
 
         dstates = rng.normal(0, 1, (B, T, H)).astype(dtype)
         grads = (np.empty((4 * H, D), dtype), np.empty((4 * H, H), dtype), np.empty(4 * H, dtype))
@@ -538,6 +560,21 @@ class TestMultiPool:
         states = np.array([[0.3, -0.7, 2.0]])
         got = multi_pool(states)
         np.testing.assert_array_equal(got[:3], got[3:])
+
+    @pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_backward_bitwise_equal_to_add_at_with_tied_maxima(self, dtype, bits):
+        # integer states in a narrow range: most (b, s) columns tie for max
+        rng = np.random.default_rng(93)
+        B, T, S = 64, 8, 128
+        states = rng.integers(-2, 3, (B, T, S)).astype(dtype)
+        dpooled = rng.normal(0, 1, (B, 2 * S)).astype(dtype)
+        _, cache = multi_pool_batch(states)
+        assert ((states == states.max(axis=1, keepdims=True)).sum(axis=1) > 1).mean() > 0.5
+        want = np.broadcast_to((dpooled[:, S:] / T)[:, None, :], states.shape).copy()
+        np.add.at(want, (np.arange(B)[:, None], cache["argmax"], np.arange(S)[None, :]), dpooled[:, :S])
+        got = multi_pool_backward_batch(cache, states.shape, dpooled)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(bits), want.view(bits))
 
 
 class TestAttentionPool:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import test_lstm as lstm_oracles
 import test_taxonomy as taxonomy_oracles
 
 from profilebench.errors import (
@@ -14,6 +15,7 @@ from profilebench.errors import (
     ZeroFrequency,
 )
 from profilebench.features import SequenceSample
+from profilebench.models import lstm
 from profilebench.models.baseline import BaselineConfig, train_baseline
 from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI, init_checkpoint
 from profilebench.models.training import (
@@ -351,6 +353,39 @@ class TestTrainLoop:
         assert results[0][1] == results[1][1]
         for k in results[0][0].params:
             np.testing.assert_array_equal(results[0][0].params[k], results[1][0].params[k])
+
+    @pytest.mark.parametrize("pooling", [POOL_MULTI, POOL_ATTENTION, POOL_LAST])
+    def test_two_epochs_bitwise_equal_to_reference_kernels(self, pooling, monkeypatch):
+        # the allocating step loop and its batch-major BPTT, swapped in for
+        # the in-place kernel and the time-major backward
+        def reference_recur(pre, take, R, b, reverse, out, cache=True):
+            kept = lstm_oracles.reference_direction(pre[take], R, b, reverse)
+            out[...] = kept["h"]
+            return {**kept, "h": out} if cache else {"h": out, "reverse": reverse}
+
+        def reference_backward(cache, X, R, dstates, out):
+            for got, want in zip(out, lstm_oracles.reference_backward(cache, X, R, dstates)):
+                got[...] = want
+
+        classes = [0, 9, 20]
+        config = TrainConfig(
+            learning_rate=5e-3, batch_size=8, epochs=2, dropout=0.2, patience=2, hidden=8, seed=6,
+        )
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(lstm, "_direction_recur", reference_recur)
+                monkeypatch.setattr(lstm, "_direction_backward", reference_backward)
+            train_s = _toy_samples(6, classes, T=5, seed=42) + _toy_samples(3, classes, T=3, seed=43)
+            val_s = _toy_samples(3, classes, seed=44)
+            ckpt = init_checkpoint(6, 8, 36, pooling, 12, PROFILE_SPACE.tag, 1, attention_size=5)
+            best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config)
+            runs.append((ckpt, best, history))
+        kernel, reference = runs
+        assert kernel[0].flat.dtype == np.float32 and len(kernel[2]) == 2
+        assert kernel[2] == reference[2]
+        for got, want in zip(kernel[:2], reference[:2]):  # after epoch 2, and the best epoch
+            np.testing.assert_array_equal(got.flat.view(np.uint32), want.flat.view(np.uint32))
 
     def test_empty_splits_rejected(self):
         samples = _toy_samples(2, [0], seed=50)
