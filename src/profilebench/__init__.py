@@ -6,11 +6,3 @@ report, either through the ``pbench`` CLI or programmatically via
 """
 
 __version__ = "0.1.0"
-
-from profilebench.taxonomy import (  # noqa: F401
-    Alignment,
-    LabelSpace,
-    Motivation,
-    Profile,
-    all_profiles,
-)

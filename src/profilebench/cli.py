@@ -95,7 +95,6 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             balance_target="target",
         ),
     )
-    cfg.validate()
     return cfg
 
 

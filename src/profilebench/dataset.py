@@ -109,6 +109,9 @@ class SplitSpec:
     test: float = 0.1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         fracs = (self.train, self.val, self.test)
         if any(f <= 0 for f in fracs):
@@ -137,7 +140,6 @@ def split_by_game(
 ) -> tuple[CorpusIndex, CorpusIndex, CorpusIndex]:
     """Stratified game-level split; per profile, counts follow the requested
     fractions to within one game."""
-    spec.validate()
     parts = [CorpusIndex(profiles={}) for _ in range(3)]
     for code, games in index.profiles.items():
         if not games:

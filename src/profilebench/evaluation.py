@@ -1,15 +1,21 @@
-"""Evaluation: accuracies, confusion matrices, lifts, and report files.
+"""Evaluation: accuracies, confusion matrices, lifts, the neutral
+correction, and report files.
 
 Ties at argmax go to the lowest class index, so every reported number is
 bit-reproducible. `evaluate_class_predictions` is the one builder of a
 `Report`: the aggregate baseline calls it with main-head predictions,
-`evaluate` with the three heads' predictions of a checkpoint. A Report
-stores only what it is built from (counts, accuracies, confusions,
-correction); its random baselines, lifts and neutral masses are derived.
-Every report carries two lifts, each the main accuracy divided by a random
-baseline: its label space's own ("vs_subset_baseline") and the full
-36-class one, labeled, because the two denominators answer different
-questions when the space admits only some profiles.
+`evaluate` with the three heads' predictions of a checkpoint. Both take the
+row's `LabelSpace`, name and dims from the caller. A Report stores only
+what it is built from (counts, accuracies, confusions, correction); its
+random baselines, lifts and neutral masses are derived. Every report
+carries two lifts, each the main accuracy divided by a random baseline: its
+label space's own ("vs_subset_baseline") and the full 36-class one,
+labeled, because the two denominators answer different questions when the
+space admits only some profiles.
+
+The neutral correction lives here whole: `calibrate_correction` picks its
+eta from validation logits, and `evaluate` applies it to an alignment9
+checkpoint's logits exactly when it is given one.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from profilebench.errors import EmptyTestSet, IoFailure, SpaceMismatch
+from profilebench.errors import ConfigInvalid, EmptyTestSet, IoFailure, SpaceMismatch, ZeroFrequency
 from profilebench.features import SequenceSample
 from profilebench.hashing import stable_json_dumps
 from profilebench.models.checkpoint import Checkpoint
 from profilebench.models.lstm import bilstm_recur, project
 from profilebench.models.training import (
-    SCORE_BATCH_SIZE, WindowBatcher, neutral_correction, pool_and_heads, space_labels,
+    SCORE_BATCH_SIZE, WindowBatcher, pool_and_heads, space_labels,
 )
 from profilebench.taxonomy import PROFILES, LabelSpace, LabelSpaceKind, is_neutral_profile
 
@@ -87,30 +93,6 @@ class ConfusionMatrix:
 
     def row_mass(self, rows: Sequence[int]) -> float:
         return float(self.counts[list(rows), :].sum()) / self.total if self.total else 0.0
-
-
-MODEL_KINDS = ("baseline", "lstm_base", "lstm_multipool", "lstm_attention")
-LAYOUTS = ("176", "530", "agg")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    name: str
-    model: str
-    layout: str
-    space_kind: LabelSpaceKind
-    correct_neutral: bool = False
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.model not in MODEL_KINDS:
-            raise SpaceMismatch(f"unknown model kind {self.model!r}")
-        if self.layout not in LAYOUTS:
-            raise SpaceMismatch(f"unknown layout {self.layout!r}")
-
-    @property
-    def space(self) -> LabelSpace:
-        return LabelSpace(self.space_kind)
 
 
 @dataclass
@@ -234,25 +216,27 @@ def _marginal_predictions(main_pred: np.ndarray, space: LabelSpace) -> tuple[np.
 def evaluate(
     ckpt: Checkpoint,
     samples: Sequence[SequenceSample],
-    spec: ExperimentSpec,
+    space: LabelSpace,
+    *,
+    name: str,
+    dims: str,
     correction: dict | None = None,
-    name: str | None = None,
-    dims: str | None = None,
 ) -> Report:
     """Evaluate a checkpoint; predictions are per-head argmax (lowest index wins ties).
 
     `correction` is {"eta", "predicted", "prior"} with frequencies over the
-    9 alignments. It adjusts the alignment head, and the main head too when
-    the main space is alignment9.
+    9 alignments, and optionally the validation "uncorrected_accuracy"
+    (`calibrate_correction`'s output). It is applied to the main and
+    alignment heads when given, and only on an alignment9 space.
     """
-    spec.validate()
     if not samples:
-        raise EmptyTestSet(f"no samples to evaluate for {spec.name}")
-    space = spec.space
+        raise EmptyTestSet(f"no samples to evaluate for {name}")
     if ckpt.label_space_tag != space.tag:
         raise SpaceMismatch(
             f"checkpoint space {ckpt.label_space_tag!r} != experiment space {space.tag!r}"
         )
+    if correction is not None and space != ALIGN_SPACE:
+        raise SpaceMismatch(f"the neutral correction applies to alignment9, not {space.tag}")
     profile_idx = [s.profile.index for s in samples]
 
     logits = predict_logits(ckpt, samples)
@@ -260,20 +244,16 @@ def evaluate(
     align_logits = logits["align"]
 
     correction_info = None
-    if spec.correct_neutral:
-        if correction is None:
-            raise SpaceMismatch("neutral correction requested without calibration frequencies")
-        eta = float(correction.get("eta", 1.0))
+    if correction is not None:
+        eta = float(correction["eta"])
         predicted = np.asarray(correction["predicted"], dtype=float)
         prior = np.asarray(correction["prior"], dtype=float)
-        main_is_align = space.kind is LabelSpaceKind.ALIGNMENT9
         # keep the raw view so the correction's effect is measurable
-        raw_pred = (main_logits if main_is_align else align_logits).argmax(axis=1)
-        raw_y = space_labels(profile_idx, space)[0 if main_is_align else 1]
+        raw_pred = main_logits.argmax(axis=1)
+        raw_y = space_labels(profile_idx, space)[0]
         align_logits = neutral_correction(align_logits, predicted, prior, eta)
-        if main_is_align:
-            main_logits = neutral_correction(main_logits, predicted, prior, eta)
-        corrected_pred = (main_logits if main_is_align else align_logits).argmax(axis=1)
+        main_logits = neutral_correction(main_logits, predicted, prior, eta)
+        corrected_pred = main_logits.argmax(axis=1)
         n = len(samples)
         correction_info = {
             "eta": eta,
@@ -292,8 +272,8 @@ def evaluate(
     return evaluate_class_predictions(
         profile_idx,
         main_logits.argmax(axis=1),
-        spec,
-        n_games=len({s.game_id for s in samples}),
+        space,
+        len({s.game_id for s in samples}),
         name=name,
         dims=dims,
         heads=(align_logits.argmax(axis=1), logits["motiv"].argmax(axis=1)),
@@ -304,10 +284,11 @@ def evaluate(
 def evaluate_class_predictions(
     profile_idx: Sequence[int],
     main_pred: np.ndarray,
-    spec: ExperimentSpec,
+    space: LabelSpace,
     n_games: int,
-    name: str | None = None,
-    dims: str | None = None,
+    *,
+    name: str,
+    dims: str,
     heads: tuple[np.ndarray, np.ndarray] | None = None,
     correction: dict | None = None,
 ) -> Report:
@@ -317,10 +298,8 @@ def evaluate_class_predictions(
     without them (the aggregate baseline) the alignment and motivation
     confusions are the main head's marginals, in profile spaces only.
     """
-    spec.validate()
     if len(profile_idx) == 0:
-        raise EmptyTestSet(f"no samples to evaluate for {spec.name}")
-    space = spec.space
+        raise EmptyTestSet(f"no samples to evaluate for {name}")
     y_main, y_align, y_motiv = space_labels(profile_idx, space)
     confusion_main = ConfusionMatrix.from_predictions(y_main, main_pred, space.class_names())
     accuracies = {"main": confusion_main.accuracy}
@@ -338,8 +317,8 @@ def evaluate_class_predictions(
         confusion_align = ConfusionMatrix.from_predictions(y_align, align_pred, ALIGN_SPACE.class_names())
         confusion_motiv = ConfusionMatrix.from_predictions(y_motiv, motiv_pred, MOTIV_SPACE.class_names())
     return Report(
-        name=name or spec.name,
-        dims=dims or spec.layout,
+        name=name,
+        dims=dims,
         space_tag=space.tag,
         n_samples=len(profile_idx),
         n_games=n_games,
@@ -349,6 +328,60 @@ def evaluate_class_predictions(
         confusion_motiv=confusion_motiv,
         correction=correction,
     )
+
+
+# --- neutral correction ----------------------------------------------------
+
+ETA_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+
+
+def neutral_correction(
+    alignment_logits: np.ndarray,
+    predicted_freqs: np.ndarray,
+    prior_freqs: np.ndarray,
+    eta: float = 1.0,
+) -> np.ndarray:
+    """Subtract eta * ln(predicted/prior) from each class logit.
+
+    Damps classes the model over-predicts relative to the target prior;
+    predicted and prior frequencies must both be strictly positive.
+    """
+    predicted = np.asarray(predicted_freqs, dtype=float)
+    prior = np.asarray(prior_freqs, dtype=float)
+    if predicted.shape != prior.shape or predicted.shape[-1] != alignment_logits.shape[-1]:
+        raise ConfigInvalid("frequency vectors must match the logit dimension")
+    if (predicted <= 0).any() or (prior <= 0).any():
+        raise ZeroFrequency("frequencies must be strictly positive")
+    return alignment_logits - eta * np.log(predicted / prior)
+
+
+def _smoothed_freqs(alignments: np.ndarray) -> np.ndarray:
+    """Frequencies of the 9 alignments, add-half smoothed so none is zero."""
+    return (np.bincount(alignments, minlength=9) + 0.5) / (len(alignments) + 4.5)
+
+
+def calibrate_correction(val_logits: np.ndarray, val_profile_idx: Sequence[int]) -> dict:
+    """The correction `evaluate` takes, fitted to an alignment9 head's
+    validation logits: of the ETA_GRID etas that lose at most 1 point of
+    accuracy, the one whose corrected predictions' frequencies lie nearest
+    the prior (L1); eta 1.0 when none of them qualifies."""
+    _, y, _ = space_labels(val_profile_idx, ALIGN_SPACE)
+    predicted = _smoothed_freqs(val_logits.argmax(axis=1))
+    prior = _smoothed_freqs(y)
+    base_acc = float((val_logits.argmax(axis=1) == y).mean())
+    eta, eta_gap = 1.0, None
+    for candidate in ETA_GRID:
+        pred = neutral_correction(val_logits, predicted, prior, candidate).argmax(axis=1)
+        acc = float((pred == y).mean())
+        gap = float(np.abs(_smoothed_freqs(pred) - prior).sum())
+        if acc >= base_acc - 0.01 and (eta_gap is None or gap < eta_gap):
+            eta, eta_gap = candidate, gap
+    return {
+        "eta": eta,
+        "predicted": predicted,
+        "prior": prior,
+        "uncorrected_accuracy": base_acc,
+    }
 
 
 # --- report files ----------------------------------------------------------

@@ -24,6 +24,9 @@ class BaselineConfig:
     l2: float = 1e-4
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ConfigInvalid("baseline learning rate, batch size, epochs must be positive")
@@ -50,7 +53,6 @@ class BaselineModel:
 def train_baseline(
     X: np.ndarray, y: np.ndarray, n_classes: int, config: BaselineConfig = BaselineConfig()
 ) -> BaselineModel:
-    config.validate()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if y.size == 0 or (y == y[0]).all():

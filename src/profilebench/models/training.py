@@ -4,7 +4,9 @@ The loss is cross-entropy on the main head plus weighted cross-entropy on
 the alignment and motivation heads; all three backpropagate through the
 shared pooled vector and both LSTM directions. One batcher,
 `WindowBatcher`, serves training, validation and scoring; its batches
-share a window length, so no padding or masking is ever needed.
+share a window length, so no padding or masking is ever needed. A
+`TrainConfig` is checked once, when it is built, so the loop and each
+optimizer step take it as valid.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from profilebench.errors import (
-    ConfigInvalid,
-    EmptySplit,
-    NonFiniteLoss,
-    SpaceMismatch,
-    ZeroFrequency,
-)
+from profilebench.errors import ConfigInvalid, EmptySplit, NonFiniteLoss, SpaceMismatch
 from profilebench.features import SequenceSample
 from profilebench.hashing import mix_seed
 from profilebench.models.checkpoint import (
@@ -58,6 +54,9 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
@@ -259,7 +258,6 @@ def train_step(
 ) -> float:
     """Optimizer step `global_step` (from 0) on the checkpoint and the Adam
     moments (m, v), in place; returns the batch loss."""
-    config.validate()
     readout = ckpt.params["head_profile_W"].shape[1]
     mask = dropout_mask_for_step(
         (batch.X.shape[0], readout), config.dropout, config.seed, global_step,
@@ -355,7 +353,6 @@ def train(
 
     Returns the checkpoint from the best validation epoch and the history.
     """
-    config.validate()
     if not train_samples:
         raise EmptySplit("training split is empty")
     if not val_samples:
@@ -399,22 +396,3 @@ def train(
     best.history = history
     return best, history
 
-
-def neutral_correction(
-    alignment_logits: np.ndarray,
-    predicted_freqs: np.ndarray,
-    prior_freqs: np.ndarray,
-    eta: float = 1.0,
-) -> np.ndarray:
-    """Subtract eta * ln(predicted/prior) from each class logit.
-
-    Damps classes the model over-predicts relative to the target prior;
-    predicted and prior frequencies must both be strictly positive.
-    """
-    predicted = np.asarray(predicted_freqs, dtype=float)
-    prior = np.asarray(prior_freqs, dtype=float)
-    if predicted.shape != prior.shape or predicted.shape[-1] != alignment_logits.shape[-1]:
-        raise ConfigInvalid("frequency vectors must match the logit dimension")
-    if (predicted <= 0).any() or (prior <= 0).any():
-        raise ZeroFrequency("frequencies must be strictly positive")
-    return alignment_logits - eta * np.log(predicted / prior)

@@ -4,6 +4,12 @@ Each stage reads the previous stage's files, writes its own declared
 format, and records a provenance file holding sha256 digests of its exact
 inputs plus the effective seed. No timestamps anywhere: rerunning with
 the same config produces byte-identical artifacts.
+
+A `PipelineConfig` and every config inside it are frozen and checked when
+they are built, so the stages take them as valid. `LADDER` holds each
+experiment row's facts once; training and evaluation read them from its
+`LadderRow`. A row whose training fails loses its checkpoint, so eval
+reports it missing instead of scoring an earlier run's.
 """
 
 from __future__ import annotations
@@ -33,10 +39,9 @@ from profilebench.dataset import (
 )
 from profilebench.errors import ConfigInvalid, IoFailure, ProfileBenchError, SchemaMismatch
 from profilebench.evaluation import (
-    ALIGN_SPACE,
     TABLE_HEADER,
-    ExperimentSpec,
     Report,
+    calibrate_correction,
     emit_report,
     evaluate,
     evaluate_class_predictions,
@@ -66,10 +71,10 @@ from profilebench.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from profilebench.models.training import TrainConfig, neutral_correction, space_labels, train
+from profilebench.models.training import TrainConfig, train
 # build_dungeon is unused here, but perfbench/tracing.py patches pipeline.build_dungeon by name
 from profilebench.simulator import SESSIONS_FORMAT, SimConfig, build_dungeon, generate_corpus, load_sessions  # noqa: F401
-from profilebench.taxonomy import LabelSpaceKind
+from profilebench.taxonomy import LabelSpace, LabelSpaceKind
 
 
 @dataclass(frozen=True)
@@ -79,17 +84,15 @@ class LadderRow:
     model: str
     layout: str
     space_kind: LabelSpaceKind
-    correct_neutral: bool = False
+    correct_neutral: bool = False  # evaluated with the neutral correction; alignment9 rows only
 
-    def spec(self, seed: int) -> ExperimentSpec:
-        return ExperimentSpec(
-            name=self.display,
-            model=self.model,
-            layout=self.layout,
-            space_kind=self.space_kind,
-            correct_neutral=self.correct_neutral,
-            seed=seed,
-        )
+    def spec(self, seed: int) -> "LadderRow":
+        # perfbench/phase.py reads a row's space as .spec(0).space (ROADMAP item 4)
+        return self
+
+    @property
+    def space(self) -> LabelSpace:
+        return LabelSpace(self.space_kind)
 
     @property
     def pooling(self) -> str:
@@ -142,7 +145,6 @@ LADDER: tuple[LadderRow, ...] = (
     ),
 )
 LADDER_BY_ID = {row.row_id: row for row in LADDER}
-ETA_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 
 def check_rows(row_ids: Iterable[str]) -> list[str]:
@@ -200,7 +202,7 @@ class SplitFractions:
     test: float = 0.15
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     master_seed: int = 20260801
     games_per_profile: int = 60
@@ -214,17 +216,19 @@ class PipelineConfig:
     ladder: tuple[str, ...] = tuple(row.row_id for row in LADDER)
     out_dir: str = "out"
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        """The pipeline's own fields; the nested configs check themselves
+        when they are built."""
         if self.games_per_profile < 1:
             raise ConfigInvalid(f"games_per_profile must be >= 1: {self.games_per_profile}")
         if self.window_len < 1 or self.stride < 1:
             raise ConfigInvalid("window_len and stride must be >= 1")
         if self.balance_target is not None and self.balance_target < 1:
             raise ConfigInvalid(f"balance_target must be >= 1: {self.balance_target}")
-        self.sim.validate()
-        self.train.validate()
-        self.baseline.validate()
-        self.split_spec().validate()
+        self.split_spec()  # SplitSpec checks the fractions
         check_rows(self.ladder)
 
     def split_spec(self) -> SplitSpec:
@@ -334,7 +338,6 @@ def _read_manifest(path: Path) -> tuple[SimConfig, int]:
             "manifest",
             lambda d: (d["format"], read_config(SimConfig, d["sim_config"], "sim_config"), sum(d["counts"].values())),
         )
-        sim_cfg.validate()
     except ConfigInvalid as exc:  # the manifest is at fault, not the user's config
         raise SchemaMismatch(f"{path}: invalid sim_config: {exc}; rerun gen") from exc
     if fmt != SESSIONS_FORMAT:
@@ -346,7 +349,6 @@ def _read_manifest(path: Path) -> tuple[SimConfig, int]:
 
 
 def stage_gen(cfg: PipelineConfig) -> dict:
-    cfg.validate()
     paths = Paths(cfg.out_dir)
     paths.ensure_root()
     manifest = generate_corpus(cfg.master_seed, cfg.games_per_profile, cfg.sim, paths.sessions, paths.manifest)
@@ -355,7 +357,6 @@ def stage_gen(cfg: PipelineConfig) -> dict:
 
 
 def stage_featurize(cfg: PipelineConfig) -> dict:
-    cfg.validate()
     paths = Paths(cfg.out_dir)
     require([paths.sessions, paths.manifest], "featurize")
     sim_cfg, expected = _read_manifest(paths.manifest)
@@ -383,7 +384,6 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
 
 
 def stage_balance(cfg: PipelineConfig) -> dict:
-    cfg.validate()
     paths = Paths(cfg.out_dir)
     require([paths.features], "balance")
     index = build_index(scan_feature_file(paths.features))
@@ -402,7 +402,6 @@ def stage_balance(cfg: PipelineConfig) -> dict:
 
 
 def stage_split(cfg: PipelineConfig) -> dict:
-    cfg.validate()
     paths = Paths(cfg.out_dir)
     require([paths.balanced_index], "split")
     index = read_index(paths.balanced_index)
@@ -456,8 +455,8 @@ def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
     return _LadderData(samples=samples, aggregates=aggregates, digests={paths.features: header["sha256"]})
 
 
-def _admissible(samples: list[SequenceSample], spec: ExperimentSpec) -> list[SequenceSample]:
-    admits = spec.space.labels >= 0
+def _admissible(samples: list[SequenceSample], space: LabelSpace) -> list[SequenceSample]:
+    admits = space.labels >= 0
     return [s for s in samples if admits[s.profile.index]]
 
 
@@ -491,8 +490,6 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
     paths = Paths(cfg.out_dir)
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     row_seed = mix_seed(cfg.master_seed, "train", row.row_id)
-    spec = row.spec(row_seed)
-    spec.validate()
     if row.model == "baseline":
         X, y, _ = data.aggregates["train"]
         model = train_baseline(
@@ -500,20 +497,21 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
         )
         _save_baseline(paths.checkpoint(row.row_id), model)
         return
-    train_samples = _admissible(data.samples[row.layout]["train"], spec)
-    val_samples = _admissible(data.samples[row.layout]["val"], spec)
+    space = row.space
+    train_samples = _admissible(data.samples[row.layout]["train"], space)
+    val_samples = _admissible(data.samples[row.layout]["val"], space)
     ckpt = init_checkpoint(
         input_dim=SEQUENCE_DIMS[row.layout],
         hidden=cfg.train.hidden,
-        n_classes=spec.space.cardinality,
+        n_classes=space.cardinality,
         pooling=row.pooling,
         seed=row_seed,
-        label_space_tag=spec.space.tag,
+        label_space_tag=space.tag,
         schema_version=SCHEMA_VERSION,
         attention_size=cfg.train.attention_size,
     )
     row_cfg = replace(cfg.train, seed=row_seed)
-    best, _ = train(train_samples, val_samples, spec.space, ckpt, row_cfg)
+    best, _ = train(train_samples, val_samples, space, ckpt, row_cfg)
     best.config_digest = digest_config(cfg.digest_dict())
     save_checkpoint(paths.checkpoint(row.row_id), best)
 
@@ -524,7 +522,6 @@ def _row_inputs(paths: Paths) -> list[Path]:
 
 
 def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
-    cfg.validate()
     paths = Paths(cfg.out_dir)
     row_ids = check_rows(cfg.ladder if rows is None else rows)
     needed = _row_inputs(paths)
@@ -537,6 +534,10 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
             status[row_id] = "trained"
         except ProfileBenchError as exc:
             status[row_id] = f"failed: {type(exc).__name__}: {exc}"
+            # an earlier run's checkpoint would otherwise be scored as this run's
+            ckpt_path = paths.checkpoint(row_id)
+            for path in (ckpt_path, ckpt_path.with_suffix(ckpt_path.suffix + ".json")):
+                path.unlink(missing_ok=True)
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     (paths.checkpoints / "train_status.json").write_text(
         stable_json_dumps(status) + "\n", encoding="utf-8"
@@ -552,64 +553,37 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     return status
 
 
-def _smoothed_freqs(alignments: np.ndarray) -> np.ndarray:
-    """Frequencies of the 9 alignments, add-half smoothed so none is zero."""
-    return (np.bincount(alignments, minlength=9) + 0.5) / (len(alignments) + 4.5)
-
-
-def _calibrate_correction(ckpt, val_samples: list[SequenceSample]) -> dict:
-    """Pick eta on validation: smallest frequency gap without losing accuracy."""
-    logits = predict_logits(ckpt, val_samples)["profile"]
-    _, y, _ = space_labels([s.profile.index for s in val_samples], ALIGN_SPACE)
-    predicted = _smoothed_freqs(logits.argmax(axis=1))
-    prior = _smoothed_freqs(y)
-    base_acc = float((logits.argmax(axis=1) == y).mean())
-    eta, eta_gap = 1.0, None
-    for candidate in ETA_GRID:
-        pred = neutral_correction(logits, predicted, prior, candidate).argmax(axis=1)
-        acc = float((pred == y).mean())
-        gap = float(np.abs(_smoothed_freqs(pred) - prior).sum())
-        if acc >= base_acc - 0.01 and (eta_gap is None or gap < eta_gap):
-            eta, eta_gap = candidate, gap
-    return {
-        "eta": eta,
-        "predicted": predicted,
-        "prior": prior,
-        "uncorrected_accuracy": base_acc,
-    }
-
-
 def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
     paths = Paths(cfg.out_dir)
-    row_seed = mix_seed(cfg.master_seed, "train", row.row_id)
-    spec = row.spec(row_seed)
-    spec.validate()
+    space = row.space
     ckpt_path = paths.checkpoint(row.row_id)
     if not ckpt_path.exists():
-        return failed_report(row.display, row.layout, spec.space.tag, "checkpoint missing")
+        return failed_report(row.display, row.layout, space.tag, "checkpoint missing")
     if row.model == "baseline":
         X, y, ids = data.aggregates["test"]
         model = _load_baseline(ckpt_path)
         return evaluate_class_predictions(
-            y, model.predict(X), spec, n_games=len(set(ids)), name=row.display, dims="52 (agg)"
+            y, model.predict(X), space, len(set(ids)), name=row.display, dims="52 (agg)"
         )
     ckpt = load_checkpoint(ckpt_path)
     if ckpt.schema_version != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"checkpoint schema {ckpt.schema_version} != featurizer {SCHEMA_VERSION}"
         )
-    test_samples = _admissible(data.samples[row.layout]["test"], spec)
+    test_samples = _admissible(data.samples[row.layout]["test"], space)
     correction = None
     if row.correct_neutral:
-        val_samples = _admissible(data.samples[row.layout]["val"], spec)
-        correction = _calibrate_correction(ckpt, val_samples)
-    report = evaluate(ckpt, test_samples, spec, correction=correction, name=row.display, dims=row.layout)
+        val_samples = _admissible(data.samples[row.layout]["val"], space)
+        # Scored through this module's name: perfbench's ScoreProbe pairs the
+        # calls of evaluation.predict_logits with the rows' test windows.
+        val_logits = predict_logits(ckpt, val_samples)["profile"]
+        correction = calibrate_correction(val_logits, [s.profile.index for s in val_samples])
+    report = evaluate(ckpt, test_samples, space, name=row.display, dims=row.layout, correction=correction)
     report.config_digest = ckpt.config_digest  # the digest train_row stamped into the sidecar
     return report
 
 
 def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Report]:
-    cfg.validate()
     paths = Paths(cfg.out_dir)
     row_ids = check_rows(cfg.ladder if rows is None else rows)
     needed = _row_inputs(paths)
@@ -624,9 +598,7 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
             raise  # a damaged or stale input ends the stage (exit 4 / 3), not one row
         except ProfileBenchError as exc:
             reports.append(
-                failed_report(
-                    row.display, row.layout, row.space_kind.value, f"{type(exc).__name__}: {exc}"
-                )
+                failed_report(row.display, row.layout, row.space.tag, f"{type(exc).__name__}: {exc}")
             )
     paths.results.mkdir(parents=True, exist_ok=True)
     for row_id, report in zip(row_ids, reports):

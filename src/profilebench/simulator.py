@@ -85,12 +85,17 @@ class SimConfig:
     villager_rate: float = 0.30
     treasure_rate: float = 0.25
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         # one room leaves no distance to normalise the movement features by
         if self.width <= 0 or self.height <= 0 or self.width * self.height < 2:
             raise ConfigInvalid(f"dungeon needs two or more rooms: {self.width}x{self.height}")
         if self.max_steps <= 0:
             raise ConfigInvalid(f"max_steps must be positive: {self.max_steps}")
+        if self.moral_gain <= 0 or self.order_gain <= 0 or self.motivation_gain <= 0:
+            raise ConfigInvalid("gains must be positive")
         if self.temperature <= 0:
             raise ConfigInvalid(f"temperature must be positive: {self.temperature}")
         if self.noise_scale < 0:
@@ -192,8 +197,6 @@ _ORDER_SIGN = {LawAxis.LAWFUL: 1.0, LawAxis.NEUTRAL: 0.0, LawAxis.CHAOTIC: -1.0}
 
 def derive_agent_params(profile: Profile, config: SimConfig) -> AgentParams:
     """Signed utility weights per axis; Neutral axes collapse to zero."""
-    if config.moral_gain <= 0 or config.order_gain <= 0 or config.motivation_gain <= 0:
-        raise ConfigInvalid("gains must be positive")
     weights = {m: 0.0 for m in Motivation}
     weights[profile.motivation] = config.motivation_gain
     return AgentParams(
@@ -264,7 +267,6 @@ def softmax_policy(utilities: np.ndarray, temperature: float) -> np.ndarray:
 
 def build_dungeon(seed: int, config: SimConfig) -> Dungeon:
     """Open W x H grid; exit seeded among far cells, entities seeded per room."""
-    config.validate()
     rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "dungeon")))
     w, h = config.width, config.height
     start = (0, 0)
@@ -533,7 +535,6 @@ def play_game(profile: Profile, seed: int, config: SimConfig, game_id: int = 0) 
     and the choice's text slot. The room and action text is rendered after
     it, in one batch for the whole game (`_game_text`).
     """
-    config.validate()
     dungeon = build_dungeon(seed, config)
     params = derive_agent_params(profile, config)
     state = GameState(
@@ -696,7 +697,6 @@ def generate_sessions(master_seed: int, games_per_profile: int, config: SimConfi
     played from its own derived seed, never from a shared stream."""
     if games_per_profile < 1:
         raise ConfigInvalid(f"games_per_profile must be >= 1: {games_per_profile}")
-    config.validate()
     for profile in PROFILES:
         for ordinal in range(games_per_profile):
             gid = profile.index * games_per_profile + ordinal

@@ -171,7 +171,7 @@ def test_05_untrained_models_score_at_chance(desk_run):
             label_space_tag="profile36",
             schema_version=SCHEMA_VERSION,
         )
-        report = evaluate(ckpt, test_samples, row.spec(seed=0))
+        report = evaluate(ckpt, test_samples, row.space, name=row.display, dims=row.layout)
         accs.append(report.accuracies["main"])
     ok = all(abs(a - 1 / 36) <= 0.02 for a in accs)
     shown = ", ".join(f"{100 * a:.2f}%" for a in accs)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: stage chaining, exit codes, overrides."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,8 +17,13 @@ from profilebench.cli import (
     EXIT_OK,
     main,
 )
+from profilebench import pipeline
+from profilebench.dataset import SplitSpec
+from profilebench.errors import ConfigInvalid, NonFiniteLoss
 from profilebench.features import read_feature_file
-from profilebench.simulator import load_sessions
+from profilebench.models.training import TrainConfig
+from profilebench.pipeline import PipelineConfig, read_config
+from profilebench.simulator import SimConfig, load_sessions
 
 from test_simulator import _v2_record
 
@@ -119,6 +125,26 @@ class TestRunAll:
         assert code == EXIT_OK
         assert (out / "splits.json").read_bytes() == before
 
+
+    def test_failed_training_leaves_no_checkpoint_to_score(self, finished_run, tmp_path, monkeypatch):
+        # the run left a trained multipool_176; a retrain that fails must not
+        # let eval score that earlier checkpoint as this run's
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+
+        def diverge(*args, **kwargs):
+            raise NonFiniteLoss("loss diverged at step 0: nan")
+
+        monkeypatch.setattr(pipeline, "train", diverge)
+        argv = ["--config", str(config), "--out", str(copy)]
+        assert main([*argv, "train", "--rows", "multipool_176"]) == EXIT_OK
+        status = json.loads((copy / "checkpoints" / "train_status.json").read_text())
+        assert status["multipool_176"].startswith("failed: NonFiniteLoss")
+        assert not list((copy / "checkpoints").glob("multipool_176.*"))
+        assert main([*argv, "eval", "--rows", "multipool_176"]) == EXIT_OK
+        metrics = json.loads((copy / "results" / "multipool_176" / "metrics.json").read_text())
+        assert metrics["failed"] and metrics["error"] == "checkpoint missing"
 
     def test_report_on_truncated_metrics_is_dependency_error(self, finished_run, tmp_path, capsys):
         _, config, out = finished_run
@@ -511,6 +537,22 @@ class TestExitCodes:
     def test_split_fractions_must_sum_to_one(self, tmp_path):
         config = _write_config(tmp_path, split={"train": 0.5, "val": 0.1, "test": 0.1})
         assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TrainConfig(epochs=0),
+        lambda: dataclasses.replace(SimConfig(), width=0),
+        lambda: read_config(SimConfig, {"width": 0}),
+        lambda: PipelineConfig(ladder=()),
+        lambda: SplitSpec(train=1.0, val=0.0, test=0.0),
+    ],
+    ids=["train", "replace_sim", "read_sim", "pipeline", "split"],
+)
+def test_configs_are_checked_when_built(build):
+    with pytest.raises(ConfigInvalid):
+        build()
 
 
 class TestOverrides:

@@ -14,18 +14,20 @@ import test_taxonomy as taxonomy_oracles
 
 import profilebench
 
-from profilebench.errors import EmptyTestSet, SpaceMismatch
+from profilebench.errors import ConfigInvalid, EmptyTestSet, SpaceMismatch, ZeroFrequency
 from profilebench.evaluation import (
+    ETA_GRID,
     NEUTRAL_ALIGNMENT_RANKS,
     ConfusionMatrix,
-    ExperimentSpec,
     Report,
+    calibrate_correction,
     confusion_csv,
     confusion_svg,
     emit_report,
     evaluate,
     evaluate_class_predictions,
     failed_report,
+    neutral_correction,
     predict_logits,
     random_baseline,
     table_rows,
@@ -35,11 +37,12 @@ from profilebench.features import (
     N_BEHAVIORAL,
     N_TEXT_LEGACY,
     N_TOTAL,
+    SEQUENCE_DIMS,
     FeatureFileWriter,
     SequenceSample,
     read_feature_file,
 )
-from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint
+from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI, init_checkpoint
 from profilebench.models.lstm import project
 from profilebench.models.training import (
     SCORE_BATCH_SIZE,
@@ -47,6 +50,7 @@ from profilebench.models.training import (
     forward_batch,
     pool_and_heads,
 )
+from profilebench.pipeline import LADDER
 from profilebench.taxonomy import (
     LabelSpace,
     LabelSpaceKind,
@@ -56,6 +60,7 @@ from profilebench.taxonomy import (
 
 PROFILE_SPACE = LabelSpace(LabelSpaceKind.PROFILE36)
 ALIGN_SPACE = LabelSpace(LabelSpaceKind.ALIGNMENT9)
+NAMED = {"name": "t", "dims": "176"}  # a report's row name and dims, as eval_row passes them
 
 
 def _samples(profile_indices, T=4, D=6, seed=0):
@@ -128,16 +133,14 @@ class TestEvaluate:
         # zero heads give all-zero logits; argmax ties resolve to class 0
         ckpt = _ckpt()
         samples = _samples([0, 5, 12, 35, 20])
-        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
-        report = evaluate(ckpt, samples, spec)
+        report = evaluate(ckpt, samples, PROFILE_SPACE, **NAMED)
         assert report.confusion_main.counts[:, 0].sum() == 5
         assert report.accuracies["main"] == pytest.approx(1 / 5)
 
     def test_lift_is_accuracy_over_baseline(self):
         ckpt = _ckpt()
         samples = _samples(list(range(12)))
-        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
-        report = evaluate(ckpt, samples, spec)
+        report = evaluate(ckpt, samples, PROFILE_SPACE, **NAMED)
         assert report.random_baseline_subset == pytest.approx(1 / 36)
         assert report.lift_subset == pytest.approx(report.accuracies["main"] * 36)
         assert report.lift_full == pytest.approx(report.accuracies["main"] * 36)
@@ -147,8 +150,7 @@ class TestEvaluate:
         idxs = [i for i, p in enumerate(all_profiles()) if space.admits(p)][:8]
         ckpt = _ckpt(space=space, n_classes=16)
         samples = _samples(idxs)
-        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.NON_NEUTRAL_PROFILE16)
-        report = evaluate(ckpt, samples, spec)
+        report = evaluate(ckpt, samples, space, **NAMED)
         assert report.random_baseline_subset == pytest.approx(1 / 16)
         assert report.random_baseline_full == pytest.approx(1 / 36)
         assert report.lift_full == pytest.approx(report.accuracies["main"] * 36)
@@ -158,8 +160,7 @@ class TestEvaluate:
         profiles = all_profiles()
         idxs = list(range(18))
         samples = _samples(idxs)
-        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
-        report = evaluate(ckpt, samples, spec)
+        report = evaluate(ckpt, samples, PROFILE_SPACE, **NAMED)
         want = sum(
             1 for k in idxs
             if ALIGN_SPACE.labels[profiles[k].index] in NEUTRAL_ALIGNMENT_RANKS
@@ -168,12 +169,10 @@ class TestEvaluate:
 
     def test_space_tag_mismatch_rejected(self):
         samples = _samples([0, 1])
-        align_spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.ALIGNMENT9)
-        profile_spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
         with pytest.raises(SpaceMismatch):
-            evaluate(_ckpt(space=PROFILE_SPACE), samples, align_spec)
+            evaluate(_ckpt(space=PROFILE_SPACE), samples, ALIGN_SPACE, **NAMED)
         with pytest.raises(SpaceMismatch):
-            evaluate(_ckpt(space=ALIGN_SPACE, n_classes=9), samples, profile_spec)
+            evaluate(_ckpt(space=ALIGN_SPACE, n_classes=9), samples, PROFILE_SPACE, **NAMED)
 
     def test_sample_outside_subset_rejected(self):
         space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
@@ -181,39 +180,33 @@ class TestEvaluate:
         non_neutral = next(
             i for i, p in enumerate(all_profiles()) if not is_neutral_profile(p)
         )
-        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.NEUTRAL_PROFILE20)
         with pytest.raises(SpaceMismatch):
-            evaluate(ckpt, _samples([non_neutral]), spec)
+            evaluate(ckpt, _samples([non_neutral]), space, **NAMED)
 
     def test_outside_error_names_the_first_offending_sample(self):
         space = LabelSpace(LabelSpaceKind.NON_NEUTRAL_PROFILE16)
         profiles = all_profiles()
         inside = [i for i, p in enumerate(profiles) if not is_neutral_profile(p)]
         outside = [i for i, p in enumerate(profiles) if is_neutral_profile(p)]
-        spec = ExperimentSpec("t", "lstm_multipool", "176", space.kind)
         samples = _samples([inside[0], outside[3], inside[1], outside[0]])
         want = f"sample profile {profiles[outside[3]].code} outside {space.tag}"
         with pytest.raises(SpaceMismatch, match=f"^{want}$"):
-            evaluate(_ckpt(space=space, n_classes=16), samples, spec)
+            evaluate(_ckpt(space=space, n_classes=16), samples, space, **NAMED)
 
     def test_empty_sample_list_rejected(self):
-        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
         with pytest.raises(EmptyTestSet):
-            evaluate(_ckpt(), [], spec)
+            evaluate(_ckpt(), [], PROFILE_SPACE, **NAMED)
 
     def test_correction_records_both_views(self):
         space = ALIGN_SPACE
         ckpt = _ckpt(space=space, n_classes=9)
         samples = _samples(list(range(0, 36, 4)))
-        spec = ExperimentSpec(
-            "t", "lstm_multipool", "176", LabelSpaceKind.ALIGNMENT9, correct_neutral=True
-        )
         correction = {
             "eta": 1.0,
             "predicted": np.full(9, 1 / 9),
             "prior": np.full(9, 1 / 9),
         }
-        report = evaluate(ckpt, samples, spec, correction=correction)
+        report = evaluate(ckpt, samples, space, **NAMED, correction=correction)
         info = report.correction
         assert info["eta"] == 1.0
         for key in (
@@ -229,13 +222,10 @@ class TestEvaluate:
         assert info["test_predicted_freqs_corrected"] == info["test_predicted_freqs_uncorrected"]
         assert report.accuracies["main"] == pytest.approx(info["test_accuracy_uncorrected"])
 
-    def test_correction_requires_frequencies(self):
-        ckpt = _ckpt(space=ALIGN_SPACE, n_classes=9)
-        spec = ExperimentSpec(
-            "t", "lstm_multipool", "176", LabelSpaceKind.ALIGNMENT9, correct_neutral=True
-        )
-        with pytest.raises(SpaceMismatch):
-            evaluate(ckpt, _samples([0]), spec)
+    def test_correction_outside_alignment9_rejected(self):
+        correction = {"eta": 1.0, "predicted": np.full(9, 1 / 9), "prior": np.full(9, 1 / 9)}
+        with pytest.raises(SpaceMismatch, match="alignment9, not profile36"):
+            evaluate(_ckpt(), _samples([0]), PROFILE_SPACE, **NAMED, correction=correction)
 
 
 def gather_first_logits(ckpt, samples):
@@ -392,8 +382,7 @@ class TestLabelTable:
 
     def test_evaluate_labels_match_map_label(self):
         samples = _samples([34, 0, 17, 9, 9, 21])
-        spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
-        report = evaluate(_ckpt(), samples, spec)
+        report = evaluate(_ckpt(), samples, PROFILE_SPACE, **NAMED)
         for matrix, space in (
             (report.confusion_main, PROFILE_SPACE),
             (report.confusion_align, ALIGN_SPACE),
@@ -413,8 +402,7 @@ class TestEvaluateClassPredictions:
         # alignment marginal right, motivation marginal wrong
         targets = [profiles[3], profiles[0]]
         preds = np.array([0, 0])
-        spec = ExperimentSpec("t", "baseline", "agg", LabelSpaceKind.PROFILE36)
-        report = evaluate_class_predictions([p.index for p in targets], preds, spec, n_games=2)
+        report = evaluate_class_predictions([p.index for p in targets], preds, PROFILE_SPACE, 2, **NAMED)
         assert report.accuracies["main"] == pytest.approx(0.5)
         assert report.accuracies["alignment_marginal"] == pytest.approx(1.0)
         assert report.accuracies["motivation_marginal"] == pytest.approx(0.5)
@@ -423,49 +411,131 @@ class TestEvaluateClassPredictions:
         assert report.neutral_column_mass == 0.0
         assert report.neutral_prior == 0.0
         # true TN-Safety (16) and LG-Safety (0), both predicted TN-Safety
-        report = evaluate_class_predictions([16, 0], np.array([16, 16]), spec, n_games=2)
+        report = evaluate_class_predictions([16, 0], np.array([16, 16]), PROFILE_SPACE, 2, **NAMED)
         assert report.neutral_column_mass == 1.0
         assert report.neutral_prior == 0.5
 
     def test_baseline_lift_matches_lstm_lift(self):
         # 7 of 38 right: accuracy * 36 and accuracy / (1/36) differ in the last bit
         truth = [0] * 7 + [5] * 31
-        spec = ExperimentSpec("t", "baseline", "agg", LabelSpaceKind.PROFILE36)
-        baseline = evaluate_class_predictions(truth, np.zeros(38, dtype=np.int64), spec, n_games=38)
+        baseline = evaluate_class_predictions(truth, np.zeros(38, dtype=np.int64), PROFILE_SPACE, 38, **NAMED)
         acc = 7 / 38
         assert baseline.accuracies["main"] == acc
         assert baseline.lift_full == acc / (1 / 36)
         assert baseline.lift_subset == acc / (1 / 36)
         # an untrained checkpoint predicts class 0 for every window
-        lstm_spec = ExperimentSpec("t", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
-        lstm = evaluate(_ckpt(), _samples(truth), lstm_spec)
+        lstm = evaluate(_ckpt(), _samples(truth), PROFILE_SPACE, **NAMED)
         assert lstm.accuracies["main"] == acc
         assert (lstm.lift_subset, lstm.lift_full) == (baseline.lift_subset, baseline.lift_full)
         assert lstm.to_dict()["lift"] == baseline.to_dict()["lift"]
 
     def test_empty_rejected(self):
-        spec = ExperimentSpec("t", "baseline", "agg", LabelSpaceKind.PROFILE36)
         with pytest.raises(EmptyTestSet):
-            evaluate_class_predictions([], np.array([]), spec, n_games=0)
+            evaluate_class_predictions([], np.array([]), PROFILE_SPACE, 0, **NAMED)
 
     def test_profile_outside_space_is_named(self):
         space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
         inside = next(p for p in all_profiles() if is_neutral_profile(p))
         outside = next(p for p in all_profiles() if not is_neutral_profile(p))
-        spec = ExperimentSpec("t", "baseline", "agg", space.kind)
         want = f"sample profile {outside.code} outside {space.tag}"
         with pytest.raises(SpaceMismatch, match=f"^{want}$"):
-            evaluate_class_predictions([inside.index, outside.index], np.array([0, 0]), spec, n_games=2)
+            evaluate_class_predictions([inside.index, outside.index], np.array([0, 0]), space, 2, **NAMED)
 
 
-class TestSpecValidation:
-    def test_unknown_model_kind_rejected(self):
-        with pytest.raises(SpaceMismatch):
-            ExperimentSpec("t", "transformer", "176", LabelSpaceKind.PROFILE36).validate()
+class TestNeutralCorrection:
+    def test_closed_form_single_logit_row(self):
+        logits = np.array([[1.0, 2.0, 3.0]])
+        predicted = np.array([0.5, 0.25, 0.25])
+        prior = np.array([0.25, 0.25, 0.5])
+        out = neutral_correction(logits, predicted, prior, eta=1.0)
+        want = logits - np.log(np.array([2.0, 1.0, 0.5]))
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(SpaceMismatch):
-            ExperimentSpec("t", "baseline", "1024", LabelSpaceKind.PROFILE36).validate()
+    def test_eta_scales_the_adjustment(self):
+        logits = np.zeros((2, 4))
+        predicted = np.array([0.4, 0.3, 0.2, 0.1])
+        prior = np.array([0.25, 0.25, 0.25, 0.25])
+        half = neutral_correction(logits, predicted, prior, eta=0.5)
+        full = neutral_correction(logits, predicted, prior, eta=1.0)
+        np.testing.assert_allclose(full, 2 * half, atol=1e-12)
+
+    def test_matched_frequencies_are_identity(self):
+        logits = np.random.default_rng(6).normal(0, 1, (3, 9))
+        freqs = np.full(9, 1 / 9)
+        np.testing.assert_array_equal(neutral_correction(logits, freqs, freqs), logits)
+
+    def test_overpredicted_class_loses_logit_mass(self):
+        logits = np.zeros((1, 2))
+        out = neutral_correction(
+            logits, np.array([0.9, 0.1]), np.array([0.5, 0.5]), eta=1.0
+        )
+        assert out[0, 0] < logits[0, 0]
+        assert out[0, 1] > logits[0, 1]
+
+    def test_zero_frequency_rejected(self):
+        logits = np.zeros((1, 2))
+        with pytest.raises(ZeroFrequency):
+            neutral_correction(logits, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ZeroFrequency):
+            neutral_correction(logits, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ConfigInvalid):
+            neutral_correction(np.zeros((1, 3)), np.full(2, 0.5), np.full(2, 0.5))
+
+
+class TestCalibrateCorrection:
+    @staticmethod
+    def _logits(groups):
+        """Validation logits and profile indices from (count, true alignment
+        rank, predicted rank, margin) groups over ranks 0 and 1: the
+        predicted rank's logit is the margin, the other's 0, the rest -50."""
+        first_of_rank = {r: int(np.flatnonzero(ALIGN_SPACE.labels == r)[0]) for r in (0, 1)}
+        rows, idx = [], []
+        for count, true, pred, margin in groups:
+            row = np.full(9, -50.0)
+            row[pred], row[1 - pred] = margin, 0.0
+            rows += [row] * count
+            idx += [first_of_rank[true]] * count
+        return np.array(rows), idx
+
+    def test_picks_the_smallest_gap_within_one_point(self):
+        # 200 windows, 100 per rank; the model predicts rank 0 for 140 (acc
+        # 0.8), so the correction moves windows from rank 0 to 1, the ones
+        # with the smallest margins first. Cumulative flips and accuracy:
+        # eta 0.25 flips 1 true-0 (0.795), 0.5 also 1 true-0 and 2 true-1
+        # (0.80), 0.75 one more true-0 (0.795), 1.0 three more true-0 (0.78).
+        # Each step narrows the frequency gap; 1.0 and up lose 2 points.
+        logits, idx = self._logits([
+            (1, 0, 0, 0.1), (1, 0, 0, 0.3), (1, 0, 0, 0.5), (3, 0, 0, 0.7), (94, 0, 0, 5.0),
+            (2, 1, 0, 0.3), (38, 1, 0, 5.0), (60, 1, 1, 5.0),
+        ])
+        got = calibrate_correction(logits, idx)
+        assert got["eta"] == 0.75
+        assert got["uncorrected_accuracy"] == 0.8
+        np.testing.assert_array_equal(got["prior"][:2], [100.5 / 204.5] * 2)
+        np.testing.assert_array_equal(got["predicted"][:2], [140.5 / 204.5, 60.5 / 204.5])
+
+    def test_falls_back_to_eta_one_when_every_eta_loses_accuracy(self):
+        # every window predicted rank 0 by 0.1 (acc 0.75); every eta in the
+        # grid flips all of them to rank 1 (acc 0.25)
+        logits, idx = self._logits([(150, 0, 0, 0.1), (50, 1, 0, 0.1)])
+        assert min(ETA_GRID) * np.log((200.5 / 150.5) * (50.5 / 0.5)) > 0.1
+        got = calibrate_correction(logits, idx)
+        assert got["eta"] == 1.0
+        assert got["uncorrected_accuracy"] == 0.75
+
+
+def test_ladder_rows_are_well_formed():
+    """What training and evaluation take from a LadderRow unchecked."""
+    for row in LADDER:
+        if row.model == "baseline":
+            assert row.layout == "agg", row.row_id
+        else:
+            assert row.layout in SEQUENCE_DIMS, row.row_id
+            assert row.pooling in (POOL_LAST, POOL_MULTI, POOL_ATTENTION), row.row_id
+        assert not row.correct_neutral or row.space == ALIGN_SPACE, row.row_id
+        assert any(row.space.admits(p) for p in all_profiles()), row.row_id
 
 
 class TestFiles:
@@ -499,8 +569,7 @@ class TestFiles:
     def test_emit_report_writes_expected_files(self, tmp_path):
         ckpt = _ckpt()
         samples = _samples(list(range(10)))
-        spec = ExperimentSpec("demo", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
-        report = evaluate(ckpt, samples, spec)
+        report = evaluate(ckpt, samples, PROFILE_SPACE, name="demo", dims="176")
         written = emit_report(report, tmp_path / "row")
         names = sorted(p.name for p in written)
         assert "metrics.json" in names
@@ -514,10 +583,9 @@ class TestFiles:
     def test_emit_report_is_deterministic(self, tmp_path):
         ckpt = _ckpt()
         samples = _samples(list(range(6)))
-        spec = ExperimentSpec("demo", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
         blobs = []
         for d in ("a", "b"):
-            report = evaluate(ckpt, samples, spec)
+            report = evaluate(ckpt, samples, PROFILE_SPACE, name="demo", dims="176")
             emit_report(report, tmp_path / d)
             blobs.append(
                 {p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
@@ -527,8 +595,7 @@ class TestFiles:
     def test_table_formats_percentages(self):
         ckpt = _ckpt()
         samples = _samples(list(range(4)))
-        spec = ExperimentSpec("demo", "lstm_multipool", "176", LabelSpaceKind.PROFILE36)
-        report = evaluate(ckpt, samples, spec)
+        report = evaluate(ckpt, samples, PROFILE_SPACE, name="demo", dims="176")
         report.accuracies["main"] = 0.25
         lines = table_rows([report])
         assert "25.0%" in lines[2]

@@ -529,6 +529,8 @@ def test_config_rejects_unknown_keys_and_bad_values():
         SimConfig(temperature=0.0).validate()
     with pytest.raises(ConfigInvalid):
         SimConfig(fight_death_chance=1.5).validate()
+    with pytest.raises(ConfigInvalid):
+        SimConfig(moral_gain=0.0).validate()
     roundtrip = read_config(SimConfig, asdict(SimConfig()))
     assert roundtrip == SimConfig()
 

@@ -12,7 +12,6 @@ from profilebench.errors import (
     EmptySplit,
     NonFiniteLoss,
     SpaceMismatch,
-    ZeroFrequency,
 )
 from profilebench.features import SequenceSample
 from profilebench.models import lstm
@@ -27,7 +26,6 @@ from profilebench.models.training import (
     compute_gradients,
     forward_batch,
     loss_fn,
-    neutral_correction,
     predict_main,
     space_labels,
     train,
@@ -480,48 +478,6 @@ class TestWindowBatcher:
             want = np.stack([np.asarray(samples[i].matrix, dtype=dtype) for i in idx])
             got = windows.rows[windows.take(idx)]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-class TestNeutralCorrection:
-    def test_closed_form_single_logit_row(self):
-        logits = np.array([[1.0, 2.0, 3.0]])
-        predicted = np.array([0.5, 0.25, 0.25])
-        prior = np.array([0.25, 0.25, 0.5])
-        out = neutral_correction(logits, predicted, prior, eta=1.0)
-        want = logits - np.log(np.array([2.0, 1.0, 0.5]))
-        np.testing.assert_allclose(out, want, atol=1e-12)
-
-    def test_eta_scales_the_adjustment(self):
-        logits = np.zeros((2, 4))
-        predicted = np.array([0.4, 0.3, 0.2, 0.1])
-        prior = np.array([0.25, 0.25, 0.25, 0.25])
-        half = neutral_correction(logits, predicted, prior, eta=0.5)
-        full = neutral_correction(logits, predicted, prior, eta=1.0)
-        np.testing.assert_allclose(full, 2 * half, atol=1e-12)
-
-    def test_matched_frequencies_are_identity(self):
-        logits = np.random.default_rng(6).normal(0, 1, (3, 9))
-        freqs = np.full(9, 1 / 9)
-        np.testing.assert_array_equal(neutral_correction(logits, freqs, freqs), logits)
-
-    def test_overpredicted_class_loses_logit_mass(self):
-        logits = np.zeros((1, 2))
-        out = neutral_correction(
-            logits, np.array([0.9, 0.1]), np.array([0.5, 0.5]), eta=1.0
-        )
-        assert out[0, 0] < logits[0, 0]
-        assert out[0, 1] > logits[0, 1]
-
-    def test_zero_frequency_rejected(self):
-        logits = np.zeros((1, 2))
-        with pytest.raises(ZeroFrequency):
-            neutral_correction(logits, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ZeroFrequency):
-            neutral_correction(logits, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            neutral_correction(np.zeros((1, 3)), np.full(2, 0.5), np.full(2, 0.5))
 
 
 class TestSpaceLabels:
