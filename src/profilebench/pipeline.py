@@ -37,7 +37,7 @@ from profilebench.dataset import (
     write_index,
     write_splits,
 )
-from profilebench.errors import ConfigInvalid, IoFailure, ProfileBenchError, SchemaMismatch
+from profilebench.errors import ConfigInvalid, IoFailure, ProfileBenchError, SchemaMismatch, SpaceMismatch
 from profilebench.evaluation import (
     TABLE_HEADER,
     Report,
@@ -77,6 +77,9 @@ from profilebench.simulator import SESSIONS_FORMAT, SimConfig, build_dungeon, ge
 from profilebench.taxonomy import LabelSpace, LabelSpaceKind
 
 
+_POOLING = {"lstm_base": POOL_LAST, "lstm_multipool": POOL_MULTI, "lstm_attention": POOL_ATTENTION}
+
+
 @dataclass(frozen=True)
 class LadderRow:
     row_id: str
@@ -85,6 +88,12 @@ class LadderRow:
     layout: str
     space_kind: LabelSpaceKind
     correct_neutral: bool = False  # evaluated with the neutral correction; alignment9 rows only
+
+    def __post_init__(self) -> None:
+        if self.model != "baseline" and self.model not in _POOLING:
+            raise SpaceMismatch(f"unknown model kind {self.model!r}")
+        if self.layout not in (("agg",) if self.model == "baseline" else SEQUENCE_DIMS):
+            raise SpaceMismatch(f"unknown layout {self.layout!r} for model {self.model!r}")
 
     def spec(self, seed: int) -> "LadderRow":
         # perfbench/phase.py reads a row's space as .spec(0).space (ROADMAP item 4)
@@ -96,11 +105,7 @@ class LadderRow:
 
     @property
     def pooling(self) -> str:
-        return {
-            "lstm_base": POOL_LAST,
-            "lstm_multipool": POOL_MULTI,
-            "lstm_attention": POOL_ATTENTION,
-        }[self.model]
+        return _POOLING[self.model]
 
 
 LADDER: tuple[LadderRow, ...] = (

@@ -50,7 +50,7 @@ from profilebench.models.training import (
     forward_batch,
     pool_and_heads,
 )
-from profilebench.pipeline import LADDER
+from profilebench.pipeline import LADDER, LadderRow
 from profilebench.taxonomy import (
     LabelSpace,
     LabelSpaceKind,
@@ -536,6 +536,18 @@ def test_ladder_rows_are_well_formed():
             assert row.pooling in (POOL_LAST, POOL_MULTI, POOL_ATTENTION), row.row_id
         assert not row.correct_neutral or row.space == ALIGN_SPACE, row.row_id
         assert any(row.space.admits(p) for p in all_profiles()), row.row_id
+
+
+class TestSpecValidation:
+    def test_unknown_model_kind_rejected(self):
+        with pytest.raises(SpaceMismatch):
+            LadderRow("t", "t", "transformer", "176", LabelSpaceKind.PROFILE36)
+
+    def test_unknown_layout_rejected(self):
+        with pytest.raises(SpaceMismatch):
+            LadderRow("t", "t", "baseline", "1024", LabelSpaceKind.PROFILE36)
+        with pytest.raises(SpaceMismatch):
+            LadderRow("t", "t", "lstm_multipool", "agg", LabelSpaceKind.PROFILE36)
 
 
 class TestFiles:
