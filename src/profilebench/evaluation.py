@@ -441,7 +441,8 @@ def confusion_svg(matrix: ConfusionMatrix, title: str) -> str:
     margin_left, margin_top = 86, 64
     width = margin_left + k * cell + 20
     height = margin_top + k * cell + 20
-    peak = int(matrix.counts.max()) if k else 0
+    counts = matrix.counts.tolist()  # Python ints: no numpy scalar arithmetic per cell
+    peak = max(map(max, counts)) if k else 0
     font = max(5, min(11, cell - 2))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -450,10 +451,10 @@ def confusion_svg(matrix: ConfusionMatrix, title: str) -> str:
         f'<text x="{margin_left}" y="16" font-family="monospace" font-size="12">{title}</text>',
         f'<text x="{margin_left}" y="30" font-family="monospace" font-size="9">rows: true, columns: predicted</text>',
     ]
-    for i in range(k):
-        for j in range(k):
-            frac = matrix.counts[i, j] / peak if peak else 0.0
-            shade = int(round(255 * (1.0 - frac)))
+    for i, row in enumerate(counts):
+        for j, count in enumerate(row):
+            frac = count / peak if peak else 0.0
+            shade = round(255 * (1.0 - frac))
             x = margin_left + j * cell
             y = margin_top + i * cell
             parts.append(

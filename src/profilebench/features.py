@@ -1,4 +1,4 @@
-"""Per-decision feature extraction and the PBF4 feature file.
+"""Per-decision feature extraction and the PBF5 feature file.
 
 Three layouts come out of this module:
   * 176 = 48 behavioral + 128 hashed-text, the balanced representation
@@ -40,22 +40,27 @@ bucket's parity (odd buckets add +1, even buckets -1, at 128 and 512
 alike), and colliding tokens never cancel. Fixing that changes every
 hashed-text bit (ROADMAP item 5).
 
-PBF4 layout, little-endian: one file per corpus. Header `<4sIIIII`:
-magic b"PBF4", schema version, record count, max T, window_len, stride.
-Then one record per game: `<QBI` (game_id, profile index, T), the T x 48
-behavioral columns as float32, the T x 512 signed text counts as int8,
-both row-major, then the game's 52 `aggregate_features` as float64:
-13 + 704 T + 416 bytes. The reader builds each requested layout with the
-ops featurize ran when the files held float rows: the 176 layout is the
-behavioral columns, then the counts folded to 128 as unit rows; the 530
-layout is the 512 counts as unit rows, then behavioral columns 0-17.
-Each text row is divided by its norm in float64 (the squared norms are
-small integers, exact) and cast to float32, so the rows are bit for bit
-the float32 rows. The baseline's inputs are the float64 aggregate blocks.
-Windows overlap whenever stride < window_len, so the file stores each
-decision once and the reader derives the windows from the header's
-window_len and stride (`window_starts`), as read-only views into the
-game's rows.
+PBF5 layout, little-endian: one file per corpus. Header `<4sIIIII`:
+magic b"PBF5", schema version, record count, max T, window_len, stride.
+Then one record per game: `<QBII` (game_id, profile index, T, nnz), the
+T x 48 behavioral columns as float32, row-major; the game's T x 512 signed
+text counts stored sparse, as T `<u2` per-row non-zero counts, then nnz
+`<u2` bucket indices, strictly increasing within each row, then the nnz
+non-zero counts as int8; then the game's 52 `aggregate_features` as
+float64: 17 + 194 T + 3 nnz + 416 bytes. Hashed counts are sparse by
+construction (a decision fills ~41 of the 512 buckets), so this halves
+the dense 704 T of PBF4, and the reader scatters the values back into
+the dense (T, 512) int8 counts, byte for byte those the writer was given.
+The reader builds each requested layout with the ops featurize ran when
+the files held float rows: the 176 layout is the behavioral columns, then
+the counts folded to 128 as unit rows; the 530 layout is the 512 counts
+as unit rows, then behavioral columns 0-17. Each text row is divided by
+its norm in float64 (the squared norms are small integers, exact) and
+cast to float32, so the rows are bit for bit the float32 rows. The
+baseline's inputs are the float64 aggregate blocks. Windows overlap
+whenever stride < window_len, so the file stores each decision once and
+the reader derives the windows from the header's window_len and stride
+(`window_starts`), as read-only views into the game's rows.
 """
 
 from __future__ import annotations
@@ -327,21 +332,27 @@ def aggregate_features(session: Session, behavioral: np.ndarray, max_steps: int)
 
 
 # ---------------------------------------------------------------------------
-# Feature file ("PBF4"): one record per game, layouts and windows derived at load.
+# Feature file ("PBF5"): one record per game, layouts and windows derived at load.
 
-_MAGIC = b"PBF4"
-_OLD_MAGICS = {b"PBF1": "per-window records", b"PBF2": "float32 text rows", b"PBF3": "one file per layout"}
+_MAGIC = b"PBF5"
+_OLD_MAGICS = {
+    b"PBF1": "per-window records",
+    b"PBF2": "float32 text rows",
+    b"PBF3": "one file per layout",
+    b"PBF4": "dense int8 text counts",
+}
 _HEADER = struct.Struct("<4sIIIII")  # magic, schema, games, max_T, window_len, stride
-_RECORD = struct.Struct("<QBI")  # game_id, profile index, T
+_RECORD = struct.Struct("<QBII")  # game_id, profile index, T, nnz
 N_AGGREGATE = len(AGGREGATE_SLOT_NAMES)
-_ROW_BYTES = 4 * N_BEHAVIORAL + N_TEXT_LEGACY  # float32 behavioral columns, then int8 counts
+_ROW_BYTES = 4 * N_BEHAVIORAL + 2  # float32 behavioral columns, then the row's <u2 non-zero count
+_NONZERO_BYTES = 3  # a <u2 bucket index and an int8 count
 _AGGREGATE_BYTES = 8 * N_AGGREGATE
 _INT8 = np.iinfo(np.int8)
 SEQUENCE_DIMS = {"176": N_TOTAL, "530": N_LEGACY}  # sequence layout -> row width
 
 
 class FeatureFileWriter:
-    """Streams games into the PBF4 format without holding them all.
+    """Streams games into the PBF5 format without holding them all.
 
     The file is written as `<path>.tmp` and renamed onto `path` on close,
     after the header's record count and max_T are patched, so the bytes are
@@ -368,7 +379,8 @@ class FeatureFileWriter:
     def add(self, sample: SequenceSample, counts: np.ndarray, aggregate: np.ndarray) -> None:
         """Append one game: `sample.game`, its T x 48 behavioral rows;
         `counts`, its T x 512 signed text counts, integers in [-128, 127]
-        (any other count raises DegenerateData); and `aggregate`, its 52
+        (any other count raises DegenerateData), stored as their non-zero
+        entries in row-major order; and `aggregate`, its 52
         `aggregate_features`."""
         t = sample.game.shape[0]
         shapes = (sample.game.shape, counts.shape, aggregate.shape)
@@ -384,10 +396,16 @@ class FeatureFileWriter:
                 f"game {sample.game_id}: text counts must be integers in "
                 f"[{_INT8.min}, {_INT8.max}] to be stored as int8"
             )
+        flat = int8.reshape(-1)
+        # t * 512 + bucket, increasing; nonzero scans a bool mask ~3x faster than int8
+        nonzero = np.flatnonzero(flat != 0)
+        row_nnz = np.bincount(nonzero // N_TEXT_LEGACY, minlength=t)
         try:
-            self._fh.write(_RECORD.pack(sample.game_id, sample.profile.index, t))
+            self._fh.write(_RECORD.pack(sample.game_id, sample.profile.index, t, len(nonzero)))
             self._fh.write(sample.game.astype("<f4").tobytes())
-            self._fh.write(int8.tobytes())
+            self._fh.write(row_nnz.astype("<u2").tobytes())
+            self._fh.write((nonzero % N_TEXT_LEGACY).astype("<u2").tobytes())
+            self._fh.write(flat[nonzero].tobytes())
             self._fh.write(aggregate.astype("<f8").tobytes())
         except OSError as exc:
             raise IoFailure(f"feature file write failed: {exc}") from exc
@@ -420,7 +438,7 @@ class FeatureFileWriter:
 
 
 def _read_header(path: str | Path, fh: BinaryIO, sha=None) -> dict:
-    """The header of a PBF4 file; another format raises SchemaMismatch."""
+    """The header of a PBF5 file; another format raises SchemaMismatch."""
     raw = fh.read(_HEADER.size)
     if raw[:4] in _OLD_MAGICS:
         raise SchemaMismatch(
@@ -441,36 +459,59 @@ def _read_header(path: str | Path, fh: BinaryIO, sha=None) -> dict:
 
 
 def _records(path: str | Path, fh: BinaryIO, header: dict, sha=None) -> Iterator[tuple]:
-    """(game_id, profile_index, T, payload) per record after the header.
-    With `sha`, each payload is read and every byte hashed into `sha`;
-    without, payloads are skipped (None). Anything but whole records,
-    ending right at the end of the file, or a profile index outside the
-    profiles, raises SchemaMismatch."""
-    wrong_size = f"{path}: file size does not match its {header['n_games']} records"
-    for i in range(header["n_games"]):
+    """(game_id, profile_index, T, nnz, payload) per record after the
+    header. With `sha`, each payload is read and every byte hashed into
+    `sha`; without, payloads are skipped by seeking (None). A record cut
+    short, bytes after the last record, or a profile index outside the
+    profiles raises SchemaMismatch naming the record."""
+    n_games = header["n_games"]
+    file_size = os.fstat(fh.fileno()).st_size
+    for i in range(n_games):
         raw = fh.read(_RECORD.size)
         if len(raw) < _RECORD.size:
-            raise SchemaMismatch(f"{path}: truncated record header")
-        game_id, profile_idx, t = _RECORD.unpack(raw)
+            raise SchemaMismatch(f"{path}: record {i} of {n_games} cut short in its header")
+        game_id, profile_idx, t, nnz = _RECORD.unpack(raw)
         if profile_idx >= len(PROFILES):
             raise SchemaMismatch(
                 f"{path}: record {i} (game {game_id}) has profile index {profile_idx}, "
                 f"outside the {len(PROFILES)} profiles"
             )
-        size = t * _ROW_BYTES + _AGGREGATE_BYTES
+        size = t * _ROW_BYTES + nnz * _NONZERO_BYTES + _AGGREGATE_BYTES
+        if fh.tell() + size > file_size:
+            raise SchemaMismatch(f"{path}: record {i} (game {game_id}) of {n_games} cut short")
         payload = None
         if sha is None:
             fh.seek(size, 1)
         else:
             payload = fh.read(size)
-            if len(payload) < size:
-                raise SchemaMismatch(wrong_size)
             sha.update(raw)
             sha.update(payload)
-        yield game_id, profile_idx, t, payload
-    end = fh.tell()
-    if fh.seek(0, 2) != end:  # trailing bytes, or a payload cut short
-        raise SchemaMismatch(wrong_size)
+        yield game_id, profile_idx, t, nnz, payload
+    if fh.tell() != file_size:
+        raise SchemaMismatch(f"{path}: {file_size - fh.tell()} trailing byte(s) after its {n_games} records")
+
+
+def _text_counts(where: str, t: int, nnz: int, payload: bytes) -> np.ndarray:
+    """A record's dense (T, 512) int8 text counts, scattered from its
+    sparse block; a block the writer cannot have written (row counts not
+    summing to nnz, a bucket outside 0-511, buckets not strictly
+    increasing within a row, a stored zero) raises SchemaMismatch."""
+    at = 4 * N_BEHAVIORAL * t
+    row_nnz = np.frombuffer(payload, "<u2", t, at)
+    buckets = np.frombuffer(payload, "<u2", nnz, at + 2 * t)
+    values = np.frombuffer(payload, np.int8, nnz, at + 2 * t + 2 * nnz)
+    if row_nnz.sum() != nnz:
+        raise SchemaMismatch(f"{where}: its rows' non-zero counts sum to {row_nnz.sum()}, not its {nnz}")
+    if nnz and buckets.max() >= N_TEXT_LEGACY:
+        raise SchemaMismatch(f"{where}: text bucket {buckets.max()} outside 0-{N_TEXT_LEGACY - 1}")
+    flat = np.repeat(np.arange(t) * N_TEXT_LEGACY, row_nnz) + buckets
+    if (flat[1:] <= flat[:-1]).any():
+        raise SchemaMismatch(f"{where}: text buckets not strictly increasing within a row")
+    if np.count_nonzero(values) != nnz:
+        raise SchemaMismatch(f"{where}: a stored text count is zero")
+    counts = np.zeros(t * N_TEXT_LEGACY, np.int8)
+    counts[flat] = values
+    return counts.reshape(t, N_TEXT_LEGACY)
 
 
 def _layout_rows(layout: str, behavioral: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -498,7 +539,7 @@ def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
         raise IoFailure(f"feature file read failed: {exc}") from exc
     return [
         (game_id, profile_idx, length)
-        for game_id, profile_idx, t, _ in records
+        for game_id, profile_idx, t, _, _ in records
         for _, length in window_starts(t, header["window_len"], header["stride"])
     ]
 
@@ -506,8 +547,9 @@ def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
 def read_feature_file(
     path: str | Path, layouts: Iterable[str] = ("176",)
 ) -> tuple[dict[str, list[SequenceSample]], tuple[np.ndarray, np.ndarray, list[int]] | None, dict]:
-    """Read a PBF4 file once, record by record, decoding only `layouts`;
-    returns (samples, aggregates, header).
+    """Read a PBF5 file once, record by record, decoding only `layouts`;
+    returns (samples, aggregates, header). Every record's text block is
+    checked, whichever layouts are decoded.
 
     `samples` maps each sequence layout in `layouts` ("176", "530") to its
     per-window samples, in game order, then window order. A game's windows
@@ -523,17 +565,16 @@ def read_feature_file(
     try:
         with open(path, "rb") as fh:
             header = _read_header(path, fh, sha)
-            for game_id, profile_idx, t, payload in _records(path, fh, header, sha):
+            for i, (game_id, profile_idx, t, nnz, payload) in enumerate(_records(path, fh, header, sha)):
+                counts = _text_counts(f"{path}: record {i} (game {game_id})", t, nnz, payload)
                 if samples:
                     behavioral = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)
-                    counts = np.frombuffer(payload, np.int8, t * N_TEXT_LEGACY, behavioral.nbytes)
-                    counts = counts.reshape(t, N_TEXT_LEGACY)
                     windows = window_starts(t, header["window_len"], header["stride"])
                 for layout, loaded in samples.items():
                     game = _layout_rows(layout, behavioral, counts)
                     loaded += [SequenceSample(game_id, PROFILES[profile_idx], w, game) for w in windows]
                 if "agg" in layouts:
-                    blocks.append(payload[t * _ROW_BYTES :])
+                    blocks.append(payload[-_AGGREGATE_BYTES:])
                     ys.append(profile_idx)
                     ids.append(game_id)
     except OSError as exc:

@@ -47,14 +47,35 @@ def _v2_digest(sessions: Path) -> str:
 
 def _record_starts(data: bytes) -> list[int]:
     """The byte offset of each game record in a features.pbf file: a
-    24-byte header, then per game a `<QBI` record header (T at byte 9),
-    704 bytes per decision and 416 bytes of aggregates."""
+    24-byte header, then per game a `<QBII` record header (T at byte 9, nnz
+    at byte 13), 194 bytes per decision, 3 per non-zero text count and 416
+    bytes of aggregates."""
     starts, at = [], 24
     while at < len(data):
         starts.append(at)
-        (t,) = struct.unpack_from("<I", data, at + 9)
-        at += 13 + 704 * t + 416
+        t, nnz = struct.unpack_from("<II", data, at + 9)
+        at += 17 + 194 * t + 3 * nnz + 416
     return starts
+
+
+def _as_pbf4(data: bytes) -> bytes:
+    """A PBF5 features.pbf written as the dense PBF4 an older featurize
+    wrote: magic b"PBF4", and per game a `<QBI` record header, its 48
+    float32 columns, then all 512 int8 text counts per decision."""
+    out = [b"PBF4" + data[4:24]]
+    for at in _record_starts(data):
+        game_profile, (t, nnz) = data[at : at + 9], struct.unpack_from("<II", data, at + 9)
+        rows = at + 17 + 192 * t
+        row_nnz = struct.unpack_from(f"<{t}H", data, rows)
+        buckets = struct.unpack_from(f"<{nnz}H", data, rows + 2 * t)
+        values = data[rows + 2 * t + 2 * nnz : rows + 2 * t + 3 * nnz]
+        dense = bytearray(512 * t)
+        row_of = [r for r, n in enumerate(row_nnz) for _ in range(n)]
+        for r, bucket, value in zip(row_of, buckets, values):
+            dense[512 * r + bucket] = value
+        aggregates = rows + 2 * t + 3 * nnz
+        out += [game_profile, struct.pack("<I", t), data[at + 17 : rows], bytes(dense), data[aggregates : aggregates + 416]]
+    return b"".join(out)
 
 
 def _write_config(directory: Path, **overrides) -> Path:
@@ -240,6 +261,17 @@ class TestRunAll:
         err = capsys.readouterr().err
         assert "features.pbf" in err and "rerun featurize" in err
 
+    def test_train_on_pbf4_feature_file_is_dependency_error(self, finished_run, tmp_path, capsys):
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        features = copy / "features.pbf"
+        features.write_bytes(_as_pbf4(features.read_bytes()))
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(copy), "train"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "features.pbf" in err and "PBF4" in err and "rerun featurize" in err
+
     @pytest.mark.parametrize(
         "argv, ladder",
         [(["train", "--rows", ""], None), (["eval", "--rows", ","], None), (["run-all"], [])],
@@ -299,11 +331,12 @@ class TestStages:
         out = tmp_path / "o"
         assert main(["--out", str(out), "--seed", "12", "gen", "--games-per-profile", "1"]) == EXIT_OK
         assert main(["--out", str(out), "--seed", "12", "featurize"]) == EXIT_OK
+        # sha256 of the PBF5 file (sparse text counts)
         digest = hashlib.sha256((out / "features.pbf").read_bytes()).hexdigest()
-        assert digest == "ee3a715134173c5c4288a62755f1ce28dce74abccb18ef7f8cc4c2b93b967c65"
+        assert digest == "0f0410f77b4f04df4587cef125093b18249e8aff948e4ea1cc7e368bc7868270"
         # Pins that hold across file formats: sha256 of each layout's decoded
         # game rows in load order, and of the float64 aggregate matrix, as
-        # the three files of PBF3 and aggregates.csv gave them back.
+        # the three files of PBF3, aggregates.csv and PBF4 gave them back.
         samples, (X, _, _), _ = read_feature_file(out / "features.pbf", ("176", "530", "agg"))
         decoded = {}
         for layout, windows in samples.items():

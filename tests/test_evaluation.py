@@ -1,5 +1,6 @@
 """Reporting layer: confusion tallies, lifts, file emission."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,7 @@ from profilebench.models.training import (
 )
 from profilebench.pipeline import LADDER, LadderRow
 from profilebench.taxonomy import (
+    PROFILES,
     LabelSpace,
     LabelSpaceKind,
     all_profiles,
@@ -577,6 +579,16 @@ class TestFiles:
         svg = confusion_svg(ConfusionMatrix(labels=["a", "b"], counts=counts), "t")
         assert 'fill="rgb(0,0,0)"' in svg  # peak cell is black
         assert 'fill="rgb(255,255,255)"' in svg  # empty cell is white
+
+    def test_svg_of_36_classes_matches_pinned_digest(self):
+        # every value ties with others, one class is never seen, and two
+        # cells share the peak
+        counts = np.arange(36 * 36, dtype=np.int64).reshape(36, 36) % 7
+        counts[5] = 0
+        counts[9, 30] = counts[20, 2] = 13
+        svg = confusion_svg(ConfusionMatrix(labels=[p.code for p in PROFILES], counts=counts), "profile36")
+        digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
+        assert digest == "92bc5151599eda7507fa77ed69d34cc384e51371b24b61f287d372017a91caa8"
 
     def test_emit_report_writes_expected_files(self, tmp_path):
         ckpt = _ckpt()

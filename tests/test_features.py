@@ -12,10 +12,11 @@ import re
 import struct
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profilebench.dataset import window_starts
@@ -814,21 +815,33 @@ def _games() -> list[tuple[SequenceSample, np.ndarray, np.ndarray]]:
 
 
 def _write(path, games, window_len=8, stride=4) -> int:
-    """Whole games into a PBF4 file; returns the record count."""
+    """Whole games into a PBF5 file; returns the record count."""
     with FeatureFileWriter(path, window_len, stride) as writer:
         for game in games:
             writer.add(*game)
     return writer.n
 
 
-_PBF4_HEADER_BYTES = 24  # <4sIIIII
+_PBF5_HEADER_BYTES = 24  # <4sIIIII
+_RECORD_HEADER_BYTES = 17  # <QBII
 _AGGREGATE_BYTES = 8 * 52
 
 
-def _pbf4_size(lengths) -> int:
-    """Header, then per game its record header, 48 float32 columns and
-    512 int8 counts per decision, and 52 float64 aggregates."""
-    return _PBF4_HEADER_BYTES + sum(13 + (4 * N_BEHAVIORAL + N_TEXT_LEGACY) * t + _AGGREGATE_BYTES for t in lengths)
+def _pbf5_size(games) -> int:
+    """Header, then per (T, nnz) game its record header, 48 float32 columns
+    and one <u2 non-zero count per decision, a <u2 bucket and an int8 count
+    per non-zero count, and 52 float64 aggregates."""
+    return _PBF5_HEADER_BYTES + sum(
+        _RECORD_HEADER_BYTES + (4 * N_BEHAVIORAL + 2) * t + 3 * nnz + _AGGREGATE_BYTES for t, nnz in games
+    )
+
+
+def _text_block(data: bytes, at: int = _PBF5_HEADER_BYTES) -> tuple[int, int, int, int]:
+    """Offsets of the per-row counts, buckets and values of the record at
+    byte `at`, and its nnz."""
+    _, _, t, nnz = struct.unpack_from("<QBII", data, at)
+    rows = at + _RECORD_HEADER_BYTES + 4 * N_BEHAVIORAL * t
+    return rows, rows + 2 * t, rows + 2 * t + 2 * nnz, nnz
 
 
 def test_feature_file_roundtrip(tmp_path):
@@ -846,7 +859,7 @@ def test_feature_file_roundtrip(tmp_path):
         "stride": 4,
         "sha256": sha,
     }
-    assert path.stat().st_size == _pbf4_size(s.game.shape[0] for s, _, _ in games)
+    assert path.stat().st_size == _pbf5_size((s.game.shape[0], np.count_nonzero(c)) for s, c, _ in games)
     for layout, dim in _DIMS.items():
         for (orig, counts, _), back in zip(games, loaded[layout], strict=True):
             assert back.game_id == orig.game_id
@@ -858,6 +871,56 @@ def test_feature_file_roundtrip(tmp_path):
             assert not back.matrix.flags.writeable
     scanned = scan_feature_file(path)
     assert scanned == [(s.game_id, s.profile.index, s.matrix.shape[0]) for s, _, _ in games]
+
+
+_NONZERO_COUNT = st.integers(min_value=-128, max_value=127).filter(bool)
+
+
+@st.composite
+def _count_rows(draw) -> np.ndarray:
+    """One game's (T, 512) int8 counts: each row all zero, sparse, or with
+    every bucket non-zero."""
+    t = draw(st.integers(min_value=1, max_value=4))
+    counts = np.zeros((t, N_TEXT_LEGACY), dtype=np.int8)
+    for row in counts:
+        kind = draw(st.sampled_from(["zero", "sparse", "full"]))
+        if kind == "full":
+            row[:] = draw(_NONZERO_COUNT)
+        if kind != "zero":
+            overrides = draw(st.dictionaries(st.integers(0, N_TEXT_LEGACY - 1), _NONZERO_COUNT))
+            row[list(overrides)] = list(overrides.values())
+    return counts
+
+
+_EXTREMES = np.zeros((3, N_TEXT_LEGACY), dtype=np.int8)
+_EXTREMES[0, [0, 7, 511]] = (-128, 127, 1)  # row 1 stays all zero
+_EXTREMES[2] = np.where(np.arange(N_TEXT_LEGACY) % 2, 127, -128)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_count_rows(), min_size=1, max_size=4))
+@example([np.full((1, N_TEXT_LEGACY), 127, dtype=np.int8), _EXTREMES, np.zeros((1, N_TEXT_LEGACY), dtype=np.int8)])
+def test_sparse_text_counts_roundtrip_bit_equal(tmp_path_factory, games):
+    """Whatever int8 counts a game holds, the reader hands the layout
+    builder those dense counts, and the file holds 3 bytes per non-zero."""
+    path = tmp_path_factory.mktemp("sparse") / "x.pbf"
+    rng = np.random.default_rng(len(games))
+    written = []
+    for gid, counts in enumerate(games):
+        t = len(counts)
+        sample = SequenceSample(gid, Profile.from_index(gid), (0, t), rng.random((t, N_BEHAVIORAL)))
+        written.append((sample, counts, rng.random(52)))
+    _write(path, written)
+    assert path.stat().st_size == _pbf5_size((len(c), np.count_nonzero(c)) for c in games)
+    with mock.patch.object(features, "_layout_rows", wraps=features._layout_rows) as layout_rows:
+        loaded, (X, _, _), _ = read_feature_file(path, ("530", "agg"))
+    calls = layout_rows.call_args_list
+    assert len(calls) == len(games)
+    for (sample, counts, _), call, back in zip(written, calls, loaded["530"], strict=True):
+        decoded = call.args[2]
+        assert decoded.dtype == np.int8 and decoded.tobytes() == counts.tobytes()
+        assert back.game.tobytes() == _float_rows(sample.game, counts)["530"].tobytes()
+    assert X.tobytes() == np.stack([agg for _, _, agg in written]).tobytes()
 
 
 def test_aggregate_block_roundtrip(tmp_path):
@@ -992,11 +1055,16 @@ def test_feature_file_rejects_garbage(tmp_path):
         read_feature_file(trunc)
     # cut inside a record header, not just inside a payload
     partial = tmp_path / "partial.pbf"
-    partial.write_bytes(good.read_bytes()[: _PBF4_HEADER_BYTES + 5])
+    partial.write_bytes(good.read_bytes()[: _PBF5_HEADER_BYTES + 5])
     with pytest.raises(SchemaMismatch):
         read_feature_file(partial)
     with pytest.raises(SchemaMismatch):
         scan_feature_file(partial)
+
+
+# Damage inside a record's text block: only read_feature_file reads it,
+# scan_feature_file reads record headers alone.
+_TEXT_DAMAGE = ("row_counts_off", "bucket_out_of_range", "bucket_not_increasing", "stored_zero")
 
 
 @pytest.mark.parametrize(
@@ -1010,35 +1078,62 @@ def test_feature_file_rejects_garbage(tmp_path):
         "float_text_row",
         "cut_aggregate",
         "profile_out_of_range",
+        *_TEXT_DAMAGE,
     ],
 )
 def test_damaged_feature_file_names_the_file(tmp_path, damage):
     good = tmp_path / "good.pbf"
-    _write(good, _games())
-    data = good.read_bytes()
+    games = _games()
+    _write(good, games)
+    data = bytearray(good.read_bytes())
+    last_nnz = np.count_nonzero(games[-1][1])
+    rows, buckets, values, nnz = _text_block(data)  # the first record's text block
+    assert nnz >= 2 and data[rows] >= 2  # row 0 holds two buckets or more
     where = f"{damage}.pbf"
     if damage == "pbf1":  # a per-window file: 20-byte header, no window fields
-        data = struct.pack("<4sIIII", b"PBF1", SCHEMA_VERSION, 3, 6, N_TOTAL) + data[_PBF4_HEADER_BYTES:]
+        data = struct.pack("<4sIIII", b"PBF1", SCHEMA_VERSION, 3, 6, N_TOTAL) + data[_PBF5_HEADER_BYTES:]
     elif damage == "cut_header":
-        data = data[: _PBF4_HEADER_BYTES - 1]
+        data = data[: _PBF5_HEADER_BYTES - 1]
     elif damage == "cut_record":
         data = data[:-1]
-    elif damage == "cut_text_row":  # the last decision's int8 counts, and the aggregates after them
-        data = data[: -N_TEXT_LEGACY - _AGGREGATE_BYTES]
-    elif damage == "float_text_row":  # the bytes float32 counts would add to one row
+        where += ": record 2 .*cut short"
+    elif damage == "cut_text_row":  # into the last game's int8 values, and the aggregates after them
+        data = data[: -_AGGREGATE_BYTES - last_nnz // 2]
+        where += ": record 2 .*cut short"
+    elif damage == "float_text_row":  # the bytes a row of float32 counts would add
         data = data + bytes(3 * N_TEXT_LEGACY)
+        where += rf": {3 * N_TEXT_LEGACY} trailing byte\(s\) after its 3 records"
     elif damage == "cut_aggregate":  # inside the last record's aggregate block
         data = data[: -_AGGREGATE_BYTES // 2]
+        where += ": record 2 .*cut short"
     elif damage == "profile_out_of_range":  # the first record's profile index byte
-        data = data[: _PBF4_HEADER_BYTES + 8] + bytes([200]) + data[_PBF4_HEADER_BYTES + 9 :]
+        data = data[: _PBF5_HEADER_BYTES + 8] + bytes([200]) + data[_PBF5_HEADER_BYTES + 9 :]
         where += ": record 0 .*profile index 200"
+    elif damage == "row_counts_off":  # row 0 claims one more bucket than the record's nnz holds
+        data[rows] += 1
+        where += f": record 0 .*sum to {nnz + 1}, not its {nnz}"
+    elif damage == "bucket_out_of_range":  # row 0's last bucket
+        struct.pack_into("<H", data, buckets + 2 * (data[rows] - 1), N_TEXT_LEGACY)
+        where += f": record 0 .*text bucket {N_TEXT_LEGACY} outside"
+    elif damage == "bucket_not_increasing":  # row 0's second bucket repeats its first
+        data[buckets + 2 : buckets + 4] = data[buckets : buckets + 2]
+        where += ": record 0 .*not strictly increasing"
+    elif damage == "stored_zero":
+        data[values] = 0
+        where += ": record 0 .*zero"
     else:
         data = data + b"\x00"
+        where += r": 1 trailing byte\(s\) after its 3 records"
     path = tmp_path / f"{damage}.pbf"
     path.write_bytes(data)
-    for reader in (read_feature_file, scan_feature_file):
+    for layouts in (("176",), ()):  # the text block is checked whichever layouts are decoded
         with pytest.raises(SchemaMismatch, match=where):
-            reader(path)
+            read_feature_file(path, layouts)
+    if damage in _TEXT_DAMAGE:
+        assert len(scan_feature_file(path)) == 3
+    else:
+        with pytest.raises(SchemaMismatch, match=where):
+            scan_feature_file(path)
 
 
 def test_feature_file_writer_removes_partial_file_on_error(tmp_path):
@@ -1113,7 +1208,8 @@ def test_writer_keeps_the_int8_extremes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "magic, header", [(b"PBF1", "<4sIIII"), (b"PBF2", "<4sIIIIII"), (b"PBF3", "<4sIIIIIIII")]
+    "magic, header",
+    [(b"PBF1", "<4sIIII"), (b"PBF2", "<4sIIIIII"), (b"PBF3", "<4sIIIIIIII"), (b"PBF4", "<4sIIIII")],
 )
 def test_older_feature_file_asks_for_featurize(tmp_path, magic, header):
     path = tmp_path / "old.pbf"
@@ -1134,10 +1230,11 @@ def test_decoded_rows_are_bitwise_the_float_path(small_corpus):
     paths = Paths(cfg.out_dir)
     want = {"176": {}, "530": {}}
     aggregates = []
-    lengths = {}
+    lengths, nnz = {}, {}
     for session in load_sessions(paths.sessions):
         behavioral = behavioral_matrix(session, cfg.sim.width, cfg.sim.height)
         text128, text512 = _embed_rows([_text(d) for d in session.decisions])
+        nnz[session.game_id] = np.count_nonzero(text512)
         want["176"][session.game_id] = np.hstack([behavioral, text128]).astype("<f4")
         want["530"][session.game_id] = np.hstack([text512, behavioral[:, :N_BEHAVIORAL_LEGACY]]).astype("<f4")
         aggregate = aggregate_features(session, behavioral, cfg.sim.max_steps)
@@ -1157,7 +1254,7 @@ def test_decoded_rows_are_bitwise_the_float_path(small_corpus):
     assert ids == [game_id for game_id, _, _ in aggregates]
     assert list(y) == [profile for _, profile, _ in aggregates]
     assert X.tobytes() == np.stack([agg for _, _, agg in aggregates]).tobytes()
-    assert paths.features.stat().st_size == _pbf4_size(lengths.values())
+    assert paths.features.stat().st_size == _pbf5_size((lengths[g], nnz[g]) for g in lengths)
     assert Counter(g for g, _, _ in scan_feature_file(paths.features)) == {
         g: len(window_starts(t, cfg.window_len, cfg.stride)) for g, t in lengths.items()
     }
