@@ -61,6 +61,12 @@ baseline's inputs are the float64 aggregate blocks. Windows overlap
 whenever stride < window_len, so the file stores each decision once and
 the reader derives the windows from the header's window_len and stride
 (`window_starts`), as read-only views into the game's rows.
+
+A caller decodes only the games it uses: `keep` maps each of them to a
+group (the pipeline's split), and each group's rows in each layout fill
+one preallocated read-only block, game by game in file order, so a
+game's rows are a row slice of its group's block. Every record is still
+read, hashed and checked, whether it is decoded or not.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -136,7 +142,9 @@ AGGREGATE_SLOT_NAMES = BEHAVIORAL_SLOT_NAMES + (
 @dataclass(frozen=True)
 class SequenceSample:
     """One window of a game: rows window[0] : window[0] + window[1] of
-    `game`, the game's whole T x D feature matrix, shared by its windows."""
+    `game`, the game's whole T x D feature matrix, shared by its windows.
+    A read game's `game` is a row slice of its group's block (see
+    `read_feature_file`)."""
 
     game_id: int
     profile: Profile
@@ -514,18 +522,16 @@ def _text_counts(where: str, t: int, nnz: int, payload: bytes) -> np.ndarray:
     return counts.reshape(t, N_TEXT_LEGACY)
 
 
-def _layout_rows(layout: str, behavioral: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """A game's read-only float32 rows in a sequence layout, from its
-    float32 behavioral rows and int8 counts: each text row over its norm
-    in float64 (the squared norms are small integers, exact), cast to
-    float32, in the layout's column order."""
+def _layout_rows(layout: str, behavioral: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+    """A game's float32 rows in a sequence layout, written into `out`,
+    from its float32 behavioral rows and int8 counts: each text row over
+    its norm in float64 (the squared norms are small integers, exact),
+    cast to float32, in the layout's column order."""
     if layout == "176":
         parts = (behavioral, _unit_rows(_fold(counts).astype(np.float64)))
     else:
         parts = (_unit_rows(counts.astype(np.float64)), behavioral[:, :N_BEHAVIORAL_LEGACY])
-    game = np.concatenate(parts, axis=1, dtype="<f4")
-    game.flags.writeable = False
-    return game
+    np.concatenate(parts, axis=1, out=out, casting="same_kind")
 
 
 def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
@@ -545,43 +551,73 @@ def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
 
 
 def read_feature_file(
-    path: str | Path, layouts: Iterable[str] = ("176",)
+    path: str | Path, layouts: Iterable[str] = ("176",), keep: Mapping[int, Hashable] | None = None
 ) -> tuple[dict[str, list[SequenceSample]], tuple[np.ndarray, np.ndarray, list[int]] | None, dict]:
-    """Read a PBF5 file once, record by record, decoding only `layouts`;
-    returns (samples, aggregates, header). Every record's text block is
-    checked, whichever layouts are decoded.
+    """Read a PBF5 file, decoding only `layouts` of the games in `keep`;
+    returns (samples, aggregates, header). Every record is read, hashed
+    and has its text block checked, whether it is decoded or not.
 
-    `samples` maps each sequence layout in `layouts` ("176", "530") to its
-    per-window samples, in game order, then window order. A game's windows
-    share one `game`, its read-only float32 rows, so each `matrix` is a
-    view of it. With "agg" in `layouts`, `aggregates` is (X, profile
-    indices, game_ids), X the n x 52 float64 `aggregate_features` rows;
-    otherwise it is None. The header carries the file's sha256.
+    `keep` maps a game id to its group (an id the file lacks decodes
+    nothing); None keeps every game in one group. A first pass over the
+    record headers sizes each group, then each group's rows in each
+    sequence layout fill one preallocated read-only float32 block, game
+    by game in file order.
+
+    `samples` maps each sequence layout in `layouts` ("176", "530") to the
+    kept games' per-window samples, in file order, then window order. A
+    game's `game` is its row slice of its group's block, shared by its
+    windows, so each `matrix` is a view of it. With "agg" in `layouts`,
+    `aggregates` is (X, profile indices, game_ids) of the kept games, X
+    their n x 52 float64 `aggregate_features` rows; otherwise it is None.
+    The header carries the file's sha256.
     """
     layouts = set(layouts)
     sha = hashlib.sha256()
     samples: dict[str, list[SequenceSample]] = {layout: [] for layout in SEQUENCE_DIMS if layout in layouts}
-    blocks, ys, ids = [], [], []
+    aggregate_bytes, ys, ids = [], [], []
     try:
         with open(path, "rb") as fh:
             header = _read_header(path, fh, sha)
+            records = list(_records(path, fh, header))
+            if keep is None:
+                keep = dict.fromkeys(game_id for game_id, *_ in records)
+            sizes = dict.fromkeys(keep.values(), 0)
+            for game_id, _, t, _, _ in records:
+                if game_id in keep:
+                    sizes[keep[game_id]] += t
+            blocks = {
+                layout: {group: np.empty((n, SEQUENCE_DIMS[layout]), "<f4") for group, n in sizes.items()}
+                for layout in samples
+            }
+            filled = dict.fromkeys(sizes, 0)
+            fh.seek(_HEADER.size)
             for i, (game_id, profile_idx, t, nnz, payload) in enumerate(_records(path, fh, header, sha)):
                 counts = _text_counts(f"{path}: record {i} (game {game_id})", t, nnz, payload)
+                if game_id not in keep:
+                    continue
+                group = keep[game_id]
+                at = filled[group]
+                filled[group] += t
                 if samples:
                     behavioral = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)
                     windows = window_starts(t, header["window_len"], header["stride"])
                 for layout, loaded in samples.items():
-                    game = _layout_rows(layout, behavioral, counts)
+                    game = blocks[layout][group][at : at + t]
+                    _layout_rows(layout, behavioral, counts, game)
+                    game.flags.writeable = False
                     loaded += [SequenceSample(game_id, PROFILES[profile_idx], w, game) for w in windows]
                 if "agg" in layouts:
-                    blocks.append(payload[-_AGGREGATE_BYTES:])
+                    aggregate_bytes.append(payload[-_AGGREGATE_BYTES:])
                     ys.append(profile_idx)
                     ids.append(game_id)
     except OSError as exc:
         raise IoFailure(f"feature file read failed: {exc}") from exc
+    for by_group in blocks.values():
+        for block in by_group.values():
+            block.flags.writeable = False
     aggregates = None
     if "agg" in layouts:
-        X = np.frombuffer(b"".join(blocks), dtype="<f8").reshape(len(blocks), N_AGGREGATE)
+        X = np.frombuffer(b"".join(aggregate_bytes), dtype="<f8").reshape(len(ids), N_AGGREGATE)
         aggregates = (X, np.array(ys, dtype=np.int64), ids)
     header["sha256"] = sha.hexdigest()
     return samples, aggregates, header

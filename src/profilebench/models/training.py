@@ -49,6 +49,9 @@ class TrainConfig:
     clip_norm: float = 5.0
     dropout: float = 0.2
     patience: int = 8
+    """The epoch loop stops after `patience + 1` consecutive epochs whose
+    validation accuracy does not beat the best so far: 0 stops at the
+    first such epoch, the default 8 after nine."""
     hidden: int = 64
     attention_size: int = 64
     adam_beta1: float = 0.9
@@ -296,18 +299,37 @@ def space_labels(
 SCORE_BATCH_SIZE = 256  # windows per forward-only batch (validation and scoring)
 
 
+def _tiled_block(games: list[np.ndarray], dtype) -> np.ndarray | None:
+    """The C-contiguous array of `dtype` whose rows `games`, in order,
+    cover exactly as consecutive slices, or None."""
+    block = games[0].base if games else None
+    if block is None or block.dtype != dtype or not block.flags.c_contiguous:
+        return None
+    at = block.ctypes.data
+    for game in games:
+        same_rows = game.shape[1:] == block.shape[1:] and game.flags.c_contiguous
+        if game.base is not block or game.ctypes.data != at or not same_rows:
+            return None
+        at += game.nbytes
+    return block if at == block.ctypes.data + block.nbytes else None
+
+
 class WindowBatcher:
     """Windows batched by length, so no batch needs padding. The distinct
     game row blocks behind the samples (each sample's `game`, told apart by
-    the array itself, not by `game_id`) are stacked once into `rows`, in
-    first-seen order; a window is its first row there and its length."""
+    the array itself, not by `game_id`) are stacked into `rows`, in
+    first-seen order; a window is its first row there and its length.
+    When those games are consecutive row slices that exactly tile one
+    array of `dtype`, as a split's games in file order tile the split's
+    block from `read_feature_file`, `rows` is that array, not a copy."""
 
     def __init__(self, samples: Sequence[SequenceSample], dtype):
-        games = {id(s.game): s.game for s in samples}
-        first_row = dict(zip(games, np.cumsum([0] + [len(g) for g in games.values()])))
+        games = list({id(s.game): s.game for s in samples}.values())
+        first_row = dict(zip(map(id, games), np.cumsum([0] + [len(g) for g in games])))
         self.starts = np.array([first_row[id(s.game)] + s.window[0] for s in samples], np.intp)
         self.lengths = np.array([s.window[1] for s in samples], np.intp)
-        self.rows = np.concatenate(list(games.values())).astype(dtype, copy=False)
+        block = _tiled_block(games, dtype)
+        self.rows = np.concatenate(games).astype(dtype, copy=False) if block is None else block
 
     def batches(self, batch_size: int, rng: np.random.Generator | None = None) -> list[np.ndarray]:
         """Window indices of each batch: each length's windows, shortest

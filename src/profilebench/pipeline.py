@@ -427,17 +427,26 @@ def stage_split(cfg: PipelineConfig) -> dict:
 
 @dataclass
 class _LadderData:
-    """Feature samples filtered to the balanced corpus, keyed by split."""
+    """The feature samples and aggregates of the splits a stage reads. Each
+    split's rows in a layout are one block, its games' rows in file order."""
 
     samples: dict[str, dict[str, list[SequenceSample]]]  # layout -> split -> samples
     aggregates: dict[str, tuple[np.ndarray, np.ndarray, list[int]]]  # split -> (X, y, ids)
     digests: dict[Path, str]  # sha256 of the feature file
 
 
-def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
+def _load_ladder_data(cfg: PipelineConfig, layouts: set[str], splits: tuple[str, ...]) -> _LadderData:
+    """Decode `layouts` of the games of `splits` only. A game splits.json
+    names that the feature file lacks raises SchemaMismatch."""
     paths = Paths(cfg.out_dir)
     assignment = read_splits(paths.splits)
-    loaded, agg, header = read_feature_file(paths.features, layouts)
+    missing = assignment.keys() - {game_id for game_id, _, _ in scan_feature_file(paths.features)}
+    if missing:
+        raise SchemaMismatch(
+            f"{paths.splits} names {len(missing)} game(s) that {paths.features} lacks; rerun balance and split"
+        )
+    keep = {game_id: split for game_id, split in assignment.items() if split in splits}
+    loaded, agg, header = read_feature_file(paths.features, layouts, keep)
     windows = (header["window_len"], header["stride"])
     if loaded and windows != (cfg.window_len, cfg.stride):
         raise SchemaMismatch(
@@ -446,17 +455,15 @@ def _load_ladder_data(cfg: PipelineConfig, layouts: set[str]) -> _LadderData:
         )
     samples: dict[str, dict[str, list[SequenceSample]]] = {}
     for layout, layout_samples in loaded.items():
-        samples[layout] = {"train": [], "val": [], "test": []}
+        samples[layout] = {split: [] for split in splits}
         for s in layout_samples:
-            split = assignment.get(s.game_id)
-            if split is not None:
-                samples[layout][split].append(s)
+            samples[layout][keep[s.game_id]].append(s)
     aggregates: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     if agg is not None:
         X, y, ids = agg
-        for split in ("train", "val", "test"):
-            keep = [i for i, gid in enumerate(ids) if assignment.get(gid) == split]
-            aggregates[split] = (X[keep], y[keep], [ids[i] for i in keep])
+        for split in splits:
+            rows = [i for i, game_id in enumerate(ids) if keep[game_id] == split]
+            aggregates[split] = (X[rows], y[rows], [ids[i] for i in rows])
     return _LadderData(samples=samples, aggregates=aggregates, digests={paths.features: header["sha256"]})
 
 
@@ -531,7 +538,7 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     row_ids = check_rows(cfg.ladder if rows is None else rows)
     needed = _row_inputs(paths)
     require(needed, "train")
-    data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})
+    data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids}, ("train", "val"))
     status: dict[str, str] = {}
     for row_id in row_ids:
         try:
@@ -593,10 +600,12 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
     row_ids = check_rows(cfg.ladder if rows is None else rows)
     needed = _row_inputs(paths)
     require(needed + [paths.checkpoints], "eval")
-    data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids})
+    ladder_rows = [LADDER_BY_ID[r] for r in row_ids]
+    # the neutral correction is fitted on val
+    splits = ("test", "val") if any(row.correct_neutral for row in ladder_rows) else ("test",)
+    data = _load_ladder_data(cfg, {row.layout for row in ladder_rows}, splits)
     reports: list[Report] = []
-    for row_id in row_ids:
-        row = LADDER_BY_ID[row_id]
+    for row in ladder_rows:
         try:
             reports.append(eval_row(cfg, row, data))
         except (SchemaMismatch, IoFailure):

@@ -237,6 +237,43 @@ class TestRunAll:
         assert "features.pbf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["train", "eval"])
+    def test_splits_naming_a_game_the_feature_file_lacks_is_dependency_error(
+        self, finished_run, tmp_path, capsys, stage
+    ):
+        # a splits.json left from a larger corpus: one game more than features.pbf holds
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        splits = json.loads((copy / "splits.json").read_text(encoding="utf-8"))
+        splits[str(max(map(int, splits)) + 1)] = "train"
+        (copy / "splits.json").write_text(json.dumps(splits), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(copy), stage]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "splits.json names 1 game(s)" in err and "features.pbf" in err
+        assert "rerun balance and split" in err
+
+    def test_train_on_damaged_test_record_is_dependency_error(self, finished_run, tmp_path, capsys):
+        # train decodes only train and val games, but still checks every record
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        splits = json.loads((copy / "splits.json").read_text(encoding="utf-8"))
+        features = copy / "features.pbf"
+        data = bytearray(features.read_bytes())
+        starts = _record_starts(bytes(data))
+        i = [splits.get(str(struct.unpack_from("<Q", data, at)[0])) for at in starts].index("test")
+        at = starts[i]
+        t, nnz = struct.unpack_from("<II", data, at + 9)
+        assert nnz > 0
+        data[at + 17 + 194 * t + 2 * nnz] = 0  # its first stored text count
+        features.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(copy), "train"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert f"features.pbf: record {i} " in err and "zero" in err
+
+    @pytest.mark.parametrize("stage", ["train", "eval"])
     def test_stride_other_than_featurized_is_dependency_error(
         self, finished_run, tmp_path, capsys, stage
     ):

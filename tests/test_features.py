@@ -1136,6 +1136,58 @@ def test_damaged_feature_file_names_the_file(tmp_path, damage):
             scan_feature_file(path)
 
 
+@pytest.mark.parametrize("damage", ["sparse_block", "length"])
+def test_damage_in_a_record_keep_leaves_out_names_the_record(tmp_path, damage):
+    """Records `keep` leaves out are not decoded, but still read and checked."""
+    good = tmp_path / "good.pbf"
+    games = _games()
+    _write(good, games)
+    data = bytearray(good.read_bytes())
+    if damage == "sparse_block":  # record 0's row 0 claims one more bucket than its nnz holds
+        data[_text_block(data)[0]] += 1
+        where = r"record 0 \(game 0\).*sum to"
+    else:  # record 2 loses its last aggregate byte
+        data = data[:-1]
+        where = r"record 2 \(game 2\).*cut short"
+    path = tmp_path / f"{damage}.pbf"
+    path.write_bytes(data)
+    for layouts in (_ALL, ("530",), ()):
+        with pytest.raises(SchemaMismatch, match=f"{damage}.pbf: {where}"):
+            read_feature_file(path, layouts, keep={1: "train"})
+    loaded, _, _ = read_feature_file(good, _ALL, keep={1: "train"})  # the undamaged file reads
+    assert {s.game_id for s in loaded["176"]} == {1}
+
+
+def test_keep_decodes_its_games_into_one_block_per_group(tmp_path):
+    path = tmp_path / "x.pbf"
+    games = _games() + [(replace(s, game_id=s.game_id + 3), c, a) for s, c, a in _games()]
+    _write(path, games, window_len=2, stride=1)
+    keep = {0: "train", 2: "test", 3: "train", 5: "train", 99: "test"}  # game 99 is not in the file
+    everything, (X_all, y_all, ids_all), header = read_feature_file(path, _ALL)
+    kept, (X, y, ids), kept_header = read_feature_file(path, _ALL, keep)
+    assert kept_header == header  # the sha256 covers every record
+    assert ids == [0, 2, 3, 5]
+    rows = [ids_all.index(g) for g in ids]
+    assert X.tobytes() == X_all[rows].tobytes() and y.tolist() == y_all[rows].tolist()
+    for layout in _DIMS:
+        want = {s.game_id: s.game for s in everything[layout]}
+        assert len({id(g.base) for g in want.values()}) == 1  # keep=None: one block per layout
+        assert [(s.game_id, s.window) for s in kept[layout]] == [
+            (s.game_id, s.window) for s in everything[layout] if s.game_id in keep
+        ]
+        games_of = {}
+        for s in kept[layout]:
+            games_of.setdefault(keep[s.game_id], {})[s.game_id] = s.game
+            assert not s.game.flags.writeable
+            assert s.game.view(np.uint32).tobytes() == want[s.game_id].view(np.uint32).tobytes()
+        for by_id in games_of.values():
+            block = next(iter(by_id.values())).base
+            assert not block.flags.writeable
+            assert all(g.base is block for g in by_id.values())  # one block per group
+            assert block.view(np.uint32).tobytes() == np.concatenate(list(by_id.values())).view(np.uint32).tobytes()
+        assert games_of["train"][0].base is not games_of["test"][2].base
+
+
 def test_feature_file_writer_removes_partial_file_on_error(tmp_path):
     path = tmp_path / "partial.pbf"
     with pytest.raises(RuntimeError):

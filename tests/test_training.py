@@ -13,6 +13,8 @@ from profilebench.errors import (
     NonFiniteLoss,
     SpaceMismatch,
 )
+from profilebench import pipeline
+from profilebench.dataset import window_starts
 from profilebench.features import SequenceSample
 from profilebench.models import lstm
 from profilebench.models.baseline import BaselineConfig, train_baseline
@@ -478,6 +480,58 @@ class TestWindowBatcher:
             want = np.stack([np.asarray(samples[i].matrix, dtype=dtype) for i in idx])
             got = windows.rows[windows.take(idx)]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _block_windows(seed):
+    """Windows over games that are consecutive read-only row slices of one
+    float32 block, in block order, as `read_feature_file` gives a split;
+    the games' profiles are neutral and not."""
+    rng = np.random.default_rng(seed)
+    lengths = (9, 3, 12, 2, 6)
+    block = rng.normal(0, 1, (sum(lengths), 5)).astype(np.float32)
+    profiles = [p for p in all_profiles() if p.code.startswith("TN-")][:2] + [all_profiles()[0]] * 3
+    samples, at = [], 0
+    for game_id, (T, profile) in enumerate(zip(lengths, profiles)):
+        game = block[at : at + T]
+        game.flags.writeable = False
+        at += T
+        samples += [SequenceSample(game_id, profile, (s, n), game) for s, n in window_starts(T, 4, 2)]
+    block.flags.writeable = False
+    return block, samples
+
+
+class TestWindowBatcherRows:
+    """`rows` is the block the games tile without a copy, or else a new
+    stack; either way it holds the games' rows in first-seen order."""
+
+    @staticmethod
+    def _first_seen_stack(samples):
+        return np.concatenate(list({id(s.game): s.game for s in samples}.values()))
+
+    def test_rows_is_the_block_its_games_tile(self):
+        block, samples = _block_windows(0)
+        windows = WindowBatcher(samples, np.float32)
+        assert windows.rows is block
+        assert windows.rows.view(np.uint32).tobytes() == self._first_seen_stack(samples).view(np.uint32).tobytes()
+
+    @pytest.mark.parametrize("pick", ["admissible_subset", "shuffled", "float64"])
+    def test_other_sample_sets_stack_a_new_array(self, pick):
+        block, samples = _block_windows(1)
+        dtype = np.float64 if pick == "float64" else np.float32
+        if pick == "admissible_subset":
+            samples = pipeline._admissible(samples, LabelSpace(LabelSpaceKind.NON_NEUTRAL_PROFILE16))
+            assert 0 < len({s.game_id for s in samples}) < 5
+        elif pick == "shuffled":
+            samples = [samples[i] for i in np.random.default_rng(1).permutation(len(samples))]
+            assert list(dict.fromkeys(s.game_id for s in samples)) != sorted({s.game_id for s in samples})
+        windows = WindowBatcher(samples, dtype)
+        assert windows.rows is not block and not np.shares_memory(windows.rows, block)
+        want = self._first_seen_stack(samples).astype(dtype)
+        assert windows.rows.dtype == dtype
+        assert windows.rows.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
+        for idx in windows.batches(3):
+            got = windows.rows[windows.take(idx)]
+            assert got.tobytes() == np.stack([samples[i].matrix.astype(dtype) for i in idx]).tobytes()
 
 
 class TestSpaceLabels:
