@@ -1,26 +1,27 @@
-"""Evaluation: accuracies, confusion matrices, lifts, the neutral
-correction, and report files.
+"""Evaluation: the scoring record, accuracies, confusion matrices, lifts,
+the neutral correction, and report files.
 
-Ties at argmax go to the lowest class index, so every reported number is
-bit-reproducible. `evaluate_class_predictions` is the one builder of a
-`Report`: the aggregate baseline calls it with main-head predictions,
-`evaluate` with the three heads' predictions of a checkpoint. Both take the
-row's `LabelSpace`, name and dims from the caller. A Report stores only
-what it is built from (counts, accuracies, confusions, correction); its
-random baselines, lifts and neutral masses are derived. Every report
-carries two lifts, each the main accuracy divided by a random baseline: its
-label space's own ("vs_subset_baseline") and the full 36-class one,
-labeled, because the two denominators answer different questions when the
-space admits only some profiles.
+Every ladder row hands `evaluate`, the one builder of a `Report`, one
+`Scores` record: each head's logits per scored unit (a window, or a game
+for the aggregate baseline) with the unit's true profile index and game
+id, plus the row's `LabelSpace`, name and dims. Predictions are argmaxes,
+ties going to the lowest class index, so every reported number is
+bit-reproducible. A Report stores only what it is built from (counts,
+accuracies, confusions, correction); its random baselines, lifts and
+neutral masses are derived. Every report carries two lifts, each the main
+accuracy divided by a random baseline: its label space's own
+("vs_subset_baseline") and the full 36-class one, labeled, because the two
+denominators answer different questions when the space admits only some
+profiles.
 
 The neutral correction lives here whole: `calibrate_correction` picks its
-eta from validation logits, and `evaluate` applies it to an alignment9
-checkpoint's logits exactly when it is given one.
+eta from validation logits, and `evaluate` applies it, as a transform of
+an alignment9 record's logits, exactly when it is given one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -93,6 +94,18 @@ class ConfusionMatrix:
 
     def row_mass(self, rows: Sequence[int]) -> float:
         return float(self.counts[list(rows), :].sum()) / self.total if self.total else 0.0
+
+
+@dataclass(frozen=True)
+class Scores:
+    """One row's scored units, in one order: each head's logits, and each
+    unit's true profile index and game id. Sequence models have "profile",
+    "align" and "motiv" heads, the aggregate baseline "profile" only."""
+
+    logits: dict[str, np.ndarray]  # head -> (N, K)
+    profile_idx: Sequence[int]
+    game_ids: Sequence[int]
+    unit: str  # "window" or "game"
 
 
 @dataclass
@@ -207,6 +220,19 @@ def predict_logits(ckpt: Checkpoint, samples: Sequence[SequenceSample]) -> dict[
     return {head: np.concatenate(out)[inverse] for head, out in parts.items()}
 
 
+def score_windows(ckpt: Checkpoint, samples: Sequence[SequenceSample], space: LabelSpace) -> Scores:
+    """The Scores of `ckpt` on each window of `samples`, in one
+    `predict_logits` call."""
+    if not samples:
+        raise EmptyTestSet("no windows to score")
+    if ckpt.label_space_tag != space.tag:
+        raise SpaceMismatch(
+            f"checkpoint space {ckpt.label_space_tag!r} != experiment space {space.tag!r}"
+        )
+    logits = predict_logits(ckpt, samples)
+    return Scores(logits, [s.profile.index for s in samples], [s.game_id for s in samples], "window")
+
+
 def _marginal_predictions(main_pred: np.ndarray, space: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
     """Alignment/motivation implied by the main head's profile prediction."""
     profile_idx = np.flatnonzero(space.labels >= 0)[main_pred]
@@ -214,100 +240,35 @@ def _marginal_predictions(main_pred: np.ndarray, space: LabelSpace) -> tuple[np.
 
 
 def evaluate(
-    ckpt: Checkpoint,
-    samples: Sequence[SequenceSample],
+    scores: Scores,
     space: LabelSpace,
     *,
     name: str,
     dims: str,
     correction: dict | None = None,
 ) -> Report:
-    """Evaluate a checkpoint; predictions are per-head argmax (lowest index wins ties).
-
-    `correction` is {"eta", "predicted", "prior"} with frequencies over the
-    9 alignments, and optionally the validation "uncorrected_accuracy"
-    (`calibrate_correction`'s output). It is applied to the main and
-    alignment heads when given, and only on an alignment9 space.
-    """
-    if not samples:
+    """The Report of a row's `scores` in `space`: each prediction is its
+    head's argmax on the raw or corrected logits (lowest index wins ties).
+    `correction`, `calibrate_correction`'s output, is applied to the main
+    and alignment heads, and only on an alignment9 space. A record without
+    "align" and "motiv" heads (the aggregate baseline) gets the main head's
+    marginals instead, in profile spaces only."""
+    if len(scores.profile_idx) == 0:
         raise EmptyTestSet(f"no samples to evaluate for {name}")
-    if ckpt.label_space_tag != space.tag:
-        raise SpaceMismatch(
-            f"checkpoint space {ckpt.label_space_tag!r} != experiment space {space.tag!r}"
-        )
-    if correction is not None and space != ALIGN_SPACE:
-        raise SpaceMismatch(f"the neutral correction applies to alignment9, not {space.tag}")
-    profile_idx = [s.profile.index for s in samples]
-
-    logits = predict_logits(ckpt, samples)
-    main_logits = logits["profile"]
-    align_logits = logits["align"]
-
     correction_info = None
     if correction is not None:
-        eta = float(correction["eta"])
-        predicted = np.asarray(correction["predicted"], dtype=float)
-        prior = np.asarray(correction["prior"], dtype=float)
-        # keep the raw view so the correction's effect is measurable
-        raw_pred = main_logits.argmax(axis=1)
-        raw_y = space_labels(profile_idx, space)[0]
-        align_logits = neutral_correction(align_logits, predicted, prior, eta)
-        main_logits = neutral_correction(main_logits, predicted, prior, eta)
-        corrected_pred = main_logits.argmax(axis=1)
-        n = len(samples)
-        correction_info = {
-            "eta": eta,
-            "predicted_freqs": predicted.tolist(),
-            "prior_freqs": prior.tolist(),
-            "test_predicted_freqs_uncorrected": (np.bincount(raw_pred, minlength=9) / n).tolist(),
-            "test_predicted_freqs_corrected": (np.bincount(corrected_pred, minlength=9) / n).tolist(),
-            "test_accuracy_uncorrected": float((raw_pred == raw_y).mean()),
-            "neutral_column_mass_uncorrected": float(
-                np.isin(raw_pred, list(NEUTRAL_ALIGNMENT_RANKS)).mean()
-            ),
-        }
-        if "uncorrected_accuracy" in correction:
-            correction_info["uncorrected_accuracy"] = correction["uncorrected_accuracy"]
-
-    return evaluate_class_predictions(
-        profile_idx,
-        main_logits.argmax(axis=1),
-        space,
-        len({s.game_id for s in samples}),
-        name=name,
-        dims=dims,
-        heads=(align_logits.argmax(axis=1), logits["motiv"].argmax(axis=1)),
-        correction=correction_info,
-    )
-
-
-def evaluate_class_predictions(
-    profile_idx: Sequence[int],
-    main_pred: np.ndarray,
-    space: LabelSpace,
-    n_games: int,
-    *,
-    name: str,
-    dims: str,
-    heads: tuple[np.ndarray, np.ndarray] | None = None,
-    correction: dict | None = None,
-) -> Report:
-    """The Report of class predictions against each sample's true profile index.
-
-    `heads` holds a sequence model's (alignment, motivation) predictions;
-    without them (the aggregate baseline) the alignment and motivation
-    confusions are the main head's marginals, in profile spaces only.
-    """
-    if len(profile_idx) == 0:
-        raise EmptyTestSet(f"no samples to evaluate for {name}")
-    y_main, y_align, y_motiv = space_labels(profile_idx, space)
-    confusion_main = ConfusionMatrix.from_predictions(y_main, main_pred, space.class_names())
+        if space != ALIGN_SPACE:
+            raise SpaceMismatch(f"the neutral correction applies to alignment9, not {space.tag}")
+        scores, correction_info = _corrected(scores, correction)
+    pred = {head: logits.argmax(axis=1) for head, logits in scores.logits.items()}
+    y_main, y_align, y_motiv = space_labels(scores.profile_idx, space)
+    confusion_main = ConfusionMatrix.from_predictions(y_main, pred["profile"], space.class_names())
     accuracies = {"main": confusion_main.accuracy}
     by_source = {}  # accuracy-key suffix -> (alignment, motivation) predictions
-    if heads is not None:
-        by_source["head"] = heads
+    if "align" in pred:
+        by_source["head"] = (pred["align"], pred["motiv"])
     if space.is_profile_space:
-        by_source["marginal"] = _marginal_predictions(main_pred, space)
+        by_source["marginal"] = _marginal_predictions(pred["profile"], space)
     for suffix, (align_pred, motiv_pred) in by_source.items():
         accuracies[f"alignment_{suffix}"] = float((align_pred == y_align).mean())
         accuracies[f"motivation_{suffix}"] = float((motiv_pred == y_motiv).mean())
@@ -320,13 +281,13 @@ def evaluate_class_predictions(
         name=name,
         dims=dims,
         space_tag=space.tag,
-        n_samples=len(profile_idx),
-        n_games=n_games,
+        n_samples=len(scores.profile_idx),
+        n_games=len(set(scores.game_ids)),
         accuracies=accuracies,
         confusion_main=confusion_main,
         confusion_align=confusion_align,
         confusion_motiv=confusion_motiv,
-        correction=correction,
+        correction=correction_info,
     )
 
 
@@ -355,16 +316,45 @@ def neutral_correction(
     return alignment_logits - eta * np.log(predicted / prior)
 
 
+def _corrected(scores: Scores, correction: dict) -> tuple[Scores, dict]:
+    """`scores` with `correction` applied to its main and alignment heads,
+    and the Report's record of it: the raw view beside the corrected one,
+    so the correction's effect is measurable."""
+    eta = float(correction["eta"])
+    predicted = np.asarray(correction["predicted"], dtype=float)
+    prior = np.asarray(correction["prior"], dtype=float)
+    raw_pred = scores.logits["profile"].argmax(axis=1)
+    raw_acc = float((raw_pred == space_labels(scores.profile_idx, ALIGN_SPACE)[0]).mean())
+    logits = {
+        head: neutral_correction(x, predicted, prior, eta) if head in ("profile", "align") else x
+        for head, x in scores.logits.items()
+    }
+    corrected_pred = logits["profile"].argmax(axis=1)
+    n = len(raw_pred)
+    info = {
+        "eta": eta,
+        "predicted_freqs": predicted.tolist(),
+        "prior_freqs": prior.tolist(),
+        "test_predicted_freqs_uncorrected": (np.bincount(raw_pred, minlength=9) / n).tolist(),
+        "test_predicted_freqs_corrected": (np.bincount(corrected_pred, minlength=9) / n).tolist(),
+        "test_accuracy_uncorrected": raw_acc,
+        "neutral_column_mass_uncorrected": float(np.isin(raw_pred, list(NEUTRAL_ALIGNMENT_RANKS)).mean()),
+        "uncorrected_accuracy": correction["uncorrected_accuracy"],
+    }
+    return replace(scores, logits=logits), info
+
+
 def _smoothed_freqs(alignments: np.ndarray) -> np.ndarray:
     """Frequencies of the 9 alignments, add-half smoothed so none is zero."""
     return (np.bincount(alignments, minlength=9) + 0.5) / (len(alignments) + 4.5)
 
 
 def calibrate_correction(val_logits: np.ndarray, val_profile_idx: Sequence[int]) -> dict:
-    """The correction `evaluate` takes, fitted to an alignment9 head's
-    validation logits: of the ETA_GRID etas that lose at most 1 point of
-    accuracy, the one whose corrected predictions' frequencies lie nearest
-    the prior (L1); eta 1.0 when none of them qualifies."""
+    """The correction `evaluate` applies to an alignment9 record, fitted to
+    an alignment9 head's validation logits: the smoothed "predicted" and
+    "prior" alignment frequencies, the "uncorrected_accuracy", and of the
+    ETA_GRID etas that lose at most 1 point of it, the "eta" whose corrected
+    frequencies lie nearest the prior (L1); 1.0 when none qualifies."""
     _, y, _ = space_labels(val_profile_idx, ALIGN_SPACE)
     predicted = _smoothed_freqs(val_logits.argmax(axis=1))
     prior = _smoothed_freqs(y)

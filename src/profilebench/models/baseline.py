@@ -46,9 +46,6 @@ class BaselineModel:
         Xs = (np.asarray(X, dtype=float) - self.mean) / self.std
         return Xs @ self.W.T + self.b
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.logits(X).argmax(axis=-1)
-
 
 def train_baseline(
     X: np.ndarray, y: np.ndarray, n_classes: int, config: BaselineConfig = BaselineConfig()

@@ -41,16 +41,18 @@ from profilebench.errors import ConfigInvalid, IoFailure, ProfileBenchError, Sch
 from profilebench.evaluation import (
     TABLE_HEADER,
     Report,
+    Scores,
     calibrate_correction,
     emit_report,
     evaluate,
-    evaluate_class_predictions,
     failed_report,
     predict_logits,
+    score_windows,
     table_row,
     write_table,
 )
 from profilebench.features import (
+    N_AGGREGATE,
     SCHEMA_VERSION,
     SEQUENCE_DIMS,
     FeatureFileWriter,
@@ -106,6 +108,11 @@ class LadderRow:
     @property
     def pooling(self) -> str:
         return _POOLING[self.model]
+
+    @property
+    def dims(self) -> str:
+        """The input its report names: the layout, or the aggregate's width."""
+        return f"{N_AGGREGATE} (agg)" if self.model == "baseline" else self.layout
 
 
 LADDER: tuple[LadderRow, ...] = (
@@ -570,28 +577,28 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
     space = row.space
     ckpt_path = paths.checkpoint(row.row_id)
     if not ckpt_path.exists():
-        return failed_report(row.display, row.layout, space.tag, "checkpoint missing")
+        return failed_report(row.display, row.dims, space.tag, "checkpoint missing")
+    correction, config_digest = None, ""
     if row.model == "baseline":
         X, y, ids = data.aggregates["test"]
-        model = _load_baseline(ckpt_path)
-        return evaluate_class_predictions(
-            y, model.predict(X), space, len(set(ids)), name=row.display, dims="52 (agg)"
-        )
-    ckpt = load_checkpoint(ckpt_path)
-    if ckpt.schema_version != SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"checkpoint schema {ckpt.schema_version} != featurizer {SCHEMA_VERSION}"
-        )
-    test_samples = _admissible(data.samples[row.layout]["test"], space)
-    correction = None
-    if row.correct_neutral:
-        val_samples = _admissible(data.samples[row.layout]["val"], space)
-        # Scored through this module's name: perfbench's ScoreProbe pairs the
-        # calls of evaluation.predict_logits with the rows' test windows.
-        val_logits = predict_logits(ckpt, val_samples)["profile"]
-        correction = calibrate_correction(val_logits, [s.profile.index for s in val_samples])
-    report = evaluate(ckpt, test_samples, space, name=row.display, dims=row.layout, correction=correction)
-    report.config_digest = ckpt.config_digest  # the digest train_row stamped into the sidecar
+        scores = Scores({"profile": _load_baseline(ckpt_path).logits(X)}, y, ids, "game")
+    else:
+        ckpt = load_checkpoint(ckpt_path)
+        if ckpt.schema_version != SCHEMA_VERSION:
+            raise SchemaMismatch(
+                f"checkpoint schema {ckpt.schema_version} != featurizer {SCHEMA_VERSION}"
+            )
+        if row.correct_neutral:
+            val_samples = _admissible(data.samples[row.layout]["val"], space)
+            # Scored through this module's name, not evaluation's: perfbench's
+            # ScoreProbe pairs each call of evaluation.predict_logits, the one
+            # score_windows makes, with a row's test windows.
+            val_logits = predict_logits(ckpt, val_samples)["profile"]
+            correction = calibrate_correction(val_logits, [s.profile.index for s in val_samples])
+        scores = score_windows(ckpt, _admissible(data.samples[row.layout]["test"], space), space)
+        config_digest = ckpt.config_digest  # the digest train_row stamped into the sidecar
+    report = evaluate(scores, space, name=row.display, dims=row.dims, correction=correction)
+    report.config_digest = config_digest
     return report
 
 
@@ -611,9 +618,7 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
         except (SchemaMismatch, IoFailure):
             raise  # a damaged or stale input ends the stage (exit 4 / 3), not one row
         except ProfileBenchError as exc:
-            reports.append(
-                failed_report(row.display, row.layout, row.space.tag, f"{type(exc).__name__}: {exc}")
-            )
+            reports.append(failed_report(row.display, row.dims, row.space.tag, f"{type(exc).__name__}: {exc}"))
     paths.results.mkdir(parents=True, exist_ok=True)
     for row_id, report in zip(row_ids, reports):
         emit_report(report, paths.results / row_id)

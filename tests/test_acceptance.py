@@ -40,7 +40,7 @@ from profilebench.models.checkpoint import (
     init_checkpoint,
 )
 from profilebench.models.training import Batch, TrainConfig, train_step
-from profilebench.evaluation import evaluate
+from profilebench.evaluation import evaluate, score_windows
 from profilebench.pipeline import LADDER_BY_ID
 from profilebench.taxonomy import LabelSpace, LabelSpaceKind, Profile
 
@@ -171,7 +171,8 @@ def test_05_untrained_models_score_at_chance(desk_run):
             label_space_tag="profile36",
             schema_version=SCHEMA_VERSION,
         )
-        report = evaluate(ckpt, test_samples, row.space, name=row.display, dims=row.layout)
+        scores = score_windows(ckpt, test_samples, row.space)
+        report = evaluate(scores, row.space, name=row.display, dims=row.layout)
         accs.append(report.accuracies["main"])
     ok = all(abs(a - 1 / 36) <= 0.02 for a in accs)
     shown = ", ".join(f"{100 * a:.2f}%" for a in accs)

@@ -17,8 +17,8 @@ from profilebench.cli import (
     EXIT_OK,
     main,
 )
-from profilebench import pipeline
-from profilebench.dataset import SplitSpec
+from profilebench import evaluation, pipeline
+from profilebench.dataset import SplitSpec, read_splits
 from profilebench.errors import ConfigInvalid, NonFiniteLoss
 from profilebench.features import read_feature_file
 from profilebench.models.training import TrainConfig
@@ -166,6 +166,47 @@ class TestRunAll:
         assert main([*argv, "eval", "--rows", "multipool_176"]) == EXIT_OK
         metrics = json.loads((copy / "results" / "multipool_176" / "metrics.json").read_text())
         assert metrics["failed"] and metrics["error"] == "checkpoint missing"
+
+    def test_missing_baseline_checkpoint_report_names_its_dims(self, finished_run, tmp_path):
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "checkpoints" / "baseline_agg.json").unlink()
+        assert main(["--config", str(config), "--out", str(copy), "eval", "--rows", "baseline_agg"]) == EXIT_OK
+        metrics = json.loads((copy / "results" / "baseline_agg" / "metrics.json").read_text())
+        assert metrics["failed"] and metrics["error"] == "checkpoint missing"
+        assert metrics["dims"] == "52 (agg)"
+        ok = json.loads((out / "results" / "baseline_agg" / "metrics.json").read_text())
+        assert ok["dims"] == metrics["dims"]
+
+    def test_eval_scores_each_sequence_rows_test_windows_in_one_call(self, finished_run, tmp_path, monkeypatch):
+        # perfbench's ScoreProbe pairs the calls of evaluation.predict_logits,
+        # in order, with the sequence rows' admissible test windows
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        calls = []
+        original = evaluation.predict_logits
+
+        def record(ckpt, samples):
+            calls.append((ckpt.label_space_tag, sorted((s.game_id, s.window) for s in samples)))
+            return original(ckpt, samples)
+
+        monkeypatch.setattr(evaluation, "predict_logits", record)
+        assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_OK
+        samples, _, _ = read_feature_file(copy / "features.pbf", {"176"})
+        splits = read_splits(copy / "splits.json")
+        want = []
+        for row in (pipeline.LADDER_BY_ID[r] for r in TINY["ladder"]):
+            if row.model != "baseline":
+                test = [s for s in samples[row.layout] if splits.get(s.game_id) == "test"]
+                test = [s for s in test if row.space.admits(s.profile)]
+                want.append((row.space.tag, sorted((s.game_id, s.window) for s in test)))
+        assert [tag for tag, _ in want] == ["profile36", "alignment9"]
+        assert calls == want
+        # align9_corrected's validation windows go through pipeline.predict_logits
+        assert "val" in splits.values()
+        assert {splits[game_id] for _, windows in calls for game_id, _ in windows} == {"test"}
 
     def test_report_on_truncated_metrics_is_dependency_error(self, finished_run, tmp_path, capsys):
         _, config, out = finished_run

@@ -21,16 +21,17 @@ from profilebench.evaluation import (
     NEUTRAL_ALIGNMENT_RANKS,
     ConfusionMatrix,
     Report,
+    Scores,
     calibrate_correction,
     confusion_csv,
     confusion_svg,
     emit_report,
     evaluate,
-    evaluate_class_predictions,
     failed_report,
     neutral_correction,
     predict_logits,
     random_baseline,
+    score_windows,
     table_rows,
     write_table,
 )
@@ -135,14 +136,14 @@ class TestEvaluate:
         # zero heads give all-zero logits; argmax ties resolve to class 0
         ckpt = _ckpt()
         samples = _samples([0, 5, 12, 35, 20])
-        report = evaluate(ckpt, samples, PROFILE_SPACE, **NAMED)
+        report = evaluate(score_windows(ckpt, samples, PROFILE_SPACE), PROFILE_SPACE, **NAMED)
         assert report.confusion_main.counts[:, 0].sum() == 5
         assert report.accuracies["main"] == pytest.approx(1 / 5)
 
     def test_lift_is_accuracy_over_baseline(self):
         ckpt = _ckpt()
         samples = _samples(list(range(12)))
-        report = evaluate(ckpt, samples, PROFILE_SPACE, **NAMED)
+        report = evaluate(score_windows(ckpt, samples, PROFILE_SPACE), PROFILE_SPACE, **NAMED)
         assert report.random_baseline_subset == pytest.approx(1 / 36)
         assert report.lift_subset == pytest.approx(report.accuracies["main"] * 36)
         assert report.lift_full == pytest.approx(report.accuracies["main"] * 36)
@@ -152,7 +153,7 @@ class TestEvaluate:
         idxs = [i for i, p in enumerate(all_profiles()) if space.admits(p)][:8]
         ckpt = _ckpt(space=space, n_classes=16)
         samples = _samples(idxs)
-        report = evaluate(ckpt, samples, space, **NAMED)
+        report = evaluate(score_windows(ckpt, samples, space), space, **NAMED)
         assert report.random_baseline_subset == pytest.approx(1 / 16)
         assert report.random_baseline_full == pytest.approx(1 / 36)
         assert report.lift_full == pytest.approx(report.accuracies["main"] * 36)
@@ -162,7 +163,7 @@ class TestEvaluate:
         profiles = all_profiles()
         idxs = list(range(18))
         samples = _samples(idxs)
-        report = evaluate(ckpt, samples, PROFILE_SPACE, **NAMED)
+        report = evaluate(score_windows(ckpt, samples, PROFILE_SPACE), PROFILE_SPACE, **NAMED)
         want = sum(
             1 for k in idxs
             if ALIGN_SPACE.labels[profiles[k].index] in NEUTRAL_ALIGNMENT_RANKS
@@ -172,9 +173,10 @@ class TestEvaluate:
     def test_space_tag_mismatch_rejected(self):
         samples = _samples([0, 1])
         with pytest.raises(SpaceMismatch):
-            evaluate(_ckpt(space=PROFILE_SPACE), samples, ALIGN_SPACE, **NAMED)
+            evaluate(score_windows(_ckpt(space=PROFILE_SPACE), samples, ALIGN_SPACE), ALIGN_SPACE, **NAMED)
         with pytest.raises(SpaceMismatch):
-            evaluate(_ckpt(space=ALIGN_SPACE, n_classes=9), samples, PROFILE_SPACE, **NAMED)
+            align_ckpt = _ckpt(space=ALIGN_SPACE, n_classes=9)
+            evaluate(score_windows(align_ckpt, samples, PROFILE_SPACE), PROFILE_SPACE, **NAMED)
 
     def test_sample_outside_subset_rejected(self):
         space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
@@ -183,7 +185,7 @@ class TestEvaluate:
             i for i, p in enumerate(all_profiles()) if not is_neutral_profile(p)
         )
         with pytest.raises(SpaceMismatch):
-            evaluate(ckpt, _samples([non_neutral]), space, **NAMED)
+            evaluate(score_windows(ckpt, _samples([non_neutral]), space), space, **NAMED)
 
     def test_outside_error_names_the_first_offending_sample(self):
         space = LabelSpace(LabelSpaceKind.NON_NEUTRAL_PROFILE16)
@@ -193,11 +195,11 @@ class TestEvaluate:
         samples = _samples([inside[0], outside[3], inside[1], outside[0]])
         want = f"sample profile {profiles[outside[3]].code} outside {space.tag}"
         with pytest.raises(SpaceMismatch, match=f"^{want}$"):
-            evaluate(_ckpt(space=space, n_classes=16), samples, space, **NAMED)
+            evaluate(score_windows(_ckpt(space=space, n_classes=16), samples, space), space, **NAMED)
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(EmptyTestSet):
-            evaluate(_ckpt(), [], PROFILE_SPACE, **NAMED)
+            evaluate(score_windows(_ckpt(), [], PROFILE_SPACE), PROFILE_SPACE, **NAMED)
 
     def test_correction_records_both_views(self):
         space = ALIGN_SPACE
@@ -207,10 +209,12 @@ class TestEvaluate:
             "eta": 1.0,
             "predicted": np.full(9, 1 / 9),
             "prior": np.full(9, 1 / 9),
+            "uncorrected_accuracy": 0.5,
         }
-        report = evaluate(ckpt, samples, space, **NAMED, correction=correction)
+        report = evaluate(score_windows(ckpt, samples, space), space, **NAMED, correction=correction)
         info = report.correction
         assert info["eta"] == 1.0
+        assert info["uncorrected_accuracy"] == 0.5
         for key in (
             "test_predicted_freqs_corrected",
             "test_predicted_freqs_uncorrected",
@@ -225,9 +229,12 @@ class TestEvaluate:
         assert report.accuracies["main"] == pytest.approx(info["test_accuracy_uncorrected"])
 
     def test_correction_outside_alignment9_rejected(self):
-        correction = {"eta": 1.0, "predicted": np.full(9, 1 / 9), "prior": np.full(9, 1 / 9)}
+        correction = {
+            "eta": 1.0, "predicted": np.full(9, 1 / 9), "prior": np.full(9, 1 / 9), "uncorrected_accuracy": 0.5,
+        }
         with pytest.raises(SpaceMismatch, match="alignment9, not profile36"):
-            evaluate(_ckpt(), _samples([0]), PROFILE_SPACE, **NAMED, correction=correction)
+            scores = score_windows(_ckpt(), _samples([0]), PROFILE_SPACE)
+            evaluate(scores, PROFILE_SPACE, **NAMED, correction=correction)
 
 
 def gather_first_logits(ckpt, samples):
@@ -384,7 +391,7 @@ class TestLabelTable:
 
     def test_evaluate_labels_match_map_label(self):
         samples = _samples([34, 0, 17, 9, 9, 21])
-        report = evaluate(_ckpt(), samples, PROFILE_SPACE, **NAMED)
+        report = evaluate(score_windows(_ckpt(), samples, PROFILE_SPACE), PROFILE_SPACE, **NAMED)
         for matrix, space in (
             (report.confusion_main, PROFILE_SPACE),
             (report.confusion_align, ALIGN_SPACE),
@@ -397,6 +404,13 @@ class TestLabelTable:
             np.testing.assert_array_equal(matrix.counts.sum(axis=1), support)
 
 
+def _predicted(profile_idx, preds, space=PROFILE_SPACE):
+    """A record of one game per prediction whose main head predicts
+    `preds`: one-hot logits, as the aggregate baseline's are per game."""
+    logits = np.eye(space.cardinality)[np.asarray(preds, dtype=np.int64)]
+    return Scores({"profile": logits}, profile_idx, list(range(len(profile_idx))), "game")
+
+
 class TestEvaluateClassPredictions:
     def test_marginals_from_hand_predictions(self):
         profiles = all_profiles()
@@ -404,7 +418,7 @@ class TestEvaluateClassPredictions:
         # alignment marginal right, motivation marginal wrong
         targets = [profiles[3], profiles[0]]
         preds = np.array([0, 0])
-        report = evaluate_class_predictions([p.index for p in targets], preds, PROFILE_SPACE, 2, **NAMED)
+        report = evaluate(_predicted([p.index for p in targets], preds), PROFILE_SPACE, **NAMED)
         assert report.accuracies["main"] == pytest.approx(0.5)
         assert report.accuracies["alignment_marginal"] == pytest.approx(1.0)
         assert report.accuracies["motivation_marginal"] == pytest.approx(0.5)
@@ -413,27 +427,27 @@ class TestEvaluateClassPredictions:
         assert report.neutral_column_mass == 0.0
         assert report.neutral_prior == 0.0
         # true TN-Safety (16) and LG-Safety (0), both predicted TN-Safety
-        report = evaluate_class_predictions([16, 0], np.array([16, 16]), PROFILE_SPACE, 2, **NAMED)
+        report = evaluate(_predicted([16, 0], [16, 16]), PROFILE_SPACE, **NAMED)
         assert report.neutral_column_mass == 1.0
         assert report.neutral_prior == 0.5
 
     def test_baseline_lift_matches_lstm_lift(self):
         # 7 of 38 right: accuracy * 36 and accuracy / (1/36) differ in the last bit
         truth = [0] * 7 + [5] * 31
-        baseline = evaluate_class_predictions(truth, np.zeros(38, dtype=np.int64), PROFILE_SPACE, 38, **NAMED)
+        baseline = evaluate(_predicted(truth, np.zeros(38, dtype=np.int64)), PROFILE_SPACE, **NAMED)
         acc = 7 / 38
         assert baseline.accuracies["main"] == acc
         assert baseline.lift_full == acc / (1 / 36)
         assert baseline.lift_subset == acc / (1 / 36)
         # an untrained checkpoint predicts class 0 for every window
-        lstm = evaluate(_ckpt(), _samples(truth), PROFILE_SPACE, **NAMED)
+        lstm = evaluate(score_windows(_ckpt(), _samples(truth), PROFILE_SPACE), PROFILE_SPACE, **NAMED)
         assert lstm.accuracies["main"] == acc
         assert (lstm.lift_subset, lstm.lift_full) == (baseline.lift_subset, baseline.lift_full)
         assert lstm.to_dict()["lift"] == baseline.to_dict()["lift"]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyTestSet):
-            evaluate_class_predictions([], np.array([]), PROFILE_SPACE, 0, **NAMED)
+            evaluate(_predicted([], []), PROFILE_SPACE, **NAMED)
 
     def test_profile_outside_space_is_named(self):
         space = LabelSpace(LabelSpaceKind.NEUTRAL_PROFILE20)
@@ -441,7 +455,7 @@ class TestEvaluateClassPredictions:
         outside = next(p for p in all_profiles() if not is_neutral_profile(p))
         want = f"sample profile {outside.code} outside {space.tag}"
         with pytest.raises(SpaceMismatch, match=f"^{want}$"):
-            evaluate_class_predictions([inside.index, outside.index], np.array([0, 0]), space, 2, **NAMED)
+            evaluate(_predicted([inside.index, outside.index], [0, 0], space), space, **NAMED)
 
 
 class TestNeutralCorrection:
@@ -593,7 +607,7 @@ class TestFiles:
     def test_emit_report_writes_expected_files(self, tmp_path):
         ckpt = _ckpt()
         samples = _samples(list(range(10)))
-        report = evaluate(ckpt, samples, PROFILE_SPACE, name="demo", dims="176")
+        report = evaluate(score_windows(ckpt, samples, PROFILE_SPACE), PROFILE_SPACE, name="demo", dims="176")
         written = emit_report(report, tmp_path / "row")
         names = sorted(p.name for p in written)
         assert "metrics.json" in names
@@ -609,7 +623,7 @@ class TestFiles:
         samples = _samples(list(range(6)))
         blobs = []
         for d in ("a", "b"):
-            report = evaluate(ckpt, samples, PROFILE_SPACE, name="demo", dims="176")
+            report = evaluate(score_windows(ckpt, samples, PROFILE_SPACE), PROFILE_SPACE, name="demo", dims="176")
             emit_report(report, tmp_path / d)
             blobs.append(
                 {p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
@@ -619,7 +633,7 @@ class TestFiles:
     def test_table_formats_percentages(self):
         ckpt = _ckpt()
         samples = _samples(list(range(4)))
-        report = evaluate(ckpt, samples, PROFILE_SPACE, name="demo", dims="176")
+        report = evaluate(score_windows(ckpt, samples, PROFILE_SPACE), PROFILE_SPACE, name="demo", dims="176")
         report.accuracies["main"] = 0.25
         lines = table_rows([report])
         assert "25.0%" in lines[2]

@@ -565,4 +565,4 @@ class TestBaselineClasses:
     def test_two_classes_fit(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
         model = train_baseline(X, np.array([0, 1, 0, 1]), 2, BaselineConfig(epochs=50))
-        assert model.predict(X).tolist() == [0, 1, 0, 1]
+        assert model.logits(X).argmax(-1).tolist() == [0, 1, 0, 1]
