@@ -62,11 +62,15 @@ whenever stride < window_len, so the file stores each decision once and
 the reader derives the windows from the header's window_len and stride
 (`window_starts`), as read-only views into the game's rows.
 
-A caller decodes only the games it uses: `keep` maps each of them to a
-group (the pipeline's split), and each group's rows in each layout fill
-one preallocated read-only block, game by game in file order, so a
-game's rows are a row slice of its group's block. Every record is still
-read, hashed and checked, whether it is decoded or not.
+A caller keeps only the games it uses, in their stored form: `keep` maps
+each of them to a group (the pipeline's split), and `read_feature_file`
+returns a `FeatureFile` holding each kept record's bytes, ~330 B per
+decision where both float32 layouts take 2,824 B. Every record is still
+read, hashed and checked, whether it is kept or not. A group's rows in a
+layout are decoded on request (`FeatureFile.samples`) into one
+preallocated read-only block, game by game in file order, so a game's
+rows are a row slice of its group's block, and the caller decides how
+long each block lives.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Hashable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Hashable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -144,7 +148,7 @@ class SequenceSample:
     """One window of a game: rows window[0] : window[0] + window[1] of
     `game`, the game's whole T x D feature matrix, shared by its windows.
     A read game's `game` is a row slice of its group's block (see
-    `read_feature_file`)."""
+    `FeatureFile.samples`)."""
 
     game_id: int
     profile: Profile
@@ -499,15 +503,21 @@ def _records(path: str | Path, fh: BinaryIO, header: dict, sha=None) -> Iterator
         raise SchemaMismatch(f"{path}: {file_size - fh.tell()} trailing byte(s) after its {n_games} records")
 
 
-def _text_counts(where: str, t: int, nnz: int, payload: bytes) -> np.ndarray:
-    """A record's dense (T, 512) int8 text counts, scattered from its
-    sparse block; a block the writer cannot have written (row counts not
-    summing to nnz, a bucket outside 0-511, buckets not strictly
-    increasing within a row, a stored zero) raises SchemaMismatch."""
+def _sparse_text(t: int, nnz: int, payload: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A record's sparse text block: its per-row non-zero counts, bucket
+    indices and int8 values, as views of `payload`."""
     at = 4 * N_BEHAVIORAL * t
     row_nnz = np.frombuffer(payload, "<u2", t, at)
     buckets = np.frombuffer(payload, "<u2", nnz, at + 2 * t)
     values = np.frombuffer(payload, np.int8, nnz, at + 2 * t + 2 * nnz)
+    return row_nnz, buckets, values
+
+
+def _check_text(where: str, t: int, nnz: int, payload: bytes) -> None:
+    """Raise SchemaMismatch for a sparse text block the writer cannot have
+    written: row counts not summing to nnz, a bucket outside 0-511, buckets
+    not strictly increasing within a row, or a stored zero."""
+    row_nnz, buckets, values = _sparse_text(t, nnz, payload)
     if row_nnz.sum() != nnz:
         raise SchemaMismatch(f"{where}: its rows' non-zero counts sum to {row_nnz.sum()}, not its {nnz}")
     if nnz and buckets.max() >= N_TEXT_LEGACY:
@@ -517,8 +527,14 @@ def _text_counts(where: str, t: int, nnz: int, payload: bytes) -> np.ndarray:
         raise SchemaMismatch(f"{where}: text buckets not strictly increasing within a row")
     if np.count_nonzero(values) != nnz:
         raise SchemaMismatch(f"{where}: a stored text count is zero")
+
+
+def _text_counts(t: int, nnz: int, payload: bytes) -> np.ndarray:
+    """A checked record's dense (T, 512) int8 text counts, scattered from
+    its sparse block."""
+    row_nnz, buckets, values = _sparse_text(t, nnz, payload)
     counts = np.zeros(t * N_TEXT_LEGACY, np.int8)
-    counts[flat] = values
+    counts[np.repeat(np.arange(t) * N_TEXT_LEGACY, row_nnz) + buckets] = values
     return counts.reshape(t, N_TEXT_LEGACY)
 
 
@@ -550,74 +566,79 @@ def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
     ]
 
 
-def read_feature_file(
-    path: str | Path, layouts: Iterable[str] = ("176",), keep: Mapping[int, Hashable] | None = None
-) -> tuple[dict[str, list[SequenceSample]], tuple[np.ndarray, np.ndarray, list[int]] | None, dict]:
-    """Read a PBF5 file, decoding only `layouts` of the games in `keep`;
-    returns (samples, aggregates, header). Every record is read, hashed
-    and has its text block checked, whether it is decoded or not.
+class StoredGame(NamedTuple):
+    """One record of a PBF5 file as it is stored: `payload` holds its T x 48
+    float32 behavioral rows, its sparse text block and its 52 float64
+    aggregates."""
 
-    `keep` maps a game id to its group (an id the file lacks decodes
-    nothing); None keeps every game in one group. A first pass over the
-    record headers sizes each group, then each group's rows in each
-    sequence layout fill one preallocated read-only float32 block, game
-    by game in file order.
+    game_id: int
+    profile: Profile
+    t: int
+    nnz: int
+    payload: bytes
 
-    `samples` maps each sequence layout in `layouts` ("176", "530") to the
-    kept games' per-window samples, in file order, then window order. A
-    game's `game` is its row slice of its group's block, shared by its
-    windows, so each `matrix` is a view of it. With "agg" in `layouts`,
-    `aggregates` is (X, profile indices, game_ids) of the kept games, X
-    their n x 52 float64 `aggregate_features` rows; otherwise it is None.
-    The header carries the file's sha256.
+
+@dataclass(frozen=True)
+class FeatureFile:
+    """A read PBF5 file: its header, which carries its sha256, every
+    record's game id in file order, and each kept game in stored form by
+    group, in file order. Nothing is decoded until asked for, and what a
+    call returns is not held here."""
+
+    header: dict
+    game_ids: list[int]
+    groups: dict[Hashable, list[StoredGame]]
+
+    def samples(self, layout: str, group: Hashable = None) -> list[SequenceSample]:
+        """`group`'s games in sequence layout `layout` ("176", "530"), per
+        window in file order, then window order. The games' rows fill one
+        new read-only float32 block, game by game; a game's `game` is its
+        row slice of it, shared by its windows, so each `matrix` is a view
+        of the block."""
+        games = self.groups.get(group, [])
+        block = np.empty((sum(g.t for g in games), SEQUENCE_DIMS[layout]), "<f4")
+        out, at = [], 0
+        for game_id, profile, t, nnz, payload in games:
+            behavioral = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)
+            game = block[at : at + t]
+            at += t
+            _layout_rows(layout, behavioral, _text_counts(t, nnz, payload), game)
+            game.flags.writeable = False
+            windows = window_starts(t, self.header["window_len"], self.header["stride"])
+            out += [SequenceSample(game_id, profile, w, game) for w in windows]
+        block.flags.writeable = False
+        return out
+
+    def aggregates(self, group: Hashable = None) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """(X, profile indices, game ids) of `group`'s games, in file
+        order; X is their n x 52 float64 `aggregate_features` rows."""
+        games = self.groups.get(group, [])
+        X = np.frombuffer(b"".join(g.payload[-_AGGREGATE_BYTES:] for g in games), "<f8")
+        y = np.array([g.profile.index for g in games], dtype=np.int64)
+        return X.reshape(len(games), N_AGGREGATE), y, [g.game_id for g in games]
+
+
+def read_feature_file(path: str | Path, keep: Mapping[int, Hashable] | None = None) -> FeatureFile:
+    """Read a PBF5 file in one pass, keeping the games in `keep` in their
+    stored form. Every record is read, hashed and has its text block
+    checked, whether it is kept or not.
+
+    `keep` maps a game id to its group (an id the file lacks keeps
+    nothing); None keeps every game in group None.
     """
-    layouts = set(layouts)
     sha = hashlib.sha256()
-    samples: dict[str, list[SequenceSample]] = {layout: [] for layout in SEQUENCE_DIMS if layout in layouts}
-    aggregate_bytes, ys, ids = [], [], []
+    game_ids: list[int] = []
+    groups: dict[Hashable, list[StoredGame]] = {}
     try:
         with open(path, "rb") as fh:
             header = _read_header(path, fh, sha)
-            records = list(_records(path, fh, header))
-            if keep is None:
-                keep = dict.fromkeys(game_id for game_id, *_ in records)
-            sizes = dict.fromkeys(keep.values(), 0)
-            for game_id, _, t, _, _ in records:
-                if game_id in keep:
-                    sizes[keep[game_id]] += t
-            blocks = {
-                layout: {group: np.empty((n, SEQUENCE_DIMS[layout]), "<f4") for group, n in sizes.items()}
-                for layout in samples
-            }
-            filled = dict.fromkeys(sizes, 0)
-            fh.seek(_HEADER.size)
             for i, (game_id, profile_idx, t, nnz, payload) in enumerate(_records(path, fh, header, sha)):
-                counts = _text_counts(f"{path}: record {i} (game {game_id})", t, nnz, payload)
-                if game_id not in keep:
-                    continue
-                group = keep[game_id]
-                at = filled[group]
-                filled[group] += t
-                if samples:
-                    behavioral = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)
-                    windows = window_starts(t, header["window_len"], header["stride"])
-                for layout, loaded in samples.items():
-                    game = blocks[layout][group][at : at + t]
-                    _layout_rows(layout, behavioral, counts, game)
-                    game.flags.writeable = False
-                    loaded += [SequenceSample(game_id, PROFILES[profile_idx], w, game) for w in windows]
-                if "agg" in layouts:
-                    aggregate_bytes.append(payload[-_AGGREGATE_BYTES:])
-                    ys.append(profile_idx)
-                    ids.append(game_id)
+                _check_text(f"{path}: record {i} (game {game_id})", t, nnz, payload)
+                game_ids.append(game_id)
+                if keep is None or game_id in keep:
+                    group = None if keep is None else keep[game_id]
+                    groups.setdefault(group, []).append(StoredGame(game_id, PROFILES[profile_idx], t, nnz, payload))
     except OSError as exc:
         raise IoFailure(f"feature file read failed: {exc}") from exc
-    for by_group in blocks.values():
-        for block in by_group.values():
-            block.flags.writeable = False
-    aggregates = None
-    if "agg" in layouts:
-        X = np.frombuffer(b"".join(aggregate_bytes), dtype="<f8").reshape(len(ids), N_AGGREGATE)
-        aggregates = (X, np.array(ys, dtype=np.int64), ids)
     header["sha256"] = sha.hexdigest()
-    return samples, aggregates, header
+    return FeatureFile(header, game_ids, groups)

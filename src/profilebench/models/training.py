@@ -321,7 +321,7 @@ class WindowBatcher:
     first-seen order; a window is its first row there and its length.
     When those games are consecutive row slices that exactly tile one
     array of `dtype`, as a split's games in file order tile the split's
-    block from `read_feature_file`, `rows` is that array, not a copy."""
+    block from `FeatureFile.samples`, `rows` is that array, not a copy."""
 
     def __init__(self, samples: Sequence[SequenceSample], dtype):
         games = list({id(s.game): s.game for s in samples}.values())

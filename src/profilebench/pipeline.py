@@ -55,6 +55,7 @@ from profilebench.features import (
     N_AGGREGATE,
     SCHEMA_VERSION,
     SEQUENCE_DIMS,
+    FeatureFile,
     FeatureFileWriter,
     SequenceSample,
     aggregate_features,
@@ -109,6 +110,14 @@ class LadderRow:
     def pooling(self) -> str:
         return _POOLING[self.model]
 
+    def splits(self, stage: str) -> tuple[str, ...]:
+        """The splits `stage` ("train" or "eval") reads for this row:
+        training fits on train and, for a sequence model, validates on val;
+        evaluation scores test, and fits the neutral correction on val."""
+        if stage == "train":
+            return ("train",) if self.model == "baseline" else ("train", "val")
+        return ("test", "val") if self.correct_neutral else ("test",)
+
     @property
     def dims(self) -> str:
         """The input its report names: the layout, or the aggregate's width."""
@@ -160,14 +169,17 @@ LADDER_BY_ID = {row.row_id: row for row in LADDER}
 
 
 def check_rows(row_ids: Iterable[str]) -> list[str]:
-    """`row_ids` as a list; an empty list, or a name outside the ladder,
-    raises ConfigInvalid."""
+    """`row_ids` as a list; an empty list, a name outside the ladder, or a
+    name given twice raises ConfigInvalid."""
     row_ids = list(row_ids)
     if not row_ids:  # a stage on no rows would only overwrite its outputs
         raise ConfigInvalid("no ladder rows given; name at least one of: " + ", ".join(LADDER_BY_ID))
     unknown = [r for r in row_ids if r not in LADDER_BY_ID]
     if unknown:
         raise ConfigInvalid(f"unknown ladder rows {unknown}; known rows: {', '.join(LADDER_BY_ID)}")
+    repeated = sorted({r for r in row_ids if row_ids.count(r) > 1})
+    if repeated:  # a row run twice trains or scores it twice, and reports it twice
+        raise ConfigInvalid(f"ladder rows named more than once: {repeated}")
     return row_ids
 
 
@@ -432,46 +444,58 @@ def stage_split(cfg: PipelineConfig) -> dict:
     return {"games": counts}
 
 
-@dataclass
 class _LadderData:
-    """The feature samples and aggregates of the splits a stage reads. Each
-    split's rows in a layout are one block, its games' rows in file order."""
+    """The games of the splits a stage reads, kept as the feature file
+    stores them, and the decoded rows of one layout at a time. Rows run in
+    ladder order decode each layout once, and a stage holds at most one
+    sequence layout's blocks."""
 
-    samples: dict[str, dict[str, list[SequenceSample]]]  # layout -> split -> samples
-    aggregates: dict[str, tuple[np.ndarray, np.ndarray, list[int]]]  # split -> (X, y, ids)
-    digests: dict[Path, str]  # sha256 of the feature file
+    def __init__(self, features: FeatureFile, reads: dict[str, set[str]], digests: dict[Path, str]):
+        self.features = features
+        self.reads = reads  # layout -> the splits the stage's rows of that layout read
+        self.digests = digests  # sha256 of the feature file
+        self.layout: str | None = None
+        self.decoded: dict = {}
+
+    def rows(self, layout: str, split: str):
+        """`split`'s samples in sequence layout `layout`, its games' rows
+        one read-only block, or its aggregates (X, y, ids) for "agg". A
+        layout other than the last one's drops the last one's rows, then
+        decodes this one for every split `reads` names for it."""
+        if layout != self.layout:
+            self.layout, self.decoded = None, {}  # free the last layout's blocks before building these
+            if layout == "agg":
+                self.decoded = {s: self.features.aggregates(s) for s in sorted(self.reads[layout])}
+            else:
+                self.decoded = {s: self.features.samples(layout, s) for s in sorted(self.reads[layout])}
+            self.layout = layout
+        return self.decoded[split]
 
 
-def _load_ladder_data(cfg: PipelineConfig, layouts: set[str], splits: tuple[str, ...]) -> _LadderData:
-    """Decode `layouts` of the games of `splits` only. A game splits.json
-    names that the feature file lacks raises SchemaMismatch."""
+def _load_ladder_data(cfg: PipelineConfig, rows: list[LadderRow], stage: str) -> _LadderData:
+    """Read the feature file once, keeping the games of the splits that
+    `stage` reads for `rows` in stored form. A game splits.json names that
+    the feature file lacks raises SchemaMismatch."""
     paths = Paths(cfg.out_dir)
+    splits_of: dict[str, set[str]] = {}
+    for row in rows:
+        splits_of.setdefault(row.layout, set()).update(row.splits(stage))
     assignment = read_splits(paths.splits)
-    missing = assignment.keys() - {game_id for game_id, _, _ in scan_feature_file(paths.features)}
+    needed = set().union(*splits_of.values())
+    keep = {game_id: split for game_id, split in assignment.items() if split in needed}
+    features = read_feature_file(paths.features, keep)
+    missing = assignment.keys() - set(features.game_ids)
     if missing:
         raise SchemaMismatch(
             f"{paths.splits} names {len(missing)} game(s) that {paths.features} lacks; rerun balance and split"
         )
-    keep = {game_id: split for game_id, split in assignment.items() if split in splits}
-    loaded, agg, header = read_feature_file(paths.features, layouts, keep)
-    windows = (header["window_len"], header["stride"])
-    if loaded and windows != (cfg.window_len, cfg.stride):
+    windows = (features.header["window_len"], features.header["stride"])
+    if splits_of.keys() - {"agg"} and windows != (cfg.window_len, cfg.stride):
         raise SchemaMismatch(
             f"{paths.features}: featurized with window_len, stride {windows}, "
             f"config has {(cfg.window_len, cfg.stride)}; rerun featurize"
         )
-    samples: dict[str, dict[str, list[SequenceSample]]] = {}
-    for layout, layout_samples in loaded.items():
-        samples[layout] = {split: [] for split in splits}
-        for s in layout_samples:
-            samples[layout][keep[s.game_id]].append(s)
-    aggregates: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-    if agg is not None:
-        X, y, ids = agg
-        for split in splits:
-            rows = [i for i, game_id in enumerate(ids) if keep[game_id] == split]
-            aggregates[split] = (X[rows], y[rows], [ids[i] for i in rows])
-    return _LadderData(samples=samples, aggregates=aggregates, digests={paths.features: header["sha256"]})
+    return _LadderData(features, splits_of, {paths.features: features.header["sha256"]})
 
 
 def _admissible(samples: list[SequenceSample], space: LabelSpace) -> list[SequenceSample]:
@@ -510,15 +534,15 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     row_seed = mix_seed(cfg.master_seed, "train", row.row_id)
     if row.model == "baseline":
-        X, y, _ = data.aggregates["train"]
+        X, y, _ = data.rows("agg", "train")
         model = train_baseline(
             X, y, n_classes=36, config=replace(cfg.baseline, seed=row_seed)
         )
         _save_baseline(paths.checkpoint(row.row_id), model)
         return
     space = row.space
-    train_samples = _admissible(data.samples[row.layout]["train"], space)
-    val_samples = _admissible(data.samples[row.layout]["val"], space)
+    train_samples = _admissible(data.rows(row.layout, "train"), space)
+    val_samples = _admissible(data.rows(row.layout, "val"), space)
     ckpt = init_checkpoint(
         input_dim=SEQUENCE_DIMS[row.layout],
         hidden=cfg.train.hidden,
@@ -545,7 +569,7 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     row_ids = check_rows(cfg.ladder if rows is None else rows)
     needed = _row_inputs(paths)
     require(needed, "train")
-    data = _load_ladder_data(cfg, {LADDER_BY_ID[r].layout for r in row_ids}, ("train", "val"))
+    data = _load_ladder_data(cfg, [LADDER_BY_ID[r] for r in row_ids], "train")
     status: dict[str, str] = {}
     for row_id in row_ids:
         try:
@@ -580,7 +604,7 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
         return failed_report(row.display, row.dims, space.tag, "checkpoint missing")
     correction, config_digest = None, ""
     if row.model == "baseline":
-        X, y, ids = data.aggregates["test"]
+        X, y, ids = data.rows("agg", "test")
         scores = Scores({"profile": _load_baseline(ckpt_path).logits(X)}, y, ids, "game")
     else:
         ckpt = load_checkpoint(ckpt_path)
@@ -589,13 +613,13 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
                 f"checkpoint schema {ckpt.schema_version} != featurizer {SCHEMA_VERSION}"
             )
         if row.correct_neutral:
-            val_samples = _admissible(data.samples[row.layout]["val"], space)
+            val_samples = _admissible(data.rows(row.layout, "val"), space)
             # Scored through this module's name, not evaluation's: perfbench's
             # ScoreProbe pairs each call of evaluation.predict_logits, the one
             # score_windows makes, with a row's test windows.
             val_logits = predict_logits(ckpt, val_samples)["profile"]
             correction = calibrate_correction(val_logits, [s.profile.index for s in val_samples])
-        scores = score_windows(ckpt, _admissible(data.samples[row.layout]["test"], space), space)
+        scores = score_windows(ckpt, _admissible(data.rows(row.layout, "test"), space), space)
         config_digest = ckpt.config_digest  # the digest train_row stamped into the sidecar
     report = evaluate(scores, space, name=row.display, dims=row.dims, correction=correction)
     report.config_digest = config_digest
@@ -608,9 +632,7 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
     needed = _row_inputs(paths)
     require(needed + [paths.checkpoints], "eval")
     ladder_rows = [LADDER_BY_ID[r] for r in row_ids]
-    # the neutral correction is fitted on val
-    splits = ("test", "val") if any(row.correct_neutral for row in ladder_rows) else ("test",)
-    data = _load_ladder_data(cfg, {row.layout for row in ladder_rows}, splits)
+    data = _load_ladder_data(cfg, ladder_rows, "eval")
     reports: list[Report] = []
     for row in ladder_rows:
         try:

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: stage chaining, exit codes, overrides."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import shutil
 import struct
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from profilebench.cli import (
 from profilebench import evaluation, pipeline
 from profilebench.dataset import SplitSpec, read_splits
 from profilebench.errors import ConfigInvalid, NonFiniteLoss
-from profilebench.features import read_feature_file
+from profilebench.features import FeatureFile, read_feature_file
 from profilebench.models.training import TrainConfig
 from profilebench.pipeline import PipelineConfig, read_config
 from profilebench.simulator import SimConfig, load_sessions
@@ -194,12 +196,12 @@ class TestRunAll:
 
         monkeypatch.setattr(evaluation, "predict_logits", record)
         assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_OK
-        samples, _, _ = read_feature_file(copy / "features.pbf", {"176"})
+        features = read_feature_file(copy / "features.pbf")
         splits = read_splits(copy / "splits.json")
         want = []
         for row in (pipeline.LADDER_BY_ID[r] for r in TINY["ladder"]):
             if row.model != "baseline":
-                test = [s for s in samples[row.layout] if splits.get(s.game_id) == "test"]
+                test = [s for s in features.samples(row.layout) if splits.get(s.game_id) == "test"]
                 test = [s for s in test if row.space.admits(s.profile)]
                 want.append((row.space.tag, sorted((s.game_id, s.window) for s in test)))
         assert [tag for tag, _ in want] == ["profile36", "alignment9"]
@@ -207,6 +209,73 @@ class TestRunAll:
         # align9_corrected's validation windows go through pipeline.predict_logits
         assert "val" in splits.values()
         assert {splits[game_id] for _, windows in calls for game_id, _ in windows} == {"test"}
+
+    def test_train_and_eval_hold_one_layout_at_a_time(self, finished_run, tmp_path, monkeypatch):
+        # each stage reads the feature file once, then decodes each layout
+        # once in ladder order, dropping one layout's blocks before the next
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        cfg = dataclasses.replace(PipelineConfig.from_file(config), out_dir=str(copy))
+        reads, decodes = [], []
+        alive: list[tuple[str, weakref.ref]] = []  # (layout, block) per decoded block
+        original_read = pipeline.read_feature_file
+        original_samples = FeatureFile.samples
+        original_aggregates = FeatureFile.aggregates
+
+        def read(*args, **kwargs):
+            reads.append(args[0])
+            return original_read(*args, **kwargs)
+
+        def samples(self, layout, group=None):
+            gc.collect()
+            others = [name for name, block in alive if block() is not None and name != layout]
+            assert not others, f"{others} blocks alive while {layout} is decoded"
+            decodes.append((layout, group))
+            loaded = original_samples(self, layout, group)
+            blocks = {id(s.game.base): s.game.base for s in loaded}
+            alive.extend((layout, weakref.ref(block)) for block in blocks.values())
+            return loaded
+
+        def aggregates(self, group=None):
+            decodes.append(("agg", group))
+            return original_aggregates(self, group)
+
+        monkeypatch.setattr(pipeline, "read_feature_file", read)
+        monkeypatch.setattr(FeatureFile, "samples", samples)
+        monkeypatch.setattr(FeatureFile, "aggregates", aggregates)
+        rows = [row.row_id for row in pipeline.LADDER]
+        assert set(pipeline.stage_train(cfg, rows).values()) == {"trained"}
+        assert reads == [copy / "features.pbf"]
+        assert decodes == [("agg", "train"), ("530", "train"), ("530", "val"), ("176", "train"), ("176", "val")]
+        assert len(alive) == 4
+        reads.clear()
+        decodes.clear()
+        assert not any(report.failed for report in pipeline.stage_eval(cfg, rows))
+        assert reads == [copy / "features.pbf"]
+        assert decodes == [("agg", "test"), ("530", "test"), ("176", "test"), ("176", "val")]
+        gc.collect()
+        assert all(block() is None for _, block in alive)  # nothing outlives its stage
+
+    def test_row_order_does_not_change_outputs(self, finished_run, tmp_path):
+        # rows of interleaved layouts decode a layout again, from the same bytes
+        _, config, out = finished_run
+        runs = {}
+        for name, rows in (
+            ("ladder", "lstm_base_530,multipool_176,align9_corrected"),
+            ("interleaved", "multipool_176,lstm_base_530,align9_corrected"),
+        ):
+            copy = tmp_path / name
+            shutil.copytree(out, copy)
+            for stage in ("train", "eval"):
+                assert main(["--config", str(config), "--out", str(copy), stage, "--rows", rows]) == EXIT_OK
+            runs[name] = copy
+        for row in ("lstm_base_530", "multipool_176", "align9_corrected"):
+            files = [f"checkpoints/{row}.pbck", f"checkpoints/{row}.pbck.json", f"results/{row}/metrics.json"]
+            files += sorted(f"results/{row}/{p.name}" for p in (runs["ladder"] / "results" / row).glob("confusion*"))
+            assert len(files) > 3
+            for name in files:
+                assert (runs["ladder"] / name).read_bytes() == (runs["interleaved"] / name).read_bytes(), name
 
     def test_report_on_truncated_metrics_is_dependency_error(self, finished_run, tmp_path, capsys):
         _, config, out = finished_run
@@ -415,10 +484,11 @@ class TestStages:
         # Pins that hold across file formats: sha256 of each layout's decoded
         # game rows in load order, and of the float64 aggregate matrix, as
         # the three files of PBF3, aggregates.csv and PBF4 gave them back.
-        samples, (X, _, _), _ = read_feature_file(out / "features.pbf", ("176", "530", "agg"))
+        features = read_feature_file(out / "features.pbf")
+        X, _, _ = features.aggregates()
         decoded = {}
-        for layout, windows in samples.items():
-            games = {id(s.game): s.game for s in windows}  # one array per game, in load order
+        for layout in ("176", "530"):
+            games = {id(s.game): s.game for s in features.samples(layout)}  # one array per game, in load order
             decoded[layout] = hashlib.sha256(b"".join(g.tobytes() for g in games.values())).hexdigest()
         decoded["agg"] = hashlib.sha256(X.tobytes()).hexdigest()
         assert decoded == {
@@ -613,6 +683,24 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
         assert "multipool_176" in capsys.readouterr().err
+
+    def test_repeated_row_name_is_config_error_and_writes_nothing(self, finished_run, tmp_path, capsys):
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        rows = "multipool_176,baseline_agg,multipool_176"
+        for stage in ("train", "eval"):
+            capsys.readouterr()
+            assert main(["--config", str(config), "--out", str(copy), stage, "--rows", rows]) == EXIT_CONFIG
+            assert "more than once" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+
+    def test_repeated_row_in_config_ladder(self, tmp_path, capsys):
+        config = _write_config(tmp_path, ladder=["baseline_agg", "multipool_176", "baseline_agg"])
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == EXIT_CONFIG
+        assert "baseline_agg" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "doc, key",

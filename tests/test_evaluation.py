@@ -314,8 +314,7 @@ class TestPredictLogits:
                 rows = rng.normal(0, 1, (T, N_BEHAVIORAL))
                 counts = rng.integers(-3, 4, (T, N_TEXT_LEGACY))
                 writer.add(SequenceSample(game_id, profiles[5 * game_id], (0, T), rows), counts, np.zeros(52))
-        samples, _, _ = read_feature_file(path, {"176"})
-        windows = samples["176"]
+        windows = read_feature_file(path).samples("176")
         assert [s.window[1] for s in windows] == [4] * 6 + [4] * 3 + [2]
         samples = [windows[i] for i in rng.permutation(len(windows))[:8]]
         assert {s.window[1] for s in samples} == {2, 4} and len({s.game_id for s in samples}) == 3

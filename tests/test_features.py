@@ -796,7 +796,6 @@ def test_behavioral_matches_oracle_property(choices):
 
 # --- files --------------------------------------------------------------------
 
-_ALL = ("176", "530", "agg")
 _DIMS = {"176": N_TOTAL, "530": N_LEGACY}
 
 
@@ -820,6 +819,13 @@ def _write(path, games, window_len=8, stride=4) -> int:
         for game in games:
             writer.add(*game)
     return writer.n
+
+
+def _decode(path):
+    """Every game of a PBF5 file decoded: its samples by sequence layout,
+    its aggregates (X, y, ids), and the file's header."""
+    read = read_feature_file(path)
+    return {layout: read.samples(layout) for layout in _DIMS}, read.aggregates(), read.header
 
 
 _PBF5_HEADER_BYTES = 24  # <4sIIIII
@@ -849,7 +855,7 @@ def test_feature_file_roundtrip(tmp_path):
     games = _games()
     n = _write(path, games)  # every game shorter than window_len: one window each
     assert n == 3
-    loaded, _, header = read_feature_file(path, _ALL)
+    loaded, _, header = _decode(path)
     sha = hashlib.sha256(path.read_bytes()).hexdigest()
     assert header == {
         "schema_version": SCHEMA_VERSION,
@@ -913,10 +919,12 @@ def test_sparse_text_counts_roundtrip_bit_equal(tmp_path_factory, games):
     _write(path, written)
     assert path.stat().st_size == _pbf5_size((len(c), np.count_nonzero(c)) for c in games)
     with mock.patch.object(features, "_layout_rows", wraps=features._layout_rows) as layout_rows:
-        loaded, (X, _, _), _ = read_feature_file(path, ("530", "agg"))
+        read = read_feature_file(path)
+        loaded = read.samples("530")
+    X, _, _ = read.aggregates()
     calls = layout_rows.call_args_list
     assert len(calls) == len(games)
-    for (sample, counts, _), call, back in zip(written, calls, loaded["530"], strict=True):
+    for (sample, counts, _), call, back in zip(written, calls, loaded, strict=True):
         decoded = call.args[2]
         assert decoded.dtype == np.int8 and decoded.tobytes() == counts.tobytes()
         assert back.game.tobytes() == _float_rows(sample.game, counts)["530"].tobytes()
@@ -927,8 +935,9 @@ def test_aggregate_block_roundtrip(tmp_path):
     path = tmp_path / "x.pbf"
     games = _games()
     _write(path, games)
-    samples, (X, y, ids), header = read_feature_file(path, {"agg"})
-    assert samples == {}
+    read = read_feature_file(path)
+    X, y, ids = read.aggregates()
+    header = read.header
     assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert X.dtype == np.float64 and X.shape == (3, 52)
     assert ids == [0, 1, 2]
@@ -937,21 +946,34 @@ def test_aggregate_block_roundtrip(tmp_path):
 
 
 def test_only_the_requested_layouts_are_read(tmp_path):
+    """Reading keeps each record's bytes after its header and decodes
+    nothing; each `samples` call decodes its one layout, `aggregates` none."""
     path = tmp_path / "x.pbf"
-    _write(path, _games())
-    for layouts in ((), ("176",), ("530", "agg"), _ALL):
-        samples, aggregates, _ = read_feature_file(path, layouts)
-        assert set(samples) == {layout for layout in layouts if layout in _DIMS}
-        assert (aggregates is None) == ("agg" not in layouts)
-    default, _, _ = read_feature_file(path)
-    assert set(default) == {"176"}
+    games = _games()
+    _write(path, games)
+    data = path.read_bytes()
+    with mock.patch.object(features, "_layout_rows", wraps=features._layout_rows) as layout_rows:
+        read = read_feature_file(path)
+        read.aggregates()
+        assert layout_rows.call_count == 0
+        for layout in ("530", "176"):
+            layout_rows.reset_mock()
+            read.samples(layout)
+            assert [call.args[0] for call in layout_rows.call_args_list] == [layout] * len(games)
+    (stored,) = read.groups.values()
+    assert read.game_ids == [g.game_id for g in stored] == [0, 1, 2]
+    at = _PBF5_HEADER_BYTES + _RECORD_HEADER_BYTES
+    for game in stored:
+        assert data[at : at + len(game.payload)] == game.payload
+        assert len(game.payload) == _pbf5_size([(game.t, game.nnz)]) - _PBF5_HEADER_BYTES - _RECORD_HEADER_BYTES
+        at += len(game.payload) + _RECORD_HEADER_BYTES
 
 
 def test_feature_file_windows_are_views_of_game_rows(tmp_path):
     path = tmp_path / "x.pbf"
     games = _games()
     _write(path, games, window_len=2, stride=1)
-    loaded, _, _ = read_feature_file(path, _ALL)
+    loaded, _, _ = _decode(path)
     want = [(g.game_id, (a, 2)) for g, _, _ in games for a in range(g.matrix.shape[0] - 1)]
     assert len(want) == 2 + 1 + 5
     for layout in _DIMS:
@@ -968,7 +990,7 @@ def test_loaded_windows_are_read_only_views_of_their_game(tmp_path, window_len, 
     path = tmp_path / "x.pbf"
     games = _games()
     _write(path, games, window_len, stride)
-    loaded, _, _ = read_feature_file(path, _ALL)
+    loaded, _, _ = _decode(path)
     for layout, dim in _DIMS.items():
         by_game = {}
         for s in loaded[layout]:
@@ -1030,7 +1052,7 @@ def test_pipeline_windows_match_per_window_oracle(small_corpus, stride):
     paths = Paths(cfg.out_dir)
     lengths = {s.game_id: s.length for s in load_sessions(paths.sessions)}
     assert min(lengths.values()) < cfg.window_len <= max(lengths.values())  # both cases occur
-    loaded, _, _ = read_feature_file(paths.features, _ALL)
+    loaded, _, _ = _decode(paths.features)
     for layout in _DIMS:
         want = _oracle_pbf1_windows(paths.sessions, cfg, layout)
         got = [(s.game_id, s.profile.index, s.window, s.matrix.tobytes()) for s in loaded[layout]]
@@ -1126,9 +1148,9 @@ def test_damaged_feature_file_names_the_file(tmp_path, damage):
         where += r": 1 trailing byte\(s\) after its 3 records"
     path = tmp_path / f"{damage}.pbf"
     path.write_bytes(data)
-    for layouts in (("176",), ()):  # the text block is checked whichever layouts are decoded
+    for keep in (None, {}):  # the text block is checked whichever games are kept
         with pytest.raises(SchemaMismatch, match=where):
-            read_feature_file(path, layouts)
+            read_feature_file(path, keep)
     if damage in _TEXT_DAMAGE:
         assert len(scan_feature_file(path)) == 3
     else:
@@ -1138,7 +1160,7 @@ def test_damaged_feature_file_names_the_file(tmp_path, damage):
 
 @pytest.mark.parametrize("damage", ["sparse_block", "length"])
 def test_damage_in_a_record_keep_leaves_out_names_the_record(tmp_path, damage):
-    """Records `keep` leaves out are not decoded, but still read and checked."""
+    """Records `keep` leaves out are not kept, but still read and checked."""
     good = tmp_path / "good.pbf"
     games = _games()
     _write(good, games)
@@ -1151,11 +1173,10 @@ def test_damage_in_a_record_keep_leaves_out_names_the_record(tmp_path, damage):
         where = r"record 2 \(game 2\).*cut short"
     path = tmp_path / f"{damage}.pbf"
     path.write_bytes(data)
-    for layouts in (_ALL, ("530",), ()):
-        with pytest.raises(SchemaMismatch, match=f"{damage}.pbf: {where}"):
-            read_feature_file(path, layouts, keep={1: "train"})
-    loaded, _, _ = read_feature_file(good, _ALL, keep={1: "train"})  # the undamaged file reads
-    assert {s.game_id for s in loaded["176"]} == {1}
+    with pytest.raises(SchemaMismatch, match=f"{damage}.pbf: {where}"):
+        read_feature_file(path, keep={1: "train"})
+    read = read_feature_file(good, keep={1: "train"})  # the undamaged file reads
+    assert {s.game_id for s in read.samples("176", "train")} == {1}
 
 
 def test_keep_decodes_its_games_into_one_block_per_group(tmp_path):
@@ -1163,23 +1184,33 @@ def test_keep_decodes_its_games_into_one_block_per_group(tmp_path):
     games = _games() + [(replace(s, game_id=s.game_id + 3), c, a) for s, c, a in _games()]
     _write(path, games, window_len=2, stride=1)
     keep = {0: "train", 2: "test", 3: "train", 5: "train", 99: "test"}  # game 99 is not in the file
-    everything, (X_all, y_all, ids_all), header = read_feature_file(path, _ALL)
-    kept, (X, y, ids), kept_header = read_feature_file(path, _ALL, keep)
-    assert kept_header == header  # the sha256 covers every record
-    assert ids == [0, 2, 3, 5]
-    rows = [ids_all.index(g) for g in ids]
-    assert X.tobytes() == X_all[rows].tobytes() and y.tolist() == y_all[rows].tolist()
+    everything, (X_all, y_all, ids_all), header = _decode(path)
+    read = read_feature_file(path, keep)
+    assert read.header == header  # the sha256 covers every record
+    assert read.game_ids == ids_all == [0, 1, 2, 3, 4, 5]
+    assert {group: [g.game_id for g in games] for group, games in read.groups.items()} == {
+        "train": [0, 3, 5],
+        "test": [2],
+    }
+    for group in ("train", "test"):
+        X, y, ids = read.aggregates(group)
+        rows = [ids_all.index(g) for g in ids]
+        assert ids == [g for g in ids_all if keep.get(g) == group]
+        assert X.tobytes() == X_all[rows].tobytes() and y.tolist() == y_all[rows].tolist()
+    assert read.aggregates("val")[0].shape == (0, 52) and read.samples("176", "val") == []
     for layout in _DIMS:
         want = {s.game_id: s.game for s in everything[layout]}
         assert len({id(g.base) for g in want.values()}) == 1  # keep=None: one block per layout
-        assert [(s.game_id, s.window) for s in kept[layout]] == [
-            (s.game_id, s.window) for s in everything[layout] if s.game_id in keep
-        ]
         games_of = {}
-        for s in kept[layout]:
-            games_of.setdefault(keep[s.game_id], {})[s.game_id] = s.game
-            assert not s.game.flags.writeable
-            assert s.game.view(np.uint32).tobytes() == want[s.game_id].view(np.uint32).tobytes()
+        for group in ("train", "test"):
+            kept = read.samples(layout, group)
+            assert [(s.game_id, s.window) for s in kept] == [
+                (s.game_id, s.window) for s in everything[layout] if keep.get(s.game_id) == group
+            ]
+            for s in kept:
+                games_of.setdefault(group, {})[s.game_id] = s.game
+                assert not s.game.flags.writeable
+                assert s.game.view(np.uint32).tobytes() == want[s.game_id].view(np.uint32).tobytes()
         for by_id in games_of.values():
             block = next(iter(by_id.values())).base
             assert not block.flags.writeable
@@ -1250,7 +1281,7 @@ def test_writer_keeps_the_int8_extremes(tmp_path):
     counts[0, 0] = 127
     counts[0, 1] = -128
     _write(path, [(sample, counts, aggregate)])
-    loaded, _, _ = read_feature_file(path, _ALL)
+    loaded, _, _ = _decode(path)
     want = _float_rows(sample.game, counts)
     for layout, text in (("176", N_BEHAVIORAL), ("530", 0)):
         (back,) = loaded[layout]
@@ -1292,7 +1323,7 @@ def test_decoded_rows_are_bitwise_the_float_path(small_corpus):
         aggregate = aggregate_features(session, behavioral, cfg.sim.max_steps)
         aggregates.append((session.game_id, session.profile.index, aggregate))
         lengths[session.game_id] = session.length
-    loaded, (X, y, ids), _ = read_feature_file(paths.features, _ALL)
+    loaded, (X, y, ids), _ = _decode(paths.features)
     for layout in _DIMS:
         games = {s.game_id: s.game for s in loaded[layout]}
         assert games.keys() == want[layout].keys()

@@ -484,7 +484,7 @@ class TestWindowBatcher:
 
 def _block_windows(seed):
     """Windows over games that are consecutive read-only row slices of one
-    float32 block, in block order, as `read_feature_file` gives a split;
+    float32 block, in block order, as `FeatureFile.samples` gives a split;
     the games' profiles are neutral and not."""
     rng = np.random.default_rng(seed)
     lengths = (9, 3, 12, 2, 6)
