@@ -197,17 +197,20 @@ def failed_report(name: str, dims: str, space_tag: str, error: str) -> Report:
 def predict_logits(ckpt: Checkpoint, samples: Sequence[SequenceSample]) -> dict[str, np.ndarray]:
     """Per-head logits for every sample, in input order.
 
-    The batcher's stacked game rows are projected once per direction, one
+    The batcher's stacked game rows are built once, as one dense (N_rows,
+    D) array from their store, and projected once per direction, one
     (N_rows, D) @ (D, 4H) GEMM each: the projection is linear and per row,
-    and overlapping windows share rows. Each unshuffled batch then runs the
-    recurrence, which reads each step's pre-activations straight from those
-    projected rows, then pooling and heads; the logit rows are put back into
-    input order at the end.
+    and overlapping windows share rows. The stack is dropped right after
+    the two projections. Each unshuffled batch then runs the recurrence,
+    which reads each step's pre-activations straight from those projected
+    rows, then pooling and heads; the logit rows are put back into input
+    order at the end.
     """
     p = ckpt.params
     windows = WindowBatcher(samples, p["fwd_W"].dtype)
-    pre = (project(windows.rows, p["fwd_W"]), project(windows.rows, p["bwd_W"]))
-    del windows.rows  # batches read only the pre-activations
+    rows = windows.stack()
+    pre = (project(rows, p["fwd_W"]), project(rows, p["bwd_W"]))
+    del rows  # batches read only the pre-activations
     recur = (p["fwd_R"], p["fwd_b"]), (p["bwd_R"], p["bwd_b"])
     batches = windows.batches(SCORE_BATCH_SIZE)
     parts: dict[str, list[np.ndarray]] = {"profile": [], "align": [], "motiv": []}

@@ -49,28 +49,30 @@ text counts stored sparse, as T `<u2` per-row non-zero counts, then nnz
 non-zero counts as int8; then the game's 52 `aggregate_features` as
 float64: 17 + 194 T + 3 nnz + 416 bytes. Hashed counts are sparse by
 construction (a decision fills ~41 of the 512 buckets), so this halves
-the dense 704 T of PBF4, and the reader scatters the values back into
-the dense (T, 512) int8 counts, byte for byte those the writer was given.
-The reader builds each requested layout with the ops featurize ran when
-the files held float rows: the 176 layout is the behavioral columns, then
-the counts folded to 128 as unit rows; the 530 layout is the 512 counts
-as unit rows, then behavioral columns 0-17. Each text row is divided by
-its norm in float64 (the squared norms are small integers, exact) and
-cast to float32, so the rows are bit for bit the float32 rows. The
+the dense 704 T of PBF4.
+
+The reader keeps them sparse. A group's rows in a sequence layout are one
+`RowStore`: the behavioral columns dense (176: all 48, first; 530:
+columns 0-17, last) and the unit text rows as CSR (u2 columns, float32
+values), ~41 non-zeros of 512 at 530. Its values are what featurize
+wrote when the files held float rows: the 176 layout's text is the counts
+folded to 128, the 530 layout's the 512 counts, each row divided by its
+norm in float64 (the squared norms are small integers, exact) and cast to
+float32, so a densified row is bit for bit the float32 row. Rows become
+dense only in `RowStore.fill`, per batch (`training.WindowBatcher`). The
 baseline's inputs are the float64 aggregate blocks. Windows overlap
 whenever stride < window_len, so the file stores each decision once and
 the reader derives the windows from the header's window_len and stride
-(`window_starts`), as read-only views into the game's rows.
+(`window_starts`), each naming its game's rows in the store.
 
 A caller keeps only the games it uses, in their stored form: `keep` maps
 each of them to a group (the pipeline's split), and `read_feature_file`
 returns a `FeatureFile` holding each kept record's bytes, ~330 B per
 decision where both float32 layouts take 2,824 B. Every record is still
-read, hashed and checked, whether it is kept or not. A group's rows in a
-layout are decoded on request (`FeatureFile.samples`) into one
-preallocated read-only block, game by game in file order, so a game's
-rows are a row slice of its group's block, and the caller decides how
-long each block lives.
+read, hashed and checked, whether it is kept or not. A group's store in a
+layout is built on request (`FeatureFile.samples`), game by game in file
+order, so a game's rows are consecutive rows of its group's store, and
+the caller decides how long each store lives.
 """
 
 from __future__ import annotations
@@ -143,22 +145,88 @@ AGGREGATE_SLOT_NAMES = BEHAVIORAL_SLOT_NAMES + (
 )
 
 
+_FILL_ROWS = 2048  # rows `RowStore.fill` builds at a time: a 256-window validation batch of 8 steps
+
+
+@dataclass(frozen=True, eq=False)
+class RowStore:
+    """N rows of width `width`, kept by column kind: columns dense_at ..
+    dense_at + k - 1 are the (N, k) array `dense`, and every other column
+    is zero but for row r's CSR entries, columns cols[indptr[r] :
+    indptr[r + 1]] holding vals[indptr[r] : indptr[r + 1]]."""
+
+    width: int
+    dense_at: int
+    dense: np.ndarray
+    indptr: np.ndarray  # (N + 1,) intp
+    cols: np.ndarray  # (nnz,) <u2, increasing within a row
+    vals: np.ndarray  # (nnz,) float32
+
+    @classmethod
+    def of_dense(cls, block: np.ndarray) -> "RowStore":
+        """A store whose every column is dense: `block` itself."""
+        return cls(block.shape[1], 0, block, np.zeros(len(block) + 1, np.intp), np.empty(0, "<u2"), np.empty(0, block.dtype))
+
+    def fill(self, rows: np.ndarray, dtype) -> np.ndarray:
+        """A new (*rows.shape, width) array of `dtype` holding the rows at
+        index array `rows`: zero-filled, the dense columns copied, then
+        the rows' non-zeros scattered, _FILL_ROWS rows at a time so that
+        the index temporaries stay small."""
+        flat = rows.reshape(-1)
+        out = np.zeros((len(flat), self.width), dtype)
+        for at in range(0, len(flat), _FILL_ROWS):
+            self._fill(flat[at : at + _FILL_ROWS], out[at : at + _FILL_ROWS])
+        return out.reshape(*rows.shape, self.width)
+
+    def _fill(self, flat: np.ndarray, out: np.ndarray) -> None:
+        out[:, self.dense_at : self.dense_at + self.dense.shape[1]] = self.dense[flat]
+        starts = self.indptr[flat]
+        counts = self.indptr[flat + 1] - starts
+        # the rows' k-th non-zero is the store's src[k], at flat[at[k]] of out
+        src = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        src += np.arange(len(src))
+        at = np.repeat(np.arange(0, out.size, self.width), counts)
+        at += np.take(self.cols, src)
+        out.reshape(-1)[at] = np.take(self.vals, src)
+
+
+@dataclass(frozen=True, eq=False)
+class GameRows:
+    """A game's T rows in a RowStore: rows start .. start + t - 1."""
+
+    store: RowStore
+    start: int
+    t: int
+
+    def __len__(self) -> int:
+        return self.t
+
+    def array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start .. stop - 1 of the game (all of them by default) as
+        a new float array."""
+        stop = self.t if stop is None else stop
+        return self.store.fill(np.arange(self.start + start, self.start + stop), self.store.dense.dtype)
+
+
 @dataclass(frozen=True)
 class SequenceSample:
     """One window of a game: rows window[0] : window[0] + window[1] of
-    `game`, the game's whole T x D feature matrix, shared by its windows.
-    A read game's `game` is a row slice of its group's block (see
+    `game`, the game's whole T x D feature matrix, shared by its windows:
+    an array, or a read game's `GameRows` in its group's store (see
     `FeatureFile.samples`)."""
 
     game_id: int
     profile: Profile
     window: tuple[int, int]  # (start, length)
-    game: np.ndarray
+    game: np.ndarray | GameRows
 
     @property
     def matrix(self) -> np.ndarray:
-        """The window's rows, a view of `game`."""
+        """The window's rows: a view of an array `game`, or built anew
+        from a `GameRows` one."""
         start, length = self.window
+        if isinstance(self.game, GameRows):
+            return self.game.array(start, start + length)
         return self.game[start : start + length]
 
 
@@ -193,13 +261,6 @@ def _piece(piece: str) -> tuple[list[int], str | None, str | None]:
     return entry
 
 
-def _unit_rows(counts: np.ndarray) -> np.ndarray:
-    """Each row over its norm; an all-zero row stays zero."""
-    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
-    norms[norms == 0] = 1.0
-    return counts / norms[:, None]
-
-
 def embed_tokens(texts: list[str]) -> np.ndarray:
     """The (T, 512) signed integer counts of a game's T decision texts,
     from one bincount.
@@ -228,11 +289,6 @@ def embed_tokens(texts: list[str]) -> np.ndarray:
     rows = np.repeat(np.arange(n) * N_TEXT_LEGACY, lengths)
     counts = np.bincount(rows + (codes >> 1), weights=1 - 2 * (codes & 1), minlength=n * N_TEXT_LEGACY)
     return counts.astype(np.int64).reshape(n, N_TEXT_LEGACY)
-
-
-def _fold(counts: np.ndarray) -> np.ndarray:
-    """The (T, 128) counts of (T, 512) counts: bucket b adds into b % 128."""
-    return counts.reshape(len(counts), N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1)
 
 
 def _phase_bounds(n: np.ndarray) -> list[tuple]:
@@ -529,25 +585,48 @@ def _check_text(where: str, t: int, nnz: int, payload: bytes) -> None:
         raise SchemaMismatch(f"{where}: a stored text count is zero")
 
 
-def _text_counts(t: int, nnz: int, payload: bytes) -> np.ndarray:
-    """A checked record's dense (T, 512) int8 text counts, scattered from
-    its sparse block."""
+def _unit_text(t: int, nnz: int, payload: bytes, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A checked record's text as unit rows over `width` buckets, sparse:
+    per-row non-zero counts, buckets, float32 values. At width 128 bucket
+    b adds into b % 128, and a sum of zero is dropped. Each count is
+    divided by its row's norm in float64 (the squared norms are small
+    integers, exact) and cast to float32, so the values are bit for bit
+    those of the dense float32 unit rows."""
     row_nnz, buckets, values = _sparse_text(t, nnz, payload)
-    counts = np.zeros(t * N_TEXT_LEGACY, np.int8)
-    counts[np.repeat(np.arange(t) * N_TEXT_LEGACY, row_nnz) + buckets] = values
-    return counts.reshape(t, N_TEXT_LEGACY)
+    rows = np.repeat(np.arange(t), row_nnz)
+    counts = values.astype(np.float64)
+    if width < N_TEXT_LEGACY:
+        folded = np.bincount(rows * width + buckets % width, weights=counts, minlength=t * width)
+        keys = np.flatnonzero(folded)
+        rows, buckets, counts = keys // width, keys % width, folded[keys]
+        row_nnz = np.bincount(rows, minlength=t)
+    norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=t))
+    return row_nnz, buckets, (counts / norms[rows]).astype(np.float32)
 
 
-def _layout_rows(layout: str, behavioral: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
-    """A game's float32 rows in a sequence layout, written into `out`,
-    from its float32 behavioral rows and int8 counts: each text row over
-    its norm in float64 (the squared norms are small integers, exact),
-    cast to float32, in the layout's column order."""
-    if layout == "176":
-        parts = (behavioral, _unit_rows(_fold(counts).astype(np.float64)))
-    else:
-        parts = (_unit_rows(counts.astype(np.float64)), behavioral[:, :N_BEHAVIORAL_LEGACY])
-    np.concatenate(parts, axis=1, out=out, casting="same_kind")
+def _row_store(layout: str, games: list["StoredGame"]) -> RowStore:
+    """`games`' rows in sequence layout `layout`, game by game, as one
+    read-only store: the behavioral columns dense (48 at column 0 for
+    176, 0-17 at column 512 for 530), the unit text rows (128 folded
+    buckets at column 48, or 512 at column 0) as CSR."""
+    n_dense, dense_at, text_at, n_text = (
+        (N_BEHAVIORAL, 0, N_BEHAVIORAL, N_TEXT) if layout == "176" else (N_BEHAVIORAL_LEGACY, N_TEXT_LEGACY, 0, N_TEXT_LEGACY)
+    )
+    dense = np.empty((sum(g.t for g in games), n_dense), np.float32)
+    # row_nnz starts with indptr's leading 0; the empty arrays let a group without games concatenate
+    row_nnz, cols, vals = [np.zeros(1, np.intp)], [np.empty(0, "<u2")], [np.empty(0, np.float32)]
+    at = 0
+    for _, _, t, nnz, payload in games:
+        dense[at : at + t] = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)[:, :n_dense]
+        at += t
+        counts, buckets, values = _unit_text(t, nnz, payload, n_text)
+        row_nnz.append(counts)
+        cols.append((buckets + text_at).astype("<u2"))
+        vals.append(values)
+    store = RowStore(SEQUENCE_DIMS[layout], dense_at, dense, np.cumsum(np.concatenate(row_nnz)), np.concatenate(cols), np.concatenate(vals))
+    for part in (store.dense, store.indptr, store.cols, store.vals):
+        part.flags.writeable = False
+    return store
 
 
 def scan_feature_file(path: str | Path) -> list[tuple[int, int, int]]:
@@ -591,22 +670,18 @@ class FeatureFile:
 
     def samples(self, layout: str, group: Hashable = None) -> list[SequenceSample]:
         """`group`'s games in sequence layout `layout` ("176", "530"), per
-        window in file order, then window order. The games' rows fill one
-        new read-only float32 block, game by game; a game's `game` is its
-        row slice of it, shared by its windows, so each `matrix` is a view
-        of the block."""
+        window in file order, then window order. The games' rows are one
+        new read-only `RowStore`, built game by game straight from their
+        stored form; a game's `game` is its `GameRows` there, shared by its
+        windows. No dense block of the group is built."""
         games = self.groups.get(group, [])
-        block = np.empty((sum(g.t for g in games), SEQUENCE_DIMS[layout]), "<f4")
+        store = _row_store(layout, games)
         out, at = [], 0
-        for game_id, profile, t, nnz, payload in games:
-            behavioral = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)
-            game = block[at : at + t]
+        for game_id, profile, t, _, _ in games:
+            game = GameRows(store, at, t)
             at += t
-            _layout_rows(layout, behavioral, _text_counts(t, nnz, payload), game)
-            game.flags.writeable = False
             windows = window_starts(t, self.header["window_len"], self.header["stride"])
             out += [SequenceSample(game_id, profile, w, game) for w in windows]
-        block.flags.writeable = False
         return out
 
     def aggregates(self, group: Hashable = None) -> tuple[np.ndarray, np.ndarray, list[int]]:

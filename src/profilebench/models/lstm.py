@@ -18,15 +18,16 @@ row, about 6x slower at (64, 8, 530). The recurrence reads step t of a
 batch's windows from rows take[:, t] of that projection, where `take` is
 the batch's (B, T) row indices (Appleyard, Kocisky & Blunsom,
 arXiv:1604.01946). One batcher, `training.WindowBatcher`, batches windows
-by length for training, validation and scoring, and gives each batch's
-row indices into the games' rows, stacked once. Training and validation
-gather the batch's X and call `bilstm_forward_batch`, which projects its
-B*T rows and recurs with take = arange. Scoring
-(`evaluation.predict_logits`) projects the stacked rows once and recurs
-straight from them with the batcher's indices: at stride 1 a decision
-sits in up to window_len overlapping windows, so projecting per window
-would repeat it that many times. The two projections are not bit-equal:
-an sgemm's rounding can depend on its row count.
+by length for training, validation and scoring, numbers the games' rows
+once, and builds every dense input from their sparse row store.
+Training and validation build each batch's (B, T, D) X and call
+`bilstm_forward_batch`, which projects its B*T rows and recurs with take
+= arange. Scoring (`evaluation.predict_logits`) builds the stack of all
+the rows once, projects it, drops it, and recurs straight from the
+projection with the batcher's indices: at stride 1 a decision sits in up
+to window_len overlapping windows, so projecting per window would repeat
+it that many times. The two projections are not bit-equal: an sgemm's
+rounding can depend on its row count.
 
 The step loop allocates nothing. Before it, the kernel allocates a (B, 4H)
 buffer for h @ R.T (also the sigmoid's scratch), one that each step's

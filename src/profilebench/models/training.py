@@ -4,7 +4,8 @@ The loss is cross-entropy on the main head plus weighted cross-entropy on
 the alignment and motivation heads; all three backpropagate through the
 shared pooled vector and both LSTM directions. One batcher,
 `WindowBatcher`, serves training, validation and scoring; its batches
-share a window length, so no padding or masking is ever needed. A
+share a window length, so no padding or masking is ever needed, and it
+builds each batch's dense X from the games' sparse row store. A
 `TrainConfig` is checked once, when it is built, so the loop and each
 optimizer step take it as valid.
 """
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from profilebench.errors import ConfigInvalid, EmptySplit, NonFiniteLoss, SpaceMismatch
-from profilebench.features import SequenceSample
+from profilebench.errors import ConfigInvalid, DimensionMismatch, EmptySplit, NonFiniteLoss, SpaceMismatch
+from profilebench.features import GameRows, RowStore, SequenceSample
 from profilebench.hashing import mix_seed
 from profilebench.models.checkpoint import (
     POOL_ATTENTION,
@@ -299,37 +300,40 @@ def space_labels(
 SCORE_BATCH_SIZE = 256  # windows per forward-only batch (validation and scoring)
 
 
-def _tiled_block(games: list[np.ndarray], dtype) -> np.ndarray | None:
-    """The C-contiguous array of `dtype` whose rows `games`, in order,
-    cover exactly as consecutive slices, or None."""
-    block = games[0].base if games else None
-    if block is None or block.dtype != dtype or not block.flags.c_contiguous:
-        return None
-    at = block.ctypes.data
-    for game in games:
-        same_rows = game.shape[1:] == block.shape[1:] and game.flags.c_contiguous
-        if game.base is not block or game.ctypes.data != at or not same_rows:
-            return None
-        at += game.nbytes
-    return block if at == block.ctypes.data + block.nbytes else None
+def _row_source(games: list, dtype) -> tuple[RowStore, np.ndarray]:
+    """The store holding `games`' rows and, for each of their rows stacked
+    in order, its row there. `GameRows` games must share one store; array
+    games are stacked into a new all-dense store of `dtype`."""
+    stored = [g for g in games if isinstance(g, GameRows)]
+    if not stored:
+        block = np.concatenate(games).astype(dtype, copy=False)
+        return RowStore.of_dense(block), np.arange(len(block))
+    store = stored[0].store
+    if len(stored) < len(games) or any(g.store is not store for g in stored):
+        raise DimensionMismatch("the samples' games are not all rows of one store")
+    lengths = np.array([g.t for g in games], np.intp)
+    shift = np.array([g.start for g in games], np.intp) - (np.cumsum(lengths) - lengths)
+    return store, np.arange(lengths.sum()) + np.repeat(shift, lengths)
 
 
 class WindowBatcher:
     """Windows batched by length, so no batch needs padding. The distinct
-    game row blocks behind the samples (each sample's `game`, told apart by
-    the array itself, not by `game_id`) are stacked into `rows`, in
-    first-seen order; a window is its first row there and its length.
-    When those games are consecutive row slices that exactly tile one
-    array of `dtype`, as a split's games in file order tile the split's
-    block from `FeatureFile.samples`, `rows` is that array, not a copy."""
+    games behind the samples (each sample's `game`, told apart by the
+    object itself, not by `game_id`) are stacked in first-seen order; a
+    window is its first stacked row and its length. The stacked rows stay
+    in the games' `RowStore`, `src` naming each one's row there (array
+    games are first stacked into an all-dense store), and every input
+    array is built from it by `RowStore.fill`: a batch's (B, T, D) X
+    (`x`), and scoring's (N, D) stack of all the rows (`stack`). No dense
+    copy of the rows is held between calls."""
 
     def __init__(self, samples: Sequence[SequenceSample], dtype):
         games = list({id(s.game): s.game for s in samples}.values())
         first_row = dict(zip(map(id, games), np.cumsum([0] + [len(g) for g in games])))
         self.starts = np.array([first_row[id(s.game)] + s.window[0] for s in samples], np.intp)
         self.lengths = np.array([s.window[1] for s in samples], np.intp)
-        block = _tiled_block(games, dtype)
-        self.rows = np.concatenate(games).astype(dtype, copy=False) if block is None else block
+        self.dtype = dtype
+        self.store, self.src = _row_source(games, dtype)
 
     def batches(self, batch_size: int, rng: np.random.Generator | None = None) -> list[np.ndarray]:
         """Window indices of each batch: each length's windows, shortest
@@ -346,10 +350,19 @@ class WindowBatcher:
         return out
 
     def take(self, batch: np.ndarray) -> np.ndarray:
-        """(B, T) row indices of a batch into `rows`: training and validation
-        gather the batch's X with them, and scoring's recurrence reads step
-        t's pre-activations from rows take[:, t] of the rows' projection."""
+        """(B, T) stacked-row indices of a batch: training and validation
+        build the batch's X from them (`x`), and scoring's recurrence reads
+        step t's pre-activations from rows take[:, t] of the stack's
+        projection."""
         return self.starts[batch, None] + np.arange(self.lengths[batch[0]])
+
+    def x(self, batch: np.ndarray) -> np.ndarray:
+        """The batch's (B, T, D) input, built from the store."""
+        return self.store.fill(self.src[self.take(batch)], self.dtype)
+
+    def stack(self) -> np.ndarray:
+        """Every stacked row as one new (N, D) array, built from the store."""
+        return self.store.fill(self.src, self.dtype)
 
 
 def predict_main(
@@ -359,7 +372,7 @@ def predict_main(
     batches = windows.batches(SCORE_BATCH_SIZE)
     preds = []
     for idx in batches:
-        logits, _ = forward_batch(windows.rows[windows.take(idx)], ckpt, cache=False)
+        logits, _ = forward_batch(windows.x(idx), ckpt, cache=False)
         preds.append(logits["profile"].argmax(axis=1))
     return np.concatenate(preds), labels[np.concatenate(batches)]
 
@@ -395,7 +408,7 @@ def train(
         rng = np.random.Generator(np.random.PCG64(mix_seed(config.seed, "epoch", epoch)))
         losses = []
         for idx in train_data.batches(config.batch_size, rng):
-            batch = Batch(train_data.rows[train_data.take(idx)], *(y[idx] for y in train_y))
+            batch = Batch(train_data.x(idx), *(y[idx] for y in train_y))
             losses.append(train_step(batch, ckpt, moments, config, global_step))
             global_step += 1
         preds, labels = predict_main(val_data, val_y, ckpt)

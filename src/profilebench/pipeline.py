@@ -448,7 +448,8 @@ class _LadderData:
     """The games of the splits a stage reads, kept as the feature file
     stores them, and the decoded rows of one layout at a time. Rows run in
     ladder order decode each layout once, and a stage holds at most one
-    sequence layout's blocks."""
+    sequence layout's row stores (sparse text, see `features.RowStore`),
+    never a dense block of a split."""
 
     def __init__(self, features: FeatureFile, reads: dict[str, set[str]], digests: dict[Path, str]):
         self.features = features
@@ -459,11 +460,11 @@ class _LadderData:
 
     def rows(self, layout: str, split: str):
         """`split`'s samples in sequence layout `layout`, its games' rows
-        one read-only block, or its aggregates (X, y, ids) for "agg". A
+        one read-only store, or its aggregates (X, y, ids) for "agg". A
         layout other than the last one's drops the last one's rows, then
         decodes this one for every split `reads` names for it."""
         if layout != self.layout:
-            self.layout, self.decoded = None, {}  # free the last layout's blocks before building these
+            self.layout, self.decoded = None, {}  # free the last layout's stores before building these
             if layout == "agg":
                 self.decoded = {s: self.features.aggregates(s) for s in sorted(self.reads[layout])}
             else:
@@ -612,6 +613,9 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
             raise SchemaMismatch(
                 f"checkpoint schema {ckpt.schema_version} != featurizer {SCHEMA_VERSION}"
             )
+        # score_windows checks the checkpoint's label space, so it scores
+        # first: a checkpoint of another space fails before val is scored
+        scores = score_windows(ckpt, _admissible(data.rows(row.layout, "test"), space), space)
         if row.correct_neutral:
             val_samples = _admissible(data.rows(row.layout, "val"), space)
             # Scored through this module's name, not evaluation's: perfbench's
@@ -619,7 +623,6 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
             # score_windows makes, with a row's test windows.
             val_logits = predict_logits(ckpt, val_samples)["profile"]
             correction = calibrate_correction(val_logits, [s.profile.index for s in val_samples])
-        scores = score_windows(ckpt, _admissible(data.rows(row.layout, "test"), space), space)
         config_digest = ckpt.config_digest  # the digest train_row stamped into the sidecar
     report = evaluate(scores, space, name=row.display, dims=row.dims, correction=correction)
     report.config_digest = config_digest

@@ -22,8 +22,8 @@ from profilebench.cli import (
 from profilebench import evaluation, pipeline
 from profilebench.dataset import SplitSpec, read_splits
 from profilebench.errors import ConfigInvalid, NonFiniteLoss
-from profilebench.features import FeatureFile, read_feature_file
-from profilebench.models.training import TrainConfig
+from profilebench.features import FeatureFile, RowStore, read_feature_file
+from profilebench.models.training import SCORE_BATCH_SIZE, TrainConfig, WindowBatcher
 from profilebench.pipeline import PipelineConfig, read_config
 from profilebench.simulator import SimConfig, load_sessions
 
@@ -210,18 +210,49 @@ class TestRunAll:
         assert "val" in splits.values()
         assert {splits[game_id] for _, windows in calls for game_id, _ in windows} == {"test"}
 
+    def test_eval_checks_a_checkpoints_space_before_scoring(self, finished_run, tmp_path, monkeypatch):
+        # align9_corrected fits its correction on val logits; a checkpoint of
+        # another space must fail on its space before anything is scored
+        _, config, out = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        ckpts = copy / "checkpoints"
+        for suffix in (".pbck", ".pbck.json"):
+            shutil.copyfile(ckpts / f"multipool_176{suffix}", ckpts / f"align9_corrected{suffix}")
+        scored = []  # align9_corrected's val scoring
+        original = pipeline.predict_logits
+
+        def record(ckpt, samples):
+            scored.append(len(samples))
+            return original(ckpt, samples)
+
+        monkeypatch.setattr(pipeline, "predict_logits", record)
+        assert main(["--config", str(config), "--out", str(copy), "eval", "--rows", "align9_corrected"]) == EXIT_OK
+        metrics = json.loads((copy / "results" / "align9_corrected" / "metrics.json").read_text())
+        assert metrics["failed"]
+        assert metrics["error"] == "SpaceMismatch: checkpoint space 'profile36' != experiment space 'alignment9'"
+        assert scored == []
+
     def test_train_and_eval_hold_one_layout_at_a_time(self, finished_run, tmp_path, monkeypatch):
         # each stage reads the feature file once, then decodes each layout
-        # once in ladder order, dropping one layout's blocks before the next
+        # once in ladder order, dropping one layout's stores before the next;
+        # the only dense array of a split's rows is predict_logits' stack,
+        # dropped once it is projected
         _, config, out = finished_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         cfg = dataclasses.replace(PipelineConfig.from_file(config), out_dir=str(copy))
         reads, decodes = [], []
-        alive: list[tuple[str, weakref.ref]] = []  # (layout, block) per decoded block
+        alive: list[tuple[str, weakref.ref]] = []  # (layout, store) per decoded store
+        fills: list[tuple[tuple, bool]] = []  # (index shape, inside a stack) per RowStore.fill
+        stacks: list[weakref.ref] = []
+        building = []  # not empty while WindowBatcher.stack runs
         original_read = pipeline.read_feature_file
         original_samples = FeatureFile.samples
         original_aggregates = FeatureFile.aggregates
+        original_fill = RowStore.fill
+        original_stack = WindowBatcher.stack
+        original_recur = evaluation.bilstm_recur
 
         def read(*args, **kwargs):
             reads.append(args[0])
@@ -229,33 +260,63 @@ class TestRunAll:
 
         def samples(self, layout, group=None):
             gc.collect()
-            others = [name for name, block in alive if block() is not None and name != layout]
-            assert not others, f"{others} blocks alive while {layout} is decoded"
+            others = [name for name, store in alive if store() is not None and name != layout]
+            assert not others, f"{others} stores alive while {layout} is decoded"
             decodes.append((layout, group))
             loaded = original_samples(self, layout, group)
-            blocks = {id(s.game.base): s.game.base for s in loaded}
-            alive.extend((layout, weakref.ref(block)) for block in blocks.values())
+            stores = {id(s.game.store): s.game.store for s in loaded}
+            # only the behavioral columns are dense
+            assert [store.dense.shape[1] for store in stores.values()] == [{"176": 48, "530": 18}[layout]]
+            alive.extend((layout, weakref.ref(store)) for store in stores.values())
             return loaded
 
         def aggregates(self, group=None):
             decodes.append(("agg", group))
             return original_aggregates(self, group)
 
+        def fill(self, rows, dtype):
+            fills.append((rows.shape, bool(building)))
+            return original_fill(self, rows, dtype)
+
+        def stack(self):
+            building.append(self)
+            rows = original_stack(self)
+            building.pop()
+            stacks.append(weakref.ref(rows))
+            return rows
+
+        def recur(*args, **kwargs):
+            assert all(ref() is None for ref in stacks), "a scoring stack outlived its projections"
+            return original_recur(*args, **kwargs)
+
         monkeypatch.setattr(pipeline, "read_feature_file", read)
         monkeypatch.setattr(FeatureFile, "samples", samples)
         monkeypatch.setattr(FeatureFile, "aggregates", aggregates)
+        monkeypatch.setattr(RowStore, "fill", fill)
+        monkeypatch.setattr(WindowBatcher, "stack", stack)
+        monkeypatch.setattr(evaluation, "bilstm_recur", recur)
         rows = [row.row_id for row in pipeline.LADDER]
         assert set(pipeline.stage_train(cfg, rows).values()) == {"trained"}
         assert reads == [copy / "features.pbf"]
         assert decodes == [("agg", "train"), ("530", "train"), ("530", "val"), ("176", "train"), ("176", "val")]
         assert len(alive) == 4
+        # training and validation build only batches: (B, T) windows' rows
+        assert fills and stacks == []
+        batch = max(cfg.train.batch_size, SCORE_BATCH_SIZE)
+        assert all(len(shape) == 2 and shape[0] <= batch and shape[1] <= cfg.window_len for shape, _ in fills)
         reads.clear()
         decodes.clear()
+        fills.clear()
         assert not any(report.failed for report in pipeline.stage_eval(cfg, rows))
         assert reads == [copy / "features.pbf"]
         assert decodes == [("agg", "test"), ("530", "test"), ("176", "test"), ("176", "val")]
+        # scoring builds one stack per predict_logits call (seven test sets,
+        # align9_corrected's val) and nothing else
+        assert len(stacks) == 8 and len(fills) == 8
+        assert all(len(shape) == 1 and inside for shape, inside in fills)
         gc.collect()
-        assert all(block() is None for _, block in alive)  # nothing outlives its stage
+        assert all(store() is None for _, store in alive)  # nothing outlives its stage
+        assert all(ref() is None for ref in stacks)
 
     def test_row_order_does_not_change_outputs(self, finished_run, tmp_path):
         # rows of interleaved layouts decode a layout again, from the same bytes
@@ -488,8 +549,8 @@ class TestStages:
         X, _, _ = features.aggregates()
         decoded = {}
         for layout in ("176", "530"):
-            games = {id(s.game): s.game for s in features.samples(layout)}  # one array per game, in load order
-            decoded[layout] = hashlib.sha256(b"".join(g.tobytes() for g in games.values())).hexdigest()
+            games = {id(s.game): s.game for s in features.samples(layout)}  # one GameRows per game, in load order
+            decoded[layout] = hashlib.sha256(b"".join(g.array().tobytes() for g in games.values())).hexdigest()
         decoded["agg"] = hashlib.sha256(X.tobytes()).hexdigest()
         assert decoded == {
             "176": "41c4c7d1dd01b7988d9baf5ebd69b962e997f8383829e981a95218f9de241ac8",

@@ -243,7 +243,8 @@ def gather_first_logits(ckpt, samples):
     gathered, then the allocating step loop; logits in input order."""
     p = ckpt.params
     windows = WindowBatcher(samples, p["fwd_W"].dtype)
-    pre = (project(windows.rows, p["fwd_W"]), project(windows.rows, p["bwd_W"]))
+    rows = windows.stack()
+    pre = (project(rows, p["fwd_W"]), project(rows, p["bwd_W"]))
     batches = windows.batches(SCORE_BATCH_SIZE)
     parts = {"profile": [], "align": [], "motiv": []}
     for idx in batches:

@@ -36,9 +36,8 @@ from profilebench.features import (
     N_TRANSITION,
     SCHEMA_VERSION,
     FeatureFileWriter,
+    GameRows,
     SequenceSample,
-    _fold,
-    _unit_rows,
     aggregate_features,
     behavioral_matrix,
     embed_tokens,
@@ -47,6 +46,7 @@ from profilebench.features import (
 )
 from profilebench import features, pipeline, simulator
 from profilebench.hashing import fnv1a64
+from profilebench.models.training import WindowBatcher
 from profilebench.pipeline import Paths, PipelineConfig, stage_featurize, stage_gen
 from profilebench.simulator import (
     ActionCategory,
@@ -71,6 +71,18 @@ def _oracle_fnv(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def _unit_rows(counts: np.ndarray) -> np.ndarray:
+    """Each row over its norm; an all-zero row stays zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    norms[norms == 0] = 1.0
+    return counts / norms[:, None]
+
+
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """The (T, 128) counts of (T, 512) counts: bucket b adds into b % 128."""
+    return counts.reshape(len(counts), N_TEXT_LEGACY // N_TEXT, N_TEXT).sum(axis=1)
 
 
 def tokenize(text: str) -> list[str]:
@@ -243,15 +255,15 @@ def _full_prefix(session: Session) -> np.ndarray:
 
 
 def _counts(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, 128) and (T, 512) counts: embed_tokens' counts, folded by
-    the feature-file reader's `_fold` and as they are."""
+    """The (T, 128) and (T, 512) counts: embed_tokens' counts, folded
+    (`_fold`) and as they are."""
     counts = embed_tokens(texts)
     return _fold(counts), counts
 
 
 def _embed_rows(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, 128) and (T, 512) float64 unit rows the feature-file reader
-    makes of embed_tokens' counts, before its float32 cast."""
+    """The (T, 128) and (T, 512) float64 unit rows of embed_tokens'
+    counts, before the float32 cast."""
     return tuple(_unit_rows(counts.astype(np.float64)) for counts in _counts(texts))
 
 
@@ -290,6 +302,26 @@ def _float_rows(behavioral: np.ndarray, counts: np.ndarray) -> dict[str, np.ndar
         "176": np.hstack([behavioral, text128]).astype("<f4"),
         "530": np.hstack([_unit_rows(counts), behavioral[:, :N_BEHAVIORAL_LEGACY]]).astype("<f4"),
     }
+
+
+def _stored_counts(game) -> np.ndarray:
+    """A stored game's dense (T, 512) int8 text counts, scattered from its
+    sparse block."""
+    row_nnz, buckets, values = features._sparse_text(game.t, game.nnz, game.payload)
+    counts = np.zeros((game.t, N_TEXT_LEGACY), np.int8)
+    counts[np.repeat(np.arange(game.t), row_nnz), buckets] = values
+    return counts
+
+
+def _dense_decode(games, layout: str) -> np.ndarray:
+    """The reader's decode before row stores: each stored game's dense
+    counts made into its float32 rows (`_float_rows`), and the games' rows
+    stacked in order into one block."""
+    blocks = [np.empty((0, _DIMS[layout]), "<f4")]
+    for game in games:
+        behavioral = np.frombuffer(game.payload, "<f4", game.t * N_BEHAVIORAL).reshape(game.t, N_BEHAVIORAL)
+        blocks.append(_float_rows(behavioral, _stored_counts(game))[layout])
+    return np.concatenate(blocks)
 
 
 # --- hashing / embedding -----------------------------------------------------
@@ -874,7 +906,7 @@ def test_feature_file_roundtrip(tmp_path):
             assert back.matrix.dtype == np.float32
             assert back.matrix.shape == (orig.matrix.shape[0], dim)
             assert back.matrix.tobytes() == _float_rows(orig.game, counts)[layout].tobytes()
-            assert not back.matrix.flags.writeable
+            assert not back.game.store.dense.flags.writeable
     scanned = scan_feature_file(path)
     assert scanned == [(s.game_id, s.profile.index, s.matrix.shape[0]) for s, _, _ in games]
 
@@ -907,8 +939,9 @@ _EXTREMES[2] = np.where(np.arange(N_TEXT_LEGACY) % 2, 127, -128)
 @given(st.lists(_count_rows(), min_size=1, max_size=4))
 @example([np.full((1, N_TEXT_LEGACY), 127, dtype=np.int8), _EXTREMES, np.zeros((1, N_TEXT_LEGACY), dtype=np.int8)])
 def test_sparse_text_counts_roundtrip_bit_equal(tmp_path_factory, games):
-    """Whatever int8 counts a game holds, the reader hands the layout
-    builder those dense counts, and the file holds 3 bytes per non-zero."""
+    """Whatever int8 counts a game holds, the stored sparse block scatters
+    back to those dense counts, each layout's stored rows are their float
+    rows, and the file holds 3 bytes per non-zero."""
     path = tmp_path_factory.mktemp("sparse") / "x.pbf"
     rng = np.random.default_rng(len(games))
     written = []
@@ -918,17 +951,88 @@ def test_sparse_text_counts_roundtrip_bit_equal(tmp_path_factory, games):
         written.append((sample, counts, rng.random(52)))
     _write(path, written)
     assert path.stat().st_size == _pbf5_size((len(c), np.count_nonzero(c)) for c in games)
-    with mock.patch.object(features, "_layout_rows", wraps=features._layout_rows) as layout_rows:
-        read = read_feature_file(path)
-        loaded = read.samples("530")
+    read = read_feature_file(path)
+    loaded = {layout: read.samples(layout) for layout in _DIMS}
     X, _, _ = read.aggregates()
-    calls = layout_rows.call_args_list
-    assert len(calls) == len(games)
-    for (sample, counts, _), call, back in zip(written, calls, loaded, strict=True):
-        decoded = call.args[2]
-        assert decoded.dtype == np.int8 and decoded.tobytes() == counts.tobytes()
-        assert back.game.tobytes() == _float_rows(sample.game, counts)["530"].tobytes()
+    (stored,) = read.groups.values()
+    for layout in _DIMS:
+        for (sample, counts, _), game, back in zip(written, stored, loaded[layout], strict=True):
+            assert _stored_counts(game).tobytes() == counts.tobytes()
+            assert back.game.array().tobytes() == _float_rows(sample.game, counts)[layout].tobytes()
     assert X.tobytes() == np.stack([agg for _, _, agg in written]).tobytes()
+
+
+_FOLDS_TO_ZERO = np.tile(np.repeat(np.array([1, -1], np.int8), N_TEXT), 2)  # all 512 non-zero, 128 zeros folded
+
+
+@st.composite
+def _store_rows(draw) -> np.ndarray:
+    """One game's (T, 512) int8 counts for the row-store test: `_count_rows`
+    rows, some of them replaced by rows whose non-zeros come in pairs, v at
+    bucket b and -v at b + 128, so they fold to all zeros at 128."""
+    counts = draw(_count_rows())
+    for row in counts:
+        if draw(st.booleans()):
+            pairs = draw(st.dictionaries(st.integers(0, N_TEXT - 1), _NONZERO_COUNT.filter(lambda v: v > -128), min_size=1))
+            row[:] = 0
+            row[list(pairs)] = list(pairs.values())
+            row[[b + N_TEXT for b in pairs]] = [-v for v in pairs.values()]
+    return counts
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    games=st.lists(_store_rows(), min_size=1, max_size=5),
+    windows=st.sampled_from([(1, 1), (2, 1), (3, 2), (8, 4)]),
+    pick=st.sampled_from(["all", "subset", "shuffled", "float64_toy"]),
+    batch_size=st.sampled_from([1, 3, 64]),
+    seed=st.integers(0, 2**16),
+)
+@example(
+    games=[_EXTREMES, np.stack([_FOLDS_TO_ZERO, np.full(N_TEXT_LEGACY, 127, np.int8)]), np.zeros((1, N_TEXT_LEGACY), np.int8)],
+    windows=(1, 1), pick="all", batch_size=64, seed=0,
+)
+def test_store_batches_are_bitwise_the_dense_decode(tmp_path_factory, games, windows, pick, batch_size, seed):
+    """Every batch X and the scoring stack that WindowBatcher builds from a
+    read file's row store are uint32-equal to the dense decode: each game's
+    float32 rows in one block (`_dense_decode`), then each window's rows of
+    it, also when `RowStore.fill` builds them 3 rows at a time. Float64 toy
+    games over the same rows go through the same batcher."""
+    path = tmp_path_factory.mktemp("store") / "x.pbf"
+    rng = np.random.default_rng(seed)
+    written = []
+    for gid, counts in enumerate(games):
+        t = len(counts)
+        sample = SequenceSample(gid, Profile.from_index(gid), (0, t), rng.random((t, N_BEHAVIORAL)))
+        written.append((sample, counts, rng.random(52)))
+    _write(path, written, *windows)
+    read = read_feature_file(path)
+    (stored,) = read.groups.values()
+    first_row = np.cumsum([0] + [g.t for g in stored])  # each game's first row in the block, by game id
+    for layout in _DIMS:
+        block = _dense_decode(stored, layout)
+        samples = read.samples(layout)
+        if pick == "subset":
+            kept = set(rng.choice(len(games), size=rng.integers(1, len(games) + 1), replace=False).tolist())
+            samples = [s for s in samples if s.game_id in kept]
+        elif pick == "shuffled":
+            samples = [samples[i] for i in rng.permutation(len(samples))]
+        elif pick == "float64_toy":
+            toys = [block[first_row[g] : first_row[g + 1]].astype(np.float64) for g in range(len(games))]
+            samples = [replace(s, game=toys[s.game_id]) for s in samples]
+        order = list(dict.fromkeys(s.game_id for s in samples))  # games, first seen first
+        want_stack = np.concatenate([block[first_row[g] : first_row[g + 1]] for g in order])
+        batcher = WindowBatcher(samples, np.float32)
+        for fill_rows in (features._FILL_ROWS, 3):
+            with mock.patch.object(features, "_FILL_ROWS", fill_rows):
+                assert batcher.stack().view(np.uint32).tobytes() == want_stack.view(np.uint32).tobytes()
+                for idx in batcher.batches(batch_size, rng):
+                    want = np.stack([block[first_row[s.game_id] + s.window[0] :][: s.window[1]] for s in (samples[i] for i in idx)])
+                    X = batcher.x(idx)
+                    assert X.dtype == np.float32 and X.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+        if pick == "float64_toy":
+            wide = WindowBatcher(samples, np.float64)
+            assert wide.stack().tobytes() == want_stack.astype(np.float64).tobytes()
 
 
 def test_aggregate_block_roundtrip(tmp_path):
@@ -947,19 +1051,20 @@ def test_aggregate_block_roundtrip(tmp_path):
 
 def test_only_the_requested_layouts_are_read(tmp_path):
     """Reading keeps each record's bytes after its header and decodes
-    nothing; each `samples` call decodes its one layout, `aggregates` none."""
+    nothing; each `samples` call decodes its one layout's text, `aggregates`
+    none."""
     path = tmp_path / "x.pbf"
     games = _games()
     _write(path, games)
     data = path.read_bytes()
-    with mock.patch.object(features, "_layout_rows", wraps=features._layout_rows) as layout_rows:
+    with mock.patch.object(features, "_unit_text", wraps=features._unit_text) as unit_text:
         read = read_feature_file(path)
         read.aggregates()
-        assert layout_rows.call_count == 0
-        for layout in ("530", "176"):
-            layout_rows.reset_mock()
+        assert unit_text.call_count == 0
+        for layout, width in (("530", N_TEXT_LEGACY), ("176", N_TEXT)):
+            unit_text.reset_mock()
             read.samples(layout)
-            assert [call.args[0] for call in layout_rows.call_args_list] == [layout] * len(games)
+            assert [call.args[3] for call in unit_text.call_args_list] == [width] * len(games)
     (stored,) = read.groups.values()
     assert read.game_ids == [g.game_id for g in stored] == [0, 1, 2]
     at = _PBF5_HEADER_BYTES + _RECORD_HEADER_BYTES
@@ -993,12 +1098,15 @@ def test_loaded_windows_are_read_only_views_of_their_game(tmp_path, window_len, 
     loaded, _, _ = _decode(path)
     for layout, dim in _DIMS.items():
         by_game = {}
+        (store,) = {id(s.game.store): s.game.store for s in loaded[layout]}.values()
+        assert store.width == dim
+        assert not any(part.flags.writeable for part in (store.dense, store.indptr, store.cols, store.vals))
         for s in loaded[layout]:
-            assert s.matrix.shape == (s.window[1], dim)
-            assert not s.matrix.flags.writeable
-            assert np.shares_memory(s.matrix, s.game)
-            assert s.game.shape == (games[s.game_id][0].game.shape[0], dim)
-            assert by_game.setdefault(s.game_id, s.game) is s.game  # one array per game
+            start, length = s.window
+            assert isinstance(s.game, GameRows) and len(s.game) == games[s.game_id][0].game.shape[0]
+            assert s.matrix.shape == (length, dim)
+            assert s.matrix.tobytes() == s.game.array()[start : start + length].tobytes()
+            assert by_game.setdefault(s.game_id, s.game) is s.game  # one GameRows per game
 
 
 def _oracle_pbf1_windows(sessions_path, cfg, layout):
@@ -1199,8 +1307,8 @@ def test_keep_decodes_its_games_into_one_block_per_group(tmp_path):
         assert X.tobytes() == X_all[rows].tobytes() and y.tolist() == y_all[rows].tolist()
     assert read.aggregates("val")[0].shape == (0, 52) and read.samples("176", "val") == []
     for layout in _DIMS:
-        want = {s.game_id: s.game for s in everything[layout]}
-        assert len({id(g.base) for g in want.values()}) == 1  # keep=None: one block per layout
+        want = {s.game_id: s.game.array() for s in everything[layout]}
+        assert len({id(s.game.store) for s in everything[layout]}) == 1  # keep=None: one store per layout
         games_of = {}
         for group in ("train", "test"):
             kept = read.samples(layout, group)
@@ -1209,14 +1317,14 @@ def test_keep_decodes_its_games_into_one_block_per_group(tmp_path):
             ]
             for s in kept:
                 games_of.setdefault(group, {})[s.game_id] = s.game
-                assert not s.game.flags.writeable
-                assert s.game.view(np.uint32).tobytes() == want[s.game_id].view(np.uint32).tobytes()
+                assert s.game.array().view(np.uint32).tobytes() == want[s.game_id].view(np.uint32).tobytes()
         for by_id in games_of.values():
-            block = next(iter(by_id.values())).base
-            assert not block.flags.writeable
-            assert all(g.base is block for g in by_id.values())  # one block per group
-            assert block.view(np.uint32).tobytes() == np.concatenate(list(by_id.values())).view(np.uint32).tobytes()
-        assert games_of["train"][0].base is not games_of["test"][2].base
+            store = next(iter(by_id.values())).store
+            assert not store.dense.flags.writeable and not store.vals.flags.writeable
+            assert all(g.store is store for g in by_id.values())  # one store per group
+            rows = store.fill(np.arange(len(store.dense)), np.float32)
+            assert rows.view(np.uint32).tobytes() == np.concatenate([g.array() for g in by_id.values()]).view(np.uint32).tobytes()
+        assert games_of["train"][0].store is not games_of["test"][2].store
 
 
 def test_feature_file_writer_removes_partial_file_on_error(tmp_path):
@@ -1285,9 +1393,10 @@ def test_writer_keeps_the_int8_extremes(tmp_path):
     want = _float_rows(sample.game, counts)
     for layout, text in (("176", N_BEHAVIORAL), ("530", 0)):
         (back,) = loaded[layout]
-        assert back.game.tobytes() == want[layout].tobytes()
+        rows = back.game.array()
+        assert rows.tobytes() == want[layout].tobytes()
         # buckets 0 and 1 fold onto themselves
-        assert back.game[0, text] == np.float32(127 / math.hypot(127, 128))
+        assert rows[0, text] == np.float32(127 / math.hypot(127, 128))
 
 
 @pytest.mark.parametrize(
@@ -1328,10 +1437,10 @@ def test_decoded_rows_are_bitwise_the_float_path(small_corpus):
         games = {s.game_id: s.game for s in loaded[layout]}
         assert games.keys() == want[layout].keys()
         for game_id, game in games.items():
-            assert game.tobytes() == want[layout][game_id].tobytes()
-            assert not game.flags.writeable
-            with pytest.raises(ValueError):
-                game[0, 0] = 1.0
+            assert game.array().tobytes() == want[layout][game_id].tobytes()
+            for part in (game.store.dense, game.store.vals):
+                with pytest.raises(ValueError):
+                    part[0] = 1.0
         scanned = scan_feature_file(paths.features)
         assert scanned == [(s.game_id, s.profile.index, s.window[1]) for s in loaded[layout]]
     assert ids == [game_id for game_id, _, _ in aggregates]

@@ -9,13 +9,14 @@ import test_taxonomy as taxonomy_oracles
 from profilebench.errors import (
     ConfigInvalid,
     DegenerateData,
+    DimensionMismatch,
     EmptySplit,
     NonFiniteLoss,
     SpaceMismatch,
 )
 from profilebench import pipeline
 from profilebench.dataset import window_starts
-from profilebench.features import SequenceSample
+from profilebench.features import GameRows, RowStore, SequenceSample
 from profilebench.models import lstm
 from profilebench.models.baseline import BaselineConfig, train_baseline
 from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI, init_checkpoint
@@ -457,7 +458,7 @@ class TestWindowBatcher:
                 want = oracle.batches(batch_size, want_rng)
                 assert [idx.tolist() for idx in got] == [idx.tolist() for idx, _ in want]
                 for idx, (_, batch) in zip(got, want):
-                    X = windows.rows[windows.take(idx)]
+                    X = windows.x(idx)
                     assert X.dtype == batch.X.dtype and X.shape == batch.X.shape
                     assert X.tobytes() == batch.X.tobytes()
                     for y, y_want in zip(labels, (batch.y_profile, batch.y_align, batch.y_motiv)):
@@ -470,7 +471,7 @@ class TestWindowBatcher:
         samples = _shared_game_windows(7, dtype=np.float64)
         windows = WindowBatcher(samples, dtype)
         # each game's rows are stacked once, not once per window
-        assert len(windows.rows) == sum(len(g) for g in {id(s.game): s.game for s in samples}.values())
+        assert len(windows.src) == sum(len(g) for g in {id(s.game): s.game for s in samples}.values())
         batches = windows.batches(5)
         assert sorted(np.concatenate(batches).tolist()) == list(range(len(samples)))
         lengths = [{samples[i].window[1] for i in idx} for idx in batches]
@@ -478,45 +479,47 @@ class TestWindowBatcher:
         for idx in batches:
             assert np.all(np.diff(idx) > 0)  # input order within a length
             want = np.stack([np.asarray(samples[i].matrix, dtype=dtype) for i in idx])
-            got = windows.rows[windows.take(idx)]
+            got = windows.x(idx)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _block_windows(seed):
-    """Windows over games that are consecutive read-only row slices of one
-    float32 block, in block order, as `FeatureFile.samples` gives a split;
-    the games' profiles are neutral and not."""
+    """Windows over games that are consecutive rows of one read-only
+    all-dense float32 store, in store order, as `FeatureFile.samples` gives
+    a split; the games' profiles are neutral and not. Also returns the
+    store's rows as an array."""
     rng = np.random.default_rng(seed)
     lengths = (9, 3, 12, 2, 6)
     block = rng.normal(0, 1, (sum(lengths), 5)).astype(np.float32)
+    block.flags.writeable = False
+    store = RowStore.of_dense(block)
     profiles = [p for p in all_profiles() if p.code.startswith("TN-")][:2] + [all_profiles()[0]] * 3
     samples, at = [], 0
     for game_id, (T, profile) in enumerate(zip(lengths, profiles)):
-        game = block[at : at + T]
-        game.flags.writeable = False
+        game = GameRows(store, at, T)
         at += T
         samples += [SequenceSample(game_id, profile, (s, n), game) for s, n in window_starts(T, 4, 2)]
-    block.flags.writeable = False
-    return block, samples
+    return store, block, samples
 
 
 class TestWindowBatcherRows:
-    """`rows` is the block the games tile without a copy, or else a new
-    stack; either way it holds the games' rows in first-seen order."""
+    """The batcher keeps its games' store, not a copy of their rows; its
+    stack holds the games' rows in first-seen order, in its dtype."""
 
     @staticmethod
     def _first_seen_stack(samples):
-        return np.concatenate(list({id(s.game): s.game for s in samples}.values()))
+        return np.concatenate([g.array() for g in {id(s.game): s.game for s in samples}.values()])
 
     def test_rows_is_the_block_its_games_tile(self):
-        block, samples = _block_windows(0)
+        store, block, samples = _block_windows(0)
         windows = WindowBatcher(samples, np.float32)
-        assert windows.rows is block
-        assert windows.rows.view(np.uint32).tobytes() == self._first_seen_stack(samples).view(np.uint32).tobytes()
+        assert windows.store is store
+        assert windows.stack().view(np.uint32).tobytes() == block.view(np.uint32).tobytes()
+        assert windows.stack().view(np.uint32).tobytes() == self._first_seen_stack(samples).view(np.uint32).tobytes()
 
     @pytest.mark.parametrize("pick", ["admissible_subset", "shuffled", "float64"])
     def test_other_sample_sets_stack_a_new_array(self, pick):
-        block, samples = _block_windows(1)
+        store, block, samples = _block_windows(1)
         dtype = np.float64 if pick == "float64" else np.float32
         if pick == "admissible_subset":
             samples = pipeline._admissible(samples, LabelSpace(LabelSpaceKind.NON_NEUTRAL_PROFILE16))
@@ -525,13 +528,23 @@ class TestWindowBatcherRows:
             samples = [samples[i] for i in np.random.default_rng(1).permutation(len(samples))]
             assert list(dict.fromkeys(s.game_id for s in samples)) != sorted({s.game_id for s in samples})
         windows = WindowBatcher(samples, dtype)
-        assert windows.rows is not block and not np.shares_memory(windows.rows, block)
+        assert windows.store is store
+        stack = windows.stack()
+        assert not np.shares_memory(stack, block)
         want = self._first_seen_stack(samples).astype(dtype)
-        assert windows.rows.dtype == dtype
-        assert windows.rows.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
+        assert stack.dtype == dtype
+        assert stack.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
         for idx in windows.batches(3):
-            got = windows.rows[windows.take(idx)]
+            got = windows.x(idx)
             assert got.tobytes() == np.stack([samples[i].matrix.astype(dtype) for i in idx]).tobytes()
+
+
+    def test_games_of_two_stores_are_rejected(self):
+        (_, _, first), (_, _, second) = _block_windows(2), _block_windows(3)
+        with pytest.raises(DimensionMismatch, match="one store"):
+            WindowBatcher(first[:3] + second[:3], np.float32)
+        with pytest.raises(DimensionMismatch, match="one store"):
+            WindowBatcher(first[:3] + _shared_game_windows(0)[:3], np.float32)
 
 
 class TestSpaceLabels:
