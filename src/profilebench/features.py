@@ -51,15 +51,18 @@ float64: 17 + 194 T + 3 nnz + 416 bytes. Hashed counts are sparse by
 construction (a decision fills ~41 of the 512 buckets), so this halves
 the dense 704 T of PBF4.
 
-The reader keeps them sparse. A group's rows in a sequence layout are one
-`RowStore`: the behavioral columns dense (176: all 48, first; 530:
-columns 0-17, last) and the unit text rows as CSR (u2 columns, float32
-values), ~41 non-zeros of 512 at 530. Its values are what featurize
-wrote when the files held float rows: the 176 layout's text is the counts
-folded to 128, the 530 layout's the 512 counts, each row divided by its
-norm in float64 (the squared norms are small integers, exact) and cast to
-float32, so a densified row is bit for bit the float32 row. Rows become
-dense only in `RowStore.fill`, per batch (`training.WindowBatcher`). The
+A group's rows in a sequence layout are one `RowStore`. At 530 the
+reader keeps the text sparse: the unit text rows are CSR (u2 columns,
+float32 values), ~41 non-zeros of 512, beside the dense behavioral
+columns 0-17, and rows become dense only in `RowStore.fill`, per batch
+(`training.WindowBatcher`). At 176 every column is dense (the 48
+behavioral, then the 128 folded text columns): the fold fills ~37 of 128
+columns, so CSR saved only 40% of the bytes there, while building a batch
+from it took 4-5x the gather. The values are what featurize wrote when
+the files held float rows: the 176 layout's text is the counts folded to
+128, the 530 layout's the 512 counts, each row divided by its norm in
+float64 (the squared norms are small integers, exact) and cast to
+float32, so every built row is bit for bit the float32 row. The
 baseline's inputs are the float64 aggregate blocks. Windows overlap
 whenever stride < window_len, so the file stores each decision once and
 the reader derives the windows from the header's window_len and stride
@@ -169,9 +172,12 @@ class RowStore:
 
     def fill(self, rows: np.ndarray, dtype) -> np.ndarray:
         """A new (*rows.shape, width) array of `dtype` holding the rows at
-        index array `rows`: zero-filled, the dense columns copied, then
-        the rows' non-zeros scattered, _FILL_ROWS rows at a time so that
-        the index temporaries stay small."""
+        index array `rows`. A store whose every column is dense is
+        gathered; otherwise the array is zero-filled, the dense columns
+        copied, then the rows' non-zeros scattered, _FILL_ROWS rows at a
+        time so that the index temporaries stay small."""
+        if self.dense.shape[1] == self.width:
+            return self.dense[rows].astype(dtype, copy=False)
         flat = rows.reshape(-1)
         out = np.zeros((len(flat), self.width), dtype)
         for at in range(0, len(flat), _FILL_ROWS):
@@ -201,12 +207,6 @@ class GameRows:
     def __len__(self) -> int:
         return self.t
 
-    def array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start .. stop - 1 of the game (all of them by default) as
-        a new float array."""
-        stop = self.t if stop is None else stop
-        return self.store.fill(np.arange(self.start + start, self.start + stop), self.store.dense.dtype)
-
 
 @dataclass(frozen=True)
 class SequenceSample:
@@ -222,11 +222,8 @@ class SequenceSample:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The window's rows: a view of an array `game`, or built anew
-        from a `GameRows` one."""
+        """The window's rows, a view of an array `game`."""
         start, length = self.window
-        if isinstance(self.game, GameRows):
-            return self.game.array(start, start + length)
         return self.game[start : start + length]
 
 
@@ -585,45 +582,61 @@ def _check_text(where: str, t: int, nnz: int, payload: bytes) -> None:
         raise SchemaMismatch(f"{where}: a stored text count is zero")
 
 
-def _unit_text(t: int, nnz: int, payload: bytes, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A checked record's text as unit rows over `width` buckets, sparse:
-    per-row non-zero counts, buckets, float32 values. At width 128 bucket
-    b adds into b % 128, and a sum of zero is dropped. Each count is
-    divided by its row's norm in float64 (the squared norms are small
-    integers, exact) and cast to float32, so the values are bit for bit
-    those of the dense float32 unit rows."""
+def _unit_text(t: int, nnz: int, payload: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A checked record's 512-bucket text as unit rows, sparse: per-row
+    non-zero counts, buckets, float32 values. Each count is divided by its
+    row's norm in float64 (the squared norms are small integers, exact)
+    and cast to float32, so the values are bit for bit those of the dense
+    float32 unit rows."""
     row_nnz, buckets, values = _sparse_text(t, nnz, payload)
     rows = np.repeat(np.arange(t), row_nnz)
     counts = values.astype(np.float64)
-    if width < N_TEXT_LEGACY:
-        folded = np.bincount(rows * width + buckets % width, weights=counts, minlength=t * width)
-        keys = np.flatnonzero(folded)
-        rows, buckets, counts = keys // width, keys % width, folded[keys]
-        row_nnz = np.bincount(rows, minlength=t)
     norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=t))
     return row_nnz, buckets, (counts / norms[rows]).astype(np.float32)
 
 
+def _folded_unit_text(t: int, nnz: int, payload: bytes) -> np.ndarray:
+    """A checked record's text as dense (T, 128) float64 unit rows: bucket
+    b adds into b % 128, and each row is divided by its norm (an all-zero
+    row stays zero)."""
+    row_nnz, buckets, values = _sparse_text(t, nnz, payload)
+    flat = np.repeat(np.arange(t) * N_TEXT, row_nnz) + buckets % N_TEXT
+    counts = np.bincount(flat, weights=values, minlength=t * N_TEXT).reshape(t, N_TEXT)
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    norms[norms == 0] = 1.0
+    return counts / norms[:, None]
+
+
 def _row_store(layout: str, games: list["StoredGame"]) -> RowStore:
     """`games`' rows in sequence layout `layout`, game by game, as one
-    read-only store: the behavioral columns dense (48 at column 0 for
-    176, 0-17 at column 512 for 530), the unit text rows (128 folded
-    buckets at column 48, or 512 at column 0) as CSR."""
-    n_dense, dense_at, text_at, n_text = (
-        (N_BEHAVIORAL, 0, N_BEHAVIORAL, N_TEXT) if layout == "176" else (N_BEHAVIORAL_LEGACY, N_TEXT_LEGACY, 0, N_TEXT_LEGACY)
-    )
-    dense = np.empty((sum(g.t for g in games), n_dense), np.float32)
-    # row_nnz starts with indptr's leading 0; the empty arrays let a group without games concatenate
-    row_nnz, cols, vals = [np.zeros(1, np.intp)], [np.empty(0, "<u2")], [np.empty(0, np.float32)]
-    at = 0
-    for _, _, t, nnz, payload in games:
-        dense[at : at + t] = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)[:, :n_dense]
-        at += t
-        counts, buckets, values = _unit_text(t, nnz, payload, n_text)
-        row_nnz.append(counts)
-        cols.append((buckets + text_at).astype("<u2"))
-        vals.append(values)
-    store = RowStore(SEQUENCE_DIMS[layout], dense_at, dense, np.cumsum(np.concatenate(row_nnz)), np.concatenate(cols), np.concatenate(vals))
+    read-only store. At 176 every column is dense: the 48 behavioral
+    columns, then the 128 folded unit text columns. At 530 the 512 unit
+    text columns are CSR and columns 0-17 of the behavioral rows are dense,
+    at column 512."""
+    n = sum(g.t for g in games)
+    if layout == "176":
+        block = np.empty((n, N_TOTAL), np.float32)
+        at = 0
+        for _, _, t, nnz, payload in games:
+            block[at : at + t, :N_BEHAVIORAL] = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)
+            block[at : at + t, N_BEHAVIORAL:] = _folded_unit_text(t, nnz, payload)
+            at += t
+        store = RowStore.of_dense(block)
+    else:
+        dense = np.empty((n, N_BEHAVIORAL_LEGACY), np.float32)
+        # row_nnz starts with indptr's leading 0; the empty arrays let a group without games concatenate
+        row_nnz, cols, vals = [np.zeros(1, np.intp)], [np.empty(0, "<u2")], [np.empty(0, np.float32)]
+        at = 0
+        for _, _, t, nnz, payload in games:
+            behavioral = np.frombuffer(payload, "<f4", t * N_BEHAVIORAL).reshape(t, N_BEHAVIORAL)
+            dense[at : at + t] = behavioral[:, :N_BEHAVIORAL_LEGACY]
+            at += t
+            counts, buckets, values = _unit_text(t, nnz, payload)
+            row_nnz.append(counts)
+            cols.append(buckets)
+            vals.append(values)
+        indptr = np.cumsum(np.concatenate(row_nnz))
+        store = RowStore(N_LEGACY, N_TEXT_LEGACY, dense, indptr, np.concatenate(cols), np.concatenate(vals))
     for part in (store.dense, store.indptr, store.cols, store.vals):
         part.flags.writeable = False
     return store
@@ -672,8 +685,9 @@ class FeatureFile:
         """`group`'s games in sequence layout `layout` ("176", "530"), per
         window in file order, then window order. The games' rows are one
         new read-only `RowStore`, built game by game straight from their
-        stored form; a game's `game` is its `GameRows` there, shared by its
-        windows. No dense block of the group is built."""
+        stored form (`_row_store`); a game's `game` is its `GameRows`
+        there, shared by its windows. No dense 530 block of the group is
+        built."""
         games = self.groups.get(group, [])
         store = _row_store(layout, games)
         out, at = [], 0

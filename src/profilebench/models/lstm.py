@@ -19,7 +19,7 @@ batch's windows from rows take[:, t] of that projection, where `take` is
 the batch's (B, T) row indices (Appleyard, Kocisky & Blunsom,
 arXiv:1604.01946). One batcher, `training.WindowBatcher`, batches windows
 by length for training, validation and scoring, numbers the games' rows
-once, and builds every dense input from their sparse row store.
+once, and builds every dense input from their row store.
 Training and validation build each batch's (B, T, D) X and call
 `bilstm_forward_batch`, which projects its B*T rows and recurs with take
 = arange. Scoring (`evaluation.predict_logits`) builds the stack of all

@@ -5,7 +5,7 @@ the alignment and motivation heads; all three backpropagate through the
 shared pooled vector and both LSTM directions. One batcher,
 `WindowBatcher`, serves training, validation and scoring; its batches
 share a window length, so no padding or masking is ever needed, and it
-builds each batch's dense X from the games' sparse row store. A
+builds each batch's dense X from the games' row store. A
 `TrainConfig` is checked once, when it is built, so the loop and each
 optimizer step take it as valid.
 """

@@ -448,8 +448,8 @@ class _LadderData:
     """The games of the splits a stage reads, kept as the feature file
     stores them, and the decoded rows of one layout at a time. Rows run in
     ladder order decode each layout once, and a stage holds at most one
-    sequence layout's row stores (sparse text, see `features.RowStore`),
-    never a dense block of a split."""
+    sequence layout's row stores (see `features.RowStore`: the 530 text
+    stays sparse, so no dense 530 block of a split is built)."""
 
     def __init__(self, features: FeatureFile, reads: dict[str, set[str]], digests: dict[Path, str]):
         self.features = features

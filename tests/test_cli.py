@@ -28,6 +28,7 @@ from profilebench.pipeline import PipelineConfig, read_config
 from profilebench.simulator import SimConfig, load_sessions
 
 from test_simulator import _v2_record
+from test_features import game_rows
 
 TINY = {
     "master_seed": 91,
@@ -265,8 +266,8 @@ class TestRunAll:
             decodes.append((layout, group))
             loaded = original_samples(self, layout, group)
             stores = {id(s.game.store): s.game.store for s in loaded}
-            # only the behavioral columns are dense
-            assert [store.dense.shape[1] for store in stores.values()] == [{"176": 48, "530": 18}[layout]]
+            # 530 keeps only its 18 behavioral columns dense; the 176 store is all dense
+            assert [store.dense.shape[1] for store in stores.values()] == [{"176": 176, "530": 18}[layout]]
             alive.extend((layout, weakref.ref(store)) for store in stores.values())
             return loaded
 
@@ -550,7 +551,7 @@ class TestStages:
         decoded = {}
         for layout in ("176", "530"):
             games = {id(s.game): s.game for s in features.samples(layout)}  # one GameRows per game, in load order
-            decoded[layout] = hashlib.sha256(b"".join(g.array().tobytes() for g in games.values())).hexdigest()
+            decoded[layout] = hashlib.sha256(b"".join(game_rows(g).tobytes() for g in games.values())).hexdigest()
         decoded["agg"] = hashlib.sha256(X.tobytes()).hexdigest()
         assert decoded == {
             "176": "41c4c7d1dd01b7988d9baf5ebd69b962e997f8383829e981a95218f9de241ac8",

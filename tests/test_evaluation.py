@@ -12,6 +12,7 @@ import pytest
 
 import test_lstm as lstm_oracles
 import test_taxonomy as taxonomy_oracles
+from test_features import window_rows
 
 import profilebench
 
@@ -272,13 +273,13 @@ class TestPredictLogits:
         """Group by T, chunk, cached forward, scatter each row to its sample."""
         by_t = {}
         for idx, s in enumerate(samples):
-            by_t.setdefault(s.matrix.shape[0], []).append(idx)
+            by_t.setdefault(s.window[1], []).append(idx)
         outs = {head: [None] * len(samples) for head in ("profile", "align", "motiv")}
         for t in sorted(by_t):
             idxs = by_t[t]
             for start in range(0, len(idxs), batch_size):
                 chunk = idxs[start : start + batch_size]
-                X = np.stack([samples[i].matrix for i in chunk])
+                X = np.stack([window_rows(samples[i]) for i in chunk])
                 logits, cache = forward_batch(X, ckpt)
                 assert cache["lstm"] is not None
                 for head in outs:

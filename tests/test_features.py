@@ -313,6 +313,20 @@ def _stored_counts(game) -> np.ndarray:
     return counts
 
 
+def game_rows(game: GameRows) -> np.ndarray:
+    """A read game's T rows as one new float32 array, built from its store."""
+    return game.store.fill(np.arange(game.start, game.start + game.t), np.float32)
+
+
+def window_rows(sample: SequenceSample) -> np.ndarray:
+    """A sample's window rows: `matrix` for an array game, built from the
+    store for a read one."""
+    if isinstance(sample.game, GameRows):
+        start, length = sample.window
+        return game_rows(sample.game)[start : start + length]
+    return sample.matrix
+
+
 def _dense_decode(games, layout: str) -> np.ndarray:
     """The reader's decode before row stores: each stored game's dense
     counts made into its float32 rows (`_float_rows`), and the games' rows
@@ -903,9 +917,10 @@ def test_feature_file_roundtrip(tmp_path):
             assert back.game_id == orig.game_id
             assert back.profile == orig.profile
             assert back.window == (0, orig.matrix.shape[0])
-            assert back.matrix.dtype == np.float32
-            assert back.matrix.shape == (orig.matrix.shape[0], dim)
-            assert back.matrix.tobytes() == _float_rows(orig.game, counts)[layout].tobytes()
+            rows = window_rows(back)
+            assert rows.dtype == np.float32
+            assert rows.shape == (orig.matrix.shape[0], dim)
+            assert rows.tobytes() == _float_rows(orig.game, counts)[layout].tobytes()
             assert not back.game.store.dense.flags.writeable
     scanned = scan_feature_file(path)
     assert scanned == [(s.game_id, s.profile.index, s.matrix.shape[0]) for s, _, _ in games]
@@ -958,7 +973,7 @@ def test_sparse_text_counts_roundtrip_bit_equal(tmp_path_factory, games):
     for layout in _DIMS:
         for (sample, counts, _), game, back in zip(written, stored, loaded[layout], strict=True):
             assert _stored_counts(game).tobytes() == counts.tobytes()
-            assert back.game.array().tobytes() == _float_rows(sample.game, counts)[layout].tobytes()
+            assert game_rows(back.game).tobytes() == _float_rows(sample.game, counts)[layout].tobytes()
     assert X.tobytes() == np.stack([agg for _, _, agg in written]).tobytes()
 
 
@@ -1057,14 +1072,18 @@ def test_only_the_requested_layouts_are_read(tmp_path):
     games = _games()
     _write(path, games)
     data = path.read_bytes()
-    with mock.patch.object(features, "_unit_text", wraps=features._unit_text) as unit_text:
+    with (
+        mock.patch.object(features, "_unit_text", wraps=features._unit_text) as unit_text,
+        mock.patch.object(features, "_folded_unit_text", wraps=features._folded_unit_text) as folded,
+    ):
         read = read_feature_file(path)
         read.aggregates()
-        assert unit_text.call_count == 0
-        for layout, width in (("530", N_TEXT_LEGACY), ("176", N_TEXT)):
+        assert unit_text.call_count == folded.call_count == 0
+        for layout, calls in (("530", (len(games), 0)), ("176", (0, len(games)))):
             unit_text.reset_mock()
+            folded.reset_mock()
             read.samples(layout)
-            assert [call.args[3] for call in unit_text.call_args_list] == [width] * len(games)
+            assert (unit_text.call_count, folded.call_count) == calls
     (stored,) = read.groups.values()
     assert read.game_ids == [g.game_id for g in stored] == [0, 1, 2]
     at = _PBF5_HEADER_BYTES + _RECORD_HEADER_BYTES
@@ -1086,7 +1105,7 @@ def test_feature_file_windows_are_views_of_game_rows(tmp_path):
         rows = {g.game_id: _float_rows(g.game, counts)[layout] for g, counts, _ in games}
         for s in loaded[layout]:
             start, length = s.window
-            np.testing.assert_array_equal(s.matrix, rows[s.game_id][start : start + length])
+            np.testing.assert_array_equal(window_rows(s), rows[s.game_id][start : start + length])
     assert scan_feature_file(path) == [(gid, games[gid][0].profile.index, 2) for gid, _ in want]
 
 
@@ -1104,9 +1123,12 @@ def test_loaded_windows_are_read_only_views_of_their_game(tmp_path, window_len, 
         for s in loaded[layout]:
             start, length = s.window
             assert isinstance(s.game, GameRows) and len(s.game) == games[s.game_id][0].game.shape[0]
-            assert s.matrix.shape == (length, dim)
-            assert s.matrix.tobytes() == s.game.array()[start : start + length].tobytes()
+            assert 0 <= start and start + length <= len(s.game)
             assert by_game.setdefault(s.game_id, s.game) is s.game  # one GameRows per game
+        # the games are consecutive rows of the store, in load order
+        starts = np.cumsum([0] + [len(g) for g in by_game.values()])
+        assert [g.start for g in by_game.values()] == starts[:-1].tolist()
+        assert starts[-1] == len(store.dense) == len(store.indptr) - 1
 
 
 def _oracle_pbf1_windows(sessions_path, cfg, layout):
@@ -1163,7 +1185,7 @@ def test_pipeline_windows_match_per_window_oracle(small_corpus, stride):
     loaded, _, _ = _decode(paths.features)
     for layout in _DIMS:
         want = _oracle_pbf1_windows(paths.sessions, cfg, layout)
-        got = [(s.game_id, s.profile.index, s.window, s.matrix.tobytes()) for s in loaded[layout]]
+        got = [(s.game_id, s.profile.index, s.window, window_rows(s).tobytes()) for s in loaded[layout]]
         assert got == want
     scanned = scan_feature_file(paths.features)
     assert scanned == [(g, p, n) for g, p, (_, n), _ in want]
@@ -1307,7 +1329,7 @@ def test_keep_decodes_its_games_into_one_block_per_group(tmp_path):
         assert X.tobytes() == X_all[rows].tobytes() and y.tolist() == y_all[rows].tolist()
     assert read.aggregates("val")[0].shape == (0, 52) and read.samples("176", "val") == []
     for layout in _DIMS:
-        want = {s.game_id: s.game.array() for s in everything[layout]}
+        want = {s.game_id: game_rows(s.game) for s in everything[layout]}
         assert len({id(s.game.store) for s in everything[layout]}) == 1  # keep=None: one store per layout
         games_of = {}
         for group in ("train", "test"):
@@ -1317,13 +1339,13 @@ def test_keep_decodes_its_games_into_one_block_per_group(tmp_path):
             ]
             for s in kept:
                 games_of.setdefault(group, {})[s.game_id] = s.game
-                assert s.game.array().view(np.uint32).tobytes() == want[s.game_id].view(np.uint32).tobytes()
+                assert game_rows(s.game).view(np.uint32).tobytes() == want[s.game_id].view(np.uint32).tobytes()
         for by_id in games_of.values():
             store = next(iter(by_id.values())).store
             assert not store.dense.flags.writeable and not store.vals.flags.writeable
             assert all(g.store is store for g in by_id.values())  # one store per group
             rows = store.fill(np.arange(len(store.dense)), np.float32)
-            assert rows.view(np.uint32).tobytes() == np.concatenate([g.array() for g in by_id.values()]).view(np.uint32).tobytes()
+            assert rows.view(np.uint32).tobytes() == np.concatenate([game_rows(g) for g in by_id.values()]).view(np.uint32).tobytes()
         assert games_of["train"][0].store is not games_of["test"][2].store
 
 
@@ -1393,7 +1415,7 @@ def test_writer_keeps_the_int8_extremes(tmp_path):
     want = _float_rows(sample.game, counts)
     for layout, text in (("176", N_BEHAVIORAL), ("530", 0)):
         (back,) = loaded[layout]
-        rows = back.game.array()
+        rows = game_rows(back.game)
         assert rows.tobytes() == want[layout].tobytes()
         # buckets 0 and 1 fold onto themselves
         assert rows[0, text] == np.float32(127 / math.hypot(127, 128))
@@ -1437,7 +1459,7 @@ def test_decoded_rows_are_bitwise_the_float_path(small_corpus):
         games = {s.game_id: s.game for s in loaded[layout]}
         assert games.keys() == want[layout].keys()
         for game_id, game in games.items():
-            assert game.array().tobytes() == want[layout][game_id].tobytes()
+            assert game_rows(game).tobytes() == want[layout][game_id].tobytes()
             for part in (game.store.dense, game.store.vals):
                 with pytest.raises(ValueError):
                     part[0] = 1.0

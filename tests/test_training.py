@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import test_lstm as lstm_oracles
+from test_features import game_rows, window_rows
 import test_taxonomy as taxonomy_oracles
 
 from profilebench.errors import (
@@ -508,7 +509,7 @@ class TestWindowBatcherRows:
 
     @staticmethod
     def _first_seen_stack(samples):
-        return np.concatenate([g.array() for g in {id(s.game): s.game for s in samples}.values()])
+        return np.concatenate([game_rows(g) for g in {id(s.game): s.game for s in samples}.values()])
 
     def test_rows_is_the_block_its_games_tile(self):
         store, block, samples = _block_windows(0)
@@ -536,7 +537,7 @@ class TestWindowBatcherRows:
         assert stack.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
         for idx in windows.batches(3):
             got = windows.x(idx)
-            assert got.tobytes() == np.stack([samples[i].matrix.astype(dtype) for i in idx]).tobytes()
+            assert got.tobytes() == np.stack([window_rows(samples[i]).astype(dtype) for i in idx]).tobytes()
 
 
     def test_games_of_two_stores_are_rejected(self):
