@@ -48,21 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate the session corpus")
     p_gen.add_argument("--games-per-profile", type=int, dest="games_per_profile")
 
-    p_feat = sub.add_parser("featurize", help="windowed feature tensors + aggregates")
-    p_feat.add_argument("--window-len", type=int, dest="window_len")
-    p_feat.add_argument("--stride", type=int, dest="stride")
-
-    p_bal = sub.add_parser("balance", help="cap per-class window counts")
-    p_bal.add_argument("--target", type=int, help="windows per class (default: auto)")
-
-    p_split = sub.add_parser("split", help="game-exclusive train/val/test split")
-    p_split.add_argument("--train-frac", type=float, dest="train_frac")
-    p_split.add_argument("--val-frac", type=float, dest="val_frac")
-    p_split.add_argument("--test-frac", type=float, dest="test_frac")
+    sub.add_parser("featurize", help="windowed feature tensors + aggregates")
+    sub.add_parser("balance", help="cap per-class window counts")
+    sub.add_parser("split", help="game-exclusive train/val/test split")
 
     p_train = sub.add_parser("train", help="train ladder rows")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--hidden", type=int)
     p_train.add_argument("--rows", help="comma-separated row ids (default: all configured)")
 
     p_eval = sub.add_parser("eval", help="evaluate trained rows on the test split")
@@ -72,36 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("run-all", help="gen, featurize, balance, split, train, eval")
     p_all.add_argument("--games-per-profile", type=int, dest="games_per_profile")
-    p_all.add_argument("--epochs", type=int)
-    p_all.add_argument("--hidden", type=int)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    """The --config file's values (or the defaults), with each given flag
+    in place of its config value."""
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    out = args.out or os.environ.get("PBENCH_OUT")
-    if out:
-        cfg = replace(cfg, out_dir=out)
-    cfg = replace(
-        cfg,
-        split=replace(cfg.split, **_given(args, train="train_frac", val="val_frac", test="test_frac")),
-        train=replace(cfg.train, **_given(args, epochs="epochs", hidden="hidden")),
-        **_given(
-            args,
-            master_seed="seed",
-            games_per_profile="games_per_profile",
-            window_len="window_len",
-            stride="stride",
-            balance_target="target",
-        ),
-    )
-    return cfg
-
-
-def _given(args: argparse.Namespace, **fields: str) -> dict:
-    """Config field -> flag value, for each flag given on the command line."""
-    values = {name: getattr(args, dest, None) for name, dest in fields.items()}
-    return {name: value for name, value in values.items() if value is not None}
+    given = {
+        "out_dir": args.out or os.environ.get("PBENCH_OUT") or None,
+        "master_seed": args.seed,
+        "games_per_profile": getattr(args, "games_per_profile", None),
+    }
+    return replace(cfg, **{name: value for name, value in given.items() if value is not None})
 
 
 def parse_rows(args: argparse.Namespace) -> list[str] | None:

@@ -104,15 +104,13 @@ def auto_target(index: CorpusIndex) -> int:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train: float = 0.8
-    val: float = 0.1
-    test: float = 0.1
-    seed: int = 0
+    """Each split's share of every profile's games."""
+
+    train: float = 0.7
+    val: float = 0.15
+    test: float = 0.15
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         fracs = (self.train, self.val, self.test)
         if any(f <= 0 for f in fracs):
             raise ConfigInvalid(f"split fractions must be positive: {fracs}")
@@ -136,7 +134,7 @@ def _apportion(n: int, fracs: tuple[float, float, float]) -> list[int]:
 
 
 def split_by_game(
-    index: CorpusIndex, spec: SplitSpec
+    index: CorpusIndex, spec: SplitSpec, seed: int
 ) -> tuple[CorpusIndex, CorpusIndex, CorpusIndex]:
     """Stratified game-level split; per profile, counts follow the requested
     fractions to within one game."""
@@ -147,7 +145,7 @@ def split_by_game(
                 part.profiles[code] = []
             continue
         rng = np.random.Generator(
-            np.random.PCG64(mix_seed(spec.seed, "split", Profile.from_code(code).index))
+            np.random.PCG64(mix_seed(seed, "split", Profile.from_code(code).index))
         )
         order = rng.permutation(len(games))
         counts = _apportion(len(games), (spec.train, spec.val, spec.test))

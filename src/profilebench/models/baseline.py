@@ -1,8 +1,9 @@
 """Multinomial logistic regression over per-game aggregate vectors.
 
 A deliberately plain model: standardized features, seeded mini-batch
-gradient descent, L2 penalty. Its job is to show where non-sequential
-aggregates plateau, not to compete with the sequence models.
+gradient descent at learning rate 0.25 in batches of 128, L2 penalty 1e-4
+(`LEARNING_RATE`, `BATCH_SIZE`, `L2`). Its job is to show where
+non-sequential aggregates plateau, not to compete with the sequence models.
 """
 
 from __future__ import annotations
@@ -12,26 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from profilebench.errors import ConfigInvalid, DegenerateData, NonFiniteLoss
+from profilebench.errors import DegenerateData, NonFiniteLoss
 from profilebench.hashing import mix_seed
 
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    learning_rate: float = 0.25
-    batch_size: int = 128
-    epochs: int = 300
-    l2: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ConfigInvalid("baseline learning rate, batch size, epochs must be positive")
-        if self.l2 < 0:
-            raise ConfigInvalid(f"l2 must be >= 0: {self.l2}")
+LEARNING_RATE = 0.25
+BATCH_SIZE = 128
+L2 = 1e-4
 
 
 @dataclass
@@ -48,7 +35,7 @@ class BaselineModel:
 
 
 def train_baseline(
-    X: np.ndarray, y: np.ndarray, n_classes: int, config: BaselineConfig = BaselineConfig()
+    X: np.ndarray, y: np.ndarray, n_classes: int, seed: int, epochs: int = 300
 ) -> BaselineModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -60,22 +47,18 @@ def train_baseline(
     constant = std <= 1e-12
     if constant.any():
         cols = np.flatnonzero(constant)[:8].tolist()
-        if config.l2 == 0:
-            raise DegenerateData(
-                f"constant feature columns {cols} with no regularization"
-            )
         warnings.warn(f"constant feature columns {cols}; they carry no signal")
     mean = X.mean(axis=0)
     std = np.where(constant, 1.0, std)
     Xs = (X - mean) / std
 
-    rng = np.random.Generator(np.random.PCG64(mix_seed(config.seed, "baseline")))
+    rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "baseline")))
     W = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
-        for s in range(0, n, config.batch_size):
-            idx = order[s : s + config.batch_size]
+        for s in range(0, n, BATCH_SIZE):
+            idx = order[s : s + BATCH_SIZE]
             xb, yb = Xs[idx], y[idx]
             z = xb @ W.T + b
             z -= z.max(axis=1, keepdims=True)
@@ -83,10 +66,10 @@ def train_baseline(
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(len(idx)), yb] -= 1.0
             p /= len(idx)
-            gW = p.T @ xb + config.l2 * W
+            gW = p.T @ xb + L2 * W
             gb = p.sum(axis=0)
-            W -= config.learning_rate * gW
-            b -= config.learning_rate * gb
+            W -= LEARNING_RATE * gW
+            b -= LEARNING_RATE * gb
         if not np.all(np.isfinite(W)):
             raise NonFiniteLoss(f"baseline diverged at epoch {epoch}")
     return BaselineModel(W=W, b=b, mean=mean, std=std, n_classes=n_classes)

@@ -8,6 +8,13 @@ share a window length, so no padding or masking is ever needed, and it
 builds each batch's dense X from the games' row store. A
 `TrainConfig` is checked once, when it is built, so the loop and each
 optimizer step take it as valid.
+
+The recipe's fixed values are module constants: the alignment and
+motivation heads weigh 0.5 each (`LAMBDA_ALIGN`, `LAMBDA_MOTIV`), each
+step clips the gradient to norm 5.0 (`CLIP_NORM`), and Adam runs with
+betas 0.9 and 0.999 and eps 1e-8 (`ADAM_BETA1`, `ADAM_BETA2`,
+`ADAM_EPS`). The seed is not a config value: `train` and `train_step`
+take it, one per ladder row.
 """
 
 from __future__ import annotations
@@ -39,42 +46,37 @@ from profilebench.models.lstm import (
 from profilebench.taxonomy import LabelSpace, LabelSpaceKind, all_profiles
 
 
+LAMBDA_ALIGN = 0.5
+LAMBDA_MOTIV = 0.5
+CLIP_NORM = 5.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 50
-    seed: int = 0
-    lambda_align: float = 0.5
-    lambda_motiv: float = 0.5
-    clip_norm: float = 5.0
     dropout: float = 0.2
     patience: int = 8
     """The epoch loop stops after `patience + 1` consecutive epochs whose
     validation accuracy does not beat the best so far: 0 stops at the
     first such epoch, the default 8 after nine."""
     hidden: int = 64
-    attention_size: int = 64
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigInvalid(f"learning rate must be positive: {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigInvalid("batch_size and epochs must be >= 1")
-        if self.clip_norm <= 0:
-            raise ConfigInvalid(f"clip norm must be positive: {self.clip_norm}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigInvalid(f"dropout must lie in [0, 1): {self.dropout}")
         if self.patience < 0:
             raise ConfigInvalid(f"patience must be >= 0: {self.patience}")
-        if self.hidden < 1 or self.attention_size < 1:
-            raise ConfigInvalid("hidden and attention_size must be >= 1")
+        if self.hidden < 1:
+            raise ConfigInvalid(f"hidden must be >= 1: {self.hidden}")
 
 
 def forward_batch(
@@ -165,7 +167,6 @@ class Batch:
 def compute_gradients(
     batch: Batch,
     ckpt: Checkpoint,
-    config: TrainConfig,
     dropout_mask: np.ndarray | None,
     out: np.ndarray | None = None,
 ) -> tuple[float, Mapping[str, np.ndarray]]:
@@ -181,8 +182,8 @@ def compute_gradients(
     dpooled = 0.0
     for head, y, weight in (
         ("profile", batch.y_profile, 1.0),
-        ("align", batch.y_align, config.lambda_align),
-        ("motiv", batch.y_motiv, config.lambda_motiv),
+        ("align", batch.y_align, LAMBDA_ALIGN),
+        ("motiv", batch.y_motiv, LAMBDA_MOTIV),
     ):
         head_loss, dlogits = _ce_and_grad(logits[head], y, weight)
         loss += head_loss
@@ -226,7 +227,7 @@ def adam_update(
     """Adam step number `t` (from 1) over the flat parameter vector and its
     moments (m, v), in place, with the same per-element operation order as
     a per-parameter update."""
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     m, v = moments
@@ -258,20 +259,21 @@ def dropout_mask_for_step(
 
 
 def train_step(
-    batch: Batch, ckpt: Checkpoint, moments: Moments, config: TrainConfig, global_step: int
+    batch: Batch, ckpt: Checkpoint, moments: Moments, config: TrainConfig, seed: int, global_step: int
 ) -> float:
     """Optimizer step `global_step` (from 0) on the checkpoint and the Adam
-    moments (m, v), in place; returns the batch loss."""
+    moments (m, v), in place, its dropout mask drawn from `seed`; returns
+    the batch loss."""
     readout = ckpt.params["head_profile_W"].shape[1]
     mask = dropout_mask_for_step(
-        (batch.X.shape[0], readout), config.dropout, config.seed, global_step,
+        (batch.X.shape[0], readout), config.dropout, seed, global_step,
         ckpt.params["fwd_W"].dtype,
     )
     grads = np.empty_like(ckpt.flat)
-    loss, _ = compute_gradients(batch, ckpt, config, mask, out=grads)
+    loss, _ = compute_gradients(batch, ckpt, mask, out=grads)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss diverged at step {global_step}: {loss}")
-    norm = clip_gradients(grads, config.clip_norm)
+    norm = clip_gradients(grads, CLIP_NORM)
     # saturated activations can keep the loss finite while gradients blow up
     if not np.isfinite(norm):
         raise NonFiniteLoss(f"gradient norm diverged at step {global_step}: {norm}")
@@ -383,8 +385,10 @@ def train(
     space: LabelSpace,
     ckpt: Checkpoint,
     config: TrainConfig,
+    seed: int,
 ) -> tuple[Checkpoint, list[dict]]:
-    """Epoch loop with early stopping on validation main-head accuracy.
+    """Epoch loop with early stopping on validation main-head accuracy;
+    `seed` draws each epoch's batch order and each step's dropout mask.
 
     Returns the checkpoint from the best validation epoch and the history.
     """
@@ -405,11 +409,11 @@ def train(
     history: list[dict] = []
     global_step = 0
     for epoch in range(config.epochs):
-        rng = np.random.Generator(np.random.PCG64(mix_seed(config.seed, "epoch", epoch)))
+        rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "epoch", epoch)))
         losses = []
         for idx in train_data.batches(config.batch_size, rng):
             batch = Batch(train_data.x(idx), *(y[idx] for y in train_y))
-            losses.append(train_step(batch, ckpt, moments, config, global_step))
+            losses.append(train_step(batch, ckpt, moments, config, seed, global_step))
             global_step += 1
         preds, labels = predict_main(val_data, val_y, ckpt)
         val_acc = float((preds == labels).mean())

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import platform
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -65,7 +65,7 @@ from profilebench.features import (
     scan_feature_file,
 )
 from profilebench.hashing import digest_config, mix_seed, read_json, sha256_file, stable_json_dumps
-from profilebench.models.baseline import BaselineConfig, BaselineModel, train_baseline
+from profilebench.models.baseline import BaselineModel, train_baseline
 from profilebench.models.checkpoint import (
     POOL_ATTENTION,
     POOL_LAST,
@@ -220,13 +220,6 @@ def read_config(cls, doc, where: str = "config"):
 
 
 @dataclass(frozen=True)
-class SplitFractions:
-    train: float = 0.7
-    val: float = 0.15
-    test: float = 0.15
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     master_seed: int = 20260801
     games_per_profile: int = 60
@@ -234,34 +227,21 @@ class PipelineConfig:
     window_len: int = 8
     stride: int = 4
     balance_target: int | None = None
-    split: SplitFractions = field(default_factory=SplitFractions)
+    split: SplitSpec = field(default_factory=SplitSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
-    baseline: BaselineConfig = field(default_factory=BaselineConfig)
     ladder: tuple[str, ...] = tuple(row.row_id for row in LADDER)
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """The pipeline's own fields; the nested configs check themselves
-        when they are built."""
+        """Checks the pipeline's own fields; the nested configs check
+        themselves when they are built."""
         if self.games_per_profile < 1:
             raise ConfigInvalid(f"games_per_profile must be >= 1: {self.games_per_profile}")
         if self.window_len < 1 or self.stride < 1:
             raise ConfigInvalid("window_len and stride must be >= 1")
         if self.balance_target is not None and self.balance_target < 1:
             raise ConfigInvalid(f"balance_target must be >= 1: {self.balance_target}")
-        self.split_spec()  # SplitSpec checks the fractions
         check_rows(self.ladder)
-
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            train=self.split.train,
-            val=self.split.val,
-            test=self.split.test,
-            seed=mix_seed(self.master_seed, "split"),
-        )
 
     def digest_dict(self) -> dict:
         """Config content that determines outputs: all but the output
@@ -310,7 +290,7 @@ class Paths:
         self.provenance = self.root / "provenance"
 
     def checkpoint(self, row_id: str) -> Path:
-        suffix = ".json" if row_id == "baseline_agg" else ".pbck"
+        suffix = ".json" if LADDER_BY_ID[row_id].model == "baseline" else ".pbck"
         return self.checkpoints / f"{row_id}{suffix}"
 
     def ensure_root(self) -> None:
@@ -429,17 +409,11 @@ def stage_split(cfg: PipelineConfig) -> dict:
     paths = Paths(cfg.out_dir)
     require([paths.balanced_index], "split")
     index = read_index(paths.balanced_index)
-    spec = cfg.split_spec()
-    train_idx, val_idx, test_idx = split_by_game(index, spec)
+    seed = mix_seed(cfg.master_seed, "split")
+    train_idx, val_idx, test_idx = split_by_game(index, cfg.split, seed)
     assignment = split_assignment(train_idx, val_idx, test_idx)
     write_splits(paths.splits, assignment)
-    write_provenance(
-        paths,
-        "split",
-        [paths.balanced_index],
-        spec.seed,
-        {"train": spec.train, "val": spec.val, "test": spec.test},
-    )
+    write_provenance(paths, "split", [paths.balanced_index], seed, dataclasses.asdict(cfg.split))
     counts = {name: sum(1 for v in assignment.values() if v == name) for name in ("train", "val", "test")}
     return {"games": counts}
 
@@ -536,9 +510,7 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
     row_seed = mix_seed(cfg.master_seed, "train", row.row_id)
     if row.model == "baseline":
         X, y, _ = data.rows("agg", "train")
-        model = train_baseline(
-            X, y, n_classes=36, config=replace(cfg.baseline, seed=row_seed)
-        )
+        model = train_baseline(X, y, n_classes=36, seed=row_seed)
         _save_baseline(paths.checkpoint(row.row_id), model)
         return
     space = row.space
@@ -552,10 +524,8 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
         seed=row_seed,
         label_space_tag=space.tag,
         schema_version=SCHEMA_VERSION,
-        attention_size=cfg.train.attention_size,
     )
-    row_cfg = replace(cfg.train, seed=row_seed)
-    best, _ = train(train_samples, val_samples, space, ckpt, row_cfg)
+    best, _ = train(train_samples, val_samples, space, ckpt, cfg.train, row_seed)
     best.config_digest = digest_config(cfg.digest_dict())
     save_checkpoint(paths.checkpoint(row.row_id), best)
 

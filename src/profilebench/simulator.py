@@ -86,9 +86,6 @@ class SimConfig:
     treasure_rate: float = 0.25
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         # one room leaves no distance to normalise the movement features by
         if self.width <= 0 or self.height <= 0 or self.width * self.height < 2:
             raise ConfigInvalid(f"dungeon needs two or more rooms: {self.width}x{self.height}")

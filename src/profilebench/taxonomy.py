@@ -124,7 +124,6 @@ class Profile:
 
 
 ALIGNMENTS: tuple[Alignment, ...] = tuple(Alignment.from_rank(r) for r in range(9))
-MOTIVATIONS: tuple[Motivation, ...] = tuple(Motivation)
 PROFILES: tuple[Profile, ...] = tuple(Profile.from_index(i) for i in range(36))
 
 

@@ -143,8 +143,7 @@ def test_04_balance_ratio_and_split_leakage(desk_run):
                 windows.extend((gid, int(p), length) for _, length in starts)
                 gid += 1
         corpus = build_index(windows)
-        spec = SplitSpec(0.6, 0.2, 0.2, seed=int(rng.integers(2**31)))
-        train, val, test = split_by_game(corpus, spec)
+        train, val, test = split_by_game(corpus, SplitSpec(0.6, 0.2, 0.2), int(rng.integers(2**31)))
         ids = [part.game_ids() for part in (train, val, test)]
         if ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2]:
             leaks += 1
@@ -257,9 +256,9 @@ def test_09_single_batch_overfits_at_default_rate():
         label_space_tag="profile36", schema_version=SCHEMA_VERSION,
     )
     # everything at defaults, learning rate included; only sizes are pinned
-    config = TrainConfig(batch_size=B, hidden=H, seed=0)
+    config = TrainConfig(batch_size=B, hidden=H)
     moments = (np.zeros_like(ckpt.flat), np.zeros_like(ckpt.flat))
-    losses = [train_step(batch, ckpt, moments, config, step) for step in range(200)]
+    losses = [train_step(batch, ckpt, moments, config, 0, step) for step in range(200)]
     crossed = next((i for i, v in enumerate(losses) if v < 0.05), None)
     ok = crossed is not None
     _verdict(

@@ -42,6 +42,20 @@ TINY = {
 }
 
 
+# Train keys earlier versions took, at their old defaults; seed derives
+# from master_seed per row, the rest is fixed in models/training.py.
+REMOVED_TRAIN_KEYS = {
+    "seed": 5,
+    "lambda_align": 0.5,
+    "lambda_motiv": 0.5,
+    "clip_norm": 5.0,
+    "attention_size": 64,
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-8,
+}
+
+
 def _v2_digest(sessions: Path) -> str:
     """sha256 of the sessions file's games written as sessions-jsonl-v2."""
     text = "".join(json.dumps(_v2_record(s), separators=(",", ":")) + "\n" for s in load_sessions(sessions))
@@ -798,6 +812,49 @@ class TestExitCodes:
     def test_split_fractions_must_sum_to_one(self, tmp_path):
         config = _write_config(tmp_path, split={"train": 0.5, "val": 0.1, "test": 0.1})
         assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [({"baseline": {"epochs": 50}}, "baseline")]
+        + [({"train": {key: value}}, key) for key, value in REMOVED_TRAIN_KEYS.items()],
+        ids=["baseline"] + [f"train.{key}" for key in REMOVED_TRAIN_KEYS],
+    )
+    def test_removed_config_key_is_config_error(self, tmp_path, capsys, change, key):
+        # named, not accepted and then ignored
+        config = _write_config(tmp_path, **change)
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["featurize", "--window-len", "8"],
+            ["featurize", "--stride", "2"],
+            ["balance", "--target", "10"],
+            ["split", "--train-frac", "0.8"],
+            ["split", "--val-frac", "0.1"],
+            ["split", "--test-frac", "0.1"],
+            ["train", "--epochs", "3"],
+            ["train", "--hidden", "8"],
+            ["run-all", "--epochs", "3"],
+            ["run-all", "--hidden", "8"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "o"), *argv])
+        assert exc.value.code == EXIT_CONFIG
+        assert argv[1] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).parents[1].glob("configs/*.json")), ids=lambda p: p.name
+)
+def test_committed_configs_load(path):
+    assert isinstance(PipelineConfig.from_file(path), PipelineConfig)
 
 
 @pytest.mark.parametrize(

@@ -157,8 +157,8 @@ def _full_index(games_per_profile=10, windows=4) -> CorpusIndex:
 
 def test_split_fractions_largest_remainder():
     index = _full_index(games_per_profile=10)
-    spec = SplitSpec(train=0.8, val=0.1, test=0.1, seed=1)
-    train, val, test = split_by_game(index, spec)
+    spec = SplitSpec(train=0.8, val=0.1, test=0.1)
+    train, val, test = split_by_game(index, spec, seed=1)
     for code in index.profiles:
         assert len(train.profiles[code]) == 8
         assert len(val.profiles[code]) == 1
@@ -167,7 +167,7 @@ def test_split_fractions_largest_remainder():
 
 def test_split_no_game_overlap():
     index = _full_index(games_per_profile=7)
-    train, val, test = split_by_game(index, SplitSpec(seed=5))
+    train, val, test = split_by_game(index, SplitSpec(), seed=5)
     sets = [train.game_ids(), val.game_ids(), test.game_ids()]
     assert not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
     assert sets[0] | sets[1] | sets[2] == index.game_ids()
@@ -175,9 +175,9 @@ def test_split_no_game_overlap():
 
 def test_split_deterministic_and_seed_sensitive():
     index = _full_index(games_per_profile=10)
-    a = split_by_game(index, SplitSpec(seed=9))
-    b = split_by_game(index, SplitSpec(seed=9))
-    c = split_by_game(index, SplitSpec(seed=10))
+    a = split_by_game(index, SplitSpec(), seed=9)
+    b = split_by_game(index, SplitSpec(), seed=9)
+    c = split_by_game(index, SplitSpec(), seed=10)
     assert a[0].game_ids() == b[0].game_ids()
     assert a[0].game_ids() != c[0].game_ids()
 
@@ -185,23 +185,23 @@ def test_split_deterministic_and_seed_sensitive():
 def test_split_empty_raises():
     index = _index({p.code: [4] for p in PROFILES})  # 1 game per class
     with pytest.raises(EmptySplit):
-        split_by_game(index, SplitSpec(train=0.8, val=0.1, test=0.1, seed=0))
+        split_by_game(index, SplitSpec(train=0.8, val=0.1, test=0.1), seed=0)
 
 
 def test_split_spec_validation():
     with pytest.raises(ConfigInvalid):
-        SplitSpec(train=0.9, val=0.1, test=0.1).validate()
+        SplitSpec(train=0.9, val=0.1, test=0.1)
     with pytest.raises(ConfigInvalid):
-        SplitSpec(train=1.0, val=0.0, test=0.0).validate()
-    SplitSpec().validate()
+        SplitSpec(train=1.0, val=0.0, test=0.0)
+    SplitSpec()
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=2**62), st.integers(min_value=4, max_value=12))
 def test_split_leakage_property(seed, games_per_profile):
     index = _full_index(games_per_profile=games_per_profile)
-    spec = SplitSpec(train=0.5, val=0.25, test=0.25, seed=seed)
-    train, val, test = split_by_game(index, spec)
+    spec = SplitSpec(train=0.5, val=0.25, test=0.25)
+    train, val, test = split_by_game(index, spec, seed)
     assignment = split_assignment(train, val, test)
     assert len(assignment) == 36 * games_per_profile
     assert not train.game_ids() & val.game_ids()

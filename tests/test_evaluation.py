@@ -365,7 +365,7 @@ game = np.linspace(-1, 1, 60, dtype=np.float32).reshape(10, 6)
 samples = [SequenceSample(0, all_profiles()[0], (s, 4), game) for s in range(7)]
 moments = (np.zeros_like(ckpt.flat), np.zeros_like(ckpt.flat))
 y = np.zeros(2, np.int64)
-train_step(Batch(np.stack([s.matrix for s in samples[:2]]), y, y, y), ckpt, moments, TrainConfig(), 0)
+train_step(Batch(np.stack([s.matrix for s in samples[:2]]), y, y, y), ckpt, moments, TrainConfig(), 0, 0)
 predict_logits(ckpt, samples)
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """

@@ -21,8 +21,9 @@ from profilebench.models.lstm import (
     multi_pool_batch,
 )
 from profilebench.models.training import (
+    LAMBDA_ALIGN,
+    LAMBDA_MOTIV,
     Batch,
-    TrainConfig,
     _ce_and_grad,
     compute_gradients,
     dropout_mask_for_step,
@@ -57,17 +58,12 @@ def _tiny_batch(seed=5, B=2):
     )
 
 
-def _config(dropout=0.0):
-    return TrainConfig(dropout=dropout, seed=3)
-
-
-def _loss_at(batch, ckpt, config, mask):
+def _loss_at(batch, ckpt, mask):
     from profilebench.models.training import loss_fn
 
     logits, _ = forward_batch(batch.X, ckpt, mask)
     return loss_fn(
-        logits, batch.y_profile, batch.y_align, batch.y_motiv,
-        config.lambda_align, config.lambda_motiv,
+        logits, batch.y_profile, batch.y_align, batch.y_motiv, LAMBDA_ALIGN, LAMBDA_MOTIV,
     )
 
 
@@ -79,12 +75,9 @@ def _check_all_params(pooling, mask_rate=0.0):
         if name.startswith("head_"):
             ckpt.params[name][...] = rng.normal(0, 0.3, ckpt.params[name].shape)
     batch = _tiny_batch()
-    config = _config(dropout=mask_rate)
     readout = ckpt.params["head_profile_W"].shape[1]
-    mask = dropout_mask_for_step(
-        (batch.X.shape[0], readout), mask_rate, config.seed, 0, np.float64
-    )
-    _, grads = compute_gradients(batch, ckpt, config, mask)
+    mask = dropout_mask_for_step((batch.X.shape[0], readout), mask_rate, 3, 0, np.float64)
+    _, grads = compute_gradients(batch, ckpt, mask)
     worst = 0.0
     for name in ckpt.layout:
         param = ckpt.params[name]
@@ -95,9 +88,9 @@ def _check_all_params(pooling, mask_rate=0.0):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + EPS
-            up = _loss_at(batch, ckpt, config, mask)
+            up = _loss_at(batch, ckpt, mask)
             flat[idx] = orig - EPS
-            down = _loss_at(batch, ckpt, config, mask)
+            down = _loss_at(batch, ckpt, mask)
             flat[idx] = orig
             numeric = (up - down) / (2 * EPS)
             err = abs(ana[idx] - numeric) / max(abs(ana[idx]), abs(numeric), 1e-6)

@@ -521,16 +521,16 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigInvalid):
         read_config(SimConfig, {"width": "6"})
     with pytest.raises(ConfigInvalid):
-        SimConfig(width=0).validate()
+        SimConfig(width=0)
     with pytest.raises(ConfigInvalid):
-        SimConfig(width=1, height=1).validate()  # no distance to normalise by
-    SimConfig(width=1, height=2).validate()
+        SimConfig(width=1, height=1)  # no distance to normalise by
+    SimConfig(width=1, height=2)
     with pytest.raises(ConfigInvalid):
-        SimConfig(temperature=0.0).validate()
+        SimConfig(temperature=0.0)
     with pytest.raises(ConfigInvalid):
-        SimConfig(fight_death_chance=1.5).validate()
+        SimConfig(fight_death_chance=1.5)
     with pytest.raises(ConfigInvalid):
-        SimConfig(moral_gain=0.0).validate()
+        SimConfig(moral_gain=0.0)
     roundtrip = read_config(SimConfig, asdict(SimConfig()))
     assert roundtrip == SimConfig()
 

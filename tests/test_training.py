@@ -19,9 +19,12 @@ from profilebench import pipeline
 from profilebench.dataset import window_starts
 from profilebench.features import GameRows, RowStore, SequenceSample
 from profilebench.models import lstm
-from profilebench.models.baseline import BaselineConfig, train_baseline
+from profilebench.models.baseline import train_baseline
 from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI, init_checkpoint
 from profilebench.models.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Batch,
     TrainConfig,
     WindowBatcher,
@@ -85,7 +88,7 @@ def _toy_samples(n_per_class, classes, T=6, D=6, seed=0, scale=2.0):
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     @pytest.mark.parametrize(
         "kw",
@@ -93,7 +96,6 @@ class TestConfigValidation:
             {"learning_rate": 0.0},
             {"batch_size": 0},
             {"epochs": 0},
-            {"clip_norm": 0.0},
             {"dropout": 1.0},
             {"dropout": -0.1},
             {"patience": -1},
@@ -102,7 +104,7 @@ class TestConfigValidation:
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ConfigInvalid):
-            TrainConfig(**kw).validate()
+            TrainConfig(**kw)
 
 
 class TestLoss:
@@ -159,9 +161,9 @@ class TestTrainStep:
             y_align=np.arange(B) % 9,
             y_motiv=np.arange(B) % 4,
         )
-        config = TrainConfig(learning_rate=1e-2, dropout=0.0, seed=0)
+        config = TrainConfig(learning_rate=1e-2, dropout=0.0)
         moments = _moments(ckpt)
-        losses = [train_step(batch, ckpt, moments, config, step) for step in range(200)]
+        losses = [train_step(batch, ckpt, moments, config, 0, step) for step in range(200)]
         assert losses[-1] < 0.05
         assert losses[-1] < losses[0]
 
@@ -176,9 +178,9 @@ class TestTrainStep:
         )
         config = TrainConfig(learning_rate=1e-2, dropout=0.0)
         moments = _moments(ckpt)
-        first = train_step(batch, ckpt, moments, config, 0)
+        first = train_step(batch, ckpt, moments, config, 0, 0)
         for step in range(1, 30):
-            last = train_step(batch, ckpt, moments, config, step)
+            last = train_step(batch, ckpt, moments, config, 0, step)
         assert last < first
 
     def test_nonfinite_input_raises(self):
@@ -194,7 +196,7 @@ class TestTrainStep:
             y_motiv=np.array([0, 1]),
         )
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
-            train_step(batch, ckpt, _moments(ckpt), TrainConfig(dropout=0.0), 0)
+            train_step(batch, ckpt, _moments(ckpt), TrainConfig(dropout=0.0), 0, 0)
 
     def test_updates_change_parameters_in_place(self):
         ckpt = _tiny_ckpt(n_classes=4)
@@ -209,11 +211,11 @@ class TestTrainStep:
         # zero-init heads pass no gradient to the recurrent weights on the
         # first step; they do from the second step onward
         moments = _moments(ckpt)
-        train_step(batch, ckpt, moments, TrainConfig(dropout=0.0), 0)
+        train_step(batch, ckpt, moments, TrainConfig(dropout=0.0), 0, 0)
         changed = [k for k in before if not np.array_equal(before[k], ckpt.params[k])]
         assert "head_profile_W" in changed
         assert "fwd_W" not in changed
-        train_step(batch, ckpt, moments, TrainConfig(dropout=0.0), 1)
+        train_step(batch, ckpt, moments, TrainConfig(dropout=0.0), 0, 1)
         changed = [k for k in before if not np.array_equal(before[k], ckpt.params[k])]
         assert "fwd_W" in changed
         assert "bwd_W" in changed
@@ -221,7 +223,7 @@ class TestTrainStep:
 
 def _per_name_adam(params, m, v, grads, step, config):
     """Oracle: Adam as a loop over named parameter arrays."""
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bias1 = 1.0 - b1**step
     bias2 = 1.0 - b2**step
     for name, g in grads.items():
@@ -273,9 +275,9 @@ class TestFlatOptimizer:
             y_motiv=rng.integers(0, 4, 3),
         )
         out = np.full_like(ckpt.flat, np.nan)
-        _, grads = compute_gradients(batch, ckpt, TrainConfig(dropout=0.0), None, out=out)
+        _, grads = compute_gradients(batch, ckpt, None, out=out)
         assert np.isfinite(out).all()
-        _, fresh = compute_gradients(batch, ckpt, TrainConfig(dropout=0.0), None)
+        _, fresh = compute_gradients(batch, ckpt, None)
         assert list(grads) == list(fresh) == list(ckpt.layout)
         for name, g in grads.items():
             assert np.shares_memory(g, out) and g.shape == ckpt.params[name].shape
@@ -307,7 +309,7 @@ class TestTrainLoop:
             learning_rate=5e-3, batch_size=16, epochs=20, dropout=0.0, patience=20, hidden=12,
         )
         ckpt = init_checkpoint(6, 12, 36, POOL_MULTI, 7, PROFILE_SPACE.tag, 1)
-        best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config)
+        best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config, 0)
         assert max(h["val_accuracy"] for h in history) == 1.0
 
     def test_returns_checkpoint_from_best_epoch(self):
@@ -318,7 +320,7 @@ class TestTrainLoop:
             learning_rate=5e-3, batch_size=8, epochs=6, dropout=0.0, patience=6, hidden=8,
         )
         ckpt = init_checkpoint(6, 8, 36, POOL_MULTI, 8, PROFILE_SPACE.tag, 1)
-        best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config)
+        best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config, 0)
         best_acc = max(h["val_accuracy"] for h in history)
         y_val = space_labels([s.profile.index for s in val_s], PROFILE_SPACE)[0]
         preds, labels = predict_main(WindowBatcher(val_s, best.flat.dtype), y_val, best)
@@ -332,7 +334,7 @@ class TestTrainLoop:
             learning_rate=5e-3, batch_size=8, epochs=50, dropout=0.0, patience=0, hidden=8,
         )
         ckpt = init_checkpoint(6, 8, 36, POOL_MULTI, 9, PROFILE_SPACE.tag, 1)
-        _, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config)
+        _, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config, 0)
         accs = [h["val_accuracy"] for h in history]
         # every epoch except the last strictly improved on the running best
         for i in range(1, len(accs) - 1):
@@ -343,14 +345,14 @@ class TestTrainLoop:
     def test_training_is_deterministic(self):
         classes = [0, 9, 20]
         config = TrainConfig(
-            learning_rate=5e-3, batch_size=8, epochs=4, dropout=0.2, patience=4, hidden=8, seed=5,
+            learning_rate=5e-3, batch_size=8, epochs=4, dropout=0.2, patience=4, hidden=8,
         )
         results = []
         for _ in range(2):
             train_s = _toy_samples(6, classes, seed=40)
             val_s = _toy_samples(3, classes, seed=41)
             ckpt = init_checkpoint(6, 8, 36, POOL_MULTI, 10, PROFILE_SPACE.tag, 1)
-            best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config)
+            best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config, 5)
             results.append((best, history))
         assert results[0][1] == results[1][1]
         for k in results[0][0].params:
@@ -371,7 +373,7 @@ class TestTrainLoop:
 
         classes = [0, 9, 20]
         config = TrainConfig(
-            learning_rate=5e-3, batch_size=8, epochs=2, dropout=0.2, patience=2, hidden=8, seed=6,
+            learning_rate=5e-3, batch_size=8, epochs=2, dropout=0.2, patience=2, hidden=8,
         )
         runs = []
         for patched in (False, True):
@@ -381,7 +383,7 @@ class TestTrainLoop:
             train_s = _toy_samples(6, classes, T=5, seed=42) + _toy_samples(3, classes, T=3, seed=43)
             val_s = _toy_samples(3, classes, seed=44)
             ckpt = init_checkpoint(6, 8, 36, pooling, 12, PROFILE_SPACE.tag, 1, attention_size=5)
-            best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config)
+            best, history = train(train_s, val_s, PROFILE_SPACE, ckpt, config, 6)
             runs.append((ckpt, best, history))
         kernel, reference = runs
         assert kernel[0].flat.dtype == np.float32 and len(kernel[2]) == 2
@@ -393,9 +395,9 @@ class TestTrainLoop:
         samples = _toy_samples(2, [0], seed=50)
         ckpt = init_checkpoint(6, 8, 36, POOL_MULTI, 11, PROFILE_SPACE.tag, 1)
         with pytest.raises(EmptySplit):
-            train([], samples, PROFILE_SPACE, ckpt, TrainConfig())
+            train([], samples, PROFILE_SPACE, ckpt, TrainConfig(), 0)
         with pytest.raises(EmptySplit):
-            train(samples, [], PROFILE_SPACE, ckpt, TrainConfig())
+            train(samples, [], PROFILE_SPACE, ckpt, TrainConfig(), 0)
 
 
 class _Bucketed:
@@ -574,9 +576,9 @@ class TestBaselineClasses:
     def test_fewer_than_two_classes_rejected(self, y):
         X = np.arange(4 * len(y), dtype=float).reshape(len(y), 4)
         with pytest.raises(DegenerateData, match="2 classes"):
-            train_baseline(X, np.array(y, dtype=np.int64), 4)
+            train_baseline(X, np.array(y, dtype=np.int64), 4, seed=0)
 
     def test_two_classes_fit(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
-        model = train_baseline(X, np.array([0, 1, 0, 1]), 2, BaselineConfig(epochs=50))
+        model = train_baseline(X, np.array([0, 1, 0, 1]), 2, seed=0, epochs=50)
         assert model.logits(X).argmax(-1).tolist() == [0, 1, 0, 1]
