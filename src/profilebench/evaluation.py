@@ -29,7 +29,7 @@ import numpy as np
 
 from profilebench.errors import ConfigInvalid, EmptyTestSet, IoFailure, SpaceMismatch, ZeroFrequency
 from profilebench.features import SequenceSample
-from profilebench.hashing import stable_json_dumps
+from profilebench.hashing import stable_json_dumps, write_text_atomic
 from profilebench.models.checkpoint import Checkpoint
 from profilebench.models.lstm import bilstm_recur, project
 from profilebench.models.training import (
@@ -409,10 +409,7 @@ def table_rows(reports: Sequence[Report]) -> list[str]:
 
 def write_table(path: str | Path, reports: Sequence[Report], title: str = "Results") -> None:
     lines = [f"# {title}", ""] + table_rows(reports) + [""]
-    try:
-        Path(path).write_text("\n".join(lines), encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"table write failed: {exc}") from exc
+    write_text_atomic(path, "\n".join(lines), "table")
 
 
 def confusion_csv(matrix: ConfusionMatrix) -> str:
@@ -426,8 +423,12 @@ def confusion_csv(matrix: ConfusionMatrix) -> str:
 def confusion_svg(matrix: ConfusionMatrix, title: str) -> str:
     """Grayscale confusion heatmap as a standalone SVG string.
 
-    Pure text emission: one rect per cell, darker = more mass, label
-    annotations on both axes. No plotting library involved.
+    Pure text emission, no plotting library: a white background, the title
+    lines, then one filled path per grey level below white, holding one
+    square per cell at that level (`round(255 * (1 - count / peak))`,
+    darker = more mass; white cells are the background). One unfilled path
+    draws the k + 1 horizontal and k + 1 vertical grid lines on top, and
+    one group of text carries the labels of both axes.
     """
     k = len(matrix.labels)
     cell = max(10, min(24, 560 // max(k, 1)))
@@ -437,6 +438,14 @@ def confusion_svg(matrix: ConfusionMatrix, title: str) -> str:
     counts = matrix.counts.tolist()  # Python ints: no numpy scalar arithmetic per cell
     peak = max(map(max, counts)) if k else 0
     font = max(5, min(11, cell - 2))
+    squares: dict[int, list[str]] = {}  # grey level -> its cells' squares
+    for i, row in enumerate(counts):
+        for j, count in enumerate(row):
+            frac = count / peak if peak else 0.0
+            shade = round(255 * (1.0 - frac))
+            if shade < 255:
+                x, y = margin_left + j * cell, margin_top + i * cell
+                squares.setdefault(shade, []).append(f"M{x} {y}h{cell}v{cell}h-{cell}z")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -444,58 +453,50 @@ def confusion_svg(matrix: ConfusionMatrix, title: str) -> str:
         f'<text x="{margin_left}" y="16" font-family="monospace" font-size="12">{title}</text>',
         f'<text x="{margin_left}" y="30" font-family="monospace" font-size="9">rows: true, columns: predicted</text>',
     ]
-    for i, row in enumerate(counts):
-        for j, count in enumerate(row):
-            frac = count / peak if peak else 0.0
-            shade = round(255 * (1.0 - frac))
-            x = margin_left + j * cell
-            y = margin_top + i * cell
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="rgb({shade},{shade},{shade})" stroke="rgb(200,200,200)" stroke-width="0.5"/>'
-            )
+    for shade in sorted(squares):
+        parts.append(f'<path fill="rgb({shade},{shade},{shade})" d="{"".join(squares[shade])}"/>')
+    side = k * cell
+    grid = [f"M{margin_left} {margin_top + i * cell}h{side}" for i in range(k + 1)]
+    grid += [f"M{margin_left + j * cell} {margin_top}v{side}" for j in range(k + 1)]
+    # square caps close the outer corners, as a mitred rectangle outline does
+    parts.append(
+        f'<path fill="none" stroke="rgb(200,200,200)" stroke-width="0.5" '
+        f'stroke-linecap="square" d="{"".join(grid)}"/>'
+    )
+    parts.append(f'<g font-family="monospace" font-size="{font}">')
     for i, label in enumerate(matrix.labels):
         y = margin_top + i * cell + cell // 2 + font // 2
-        parts.append(
-            f'<text x="{margin_left - 4}" y="{y}" font-family="monospace" '
-            f'font-size="{font}" text-anchor="end">{label}</text>'
-        )
+        parts.append(f'<text x="{margin_left - 4}" y="{y}" text-anchor="end">{label}</text>')
         x = margin_left + i * cell + cell // 2
         parts.append(
-            f'<text x="{x}" y="{margin_top - 4}" font-family="monospace" font-size="{font}" '
-            f'text-anchor="start" transform="rotate(-60 {x} {margin_top - 4})">{label}</text>'
+            f'<text x="{x}" y="{margin_top - 4}" transform="rotate(-60 {x} {margin_top - 4})">{label}</text>'
         )
-    parts.append("</svg>")
+    parts += ["</g>", "</svg>"]
     return "\n".join(parts) + "\n"
 
 
 def emit_report(report: Report, directory: str | Path) -> list[Path]:
-    """Write metrics.json, confusion CSV/SVG per space, and table.md."""
+    """Write metrics.json, confusion CSV/SVG per space, and table.md, each
+    through `write_text_atomic`."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        written = []
-        metrics_path = directory / "metrics.json"
-        metrics_path.write_text(stable_json_dumps(report.to_dict()) + "\n", encoding="utf-8")
-        written.append(metrics_path)
-        matrices = [(report.space_tag, report.confusion_main)]
-        if report.confusion_align is not None:
-            matrices.append(("alignment9", report.confusion_align))
-        if report.confusion_motiv is not None:
-            matrices.append(("motivation4", report.confusion_motiv))
-        seen = set()
-        for tag, matrix in matrices:
-            if tag in seen or matrix.total == 0:
-                continue
-            seen.add(tag)
-            csv_path = directory / f"confusion_{tag}.csv"
-            csv_path.write_text(confusion_csv(matrix), encoding="utf-8")
-            svg_path = directory / f"confusion_{tag}.svg"
-            svg_path.write_text(confusion_svg(matrix, f"{report.name} [{tag}]"), encoding="utf-8")
-            written += [csv_path, svg_path]
-        table_path = directory / "table.md"
-        write_table(table_path, [report], title=report.name)
-        written.append(table_path)
-        return written
     except OSError as exc:
         raise IoFailure(f"report write failed: {exc}") from exc
+    files = [("metrics.json", stable_json_dumps(report.to_dict()) + "\n")]
+    matrices = [(report.space_tag, report.confusion_main)]
+    if report.confusion_align is not None:
+        matrices.append(("alignment9", report.confusion_align))
+    if report.confusion_motiv is not None:
+        matrices.append(("motivation4", report.confusion_motiv))
+    seen = set()
+    for tag, matrix in matrices:
+        if tag in seen or matrix.total == 0:
+            continue
+        seen.add(tag)
+        files.append((f"confusion_{tag}.csv", confusion_csv(matrix)))
+        files.append((f"confusion_{tag}.svg", confusion_svg(matrix, f"{report.name} [{tag}]")))
+    for name, text in files:
+        write_text_atomic(directory / name, text, "report")
+    write_table(directory / "table.md", [report], title=report.name)
+    return [directory / name for name, _ in files] + [directory / "table.md"]

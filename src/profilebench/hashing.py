@@ -1,4 +1,5 @@
-"""Deterministic hashing and seed-derivation helpers, and the JSON codec.
+"""Deterministic hashing and seed-derivation helpers, the JSON codec, and
+the atomic text write every report file goes through.
 
 The hashing is fixed-width integer arithmetic so results are identical
 across platforms, Python versions, and process counts.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable
 
@@ -139,6 +141,23 @@ def read_json(path: str | Path, what: str, parse: Callable[[Any], Any] = lambda 
         return parse(json.loads(data))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SchemaMismatch(f"{path}: malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def write_text_atomic(path: str | Path, text: str, what: str) -> None:
+    """Write `text` as UTF-8 to `<path>.tmp`, then rename it onto `path`, so
+    a write that fails part-way leaves an earlier file at `path` as it was
+    and no temp file behind. A failed write raises IoFailure; any other
+    error (say, text that UTF-8 cannot encode) is raised as it is."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"{what} write failed: {exc}") from exc
+        raise
 
 
 def digest_config(obj) -> str:

@@ -64,7 +64,7 @@ from profilebench.features import (
     read_feature_file,
     scan_feature_file,
 )
-from profilebench.hashing import digest_config, mix_seed, read_json, sha256_file, stable_json_dumps
+from profilebench.hashing import digest_config, mix_seed, read_json, sha256_file, stable_json_dumps, write_text_atomic
 from profilebench.models.baseline import BaselineModel, train_baseline
 from profilebench.models.checkpoint import (
     POOL_ATTENTION,
@@ -639,7 +639,7 @@ def stage_report(cfg: PipelineConfig) -> str:
     if not rows:
         raise SchemaMismatch(f"report: no metrics.json files under {paths.results}")
     text = "\n".join(["# Consolidated results", "", *TABLE_HEADER, *rows]) + "\n"
-    (paths.results / "consolidated.md").write_text(text, encoding="utf-8")
+    write_text_atomic(paths.results / "consolidated.md", text, "report")
     return text
 
 

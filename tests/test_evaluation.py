@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from test_features import window_rows
 
 import profilebench
 
-from profilebench.errors import ConfigInvalid, EmptyTestSet, SpaceMismatch, ZeroFrequency
+from profilebench.errors import ConfigInvalid, EmptyTestSet, IoFailure, SpaceMismatch, ZeroFrequency
 from profilebench.evaluation import (
     ETA_GRID,
     NEUTRAL_ALIGNMENT_RANKS,
@@ -567,6 +569,48 @@ class TestSpecValidation:
             LadderRow("t", "t", "lstm_multipool", "agg", LabelSpaceKind.PROFILE36)
 
 
+_SVG = "{http://www.w3.org/2000/svg}"
+
+# every value ties with others, one class is never seen, and two cells
+# share the peak
+_SVG36_COUNTS = np.arange(36 * 36, dtype=np.int64).reshape(36, 36) % 7
+_SVG36_COUNTS[5] = 0
+_SVG36_COUNTS[9, 30] = _SVG36_COUNTS[20, 2] = 13
+
+
+def _read_heatmap(doc):
+    """A parsed heatmap's (k, k) grey levels (255 where no square is drawn),
+    its grid (line positions, origin and pitch) and its label group. Every
+    fill square and grid line must sit on the grid."""
+    (grid_path,) = doc.findall(f"{_SVG}path[@fill='none']")
+    assert grid_path.get("stroke") == "rgb(200,200,200)" and grid_path.get("stroke-width") == "0.5"
+    lines = re.findall(r"M(\d+) (\d+)([hv])(\d+)", grid_path.get("d"))
+    assert "".join(f"M{x} {y}{a}{n}" for x, y, a, n in lines) == grid_path.get("d")
+    grid = {"h": [int(y) for _, y, a, _ in lines if a == "h"], "v": [int(x) for x, _, a, _ in lines if a == "v"]}
+    x0, y0, k = grid["v"][0], grid["h"][0], len(grid["h"]) - 1
+    pitch = (grid["v"][-1] - x0) // k
+    assert grid["v"] == [x0 + j * pitch for j in range(k + 1)]
+    assert grid["h"] == [y0 + i * pitch for i in range(k + 1)]
+    assert {int(n) for *_, n in lines} == {k * pitch}
+    assert all(int(x) == x0 if a == "h" else int(y) == y0 for x, y, a, _ in lines)
+    shades = np.full((k, k), 255)
+    for path in doc.findall(f"{_SVG}path"):
+        if path is grid_path:
+            continue
+        level = re.fullmatch(r"rgb\((\d+),\1,\1\)", path.get("fill"))
+        squares = re.findall(r"M(\d+) (\d+)h(\d+)v\3h-\3z", path.get("d"))
+        assert "".join(f"M{x} {y}h{c}v{c}h-{c}z" for x, y, c in squares) == path.get("d")
+        for x, y, c in squares:
+            i, j = (int(y) - y0) // pitch, (int(x) - x0) // pitch
+            assert (int(x), int(y), int(c)) == (x0 + j * pitch, y0 + i * pitch, pitch)
+            assert shades[i, j] == 255, "a cell drawn twice"
+            shades[i, j] = int(level.group(1))
+        assert int(level.group(1)) < 255
+    (group,) = doc.findall(f"{_SVG}g")
+    assert group.get("font-family") == "monospace"
+    return shades, {**grid, "x0": x0, "y0": y0, "pitch": pitch}, group
+
+
 class TestFiles:
     def test_csv_round_trips_counts(self):
         m = ConfusionMatrix.from_predictions(
@@ -580,30 +624,47 @@ class TestFiles:
         # row sums equal per-class support
         np.testing.assert_array_equal(parsed.sum(axis=1), m.counts.sum(axis=1))
 
-    def test_svg_has_one_rect_per_cell(self):
-        m = ConfusionMatrix.from_predictions(
-            np.array([0, 1, 2]), np.array([0, 1, 2]), ["a", "b", "c"]
-        )
-        svg = confusion_svg(m, "demo")
-        assert svg.count("<rect") == 9 + 1  # cells plus background
-        assert svg.count("text-anchor=\"end\"") == 3
-        assert "demo" in svg
-
-    def test_svg_shades_scale_with_mass(self):
-        counts = np.array([[10, 0], [0, 5]], dtype=np.int64)
-        svg = confusion_svg(ConfusionMatrix(labels=["a", "b"], counts=counts), "t")
-        assert 'fill="rgb(0,0,0)"' in svg  # peak cell is black
-        assert 'fill="rgb(255,255,255)"' in svg  # empty cell is white
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.zeros((3, 3), dtype=np.int64),  # no mass: no fill paths
+            np.array([[5]]),
+            np.array([[10, 0], [0, 5]]),  # 5 / 10 rounds half to even: 128
+            _SVG36_COUNTS,
+        ],
+        ids=["zeros3", "one", "two", "profile36"],
+    )
+    def test_svg_cells_grid_and_labels_read_back(self, counts):
+        k = len(counts)
+        labels = [f"c{i}" for i in range(k)] if k < 36 else [p.code for p in PROFILES]
+        doc = ET.fromstring(confusion_svg(ConfusionMatrix(labels=labels, counts=counts), "demo"))
+        assert [t.text for t in doc.findall(f"{_SVG}text")] == ["demo", "rows: true, columns: predicted"]
+        shades, grid, group = _read_heatmap(doc)
+        peak = counts.max()
+        want = [[round(255 * (1.0 - c / peak)) if peak else 255 for c in row] for row in counts.tolist()]
+        assert shades.tolist() == want
+        # one fill path per grey level below white, then the grid path
+        assert len(doc.findall(f"{_SVG}path")) == len({v for row in want for v in row} - {255}) + 1
+        assert len(grid["h"]) == len(grid["v"]) == k + 1
+        texts = group.findall(f"{_SVG}text")
+        rows = [t for t in texts if t.get("text-anchor") == "end"]
+        columns = [t for t in texts if t.get("transform", "").startswith("rotate(-60 ")]
+        assert len(texts) == 2 * k
+        assert [t.text for t in rows] == [t.text for t in columns] == labels
+        # row labels right-aligned left of the grid, column labels above it,
+        # each centred on its cell
+        cell = grid["pitch"]
+        assert {int(t.get("x")) for t in rows} == {grid["x0"] - 4}
+        assert [int(t.get("x")) for t in columns] == [grid["x0"] + j * cell + cell // 2 for j in range(k)]
+        assert {int(t.get("y")) for t in columns} == {grid["y0"] - 4}
+        font = int(group.get("font-size"))
+        assert [int(t.get("y")) for t in rows] == [grid["y0"] + i * cell + cell // 2 + font // 2 for i in range(k)]
 
     def test_svg_of_36_classes_matches_pinned_digest(self):
-        # every value ties with others, one class is never seen, and two
-        # cells share the peak
-        counts = np.arange(36 * 36, dtype=np.int64).reshape(36, 36) % 7
-        counts[5] = 0
-        counts[9, 30] = counts[20, 2] = 13
-        svg = confusion_svg(ConfusionMatrix(labels=[p.code for p in PROFILES], counts=counts), "profile36")
+        labels = [p.code for p in PROFILES]
+        svg = confusion_svg(ConfusionMatrix(labels=labels, counts=_SVG36_COUNTS), "profile36")
         digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
-        assert digest == "92bc5151599eda7507fa77ed69d34cc384e51371b24b61f287d372017a91caa8"
+        assert digest == "a96e696c939feaa05ab332ba25cbcb0e7ba4f61be3f043ff450059e0c994cca4"
 
     def test_emit_report_writes_expected_files(self, tmp_path):
         ckpt = _ckpt()
@@ -630,6 +691,23 @@ class TestFiles:
                 {p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
             )
         assert blobs[0] == blobs[1]
+
+    def test_write_failing_part_way_leaves_the_earlier_file_and_no_temp(self, tmp_path):
+        scores = score_windows(_ckpt(), _samples(list(range(6))), PROFILE_SPACE)
+        emit_report(evaluate(scores, PROFILE_SPACE, name="demo", dims="176"), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # a lone surrogate reaches the SVG title, which UTF-8 cannot encode
+        with pytest.raises(UnicodeEncodeError):
+            emit_report(evaluate(scores, PROFILE_SPACE, name="\ud800", dims="176"), tmp_path)
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(after) == sorted(before)
+        assert after["confusion_profile36.svg"] == before["confusion_profile36.svg"]
+
+    def test_os_error_is_io_failure_and_leaves_no_temp(self, tmp_path):
+        (tmp_path / "t.md").mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(IoFailure, match="table write failed"):
+            write_table(tmp_path / "t.md", [failed_report("broken", "176", "profile36", "x")])
+        assert [p.name for p in tmp_path.iterdir()] == ["t.md"]
 
     def test_table_formats_percentages(self):
         ckpt = _ckpt()

@@ -410,6 +410,34 @@ class TestKernelBits:
             bilstm_recur((pre, pre), np.array([[0, 1], [row, 2]]), (R, b), (R, b))
 
 
+def _chunk_bounds(n, size, tail=24):
+    """Row bounds of `size`-row chunks of n rows; a last chunk of fewer
+    than `tail` rows is merged into the chunk before it."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < tail:
+        starts.pop()
+    return starts + [n]
+
+
+class TestChunkedProjection:
+    """Canary for a fixed scoring workspace: a stack projected in chunks of
+    a multiple of 24 rows, the remainder under 24 rows merged into the chunk
+    before it, is bit for bit the one-GEMM projection on the OpenBLAS sgemm
+    kernels CI runs. A 1-row last chunk is not: if this starts failing,
+    chunking the scoring projection changes logits."""
+
+    @pytest.mark.parametrize("D", [176, 530])
+    @pytest.mark.parametrize("N", [25, 50, 777, 1537, 2085])
+    @pytest.mark.parametrize("size", [24, 96, 768])
+    def test_chunks_bitwise_equal_to_one_gemm(self, D, N, size):
+        rng = np.random.default_rng(191 + N + D)
+        W = rng.normal(0, 0.1, (4 * 64, D)).astype(np.float32)
+        rows = rng.normal(0, 1, (N, D)).astype(np.float32)
+        bounds = _chunk_bounds(N, size)
+        chunked = np.concatenate([project(rows[s:e], W) for s, e in zip(bounds, bounds[1:])])
+        _assert_bits(chunked, project(rows, W), np.uint32)
+
+
 def _per_step_backward(cache, X, R, dstates):
     """Oracle: backward with the weight-gradient products inside the step loop."""
     B, T, D = X.shape
