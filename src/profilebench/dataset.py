@@ -16,8 +16,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from profilebench.errors import ConfigInvalid, EmptySplit, IoFailure, TargetTooSmall
-from profilebench.hashing import mix_seed, read_json
+from profilebench.errors import ConfigInvalid, EmptySplit, TargetTooSmall
+from profilebench.hashing import mix_seed, read_json, write_text_atomic
 from profilebench.taxonomy import PROFILES, Profile
 
 
@@ -185,12 +185,7 @@ def write_index(path: str | Path, index: CorpusIndex, seed: int, target: int) ->
         "seed": seed,
         "target": target,
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"index write failed: {exc}") from exc
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", "index")
 
 
 def read_index(path: str | Path) -> CorpusIndex:
@@ -208,12 +203,8 @@ def read_index(path: str | Path) -> CorpusIndex:
 
 
 def write_splits(path: str | Path, assignment: Mapping[int, str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({str(k): assignment[k] for k in sorted(assignment)}, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"split write failed: {exc}") from exc
+    doc = {str(k): assignment[k] for k in sorted(assignment)}
+    write_text_atomic(path, json.dumps(doc, indent=2) + "\n", "split")
 
 
 def read_splits(path: str | Path) -> dict[int, str]:

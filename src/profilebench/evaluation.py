@@ -22,6 +22,7 @@ an alignment9 record's logits, exactly when it is given one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from html import escape  # xml.sax.saxutils's escape imports urllib.request: ~3 MB resident
 from pathlib import Path
 from typing import Sequence
 
@@ -428,7 +429,8 @@ def confusion_svg(matrix: ConfusionMatrix, title: str) -> str:
     square per cell at that level (`round(255 * (1 - count / peak))`,
     darker = more mass; white cells are the background). One unfilled path
     draws the k + 1 horizontal and k + 1 vertical grid lines on top, and
-    one group of text carries the labels of both axes.
+    one group of text carries the labels of both axes. The title and labels
+    are XML-escaped (`&`, `<`, `>`).
     """
     k = len(matrix.labels)
     cell = max(10, min(24, 560 // max(k, 1)))
@@ -450,7 +452,7 @@ def confusion_svg(matrix: ConfusionMatrix, title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{margin_left}" y="16" font-family="monospace" font-size="12">{title}</text>',
+        f'<text x="{margin_left}" y="16" font-family="monospace" font-size="12">{escape(title, quote=False)}</text>',
         f'<text x="{margin_left}" y="30" font-family="monospace" font-size="9">rows: true, columns: predicted</text>',
     ]
     for shade in sorted(squares):
@@ -465,6 +467,7 @@ def confusion_svg(matrix: ConfusionMatrix, title: str) -> str:
     )
     parts.append(f'<g font-family="monospace" font-size="{font}">')
     for i, label in enumerate(matrix.labels):
+        label = escape(label, quote=False)
         y = margin_top + i * cell + cell // 2 + font // 2
         parts.append(f'<text x="{margin_left - 4}" y="{y}" text-anchor="end">{label}</text>')
         x = margin_left + i * cell + cell // 2

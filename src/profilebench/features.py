@@ -84,6 +84,7 @@ import hashlib
 import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Hashable, Iterator, Mapping, NamedTuple
@@ -92,7 +93,7 @@ import numpy as np
 
 from profilebench.dataset import window_starts
 from profilebench.errors import DegenerateData, DimensionMismatch, IndexOutOfRange, IoFailure, SchemaMismatch
-from profilebench.hashing import fnv1a64
+from profilebench.hashing import atomic_output, fnv1a64
 from profilebench.simulator import CATEGORIES, Outcome, Session
 from profilebench.taxonomy import PROFILES, Profile
 
@@ -419,10 +420,10 @@ SEQUENCE_DIMS = {"176": N_TOTAL, "530": N_LEGACY}  # sequence layout -> row widt
 class FeatureFileWriter:
     """Streams games into the PBF5 format without holding them all.
 
-    The file is written as `<path>.tmp` and renamed onto `path` on close,
-    after the header's record count and max_T are patched, so the bytes are
-    identical to a one-shot write. If the `with` body raises, the temp file
-    is deleted and an earlier file at `path` is left as it was.
+    A context manager over `hashing.atomic_output`: when the `with` body
+    exits cleanly, the header's record count and max_T are patched before
+    the rename, so the bytes are identical to a one-shot write. If it
+    raises, an earlier file at `path` is left as it was.
     """
 
     def __init__(self, path: str | Path, window_len: int, stride: int):
@@ -431,12 +432,16 @@ class FeatureFileWriter:
         self.stride = stride
         self.n = 0
         self.max_t = 0
-        self._tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            self._fh = open(self._tmp, "wb")
-            self._fh.write(self._header())
-        except OSError as exc:
-            raise IoFailure(f"feature file open failed: {exc}") from exc
+        self._output = self._write()
+
+    @contextmanager
+    def _write(self) -> Iterator["FeatureFileWriter"]:
+        with atomic_output(self.path, "feature file") as fh:
+            self._fh = fh
+            fh.write(self._header())
+            yield self
+            fh.seek(0)
+            fh.write(self._header())
 
     def _header(self) -> bytes:
         return _HEADER.pack(_MAGIC, SCHEMA_VERSION, self.n, self.max_t, self.window_len, self.stride)
@@ -465,41 +470,20 @@ class FeatureFileWriter:
         # t * 512 + bucket, increasing; nonzero scans a bool mask ~3x faster than int8
         nonzero = np.flatnonzero(flat != 0)
         row_nnz = np.bincount(nonzero // N_TEXT_LEGACY, minlength=t)
-        try:
-            self._fh.write(_RECORD.pack(sample.game_id, sample.profile.index, t, len(nonzero)))
-            self._fh.write(sample.game.astype("<f4").tobytes())
-            self._fh.write(row_nnz.astype("<u2").tobytes())
-            self._fh.write((nonzero % N_TEXT_LEGACY).astype("<u2").tobytes())
-            self._fh.write(flat[nonzero].tobytes())
-            self._fh.write(aggregate.astype("<f8").tobytes())
-        except OSError as exc:
-            raise IoFailure(f"feature file write failed: {exc}") from exc
+        self._fh.write(_RECORD.pack(sample.game_id, sample.profile.index, t, len(nonzero)))
+        self._fh.write(sample.game.astype("<f4").tobytes())
+        self._fh.write(row_nnz.astype("<u2").tobytes())
+        self._fh.write((nonzero % N_TEXT_LEGACY).astype("<u2").tobytes())
+        self._fh.write(flat[nonzero].tobytes())
+        self._fh.write(aggregate.astype("<f8").tobytes())
         self.n += 1
         self.max_t = max(self.max_t, t)
 
-    def close(self) -> int:
-        try:
-            self._fh.seek(0)
-            self._fh.write(self._header())
-            self._fh.close()
-            os.replace(self._tmp, self.path)
-        except OSError as exc:
-            self._discard()
-            raise IoFailure(f"feature file close failed: {exc}") from exc
-        return self.n
-
-    def _discard(self) -> None:
-        self._fh.close()
-        self._tmp.unlink(missing_ok=True)
-
     def __enter__(self) -> "FeatureFileWriter":
-        return self
+        return self._output.__enter__()
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self._discard()
+    def __exit__(self, exc_type, exc, tb):
+        return self._output.__exit__(exc_type, exc, tb)
 
 
 def _read_header(path: str | Path, fh: BinaryIO, sha=None) -> dict:

@@ -1,5 +1,5 @@
 """Deterministic hashing and seed-derivation helpers, the JSON codec, and
-the atomic text write every report file goes through.
+the one atomic writer every pipeline artifact goes through.
 
 The hashing is fixed-width integer arithmetic so results are identical
 across platforms, Python versions, and process counts.
@@ -8,6 +8,10 @@ across platforms, Python versions, and process counts.
 chain per element: xor a part in, then one SplitMix64 round whose
 multiplies wrap at 2**64. Every constant and shift count is an explicit
 `np.uint64`, so no result depends on how numpy promotes Python ints.
+
+`atomic_output` is how every artifact reaches disk: its bytes go to
+`<path>.tmp`, renamed onto `path` once complete, so a write that fails
+part-way leaves the earlier file and no temp file for a later stage to read.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -143,21 +148,30 @@ def read_json(path: str | Path, what: str, parse: Callable[[Any], Any] = lambda 
         raise SchemaMismatch(f"{path}: malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
-def write_text_atomic(path: str | Path, text: str, what: str) -> None:
-    """Write `text` as UTF-8 to `<path>.tmp`, then rename it onto `path`, so
-    a write that fails part-way leaves an earlier file at `path` as it was
-    and no temp file behind. A failed write raises IoFailure; any other
-    error (say, text that UTF-8 cannot encode) is raised as it is."""
+@contextmanager
+def atomic_output(path: str | Path, what: str) -> Iterator[BinaryIO]:
+    """A binary handle on `<path>.tmp`, renamed onto `path` when the `with`
+    body exits cleanly. On any error the temp file is deleted; an OSError
+    is raised as IoFailure, anything else as it is."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise IoFailure(f"{what} write failed: {exc}") from exc
         raise
+
+
+def write_text_atomic(path: str | Path, text: str, what: str) -> None:
+    """`text` as UTF-8 through `atomic_output`. Text that UTF-8 cannot
+    encode raises before the temp file is opened."""
+    data = text.encode("utf-8")
+    with atomic_output(path, what) as fh:
+        fh.write(data)
 
 
 def digest_config(obj) -> str:

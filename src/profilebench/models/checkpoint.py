@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from profilebench.errors import ConfigInvalid, IoFailure, SchemaMismatch
-from profilebench.hashing import mix_seed, read_json
+from profilebench.hashing import atomic_output, mix_seed, read_json, write_text_atomic
 
 POOL_MULTI = "multipool"
 POOL_ATTENTION = "attention"
@@ -165,15 +165,11 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         },
         "history": ckpt.history,
     }
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(header))
-            fh.write(ckpt.flat.astype("<f4", copy=False).tobytes())
-        with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"checkpoint write failed: {exc}") from exc
+    with atomic_output(path, "checkpoint") as fh:
+        fh.write(b"".join(header))
+        fh.write(ckpt.flat.astype("<f4", copy=False).tobytes())
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    write_text_atomic(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n", "checkpoint")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

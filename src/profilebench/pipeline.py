@@ -329,8 +329,7 @@ def write_provenance(
         # float bits (e.g. GEMM rounding on short windows) depend on these
         "libraries": {"python": platform.python_version(), "numpy": np.__version__, "blas": blas},
     }
-    out = paths.provenance / f"{stage}.json"
-    out.write_text(stable_json_dumps(doc) + "\n", encoding="utf-8")
+    write_text_atomic(paths.provenance / f"{stage}.json", stable_json_dumps(doc) + "\n", "provenance")
 
 
 def _read_manifest(path: Path) -> tuple[SimConfig, int]:
@@ -486,7 +485,7 @@ def _save_baseline(path: Path, model: BaselineModel) -> None:
         "W": [[float(v) for v in row] for row in model.W],
         "b": [float(v) for v in model.b],
     }
-    path.write_text(stable_json_dumps(doc) + "\n", encoding="utf-8")
+    write_text_atomic(path, stable_json_dumps(doc) + "\n", "baseline checkpoint")
 
 
 def _load_baseline(path: Path) -> BaselineModel:
@@ -553,9 +552,7 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
             for path in (ckpt_path, ckpt_path.with_suffix(ckpt_path.suffix + ".json")):
                 path.unlink(missing_ok=True)
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
-    (paths.checkpoints / "train_status.json").write_text(
-        stable_json_dumps(status) + "\n", encoding="utf-8"
-    )
+    write_text_atomic(paths.checkpoints / "train_status.json", stable_json_dumps(status) + "\n", "train status")
     write_provenance(
         paths,
         "train",

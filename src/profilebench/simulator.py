@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from profilebench.errors import ConfigInvalid, IoFailure, SchemaMismatch
-from profilebench.hashing import FNV64_OFFSET, fold_seed, fold_seed_array, mix_seed
+from profilebench.hashing import FNV64_OFFSET, atomic_output, fold_seed, fold_seed_array, mix_seed, write_text_atomic
 from profilebench.taxonomy import (
     LawAxis,
     MoralAxis,
@@ -709,24 +709,18 @@ def generate_corpus(
 ) -> dict:
     """Write sessions.jsonl and its manifest; returns the manifest dict."""
     counts = {p.code: 0 for p in PROFILES}
-    try:
-        with open(sessions_path, "w", encoding="utf-8") as fh:
-            for session in generate_sessions(master_seed, games_per_profile, config):
-                counts[session.profile.code] += 1
-                fh.write(json.dumps(session_to_json(session), separators=(",", ":")))
-                fh.write("\n")
-        manifest = {
-            "format": SESSIONS_FORMAT,
-            "master_seed": master_seed,
-            "games_per_profile": games_per_profile,
-            "counts": counts,
-            "sim_config": asdict(config),
-        }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"corpus write failed: {exc}") from exc
+    with atomic_output(sessions_path, "corpus") as fh:
+        for session in generate_sessions(master_seed, games_per_profile, config):
+            counts[session.profile.code] += 1
+            fh.write((json.dumps(session_to_json(session), separators=(",", ":")) + "\n").encode("utf-8"))
+    manifest = {
+        "format": SESSIONS_FORMAT,
+        "master_seed": master_seed,
+        "games_per_profile": games_per_profile,
+        "counts": counts,
+        "sim_config": asdict(config),
+    }
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n", "corpus")
     return manifest
 
 

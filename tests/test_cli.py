@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: stage chaining, exit codes, overrides."""
 
+import builtins
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
@@ -10,6 +12,7 @@ import struct
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from profilebench.cli import (
@@ -21,8 +24,10 @@ from profilebench.cli import (
 )
 from profilebench import evaluation, pipeline
 from profilebench.dataset import SplitSpec, read_splits
-from profilebench.errors import ConfigInvalid, NonFiniteLoss
-from profilebench.features import FeatureFile, RowStore, read_feature_file
+from profilebench.errors import ConfigInvalid, IoFailure, NonFiniteLoss
+from profilebench.features import N_TOTAL, FeatureFile, RowStore, read_feature_file
+from profilebench.models.baseline import BaselineModel
+from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint, save_checkpoint
 from profilebench.models.training import SCORE_BATCH_SIZE, TrainConfig, WindowBatcher
 from profilebench.pipeline import PipelineConfig, read_config
 from profilebench.simulator import SimConfig, load_sessions
@@ -113,6 +118,62 @@ def finished_run(tmp_path_factory):
     return root, config, out
 
 
+class _FailingHandle:
+    """A write handle that passes on `budget` bytes (characters in text
+    mode), then writes what fits of the next write and raises ENOSPC."""
+
+    def __init__(self, fh, budget: int):
+        self._fh, self._budget = fh, budget
+
+    def write(self, data):
+        if len(data) > self._budget:
+            self._fh.write(data[: self._budget])
+            self._budget = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._budget -= len(data)
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+def _new_checkpoint(out: Path) -> None:
+    ckpt = init_checkpoint(
+        input_dim=N_TOTAL, hidden=8, n_classes=36, pooling=POOL_MULTI, seed=92,
+        label_space_tag="profile36", schema_version=3,
+    )
+    save_checkpoint(out / "checkpoints" / "multipool_176.pbck", ckpt)
+
+
+def _new_baseline(out: Path) -> None:
+    model = BaselineModel(W=np.ones((36, 52)), b=np.zeros(36), mean=np.zeros(52), std=np.ones(52), n_classes=36)
+    pipeline._save_baseline(out / "checkpoints" / "baseline_agg.json", model)
+
+
+# artifact -> (CLI args run first on each copy, the CLI args or writer call
+# that rewrites the artifact with new bytes, the `what` its IoFailure names).
+# The checkpoint writers are called directly: `train` records their
+# IoFailure as the row's failure and deletes the row's files.
+_REWRITES = {
+    "sessions.jsonl": ([], ["--seed", "92", "gen"], "corpus"),
+    "manifest.json": ([], ["--seed", "92", "gen"], "corpus"),
+    "features.pbf": (["--seed", "92", "gen"], ["featurize"], "feature file"),
+    "balanced_index.json": ([], ["--seed", "92", "balance"], "index"),
+    "splits.json": ([], ["--seed", "92", "split"], "split"),
+    "checkpoints/multipool_176.pbck": ([], _new_checkpoint, "checkpoint"),
+    "checkpoints/multipool_176.pbck.json": ([], _new_checkpoint, "checkpoint"),
+    "checkpoints/baseline_agg.json": ([], _new_baseline, "baseline checkpoint"),
+    "checkpoints/train_status.json": ([], ["train", "--rows", "baseline_agg"], "train status"),
+    "provenance/gen.json": ([], ["--seed", "92", "gen"], "provenance"),
+}
+
+
 class TestRunAll:
     def test_produces_every_stage_artifact(self, finished_run):
         _, _, out = finished_run
@@ -130,6 +191,7 @@ class TestRunAll:
         assert (out / "checkpoints" / "baseline_agg.json").exists()
         assert (out / "results" / "consolidated.md").exists()
         assert (out / "results" / "multipool_176" / "metrics.json").exists()
+        assert not list(out.rglob("*.tmp"))  # every artifact was renamed into place
 
     def test_metrics_content_is_sane(self, finished_run):
         _, _, out = finished_run
@@ -771,6 +833,48 @@ class TestExitCodes:
             assert main(["--config", str(config), "--out", str(copy), stage, "--rows", rows]) == EXIT_CONFIG
             assert "more than once" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("artifact", list(_REWRITES))
+    def test_write_failing_part_way_leaves_the_earlier_file(
+        self, finished_run, tmp_path, monkeypatch, capsys, artifact
+    ):
+        _, config, out = finished_run
+        setup, rewrite, what = _REWRITES[artifact]
+
+        def run(copy: Path, step) -> int:
+            if callable(step):
+                step(copy)
+                return EXIT_OK
+            return main(["--config", str(config), "--out", str(copy), *step])
+
+        rewritten, failed = tmp_path / "rewritten", tmp_path / "failed"
+        for copy in (rewritten, failed):
+            shutil.copytree(out, copy)
+            if setup:
+                assert run(copy, setup) == EXIT_OK
+        before = (failed / artifact).read_bytes()
+        assert run(rewritten, rewrite) == EXIT_OK
+        after = (rewritten / artifact).read_bytes()
+        assert after != before
+        name = (failed / artifact).name
+        real_open = builtins.open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and Path(file).name in (name, name + ".tmp"):
+                return _FailingHandle(fh, len(after) // 2)  # half-way through the new bytes
+            return fh
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        capsys.readouterr()
+        if callable(rewrite):
+            with pytest.raises(IoFailure, match=f"^{what} write failed: .*No space left on device"):
+                rewrite(failed)
+        else:
+            assert run(failed, rewrite) == EXIT_IO
+            assert capsys.readouterr().err.startswith(f"error: {what} write failed: ")
+        assert (failed / artifact).read_bytes() == before
+        assert not list(failed.rglob("*.tmp"))
 
     def test_repeated_row_in_config_ladder(self, tmp_path, capsys):
         config = _write_config(tmp_path, ladder=["baseline_agg", "multipool_176", "baseline_agg"])

@@ -660,6 +660,14 @@ class TestFiles:
         font = int(group.get("font-size"))
         assert [int(t.get("y")) for t in rows] == [grid["y0"] + i * cell + cell // 2 + font // 2 for i in range(k)]
 
+    def test_svg_title_and_labels_are_escaped(self):
+        labels = ["a&b", "<c>"]
+        svg = confusion_svg(ConfusionMatrix(labels=labels, counts=np.eye(2, dtype=np.int64)), "R&D <x>")
+        doc = ET.fromstring(svg)
+        assert [t.text for t in doc.findall(f"{_SVG}text")] == ["R&D <x>", "rows: true, columns: predicted"]
+        _, _, group = _read_heatmap(doc)
+        assert [t.text for t in group.findall(f"{_SVG}text")] == ["a&b", "a&b", "<c>", "<c>"]
+
     def test_svg_of_36_classes_matches_pinned_digest(self):
         labels = [p.code for p in PROFILES]
         svg = confusion_svg(ConfusionMatrix(labels=labels, counts=_SVG36_COUNTS), "profile36")

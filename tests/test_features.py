@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profilebench.dataset import window_starts
-from profilebench.errors import DegenerateData, DimensionMismatch, IndexOutOfRange, SchemaMismatch
+from profilebench.errors import DegenerateData, DimensionMismatch, IndexOutOfRange, IoFailure, SchemaMismatch
 from profilebench.features import (
     AGGREGATE_SLOT_NAMES,
     BEHAVIORAL_SLOT_NAMES,
@@ -1373,6 +1373,13 @@ def test_failed_write_leaves_the_older_file_unchanged(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["features.pbf"]
     _write(path, _games()[:1])  # a finished write replaces it
     assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["features.pbf"]
+
+
+def test_a_failed_rename_is_io_failure_and_leaves_no_temp(tmp_path):
+    (tmp_path / "features.pbf").mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(IoFailure, match="feature file write failed"):
+        _write(tmp_path / "features.pbf", _games())
     assert [p.name for p in tmp_path.iterdir()] == ["features.pbf"]
 
 
