@@ -3,7 +3,8 @@
 Balancing removes whole games, never individual windows, so every class
 retains only complete games and the residual imbalance mirrors whole-game
 granularity. Splits are stratified per profile and assigned at the game
-level: windows of one game can never straddle train and test.
+level: the split is one game id -> split name map, from the draw to
+splits.json, so windows of one game can never straddle train and test.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,9 +45,6 @@ class CorpusIndex:
         if not totals:
             return 1.0
         return max(totals) / min(totals)
-
-    def game_ids(self) -> set[int]:
-        return {g.game_id for games in self.profiles.values() for g in games}
 
     def max_game_windows(self) -> int:
         return max((g.n_windows for games in self.profiles.values() for g in games), default=0)
@@ -133,40 +131,21 @@ def _apportion(n: int, fracs: tuple[float, float, float]) -> list[int]:
     return counts
 
 
-def split_by_game(
-    index: CorpusIndex, spec: SplitSpec, seed: int
-) -> tuple[CorpusIndex, CorpusIndex, CorpusIndex]:
-    """Stratified game-level split; per profile, counts follow the requested
-    fractions to within one game."""
-    parts = [CorpusIndex(profiles={}) for _ in range(3)]
-    for code, games in index.profiles.items():
-        if not games:
-            for part in parts:
-                part.profiles[code] = []
-            continue
-        rng = np.random.Generator(
-            np.random.PCG64(mix_seed(seed, "split", Profile.from_code(code).index))
-        )
-        order = rng.permutation(len(games))
-        counts = _apportion(len(games), (spec.train, spec.val, spec.test))
-        cursor = 0
-        for part, count in zip(parts, counts):
-            part.profiles[code] = [games[i] for i in order[cursor : cursor + count]]
-            cursor += count
-    for part, name in zip(parts, _SPLIT_NAMES):
-        if all(len(games) == 0 for games in part.profiles.values()):
-            raise EmptySplit(f"{name} split received no games")
-    return parts[0], parts[1], parts[2]
-
-
-def split_assignment(
-    train: CorpusIndex, val: CorpusIndex, test: CorpusIndex
-) -> dict[int, str]:
+def split_by_game(games: Mapping[str, Sequence[int]], spec: SplitSpec, seed: int) -> dict[int, str]:
+    """Each game id's split name, from each profile code's distinct game ids.
+    Per profile, a permutation drawn from the profile's own seed is cut into
+    train, val and test counts that follow the fractions to within one game."""
     out: dict[int, str] = {}
-    for part, name in zip((train, val, test), _SPLIT_NAMES):
-        for games in part.profiles.values():
-            for g in games:
-                out[g.game_id] = name
+    for code, ids in games.items():
+        rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "split", Profile.from_code(code).index)))
+        order = rng.permutation(len(ids))
+        cursor = 0
+        for name, count in zip(_SPLIT_NAMES, _apportion(len(ids), (spec.train, spec.val, spec.test))):
+            out.update((ids[i], name) for i in order[cursor : cursor + count])
+            cursor += count
+    for name in _SPLIT_NAMES:
+        if name not in out.values():
+            raise EmptySplit(f"{name} split received no games")
     return out
 
 
@@ -188,18 +167,26 @@ def write_index(path: str | Path, index: CorpusIndex, seed: int, target: int) ->
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", "index")
 
 
-def read_index(path: str | Path) -> CorpusIndex:
-    """The index `write_index` wrote, each game's n_windows 0 (the file keeps totals)."""
-    return read_json(
-        path,
-        "balanced index",
-        lambda doc: CorpusIndex(
-            profiles={
-                code: [GameEntry(gid, 0) for gid in entry["games"]]
-                for code, entry in doc["profiles"].items()
-            }
-        ),
-    )
+def read_index(path: str | Path) -> dict[str, list[int]]:
+    """Each profile code's game ids as `write_index` wrote them, in file
+    order. A key that is not a profile code, or game ids that are not
+    distinct ints in [0, 2**64), raise SchemaMismatch naming the file."""
+
+    def parse(doc: dict) -> dict[str, list[int]]:
+        out = {}
+        for code, entry in doc["profiles"].items():
+            Profile.from_code(code)  # ValueError for an unknown code
+            ids = entry["games"]
+            # true equals 1, so each type is checked before the value
+            if type(ids) is not list or not all(type(g) is int and 0 <= g < 2**64 for g in ids):
+                raise ValueError(f"{code} games {ids!r} are not ints in [0, 2**64)")
+            out[code] = ids
+        twice = [g for g, n in Counter(g for ids in out.values() for g in ids).items() if n > 1]
+        if twice:
+            raise ValueError(f"game id {twice[0]} is listed more than once")
+        return out
+
+    return read_json(path, "balanced index", parse)
 
 
 def write_splits(path: str | Path, assignment: Mapping[int, str]) -> None:

@@ -31,7 +31,6 @@ from profilebench.dataset import (
     build_index,
     read_index,
     read_splits,
-    split_assignment,
     split_by_game,
     window_starts,
     write_index,
@@ -332,20 +331,24 @@ def write_provenance(
     write_text_atomic(paths.provenance / f"{stage}.json", stable_json_dumps(doc) + "\n", "provenance")
 
 
-def _read_manifest(path: Path) -> tuple[SimConfig, int]:
-    """The corpus's simulator config and game count; another format, or a
-    simulator config that does not validate, raises SchemaMismatch."""
+def _read_manifest(path: Path) -> tuple[SimConfig, int, str]:
+    """The corpus's simulator config, game count and sessions sha256;
+    another format, a simulator config that does not validate, or no
+    sessions digest raises SchemaMismatch."""
     try:
-        fmt, sim_cfg, n_games = read_json(
+        fmt, sim_cfg, n_games, sessions_sha256 = read_json(
             path,
             "manifest",
-            lambda d: (d["format"], read_config(SimConfig, d["sim_config"], "sim_config"), sum(d["counts"].values())),
+            lambda d: (d["format"], read_config(SimConfig, d["sim_config"], "sim_config"),
+                       sum(d["counts"].values()), d.get("sessions_sha256")),
         )
     except ConfigInvalid as exc:  # the manifest is at fault, not the user's config
         raise SchemaMismatch(f"{path}: invalid sim_config: {exc}; rerun gen") from exc
     if fmt != SESSIONS_FORMAT:
         raise SchemaMismatch(f"{path}: format {fmt!r}, expected {SESSIONS_FORMAT!r}; rerun gen")
-    return sim_cfg, n_games
+    if sessions_sha256 is None:
+        raise SchemaMismatch(f"{path}: no sessions_sha256; rerun gen")
+    return sim_cfg, n_games, sessions_sha256
 
 
 # --- stages ----------------------------------------------------------------
@@ -362,7 +365,7 @@ def stage_gen(cfg: PipelineConfig) -> dict:
 def stage_featurize(cfg: PipelineConfig) -> dict:
     paths = Paths(cfg.out_dir)
     require([paths.sessions, paths.manifest], "featurize")
-    sim_cfg, expected = _read_manifest(paths.manifest)
+    sim_cfg, expected, expected_sha256 = _read_manifest(paths.manifest)
     n_windows = 0
     with FeatureFileWriter(paths.features, cfg.window_len, cfg.stride) as writer:
         for session in load_sessions(paths.sessions):
@@ -376,12 +379,16 @@ def stage_featurize(cfg: PipelineConfig) -> dict:
             raise SchemaMismatch(
                 f"featurize: {paths.sessions} holds {writer.n} sessions, its manifest {expected}"
             )
+        digests = {paths.sessions: sha256_file(paths.sessions)}
+        if digests[paths.sessions] != expected_sha256:
+            raise SchemaMismatch(f"featurize: {paths.sessions} is not the file its manifest describes; rerun gen")
     write_provenance(
         paths,
         "featurize",
         [paths.sessions, paths.manifest],
         cfg.master_seed,
         {"window_len": cfg.window_len, "stride": cfg.stride, "schema_version": SCHEMA_VERSION},
+        digests,
     )
     return {"games": writer.n, "windows": n_windows, "schema_version": SCHEMA_VERSION}
 
@@ -407,10 +414,8 @@ def stage_balance(cfg: PipelineConfig) -> dict:
 def stage_split(cfg: PipelineConfig) -> dict:
     paths = Paths(cfg.out_dir)
     require([paths.balanced_index], "split")
-    index = read_index(paths.balanced_index)
     seed = mix_seed(cfg.master_seed, "split")
-    train_idx, val_idx, test_idx = split_by_game(index, cfg.split, seed)
-    assignment = split_assignment(train_idx, val_idx, test_idx)
+    assignment = split_by_game(read_index(paths.balanced_index), cfg.split, seed)
     write_splits(paths.splits, assignment)
     write_provenance(paths, "split", [paths.balanced_index], seed, dataclasses.asdict(cfg.split))
     counts = {name: sum(1 for v in assignment.values() if v == name) for name in ("train", "val", "test")}

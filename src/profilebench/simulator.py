@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import hashlib
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
@@ -707,17 +708,21 @@ def generate_corpus(
     sessions_path: str | Path,
     manifest_path: str | Path,
 ) -> dict:
-    """Write sessions.jsonl and its manifest; returns the manifest dict."""
+    """Write sessions.jsonl and a manifest holding its sha256; returns the manifest dict."""
     counts = {p.code: 0 for p in PROFILES}
+    digest = hashlib.sha256()
     with atomic_output(sessions_path, "corpus") as fh:
         for session in generate_sessions(master_seed, games_per_profile, config):
             counts[session.profile.code] += 1
-            fh.write((json.dumps(session_to_json(session), separators=(",", ":")) + "\n").encode("utf-8"))
+            line = (json.dumps(session_to_json(session), separators=(",", ":")) + "\n").encode("utf-8")
+            digest.update(line)
+            fh.write(line)
     manifest = {
         "format": SESSIONS_FORMAT,
         "master_seed": master_seed,
         "games_per_profile": games_per_profile,
         "counts": counts,
+        "sessions_sha256": digest.hexdigest(),
         "sim_config": asdict(config),
     }
     write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n", "corpus")

@@ -142,12 +142,10 @@ def test_04_balance_ratio_and_split_leakage(desk_run):
                 starts = window_starts(int(rng.integers(4, 30)), 8, 4)
                 windows.extend((gid, int(p), length) for _, length in starts)
                 gid += 1
-        corpus = build_index(windows)
-        train, val, test = split_by_game(corpus, SplitSpec(0.6, 0.2, 0.2), int(rng.integers(2**31)))
-        ids = [part.game_ids() for part in (train, val, test)]
-        if ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2]:
-            leaks += 1
-        if ids[0] | ids[1] | ids[2] != corpus.game_ids():
+        corpus = {code: [g.game_id for g in games] for code, games in build_index(windows).profiles.items()}
+        assignment = split_by_game(corpus, SplitSpec(0.6, 0.2, 0.2), int(rng.integers(2**31)))
+        # a map holds each game once, so a leak is a game missing or added
+        if assignment.keys() != {g for ids in corpus.values() for g in ids}:
             leaks += 1
     ok = ratio <= 1.2 and leaks == 0
     _verdict(4, "balance and splits", ok, f"imbalance {ratio:.4f} <= 1.2, {leaks} leaks in 1000 trials")

@@ -635,6 +635,17 @@ class TestStages:
             "agg": "ea4079ea55fd14301106ce36c4c94a50594643a3ad8ee6c61c8b77b2067fa783",
         }
 
+    def test_balance_and_split_match_pinned_digest(self, tmp_path):
+        config = _write_config(tmp_path)
+        out = tmp_path / "o"
+        for stage in ("gen", "featurize", "balance", "split"):
+            assert main(["--config", str(config), "--out", str(out), stage]) == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("balanced_index.json", "splits.json")}
+        assert digests == {
+            "balanced_index.json": "9f0ca0a87d13bbd33b16a39dfb909f3adc117ca8a46052fb3b1a603c45d5b870",
+            "splits.json": "185b13ecac2db637acba49d635eb7b4dbc90295328d212f4470f1251e97cefb0",
+        }
+
     @pytest.mark.parametrize(
         "code",
         ["move_north/y0", "move_north", "rest/1", "juggle"],
@@ -737,19 +748,64 @@ class TestStages:
         assert main(["--config", str(config), "--out", str(out), stage]) == EXIT_DEPENDENCY
         assert artifact in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fmt", ["sessions-jsonl-v1", "sessions-jsonl-v2"])
+    @pytest.mark.parametrize("fmt", ["sessions-jsonl-v1", "sessions-jsonl-v2", "sessions-jsonl-v3"])
     def test_featurize_on_v1_manifest_is_dependency_error(self, tmp_path, capsys, fmt):
-        # a corpus of an older sessions format needs gen again
+        # a corpus of an older sessions format needs gen again, and so does a
+        # v3 corpus whose manifest holds no sha256 of its sessions file
         config = _write_config(tmp_path)
         out = tmp_path / "o"
         assert main(["--config", str(config), "--out", str(out), "gen"]) == EXIT_OK
         manifest = out / "manifest.json"
         doc = json.loads(manifest.read_text(encoding="utf-8"))
+        del doc["sessions_sha256"]
         manifest.write_text(json.dumps(dict(doc, format=fmt)), encoding="utf-8")
         capsys.readouterr()
         assert main(["--config", str(config), "--out", str(out), "featurize"]) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert "manifest.json" in err and "rerun gen" in err
+        assert ("sessions_sha256" if fmt == "sessions-jsonl-v3" else fmt) in err
+        assert not list(out.glob("features*.pbf"))
+
+    def test_featurize_on_sessions_its_manifest_does_not_describe_is_dependency_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a second gen whose manifest write fails leaves its sessions beside
+        # the first gen's manifest, which has the same game count
+        config = _write_config(tmp_path)
+        out = tmp_path / "o"
+        argv = ["--config", str(config), "--out", str(out)]
+        assert main([*argv, "gen"]) == EXIT_OK
+        manifest = (out / "manifest.json").read_bytes()
+        real_open = builtins.open
+
+        def failing_open(file, *args, **kwargs):
+            if Path(file).name == "manifest.json.tmp":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(file, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", failing_open)
+            assert main([*argv, "--seed", "92", "gen"]) == EXIT_IO
+        assert (out / "manifest.json").read_bytes() == manifest
+        capsys.readouterr()
+        assert main([*argv, "featurize"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "sessions.jsonl" in err and "rerun gen" in err
+        assert not list(out.glob("features*.pbf"))
+
+    def test_split_on_damaged_index_is_dependency_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        out = tmp_path / "o"
+        for stage in ("gen", "featurize", "balance"):
+            assert main(["--config", str(config), "--out", str(out), stage]) == EXIT_OK
+        index = out / "balanced_index.json"
+        doc = json.loads(index.read_text(encoding="utf-8"))
+        doc["profiles"]["XX-Foo"] = doc["profiles"].pop("LG-Safety")
+        index.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(out), "split"]) == EXIT_DEPENDENCY
+        assert "balanced_index.json" in capsys.readouterr().err
+        assert not (out / "splits.json").exists()
 
     @pytest.mark.parametrize(
         "change",

@@ -15,7 +15,6 @@ from profilebench.dataset import (
     build_index,
     read_index,
     read_splits,
-    split_assignment,
     split_by_game,
     window_starts,
     write_index,
@@ -151,41 +150,48 @@ def test_build_index_counts_windows():
     assert index.max_game_windows() == 4
 
 
-def _full_index(games_per_profile=10, windows=4) -> CorpusIndex:
-    return _index({p.code: [windows] * games_per_profile for p in PROFILES})
+def _full_games(games_per_profile=10) -> dict[str, list[int]]:
+    """Each profile's game ids: consecutive blocks of `games_per_profile`."""
+    return {
+        p.code: list(range(k * games_per_profile, (k + 1) * games_per_profile))
+        for k, p in enumerate(PROFILES)
+    }
+
+
+def _per_profile_counts(games: dict[str, list[int]], assignment: dict[int, str]) -> dict[str, list[int]]:
+    """Per profile, how many of its games each split (train, val, test) got."""
+    names = ("train", "val", "test")
+    return {code: [sum(assignment[g] == name for g in ids) for name in names] for code, ids in games.items()}
 
 
 def test_split_fractions_largest_remainder():
-    index = _full_index(games_per_profile=10)
+    games = _full_games(games_per_profile=10)
     spec = SplitSpec(train=0.8, val=0.1, test=0.1)
-    train, val, test = split_by_game(index, spec, seed=1)
-    for code in index.profiles:
-        assert len(train.profiles[code]) == 8
-        assert len(val.profiles[code]) == 1
-        assert len(test.profiles[code]) == 1
+    assignment = split_by_game(games, spec, seed=1)
+    assert _per_profile_counts(games, assignment) == {code: [8, 1, 1] for code in games}
 
 
 def test_split_no_game_overlap():
-    index = _full_index(games_per_profile=7)
-    train, val, test = split_by_game(index, SplitSpec(), seed=5)
-    sets = [train.game_ids(), val.game_ids(), test.game_ids()]
-    assert not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
-    assert sets[0] | sets[1] | sets[2] == index.game_ids()
+    games = _full_games(games_per_profile=7)
+    assignment = split_by_game(games, SplitSpec(), seed=5)
+    # a dict maps each game once, so no game can sit in two splits
+    assert sorted(assignment) == sorted(g for ids in games.values() for g in ids)
+    assert set(assignment.values()) == {"train", "val", "test"}
 
 
 def test_split_deterministic_and_seed_sensitive():
-    index = _full_index(games_per_profile=10)
-    a = split_by_game(index, SplitSpec(), seed=9)
-    b = split_by_game(index, SplitSpec(), seed=9)
-    c = split_by_game(index, SplitSpec(), seed=10)
-    assert a[0].game_ids() == b[0].game_ids()
-    assert a[0].game_ids() != c[0].game_ids()
+    games = _full_games(games_per_profile=10)
+    a = split_by_game(games, SplitSpec(), seed=9)
+    b = split_by_game(games, SplitSpec(), seed=9)
+    c = split_by_game(games, SplitSpec(), seed=10)
+    assert a == b
+    assert a != c
 
 
 def test_split_empty_raises():
-    index = _index({p.code: [4] for p in PROFILES})  # 1 game per class
-    with pytest.raises(EmptySplit):
-        split_by_game(index, SplitSpec(train=0.8, val=0.1, test=0.1), seed=0)
+    games = {p.code: [k] for k, p in enumerate(PROFILES)}  # 1 game per class
+    with pytest.raises(EmptySplit, match="val split received no games"):
+        split_by_game(games, SplitSpec(train=0.8, val=0.1, test=0.1), seed=0)
 
 
 def test_split_spec_validation():
@@ -199,14 +205,15 @@ def test_split_spec_validation():
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=2**62), st.integers(min_value=4, max_value=12))
 def test_split_leakage_property(seed, games_per_profile):
-    index = _full_index(games_per_profile=games_per_profile)
+    games = _full_games(games_per_profile=games_per_profile)
     spec = SplitSpec(train=0.5, val=0.25, test=0.25)
-    train, val, test = split_by_game(index, spec, seed)
-    assignment = split_assignment(train, val, test)
+    assignment = split_by_game(games, spec, seed)
     assert len(assignment) == 36 * games_per_profile
-    assert not train.game_ids() & val.game_ids()
-    assert not train.game_ids() & test.game_ids()
-    assert not val.game_ids() & test.game_ids()
+    assert set(assignment) == {g for ids in games.values() for g in ids}
+    # per profile, each split's count is within one game of its share
+    for counts in _per_profile_counts(games, assignment).values():
+        assert sum(counts) == games_per_profile
+        assert all(abs(n - games_per_profile * f) < 1 for n, f in zip(counts, (0.5, 0.25, 0.25)))
 
 
 def test_index_file_roundtrip(tmp_path):
@@ -216,11 +223,7 @@ def test_index_file_roundtrip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["seed"] == 77 and doc["target"] == 11
     assert doc["profiles"]["LG-Safety"]["windows"] == 11
-    back = read_index(path)
-    assert {code: [g.game_id for g in games] for code, games in back.profiles.items()} == {
-        "LG-Safety": [0, 1],
-        "CE-Wealth": [2],
-    }
+    assert read_index(path) == {"CE-Wealth": [2], "LG-Safety": [0, 1]}
 
 
 def test_splits_file_roundtrip(tmp_path):
@@ -230,24 +233,42 @@ def test_splits_file_roundtrip(tmp_path):
     assert read_splits(path) == assignment
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing_key", "unknown_split_name"])
+# damaged balanced indexes: profile code -> its "games" entry. Each must be
+# a SchemaMismatch, not a crash in `split` or a bad splits.json.
+_DAMAGED_INDEX_GAMES = {
+    "unknown_profile": {"XX-Foo": [0, 1]},
+    "str_game": {"LG-Safety": [1, "b"]},
+    "float_game": {"LG-Safety": [1.5]},
+    "bool_game": {"LG-Safety": [True, 2]},
+    "negative_game": {"LG-Safety": [-1]},
+    "game_beyond_u64": {"LG-Safety": [2**64]},
+    "games_string": {"LG-Safety": "12"},
+    "game_in_two_profiles": {"LG-Safety": [0, 1], "CE-Wealth": [1]},
+    "game_twice_in_a_profile": {"LG-Safety": [0, 0]},
+}
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key", "unknown_split_name", *_DAMAGED_INDEX_GAMES])
 def test_damaged_index_and_splits_name_the_file(tmp_path, damage):
     index_path = tmp_path / "index.json"
     splits_path = tmp_path / "splits.json"
     write_index(index_path, _index({"LG-Safety": [5, 6]}), seed=1, target=11)
     write_splits(splits_path, {3: "train", 1: "val"})
+    damaged = [(read_splits, splits_path), (read_index, index_path)]
     if damage == "truncated":
         for path in (index_path, splits_path):
             path.write_bytes(path.read_bytes()[:-20])
     elif damage == "missing_key":
         index_path.write_text(json.dumps({"seed": 1, "target": 11}))
         splits_path.write_text(json.dumps(["train", "val"]))
-    else:
+    elif damage == "unknown_split_name":
         # a damaged upstream artifact, not a configuration error
         splits_path.write_text(json.dumps({"3": "train", "1": "validation"}))
-    damaged = [(read_splits, splits_path)]
-    if damage != "unknown_split_name":
-        damaged.append((read_index, index_path))
+        damaged = damaged[:1]
+    else:
+        profiles = {code: {"games": games, "windows": 11} for code, games in _DAMAGED_INDEX_GAMES[damage].items()}
+        index_path.write_text(json.dumps({"profiles": profiles, "seed": 1, "target": 11}))
+        damaged = damaged[1:]
     for read, path in damaged:
         with pytest.raises(SchemaMismatch, match=path.name):
             read(path)
