@@ -195,9 +195,16 @@ def write_splits(path: str | Path, assignment: Mapping[int, str]) -> None:
 
 
 def read_splits(path: str | Path) -> dict[int, str]:
+    """Each game id's split name as `write_splits` wrote it. A key that is
+    not a game id in canonical decimal (ASCII digits, no sign, space or
+    leading zero, below 2**64), or an unknown split name, raises
+    SchemaMismatch naming the file."""
+
     def parse(doc: dict) -> dict[int, str]:
         out = {}
         for k, v in doc.items():
+            if not (k.isascii() and k.isdigit() and str(int(k)) == k and int(k) < 2**64):
+                raise ValueError(f"game id {k!r} is not a canonical decimal id")
             if v not in _SPLIT_NAMES:
                 raise ValueError(f"unknown split name {v!r} for game {k}")
             out[int(k)] = v

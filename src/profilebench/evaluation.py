@@ -32,7 +32,7 @@ from profilebench.errors import ConfigInvalid, EmptyTestSet, IoFailure, SpaceMis
 from profilebench.features import SequenceSample
 from profilebench.hashing import stable_json_dumps, write_text_atomic
 from profilebench.models.checkpoint import Checkpoint
-from profilebench.models.lstm import bilstm_recur, project
+from profilebench.models.lstm import WORKSPACE_RESERVE, Workspace, bilstm_recur, project_rows
 from profilebench.models.training import (
     SCORE_BATCH_SIZE, WindowBatcher, pool_and_heads, space_labels,
 )
@@ -195,45 +195,56 @@ def failed_report(name: str, dims: str, space_tag: str, error: str) -> Report:
     return Report(name, dims, space_tag, 0, 0, {}, empty, failed=True, error=error)
 
 
-def predict_logits(ckpt: Checkpoint, samples: Sequence[SequenceSample]) -> dict[str, np.ndarray]:
+def predict_logits(
+    ckpt: Checkpoint, samples: Sequence[SequenceSample], ws: Workspace | None = None
+) -> dict[str, np.ndarray]:
     """Per-head logits for every sample, in input order.
 
-    The batcher's stacked game rows are built once, as one dense (N_rows,
-    D) array from their store, and projected once per direction, one
-    (N_rows, D) @ (D, 4H) GEMM each: the projection is linear and per row,
-    and overlapping windows share rows. The stack is dropped right after
-    the two projections. Each unshuffled batch then runs the recurrence,
-    which reads each step's pre-activations straight from those projected
-    rows, then pooling and heads; the logit rows are put back into input
-    order at the end.
+    The batcher's stacked game rows are projected once per direction: the
+    projection is linear and per row, and overlapping windows share rows.
+    The (N_rows, D) stack is never built whole: `project_rows` fills it
+    from the store and projects it in row chunks, bit for bit one
+    (N_rows, D) @ (D, 4H) GEMM each. Each unshuffled batch then runs the
+    recurrence, which reads each step's pre-activations straight from those
+    projected rows, then pooling and heads; the logit rows are put back
+    into input order at the end.
+
+    The projections, the chunk buffer and each batch's states and step
+    buffers are views of one Workspace, every batch reusing the memory of
+    the one before: `ws`, which the eval stage passes so that each call
+    reuses the memory of the last of its layout, or a new one.
     """
     p = ckpt.params
-    windows = WindowBatcher(samples, p["fwd_W"].dtype)
-    rows = windows.stack()
-    pre = (project(rows, p["fwd_W"]), project(rows, p["bwd_W"]))
-    del rows  # batches read only the pre-activations
+    dtype = p["fwd_W"].dtype
+    windows = WindowBatcher(samples, dtype)
+    ws = Workspace(dtype, WORKSPACE_RESERVE) if ws is None else ws
     recur = (p["fwd_R"], p["fwd_b"]), (p["bwd_R"], p["bwd_b"])
     batches = windows.batches(SCORE_BATCH_SIZE)
     parts: dict[str, list[np.ndarray]] = {"profile": [], "align": [], "motiv": []}
-    for idx in batches:
-        states, _ = bilstm_recur(pre, windows.take(idx), *recur, cache=False)
-        logits, _, _ = pool_and_heads(states, ckpt, cache=False)
-        for head, out in parts.items():
-            out.append(logits[head])
+    with ws.frame():
+        pre = project_rows(windows.rows(), (p["fwd_W"], p["bwd_W"]), ws)
+        for idx in batches:
+            with ws.frame():
+                states, _ = bilstm_recur(pre, windows.take(idx), *recur, cache=False, ws=ws)
+                logits, _, _ = pool_and_heads(states, ckpt, cache=False, ws=ws)
+            for head, out in parts.items():
+                out.append(logits[head])
     inverse = np.argsort(np.concatenate(batches))
     return {head: np.concatenate(out)[inverse] for head, out in parts.items()}
 
 
-def score_windows(ckpt: Checkpoint, samples: Sequence[SequenceSample], space: LabelSpace) -> Scores:
+def score_windows(
+    ckpt: Checkpoint, samples: Sequence[SequenceSample], space: LabelSpace, ws: Workspace | None = None
+) -> Scores:
     """The Scores of `ckpt` on each window of `samples`, in one
-    `predict_logits` call."""
+    `predict_logits` call (in `ws` when given)."""
     if not samples:
         raise EmptyTestSet("no windows to score")
     if ckpt.label_space_tag != space.tag:
         raise SpaceMismatch(
             f"checkpoint space {ckpt.label_space_tag!r} != experiment space {space.tag!r}"
         )
-    logits = predict_logits(ckpt, samples)
+    logits = predict_logits(ckpt, samples, ws)
     return Scores(logits, [s.profile.index for s in samples], [s.game_id for s in samples], "window")
 
 

@@ -171,19 +171,34 @@ class RowStore:
         """A store whose every column is dense: `block` itself."""
         return cls(block.shape[1], 0, block, np.zeros(len(block) + 1, np.intp), np.empty(0, "<u2"), np.empty(0, block.dtype))
 
-    def fill(self, rows: np.ndarray, dtype) -> np.ndarray:
-        """A new (*rows.shape, width) array of `dtype` holding the rows at
-        index array `rows`. A store whose every column is dense is
-        gathered; otherwise the array is zero-filled, the dense columns
-        copied, then the rows' non-zeros scattered, _FILL_ROWS rows at a
-        time so that the index temporaries stay small."""
-        if self.dense.shape[1] == self.width:
-            return self.dense[rows].astype(dtype, copy=False)
+    def fill(self, rows: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows at index array `rows` as a (*rows.shape, width) array of
+        `dtype`: `out`, which must be a contiguous array of that shape and
+        dtype and may hold anything, or a new array. A store whose every
+        column is dense is gathered; otherwise every other column is zeroed,
+        the dense columns copied, then the rows' non-zeros scattered,
+        _FILL_ROWS rows at a time so that the index temporaries stay small."""
+        shape = (*rows.shape, self.width)
+        if out is None:
+            out = np.empty(shape, dtype)
+        elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+            raise DimensionMismatch(f"fill into {out.dtype} {out.shape}: expected contiguous {np.dtype(dtype)} {shape}")
         flat = rows.reshape(-1)
-        out = np.zeros((len(flat), self.width), dtype)
+        block = out.reshape(len(flat), self.width)
+        if len(flat) and (flat.min() < 0 or flat.max() >= len(self.dense)):
+            raise DimensionMismatch(f"row indices outside the store's {len(self.dense)} rows")
+        if self.dense.shape[1] == self.width:
+            if self.dense.dtype == out.dtype:
+                # rows checked above; mode="raise" would copy through a temporary
+                np.take(self.dense, flat, axis=0, out=block, mode="clip")
+            else:
+                block[...] = self.dense[flat]
+            return out
+        block[:, : self.dense_at] = 0.0
+        block[:, self.dense_at + self.dense.shape[1] :] = 0.0
         for at in range(0, len(flat), _FILL_ROWS):
-            self._fill(flat[at : at + _FILL_ROWS], out[at : at + _FILL_ROWS])
-        return out.reshape(*rows.shape, self.width)
+            self._fill(flat[at : at + _FILL_ROWS], block[at : at + _FILL_ROWS])
+        return out
 
     def _fill(self, flat: np.ndarray, out: np.ndarray) -> None:
         out[:, self.dense_at : self.dense_at + self.dense.shape[1]] = self.dense[flat]

@@ -5,9 +5,12 @@ the alignment and motivation heads; all three backpropagate through the
 shared pooled vector and both LSTM directions. One batcher,
 `WindowBatcher`, serves training, validation and scoring; its batches
 share a window length, so no padding or masking is ever needed, and it
-builds each batch's dense X from the games' row store. A
-`TrainConfig` is checked once, when it is built, so the loop and each
-optimizer step take it as valid.
+builds each training batch's dense X from the games' row store, and
+validation's and scoring's rows chunk by chunk. Every step and every
+validation batch runs in a frame of one `lstm.Workspace`, so none of them
+allocates an array that grows with the batch. A `TrainConfig` is checked
+once, when it is built, so the loop and each optimizer step take it as
+valid.
 
 The recipe's fixed values are module constants: the alignment and
 motivation heads weigh 0.5 each (`LAMBDA_ALIGN`, `LAMBDA_MOTIV`), each
@@ -34,6 +37,9 @@ from profilebench.models.checkpoint import (
     Checkpoint,
 )
 from profilebench.models.lstm import (
+    WORKSPACE_RESERVE,
+    Rows,
+    Workspace,
     attention_pool_backward_batch,
     attention_pool_batch,
     bilstm_backward_batch,
@@ -80,32 +86,36 @@ class TrainConfig:
 
 
 def forward_batch(
-    X: np.ndarray, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None, cache: bool = True
+    X: np.ndarray | Rows, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None,
+    cache: bool = True, ws: Workspace | None = None,
 ) -> tuple[dict[str, np.ndarray], dict]:
-    """Forward pass over a (B, T, D) batch; returns per-head logits + cache.
+    """Forward pass over a (B, T, D) batch, an array or (validation) a
+    `Rows`; returns per-head logits + cache. The states and caches are
+    carved from `ws` when given; the logits never are.
 
     With cache=False (scoring) neither the LSTM nor the pooling keeps a
     backward cache: "lstm" and "pool" are None.
     """
     p = ckpt.params
     states, lstm_cache = bilstm_forward_batch(
-        X, (p["fwd_W"], p["fwd_R"], p["fwd_b"]), (p["bwd_W"], p["bwd_R"], p["bwd_b"]), cache
+        X, (p["fwd_W"], p["fwd_R"], p["fwd_b"]), (p["bwd_W"], p["bwd_R"], p["bwd_b"]), cache, ws=ws
     )
-    logits, pool_cache, pooled = pool_and_heads(states, ckpt, dropout_mask, cache)
+    logits, pool_cache, pooled = pool_and_heads(states, ckpt, dropout_mask, cache, ws)
     return logits, {"states": states, "lstm": lstm_cache, "pool": pool_cache, "pooled": pooled}
 
 
 def pool_and_heads(
-    states: np.ndarray, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None, cache: bool = True
+    states: np.ndarray, ckpt: Checkpoint, dropout_mask: np.ndarray | None = None,
+    cache: bool = True, ws: Workspace | None = None,
 ) -> tuple[dict[str, np.ndarray], dict | None, np.ndarray]:
     """Per-head logits from (B, T, 2H) LSTM states, with the pooling cache
     (None when `cache` is False) and the (masked) pooled vector the
     backward pass reads."""
     p = ckpt.params
     if ckpt.pooling == POOL_MULTI:
-        pooled, pool_cache = multi_pool_batch(states, cache)
+        pooled, pool_cache = multi_pool_batch(states, cache, ws)
     elif ckpt.pooling == POOL_ATTENTION:
-        pooled, pool_cache = attention_pool_batch(states, p["attn_proj"], p["attn_ctx"])
+        pooled, pool_cache = attention_pool_batch(states, p["attn_proj"], p["attn_ctx"], ws)
         pool_cache = pool_cache if cache else None
     else:
         pooled = last_state_pool_batch(states, ckpt.hidden)
@@ -169,15 +179,18 @@ def compute_gradients(
     ckpt: Checkpoint,
     dropout_mask: np.ndarray | None,
     out: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[float, Mapping[str, np.ndarray]]:
     """Loss and analytic gradients for every parameter in the checkpoint.
 
     The gradients are views into one vector laid out like ckpt.flat: `out`,
-    or a new one when it is None.
+    or a new one when it is None. The forward caches and the backward
+    temporaries are carved from `ws` (a new Workspace when None).
     """
     p = ckpt.params
+    ws = Workspace(ckpt.flat.dtype) if ws is None else ws
     grads = ckpt.views(np.empty_like(ckpt.flat) if out is None else out)
-    logits, cache = forward_batch(batch.X, ckpt, dropout_mask)
+    logits, cache = forward_batch(batch.X, ckpt, dropout_mask, ws=ws)
     loss = 0.0
     dpooled = 0.0
     for head, y, weight in (
@@ -195,17 +208,21 @@ def compute_gradients(
 
     states = cache["states"]
     if ckpt.pooling == POOL_MULTI:
-        dstates = multi_pool_backward_batch(cache["pool"], states.shape, dpooled)
+        dstates = multi_pool_backward_batch(
+            cache["pool"], states.shape, dpooled, out=ws.empty(states.shape, dpooled.dtype)
+        )
     elif ckpt.pooling == POOL_ATTENTION:
         dstates, dproj, dctx = attention_pool_backward_batch(
-            cache["pool"], states, p["attn_proj"], p["attn_ctx"], dpooled
+            cache["pool"], states, p["attn_proj"], p["attn_ctx"], dpooled, ws
         )
         grads["attn_proj"][...] = dproj
         grads["attn_ctx"][...] = dctx
     else:
-        dstates = last_state_pool_backward_batch(states.shape, ckpt.hidden, dpooled)
+        dstates = last_state_pool_backward_batch(
+            states.shape, ckpt.hidden, dpooled, out=ws.empty(states.shape, dpooled.dtype)
+        )
 
-    bilstm_backward_batch(batch.X, cache["lstm"], p["fwd_R"], p["bwd_R"], dstates, grads)
+    bilstm_backward_batch(batch.X, cache["lstm"], p["fwd_R"], p["bwd_R"], dstates, grads, ws)
     return loss, grads
 
 
@@ -222,16 +239,20 @@ Moments = tuple[np.ndarray, np.ndarray]  # Adam's (m, v), laid out like Checkpoi
 
 
 def adam_update(
-    flat: np.ndarray, grads: np.ndarray, moments: Moments, t: int, config: TrainConfig
+    flat: np.ndarray, grads: np.ndarray, moments: Moments, t: int, config: TrainConfig,
+    ws: Workspace | None = None,
 ) -> None:
     """Adam step number `t` (from 1) over the flat parameter vector and its
     moments (m, v), in place, with the same per-element operation order as
-    a per-parameter update."""
+    a per-parameter update. Its one scratch vector is carved from `ws` (a
+    new Workspace when None), and the step is written over `grads`, which
+    is no longer read once m and v are updated."""
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     m, v = moments
-    scratch = np.multiply(1 - b1, grads)
+    ws = Workspace(grads.dtype) if ws is None else ws
+    scratch = np.multiply(1 - b1, grads, out=ws.empty(grads.shape, grads.dtype))
     m *= b1
     m += scratch
     np.multiply(1 - b2, grads, out=scratch)
@@ -241,43 +262,54 @@ def adam_update(
     np.divide(v, bias2, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += eps
-    step = np.divide(m, bias1)
+    step = np.divide(m, bias1, out=grads)
     step *= config.learning_rate
     step /= scratch
     flat -= step
 
 
 def dropout_mask_for_step(
-    shape: tuple, rate: float, seed: int, global_step: int, dtype
+    shape: tuple, rate: float, seed: int, global_step: int, dtype, ws: Workspace | None = None
 ) -> np.ndarray | None:
-    """Inverted-dropout mask, seeded per optimizer step."""
+    """Inverted-dropout mask, seeded per optimizer step; its float64 draw is
+    carved from `ws` (a new Workspace when None) and dead on return."""
     if rate <= 0:
         return None
     rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", global_step)))
-    keep = (rng.random(shape) >= rate).astype(dtype)
+    ws = Workspace(dtype) if ws is None else ws
+    with ws.frame():
+        keep = (rng.random(shape, out=ws.empty(shape, np.float64)) >= rate).astype(dtype)
     return keep / (1.0 - rate)
 
 
 def train_step(
-    batch: Batch, ckpt: Checkpoint, moments: Moments, config: TrainConfig, seed: int, global_step: int
+    batch: Batch, ckpt: Checkpoint, moments: Moments, config: TrainConfig, seed: int, global_step: int,
+    ws: Workspace | None = None,
 ) -> float:
     """Optimizer step `global_step` (from 0) on the checkpoint and the Adam
     moments (m, v), in place, its dropout mask drawn from `seed`; returns
-    the batch loss."""
+    the batch loss.
+
+    Its arrays are carved from `ws` (a new Workspace when None): the
+    gradient vector, then in a frame of its own the dropout draw and the
+    forward and backward pass, whose memory Adam's scratch then reuses."""
+    ws = Workspace(ckpt.flat.dtype) if ws is None else ws
     readout = ckpt.params["head_profile_W"].shape[1]
-    mask = dropout_mask_for_step(
-        (batch.X.shape[0], readout), config.dropout, seed, global_step,
-        ckpt.params["fwd_W"].dtype,
-    )
-    grads = np.empty_like(ckpt.flat)
-    loss, _ = compute_gradients(batch, ckpt, mask, out=grads)
-    if not np.isfinite(loss):
-        raise NonFiniteLoss(f"loss diverged at step {global_step}: {loss}")
-    norm = clip_gradients(grads, CLIP_NORM)
-    # saturated activations can keep the loss finite while gradients blow up
-    if not np.isfinite(norm):
-        raise NonFiniteLoss(f"gradient norm diverged at step {global_step}: {norm}")
-    adam_update(ckpt.flat, grads, moments, global_step + 1, config)
+    with ws.frame():
+        grads = ws.empty(ckpt.flat.shape, ckpt.flat.dtype)
+        with ws.frame():
+            mask = dropout_mask_for_step(
+                (batch.X.shape[0], readout), config.dropout, seed, global_step,
+                ckpt.params["fwd_W"].dtype, ws,
+            )
+            loss, _ = compute_gradients(batch, ckpt, mask, out=grads, ws=ws)
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(f"loss diverged at step {global_step}: {loss}")
+        norm = clip_gradients(grads, CLIP_NORM)
+        # saturated activations can keep the loss finite while gradients blow up
+        if not np.isfinite(norm):
+            raise NonFiniteLoss(f"gradient norm diverged at step {global_step}: {norm}")
+        adam_update(ckpt.flat, grads, moments, global_step + 1, config, ws)
     return loss
 
 
@@ -318,6 +350,23 @@ def _row_source(games: list, dtype) -> tuple[RowStore, np.ndarray]:
     return store, np.arange(lengths.sum()) + np.repeat(shift, lengths)
 
 
+@dataclass(frozen=True)
+class StoreRows:
+    """The `Rows` of `store` at the index array `src`, in `dtype`: shape
+    (*src.shape, width), its flattened rows filled from the store."""
+
+    store: RowStore
+    src: np.ndarray
+    dtype: np.dtype
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (*self.src.shape, self.store.width)
+
+    def fill(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        return self.store.fill(self.src.reshape(-1)[start:stop], self.dtype, out=out)
+
+
 class WindowBatcher:
     """Windows batched by length, so no batch needs padding. The distinct
     games behind the samples (each sample's `game`, told apart by the
@@ -325,9 +374,10 @@ class WindowBatcher:
     window is its first stacked row and its length. The stacked rows stay
     in the games' `RowStore`, `src` naming each one's row there (array
     games are first stacked into an all-dense store), and every input
-    array is built from it by `RowStore.fill`: a batch's (B, T, D) X
-    (`x`), and scoring's (N, D) stack of all the rows (`stack`). No dense
-    copy of the rows is held between calls."""
+    array is built from it by `RowStore.fill`: a training batch's (B, T, D)
+    X whole (`x`), and validation's batches and scoring's (N, D) stack of
+    all the rows chunk by chunk (`rows`). No dense copy of the rows is held
+    between calls."""
 
     def __init__(self, samples: Sequence[SequenceSample], dtype):
         games = list({id(s.game): s.game for s in samples}.values())
@@ -353,28 +403,36 @@ class WindowBatcher:
 
     def take(self, batch: np.ndarray) -> np.ndarray:
         """(B, T) stacked-row indices of a batch: training and validation
-        build the batch's X from them (`x`), and scoring's recurrence reads
-        step t's pre-activations from rows take[:, t] of the stack's
-        projection."""
+        build the batch's X from them (`x`, `rows`), and scoring's
+        recurrence reads step t's pre-activations from rows take[:, t] of
+        the stack's projection."""
         return self.starts[batch, None] + np.arange(self.lengths[batch[0]])
 
-    def x(self, batch: np.ndarray) -> np.ndarray:
-        """The batch's (B, T, D) input, built from the store."""
-        return self.store.fill(self.src[self.take(batch)], self.dtype)
+    def rows(self, batch: np.ndarray | None = None) -> StoreRows:
+        """The batch's (B, T, D) input, or with None the (N, D) stack of
+        every stacked row, as `Rows` of the store."""
+        return StoreRows(self.store, self.src if batch is None else self.src[self.take(batch)], self.dtype)
 
-    def stack(self) -> np.ndarray:
-        """Every stacked row as one new (N, D) array, built from the store."""
-        return self.store.fill(self.src, self.dtype)
+    def x(self, batch: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+        """The batch's (B, T, D) input, built from the store into a view
+        carved from `ws`, or into a new array when it is None."""
+        rows = self.rows(batch)
+        out = None if ws is None else ws.empty(rows.shape, self.dtype)
+        return self.store.fill(rows.src, self.dtype, out=out)
 
 
 def predict_main(
-    windows: WindowBatcher, labels: np.ndarray, ckpt: Checkpoint
+    windows: WindowBatcher, labels: np.ndarray, ckpt: Checkpoint, ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(predictions, labels) of the main head over all windows, in batch order."""
+    """(predictions, labels) of the main head over all windows, in batch
+    order. Each batch runs in a frame of `ws` (a new Workspace when None),
+    its input filled and projected in chunks, never whole."""
+    ws = Workspace(ckpt.flat.dtype) if ws is None else ws
     batches = windows.batches(SCORE_BATCH_SIZE)
     preds = []
     for idx in batches:
-        logits, _ = forward_batch(windows.x(idx), ckpt, cache=False)
+        with ws.frame():
+            logits, _ = forward_batch(windows.rows(idx), ckpt, cache=False, ws=ws)
         preds.append(logits["profile"].argmax(axis=1))
     return np.concatenate(preds), labels[np.concatenate(batches)]
 
@@ -386,11 +444,16 @@ def train(
     ckpt: Checkpoint,
     config: TrainConfig,
     seed: int,
+    ws: Workspace | None = None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Epoch loop with early stopping on validation main-head accuracy;
     `seed` draws each epoch's batch order and each step's dropout mask.
 
     Returns the checkpoint from the best validation epoch and the history.
+    Every step and every validation batch runs in a frame of one
+    Workspace, reusing the memory of the one before: `ws`, which the train
+    stage passes so that each row reuses the memory of the last of its
+    layout, or a new one.
     """
     if not train_samples:
         raise EmptySplit("training split is empty")
@@ -402,8 +465,9 @@ def train(
     train_data = WindowBatcher(train_samples, dtype)
     val_data = WindowBatcher(val_samples, dtype)
     moments = (np.zeros_like(ckpt.flat), np.zeros_like(ckpt.flat))
+    ws = Workspace(dtype, WORKSPACE_RESERVE) if ws is None else ws
 
-    best = ckpt.copy()
+    best: Checkpoint | None = None  # every val accuracy beats -1: epoch 0 sets it
     best_acc = -1.0
     bad_epochs = 0
     history: list[dict] = []
@@ -412,10 +476,12 @@ def train(
         rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "epoch", epoch)))
         losses = []
         for idx in train_data.batches(config.batch_size, rng):
-            batch = Batch(train_data.x(idx), *(y[idx] for y in train_y))
-            losses.append(train_step(batch, ckpt, moments, config, seed, global_step))
+            with ws.frame():
+                batch = Batch(train_data.x(idx, ws), *(y[idx] for y in train_y))
+                losses.append(train_step(batch, ckpt, moments, config, seed, global_step, ws))
+                del batch  # else the last one would outlive the epoch, through validation
             global_step += 1
-        preds, labels = predict_main(val_data, val_y, ckpt)
+        preds, labels = predict_main(val_data, val_y, ckpt, ws)
         val_acc = float((preds == labels).mean())
         history.append(
             {
@@ -426,7 +492,10 @@ def train(
         )
         if val_acc > best_acc:
             best_acc = val_acc
-            best = ckpt.copy()
+            if best is None:
+                best = ckpt.copy()
+            else:  # in place: a new copy would briefly hold two beside ckpt
+                best.flat[...] = ckpt.flat
             bad_epochs = 0
         else:
             bad_epochs += 1

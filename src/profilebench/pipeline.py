@@ -19,7 +19,7 @@ import json
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -73,6 +73,7 @@ from profilebench.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from profilebench.models.lstm import WORKSPACE_RESERVE, Workspace
 from profilebench.models.training import TrainConfig, train
 # build_dungeon is unused here, but perfbench/tracing.py patches pipeline.build_dungeon by name
 from profilebench.simulator import SESSIONS_FORMAT, SimConfig, build_dungeon, generate_corpus, load_sessions  # noqa: F401
@@ -477,6 +478,17 @@ def _load_ladder_data(cfg: PipelineConfig, rows: list[LadderRow], stage: str) ->
     return _LadderData(features, splits_of, {paths.features: features.header["sha256"]})
 
 
+def _row_workspaces(rows: list[LadderRow]) -> Iterator[tuple[LadderRow, Workspace]]:
+    """Each row with the Workspace it trains or scores in: one per run of
+    rows of a layout, so that those rows reuse one another's pages, and the
+    pages go back to the OS before the next layout's stores are decoded."""
+    layout = None
+    for row in rows:
+        if row.layout != layout:
+            layout, ws = row.layout, Workspace(np.float32, WORKSPACE_RESERVE)
+        yield row, ws
+
+
 def _admissible(samples: list[SequenceSample], space: LabelSpace) -> list[SequenceSample]:
     admits = space.labels >= 0
     return [s for s in samples if admits[s.profile.index]]
@@ -507,8 +519,8 @@ def _load_baseline(path: Path) -> BaselineModel:
     )
 
 
-def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
-    """Train one ladder row and write its checkpoint."""
+def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData, ws: Workspace | None = None) -> None:
+    """Train one ladder row, in `ws` when given, and write its checkpoint."""
     paths = Paths(cfg.out_dir)
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     row_seed = mix_seed(cfg.master_seed, "train", row.row_id)
@@ -529,7 +541,7 @@ def train_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> None:
         label_space_tag=space.tag,
         schema_version=SCHEMA_VERSION,
     )
-    best, _ = train(train_samples, val_samples, space, ckpt, cfg.train, row_seed)
+    best, _ = train(train_samples, val_samples, space, ckpt, cfg.train, row_seed, ws)
     best.config_digest = digest_config(cfg.digest_dict())
     save_checkpoint(paths.checkpoint(row.row_id), best)
 
@@ -544,16 +556,17 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     row_ids = check_rows(cfg.ladder if rows is None else rows)
     needed = _row_inputs(paths)
     require(needed, "train")
-    data = _load_ladder_data(cfg, [LADDER_BY_ID[r] for r in row_ids], "train")
+    ladder_rows = [LADDER_BY_ID[r] for r in row_ids]
+    data = _load_ladder_data(cfg, ladder_rows, "train")
     status: dict[str, str] = {}
-    for row_id in row_ids:
+    for row, ws in _row_workspaces(ladder_rows):
         try:
-            train_row(cfg, LADDER_BY_ID[row_id], data)
-            status[row_id] = "trained"
+            train_row(cfg, row, data, ws)
+            status[row.row_id] = "trained"
         except ProfileBenchError as exc:
-            status[row_id] = f"failed: {type(exc).__name__}: {exc}"
+            status[row.row_id] = f"failed: {type(exc).__name__}: {exc}"
             # an earlier run's checkpoint would otherwise be scored as this run's
-            ckpt_path = paths.checkpoint(row_id)
+            ckpt_path = paths.checkpoint(row.row_id)
             for path in (ckpt_path, ckpt_path.with_suffix(ckpt_path.suffix + ".json")):
                 path.unlink(missing_ok=True)
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
@@ -569,7 +582,7 @@ def stage_train(cfg: PipelineConfig, rows: list[str] | None = None) -> dict:
     return status
 
 
-def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
+def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData, ws: Workspace | None = None) -> Report:
     paths = Paths(cfg.out_dir)
     space = row.space
     ckpt_path = paths.checkpoint(row.row_id)
@@ -587,13 +600,13 @@ def eval_row(cfg: PipelineConfig, row: LadderRow, data: _LadderData) -> Report:
             )
         # score_windows checks the checkpoint's label space, so it scores
         # first: a checkpoint of another space fails before val is scored
-        scores = score_windows(ckpt, _admissible(data.rows(row.layout, "test"), space), space)
+        scores = score_windows(ckpt, _admissible(data.rows(row.layout, "test"), space), space, ws)
         if row.correct_neutral:
             val_samples = _admissible(data.rows(row.layout, "val"), space)
             # Scored through this module's name, not evaluation's: perfbench's
             # ScoreProbe pairs each call of evaluation.predict_logits, the one
             # score_windows makes, with a row's test windows.
-            val_logits = predict_logits(ckpt, val_samples)["profile"]
+            val_logits = predict_logits(ckpt, val_samples, ws)["profile"]
             correction = calibrate_correction(val_logits, [s.profile.index for s in val_samples])
         config_digest = ckpt.config_digest  # the digest train_row stamped into the sidecar
     report = evaluate(scores, space, name=row.display, dims=row.dims, correction=correction)
@@ -609,9 +622,9 @@ def stage_eval(cfg: PipelineConfig, rows: list[str] | None = None) -> list[Repor
     ladder_rows = [LADDER_BY_ID[r] for r in row_ids]
     data = _load_ladder_data(cfg, ladder_rows, "eval")
     reports: list[Report] = []
-    for row in ladder_rows:
+    for row, ws in _row_workspaces(ladder_rows):
         try:
-            reports.append(eval_row(cfg, row, data))
+            reports.append(eval_row(cfg, row, data, ws))
         except (SchemaMismatch, IoFailure):
             raise  # a damaged or stale input ends the stage (exit 4 / 3), not one row
         except ProfileBenchError as exc:

@@ -28,7 +28,8 @@ from profilebench.errors import ConfigInvalid, IoFailure, NonFiniteLoss
 from profilebench.features import N_TOTAL, FeatureFile, RowStore, read_feature_file
 from profilebench.models.baseline import BaselineModel
 from profilebench.models.checkpoint import POOL_MULTI, init_checkpoint, save_checkpoint
-from profilebench.models.training import SCORE_BATCH_SIZE, TrainConfig, WindowBatcher
+from profilebench.models.lstm import CHUNK_ROWS
+from profilebench.models.training import TrainConfig
 from profilebench.pipeline import PipelineConfig, read_config
 from profilebench.simulator import SimConfig, load_sessions
 
@@ -267,9 +268,9 @@ class TestRunAll:
         calls = []
         original = evaluation.predict_logits
 
-        def record(ckpt, samples):
+        def record(ckpt, samples, *args):
             calls.append((ckpt.label_space_tag, sorted((s.game_id, s.window) for s in samples)))
-            return original(ckpt, samples)
+            return original(ckpt, samples, *args)
 
         monkeypatch.setattr(evaluation, "predict_logits", record)
         assert main(["--config", str(config), "--out", str(copy), "eval"]) == EXIT_OK
@@ -299,9 +300,9 @@ class TestRunAll:
         scored = []  # align9_corrected's val scoring
         original = pipeline.predict_logits
 
-        def record(ckpt, samples):
+        def record(ckpt, samples, *args):
             scored.append(len(samples))
-            return original(ckpt, samples)
+            return original(ckpt, samples, *args)
 
         monkeypatch.setattr(pipeline, "predict_logits", record)
         assert main(["--config", str(config), "--out", str(copy), "eval", "--rows", "align9_corrected"]) == EXIT_OK
@@ -313,23 +314,22 @@ class TestRunAll:
     def test_train_and_eval_hold_one_layout_at_a_time(self, finished_run, tmp_path, monkeypatch):
         # each stage reads the feature file once, then decodes each layout
         # once in ladder order, dropping one layout's stores before the next;
-        # the only dense array of a split's rows is predict_logits' stack,
-        # dropped once it is projected
+        # the only dense arrays of a split's rows are training batches and
+        # the row chunks that validation and scoring project, each filled
+        # into a workspace view
         _, config, out = finished_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         cfg = dataclasses.replace(PipelineConfig.from_file(config), out_dir=str(copy))
         reads, decodes = [], []
         alive: list[tuple[str, weakref.ref]] = []  # (layout, store) per decoded store
-        fills: list[tuple[tuple, bool]] = []  # (index shape, inside a stack) per RowStore.fill
-        stacks: list[weakref.ref] = []
-        building = []  # not empty while WindowBatcher.stack runs
+        fills: list[tuple[tuple, bool, bool]] = []  # (index shape, into `out`, while scoring) per RowStore.fill
+        scoring = []  # not empty while predict_logits runs
         original_read = pipeline.read_feature_file
         original_samples = FeatureFile.samples
         original_aggregates = FeatureFile.aggregates
         original_fill = RowStore.fill
-        original_stack = WindowBatcher.stack
-        original_recur = evaluation.bilstm_recur
+        original_predict = evaluation.predict_logits
 
         def read(*args, **kwargs):
             reads.append(args[0])
@@ -351,49 +351,45 @@ class TestRunAll:
             decodes.append(("agg", group))
             return original_aggregates(self, group)
 
-        def fill(self, rows, dtype):
-            fills.append((rows.shape, bool(building)))
-            return original_fill(self, rows, dtype)
+        def fill(self, rows, dtype, out=None):
+            fills.append((rows.shape, out is not None, bool(scoring)))
+            return original_fill(self, rows, dtype, out)
 
-        def stack(self):
-            building.append(self)
-            rows = original_stack(self)
-            building.pop()
-            stacks.append(weakref.ref(rows))
-            return rows
-
-        def recur(*args, **kwargs):
-            assert all(ref() is None for ref in stacks), "a scoring stack outlived its projections"
-            return original_recur(*args, **kwargs)
+        def predict(*args):
+            scoring.append(args)
+            try:
+                return original_predict(*args)
+            finally:
+                scoring.pop()
 
         monkeypatch.setattr(pipeline, "read_feature_file", read)
         monkeypatch.setattr(FeatureFile, "samples", samples)
         monkeypatch.setattr(FeatureFile, "aggregates", aggregates)
         monkeypatch.setattr(RowStore, "fill", fill)
-        monkeypatch.setattr(WindowBatcher, "stack", stack)
-        monkeypatch.setattr(evaluation, "bilstm_recur", recur)
+        monkeypatch.setattr(evaluation, "predict_logits", predict)
+        monkeypatch.setattr(pipeline, "predict_logits", predict)
         rows = [row.row_id for row in pipeline.LADDER]
         assert set(pipeline.stage_train(cfg, rows).values()) == {"trained"}
         assert reads == [copy / "features.pbf"]
         assert decodes == [("agg", "train"), ("530", "train"), ("530", "val"), ("176", "train"), ("176", "val")]
         assert len(alive) == 4
-        # training and validation build only batches: (B, T) windows' rows
-        assert fills and stacks == []
-        batch = max(cfg.train.batch_size, SCORE_BATCH_SIZE)
-        assert all(len(shape) == 2 and shape[0] <= batch and shape[1] <= cfg.window_len for shape, _ in fills)
+        # training fills (B, T) batches' rows, validation 1-D chunks of its batches' rows
+        chunk = CHUNK_ROWS + 23
+        assert {len(shape) for shape, _, _ in fills} == {1, 2}
+        assert all(into and not scored for _, into, scored in fills)
+        for shape, _, _ in fills:
+            assert shape[0] <= cfg.train.batch_size and shape[1] <= cfg.window_len if len(shape) == 2 else shape[0] <= chunk
         reads.clear()
         decodes.clear()
         fills.clear()
         assert not any(report.failed for report in pipeline.stage_eval(cfg, rows))
         assert reads == [copy / "features.pbf"]
         assert decodes == [("agg", "test"), ("530", "test"), ("176", "test"), ("176", "val")]
-        # scoring builds one stack per predict_logits call (seven test sets,
-        # align9_corrected's val) and nothing else
-        assert len(stacks) == 8 and len(fills) == 8
-        assert all(len(shape) == 1 and inside for shape, inside in fills)
+        # scoring (seven test sets, align9_corrected's val) fills only row
+        # chunks of its stack, never the whole stack once it has more rows
+        assert fills and all(len(shape) == 1 and shape[0] <= chunk and into and scored for shape, into, scored in fills)
         gc.collect()
         assert all(store() is None for _, store in alive)  # nothing outlives its stage
-        assert all(ref() is None for ref in stacks)
 
     def test_row_order_does_not_change_outputs(self, finished_run, tmp_path):
         # rows of interleaved layouts decode a layout again, from the same bytes

@@ -248,7 +248,24 @@ _DAMAGED_INDEX_GAMES = {
 }
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing_key", "unknown_split_name", *_DAMAGED_INDEX_GAMES])
+# damaged splits.json keys: each is not a key `write_splits` writes, though
+# int() parses all but the last two
+_DAMAGED_SPLIT_KEYS = {
+    "underscore_key": "1_0",
+    "spaced_key": " 2",
+    "negative_key": "-3",
+    "plus_key": "+4",
+    "leading_zero_key": "01",
+    "non_ascii_digit_key": "\u0663",
+    "key_beyond_u64": str(2**64),
+    "empty_key": "",
+    "float_key": "1.0",
+}
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncated", "missing_key", "unknown_split_name", *_DAMAGED_INDEX_GAMES, *_DAMAGED_SPLIT_KEYS]
+)
 def test_damaged_index_and_splits_name_the_file(tmp_path, damage):
     index_path = tmp_path / "index.json"
     splits_path = tmp_path / "splits.json"
@@ -264,6 +281,9 @@ def test_damaged_index_and_splits_name_the_file(tmp_path, damage):
     elif damage == "unknown_split_name":
         # a damaged upstream artifact, not a configuration error
         splits_path.write_text(json.dumps({"3": "train", "1": "validation"}))
+        damaged = damaged[:1]
+    elif damage in _DAMAGED_SPLIT_KEYS:
+        splits_path.write_text(json.dumps({"3": "train", _DAMAGED_SPLIT_KEYS[damage]: "val"}))
         damaged = damaged[:1]
     else:
         profiles = {code: {"games": games, "windows": 11} for code, games in _DAMAGED_INDEX_GAMES[damage].items()}

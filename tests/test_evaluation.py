@@ -246,7 +246,7 @@ def gather_first_logits(ckpt, samples):
     gathered, then the allocating step loop; logits in input order."""
     p = ckpt.params
     windows = WindowBatcher(samples, p["fwd_W"].dtype)
-    rows = windows.stack()
+    rows = windows.rows().fill(0, len(windows.src))
     pre = (project(rows, p["fwd_W"]), project(rows, p["bwd_W"]))
     batches = windows.batches(SCORE_BATCH_SIZE)
     parts = {"profile": [], "align": [], "motiv": []}

@@ -1040,14 +1040,49 @@ def test_store_batches_are_bitwise_the_dense_decode(tmp_path_factory, games, win
         batcher = WindowBatcher(samples, np.float32)
         for fill_rows in (features._FILL_ROWS, 3):
             with mock.patch.object(features, "_FILL_ROWS", fill_rows):
-                assert batcher.stack().view(np.uint32).tobytes() == want_stack.view(np.uint32).tobytes()
+                assert batcher.rows().fill(0, len(batcher.src)).view(np.uint32).tobytes() == want_stack.view(np.uint32).tobytes()
                 for idx in batcher.batches(batch_size, rng):
                     want = np.stack([block[first_row[s.game_id] + s.window[0] :][: s.window[1]] for s in (samples[i] for i in idx)])
                     X = batcher.x(idx)
                     assert X.dtype == np.float32 and X.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
         if pick == "float64_toy":
             wide = WindowBatcher(samples, np.float64)
-            assert wide.stack().tobytes() == want_stack.astype(np.float64).tobytes()
+            assert wide.rows().fill(0, len(wide.src)).tobytes() == want_stack.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["530", "176"])
+def test_fill_into_a_used_buffer_equals_a_fresh_fill(tmp_path, layout):
+    # training and scoring fill each batch into workspace memory that held
+    # the batch before: a 530 fill must zero every column it does not write
+    rng = np.random.default_rng(71)
+    written = []
+    for gid in range(6):
+        t = int(rng.integers(3, 12))
+        counts = rng.integers(-3, 4, (t, N_TEXT_LEGACY)) * (rng.random((t, N_TEXT_LEGACY)) < 0.1)
+        sample = SequenceSample(gid, Profile.from_index(gid), (0, t), rng.random((t, N_BEHAVIORAL)))
+        written.append((sample, counts, rng.random(52)))
+    _write(tmp_path / "x.pbf", written)
+    store = read_feature_file(tmp_path / "x.pbf").samples(layout)[0].game.store
+    n = len(store.dense)
+    before, after = rng.integers(0, n, (5, 4)), rng.integers(0, n, (5, 4))
+    buf = np.full((5, 4, store.width), np.nan, np.float32)
+    assert store.fill(before, np.float32, out=buf) is buf
+    store.fill(after, np.float32, out=buf)
+    want = store.fill(after, np.float32)
+    assert buf.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+    flat = np.empty((20, store.width), np.float32)
+    store.fill(before.reshape(-1), np.float32, out=flat)
+    store.fill(after.reshape(-1), np.float32, out=flat)
+    assert flat.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+    wide = np.full((5, 4, store.width), np.nan)
+    store.fill(after, np.float64, out=wide)
+    assert wide.tobytes() == want.astype(np.float64).tobytes()
+    for bad in (np.empty((5, 4, store.width), np.float64), np.empty((4, 5, store.width), np.float32),
+                np.empty((5, 4, 2 * store.width), np.float32)[:, :, ::2]):
+        with pytest.raises(DimensionMismatch):
+            store.fill(after, np.float32, out=bad)
+    with pytest.raises(DimensionMismatch, match="outside"):
+        store.fill(np.array([0, n]), np.float32)
 
 
 def test_aggregate_block_roundtrip(tmp_path):

@@ -12,12 +12,16 @@ import pytest
 
 from profilebench.errors import DimensionMismatch
 from profilebench.models.lstm import (
+    CHUNK_ROWS,
+    Workspace,
+    _chunk_bounds,
     _direction_backward,
     _direction_recur,
     attention_pool_batch,
     bilstm_forward_batch,
     bilstm_recur,
     last_state_pool_batch,
+    project_rows,
     multi_pool_backward_batch,
     multi_pool_batch,
     project,
@@ -410,32 +414,108 @@ class TestKernelBits:
             bilstm_recur((pre, pre), np.array([[0, 1], [row, 2]]), (R, b), (R, b))
 
 
-def _chunk_bounds(n, size, tail=24):
-    """Row bounds of `size`-row chunks of n rows; a last chunk of fewer
-    than `tail` rows is merged into the chunk before it."""
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] < tail:
-        starts.pop()
-    return starts + [n]
-
-
 class TestChunkedProjection:
-    """Canary for a fixed scoring workspace: a stack projected in chunks of
-    a multiple of 24 rows, the remainder under 24 rows merged into the chunk
-    before it, is bit for bit the one-GEMM projection on the OpenBLAS sgemm
-    kernels CI runs. A 1-row last chunk is not: if this starts failing,
-    chunking the scoring projection changes logits."""
+    """Canary for the chunked projection of validation and scoring
+    (`project_rows`, chunked by `_chunk_bounds`): rows projected in chunks
+    of a multiple of 24 rows, the remainder under 24 rows merged into the
+    chunk before it, are bit for bit the one-GEMM projection on the OpenBLAS
+    sgemm kernels CI runs. A 1-row last chunk is not: if this starts
+    failing, chunking changes validation accuracies and logits."""
 
-    @pytest.mark.parametrize("D", [176, 530])
-    @pytest.mark.parametrize("N", [25, 50, 777, 1537, 2085])
-    @pytest.mark.parametrize("size", [24, 96, 768])
-    def test_chunks_bitwise_equal_to_one_gemm(self, D, N, size):
+    @staticmethod
+    def _check(D, N, size):
         rng = np.random.default_rng(191 + N + D)
         W = rng.normal(0, 0.1, (4 * 64, D)).astype(np.float32)
         rows = rng.normal(0, 1, (N, D)).astype(np.float32)
         bounds = _chunk_bounds(N, size)
+        assert bounds[0] == 0 and bounds[-1] == N
+        assert all(e - s >= min(N, 24) for s, e in zip(bounds, bounds[1:]))
         chunked = np.concatenate([project(rows[s:e], W) for s, e in zip(bounds, bounds[1:])])
         _assert_bits(chunked, project(rows, W), np.uint32)
+
+    @pytest.mark.parametrize("D", [176, 530])
+    @pytest.mark.parametrize("N", [25, 50, 777, 1537, 2085])
+    @pytest.mark.parametrize("size", sorted({24, 96, 768, CHUNK_ROWS}))
+    def test_chunks_bitwise_equal_to_one_gemm(self, D, N, size):
+        self._check(D, N, size)
+
+    @pytest.mark.parametrize("D", [176, 530])
+    @pytest.mark.parametrize("B", [1, 23, 24, 25, 64, 255, 256])
+    @pytest.mark.parametrize("T", [1, 3, 8])
+    def test_validation_batches_bitwise_equal_to_one_gemm(self, D, B, T):
+        # validation projects each batch's B * T rows in CHUNK_ROWS chunks
+        self._check(D, B * T, CHUNK_ROWS)
+
+    def test_project_rows_fills_chunks_into_one_buffer(self):
+        rng = np.random.default_rng(7)
+        N, D = 2 * CHUNK_ROWS + 20, 176  # the 20-row tail joins the second chunk
+        rows = rng.normal(0, 1, (N, D)).astype(np.float32)
+        Ws = tuple(rng.normal(0, 0.1, (4 * 8, D)).astype(np.float32) for _ in range(2))
+        filled = []
+
+        class Chunks:
+            shape = rows.shape
+
+            def fill(self, start, stop, out):
+                filled.append((start, stop, out.__array_interface__["data"][0]))
+                out[...] = rows[start:stop]
+                return out
+
+        got = project_rows(Chunks(), Ws, Workspace(np.float32))
+        assert [(s, e) for s, e, _ in filled] == [(0, CHUNK_ROWS), (CHUNK_ROWS, N)]
+        assert len({address for _, _, address in filled}) == 1
+        for W, pre in zip(Ws, got):
+            _assert_bits(pre, project(rows, W), np.uint32)
+
+
+class TestWorkspace:
+    def test_views_are_exact_contiguous_and_aligned(self):
+        ws = Workspace(np.float32)
+        ws.arena = np.empty(4096, np.float32)
+        base = ws.arena.__array_interface__["data"][0]
+        views = [ws.empty((3, 5)), ws.empty((7,), bool), ws.empty((2, 3), np.intp), ws.empty((1, 2, 3), np.float64)]
+        for view, (shape, dtype) in zip(views, [((3, 5), np.float32), ((7,), bool), ((2, 3), np.intp), ((1, 2, 3), np.float64)]):
+            assert view.shape == shape and view.dtype == dtype and view.flags.c_contiguous
+            assert np.shares_memory(view, ws.arena)
+            assert (view.__array_interface__["data"][0] - base) % 64 == 0
+        ends = [v.__array_interface__["data"][0] + v.nbytes for v in views]
+        starts = [v.__array_interface__["data"][0] for v in views]
+        assert all(end <= start for end, start in zip(ends, starts[1:]))  # no overlap
+
+    def test_a_reserve_is_address_space_the_views_fit_in(self):
+        ws = Workspace(np.float32, reserve=1 << 20)
+        assert len(ws.arena) == 1 << 18
+        with ws.frame():
+            view = ws.empty((512, 512))
+            assert np.shares_memory(view, ws.arena)
+            # a view past the reserve is a new array, and the next view that
+            # fits is carved where it would have been
+            big = ws.empty((2, 512))
+            assert not np.shares_memory(big, ws.arena) and big.shape == (2, 512)
+        with ws.frame():
+            head = ws.empty((511, 512))
+            assert not np.shares_memory(ws.empty((2, 512)), ws.arena)
+            tail = ws.empty((1, 512))
+            assert np.shares_memory(tail, ws.arena) and tail.ctypes.data == head.ctypes.data + head.nbytes
+        assert ws.top == 0
+
+    def test_frames_rewind_and_reuse(self):
+        ws = Workspace(np.float64)
+        ws.arena = np.empty(1024)
+        kept = ws.empty((10,))
+        with ws.frame():
+            first = ws.empty((20,))
+        with ws.frame():
+            second = ws.empty((20,))
+        assert np.shares_memory(first, second) and not np.shares_memory(kept, second)
+
+    def test_no_reserve_allocates_like_numpy(self):
+        ws = Workspace(np.float32)
+        with ws.frame():
+            first = ws.empty((100, 100))
+        with ws.frame():
+            second = ws.empty((100, 100))
+        assert len(ws.arena) == 0 and not np.shares_memory(first, second)
 
 
 def _per_step_backward(cache, X, R, dstates):

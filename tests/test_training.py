@@ -1,5 +1,7 @@
 """Optimizer loop behavior: overfitting, early stopping, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from profilebench.errors import (
 from profilebench import pipeline
 from profilebench.dataset import window_starts
 from profilebench.features import GameRows, RowStore, SequenceSample
-from profilebench.models import lstm
+from profilebench.models import lstm, training
 from profilebench.models.baseline import train_baseline
 from profilebench.models.checkpoint import POOL_ATTENTION, POOL_LAST, POOL_MULTI, init_checkpoint
 from profilebench.models.training import (
@@ -362,12 +364,13 @@ class TestTrainLoop:
     def test_two_epochs_bitwise_equal_to_reference_kernels(self, pooling, monkeypatch):
         # the allocating step loop and its batch-major BPTT, swapped in for
         # the in-place kernel and the time-major backward
-        def reference_recur(pre, take, R, b, reverse, out, cache=True):
+        def reference_recur(pre, take, R, b, reverse, out, cache=True, ws=None):
+            pre = pre(lstm.Workspace(out.dtype)) if callable(pre) else pre
             kept = lstm_oracles.reference_direction(pre[take], R, b, reverse)
             out[...] = kept["h"]
             return {**kept, "h": out} if cache else {"h": out, "reverse": reverse}
 
-        def reference_backward(cache, X, R, dstates, out):
+        def reference_backward(cache, X, R, dstates, out, ws=None):
             for got, want in zip(out, lstm_oracles.reference_backward(cache, X, R, dstates)):
                 got[...] = want
 
@@ -398,6 +401,107 @@ class TestTrainLoop:
             train([], samples, PROFILE_SPACE, ckpt, TrainConfig(), 0)
         with pytest.raises(EmptySplit):
             train(samples, [], PROFILE_SPACE, ckpt, TrainConfig(), 0)
+
+
+def _production_ckpt(pooling, seed=3):
+    """A 530-input, 64-hidden checkpoint, as the ladder's rows are, its
+    weights randomized so that no gradient is zero."""
+    ckpt = init_checkpoint(530, 64, 36, pooling, seed, PROFILE_SPACE.tag, 1)
+    ckpt.flat[...] = np.random.default_rng(seed).normal(0, 0.05, ckpt.flat.size).astype(np.float32)
+    return ckpt
+
+
+class TestWorkspaceReuse:
+    """One Workspace serves every step of a stage: its views hold whatever
+    the last step left there, so every value must be written before it is
+    read."""
+
+    @pytest.mark.parametrize("pooling", [POOL_MULTI, POOL_ATTENTION, POOL_LAST])
+    def test_steps_on_one_workspace_equal_fresh_steps(self, pooling):
+        rng = np.random.default_rng(61)
+        config = TrainConfig(learning_rate=1e-2, dropout=0.2)
+        reused, fresh = _production_ckpt(pooling), _production_ckpt(pooling)
+        reused_moments, fresh_moments = _moments(reused), _moments(fresh)
+        ws = lstm.Workspace(np.float32, 8 << 20)  # room for a (64, 8) step
+        for step, (B, T) in enumerate([(64, 8), (17, 3), (64, 8)]):
+            data = rng.normal(0, 1, (B, T, 530)).astype(np.float32)
+            y = rng.integers(0, 36, B), rng.integers(0, 9, B), rng.integers(0, 4, B)
+            ws.arena.fill(np.nan)  # what an earlier step left there must not be read
+            with ws.frame():
+                X = ws.empty(data.shape)
+                X[...] = data
+                got = train_step(Batch(X, *y), reused, reused_moments, config, 5, step, ws)
+            want = train_step(Batch(data, *y), fresh, fresh_moments, config, 5, step)
+            assert got == want
+            for a, b in [(reused.flat, fresh.flat), *zip(reused_moments, fresh_moments)]:
+                np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+        assert ws.top == 0 and not np.isnan(ws.arena).all()  # the steps ran in the arena
+
+    @pytest.mark.parametrize("pooling", [POOL_MULTI, POOL_ATTENTION, POOL_LAST])
+    def test_steps_allocate_no_large_array(self, pooling, monkeypatch):
+        # train's workspace reserves its arena up front, so not even a row's
+        # first step allocates its arrays. tracemalloc's peak is the sum of
+        # every allocation alive at once: the small (B, .) pooling, head and
+        # loss arrays and numpy's iterator buffers (bufsize items an
+        # operand, shrunk here so that they do not hide an array), so a
+        # peak under 64 KiB bounds every array. At this shape the batch
+        # input (B, T, 530), each projection and the gradient vector exceed
+        # it; a step on a workspace with no reserve allocates them all
+        B, T = 2, 32
+        rng = np.random.default_rng(62)
+        profiles = all_profiles()
+        samples = [
+            SequenceSample(i, profiles[i % 36], (0, T), rng.normal(0, 1, (T, 530)).astype(np.float32))
+            for i in range(5 * B)
+        ]
+        rises = []
+
+        def measured(fn):
+            def call(*args, **kwargs):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = fn(*args, **kwargs)
+                rises.append(tracemalloc.get_traced_memory()[1] - start)
+                return out
+
+            return call
+
+        bufsize = np.setbufsize(256)
+        tracemalloc.start()
+        try:
+            ckpt = _production_ckpt(pooling)
+            X = np.stack([s.game for s in samples[:B]])
+            y = np.zeros(B, np.int64)
+            measured(train_step)(Batch(X, y, y, y), ckpt.copy(), _moments(ckpt), TrainConfig(), 9, 0)
+            assert rises.pop() > 2 * 2**20
+            monkeypatch.setattr(training, "train_step", measured(training.train_step))
+            monkeypatch.setattr(WindowBatcher, "x", measured(WindowBatcher.x))
+            train(samples[B:], samples[:B], PROFILE_SPACE, ckpt, TrainConfig(batch_size=B, epochs=2), 9)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        # (x, train_step) per step: 4 steps an epoch
+        assert len(rises) == 16
+        assert max(rises) < 64 * 2**10, [r // 2**10 for r in rises]
+
+    def test_chunked_validation_equals_whole_batches(self):
+        # 256-window validation batches of 8 steps are 2,048 rows: 3 chunks
+        rng = np.random.default_rng(63)
+        ckpt = _production_ckpt(POOL_MULTI)
+        block = rng.normal(0, 1, (300 + 7, 530)).astype(np.float32)
+        game = GameRows(RowStore.of_dense(block), 0, len(block))
+        samples = [SequenceSample(0, all_profiles()[0], (s, 8), game) for s in range(300)]
+        windows = WindowBatcher(samples, np.float32)
+        assert [len(idx) for idx in windows.batches(256)] == [256, 44]
+        ws = lstm.Workspace(np.float32)
+        for idx in windows.batches(256):
+            with ws.frame():
+                got, _ = forward_batch(windows.rows(idx), ckpt, cache=False, ws=ws)
+            want, _ = forward_batch(windows.x(idx), ckpt, cache=False)
+            for head in want:
+                np.testing.assert_array_equal(got[head].view(np.uint32), want[head].view(np.uint32))
+        preds, labels = predict_main(windows, np.arange(len(samples)), ckpt)
+        assert labels.tolist() == np.concatenate(windows.batches(256)).tolist() and len(preds) == len(samples)
 
 
 class _Bucketed:
@@ -505,6 +609,11 @@ def _block_windows(seed):
     return store, block, samples
 
 
+def _stack(windows):
+    """Every stacked row of a batcher as one new (N, D) array."""
+    return windows.rows().fill(0, len(windows.src))
+
+
 class TestWindowBatcherRows:
     """The batcher keeps its games' store, not a copy of their rows; its
     stack holds the games' rows in first-seen order, in its dtype."""
@@ -517,8 +626,8 @@ class TestWindowBatcherRows:
         store, block, samples = _block_windows(0)
         windows = WindowBatcher(samples, np.float32)
         assert windows.store is store
-        assert windows.stack().view(np.uint32).tobytes() == block.view(np.uint32).tobytes()
-        assert windows.stack().view(np.uint32).tobytes() == self._first_seen_stack(samples).view(np.uint32).tobytes()
+        assert _stack(windows).view(np.uint32).tobytes() == block.view(np.uint32).tobytes()
+        assert _stack(windows).view(np.uint32).tobytes() == self._first_seen_stack(samples).view(np.uint32).tobytes()
 
     @pytest.mark.parametrize("pick", ["admissible_subset", "shuffled", "float64"])
     def test_other_sample_sets_stack_a_new_array(self, pick):
@@ -532,7 +641,7 @@ class TestWindowBatcherRows:
             assert list(dict.fromkeys(s.game_id for s in samples)) != sorted({s.game_id for s in samples})
         windows = WindowBatcher(samples, dtype)
         assert windows.store is store
-        stack = windows.stack()
+        stack = _stack(windows)
         assert not np.shares_memory(stack, block)
         want = self._first_seen_stack(samples).astype(dtype)
         assert stack.dtype == dtype
